@@ -11,8 +11,8 @@ Measures, on the T1 testcase:
   allocations/sec for the marginal-greedy selector, features/sec for the
   impact evaluator and model),
 * **Solve sweep** — wall-clock of the full engine solve for Greedy and DP
-  under serial, thread-pool, and process-pool dispatch, asserting the
-  placements stay bit-identical across backends,
+  in-process and on the process pool, asserting the placements stay
+  bit-identical across both,
 * **Large grid** — the r=8 (~1 000-tile) scenario the persistent-pool /
   chunked-dispatch / shared-memory-store machinery targets, timing a cold
   (pool spin-up included) and a warm (steady-state) process run against
@@ -152,7 +152,7 @@ def bench_kernels(layout, fill_rules, density_rules, prepared) -> dict:
 
 
 def bench_solve_sweep(layout, fill_rules, density_rules, prepared, workers: int) -> dict:
-    """Serial vs thread vs process engine solves; placements must agree.
+    """Serial vs process-pool engine solves; placements must agree.
 
     Records the *effective* worker count alongside the requested one: a
     ``--workers 4`` run on a 1-core host is not a parallelism measurement,
@@ -169,15 +169,10 @@ def bench_solve_sweep(layout, fill_rules, density_rules, prepared, workers: int)
     for method in ("greedy", "dp"):
         entry: dict = {}
         baseline_features = None
-        for label, w, backend in (
-            ("serial", 1, "thread"),
-            ("thread", workers, "thread"),
-            ("process", workers, "process"),
-        ):
+        for label, w in (("serial", 1), ("process", workers)):
             cfg = EngineConfig(
                 fill_rules=fill_rules, density_rules=density_rules,
-                method=method, backend="scipy", seed=0,
-                workers=w, parallel_backend=backend,
+                method=method, backend="scipy", seed=0, workers=w,
             )
             engine = PILFillEngine(layout, "metal3", cfg, prepared=prepared)
             t0 = time.perf_counter()
@@ -190,7 +185,6 @@ def bench_solve_sweep(layout, fill_rules, density_rules, prepared, workers: int)
                     f"{method}/{label}: placement diverged from serial"
                 )
         entry["bit_identical"] = True
-        entry["thread_speedup"] = round(entry["serial_s"] / entry["thread_s"], 2)
         entry["process_speedup"] = round(entry["serial_s"] / entry["process_s"], 2)
         out["methods"][method] = entry
     return out
@@ -242,8 +236,7 @@ def bench_large_grid(layout, fill_rules, workers: int, window: int = 32, r: int 
     # build inside ``serial_s`` would inflate every speedup ratio.
     warm_cfg = EngineConfig(
         fill_rules=fill_rules, density_rules=density_rules,
-        method="greedy", backend="scipy", seed=0,
-        workers=1, parallel_backend="thread",
+        method="greedy", backend="scipy", seed=0, workers=1,
     )
     PILFillEngine(layout, "metal3", warm_cfg, prepared=prepared).run()
     shutdown_pools()  # cold start must be honest: no pool left from the sweep
@@ -251,15 +244,14 @@ def bench_large_grid(layout, fill_rules, workers: int, window: int = 32, r: int 
     for method in ("greedy",):
         entry: dict = {}
         runs: dict[str, object] = {}
-        for label, w, backend in (
-            ("serial", 1, "thread"),
-            ("process_cold", workers, "process"),
-            ("process_warm", workers, "process"),
+        for label, w in (
+            ("serial", 1),
+            ("process_cold", workers),
+            ("process_warm", workers),
         ):
             cfg = EngineConfig(
                 fill_rules=fill_rules, density_rules=density_rules,
-                method=method, backend="scipy", seed=0,
-                workers=w, parallel_backend=backend,
+                method=method, backend="scipy", seed=0, workers=w,
             )
             engine = PILFillEngine(layout, "metal3", cfg, prepared=prepared)
             t0 = time.perf_counter()

@@ -118,11 +118,10 @@ def test_process_backend_speedup_and_identity(t1_layout):
     for method in ("greedy", "dp"):
         results = {}
         times = {}
-        for label, w, backend in (("serial", 1, "thread"), ("process", workers, "process")):
+        for label, w in (("serial", 1), ("process", workers)):
             cfg = EngineConfig(
                 fill_rules=fill_rules, density_rules=density_rules,
-                method=method, backend="scipy", seed=0,
-                workers=w, parallel_backend=backend,
+                method=method, backend="scipy", seed=0, workers=w,
             )
             engine = PILFillEngine(layout, "metal3", cfg, prepared=prepared)
             t0 = time.perf_counter()

@@ -33,9 +33,6 @@ def _default_worker_entry_functions() -> tuple[str, ...]:
         "repro.pilfill.executor._worker_init",
         "repro.pilfill.parallel.solve_tile_payload",
         "repro.pilfill.parallel._solve_payload_isolated",
-        # The sharded dispatch's pool entry (a solve_tile_batch wrapper):
-        # anchoring it keeps the purity walk live over the shard cone.
-        "repro.pilfill.shard.solve_shard_batch",
     )
 
 

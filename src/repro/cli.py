@@ -21,7 +21,6 @@ from repro.io import write_def
 from repro.pilfill import (
     EngineConfig,
     METHODS,
-    PARALLEL_BACKENDS,
     PILFillEngine,
     SolutionCache,
     evaluate_impact,
@@ -45,22 +44,18 @@ def _layout_for(name: str):
 def _cmd_table(args: argparse.Namespace, weighted: bool) -> int:
     telemetry = bool(args.trace_out or args.metrics_out)
     cache_dir = None if args.no_cache else args.cache_dir
+    quick = (
+        {"testcases": ("T1",), "windows_um": (32,), "r_values": (2,)}
+        if args.quick
+        else {}
+    )
     spec = TableSpec(
-        workers=args.workers, parallel_backend=args.backend,
-        batch_tiles=args.batch_tiles, persistent_pool=not args.ephemeral_pool,
+        workers=args.workers, batch_tiles=args.batch_tiles,
         tile_deadline_s=args.tile_deadline, run_deadline_s=args.run_deadline,
         telemetry=telemetry, cache_dir=cache_dir,
         density_backend=args.density_backend, shards=args.shards,
+        **quick,
     )
-    if args.quick:
-        spec = TableSpec(
-            testcases=("T1",), windows_um=(32,), r_values=(2,),
-            workers=args.workers, parallel_backend=args.backend,
-            batch_tiles=args.batch_tiles, persistent_pool=not args.ephemeral_pool,
-            tile_deadline_s=args.tile_deadline, run_deadline_s=args.run_deadline,
-            telemetry=telemetry, cache_dir=cache_dir,
-            density_backend=args.density_backend, shards=args.shards,
-        )
     table = run_table(
         weighted=weighted, spec=spec, progress=lambda label: print(f"  done {label}")
     )
@@ -126,9 +121,7 @@ def _cmd_fill(args: argparse.Namespace) -> int:
         density_backend=args.density_backend,
         seed=args.seed,
         workers=args.workers,
-        parallel_backend=args.backend,
         batch_tiles=args.batch_tiles,
-        persistent_pool=not args.ephemeral_pool,
         tile_deadline_s=args.tile_deadline,
         run_deadline_s=args.run_deadline,
         telemetry=bool(args.trace_out or args.metrics_out),
@@ -139,7 +132,7 @@ def _cmd_fill(args: argparse.Namespace) -> int:
     result = engine.run()
     impact = evaluate_impact(layout, args.layer, result.features, fill_rules)
     print(f"{args.testcase}/{args.window}/{args.r} method={args.method} "
-          f"workers={args.workers} backend={args.backend}")
+          f"workers={args.workers}")
     print(f"  features placed: {result.total_features} (shortfall {result.shortfall})")
     if not result.clean:
         degraded, failed, retried = (
@@ -231,6 +224,45 @@ def _quickstart_inline(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The engine flags shared by ``table1``, ``table2`` and ``fill``."""
+    p.add_argument("--workers", type=int, default=1,
+                   help="per-tile solver parallelism: 1 solves in-process, "
+                        "N > 1 uses the persistent N-worker process pool")
+    p.add_argument("--batch-tiles", type=int, default=None,
+                   help="tiles per process-pool submit (default: "
+                        "auto-sized; results are identical either way)")
+    p.add_argument("--tile-deadline", type=float, default=None,
+                   help="per-tile solve deadline in seconds; timed-out "
+                        "tiles degrade ILP-II -> ILP-I -> Greedy")
+    p.add_argument("--run-deadline", type=float, default=None,
+                   help="whole-solve-phase deadline in seconds per engine run")
+    p.add_argument("--cache-dir", default=None,
+                   help="enable the content-addressed tile-solution cache, "
+                        "persisted under this directory; warm re-runs merge "
+                        "cached tiles instead of re-solving (bit-identical "
+                        "results)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="disable the tile-solution cache even when "
+                        "--cache-dir is given")
+    p.add_argument("--density-backend", default="direct", choices=DENSITY_BACKENDS,
+                   help="window-density aggregation: direct summed-area "
+                        "oracle or one-pass FFT (bit-identical on real "
+                        "layouts, much faster on large grids)")
+    p.add_argument("--trace-out", default=None,
+                   help="write the run report(s) (spans, metrics, per-tile "
+                        "solve reports) as JSON to this path; enables "
+                        "telemetry")
+    p.add_argument("--metrics-out", default=None,
+                   help="write the run metrics as JSON to this path; "
+                        "enables telemetry")
+    p.add_argument("--shards", type=int, default=1,
+                   help="row-band shards for the solve phase; each shard "
+                        "builds only its own cost tables, so peak memory "
+                        "holds one band (results are bit-identical for "
+                        "any shard count)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -243,47 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(table_name, help=f"regenerate paper {table_name}")
         p.add_argument("--quick", action="store_true", help="single-config smoke run")
         p.add_argument("--csv", help="also write CSV to this path")
-        p.add_argument("--workers", type=int, default=1,
-                       help="per-tile solver parallelism (1 = serial)")
-        p.add_argument("--backend", default="thread", choices=PARALLEL_BACKENDS,
-                       help="worker pool kind: thread (shared memory) or "
-                            "process (ships compact tile payloads)")
-        p.add_argument("--batch-tiles", type=int, default=None,
-                       help="tiles per process-pool submit (default: "
-                            "auto-sized; results are identical either way)")
-        p.add_argument("--ephemeral-pool", action="store_true",
-                       help="tear the process pool down after each run "
-                            "instead of reusing it across runs")
-        p.add_argument("--tile-deadline", type=float, default=None,
-                       help="per-tile solve deadline in seconds; timed-out "
-                            "tiles degrade ILP-II -> ILP-I -> Greedy")
-        p.add_argument("--run-deadline", type=float, default=None,
-                       help="whole-solve-phase deadline in seconds per method run")
-        p.add_argument("--cache-dir", default=None,
-                       help="enable the content-addressed tile-solution "
-                            "cache, persisted under this directory; warm "
-                            "re-runs merge cached tiles instead of "
-                            "re-solving (bit-identical results)")
-        p.add_argument("--no-cache", action="store_true",
-                       help="disable the tile-solution cache even when "
-                            "--cache-dir is given")
-        p.add_argument("--trace-out", default=None,
-                       help="write per-cell run reports (spans + solve "
-                            "reports + metrics) as JSON to this path; "
-                            "enables telemetry for every run")
-        p.add_argument("--density-backend", default="direct",
-                       choices=DENSITY_BACKENDS,
-                       help="window-density aggregation: direct summed-area "
-                            "oracle or one-pass FFT (bit-identical on real "
-                            "layouts, much faster on large grids)")
-        p.add_argument("--metrics-out", default=None,
-                       help="write per-cell metrics JSON to this path; "
-                            "enables telemetry for every run")
-        p.add_argument("--shards", type=int, default=1,
-                       help="row-band shards for the solve phase; each "
-                            "shard builds only its own cost tables, so "
-                            "peak memory holds one band (results are "
-                            "bit-identical for any shard count)")
+        _add_run_flags(p)
 
     p = sub.add_parser("density", help="density analysis of a testcase")
     p.add_argument("--testcase", default="T1", choices=("T1", "T2"))
@@ -301,45 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="ilp2", choices=METHODS)
     p.add_argument("--unweighted", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="per-tile solver parallelism (1 = serial)")
-    p.add_argument("--backend", default="thread", choices=PARALLEL_BACKENDS,
-                   help="worker pool kind: thread (shared memory) or "
-                        "process (ships compact tile payloads)")
-    p.add_argument("--batch-tiles", type=int, default=None,
-                   help="tiles per process-pool submit (default: "
-                        "auto-sized; results are identical either way)")
-    p.add_argument("--ephemeral-pool", action="store_true",
-                   help="tear the process pool down after each run "
-                        "instead of reusing it across runs")
-    p.add_argument("--tile-deadline", type=float, default=None,
-                   help="per-tile solve deadline in seconds; timed-out "
-                        "tiles degrade ILP-II -> ILP-I -> Greedy")
-    p.add_argument("--run-deadline", type=float, default=None,
-                   help="whole-solve-phase deadline in seconds")
-    p.add_argument("--cache-dir", default=None,
-                   help="enable the content-addressed tile-solution cache, "
-                        "persisted under this directory; warm re-runs merge "
-                        "cached tiles instead of re-solving (bit-identical "
-                        "results)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the tile-solution cache even when "
-                        "--cache-dir is given")
-    p.add_argument("--density-backend", default="direct", choices=DENSITY_BACKENDS,
-                   help="window-density aggregation backend (direct | fft)")
     p.add_argument("--out", help="write filled DEF-lite to this path")
-    p.add_argument("--trace-out", default=None,
-                   help="write the run report (config, spans, metrics, "
-                        "per-tile solve reports) as JSON to this path; "
-                        "enables telemetry for the run")
-    p.add_argument("--metrics-out", default=None,
-                   help="write the run's metrics as JSON to this path; "
-                        "enables telemetry for the run")
-    p.add_argument("--shards", type=int, default=1,
-                   help="row-band shards for the solve phase; each shard "
-                        "builds only its own cost tables, so peak memory "
-                        "holds one band (results are bit-identical for "
-                        "any shard count)")
+    _add_run_flags(p)
 
     sub.add_parser("quickstart", help="tiny end-to-end demo")
 

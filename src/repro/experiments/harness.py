@@ -102,9 +102,7 @@ def run_config(
     backend: str = "scipy",
     seed: int = 0,
     workers: int = 1,
-    parallel_backend: str = "thread",
     batch_tiles: int | None = None,
-    persistent_pool: bool = True,
     prepared: PreparedInstance | None = None,
     tile_deadline_s: float | None = None,
     run_deadline_s: float | None = None,
@@ -121,11 +119,7 @@ def run_config(
     Args:
         workers: per-tile solver parallelism, forwarded to every method's
             engine (see :class:`EngineConfig`).
-        parallel_backend: ``"thread"`` or ``"process"`` (see
-            :class:`EngineConfig`); only meaningful with ``workers > 1``.
         batch_tiles: tiles per process-pool submit (None auto-sizes; see
-            :class:`EngineConfig`).
-        persistent_pool: reuse process pools across runs (default; see
             :class:`EngineConfig`).
         prepared: preprocessing to reuse; built once here when omitted.
         tile_deadline_s: per-tile solve deadline (see :class:`EngineConfig`).
@@ -173,9 +167,7 @@ def run_config(
             backend=backend,
             seed=seed,
             workers=workers,
-            parallel_backend=parallel_backend,
             batch_tiles=batch_tiles,
-            persistent_pool=persistent_pool,
             tile_deadline_s=tile_deadline_s,
             run_deadline_s=run_deadline_s,
             fallback=fallback,

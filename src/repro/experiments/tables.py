@@ -32,12 +32,8 @@ class TableSpec:
     seed: int = 0
     #: Per-tile solver parallelism forwarded to every engine run.
     workers: int = 1
-    #: ``"thread"`` or ``"process"`` — how workers run (see EngineConfig).
-    parallel_backend: str = "thread"
     #: Tiles per process-pool submit; None auto-sizes (see EngineConfig).
     batch_tiles: int | None = None
-    #: Reuse the process pool across engine runs (see EngineConfig).
-    persistent_pool: bool = True
     #: Per-tile / per-run wall-clock deadlines (seconds; see EngineConfig).
     tile_deadline_s: float | None = None
     run_deadline_s: float | None = None
@@ -194,9 +190,7 @@ def run_table(
                     backend=spec.backend,
                     seed=spec.seed,
                     workers=spec.workers,
-                    parallel_backend=spec.parallel_backend,
                     batch_tiles=spec.batch_tiles,
-                    persistent_pool=spec.persistent_pool,
                     tile_deadline_s=spec.tile_deadline_s,
                     run_deadline_s=spec.run_deadline_s,
                     fallback=spec.fallback,

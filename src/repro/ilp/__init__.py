@@ -26,6 +26,9 @@ from repro.obs.trace import TracerLike
 #: bundled branch-and-bound solves in milliseconds; above it HiGHS pulls ahead.
 AUTO_VAR_THRESHOLD = 100
 
+#: Accepted values of the ``backend`` argument of :func:`solve`.
+ILP_BACKENDS = ("bundled", "scipy", "auto")
+
 
 def solve(
     model: Model,
@@ -60,6 +63,7 @@ def solve(
 __all__ = [
     "INF",
     "AUTO_VAR_THRESHOLD",
+    "ILP_BACKENDS",
     "LinExpr",
     "Model",
     "Sense",

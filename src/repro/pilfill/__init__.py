@@ -6,11 +6,12 @@ Public surface:
 * :class:`PILFillEngine` / :class:`EngineConfig` — the end-to-end flow,
 * :func:`prepare` / :class:`PreparedInstance` — the shared, reusable
   preprocessing (dissection, legality, scan-line columns, cost tables),
-* :func:`dispatch_tiles` — the parallel per-tile solve dispatcher,
+* :func:`dispatch_tile_payloads` — the per-tile solve dispatcher
+  (in-process or the persistent process pool),
 * :class:`SolutionCache` / :class:`SolutionStore` — the content-addressed
   tile-solution cache behind incremental ECO re-fill,
-* :class:`ShardPlan` / :func:`plan_shards` / :func:`run_sharded` — grid
-  sharding along the dissection's cut lines (bounded peak memory,
+* :class:`ShardPlan` / :func:`plan_shards` — grid sharding along the
+  dissection's cut lines (``EngineConfig.shards``: bounded peak memory,
   bit-identical merge),
 * :func:`evaluate_impact` — the common delay-impact scorer,
 * the per-tile methods (ILP-I, ILP-II, Greedy, marginal greedy, DP),
@@ -63,7 +64,6 @@ from repro.pilfill.parallel import (
     TileOutcome,
     TilePayload,
     dispatch_tile_payloads,
-    dispatch_tiles,
     make_tile_payload,
     payload_columns,
     solve_tile_payload,
@@ -82,8 +82,6 @@ from repro.pilfill.shard import (
     iter_shard_windows,
     plan_shards,
     result_digest,
-    run_sharded,
-    solve_shard_batch,
 )
 from repro.pilfill.ilp1 import solve_tile_ilp1
 from repro.pilfill.ilp2 import solve_tile_ilp2
@@ -149,7 +147,6 @@ __all__ = [
     "TileOutcome",
     "TilePayload",
     "dispatch_tile_payloads",
-    "dispatch_tiles",
     "make_tile_payload",
     "payload_columns",
     "solve_tile_payload",
@@ -166,8 +163,6 @@ __all__ = [
     "iter_shard_windows",
     "plan_shards",
     "result_digest",
-    "run_sharded",
-    "solve_shard_batch",
     "MultiLayerResult",
     "run_all_layers",
     "ImpactModel",

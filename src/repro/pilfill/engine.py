@@ -19,12 +19,15 @@ geometry and rules, not on the method: they live in a
 shared across runs — pass one to the constructor to reuse it (the
 experiment harness does this so every method of a configuration shares a
 single preprocessing pass). Step 5 is embarrassingly parallel across
-tiles; ``EngineConfig.workers`` fans it out over a worker pool with a
-deterministic merge, so ``workers=N`` output is bit-identical to serial.
-``EngineConfig.parallel_backend`` picks the pool flavor: ``"thread"``
-(shared read-only cost tables; right for GIL-releasing numeric solvers)
-or ``"process"`` (compact picklable tile payloads shipped to worker
-processes; right for the pure-Python methods, which hold the GIL).
+tiles. :meth:`PILFillEngine.run` is the one solve loop: it walks the
+grid shard by shard (one shard by default), looks tiles up in the
+solution cache, sends the misses through
+:func:`~repro.pilfill.parallel.dispatch_tile_payloads` (in-process for
+``workers=1``, the persistent process pool otherwise), and merges in
+global dissection order, so every worker and shard count is
+bit-identical to serial. :meth:`PILFillEngine.run_mvdc` is the same loop
+with the MVDC per-tile strategy; :meth:`PILFillEngine.run_budgeted`
+keeps its own serial, capacity-ordered visit but shares the merge.
 
 The engine never mutates the input layout; callers evaluate placements
 with :func:`repro.pilfill.evaluate.evaluate_impact` and may attach the
@@ -33,19 +36,19 @@ features via ``layout.add_fill`` afterwards.
 
 from __future__ import annotations
 
-import dataclasses
-import random
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.dissection.density import DENSITY_BACKENDS
 from repro.errors import FillError, SolveTimeoutError
+from repro.ilp import ILP_BACKENDS
 from repro.layout.layout import FillFeature, RoutedLayout
-from repro.obs.metrics import NULL_METRICS, Metrics, MetricsLike
+from repro.obs.metrics import NULL_METRICS, MetricsLike
 from repro.obs.telemetry import Telemetry
-from repro.obs.trace import NULL_TRACER, Tracer, TracerLike
+from repro.obs.trace import NULL_TRACER, TracerLike
 from repro.pilfill.columns import SlackColumnDef
+from repro.pilfill.costlike import ColumnCostsLike
 from repro.pilfill.costs import ColumnCosts
 from repro.pilfill.incremental import (
     SolutionCache,
@@ -58,31 +61,29 @@ from repro.pilfill.budgeted import (
     solve_tile_budgeted_greedy,
     solve_tile_budgeted_ilp,
 )
-from repro.pilfill.methods import solve_tile_method, trim_to
-from repro.pilfill.mvdc import derive_tile_delay_budgets, solve_tile_mvdc
+from repro.pilfill.mvdc import derive_tile_delay_budgets
 from repro.pilfill.parallel import (
     PARALLEL_BACKENDS,
     TileOutcome,
+    TilePayload,
     dispatch_tile_payloads,
-    dispatch_tiles,
-    make_tile_payload,
-    tile_rng,
+    payload_columns,
 )
 from repro.pilfill.prepare import PreparedInstance, prepare
 from repro.pilfill.robust import (
-    RobustSolve,
     SolveReport,
     effective_time_limit,
     failed_report,
-    solve_tile_robust,
 )
+from repro.pilfill.shard import plan_shards
 from repro.pilfill.solution import TileSolution
 from repro.tech.rules import DensityRules, FillRules
-from repro.testing import faults as fault_hooks
 from repro.testing.faults import FaultSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.pilfill.executor import SharedCostStore, TileBatch
+    from repro.pilfill.executor import SharedCostStore
+
+TileKey = tuple[int, int]
 
 #: The method names the engine accepts.
 METHODS = ("normal", "ilp1", "ilp2", "greedy", "greedy_marginal", "dp")
@@ -122,31 +123,28 @@ class EngineConfig:
             utilization; for the reproduction it also guarantees every
             budgeted tile retains site choice, so methods stay
             distinguishable at fine dissections.
-        backend: ILP backend for the ILP methods.
+        backend: ILP backend for the ILP methods: ``"bundled"``,
+            ``"scipy"`` or ``"auto"`` (see :func:`repro.ilp.solve`).
         seed: seed for the Normal placement / Monte-Carlo budget. Each
             tile derives its own RNG from ``(seed, tile key)``, so
             stochastic methods are reproducible regardless of tile
             iteration order or worker count.
         workers: per-tile solver parallelism. 1 (default) solves tiles
-            serially; N > 1 fans tiles out over N workers with a
-            deterministic merge that is bit-identical to the serial path.
-        parallel_backend: ``"thread"`` (default) or ``"process"``. The
-            process backend ships tiles as compact picklable payloads
+            in-process; N > 1 ships them as compact picklable payloads
             (budget + seed + deadlines, no layout objects) in chunked
-            batches on a *persistent* pool, with the cost tables and LUT
-            arrays riding a shared-memory store that crosses the pickle
-            boundary once per worker instead of once per tile; results
-            are bit-identical to serial for every method.
+            batches to the persistent N-worker process pool (created
+            lazily, reused across runs; release it with
+            :func:`repro.pilfill.executor.shutdown_pools`), with the cost
+            tables and LUT arrays riding a shared-memory store that
+            crosses the pickle boundary once per worker. Results are
+            bit-identical to serial for every method.
+        parallel_backend: ``"process"``, the only pool kind (kept so
+            configurations that name it still construct).
         batch_tiles: tiles per process-pool submit. ``None`` (default)
             auto-sizes to a few batches per worker, capped at 64 —
             dozens of tiles per future instead of one, so dispatch
             overhead stops swamping the tiny per-tile solves. Chunking
             never affects results.
-        persistent_pool: True (default) → process pools persist across
-            ``engine.run()`` calls (created lazily per worker count;
-            release explicitly via
-            :func:`repro.pilfill.executor.shutdown_pools`). False →
-            a throwaway pool per dispatch, the pre-persistence behavior.
         tile_deadline_s: wall-clock deadline per tile solve (seconds).
             An ILP attempt exceeding it surfaces ``TIME_LIMIT`` and the
             tile degrades down the fallback chain (ILP-II → ILP-I →
@@ -160,9 +158,9 @@ class EngineConfig:
             degrade to cheaper methods, crashed workers are retried once
             with the same derived RNG, and the sweep always completes,
             with every substitution recorded in
-            ``FillResult.solve_reports``. False → strict mode: the first
-            failure propagates (previous behavior). Successful solves
-            are identical either way.
+            ``FillResult.solve_reports``. False → strict mode: a
+            one-rung chain with isolation off, so the first failure
+            propagates. Successful solves are identical either way.
         fault_spec: deterministic fault injection for tests (see
             :mod:`repro.testing.faults`); ``None`` in production.
         telemetry: True → record tracing spans and metrics for the run
@@ -186,9 +184,11 @@ class EngineConfig:
             persistent pool, and the merge is bit-identical to the
             unsharded run — sharding is a scheduling knob, excluded from
             :func:`~repro.pilfill.incremental.run_context_digest` like
-            ``workers``. 1 (default) → the single-pass path. Applies to
-            :meth:`PILFillEngine.run` only (the MVDC and budgeted
-            variants ignore it).
+            ``workers``. 1 (default) → one shard holding the grid, whose
+            cost tables and store stay memoized on the prepared
+            instance. Honored by :meth:`PILFillEngine.run` and
+            :meth:`PILFillEngine.run_mvdc`; rejected by
+            :meth:`PILFillEngine.run_budgeted`.
     """
 
     fill_rules: FillRules
@@ -203,9 +203,8 @@ class EngineConfig:
     backend: str = "auto"
     seed: int = 0
     workers: int = 1
-    parallel_backend: str = "thread"
+    parallel_backend: str = "process"
     batch_tiles: int | None = None
-    persistent_pool: bool = True
     tile_deadline_s: float | None = None
     run_deadline_s: float | None = None
     fallback: bool = True
@@ -238,6 +237,10 @@ class EngineConfig:
             raise FillError(f"shards must be >= 1, got {self.shards}")
         if self.batch_tiles is not None and self.batch_tiles < 1:
             raise FillError(f"batch_tiles must be >= 1, got {self.batch_tiles}")
+        if self.backend not in ILP_BACKENDS:
+            raise FillError(
+                f"unknown ILP backend {self.backend!r}; expected one of {ILP_BACKENDS}"
+            )
         if self.parallel_backend not in PARALLEL_BACKENDS:
             raise FillError(
                 f"unknown parallel backend {self.parallel_backend!r}; "
@@ -375,118 +378,194 @@ class PILFillEngine:
             self._prepared = self.prepare(tracer=tracer)
         return self._prepared
 
-    def _finish_phases(self, result: FillResult, solve_seconds: float) -> None:
-        """Fill ``phase_seconds`` from the shared preparation + this solve."""
-        for phase in PHASES:
-            result.phase_seconds[phase] = self.prepared.phase_seconds.get(phase, 0.0)
-        result.phase_seconds["solve"] = solve_seconds
+    def _placed(self, costs: list[ColumnCosts], outcome: TileOutcome) -> list[FillFeature]:
+        """The features one tile's outcome places: explicit sampled sites
+        when the method recorded them, column-prefix sites otherwise, and
+        none for a failed tile."""
+        solution = outcome.value
+        if solution is None:
+            return []
+        return [
+            FillFeature(layer=self.layer, rect=cc.column.sites[s])
+            for k, cc in enumerate(costs)
+            for s in solution.sites_for(k)
+        ]
 
-    def _place(self, costs: list[ColumnCosts], solution: TileSolution,
-               features: list[FillFeature]) -> None:
-        """Append the solution's placements (explicit sampled sites when
-        the method recorded them, column-prefix sites otherwise)."""
-        for k, cc in enumerate(costs):
-            for s in solution.sites_for(k):
-                features.append(FillFeature(layer=self.layer, rect=cc.column.sites[s]))
-
-    def run(self, budget: dict[tuple[int, int], int] | None = None) -> FillResult:
+    def run(self, budget: dict[TileKey, int] | None = None) -> FillResult:
         """Execute the flow. ``budget`` overrides the density step when
         given (used to hold density control identical across methods);
         the override also skips building the density map entirely.
 
-        With ``config.shards > 1`` the solve phase runs shard by shard
-        (:func:`~repro.pilfill.shard.run_sharded`) — bounded peak memory,
-        bit-identical results."""
-        cfg = self.config
-        if cfg.shards > 1:
-            from repro.pilfill.shard import run_sharded
+        With ``config.shards > 1`` the solve phase runs shard by shard —
+        bounded peak memory, bit-identical results (see :meth:`_run`)."""
+        return self._run(budget, slack_fraction=None)
 
-            return run_sharded(self, budget=budget)
-        telemetry = Telemetry() if cfg.telemetry else None
-        tracer: TracerLike = telemetry.tracer if telemetry is not None else NULL_TRACER
-        metrics: MetricsLike = telemetry.metrics if telemetry is not None else NULL_METRICS
+    def run_mvdc(self, slack_fraction: float = 0.25) -> FillResult:
+        """Run the MVDC (minimum variation with delay constraint) variant
+        — the formulation the paper mentions in footnote ‡ but does not
+        develop.
+
+        Per tile, the density step's prescription becomes a *ceiling*
+        rather than an obligation: the solver packs as many features as a
+        per-tile delay budget allows (derived as ``slack_fraction`` of the
+        worst-case impact of the prescribed count). Tiles with generous
+        free space still fill fully; tiles where every site is expensive
+        stop early — trading density uniformity for timing safety. Each
+        tile's effective budget is the count it placed.
+
+        The same loop as :meth:`run`, so ``workers``, ``shards``, the
+        solution cache (under keys no MDFC run can produce), deadlines,
+        fault injection and telemetry all apply. ``tile_deadline_s`` is
+        rejected: the per-tile solve is one greedy pass with no solver
+        time limit to enforce.
+        """
+        if self.config.tile_deadline_s is not None:
+            raise FillError(
+                "run_mvdc does not support tile_deadline_s: its per-tile "
+                "solve is one greedy pass with no time limit to enforce"
+            )
+        return self._run(None, slack_fraction=slack_fraction)
+
+    def _run(
+        self, budget: dict[TileKey, int] | None, slack_fraction: float | None
+    ) -> FillResult:
+        """The one solve loop: MDFC, or MVDC when ``slack_fraction`` is set.
+
+        The density budget is derived once, globally — sharding is a
+        solve scheduling choice and must not perturb density control.
+        Then per shard: build the shard's cost tables, cap each tile's
+        prescription (MDFC: at its column capacity; MVDC: the
+        prescription is the ceiling and a delay budget bounds the
+        impact), look the tiles to solve up in the solution cache,
+        dispatch the misses, and place each tile's features while the
+        shard's tables are alive. A final pass in global dissection order
+        merges every outcome, so feature order, float accumulation, and
+        telemetry absorption are identical for any shard or worker count.
+        Cache recording and stats deltas happen once, after the merge.
+        """
+        cfg = self.config
+        mvdc = slack_fraction is not None
+        method = "mvdc" if mvdc else cfg.method
+        result, tracer, metrics = self._start()
         prep = self._prepared_traced(tracer)
-        result = FillResult(telemetry=telemetry)
+        plan = plan_shards(prep, n_shards=cfg.shards)
 
         with tracer.span(
-            "engine.run", method=cfg.method, backend=cfg.backend,
-            workers=cfg.workers, parallel_backend=cfg.parallel_backend,
+            "engine.run", method=method, backend=cfg.backend,
+            workers=cfg.workers, shards=plan.n_shards,
         ):
             if budget is None:
                 budget = prep.budget_for(cfg, tracer=tracer)
             result.requested_budget = dict(budget)
 
             t0 = time.perf_counter()
-            costs_by_tile = prep.costs_for(cfg.weighted, tracer=tracer)
-
-            solve_keys = []
-            for tile in prep.dissection.tiles():
-                want = budget.get(tile.key, 0)
-                capacity = sum(c.capacity for c in costs_by_tile.get(tile.key, []))
-                effective = min(want, capacity)
-                result.effective_budget[tile.key] = effective
-                if effective > 0:
-                    solve_keys.append(tile.key)
-
-            effective_budget = result.effective_budget
             run_deadline = self._run_deadline()
-
-            # Incremental re-fill: look every tile up by its content
-            # digest first. Hits become ready-made outcomes; only misses
-            # reach a dispatcher, so chunked batches shrink accordingly
-            # and an all-hit run never touches a pool.
             cache = (
                 cfg.solution_cache
                 if cfg.solution_cache is not None and cache_eligible(cfg)
                 else None
             )
-            cached_outcomes: dict[tuple[int, int], TileOutcome] = {}
-            digests: dict[tuple[int, int], str] = {}
-            if cache is None:
-                dispatch_keys = list(solve_keys)
-                stats_before: dict[str, int] = {}
-            else:
-                stats_before = cache.stats()
-                context = run_context_digest(cfg, self.layer)
-                dispatch_keys = []
-                for key in solve_keys:
-                    digest = tile_digest(
-                        context, key, costs_by_tile[key], effective_budget[key]
-                    )
-                    digests[key] = digest
-                    hit = cache.lookup(digest)
-                    if hit is None:
-                        dispatch_keys.append(key)
-                    else:
-                        solution, report = hit
-                        cached_outcomes[key] = TileOutcome(
-                            key=key, value=solution, seconds=0.0, report=report
-                        )
+            stats_before = cache.stats() if cache is not None else {}
+            context = (
+                run_context_digest(cfg, self.layer, slack_fraction)
+                if cache is not None
+                else ""
+            )
+            caps: dict[TileKey, int] = {}
+            digests: dict[TileKey, str] = {}
+            dispatched: list[TileKey] = []
+            outcomes: dict[TileKey, TileOutcome] = {}
+            # Per-tile merge inputs, buffered while the owning shard's
+            # cost tables are alive; the global-order pass consumes them.
+            placed: dict[TileKey, list[FillFeature]] = {}
+            n_columns: dict[TileKey, int] = {}
 
-            with tracer.span(
-                "solve", tiles=len(solve_keys), cached=len(cached_outcomes)
-            ):
-                store = (
-                    self._shared_store(tracer)
-                    if cfg.parallel_backend == "process"
-                    else None
-                )
-                outcomes = self._dispatch_solves(
-                    dispatch_keys, costs_by_tile, effective_budget,
-                    run_deadline, store, tracer, metrics,
-                )
-                for key in solve_keys:
-                    outcome = cached_outcomes[key] if key in cached_outcomes else outcomes[key]
-                    self._merge_outcome(
-                        result, key, outcome, costs_by_tile[key],
-                        tracer=tracer, metrics=metrics,
+            for shard in plan.shards:
+                with tracer.span(
+                    "shard", key=shard.key, rows=shard.rows, tiles=shard.tile_count
+                ):
+                    if plan.n_shards == 1:
+                        # The whole grid: memoized on the prepared
+                        # instance and shared by every run over it.
+                        costs_by_tile = prep.costs_for(cfg.weighted, tracer=tracer)
+                    else:
+                        costs_by_tile = prep.costs_for_tiles(
+                            cfg.weighted, shard.tile_keys, tracer=tracer
+                        )
+                    solve_keys: list[TileKey] = []
+                    for key in shard.tile_keys:
+                        costs = costs_by_tile.get(key, [])
+                        want = budget.get(key, 0)
+                        if mvdc:
+                            caps[key] = want if costs else 0
+                        else:
+                            caps[key] = min(want, sum(c.capacity for c in costs))
+                        if caps[key] > 0:
+                            solve_keys.append(key)
+                    delay_budgets = (
+                        derive_tile_delay_budgets(budget, costs_by_tile, slack_fraction)
+                        if slack_fraction is not None
+                        else None
                     )
+
+                    # Cache hits become ready-made outcomes; only misses
+                    # reach the dispatcher, so an all-hit run never
+                    # touches a pool.
+                    dispatch_keys = solve_keys
+                    if cache is not None:
+                        dispatch_keys = []
+                        for key in solve_keys:
+                            digest = tile_digest(
+                                context, key, costs_by_tile[key], caps[key]
+                            )
+                            digests[key] = digest
+                            hit = cache.lookup(digest)
+                            if hit is None:
+                                dispatch_keys.append(key)
+                            else:
+                                outcomes[key] = TileOutcome(
+                                    key=key, value=hit[0], seconds=0.0, report=hit[1]
+                                )
+
+                    with tracer.span(
+                        "solve",
+                        tiles=len(solve_keys),
+                        cached=len(solve_keys) - len(dispatch_keys),
+                        shard=shard.key,
+                    ):
+                        outcomes.update(
+                            self._dispatch(
+                                dispatch_keys, method, costs_by_tile, caps,
+                                delay_budgets, run_deadline, plan.n_shards > 1,
+                                tracer, metrics,
+                            )
+                        )
+                    dispatched.extend(dispatch_keys)
+                    for key in solve_keys:
+                        n_columns[key] = len(costs_by_tile[key])
+                        placed[key] = self._placed(costs_by_tile[key], outcomes[key])
+                    # A shard's tables are released before the next
+                    # shard builds its own.
+                    del costs_by_tile
+
+            for tile in prep.dissection.tiles():
+                key = tile.key
+                result.effective_budget[key] = caps[key]
+                if key not in placed:
+                    continue
+                solution = self._merge_outcome(
+                    result, key, outcomes[key], placed[key], n_columns[key],
+                    method, tracer, metrics,
+                )
+                if mvdc:
+                    result.effective_budget[key] = solution.total_features
+
             if cache is not None:
                 # Record only non-failed fresh solves: failures must
                 # re-run (deterministically) rather than replay, and the
                 # stored report keeps the priming run's retry history so
                 # a warm merge reproduces the cold report bit-for-bit.
-                for key in dispatch_keys:
+                for key in dispatched:
                     if not outcomes[key].failed:
                         cache.record(
                             digests[key],
@@ -501,129 +580,103 @@ class PILFillEngine:
                 }
                 for name, delta in result.cache_stats.items():
                     metrics.count(f"cache.{name}", delta)
-            self._finish_phases(result, time.perf_counter() - t0)
-            metrics.count("features.placed", result.total_features)
-            for name, hits in prep.lut_stats.items():
-                metrics.count(f"lut.{name}", hits)
-            for phase, seconds in result.phase_seconds.items():
-                metrics.observe(f"phase.{phase}.seconds", seconds)
+            self._finish(result, metrics, time.perf_counter() - t0)
         return result
 
-    def _dispatch_solves(
+    def _dispatch(
         self,
-        dispatch_keys: list[tuple[int, int]],
-        costs_by_tile: dict[tuple[int, int], list[ColumnCosts]],
-        effective_budget: Mapping[tuple[int, int], int],
+        keys: list[TileKey],
+        method: str,
+        costs_by_tile: Mapping[TileKey, list[ColumnCosts]],
+        caps: Mapping[TileKey, int],
+        delay_budgets: Mapping[TileKey, float] | None,
         run_deadline: float | None,
-        store: "SharedCostStore | None",
-        tracer: TracerLike = NULL_TRACER,
-        metrics: MetricsLike = NULL_METRICS,
-        batch_solver: "Callable[[TileBatch], list[TileOutcome]] | None" = None,
-    ) -> dict[tuple[int, int], TileOutcome]:
-        """Solve ``dispatch_keys`` on the configured backend.
+        shard_scoped: bool,
+        tracer: TracerLike,
+        metrics: MetricsLike,
+    ) -> dict[TileKey, TileOutcome]:
+        """Solve ``keys`` through :func:`dispatch_tile_payloads`, one
+        :class:`TileOutcome` per key.
 
-        The shared dispatch core of :meth:`run` and the sharded path
-        (:func:`~repro.pilfill.shard.run_sharded`): builds payloads for
-        the process backend (columns inline only when ``store`` is
-        ``None``) or the in-process solve closures for thread/serial,
-        and returns one :class:`TileOutcome` per key. ``store`` must be
-        scoped by the caller — the whole-grid store for unsharded runs,
-        a shard-scoped one (closed by the caller afterwards) for sharded
-        runs. ``batch_solver`` overrides the pool's batch entry (the
-        sharded path submits
-        :func:`~repro.pilfill.shard.solve_shard_batch`).
+        In-process payloads (``workers=1`` or at most one tile) carry the
+        engine's own cost tables untouched. Pool payloads carry nothing
+        when a shared-memory store holds the tables — the prepared
+        instance's memoized grid store, or with ``shard_scoped`` a store
+        of just these tiles that is closed before returning — and
+        picklable copies where the platform has no shared memory.
         """
         cfg = self.config
-        if cfg.parallel_backend == "process":
-            payloads = [
-                make_tile_payload(
-                    key,
-                    costs_by_tile[key],
-                    effective_budget[key],
-                    method=cfg.method,
-                    weighted=cfg.weighted,
-                    ilp_backend=cfg.backend,
-                    seed=cfg.seed,
-                    tile_deadline_s=cfg.tile_deadline_s,
-                    run_deadline=run_deadline,
-                    fault_spec=cfg.fault_spec,
-                    fallback=cfg.fallback,
-                    telemetry=cfg.telemetry,
-                    inline_columns=store is None,
+        in_process = cfg.workers == 1 or len(keys) <= 1
+        store: SharedCostStore | None = None
+        if not in_process:
+            store = (
+                self.prepared.store_for_costs(
+                    cfg.weighted, {key: costs_by_tile[key] for key in keys}
                 )
-                for key in dispatch_keys
-            ]
+                if shard_scoped
+                else self.prepared.shared_store_for(cfg.weighted, tracer=tracer)
+            )
+        try:
+            payloads = []
+            for key in keys:
+                columns: tuple[ColumnCostsLike, ...] = ()
+                if in_process:
+                    columns = tuple(costs_by_tile[key])
+                elif store is None:
+                    columns = payload_columns(costs_by_tile[key])
+                payloads.append(
+                    TilePayload(
+                        key=key,
+                        method=method,
+                        budget=caps[key],
+                        weighted=cfg.weighted,
+                        ilp_backend=cfg.backend,
+                        seed=cfg.seed,
+                        columns=columns,
+                        delay_budget_ps=(
+                            None if delay_budgets is None else delay_budgets[key]
+                        ),
+                        tile_deadline_s=cfg.tile_deadline_s,
+                        run_deadline=run_deadline,
+                        fault_spec=cfg.fault_spec,
+                        fallback=cfg.fallback,
+                        telemetry=cfg.telemetry,
+                    )
+                )
             return dispatch_tile_payloads(
                 payloads,
                 workers=cfg.workers,
                 isolate=cfg.fallback,
                 store=store.handle if store is not None else None,
                 batch_tiles=cfg.batch_tiles,
-                persistent=cfg.persistent_pool,
                 tracer=tracer,
                 metrics=metrics,
-                batch_solver=batch_solver,
             )
-        if cfg.fallback:
-            def solve_one(key: tuple[int, int], attempt: int) -> RobustSolve:
-                # Per-tile tracer/metrics: single-owner, so the
-                # thread pool needs no locks; the merge loop
-                # absorbs them into the run-level telemetry.
-                tile_tracer = Tracer() if cfg.telemetry else None
-                tile_metrics = Metrics() if cfg.telemetry else None
-                robust = solve_tile_robust(
-                    costs_by_tile[key],
-                    cfg.method,
-                    effective_budget[key],
-                    cfg.weighted,
-                    cfg.backend,
-                    tile_rng(cfg.seed, key),
-                    key=key,
-                    tile_deadline_s=cfg.tile_deadline_s,
-                    run_deadline=run_deadline,
-                    fault_spec=cfg.fault_spec,
-                    attempt=attempt,
-                    tracer=tile_tracer,
-                    metrics=tile_metrics,
-                )
-                if tile_tracer is None:
-                    return robust
-                return dataclasses.replace(
-                    robust,
-                    spans=tile_tracer.records(),
-                    metrics=tile_metrics.snapshot() if tile_metrics else None,
-                )
+        finally:
+            if store is not None and shard_scoped:
+                # Shard-scoped segment: never outlives its shard.
+                store.close()
 
-            return dispatch_tiles(
-                dispatch_keys, solve_one, workers=cfg.workers, isolate=cfg.fallback
-            )
+    def _start(self) -> tuple[FillResult, TracerLike, MetricsLike]:
+        """A fresh result plus the run's tracer and metrics (no-ops
+        unless ``config.telemetry``)."""
+        telemetry = Telemetry() if self.config.telemetry else None
+        if telemetry is None:
+            return FillResult(), NULL_TRACER, NULL_METRICS
+        return FillResult(telemetry=telemetry), telemetry.tracer, telemetry.metrics
 
-        def solve_strict(key: tuple[int, int], attempt: int) -> TileSolution:
-            fault_hooks.inject(key, cfg.method, attempt, cfg.fault_spec)
-            return self._solve_tile(
-                costs_by_tile[key],
-                effective_budget[key],
-                tile_rng(cfg.seed, key),
-                time_limit=effective_time_limit(
-                    cfg.tile_deadline_s, run_deadline
-                ),
-            )
-
-        return dispatch_tiles(
-            dispatch_keys, solve_strict, workers=cfg.workers, isolate=cfg.fallback
-        )
-
-    def _shared_store(self, tracer: TracerLike = NULL_TRACER) -> "SharedCostStore | None":
-        """The shared-memory cost store backing process-pool payloads.
-
-        ``None`` when the run is effectively serial (``workers=1``
-        hydrates in-process, so a store buys nothing) or when the
-        platform offers no shared memory (payloads then carry their
-        columns inline — slower dispatch, identical results).
-        """
-        if self.config.workers <= 1:
-            return None
-        return self.prepared.shared_store_for(self.config.weighted, tracer=tracer)
+    def _finish(self, result: FillResult, metrics: MetricsLike, solve_seconds: float) -> None:
+        """Fill ``phase_seconds`` from the shared preparation + this
+        solve, and record the run-level metrics."""
+        prep = self.prepared
+        for phase in PHASES:
+            result.phase_seconds[phase] = prep.phase_seconds.get(phase, 0.0)
+        result.phase_seconds["solve"] = solve_seconds
+        metrics.count("features.placed", result.total_features)
+        for name, hits in prep.lut_stats.items():
+            metrics.count(f"lut.{name}", hits)
+        for phase, seconds in result.phase_seconds.items():
+            metrics.observe(f"phase.{phase}.seconds", seconds)
 
     def _run_deadline(self) -> float | None:
         """Absolute epoch the solve phase must finish by (``time.time()``
@@ -635,176 +688,49 @@ class PILFillEngine:
     def _merge_outcome(
         self,
         result: FillResult,
-        key: tuple[int, int],
+        key: TileKey,
         outcome: TileOutcome,
-        costs: list[ColumnCosts],
-        tracer: TracerLike = NULL_TRACER,
-        metrics: MetricsLike = NULL_METRICS,
-        *,
-        placed: list[FillFeature] | None = None,
-        n_columns: int | None = None,
-    ) -> None:
-        """Fold one tile's outcome into the result: place its features,
-        record timings and the solve report, absorb the tile's telemetry
-        buffer, and turn a failed tile into an explicit empty solution
-        (zero features) rather than a crash.
+        placed: list[FillFeature],
+        n_columns: int,
+        method: str,
+        tracer: TracerLike,
+        metrics: MetricsLike,
+    ) -> TileSolution:
+        """Fold one tile's outcome into the result: its placed features,
+        timings and solve report, the tile's telemetry buffer, and — for a
+        failed tile — an explicit empty ``n_columns``-wide solution (zero
+        features) rather than a crash. Returns the merged solution.
 
-        Every solved tile gets a report — including the strict
-        (``fallback=False``) path, which produces no robust-layer report:
-        an ``ok`` report is synthesized there so ``FillResult.clean`` is
-        grounded in evidence rather than vacuously true.
-
-        The sharded path releases each shard's cost tables before this
-        global-order merge runs, so it pre-places features while the
-        tables are alive and hands them in via ``placed`` (with
-        ``n_columns`` sizing a failed tile's empty solution); ``costs``
-        is then unused and may be empty.
+        Every successful outcome carries its report (the robust layer,
+        the cache and the budgeted solve all produce one), so
+        ``FillResult.clean`` is grounded in evidence for every mode.
         """
         tracer.absorb(outcome.spans)
         metrics.merge(outcome.metrics)
-        if outcome.failed:
-            width = n_columns if n_columns is not None else len(costs)
-            solution = TileSolution(counts=[0] * width)
-            result.solve_reports[key] = failed_report(
-                key, self.config.method, outcome.retries, outcome.error,
+        if outcome.value is None:
+            solution = TileSolution(counts=[0] * n_columns)
+            report = failed_report(
+                key, method, outcome.retries, outcome.error,
                 prior_errors=outcome.error_chain,
             )
             metrics.count("tiles.failed")
         else:
             solution = outcome.value
+            if outcome.report is None:
+                raise FillError(f"tile {key} solved without a solve report")
             report = outcome.report
-            if report is None:
-                report = SolveReport(
-                    key=key,
-                    requested_method=self.config.method,
-                    used_method=self.config.method,
-                    retries=outcome.retries,
-                )
-            result.solve_reports[key] = report
             metrics.count("tiles.solved")
             if report.degraded:
                 metrics.count("tiles.degraded")
         if outcome.retries > 0:
             metrics.count("tiles.retried")
         metrics.observe("tile.seconds", outcome.seconds)
+        result.solve_reports[key] = report
         result.tile_solutions[key] = solution
         result.tile_seconds[key] = outcome.seconds
         result.model_objective_ps += solution.model_objective_ps
-        if placed is not None:
-            result.features.extend(placed)
-        else:
-            self._place(costs, solution, result.features)
-
-    def run_mvdc(self, slack_fraction: float = 0.25) -> FillResult:
-        """Run the MVDC (minimum variation with delay constraint) variant
-        — the formulation the paper mentions in footnote ‡ but does not
-        develop.
-
-        Per tile, the density step's prescription becomes a *ceiling*
-        rather than an obligation: the solver packs as many features as a
-        per-tile delay budget allows (derived as ``slack_fraction`` of the
-        worst-case impact of the prescribed count). Tiles with generous
-        free space still fill fully; tiles where every site is expensive
-        stop early — trading density uniformity for timing safety.
-        """
-        cfg = self.config
-        telemetry = Telemetry() if cfg.telemetry else None
-        tracer: TracerLike = telemetry.tracer if telemetry is not None else NULL_TRACER
-        metrics: MetricsLike = telemetry.metrics if telemetry is not None else NULL_METRICS
-        prep = self._prepared_traced(tracer)
-        result = FillResult(telemetry=telemetry)
-
-        budget = prep.budget_for(cfg, tracer=tracer)
-        result.requested_budget = dict(budget)
-
-        t0 = time.perf_counter()
-        costs_by_tile = prep.costs_for(cfg.weighted, tracer=tracer)
-        delay_budgets = derive_tile_delay_budgets(budget, costs_by_tile, slack_fraction)
-
-        solve_keys = []
-        for tile in prep.dissection.tiles():
-            want = budget.get(tile.key, 0)
-            if want == 0 or not costs_by_tile.get(tile.key):
-                result.effective_budget[tile.key] = 0
-            else:
-                solve_keys.append(tile.key)
-
-        run_deadline = self._run_deadline()
-        if cfg.parallel_backend == "process":
-            # MVDC in a worker: the payload's budget is the prescription
-            # ceiling; delay_budget_ps switches the worker to the MVDC
-            # solve (plus the same trim the in-process path applies).
-            store = self._shared_store(tracer)
-            payloads = [
-                make_tile_payload(
-                    key,
-                    costs_by_tile[key],
-                    budget.get(key, 0),
-                    method=cfg.method,
-                    weighted=cfg.weighted,
-                    ilp_backend=cfg.backend,
-                    seed=cfg.seed,
-                    delay_budget_ps=delay_budgets[key],
-                    tile_deadline_s=cfg.tile_deadline_s,
-                    run_deadline=run_deadline,
-                    fault_spec=cfg.fault_spec,
-                    fallback=cfg.fallback,
-                    telemetry=cfg.telemetry,
-                    inline_columns=store is None,
-                )
-                for key in solve_keys
-            ]
-            outcomes = dispatch_tile_payloads(
-                payloads,
-                workers=cfg.workers,
-                isolate=cfg.fallback,
-                store=store.handle if store is not None else None,
-                batch_tiles=cfg.batch_tiles,
-                persistent=cfg.persistent_pool,
-                tracer=tracer,
-                metrics=metrics,
-            )
-        else:
-            def solve_one(key: tuple[int, int], attempt: int) -> TileSolution:
-                # MVDC has no fallback chain (its solver is already the
-                # greedy rung); fault hooks + deadlines still apply.
-                fault_hooks.inject(key, "mvdc", attempt, cfg.fault_spec)
-                effective_time_limit(cfg.tile_deadline_s, run_deadline)
-                costs = costs_by_tile[key]
-                solution = solve_tile_mvdc(costs, delay_budgets[key])
-                # MVDC may not *need* the whole prescription; cap at it.
-                want = budget.get(key, 0)
-                if solution.total_features > want:
-                    solution = self._trim_to(costs, solution, want)
-                return solution
-
-            outcomes = dispatch_tiles(
-                solve_keys, solve_one, workers=cfg.workers, isolate=cfg.fallback
-            )
-        for key in solve_keys:
-            outcome = outcomes[key]
-            tracer.absorb(outcome.spans)
-            metrics.merge(outcome.metrics)
-            if outcome.failed:
-                solution = TileSolution(counts=[0] * len(costs_by_tile[key]))
-                result.solve_reports[key] = failed_report(
-                    key, "mvdc", outcome.retries, outcome.error,
-                    prior_errors=outcome.error_chain,
-                )
-            else:
-                solution = outcome.value
-                if outcome.retries > 0:
-                    result.solve_reports[key] = SolveReport(
-                        key=key, requested_method="mvdc", used_method="mvdc",
-                        retries=outcome.retries,
-                    )
-            result.effective_budget[key] = solution.total_features
-            result.tile_solutions[key] = solution
-            result.tile_seconds[key] = outcome.seconds
-            result.model_objective_ps += solution.model_objective_ps
-            self._place(costs_by_tile[key], solution, result.features)
-        self._finish_phases(result, time.perf_counter() - t0)
-        return result
+        result.features.extend(placed)
+        return solution
 
     def run_budgeted(
         self,
@@ -818,9 +744,14 @@ class PILFillEngine:
         are consumed tile by tile: each tile solve sees the remaining
         budget of every net it touches and what it uses is deducted before
         the next tile. Tiles are visited in increasing total-capacity
-        order so constrained tiles claim budget before generous ones —
-        this sequential budget hand-off is inherently serial, so the
-        ``workers`` knob does not apply here.
+        order so constrained tiles claim budget before generous ones.
+        This hand-off is inherently serial, so the run rejects the knobs
+        that would need independent tiles — ``workers > 1``,
+        ``shards > 1``, ``solution_cache`` — and those of the robust
+        per-tile layer it does not use (``fallback=False``,
+        ``fault_spec``) with :class:`FillError`. Deadlines and telemetry
+        apply; outcomes merge like :meth:`run`'s, and each tile's
+        effective budget is the count it placed.
 
         Args:
             net_budgets_ff: ΔC budget per net name, fF (see
@@ -831,98 +762,99 @@ class PILFillEngine:
                 visible via ``FillResult.shortfall``).
         """
         cfg = self.config
-        prep = self.prepared
-        result = FillResult()
+        for knob, rejected in (
+            ("workers > 1", cfg.workers > 1),
+            ("shards > 1", cfg.shards > 1),
+            ("solution_cache", cfg.solution_cache is not None),
+            ("fallback=False", not cfg.fallback),
+            ("fault_spec", cfg.fault_spec is not None),
+        ):
+            if rejected:
+                raise FillError(f"run_budgeted does not support {knob}")
+        method = "budgeted_ilp" if exact else "budgeted_greedy"
+        result, tracer, metrics = self._start()
+        prep = self._prepared_traced(tracer)
 
-        budget = prep.budget_for(cfg)
-        result.requested_budget = dict(budget)
+        with tracer.span("engine.run_budgeted", method=method, backend=cfg.backend):
+            budget = prep.budget_for(cfg, tracer=tracer)
+            result.requested_budget = dict(budget)
 
-        t0 = time.perf_counter()
-        costs_by_tile = prep.costs_for(cfg.weighted)
-        run_deadline = self._run_deadline()
-        remaining = dict(net_budgets_ff)
-        order = sorted(
-            prep.dissection.tiles(),
-            key=lambda t: sum(c.capacity for c in prep.columns_by_tile.get(t.key, [])),
-        )
-        for tile in order:
-            tick = time.perf_counter()
-            want = budget.get(tile.key, 0)
-            costs = costs_by_tile.get(tile.key, [])
-            cap_total = sum(c.capacity for c in costs)
-            effective = min(want, cap_total)
-            if effective == 0:
-                result.effective_budget[tile.key] = 0
-                continue
-            try:
-                time_limit = effective_time_limit(cfg.tile_deadline_s, run_deadline)
-            except SolveTimeoutError as exc:
-                # Run deadline exhausted: skip (don't solve) the remaining
-                # tiles, recording each as failed rather than aborting.
-                result.effective_budget[tile.key] = 0
-                result.solve_reports[tile.key] = failed_report(
-                    tile.key,
-                    "budgeted_ilp" if exact else "budgeted_greedy",
-                    0,
-                    f"TIME_LIMIT: {exc}",
-                )
-                continue
-            cap_tables = build_cap_tables(costs)
-            if exact:
-                outcome = solve_tile_budgeted_ilp(
-                    costs, cap_tables, effective, remaining,
-                    backend=cfg.backend, time_limit=time_limit,
-                )
-                if not outcome.feasible:
-                    # Fall back to the largest feasible count via greedy
-                    # (covers infeasible budgets and ILP timeouts alike).
-                    outcome = solve_tile_budgeted_greedy(
-                        costs, cap_tables, effective, remaining
+            t0 = time.perf_counter()
+            costs_by_tile = prep.costs_for(cfg.weighted, tracer=tracer)
+            run_deadline = self._run_deadline()
+            remaining = dict(net_budgets_ff)
+            order = sorted(
+                prep.dissection.tiles(),
+                key=lambda t: sum(c.capacity for c in prep.columns_by_tile.get(t.key, [])),
+            )
+            with tracer.span("solve"):
+                for tile in order:
+                    key = tile.key
+                    costs = costs_by_tile.get(key, [])
+                    effective = min(budget.get(key, 0), sum(c.capacity for c in costs))
+                    result.effective_budget[key] = 0
+                    if effective == 0:
+                        continue
+                    with tracer.span("tile", tile=key, method=method):
+                        outcome = self._solve_budgeted(
+                            key, costs, effective, remaining, method, run_deadline
+                        )
+                    solution = self._merge_outcome(
+                        result, key, outcome, self._placed(costs, outcome),
+                        len(costs), method, tracer, metrics,
                     )
-                    result.solve_reports[tile.key] = SolveReport(
-                        key=tile.key,
-                        requested_method="budgeted_ilp",
-                        used_method="budgeted_greedy",
-                        errors=("budgeted_ilp: not feasible within budgets/deadline",),
-                    )
-            else:
-                outcome = solve_tile_budgeted_greedy(
-                    costs, cap_tables, effective, remaining
-                )
-            for net, used in outcome.cap_used_ff.items():
-                if net in remaining:
-                    remaining[net] -= used
-            solution = outcome.solution
-            result.effective_budget[tile.key] = solution.total_features
-            result.tile_solutions[tile.key] = solution
-            result.tile_seconds[tile.key] = time.perf_counter() - tick
-            result.model_objective_ps += solution.model_objective_ps
-            self._place(costs, solution, result.features)
-        self._finish_phases(result, time.perf_counter() - t0)
+                    result.effective_budget[key] = solution.total_features
+            self._finish(result, metrics, time.perf_counter() - t0)
         return result
 
-    @staticmethod
-    def _trim_to(costs: list[ColumnCosts], solution: TileSolution, want: int) -> TileSolution:
-        """Drop the most expensive granted features until only ``want``
-        remain (see :func:`repro.pilfill.methods.trim_to`)."""
-        return trim_to(costs, solution, want)
+    def _solve_budgeted(
+        self,
+        key: TileKey,
+        costs: list[ColumnCosts],
+        effective: int,
+        remaining: dict[str, float],
+        method: str,
+        run_deadline: float | None,
+    ) -> TileOutcome:
+        """Solve one budgeted tile and deduct the capacitance it used from
+        ``remaining``. A run deadline that already passed fails the tile
+        without solving it."""
+        tick = time.perf_counter()
+        try:
+            time_limit = effective_time_limit(self.config.tile_deadline_s, run_deadline)
+        except SolveTimeoutError as exc:
+            return TileOutcome(
+                key=key, value=None, seconds=time.perf_counter() - tick,
+                error=f"TIME_LIMIT: {exc}",
+            )
+        cap_tables = build_cap_tables(costs)
+        report = SolveReport(key=key, requested_method=method, used_method=method)
+        if method == "budgeted_ilp":
+            outcome = solve_tile_budgeted_ilp(
+                costs, cap_tables, effective, remaining,
+                backend=self.config.backend, time_limit=time_limit,
+            )
+            if not outcome.feasible:
+                # Fall back to the largest feasible count via greedy
+                # (covers infeasible budgets and ILP timeouts alike).
+                outcome = solve_tile_budgeted_greedy(costs, cap_tables, effective, remaining)
+                report = SolveReport(
+                    key=key,
+                    requested_method=method,
+                    used_method="budgeted_greedy",
+                    errors=("budgeted_ilp: not feasible within budgets/deadline",),
+                )
+        else:
+            outcome = solve_tile_budgeted_greedy(costs, cap_tables, effective, remaining)
+        for net, used in outcome.cap_used_ff.items():
+            if net in remaining:
+                remaining[net] -= used
+        return TileOutcome(
+            key=key, value=outcome.solution, seconds=time.perf_counter() - tick,
+            report=report,
+        )
 
-    def compute_budget(self) -> dict[tuple[int, int], int]:
+    def compute_budget(self) -> dict[TileKey, int]:
         """Per-tile feature budgets from the density-control baseline
         (thin wrapper over :meth:`PreparedInstance.budget_for`)."""
         return self.prepared.budget_for(self.config)
-
-    def _solve_tile(
-        self,
-        costs: list[ColumnCosts],
-        effective: int,
-        rng: random.Random,
-        time_limit: float | None = None,
-    ) -> TileSolution:
-        """Dispatch one tile to the configured method (see
-        :func:`repro.pilfill.methods.solve_tile_method`)."""
-        cfg = self.config
-        return solve_tile_method(
-            costs, cfg.method, effective, cfg.weighted, cfg.backend, rng,
-            time_limit=time_limit,
-        )

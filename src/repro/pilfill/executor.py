@@ -56,7 +56,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 from weakref import finalize, ref
 
 from repro.errors import FillError, SolveTimeoutError, WorkerDeathError
@@ -517,12 +517,10 @@ def dispatch_batches(
     *,
     store: SharedStoreHandle | None = None,
     batch_tiles: int | None = None,
-    persistent: bool = True,
     tracer: TracerLike = NULL_TRACER,
     metrics: MetricsLike = NULL_METRICS,
-    batch_solver: "Callable[[TileBatch], list[TileOutcome]] | None" = None,
 ) -> dict[TileKey, TileOutcome]:
-    """Solve ``payloads`` on a (persistent) process pool in chunked batches.
+    """Solve ``payloads`` on the persistent process pool in chunked batches.
 
     The parent submits :class:`TileBatch` groups, waits for them in
     submission order, and re-keys outcomes by payload order — the merge
@@ -550,13 +548,7 @@ def dispatch_batches(
     recovery copy) alive until interpreter exit is the shm leak this
     guards against. The release waits until every batch has been
     recovered: :func:`_resolve_batch_in_parent` needs the segment alive.
-
-    ``batch_solver`` substitutes the submitted entry point (default
-    :func:`solve_tile_batch`); it must be a module-level picklable
-    callable with the same contract — the sharded path submits its
-    X301-anchored wrapper here.
     """
-    solver = batch_solver if batch_solver is not None else solve_tile_batch
     batches = [
         TileBatch(payloads=chunk, store=store, isolate=isolate)
         for chunk in chunk_payloads(payloads, workers, batch_tiles)
@@ -564,57 +556,45 @@ def dispatch_batches(
     if not batches:
         return {}
 
-    if persistent:
-        pool = get_pool(workers, warm=store)
-    else:
-        pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(batches)),
-            initializer=_worker_init,
-            initargs=(store,),
-        )
-    try:
-        futures: list[Future[list[TileOutcome]]] = []
-        for batch in batches:
-            metrics.count("pool.batches")
-            metrics.count("pool.tiles_submitted", len(batch.payloads))
-            if metrics is not NULL_METRICS:
-                # Payload-bytes metric: what actually crosses the pickle
-                # boundary per submit (the shared store is excluded — it
-                # crosses once per worker, reported as pool.store_bytes).
-                metrics.count("pool.payload_bytes", len(pickle.dumps(batch)))
-            futures.append(pool.submit(solver, batch))
-        if store is not None:
-            metrics.count("pool.store_bytes", store.size)
+    pool = get_pool(workers, warm=store)
+    futures: list[Future[list[TileOutcome]]] = []
+    for batch in batches:
+        metrics.count("pool.batches")
+        metrics.count("pool.tiles_submitted", len(batch.payloads))
+        if metrics is not NULL_METRICS:
+            # Payload-bytes metric: what actually crosses the pickle
+            # boundary per submit (the shared store is excluded — it
+            # crosses once per worker, reported as pool.store_bytes).
+            metrics.count("pool.payload_bytes", len(pickle.dumps(batch)))
+        futures.append(pool.submit(solve_tile_batch, batch))
+    if store is not None:
+        metrics.count("pool.store_bytes", store.size)
 
-        broken = False
-        by_key: dict[TileKey, TileOutcome] = {}
-        for index, (batch, future) in enumerate(zip(batches, futures)):
-            with tracer.span("solve.batch", index=index, tiles=len(batch.payloads)):
-                try:
-                    outcomes = future.result()
-                except SolveTimeoutError:
-                    if not isolate:
-                        raise
-                    outcomes = _resolve_batch_in_parent(batch, store)
-                except BrokenProcessPool:
-                    if not isolate:
-                        raise
-                    broken = True
-                    if persistent:
-                        discard_pool(workers)
-                    metrics.count("pool.broken")
-                    outcomes = _resolve_batch_in_parent(batch, store)
-                except Exception:  # noqa: BLE001 - isolation is the point
-                    if not isolate:
-                        raise
-                    outcomes = _resolve_batch_in_parent(batch, store)
-            for outcome in outcomes:
-                by_key[outcome.key] = outcome
-        if broken and store is not None:
-            release_store(store)
-    finally:
-        if not persistent:
-            pool.shutdown(wait=True)
+    broken = False
+    by_key: dict[TileKey, TileOutcome] = {}
+    for index, (batch, future) in enumerate(zip(batches, futures)):
+        with tracer.span("solve.batch", index=index, tiles=len(batch.payloads)):
+            try:
+                outcomes = future.result()
+            except SolveTimeoutError:
+                if not isolate:
+                    raise
+                outcomes = _resolve_batch_in_parent(batch, store)
+            except BrokenProcessPool:
+                if not isolate:
+                    raise
+                broken = True
+                discard_pool(workers)
+                metrics.count("pool.broken")
+                outcomes = _resolve_batch_in_parent(batch, store)
+            except Exception:  # noqa: BLE001 - isolation is the point
+                if not isolate:
+                    raise
+                outcomes = _resolve_batch_in_parent(batch, store)
+        for outcome in outcomes:
+            by_key[outcome.key] = outcome
+    if broken and store is not None:
+        release_store(store)
     # Re-key in payload order for the deterministic merge.
     return {p.key: by_key[p.key] for p in payloads}
 

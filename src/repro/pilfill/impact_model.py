@@ -64,7 +64,7 @@ class ImpactModel:
         # frozen/hashable — memoizing by rect makes repeated what-if
         # scoring (and marginal_cost_ps over a growing placement) pay
         # the spatial query once per site instead of once per call.
-        # The thread backend shares one model across tiles, so writes
+        # Callers may share one model across threads, so writes
         # go through the lock (reads stay lock-free: entries are
         # immutable and never invalidated).
         self._lock = threading.Lock()

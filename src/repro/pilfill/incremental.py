@@ -81,7 +81,9 @@ def _sha256(payload: object) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def run_context_digest(config: "EngineConfig", layer: str) -> str:
+def run_context_digest(
+    config: "EngineConfig", layer: str, slack_fraction: float | None = None
+) -> str:
     """Digest of the run-wide knobs every tile solve shares.
 
     Includes every :class:`EngineConfig` field that changes solve
@@ -94,6 +96,11 @@ def run_context_digest(config: "EngineConfig", layer: str) -> str:
     switch can never serve a stale solution.
     :data:`~repro.pilfill.store.STORE_VERSION` is folded in so a store
     format bump retires every old digest at the key level too.
+
+    ``slack_fraction`` marks an MVDC run (see
+    :meth:`~repro.pilfill.engine.PILFillEngine.run_mvdc`): its key joins
+    the payload only then, so MDFC digests are unchanged and an MVDC
+    digest can never equal an MDFC one.
     """
     rules = config.fill_rules
     density = config.density_rules
@@ -114,6 +121,8 @@ def run_context_digest(config: "EngineConfig", layer: str) -> str:
         ],
         "fault_spec": _fault_spec_payload(config.fault_spec),
     }
+    if slack_fraction is not None:
+        payload["mvdc_slack_fraction"] = slack_fraction
     return _sha256(payload)
 
 

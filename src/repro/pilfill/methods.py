@@ -24,6 +24,7 @@ from repro.pilfill.dp import allocate_dp, allocation_cost
 from repro.pilfill.greedy import solve_tile_greedy, solve_tile_greedy_marginal
 from repro.pilfill.ilp1 import solve_tile_ilp1
 from repro.pilfill.ilp2 import solve_tile_ilp2
+from repro.pilfill.mvdc import solve_tile_mvdc
 from repro.pilfill.solution import TileSolution
 
 
@@ -57,8 +58,11 @@ def solve_tile_method(
     rng: random.Random,
     time_limit: float | None = None,
     tracer: TracerLike | None = None,
+    delay_budget_ps: float | None = None,
 ) -> TileSolution:
-    """Solve one tile with the named method (see ``engine.METHODS``).
+    """Solve one tile with the named method (see ``engine.METHODS``), or
+    with ``"mvdc"``: the most features ``delay_budget_ps`` allows, capped
+    at ``budget`` (see :mod:`repro.pilfill.mvdc`).
 
     ``time_limit`` is a wall-clock deadline in seconds for this tile; only
     the ILP methods can spend unbounded time, so only they enforce it (the
@@ -84,6 +88,14 @@ def solve_tile_method(
         return TileSolution(counts=counts, model_objective_ps=allocation_cost(tables, counts))
     if method == "normal":
         return solve_tile_normal(costs, budget, rng)
+    if method == "mvdc":
+        if delay_budget_ps is None:
+            raise FillError("method 'mvdc' needs a delay budget")
+        solution = solve_tile_mvdc(costs, delay_budget_ps)
+        # MVDC may not *need* the whole prescription; cap at it.
+        if solution.total_features > budget:
+            solution = trim_to(costs, solution, budget)
+        return solution
     raise FillError(f"unknown method {method!r}")
 
 

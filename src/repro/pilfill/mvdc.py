@@ -20,11 +20,12 @@ from __future__ import annotations
 import heapq
 
 from repro.errors import FillError
+from repro.pilfill.costlike import TileCosts
 from repro.pilfill.costs import ColumnCosts
 from repro.pilfill.solution import TileSolution
 
 
-def solve_tile_mvdc(costs: list[ColumnCosts], delay_budget_ps: float) -> TileSolution:
+def solve_tile_mvdc(costs: TileCosts, delay_budget_ps: float) -> TileSolution:
     """Maximize feature count in one tile under a delay-impact cap.
 
     Args:

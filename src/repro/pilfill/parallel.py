@@ -1,27 +1,24 @@
-"""Parallel per-tile dispatch for the PIL-Fill solve phase.
+"""Per-tile dispatch for the PIL-Fill solve phase.
 
 The per-tile MDFC instances are independent — the paper's tiled
 formulation (and follow-ups such as the timing-aware fill flow of
-arXiv:1711.01407) exploits exactly this. This module fans the tile
-solves out over a worker pool and merges the outcomes deterministically:
+arXiv:1711.01407) exploits exactly this. This module solves tiles
+serially or fans them out over the persistent process pool, and returns
+outcomes keyed in submission order for a deterministic merge:
 
 * **Determinism.** Tiles carry their own RNG (seeded from the run seed
   and the tile key, see :func:`tile_rng`), so a stochastic method like
   the Normal baseline draws the same samples no matter which worker
   solves the tile or in which order tiles finish. The caller merges
-  outcomes in dissection order, so any worker count / backend is
-  bit-identical to the serial path.
-* **Two backends.** ``backend="thread"`` shares the read-only cost
-  tables across a thread pool — right for the numeric solvers
-  (scipy/HiGHS) that release the GIL during their solves.
-  ``backend="process"`` ships tiles as compact picklable
-  :class:`TilePayload` s (cost arrays + budget + seed, *not* layout
-  objects) to a process pool — right for the pure-Python methods
-  (Greedy, DP, Normal, bundled branch-and-bound) whose hot loops hold
-  the GIL and gain nothing from threads. The pool is *persistent*
-  (reused across runs), tiles travel in chunked batches, and the cost
-  tables can ride a shared-memory store instead of each payload — see
-  :mod:`repro.pilfill.executor` for the dispatch machinery.
+  outcomes in dissection order, so any worker count is bit-identical to
+  the serial path.
+* **One per-tile entry.** Every tile travels as a :class:`TilePayload`
+  (cost tables + budget + seed + deadlines, *not* layout objects) and is
+  solved by :func:`solve_tile_payload` — in-process for ``workers=1``,
+  inside a pool worker otherwise, and in the parent for retries. Serial
+  payloads carry the engine's own cost tables; pool payloads carry
+  compact picklable copies, or nothing when the tables ride the
+  shared-memory store (see :mod:`repro.pilfill.executor`).
 * **Per-tile timing.** Every outcome records its solve seconds so the
   hot tiles are visible from the CLI and harness.
 * **Fault isolation.** With ``isolate=True`` (the default) a tile whose
@@ -40,27 +37,26 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Sequence
 
-from repro.errors import FillError, SolveTimeoutError
+from repro.errors import SolveTimeoutError
 from repro.obs.metrics import NULL_METRICS, Metrics, MetricsLike, MetricsSnapshot
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer, TracerLike
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.pilfill.executor import SharedStoreHandle, TileBatch
+    from repro.pilfill.executor import SharedStoreHandle
 from repro.pilfill.columns import ColumnNeighbor
-from repro.pilfill.costlike import TileCosts
-from repro.pilfill.methods import solve_tile_method, trim_to
-from repro.pilfill.robust import RobustSolve, SolveReport, solve_tile_robust
+from repro.pilfill.costlike import ColumnCostsLike, TileCosts
+from repro.pilfill.robust import SolveReport, fallback_chain, solve_tile_robust
+from repro.pilfill.solution import TileSolution
 from repro.testing.faults import FaultSpec
 
 TileKey = tuple[int, int]
-T = TypeVar("T")
 
-#: Accepted values of the ``backend`` knob.
-PARALLEL_BACKENDS = ("thread", "process")
+#: Accepted values of ``EngineConfig.parallel_backend``: ``workers > 1``
+#: always means the persistent process pool.
+PARALLEL_BACKENDS = ("process",)
 
 #: Dispatcher attempts per tile under ``isolate=True`` (1 + one retry).
 MAX_ATTEMPTS = 2
@@ -83,17 +79,16 @@ class TileOutcome:
     ``value`` is ``None`` when every attempt failed (``error`` then holds
     the last failure — prefixed ``TIME_LIMIT:`` for deadline expiries —
     ``error_chain`` the fallback-rung history that preceded it, and
-    ``retries`` how many retries were spent). When the solve went through
-    the robust layer, ``report`` carries its
-    :class:`~repro.pilfill.robust.SolveReport`. ``spans`` / ``metrics``
-    marshal the tile-local telemetry buffer back from pool workers; both
-    stay empty when telemetry is off. ``pid`` records the process that
+    ``retries`` how many retries were spent). Every successful outcome
+    carries its :class:`~repro.pilfill.robust.SolveReport` in ``report``.
+    ``spans`` / ``metrics`` marshal the tile-local telemetry buffer back
+    from pool workers; both stay empty when telemetry is off. ``pid`` records the process that
     produced the outcome, so pool reuse (stable worker PIDs across
     consecutive runs) is observable from the results.
     """
 
     key: TileKey
-    value: object  # pilfill: allow[C202] -- generic slot for dispatch_tiles results; payload path only ever stores TileSolution | None
+    value: TileSolution | None
     seconds: float
     report: SolveReport | None = None
     error: str | None = None
@@ -151,11 +146,13 @@ class PayloadColumnCosts:
 class TilePayload:
     """Everything a worker process needs to solve one tile.
 
-    Built from the engine's prepared cost tables by
-    :func:`make_tile_payload`; deliberately contains no layout, engine,
-    or dissection objects so pickling stays cheap. ``delay_budget_ps``
-    switches the worker to the MVDC solve (budget then acts as the
-    feature-count cap).
+    Deliberately contains no layout, engine, or dissection objects so
+    pickling stays cheap. ``columns`` holds the engine's own
+    :class:`~repro.pilfill.costs.ColumnCosts` for in-process solves,
+    picklable :class:`PayloadColumnCosts` copies for pool solves (see
+    :func:`make_tile_payload`), or nothing when the tables ride a
+    shared-memory store. ``delay_budget_ps`` is the MVDC delay budget
+    (method ``"mvdc"``; budget then acts as the feature-count cap).
     """
 
     key: TileKey
@@ -164,7 +161,7 @@ class TilePayload:
     weighted: bool
     ilp_backend: str
     seed: int
-    columns: tuple[PayloadColumnCosts, ...]
+    columns: tuple[ColumnCostsLike, ...]  # pilfill: allow[C202] -- only PayloadColumnCosts cross the pool boundary; in-process payloads keep the engine's ColumnCosts
     delay_budget_ps: float | None = None
     tile_deadline_s: float | None = None
     run_deadline: float | None = None  # absolute time.time() epoch
@@ -211,14 +208,9 @@ def make_tile_payload(
     fault_spec: FaultSpec | None = None,
     fallback: bool = True,
     telemetry: bool = False,
-    inline_columns: bool = True,
 ) -> TilePayload:
-    """Compact payload for one tile from its :class:`ColumnCosts` list.
-
-    ``inline_columns=False`` leaves ``columns`` empty — the payload then
-    rides a shared-memory store and the worker hydrates the tables by
-    tile key (see :mod:`repro.pilfill.executor`).
-    """
+    """Picklable payload for one tile from its :class:`ColumnCosts` list
+    (the columns are converted with :func:`payload_columns`)."""
     return TilePayload(
         key=key,
         method=method,
@@ -226,7 +218,7 @@ def make_tile_payload(
         weighted=weighted,
         ilp_backend=ilp_backend,
         seed=seed,
-        columns=payload_columns(costs) if inline_columns else (),
+        columns=payload_columns(costs),
         delay_budget_ps=delay_budget_ps,
         tile_deadline_s=tile_deadline_s,
         run_deadline=run_deadline,
@@ -237,87 +229,56 @@ def make_tile_payload(
 
 
 def solve_tile_payload(payload: TilePayload, attempt: int = 0) -> TileOutcome:
-    """Solve one shipped tile (runs inside a worker process).
+    """Solve one tile: the single per-tile entry for in-process solves,
+    pool workers, and parent-side retries alike.
 
-    Produces the same :class:`TileSolution` the in-process path would:
-    the cost tables are bit-identical copies and the RNG is re-derived
-    from ``(seed, key)``, so the solve is order-, host-, and
-    attempt-independent. ``attempt`` is the dispatcher attempt number
-    (threaded to the fault hooks so transient faults fire on the first
-    attempt only, regardless of which process runs the retry).
+    Produces the same :class:`TileSolution` wherever it runs: the cost
+    tables are the engine's own (in-process) or bit-identical copies
+    (pool), and the RNG is re-derived from ``(seed, key)``, so the solve
+    is order-, host-, and attempt-independent. ``attempt`` is the
+    dispatcher attempt number (threaded to the fault hooks so transient
+    faults fire on the first attempt only, regardless of which process
+    runs the retry).
 
-    With ``payload.telemetry`` the worker builds a tile-local tracer and
-    metrics registry (single-owner, lock-free) and marshals the frozen
-    snapshot back on the outcome for the dispatcher to merge.
+    The solve walks the robust fallback chain for ``payload.method``;
+    strict mode (``payload.fallback=False``) is the chain of length one,
+    so the first failure propagates to the dispatcher. MVDC payloads
+    (``delay_budget_ps`` set, method ``"mvdc"``) always run that
+    single-rung chain. Every successful outcome carries its
+    :class:`~repro.pilfill.robust.SolveReport`.
+
+    With ``payload.telemetry`` the solve records into a tile-local tracer
+    and metrics registry (single-owner, lock-free) and marshals the
+    frozen snapshot back on the outcome for the caller to merge.
     """
-    from repro.pilfill.robust import effective_time_limit, solve_tile_robust
-    from repro.testing import faults as fault_hooks
-
     tracer: TracerLike = Tracer() if payload.telemetry else NULL_TRACER
     metrics = Metrics() if payload.telemetry else None
     t0 = time.perf_counter()
-    costs = list(payload.columns)
-
-    def done_snapshot() -> MetricsSnapshot | None:
-        return metrics.snapshot() if metrics is not None else None
-
-    if payload.delay_budget_ps is not None:
-        from repro.pilfill.mvdc import solve_tile_mvdc
-
-        # MVDC has no fallback chain (its solver is already the greedy
-        # rung); fault hooks still apply so the retry path is testable.
-        with tracer.span("tile", tile=payload.key, method="mvdc", attempt=attempt):
-            fault_hooks.inject(payload.key, "mvdc", attempt, payload.fault_spec)
-            effective_time_limit(payload.tile_deadline_s, payload.run_deadline)
-            solution = solve_tile_mvdc(costs, payload.delay_budget_ps)
-            if solution.total_features > payload.budget:
-                solution = trim_to(costs, solution, payload.budget)
-        return TileOutcome(
-            key=payload.key, value=solution, seconds=time.perf_counter() - t0,
-            retries=attempt, spans=tracer.records(), metrics=done_snapshot(),
-            pid=os.getpid(),
-        )
-    if payload.fallback:
-        robust = solve_tile_robust(
-            costs,
-            payload.method,
-            payload.budget,
-            payload.weighted,
-            payload.ilp_backend,
-            tile_rng(payload.seed, payload.key),
-            key=payload.key,
-            tile_deadline_s=payload.tile_deadline_s,
-            run_deadline=payload.run_deadline,
-            fault_spec=payload.fault_spec,
-            attempt=attempt,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        return TileOutcome(
-            key=payload.key,
-            value=robust.solution,
-            seconds=time.perf_counter() - t0,
-            report=robust.report,
-            retries=attempt,
-            spans=tracer.records(),
-            metrics=done_snapshot(),
-            pid=os.getpid(),
-        )
-    with tracer.span("tile", tile=payload.key, method=payload.method, attempt=attempt):
-        fault_hooks.inject(payload.key, payload.method, attempt, payload.fault_spec)
-        solution = solve_tile_method(
-            costs,
-            payload.method,
-            payload.budget,
-            payload.weighted,
-            payload.ilp_backend,
-            tile_rng(payload.seed, payload.key),
-            time_limit=effective_time_limit(payload.tile_deadline_s, payload.run_deadline),
-            tracer=tracer,
-        )
+    robust = solve_tile_robust(
+        list(payload.columns),
+        payload.method,
+        payload.budget,
+        payload.weighted,
+        payload.ilp_backend,
+        tile_rng(payload.seed, payload.key),
+        key=payload.key,
+        chain=fallback_chain(payload.method) if payload.fallback else (payload.method,),
+        delay_budget_ps=payload.delay_budget_ps,
+        tile_deadline_s=payload.tile_deadline_s,
+        run_deadline=payload.run_deadline,
+        fault_spec=payload.fault_spec,
+        attempt=attempt,
+        tracer=tracer,
+        metrics=metrics,
+    )
     return TileOutcome(
-        key=payload.key, value=solution, seconds=time.perf_counter() - t0,
-        retries=attempt, spans=tracer.records(), metrics=done_snapshot(),
+        key=payload.key,
+        value=robust.solution,
+        seconds=time.perf_counter() - t0,
+        report=robust.report,
+        retries=attempt,
+        spans=tracer.records(),
+        metrics=metrics.snapshot() if metrics is not None else None,
         pid=os.getpid(),
     )
 
@@ -384,12 +345,10 @@ def dispatch_tile_payloads(
     *,
     store: "SharedStoreHandle | None" = None,
     batch_tiles: int | None = None,
-    persistent: bool = True,
     tracer: TracerLike = NULL_TRACER,
     metrics: MetricsLike = NULL_METRICS,
-    batch_solver: "Callable[[TileBatch], list[TileOutcome]] | None" = None,
 ) -> dict[TileKey, TileOutcome]:
-    """Solve shipped tiles, serially or on a (persistent) process pool.
+    """Solve tile payloads, serially or on the persistent process pool.
 
     An empty payload list returns an empty mapping before any pool is
     touched (a no-fill-needed run must not cost a pool, and
@@ -400,12 +359,11 @@ def dispatch_tile_payloads(
     giving a deterministic merge.
 
     ``workers > 1`` dispatches chunked :class:`~repro.pilfill.executor.
-    TileBatch` submits on the persistent pool for that worker count
-    (``persistent=False`` builds a throwaway pool instead — the
-    pre-persistence behavior). ``store`` names a shared-memory cost
-    store; payloads built with empty ``columns`` are hydrated from it on
-    the worker side, so the big tables cross the pickle boundary once
-    per worker rather than once per tile. ``batch_tiles`` overrides the
+    TileBatch` submits on the persistent pool for that worker count.
+    ``store`` names a shared-memory cost store; payloads built with empty
+    ``columns`` are hydrated from it on the worker side, so the big
+    tables cross the pickle boundary once per worker rather than once
+    per tile. ``batch_tiles`` overrides the
     auto chunk size; ``tracer``/``metrics`` receive per-batch spans and
     dispatch-cost metrics (payload bytes, batches, broken pools).
 
@@ -415,13 +373,6 @@ def dispatch_tile_payloads(
     any batch stranded by the broken pool — re-solved in the parent
     process, which is attempt 1 of the same deterministic contract.
     With ``isolate=False`` the first exception propagates.
-
-    ``batch_solver`` substitutes the pool-submitted batch entry point
-    (the sharded path submits its own X301-anchored wrapper). It must be
-    a module-level picklable callable with the same contract as
-    :func:`~repro.pilfill.executor.solve_tile_batch`; the in-process
-    fast path ignores it, since ``workers=1`` never crosses a pickle
-    boundary.
     """
     from repro.pilfill.executor import _hydrate, dispatch_batches, resolve_store
 
@@ -442,115 +393,6 @@ def dispatch_tile_payloads(
         isolate,
         store=store,
         batch_tiles=batch_tiles,
-        persistent=persistent,
         tracer=tracer,
         metrics=metrics,
-        batch_solver=batch_solver,
     )
-
-
-def dispatch_tiles(
-    keys: Sequence[TileKey],
-    solve_one: Callable[[TileKey, int], T],
-    workers: int = 1,
-    backend: str = "thread",
-    isolate: bool = True,
-) -> dict[TileKey, TileOutcome]:
-    """Solve every tile, serially or on a worker pool.
-
-    Args:
-        keys: tile keys to solve (each must be independent of the others).
-        solve_one: maps ``(tile key, attempt)`` to its solve result; must
-            not mutate shared state. ``attempt`` is 0 on the first try
-            and 1 on the retry — implementations re-derive any RNG from
-            the key (see :func:`tile_rng`) so both attempts draw the same
-            stream. A returned :class:`~repro.pilfill.robust.RobustSolve`
-            is unpacked into the outcome's ``value``/``report``.
-        workers: 1 → plain loop (no executor overhead); >1 → worker pool.
-        backend: ``"thread"`` shares ``solve_one`` across a thread pool;
-            ``"process"`` requires a *picklable* ``solve_one`` (a
-            module-level function or :func:`functools.partial` over one —
-            closures will not pickle). Engine callers use the payload
-            path (:func:`dispatch_tile_payloads`) instead, which ships
-            compact per-tile data rather than pickling shared state.
-        isolate: True → a tile whose solve raises is retried once, then
-            recorded as a failed outcome (``value=None``) — the sweep
-            always completes. :class:`~repro.errors.SolveTimeoutError`
-            skips the retry (a deadline that fired will fire again).
-            False → the first exception propagates (strict mode).
-
-    Returns:
-        Outcomes keyed by tile. The mapping is insertion-ordered by
-        ``keys`` regardless of completion order, so iterating it (or the
-        original key sequence) yields a deterministic merge.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if backend not in PARALLEL_BACKENDS:
-        raise FillError(
-            f"unknown parallel backend {backend!r}; expected one of {PARALLEL_BACKENDS}"
-        )
-    if not keys:
-        # No fill needed anywhere: never build a pool for zero tiles
-        # (ProcessPoolExecutor(max_workers=0) raises ValueError).
-        return {}
-
-    def outcome_of(key: TileKey, value: object, seconds: float, attempt: int) -> TileOutcome:
-        if isinstance(value, RobustSolve):
-            return TileOutcome(
-                key=key, value=value.solution, seconds=seconds,
-                report=value.report, retries=attempt,
-                spans=value.spans, metrics=value.metrics,
-            )
-        return TileOutcome(key=key, value=value, seconds=seconds, retries=attempt)
-
-    def timed(key: TileKey) -> TileOutcome:
-        t0 = time.perf_counter()
-        if not isolate:
-            return outcome_of(key, solve_one(key, 0), time.perf_counter() - t0, 0)
-        last: BaseException | None = None
-        for attempt in range(MAX_ATTEMPTS):
-            try:
-                value = solve_one(key, attempt)
-            except SolveTimeoutError as exc:
-                return _failed_outcome(key, exc, time.perf_counter() - t0, attempt)
-            except Exception as exc:  # noqa: BLE001 — isolation is the point
-                last = exc
-                continue
-            return outcome_of(key, value, time.perf_counter() - t0, attempt)
-        return _failed_outcome(key, last, time.perf_counter() - t0, MAX_ATTEMPTS - 1)
-
-    if workers == 1 or len(keys) <= 1:
-        return {key: timed(key) for key in keys}
-    if backend == "process":
-        with ProcessPoolExecutor(max_workers=min(workers, len(keys))) as pool:
-            futures = [(key, pool.submit(solve_one, key, 0)) for key in keys]
-            by_key: dict[TileKey, TileOutcome] = {}
-            for key, future in futures:
-                t0 = time.perf_counter()
-                try:
-                    # Parent-side elapsed time: result() returns immediately
-                    # for already-finished futures, so this measures the
-                    # remaining wait, not 0.0 for every tile.
-                    value = future.result()
-                    by_key[key] = outcome_of(key, value, time.perf_counter() - t0, 0)
-                    continue
-                except SolveTimeoutError as exc:
-                    if not isolate:
-                        raise
-                    by_key[key] = _failed_outcome(key, exc, time.perf_counter() - t0, 0)
-                    continue
-                except Exception as exc:  # noqa: BLE001
-                    if not isolate:
-                        raise
-                # Attempt 1 in the parent (the pool may be broken).
-                try:
-                    by_key[key] = outcome_of(
-                        key, solve_one(key, 1), time.perf_counter() - t0, 1
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    by_key[key] = _failed_outcome(key, exc, time.perf_counter() - t0, 1)
-            return {key: by_key[key] for key in keys}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # map() preserves input order, giving the deterministic merge.
-        return {outcome.key: outcome for outcome in pool.map(timed, keys)}

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from repro.errors import SolveTimeoutError, WorkerDeathError
-from repro.obs.metrics import NULL_METRICS, MetricsLike, MetricsSnapshot
-from repro.obs.trace import NULL_TRACER, SpanRecord, TracerLike
+from repro.obs.metrics import NULL_METRICS, MetricsLike
+from repro.obs.trace import NULL_TRACER, TracerLike
 from repro.pilfill.costlike import TileCosts
 from repro.pilfill.solution import TileSolution
 from repro.testing import faults as fault_hooks
@@ -52,6 +52,9 @@ _CHAINS: MappingProxyType[str, tuple[str, ...]] = MappingProxyType(
         "ilp2": ("ilp2", "ilp1", "greedy"),
         "ilp1": ("ilp1", "greedy"),
         "greedy": ("greedy",),
+        # MVDC's solver already is the exact marginal greedy: no cheaper
+        # rung exists to degrade to.
+        "mvdc": ("mvdc",),
     }
 )
 
@@ -104,17 +107,10 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class RobustSolve:
-    """A tile solution bundled with its provenance report.
-
-    ``spans`` / ``metrics`` carry the tile-local telemetry buffer back
-    across the worker boundary when telemetry is enabled; both stay
-    empty on the disabled fast path.
-    """
+    """A tile solution bundled with its provenance report."""
 
     solution: TileSolution
     report: SolveReport
-    spans: tuple[SpanRecord, ...] = ()
-    metrics: MetricsSnapshot | None = None
 
 
 def effective_time_limit(
@@ -147,6 +143,8 @@ def solve_tile_robust(
     rng: random.Random,
     *,
     key: TileKey,
+    chain: tuple[str, ...] | None = None,
+    delay_budget_ps: float | None = None,
     tile_deadline_s: float | None = None,
     run_deadline: float | None = None,
     fault_spec: FaultSpec | None = None,
@@ -155,6 +153,10 @@ def solve_tile_robust(
     metrics: MetricsLike | None = None,
 ) -> RobustSolve:
     """Solve one tile, degrading down the fallback chain on failure.
+
+    ``chain`` overrides :func:`fallback_chain` — strict mode passes the
+    one-rung chain ``(method,)``, so the first failure re-raises.
+    ``delay_budget_ps`` feeds the ``"mvdc"`` rung.
 
     Raises :class:`WorkerDeathError` (never handled here — the dispatcher
     owns the retry) and :class:`SolveTimeoutError` only when the *run*
@@ -170,7 +172,8 @@ def solve_tile_robust(
 
     trc = tracer if tracer is not None else NULL_TRACER
     mtr = metrics if metrics is not None else NULL_METRICS
-    chain = fallback_chain(method)
+    if chain is None:
+        chain = fallback_chain(method)
     errors: list[str] = []
     with trc.span("tile", tile=key, method=method, attempt=attempt):
         for rung_index, rung in enumerate(chain):
@@ -194,6 +197,7 @@ def solve_tile_robust(
                         rng,
                         time_limit=time_limit,
                         tracer=trc,
+                        delay_budget_ps=delay_budget_ps,
                     )
                 except WorkerDeathError:
                     raise  # the dispatcher retries; recovery cannot run in a dead worker

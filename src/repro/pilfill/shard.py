@@ -5,12 +5,12 @@ its window structure gives natural horizontal cut lines: every tile-row
 boundary ``y = die.ylo + iy * tile`` is a cut line of the sliding window
 grid (windows advance by exactly one tile). :func:`plan_shards` splits
 the tile grid into contiguous bands of tile rows along those lines —
-deterministic integer shard keys, near-even row counts — and
-:func:`run_sharded` runs the solve phase shard by shard:
+deterministic integer shard keys, near-even row counts. The engine's run
+loop (:meth:`~repro.pilfill.engine.PILFillEngine.run`) solves one shard
+at a time and merges in global dissection order:
 
-* **Bounded peak memory.** The unsharded path materializes the cost
-  tables for *every* tile before the first solve. A sharded run builds
-  only the current shard's tables
+* **Bounded peak memory.** A multi-shard run builds only the current
+  shard's cost tables
   (:meth:`~repro.pilfill.prepare.PreparedInstance.costs_for_tiles`),
   ships them through a shard-scoped shared-memory store, and releases
   both when the shard completes — peak memory holds one band, not the
@@ -19,51 +19,24 @@ deterministic integer shard keys, near-even row counts — and
   in (:func:`iter_shard_windows` maps its windows onto shard keys), so a
   future multi-host driver can feed each shard only its slice of the
   input.
-* **One warm pool.** All shards dispatch through the persistent
-  :class:`~repro.pilfill.executor._PoolRegistry` pool for the configured
-  worker count; the per-shard store rides the content-hash handshake, so
-  workers re-sync once per shard instead of once per tile.
-* **Bit-identity (the crown jewel).** The merge never trusts shard
-  order: features are buffered per tile while the shard's cost tables
-  are still alive, then folded into the result by one final pass in
-  global dissection order — the same iteration order, feature order,
-  and float-accumulation order as the unsharded run. Telemetry,
-  cache-stats deltas, and solve reports are merged exactly once, in
-  that same pass. ``run_sharded`` output is bit-identical to
-  ``engine.run()`` for every method, backend, worker count, and shard
-  count; :func:`result_digest` is the canonical oracle for that claim.
-
-:func:`solve_shard_batch` is the pool entry sharded dispatch submits —
-anchored in the X301 policy so the purity pass walks the shard worker
-cone like any other worker entry.
+* **Bit-identity.** Sharded output equals the one-shard run for every
+  method, worker count, and shard count; :func:`result_digest` is the
+  canonical oracle for that claim.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 from repro.dissection.fixed import FixedDissection
 from repro.errors import FillError
-from repro.layout.layout import FillFeature
-from repro.obs.metrics import NULL_METRICS, MetricsLike
-from repro.obs.telemetry import Telemetry
-from repro.obs.trace import NULL_TRACER, TracerLike
-from repro.pilfill.executor import TileBatch, solve_tile_batch
-from repro.pilfill.incremental import (
-    _rect_payload,
-    _sha256,
-    cache_eligible,
-    run_context_digest,
-    tile_digest,
-)
-from repro.pilfill.parallel import TileOutcome
-from repro.pilfill.prepare import PreparedInstance
+from repro.pilfill.incremental import _rect_payload, _sha256
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.io.deflite import DefWindow
-    from repro.pilfill.engine import FillResult, PILFillEngine
+    from repro.pilfill.engine import FillResult
+    from repro.pilfill.prepare import PreparedInstance
     from repro.tech.process import ProcessStack
 
 TileKey = tuple[int, int]
@@ -208,18 +181,6 @@ def iter_shard_windows(
         yield plan.shard_of_row(window.index), window
 
 
-def solve_shard_batch(batch: TileBatch) -> list[TileOutcome]:
-    """Pool entry for one shard's tile batch.
-
-    Delegates to the standard batch worker — shard batches are ordinary
-    tile batches whose store happens to be shard-scoped. Exists as a
-    named entry so the X301 purity pass anchors the shard worker cone
-    explicitly (``repro.pilfill.shard.solve_shard_batch`` in the
-    default policy).
-    """
-    return solve_tile_batch(batch)
-
-
 def result_digest(result: "FillResult") -> str:
     """Canonical content digest of a :class:`FillResult` placement.
 
@@ -257,178 +218,3 @@ def result_digest(result: "FillResult") -> str:
         "model_objective_ps": repr(result.model_objective_ps),
     }
     return _sha256(payload)
-
-
-def run_sharded(
-    engine: "PILFillEngine",
-    budget: dict[TileKey, int] | None = None,
-) -> "FillResult":
-    """Execute ``engine``'s flow shard by shard (``EngineConfig.shards``).
-
-    The density budget is derived once, globally — sharding is a solve
-    scheduling choice and must not perturb density control. Each shard
-    then builds only its own cost tables, looks its tiles up in the
-    solution cache, dispatches its misses (all shards share one
-    persistent pool; process dispatch rides a shard-scoped shared store
-    that is closed the moment the shard completes), and buffers the
-    placed features per tile. A final pass in global dissection order
-    folds every outcome into the result, so feature order, float
-    accumulation, dict insertion order, and per-tile telemetry
-    absorption are bit-identical to the unsharded run. Cache recording
-    and stats deltas happen once, after the merge, exactly as in
-    :meth:`~repro.pilfill.engine.PILFillEngine.run`.
-    """
-    from repro.pilfill.engine import FillResult
-
-    cfg = engine.config
-    telemetry = Telemetry() if cfg.telemetry else None
-    tracer: TracerLike = telemetry.tracer if telemetry is not None else NULL_TRACER
-    metrics: MetricsLike = telemetry.metrics if telemetry is not None else NULL_METRICS
-    prep = engine._prepared_traced(tracer)
-    plan = plan_shards(prep, n_shards=max(1, cfg.shards))
-    result = FillResult(telemetry=telemetry)
-
-    with tracer.span(
-        "engine.run", method=cfg.method, backend=cfg.backend,
-        workers=cfg.workers, parallel_backend=cfg.parallel_backend,
-        shards=plan.n_shards,
-    ):
-        if budget is None:
-            budget = prep.budget_for(cfg, tracer=tracer)
-        result.requested_budget = dict(budget)
-
-        t0 = time.perf_counter()
-        run_deadline = engine._run_deadline()
-
-        cache = (
-            cfg.solution_cache
-            if cfg.solution_cache is not None and cache_eligible(cfg)
-            else None
-        )
-        stats_before: dict[str, int] = cache.stats() if cache is not None else {}
-        context = run_context_digest(cfg, engine.layer) if cache is not None else ""
-        digests: dict[TileKey, str] = {}
-        dispatch_keys: list[TileKey] = []
-        cached_outcomes: dict[TileKey, TileOutcome] = {}
-        outcomes_all: dict[TileKey, TileOutcome] = {}
-        # Per-tile merge inputs, buffered while the owning shard's cost
-        # tables are alive; the final global-order pass consumes them.
-        effective: dict[TileKey, int] = {}
-        placed: dict[TileKey, list[FillFeature]] = {}
-        n_columns: dict[TileKey, int] = {}
-
-        for shard in plan.shards:
-            with tracer.span(
-                "shard", key=shard.key, rows=shard.rows, tiles=shard.tile_count
-            ):
-                costs_by_tile = prep.costs_for_tiles(
-                    cfg.weighted, shard.tile_keys, tracer=tracer
-                )
-                shard_solve: list[TileKey] = []
-                for key in shard.tile_keys:
-                    want = budget.get(key, 0)
-                    capacity = sum(c.capacity for c in costs_by_tile.get(key, []))
-                    effective[key] = min(want, capacity)
-                    if effective[key] > 0:
-                        shard_solve.append(key)
-
-                if cache is None:
-                    shard_dispatch = list(shard_solve)
-                else:
-                    shard_dispatch = []
-                    for key in shard_solve:
-                        digest = tile_digest(
-                            context, key, costs_by_tile[key], effective[key]
-                        )
-                        digests[key] = digest
-                        hit = cache.lookup(digest)
-                        if hit is None:
-                            shard_dispatch.append(key)
-                        else:
-                            solution, report = hit
-                            cached_outcomes[key] = TileOutcome(
-                                key=key, value=solution, seconds=0.0, report=report
-                            )
-
-                store = None
-                if cfg.parallel_backend == "process" and cfg.workers > 1:
-                    store = prep.store_for_costs(
-                        cfg.weighted,
-                        {key: costs_by_tile[key] for key in shard_dispatch},
-                    )
-                try:
-                    with tracer.span(
-                        "solve",
-                        tiles=len(shard_solve),
-                        cached=len(shard_solve) - len(shard_dispatch),
-                        shard=shard.key,
-                    ):
-                        outcomes = engine._dispatch_solves(
-                            shard_dispatch, costs_by_tile, effective,
-                            run_deadline, store, tracer, metrics,
-                            batch_solver=solve_shard_batch,
-                        )
-                finally:
-                    if store is not None:
-                        # Shard-scoped segment: unlink eagerly, never let
-                        # it outlive its shard (workers re-sync on the
-                        # next shard's content hash anyway).
-                        store.close()
-                outcomes_all.update(outcomes)
-                dispatch_keys.extend(shard_dispatch)
-                for key in shard_solve:
-                    outcome = (
-                        cached_outcomes[key]
-                        if key in cached_outcomes
-                        else outcomes[key]
-                    )
-                    costs = costs_by_tile[key]
-                    n_columns[key] = len(costs)
-                    feats: list[FillFeature] = []
-                    if not outcome.failed:
-                        engine._place(costs, outcome.value, feats)
-                    placed[key] = feats
-                # costs_by_tile goes out of scope here: a shard's tables
-                # are released before the next shard builds its own.
-                del costs_by_tile
-
-        # The merge pass: global dissection order, exactly like the
-        # unsharded run — same feature order, same float-accumulation
-        # order, same dict insertion order, telemetry absorbed once.
-        for tile in prep.dissection.tiles():
-            key = tile.key
-            result.effective_budget[key] = effective.get(key, 0)
-            if key not in placed:
-                continue
-            outcome = (
-                cached_outcomes[key] if key in cached_outcomes else outcomes_all[key]
-            )
-            engine._merge_outcome(
-                result, key, outcome, [],
-                tracer=tracer, metrics=metrics,
-                placed=placed[key], n_columns=n_columns[key],
-            )
-
-        if cache is not None:
-            for key in dispatch_keys:
-                if not outcomes_all[key].failed:
-                    cache.record(
-                        digests[key],
-                        result.tile_solutions[key],
-                        result.solve_reports[key],
-                    )
-            cache.remember_run(digests)
-            stats_after = cache.stats()
-            result.cache_stats = {
-                name: stats_after[name] - stats_before.get(name, 0)
-                for name in stats_after
-            }
-            for name, delta in result.cache_stats.items():
-                metrics.count(f"cache.{name}", delta)
-        engine._finish_phases(result, time.perf_counter() - t0)
-        metrics.count("features.placed", result.total_features)
-        for name, hits in prep.lut_stats.items():
-            metrics.count(f"lut.{name}", hits)
-        for phase, seconds in result.phase_seconds.items():
-            metrics.observe(f"phase.{phase}.seconds", seconds)
-    return result

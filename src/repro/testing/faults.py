@@ -16,14 +16,14 @@ whether that attempt raises, and what:
 
 Everything is stateless: a rule fires based on the attempt *number*, not
 on a counter, so behavior is identical whether the retry happens in the
-same process (thread backend) or in the parent after a pool worker died
-(process backend), and identical across repeated runs.
+same process (in-process solves) or in the parent after a pool worker
+died (process pool), and identical across repeated runs.
 
 Two injection channels exist so both in-process and pool-worker solves
 can be targeted: an explicit spec argument (what the engine threads
 through), and a module-global :data:`ACTIVE_SPEC` set via the
 :func:`activate` context manager (handy in tests that cannot reach the
-config, serial/thread backends only — pool workers do not inherit it).
+config, in-process solves only — pool workers do not inherit it).
 """
 
 from __future__ import annotations
@@ -142,11 +142,11 @@ def inject(key: TileKey, method: str, attempt: int, spec: FaultSpec | None = Non
 def activate(spec: FaultSpec) -> Iterator[FaultSpec]:
     """Temporarily install ``spec`` as the module-global fault source.
 
-    Serial/thread backends only — pool workers run in other processes and
+    In-process solves only — pool workers run in other processes and
     do not see this global; ship the spec through ``EngineConfig.fault_spec``
     (and thus the tile payloads) to reach them.
     """
-    global ACTIVE_SPEC  # pilfill: allow[C201] -- documented serial/thread-only test channel; pool workers get specs via TilePayload.fault_spec
+    global ACTIVE_SPEC  # pilfill: allow[C201] -- documented in-process-only test channel; pool workers get specs via TilePayload.fault_spec
     previous = ACTIVE_SPEC
     ACTIVE_SPEC = spec
     try:

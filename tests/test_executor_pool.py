@@ -2,9 +2,9 @@
 
 Regression targets of the persistent-pool executor PR:
 
-* an empty payload/key list returns an empty mapping without ever
-  creating a pool (the ``ProcessPoolExecutor(max_workers=0)`` ValueError
-  a no-fill-needed run used to risk), under all three backends,
+* an empty payload list returns an empty mapping without ever creating
+  a pool (the ``ProcessPoolExecutor(max_workers=0)`` ValueError a
+  no-fill-needed run used to risk), serially and on the pool,
 * chunked dispatch is bit-identical to serial for every chunk size, for
   the table methods and MVDC alike,
 * the persistent pool actually persists: consecutive ``engine.run()``
@@ -37,7 +37,7 @@ from repro.pilfill import (
     SlackColumnDef,
     chunk_payloads,
     dispatch_tile_payloads,
-    dispatch_tiles,
+    executor,
     make_shared_store,
     make_tile_payload,
     payload_columns,
@@ -62,11 +62,10 @@ from repro.testing.faults import FaultSpec
 FILL = FillRules(fill_size=500, fill_gap=250, buffer_distance=250)
 DENSITY = DensityRules(window_size=16000, r=2, max_density=0.6)
 
-#: (workers, parallel_backend) triples covering all three dispatch paths.
-BACKENDS = [
-    pytest.param(1, "thread", id="serial"),
-    pytest.param(2, "thread", id="thread"),
-    pytest.param(2, "process", id="process"),
+#: Worker counts covering both dispatch paths (in-process, process pool).
+WORKERS = [
+    pytest.param(1, id="serial"),
+    pytest.param(2, id="process"),
 ]
 
 
@@ -108,24 +107,18 @@ class TestEmptyDispatch:
 
     def test_empty_payloads_return_empty_before_any_pool(self):
         created_before = pool_stats()["created"]
+        assert dispatch_tile_payloads([], workers=1) == {}
         assert dispatch_tile_payloads([], workers=2) == {}
-        assert dispatch_tile_payloads([], workers=8, persistent=False) == {}
+        assert dispatch_tile_payloads([], workers=8) == {}
         assert pool_stats()["created"] == created_before
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_empty_keys_return_empty(self, backend):
-        outcome = dispatch_tiles(
-            [], lambda key, attempt: None, workers=4, backend=backend
-        )
-        assert outcome == {}
-
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
+    @pytest.mark.parametrize("workers", WORKERS)
     def test_engine_zero_budget_run_completes(
-        self, small_generated_layout, prepared, workers, backend
+        self, small_generated_layout, prepared, workers
     ):
         """Engine-level regression: a zero budget everywhere dispatches
         zero payloads; the run completes with zero features."""
-        cfg = make_cfg(workers=workers, parallel_backend=backend)
+        cfg = make_cfg(workers=workers)
         engine = PILFillEngine(
             small_generated_layout, "metal3", cfg, prepared=prepared
         )
@@ -165,9 +158,7 @@ class TestChunking:
         serial = PILFillEngine(
             small_generated_layout, "metal3", make_cfg(method), prepared=prepared
         ).run()
-        cfg = make_cfg(
-            method, workers=2, parallel_backend="process", batch_tiles=batch_tiles
-        )
+        cfg = make_cfg(method, workers=2, batch_tiles=batch_tiles)
         chunked = PILFillEngine(
             small_generated_layout, "metal3", cfg, prepared=prepared
         ).run(budget=serial.requested_budget)
@@ -181,7 +172,7 @@ class TestChunking:
         serial = PILFillEngine(
             small_generated_layout, "metal3", make_cfg(), prepared=prepared
         ).run_mvdc(slack_fraction=0.3)
-        cfg = make_cfg(workers=2, parallel_backend="process", batch_tiles=2)
+        cfg = make_cfg(workers=2, batch_tiles=2)
         chunked = PILFillEngine(
             small_generated_layout, "metal3", cfg, prepared=prepared
         ).run_mvdc(slack_fraction=0.3)
@@ -195,7 +186,7 @@ class TestPoolPersistence:
         means the same worker processes (stable PIDs)."""
         shutdown_pools()
         created_before = pool_stats()["created"]
-        cfg = make_cfg(workers=2, parallel_backend="process")
+        cfg = make_cfg(workers=2)
         engine = PILFillEngine(
             small_generated_layout, "metal3", cfg, prepared=prepared
         )
@@ -219,16 +210,6 @@ class TestPoolPersistence:
         assert pids_a and pids_a == pids_b
         assert os.getpid() not in pids_a
         shutdown_pools()
-
-    def test_ephemeral_pool_not_registered(self, prepared, baseline):
-        shutdown_pools()
-        created_before = pool_stats()["created"]
-        payloads = make_payloads(prepared, baseline)
-        outcomes = dispatch_tile_payloads(payloads, workers=2, persistent=False)
-        assert len(outcomes) == len(payloads)
-        stats = pool_stats()
-        assert stats["created"] == created_before  # registry never touched
-        assert stats["live"] == 0
 
     def test_registry_rejects_serial_worker_count(self):
         from repro.pilfill import get_pool
@@ -319,8 +300,7 @@ class TestTelemetrySingleMerge:
             else None
         )
         cfg = make_cfg(
-            workers=2, parallel_backend="process",
-            batch_tiles=len(keys), telemetry=True, fault_spec=spec,
+            workers=2, batch_tiles=len(keys), telemetry=True, fault_spec=spec,
         )
         result = PILFillEngine(
             small_generated_layout, "metal3", cfg, prepared=prepared
@@ -460,11 +440,16 @@ class TestStoreLifetime:
             pytest.skip("platform has no usable shared memory")
         return inline, [replace(p, columns=()) for p in inline], store
 
-    def test_broken_pool_releases_store_and_recovers(self, prepared, baseline):
+    def test_broken_pool_releases_store_and_recovers(
+        self, prepared, baseline, monkeypatch
+    ):
         """One real worker death: every batch is re-solved in the parent
         (bit-identical), then the shm segment is unlinked eagerly — no
         /dev/shm leak — and the broken pool is discarded for rebuild."""
         shutdown_pools()
+        # The pool submits executor.solve_tile_batch; forked workers
+        # resolve the swapped-in entry by reference and hard-exit.
+        monkeypatch.setattr(executor, "solve_tile_batch", _exit_worker)
         inline, stripped, store = self._store_payloads(prepared, baseline)
         assert store.handle.name in live_store_names()
         created_before = pool_stats()["created"]
@@ -474,8 +459,8 @@ class TestStoreLifetime:
                 workers=2,
                 store=store.handle,
                 batch_tiles=len(stripped),
-                batch_solver=_exit_worker,
             )
+            monkeypatch.undo()
             reference = {
                 o.key: o
                 for o in solve_tile_batch(TileBatch(payloads=tuple(inline)))

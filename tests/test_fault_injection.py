@@ -2,8 +2,8 @@
 
 Exercises every edge of the robust solve layer deterministically via
 :mod:`repro.testing.faults`: ILP-II → ILP-I → Greedy degradation, worker
-death + retry under all three dispatch backends (serial, thread pool,
-process pool), per-tile and per-run deadlines, and the acceptance sweep
+death + retry on both dispatch paths (in-process and the process pool),
+per-tile and per-run deadlines, and the acceptance sweep
 (20% of tiles lose ILP-II, one tile's worker dies — the table still
 completes, degraded cells are annotated, non-faulted tiles bit-identical).
 """
@@ -37,11 +37,10 @@ from tests.invariants import assert_fill_invariants
 FILL = FillRules(fill_size=500, fill_gap=250, buffer_distance=250)
 DENSITY = DensityRules(window_size=16000, r=2, max_density=0.6)
 
-#: (workers, parallel_backend) triples covering all three dispatch paths.
-BACKENDS = [
-    pytest.param(1, "thread", id="serial"),
-    pytest.param(2, "thread", id="thread"),
-    pytest.param(2, "process", id="process"),
+#: Worker counts covering both dispatch paths (in-process, process pool).
+WORKERS = [
+    pytest.param(1, id="serial"),
+    pytest.param(2, id="process"),
 ]
 
 
@@ -214,9 +213,9 @@ class TestFallbackEdges:
 
 
 class TestWorkerDeathRetry:
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
+    @pytest.mark.parametrize("workers", WORKERS)
     def test_transient_death_retried_bit_identical(
-        self, small_generated_layout, prepared, base_ilp2, workers, backend
+        self, small_generated_layout, prepared, base_ilp2, workers
     ):
         """A worker dying once on a tile is retried with the same derived
         RNG — the final result is bit-identical to the no-fault run."""
@@ -225,23 +224,23 @@ class TestWorkerDeathRetry:
         result = faulted_run(
             small_generated_layout, prepared, "ilp2", spec,
             budget=base_ilp2.requested_budget,
-            workers=workers, parallel_backend=backend,
+            workers=workers,
         )
         assert result.retried_tiles == [key]
         assert result.failed_tiles == [] and result.degraded_tiles == []
         assert [f.rect for f in result.features] == [f.rect for f in base_ilp2.features]
         assert_fill_invariants(result, prepared)
 
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
+    @pytest.mark.parametrize("workers", WORKERS)
     def test_persistent_death_fails_tile_only(
-        self, small_generated_layout, prepared, base_ilp2, workers, backend
+        self, small_generated_layout, prepared, base_ilp2, workers
     ):
         key = sorted(base_ilp2.tile_solutions)[0]
         spec = FaultSpec.single("worker_death", tiles=[key], attempts=None)
         result = faulted_run(
             small_generated_layout, prepared, "ilp2", spec,
             budget=base_ilp2.requested_budget,
-            workers=workers, parallel_backend=backend,
+            workers=workers,
         )
         assert result.failed_tiles == [key]
         assert "WorkerDeathError" in result.solve_reports[key].errors[0]
@@ -382,13 +381,13 @@ class TestHarnessAndTables:
         assert result.outcomes["normal"].clean
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
+    @pytest.mark.parametrize("workers", WORKERS)
     def test_acceptance_sweep_with_faults(
-        self, small_generated_layout, prepared, base_ilp2, workers, backend
+        self, small_generated_layout, prepared, base_ilp2, workers
     ):
         """The ISSUE acceptance scenario: ILP-II dies on 20% of tiles and
-        one tile's worker dies once — the sweep completes under every
-        backend, degraded tiles are reported, and non-faulted tiles are
+        one tile's worker dies once — the sweep completes on every
+        dispatch path, degraded tiles are reported, and non-faulted tiles are
         bit-identical to the no-fault run."""
         tiles = sorted(base_ilp2.tile_solutions)
         killed = sample_tiles(tiles, 0.2, seed=42)
@@ -403,7 +402,7 @@ class TestHarnessAndTables:
         result = faulted_run(
             small_generated_layout, prepared, "ilp2", spec,
             budget=base_ilp2.requested_budget,
-            workers=workers, parallel_backend=backend,
+            workers=workers,
         )
         assert result.degraded_tiles == sorted(killed)
         assert result.failed_tiles == []

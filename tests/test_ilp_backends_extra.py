@@ -187,7 +187,7 @@ class TestMvdcTrim:
         from repro.geometry import Rect
         from repro.pilfill.columns import ColumnNeighbor, SlackColumn
         from repro.pilfill.costs import ColumnCosts
-        from repro.pilfill.engine import PILFillEngine
+        from repro.pilfill.methods import trim_to
         from repro.pilfill.solution import TileSolution
 
         neighbor = ColumnNeighbor("n", 0, 1, 1.0)
@@ -205,10 +205,10 @@ class TestMvdcTrim:
 
         costs = [cc(0, [1.0, 5.0]), cc(1, [2.0])]
         solution = TileSolution(counts=[2, 1], model_objective_ps=8.0)
-        trimmed = PILFillEngine._trim_to(costs, solution, want=2)
+        trimmed = trim_to(costs, solution, want=2)
         # the 5.0 marginal goes first
         assert trimmed.counts == [1, 1]
         assert trimmed.model_objective_ps == pytest.approx(3.0)
-        trimmed2 = PILFillEngine._trim_to(costs, solution, want=1)
+        trimmed2 = trim_to(costs, solution, want=1)
         assert sum(trimmed2.counts) == 1
         assert trimmed2.model_objective_ps == pytest.approx(1.0)

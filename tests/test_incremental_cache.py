@@ -1,8 +1,8 @@
 """Incremental ECO re-fill: solution store, content digests, cache front.
 
 Covers the crown-jewel contract — a warm re-run against a primed cache is
-bit-identical to a cold run, for arbitrary seeded edit windows, under all
-three dispatch backends and under fault injection — plus the unit-level
+bit-identical to a cold run, for arbitrary seeded edit windows, in-process
+and on the process pool and under fault injection — plus the unit-level
 guarantees it stands on: store round-trip/versioning, digest sensitivity
 to every solve input (and insensitivity to scheduling-only knobs),
 eligibility gating, dirty-window invalidation, and copy isolation.
@@ -249,6 +249,7 @@ class TestDigests:
             {"parallel_backend": "process"},
             {"batch_tiles": 2},
             {"telemetry": True},
+            {"shards": 3},
         ],
         ids=lambda change: next(iter(change)),
     )
@@ -473,14 +474,12 @@ class TestEditWindow:
             edit_window(small_generated_layout, off, seed=0)
 
 
-#: (workers, parallel_backend, fault_spec) triples for the contract sweep.
+#: (workers, fault_spec) pairs for the contract sweep.
 CONTRACT_VARIANTS = [
-    pytest.param(1, "thread", None, id="serial"),
-    pytest.param(2, "thread", None, id="thread"),
-    pytest.param(2, "process", None, id="process"),
+    pytest.param(1, None, id="serial"),
+    pytest.param(2, None, id="process"),
     pytest.param(
         1,
-        "thread",
         FaultSpec(rules=(FaultRule(kind="error", methods=("ilp2",)),)),
         id="serial-faulted",
     ),
@@ -491,7 +490,7 @@ CONTRACT_VARIANTS = [
 class TestIncrementalContract:
     """Property: for any seeded edit window, warm == cold, bit for bit."""
 
-    @pytest.mark.parametrize("workers,backend,fault_spec", CONTRACT_VARIANTS)
+    @pytest.mark.parametrize("workers,fault_spec", CONTRACT_VARIANTS)
     @settings(
         max_examples=4,
         deadline=None,
@@ -505,7 +504,7 @@ class TestIncrementalContract:
     )
     def test_warm_refill_matches_cold(
         self, small_generated_layout, prepared,
-        workers, backend, fault_spec, x0, y0, size, seed,
+        workers, fault_spec, x0, y0, size, seed,
     ):
         method = "ilp2" if fault_spec is not None else "dp"
         window = Rect(x0, y0, x0 + size, y0 + size)
@@ -513,7 +512,7 @@ class TestIncrementalContract:
 
         def cfg(cache):
             return make_cfg(
-                method=method, workers=workers, parallel_backend=backend,
+                method=method, workers=workers,
                 fault_spec=fault_spec, solution_cache=cache,
             )
 

@@ -2,8 +2,8 @@
 tracing enabled, the run-report export, and the timeout-retry bugfix.
 
 The bit-identity tests are the acceptance gate for the observability
-layer: enabling telemetry must not perturb any solver result, under any
-dispatch backend.
+layer: enabling telemetry must not perturb any solver result, on either
+dispatch path.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from repro.testing.faults import FaultRule, FaultSpec
 FILL = FillRules(fill_size=500, fill_gap=250, buffer_distance=250)
 DENSITY = DensityRules(window_size=16000, r=2, max_density=0.6)
 
-#: (workers, parallel_backend) triples covering all three dispatch paths.
-BACKENDS = [
-    pytest.param(1, "thread", id="serial"),
-    pytest.param(2, "thread", id="thread"),
-    pytest.param(2, "process", id="process"),
+#: Worker counts covering both dispatch paths (in-process, process pool).
+WORKERS = [
+    pytest.param(1, id="serial"),
+    pytest.param(2, id="process"),
 ]
 
 
@@ -90,16 +89,16 @@ class TestTelemetryRun:
         names = span_names(result.telemetry.tracer)
         assert "ilp.branchbound" in names
 
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
+    @pytest.mark.parametrize("workers", WORKERS)
     def test_tracing_is_bit_identical_on_every_backend(
-        self, small_generated_layout, prepared, base_run, workers, backend
+        self, small_generated_layout, prepared, base_run, workers
     ):
         """Telemetry on must not perturb results: every dispatch backend
         reproduces the telemetry-off serial run feature for feature."""
         result = PILFillEngine(
             small_generated_layout, "metal3",
             make_cfg(
-                "ilp2", telemetry=True, workers=workers, parallel_backend=backend
+                "ilp2", telemetry=True, workers=workers
             ),
             prepared=prepared,
         ).run(budget=base_run.requested_budget)
@@ -163,9 +162,9 @@ class TestRunReportExport:
 
 
 class TestTimeoutRetryFix:
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
+    @pytest.mark.parametrize("workers", WORKERS)
     def test_expired_run_deadline_never_retried(
-        self, small_generated_layout, prepared, base_run, workers, backend
+        self, small_generated_layout, prepared, base_run, workers
     ):
         """The headline bugfix: a run-deadline expiry raised *between*
         rungs is classified as TIME_LIMIT and fails the tile without
@@ -174,7 +173,7 @@ class TestTimeoutRetryFix:
             small_generated_layout, "metal3",
             make_cfg(
                 "ilp2", run_deadline_s=1e-6,
-                workers=workers, parallel_backend=backend,
+                workers=workers,
             ),
             prepared=prepared,
         ).run(budget=base_run.requested_budget)

@@ -7,9 +7,9 @@ Regression targets of the shared-preprocessing/parallel-solve PR:
   column-prefix approximation) and is order-independent,
 * ``run_config`` builds the preprocessing exactly once per configuration,
 * an explicit budget override skips the density-map build,
-* ``_trim_to`` refuses to underflow instead of corrupting counts,
-* the process-pool backend ships picklable payloads and reproduces the
-  serial run bit-for-bit for every method (including MVDC).
+* ``trim_to`` refuses to underflow instead of corrupting counts,
+* the process pool ships picklable payloads and reproduces the serial
+  run bit-for-bit for every method (including MVDC).
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from repro.pilfill import (
     PILFillEngine,
     PreparedInstance,
     TileSolution,
-    dispatch_tiles,
+    dispatch_tile_payloads,
     make_tile_payload,
     prepare,
     solve_tile_payload,
     tile_rng,
+    trim_to,
 )
 from repro.pilfill.columns import ColumnNeighbor, SlackColumn
 from repro.pilfill.costs import ColumnCosts
@@ -95,19 +96,18 @@ class TestSerialParallelEquivalence:
 class TestProcessBackend:
     @pytest.mark.parametrize("method", METHODS)
     def test_bit_identical_to_serial(self, t1_setup, method):
-        """backend="process" must reproduce the serial run exactly: the
+        """The process pool must reproduce the serial run exactly: the
         payloads carry bit-identical cost tables and the per-tile RNG is
         re-derived from (seed, key) inside the worker."""
         layout, fill_rules, density_rules, prepared = t1_setup
         runs = {}
-        for workers, backend in ((1, "thread"), (2, "process")):
+        for workers in (1, 2):
             cfg = _config(
-                fill_rules, density_rules, method=method, seed=2,
-                workers=workers, parallel_backend=backend,
+                fill_rules, density_rules, method=method, seed=2, workers=workers
             )
             engine = PILFillEngine(layout, "metal3", cfg, prepared=prepared)
-            runs[backend] = engine.run()
-        serial, process = runs["thread"], runs["process"]
+            runs[workers] = engine.run()
+        serial, process = runs[1], runs[2]
         assert serial.features == process.features
         assert serial.effective_budget == process.effective_budget
         assert serial.model_objective_ps == process.model_objective_ps
@@ -118,15 +118,12 @@ class TestProcessBackend:
     def test_mvdc_process_matches_serial(self, t1_setup):
         layout, fill_rules, density_rules, prepared = t1_setup
         runs = {}
-        for workers, backend in ((1, "thread"), (2, "process")):
-            cfg = _config(
-                fill_rules, density_rules, method="greedy",
-                workers=workers, parallel_backend=backend,
-            )
+        for workers in (1, 2):
+            cfg = _config(fill_rules, density_rules, method="greedy", workers=workers)
             engine = PILFillEngine(layout, "metal3", cfg, prepared=prepared)
-            runs[backend] = engine.run_mvdc(slack_fraction=0.3)
-        assert runs["thread"].features == runs["process"].features
-        assert runs["thread"].effective_budget == runs["process"].effective_budget
+            runs[workers] = engine.run_mvdc(slack_fraction=0.3)
+        assert runs[1].features == runs[2].features
+        assert runs[1].effective_budget == runs[2].effective_budget
 
     def test_payloads_are_picklable_and_compact(self, t1_setup):
         """Payloads must pickle standalone (no layout/engine references)."""
@@ -154,9 +151,13 @@ class TestProcessBackend:
         with pytest.raises(FillError, match="backend"):
             _config(fill_rules, density_rules, parallel_backend="mpi")
 
-    def test_dispatch_backend_validated(self):
+    def test_dispatch_backend_validated(self, t1_setup):
+        """The process pool is the only pool kind: the thread pool is gone."""
+        _, fill_rules, density_rules, _ = t1_setup
+        cfg = _config(fill_rules, density_rules, parallel_backend="process")
+        assert cfg.parallel_backend == "process"
         with pytest.raises(FillError, match="backend"):
-            dispatch_tiles([(0, 0)], lambda key, attempt: None, workers=2, backend="mpi")
+            _config(fill_rules, density_rules, parallel_backend="thread")
 
 
 class TestNormalSiteSampling:
@@ -201,15 +202,14 @@ class TestNormalSiteSampling:
 
         keys = sorted(baseline.tile_solutions)
         for order in (keys, list(reversed(keys))):
-            outcomes = dispatch_tiles(
-                order,
-                lambda key, attempt: engine._solve_tile(
-                    costs_by_tile[key],
-                    baseline.effective_budget[key],
-                    tile_rng(cfg.seed, key),
-                ),
-                workers=1,
-            )
+            outcomes = dispatch_tile_payloads([
+                make_tile_payload(
+                    key, costs_by_tile[key], baseline.effective_budget[key],
+                    method="normal", weighted=cfg.weighted,
+                    ilp_backend=cfg.backend, seed=cfg.seed,
+                )
+                for key in order
+            ])
             for key in keys:
                 assert outcomes[key].value.counts == baseline.tile_solutions[key].counts
                 assert (
@@ -282,7 +282,7 @@ class TestGuards:
 
     def test_dispatch_workers_validated(self):
         with pytest.raises(ValueError, match="workers"):
-            dispatch_tiles([], lambda key, attempt: None, workers=0)
+            dispatch_tile_payloads([], workers=0)
 
     def test_trim_to_underflow_raises(self):
         """A zero-count solution asked to shrink further must raise, not
@@ -298,4 +298,4 @@ class TestGuards:
         # entry the trimmer can take a feature from.
         bad = TileSolution(counts=[0, 2], model_objective_ps=2.0)
         with pytest.raises(FillError, match="trim"):
-            PILFillEngine._trim_to(costs, bad, want=1)
+            trim_to(costs, bad, want=1)

@@ -7,7 +7,7 @@ Regression targets of the sharding PR:
   ``n_shards`` clamps to the row count (property-tested with hypothesis),
 * the sharded run is **bit-identical** to the unsharded run — features
   in order, effective budgets, per-tile counts / site indices, and the
-  accumulated float objective — across serial/thread/process backends,
+  accumulated float objective — in-process and on the process pool,
   under fault injection, and with the solution cache on (both warm
   directions), for even, uneven, and single-shard plans,
 * :func:`result_digest` is a faithful oracle: equal runs digest equal,
@@ -36,7 +36,6 @@ from repro.pilfill import (
     plan_shards,
     prepare,
     result_digest,
-    run_sharded,
     shutdown_pools,
 )
 from repro.tech import DensityRules, FillRules
@@ -46,11 +45,10 @@ from repro.testing.faults import FaultSpec
 FILL = FillRules(fill_size=500, fill_gap=250, buffer_distance=250)
 DENSITY = DensityRules(window_size=16000, r=2, max_density=0.5)
 
-#: (workers, parallel_backend) pairs covering all three dispatch paths.
-BACKENDS = [
-    pytest.param(1, "thread", id="serial"),
-    pytest.param(2, "thread", id="thread"),
-    pytest.param(2, "process", id="process"),
+#: Worker counts covering both dispatch paths (in-process, process pool).
+WORKERS = [
+    pytest.param(1, id="serial"),
+    pytest.param(2, id="process"),
 ]
 
 
@@ -214,31 +212,37 @@ class TestBitIdentity:
         engine = PILFillEngine(
             small_generated_layout, "metal3", cfg, prepared=prepared
         )
-        run = run_sharded(engine, budget=unsharded.requested_budget)
+        run = engine.run(budget=unsharded.requested_budget)
         assert_bit_identical(run, unsharded)
 
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
+    @pytest.mark.parametrize("workers", WORKERS)
     def test_backends_match_unsharded(
-        self, small_generated_layout, prepared, unsharded, workers, backend
+        self, small_generated_layout, prepared, unsharded, workers
     ):
-        cfg = make_cfg(shards=3, workers=workers, parallel_backend=backend)
+        cfg = make_cfg(shards=3, workers=workers)
         run = PILFillEngine(
             small_generated_layout, "metal3", cfg, prepared=prepared
         ).run(budget=unsharded.requested_budget)
         assert_bit_identical(run, unsharded)
-        if backend == "process":
+        if workers > 1:
             shutdown_pools()
 
-    def test_single_shard_run_sharded_matches(
+    def test_single_shard_plan_matches(
         self, small_generated_layout, prepared, unsharded
     ):
-        """The run_sharded machinery itself, degenerate single-shard
-        plan (engine.run would not even delegate at shards=1)."""
-        engine = PILFillEngine(
-            small_generated_layout, "metal3", make_cfg(shards=1), prepared=prepared
-        )
-        run = run_sharded(engine, budget=unsharded.requested_budget)
-        assert_bit_identical(run, unsharded)
+        """The default run is the one-shard case of the shard loop: one
+        ``shard`` span, and the same bits as a three-shard run."""
+        runs = {}
+        for shards in (1, 3):
+            engine = PILFillEngine(
+                small_generated_layout, "metal3",
+                make_cfg(shards=shards, telemetry=True), prepared=prepared,
+            )
+            runs[shards] = engine.run(budget=unsharded.requested_budget)
+            names = [s.name for s in runs[shards].telemetry.tracer.records()]
+            assert names.count("shard") == shards
+        assert_bit_identical(runs[1], unsharded)
+        assert_bit_identical(runs[3], runs[1])
 
     def test_fault_injection_matches_faulted_unsharded(
         self, small_generated_layout, prepared, unsharded
@@ -265,9 +269,7 @@ class TestBitIdentity:
     ):
         keys = sorted(unsharded.tile_solutions)
         spec = FaultSpec.single("worker_death", tiles=[keys[0]], attempts=(0,))
-        cfg = make_cfg(
-            shards=2, workers=2, parallel_backend="process", fault_spec=spec
-        )
+        cfg = make_cfg(shards=2, workers=2, fault_spec=spec)
         run = PILFillEngine(
             small_generated_layout, "metal3", cfg, prepared=prepared
         ).run(budget=unsharded.requested_budget)

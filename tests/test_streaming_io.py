@@ -159,22 +159,15 @@ class TestStreamedEngineRuns:
     ):
         fill_rules, density_rules = t1_rules
         results = {}
-        for label, workers, backend in (
-            ("materialized", 1, "thread"),
-            ("serial", 1, "thread"),
-            ("thread", 2, "thread"),
-            ("process", 2, "process"),
-        ):
+        for label, workers in (("materialized", 1), ("serial", 1), ("process", 2)):
             prep = mat_prep if label == "materialized" else stream_prep
             config = EngineConfig(
                 fill_rules=fill_rules, density_rules=density_rules,
-                method="greedy", backend="scipy", seed=0,
-                workers=workers, parallel_backend=backend,
+                method="greedy", backend="scipy", seed=0, workers=workers,
             )
             engine = PILFillEngine(prep.layout, LAYER, config, prepared=prep)
             results[label] = engine.run().features
         assert results["serial"] == results["materialized"]
-        assert results["thread"] == results["serial"]
         assert results["process"] == results["serial"]
 
 
