@@ -612,8 +612,9 @@ def bench_t3_shard(
 
     * **sharded** — ``EngineConfig.shards`` row-band shards; each shard
       builds only its band's cost tables
-      (:meth:`~repro.pilfill.prepare.PreparedInstance.costs_for_tiles`,
-      which never memoizes) and releases them when the shard merges,
+      (:meth:`~repro.pilfill.prepare.PreparedInstance.costs_for` with
+      ``keys``, which never memoizes) and releases them when the shard
+      merges,
     * **unsharded** — the classic path, materializing every tile's cost
       table before the first solve.
 

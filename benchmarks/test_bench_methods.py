@@ -7,14 +7,13 @@ import random
 
 import pytest
 
-from repro.geometry import Rect
 from repro.pilfill import (
     solve_tile_greedy,
     solve_tile_greedy_marginal,
     solve_tile_ilp1,
     solve_tile_ilp2,
 )
-from repro.pilfill.columns import ColumnNeighbor, SlackColumn
+from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
 from repro.pilfill.costs import ColumnCosts
 from repro.pilfill.dp import allocate_dp, allocation_cost
 from repro.pilfill.solution import TileSolution
@@ -24,7 +23,7 @@ def synthetic_tile(n_columns: int, max_capacity: int, seed: int = 0):
     """A representative per-tile instance with convex exact tables."""
     rng = random.Random(seed)
     costs = []
-    for k in range(n_columns):
+    for _ in range(n_columns):
         cap = rng.randint(1, max_capacity)
         base = rng.uniform(0.1, 2.0)
         growth = rng.uniform(1.1, 1.8)
@@ -34,12 +33,8 @@ def synthetic_tile(n_columns: int, max_capacity: int, seed: int = 0):
             exact.append(exact[-1] + marginal)
             marginal *= growth
         linear = tuple(base * n for n in range(cap + 1))
-        sites = tuple(
-            Rect(k * 1000, n * 1000, k * 1000 + 500, n * 1000 + 500)
-            for n in range(cap)
-        )
         neighbor = ColumnNeighbor("n", 0, rng.randint(1, 4), rng.uniform(50, 500))
-        col = SlackColumn("metal3", (0, 0), k, sites, 4.0, neighbor, neighbor)
+        col = ElectricalColumn(4.0, neighbor, neighbor)
         costs.append(ColumnCosts(col, tuple(exact), linear))
     capacity = sum(c.capacity for c in costs)
     return costs, capacity // 2

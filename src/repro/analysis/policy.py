@@ -40,17 +40,14 @@ def _default_payload_registry() -> tuple[str, ...]:
     return (
         # Shipped to pool workers (the request side of the boundary).
         "repro.pilfill.parallel.TilePayload",
-        "repro.pilfill.parallel.PayloadColumnCosts",
-        "repro.pilfill.parallel.PayloadColumn",
+        "repro.pilfill.costs.ColumnCosts",
+        "repro.pilfill.columns.ElectricalColumn",
         "repro.pilfill.columns.ColumnNeighbor",
         "repro.testing.faults.FaultSpec",
         "repro.testing.faults.FaultRule",
         # Batched dispatch + shared-memory store (executor boundary).
         "repro.pilfill.executor.TileBatch",
         "repro.pilfill.executor.SharedStoreHandle",
-        "repro.pilfill.executor.SharedStoreData",
-        "repro.cap.lut.LUTSnapshot",
-        "repro.cap.lut.CapacitanceLUT",
         # Returned from pool workers (the response side).
         "repro.pilfill.parallel.TileOutcome",
         "repro.pilfill.solution.TileSolution",

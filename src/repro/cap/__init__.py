@@ -8,7 +8,7 @@ from repro.cap.fillimpact import (
     linear_column_cap,
     linear_column_cap_array,
 )
-from repro.cap.lut import CapacitanceLUT, LUTCache, LUTSnapshot
+from repro.cap.lut import CapacitanceLUT, LUTCache
 from repro.cap.grounded import (
     grounded_boundary_cap,
     grounded_column_cap_per_line,
@@ -45,5 +45,4 @@ __all__ = [
     "linear_column_cap_array",
     "CapacitanceLUT",
     "LUTCache",
-    "LUTSnapshot",
 ]

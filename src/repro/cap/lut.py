@@ -61,25 +61,6 @@ class CapacitanceLUT:
         return self.table[n] - self.table[n - 1]
 
 
-@dataclass(frozen=True)
-class LUTSnapshot:
-    """Frozen, picklable dump of a :class:`LUTCache`.
-
-    Built by :meth:`LUTCache.snapshot` in the parent and shipped once per
-    worker inside the shared-memory cost store (see
-    :mod:`repro.pilfill.executor`) instead of re-deriving — or worse,
-    re-shipping — tables per tile payload. Entries are sorted
-    ``(quantized spacing, capacity, spacing_um, table)`` rows, so equal
-    caches snapshot to equal bytes and the store's content hash is
-    stable. Restore with :meth:`LUTCache.from_snapshot`.
-    """
-
-    eps_r: float
-    thickness_um: float
-    fill_width_um: float
-    entries: tuple[tuple[int, int, float, tuple[float, ...]], ...] = ()
-
-
 class LUTCache:
     """Builds and caches :class:`CapacitanceLUT` instances.
 
@@ -150,37 +131,6 @@ class LUTCache:
                         self._cache[key] = self._build(spacing_um, capacity)
         self._hits += len(keys) - len(missing)
         return [self._cache[key] for key in keys]
-
-    def snapshot(self) -> LUTSnapshot:
-        """Frozen copy of every cached table (sorted for determinism).
-
-        Tables are dumped as plain rows rather than
-        :class:`CapacitanceLUT` objects so a warm cache (whose LUTs carry
-        memoized numpy arrays) snapshots to the same compact bytes as a
-        cold one.
-        """
-        with self._lock:
-            items = sorted(self._cache.items())
-        return LUTSnapshot(
-            eps_r=self.eps_r,
-            thickness_um=self.thickness_um,
-            fill_width_um=self.fill_width_um,
-            entries=tuple(
-                (q, capacity, lut.spacing_um, lut.table)
-                for (q, capacity), lut in items
-            ),
-        )
-
-    @classmethod
-    def from_snapshot(cls, snap: LUTSnapshot) -> "LUTCache":
-        """Rebuild a warm cache from a :class:`LUTSnapshot` — the worker
-        side of the ship-once protocol; restored hits count as hits."""
-        cache = cls(snap.eps_r, snap.thickness_um, snap.fill_width_um)
-        for q, capacity, spacing_um, table in snap.entries:
-            cache._cache[(q, capacity)] = CapacitanceLUT(
-                spacing_um, snap.fill_width_um, table
-            )
-        return cache
 
     def stats(self) -> dict[str, int]:
         """Cumulative hit/miss counts (approximate under concurrency: the

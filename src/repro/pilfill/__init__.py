@@ -18,7 +18,12 @@ Public surface:
 * the scan-line slack-column extraction (paper Fig. 7).
 """
 
-from repro.pilfill.columns import ColumnNeighbor, SlackColumn, SlackColumnDef
+from repro.pilfill.columns import (
+    ColumnNeighbor,
+    ElectricalColumn,
+    SlackColumn,
+    SlackColumnDef,
+)
 from repro.pilfill.costs import ColumnCosts, build_costs, build_costs_scalar
 from repro.pilfill.dp import (
     allocate_dp,
@@ -64,8 +69,6 @@ from repro.pilfill.parallel import (
     TileOutcome,
     TilePayload,
     dispatch_tile_payloads,
-    make_tile_payload,
-    payload_columns,
     solve_tile_payload,
     tile_rng,
 )
@@ -107,6 +110,7 @@ from repro.pilfill.store import (
 
 __all__ = [
     "ColumnNeighbor",
+    "ElectricalColumn",
     "SlackColumn",
     "SlackColumnDef",
     "ColumnCosts",
@@ -147,8 +151,6 @@ __all__ = [
     "TileOutcome",
     "TilePayload",
     "dispatch_tile_payloads",
-    "make_tile_payload",
-    "payload_columns",
     "solve_tile_payload",
     "tile_rng",
     "PreparedInstance",

@@ -61,6 +61,39 @@ class ColumnNeighbor:
 
 
 @dataclass(frozen=True)
+class ElectricalColumn:
+    """Electrical view of one slack column, without layout geometry.
+
+    The part of a :class:`SlackColumn` the per-tile solvers read (gap,
+    neighbors, r̂); it rides inside every
+    :class:`~repro.pilfill.costs.ColumnCosts`, in-process and across the
+    pool boundary alike. Site rectangles stay on the :class:`SlackColumn`
+    in the parent, which places the solved counts itself.
+    """
+
+    gap_um: float | None
+    below: ColumnNeighbor | None
+    above: ColumnNeighbor | None
+
+    @property
+    def has_impact(self) -> bool:
+        """True when filling this column changes modeled coupling (both
+        neighbor lines present)."""
+        return self.below is not None and self.above is not None and self.gap_um is not None
+
+    def resistance_weight(self, weighted: bool) -> float:
+        """The r̂_k multiplier of the MDFC objective (paper Fig. 8 line 11):
+        Σ over present neighbors of (W_l or 1) × upstream resistance at the
+        column position, Ω."""
+        total = 0.0
+        for neighbor in (self.below, self.above):
+            if neighbor is not None:
+                w = neighbor.sinks if weighted else 1
+                total += w * neighbor.resistance_ohm
+        return total
+
+
+@dataclass(frozen=True)
 class SlackColumn:
     """A stack of legal fill sites in one gap, clipped to one tile.
 
@@ -90,10 +123,14 @@ class SlackColumn:
         return len(self.sites)
 
     @property
+    def electrical(self) -> ElectricalColumn:
+        """The geometry-free view the cost tables carry."""
+        return ElectricalColumn(self.gap_um, self.below, self.above)
+
+    @property
     def has_impact(self) -> bool:
-        """True when filling this column changes modeled coupling (both
-        neighbor lines present)."""
-        return self.below is not None and self.above is not None and self.gap_um is not None
+        """See :attr:`ElectricalColumn.has_impact`."""
+        return self.electrical.has_impact
 
     @property
     def gap_key(self) -> tuple:
@@ -106,15 +143,8 @@ class SlackColumn:
         return (self.layer, self.col, below, above)
 
     def resistance_weight(self, weighted: bool) -> float:
-        """The r̂_k multiplier of the MDFC objective (paper Fig. 8 line 11):
-        Σ over present neighbors of (W_l or 1) × upstream resistance at the
-        column position, Ω."""
-        total = 0.0
-        for neighbor in (self.below, self.above):
-            if neighbor is not None:
-                w = neighbor.sinks if weighted else 1
-                total += w * neighbor.resistance_ohm
-        return total
+        """See :meth:`ElectricalColumn.resistance_weight`."""
+        return self.electrical.resistance_weight(weighted)
 
     def delay_ps(self, cap_ff: float, weighted: bool) -> float:
         """Delay impact (ps) of attaching ``cap_ff`` in this column."""

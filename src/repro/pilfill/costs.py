@@ -21,47 +21,41 @@ property tests pin the vectorized path against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from repro.cap.fillimpact import linear_column_cap, linear_column_cap_array
 from repro.cap.lut import LUTCache
 from repro.layout.rctree import OHM_FF_TO_PS
-from repro.pilfill.columns import SlackColumn
+from repro.pilfill.columns import ElectricalColumn, SlackColumn
 from repro.tech.process import ProcessLayer
 from repro.tech.rules import FillRules
 
 
 @dataclass(frozen=True)
 class ColumnCosts:
-    """Cost tables of one column.
+    """Cost tables of one column — the only per-column solve input.
 
     ``exact[n]`` and ``linear[n]`` are delay impacts in ps for ``n``
     features; both have length ``capacity + 1`` with entry 0 equal to 0.
+    ``column`` is the geometry-free :class:`ElectricalColumn`, so the
+    same object serves in-process solves, the shared-memory store and
+    inline pool payloads; site rects stay on the prepared instance's
+    :class:`SlackColumn` list at the same index.
     """
 
-    column: SlackColumn
+    column: ElectricalColumn
     exact: tuple[float, ...]
     linear: tuple[float, ...]
 
     @property
     def capacity(self) -> int:
-        return self.column.capacity
+        return len(self.exact) - 1
 
-    @cached_property
-    def exact_array(self) -> np.ndarray:
-        """``exact`` as a read-only float64 array (cached)."""
-        arr = np.asarray(self.exact, dtype=np.float64)
-        arr.setflags(write=False)
-        return arr
 
-    @cached_property
-    def linear_array(self) -> np.ndarray:
-        """``linear`` as a read-only float64 array (cached)."""
-        arr = np.asarray(self.linear, dtype=np.float64)
-        arr.setflags(write=False)
-        return arr
+#: What every per-tile solver takes: one cost table per slack column.
+TileCosts = Sequence[ColumnCosts]
 
 
 def build_costs(
@@ -84,13 +78,14 @@ def build_costs(
     fill_w_um = rules.fill_size / dbu_per_micron
     out: list[ColumnCosts | None] = [None] * len(columns)
 
+    views = [col.electrical for col in columns]
     impact: list[int] = []
-    for i, col in enumerate(columns):
-        if col.has_impact:
+    for i, (col, view) in enumerate(zip(columns, views)):
+        if view.has_impact:
             impact.append(i)
         else:
             zero = (0.0,) * (col.capacity + 1)
-            out[i] = ColumnCosts(col, zero, zero)
+            out[i] = ColumnCosts(view, zero, zero)
     if not impact:
         return out  # type: ignore[return-value]
 
@@ -110,11 +105,11 @@ def build_costs(
             )
 
     for i, lut in zip(impact, luts):
-        col = columns[i]
-        r_hat = col.resistance_weight(weighted)
+        col, view = columns[i], views[i]
+        r_hat = view.resistance_weight(weighted)
         exact = r_hat * lut.table_array * OHM_FF_TO_PS
         linear = r_hat * linear_groups[(col.gap_um, col.capacity)] * OHM_FF_TO_PS
-        out[i] = ColumnCosts(col, tuple(exact.tolist()), tuple(linear.tolist()))
+        out[i] = ColumnCosts(view, tuple(exact.tolist()), tuple(linear.tolist()))
     return out  # type: ignore[return-value]
 
 
@@ -136,11 +131,12 @@ def build_costs_scalar(
     out: list[ColumnCosts] = []
     for col in columns:
         cap = col.capacity
-        if not col.has_impact:
+        view = col.electrical
+        if not view.has_impact:
             zero = tuple(0.0 for _ in range(cap + 1))
-            out.append(ColumnCosts(col, zero, zero))
+            out.append(ColumnCosts(view, zero, zero))
             continue
-        r_hat = col.resistance_weight(weighted)
+        r_hat = view.resistance_weight(weighted)
         lut = lut_cache.get(col.gap_um, cap)
         exact = tuple(r_hat * lut.cap(n) * OHM_FF_TO_PS for n in range(cap + 1))
         linear = tuple(
@@ -149,5 +145,5 @@ def build_costs_scalar(
             * OHM_FF_TO_PS
             for n in range(cap + 1)
         )
-        out.append(ColumnCosts(col, exact, linear))
+        out.append(ColumnCosts(view, exact, linear))
     return out

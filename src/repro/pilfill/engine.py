@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.dissection.density import DENSITY_BACKENDS
 from repro.errors import FillError, SolveTimeoutError
@@ -47,9 +47,9 @@ from repro.layout.layout import FillFeature, RoutedLayout
 from repro.obs.metrics import NULL_METRICS, MetricsLike
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import NULL_TRACER, TracerLike
-from repro.pilfill.columns import SlackColumnDef
-from repro.pilfill.costlike import ColumnCostsLike
+from repro.pilfill.columns import SlackColumn, SlackColumnDef
 from repro.pilfill.costs import ColumnCosts
+from repro.pilfill.executor import SharedCostStore, make_shared_store
 from repro.pilfill.incremental import (
     SolutionCache,
     cache_eligible,
@@ -67,7 +67,6 @@ from repro.pilfill.parallel import (
     TileOutcome,
     TilePayload,
     dispatch_tile_payloads,
-    payload_columns,
 )
 from repro.pilfill.prepare import PreparedInstance, prepare
 from repro.pilfill.robust import (
@@ -79,9 +78,6 @@ from repro.pilfill.shard import plan_shards
 from repro.pilfill.solution import TileSolution
 from repro.tech.rules import DensityRules, FillRules
 from repro.testing.faults import FaultSpec
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.pilfill.executor import SharedCostStore
 
 TileKey = tuple[int, int]
 
@@ -135,8 +131,8 @@ class EngineConfig:
             batches to the persistent N-worker process pool (created
             lazily, reused across runs; release it with
             :func:`repro.pilfill.executor.shutdown_pools`), with the cost
-            tables and LUT arrays riding a shared-memory store that
-            crosses the pickle boundary once per worker. Results are
+            tables riding a shared-memory store that crosses the pickle
+            boundary once per worker. Results are
             bit-identical to serial for every method.
         parallel_backend: ``"process"``, the only pool kind (kept so
             configurations that name it still construct).
@@ -378,16 +374,17 @@ class PILFillEngine:
             self._prepared = self.prepare(tracer=tracer)
         return self._prepared
 
-    def _placed(self, costs: list[ColumnCosts], outcome: TileOutcome) -> list[FillFeature]:
-        """The features one tile's outcome places: explicit sampled sites
-        when the method recorded them, column-prefix sites otherwise, and
-        none for a failed tile."""
+    def _placed(self, columns: list[SlackColumn], outcome: TileOutcome) -> list[FillFeature]:
+        """The features one tile's outcome places on its slack ``columns``
+        (the prepared instance's, index-aligned with the cost tables):
+        explicit sampled sites when the method recorded them, column-prefix
+        sites otherwise, and none for a failed tile."""
         solution = outcome.value
         if solution is None:
             return []
         return [
-            FillFeature(layer=self.layer, rect=cc.column.sites[s])
-            for k, cc in enumerate(costs)
+            FillFeature(layer=self.layer, rect=col.sites[s])
+            for k, col in enumerate(columns)
             for s in solution.sites_for(k)
         ]
 
@@ -484,14 +481,13 @@ class PILFillEngine:
                 with tracer.span(
                     "shard", key=shard.key, rows=shard.rows, tiles=shard.tile_count
                 ):
-                    if plan.n_shards == 1:
-                        # The whole grid: memoized on the prepared
-                        # instance and shared by every run over it.
-                        costs_by_tile = prep.costs_for(cfg.weighted, tracer=tracer)
-                    else:
-                        costs_by_tile = prep.costs_for_tiles(
-                            cfg.weighted, shard.tile_keys, tracer=tracer
-                        )
+                    # One shard is the whole grid: memoized on the prepared
+                    # instance and shared by every run over it.
+                    costs_by_tile = prep.costs_for(
+                        cfg.weighted,
+                        None if plan.n_shards == 1 else shard.tile_keys,
+                        tracer=tracer,
+                    )
                     solve_keys: list[TileKey] = []
                     for key in shard.tile_keys:
                         costs = costs_by_tile.get(key, [])
@@ -543,7 +539,7 @@ class PILFillEngine:
                     dispatched.extend(dispatch_keys)
                     for key in solve_keys:
                         n_columns[key] = len(costs_by_tile[key])
-                        placed[key] = self._placed(costs_by_tile[key], outcomes[key])
+                        placed[key] = self._placed(prep.columns_by_tile[key], outcomes[key])
                     # A shard's tables are released before the next
                     # shard builds its own.
                     del costs_by_tile
@@ -598,32 +594,24 @@ class PILFillEngine:
         """Solve ``keys`` through :func:`dispatch_tile_payloads`, one
         :class:`TileOutcome` per key.
 
-        In-process payloads (``workers=1`` or at most one tile) carry the
-        engine's own cost tables untouched. Pool payloads carry nothing
-        when a shared-memory store holds the tables — the prepared
-        instance's memoized grid store, or with ``shard_scoped`` a store
-        of just these tiles that is closed before returning — and
-        picklable copies where the platform has no shared memory.
+        Payloads carry the tiles' cost tables, except on the pool path
+        when a shared-memory store holds them — the prepared instance's
+        memoized grid store, or with ``shard_scoped`` a store of just
+        these tiles that is closed before returning. Where the platform
+        has no shared memory the pool payloads carry the tables inline.
         """
         cfg = self.config
-        in_process = cfg.workers == 1 or len(keys) <= 1
         store: SharedCostStore | None = None
-        if not in_process:
+        if cfg.workers > 1 and len(keys) > 1:
             store = (
-                self.prepared.store_for_costs(
-                    cfg.weighted, {key: costs_by_tile[key] for key in keys}
-                )
+                make_shared_store({key: tuple(costs_by_tile[key]) for key in keys})
                 if shard_scoped
                 else self.prepared.shared_store_for(cfg.weighted, tracer=tracer)
             )
         try:
             payloads = []
             for key in keys:
-                columns: tuple[ColumnCostsLike, ...] = ()
-                if in_process:
-                    columns = tuple(costs_by_tile[key])
-                elif store is None:
-                    columns = payload_columns(costs_by_tile[key])
+                columns = () if store is not None else tuple(costs_by_tile[key])
                 payloads.append(
                     TilePayload(
                         key=key,
@@ -800,7 +788,7 @@ class PILFillEngine:
                             key, costs, effective, remaining, method, run_deadline
                         )
                     solution = self._merge_outcome(
-                        result, key, outcome, self._placed(costs, outcome),
+                        result, key, outcome, self._placed(prep.columns_by_tile[key], outcome),
                         len(costs), method, tracer, metrics,
                     )
                     result.effective_budget[key] = solution.total_features

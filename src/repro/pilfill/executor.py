@@ -23,8 +23,8 @@ contract intact:
   dozens per submit (:func:`chunk_payloads`), so a 2 700-tile grid costs
   ~85 futures instead of 2 700. Results are unpacked in payload order
   regardless of completion order, preserving the deterministic merge.
-* **Shared-memory payloads.** The large, run-constant inputs — the
-  per-tile cost tables and the capacitance LUT arrays — are pickled
+* **Shared-memory payloads.** The large, run-constant input — the
+  per-tile :class:`~repro.pilfill.costs.ColumnCosts` tables — is pickled
   once into a :mod:`multiprocessing.shared_memory` block
   (:class:`SharedCostStore`) and referenced from batches by a
   :class:`SharedStoreHandle` carrying a sha256 content hash. Workers
@@ -64,8 +64,11 @@ from repro.obs.metrics import NULL_METRICS, MetricsLike
 from repro.obs.trace import NULL_TRACER, TracerLike
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.cap.lut import LUTSnapshot
+    from repro.pilfill.costs import ColumnCosts
     from repro.pilfill.parallel import TileKey, TileOutcome, TilePayload
+
+#: What a shared block contains once unpickled: each tile's cost tables.
+StoreColumns = Mapping["TileKey", "tuple[ColumnCosts, ...]"]
 
 #: Upper bound on the auto-chosen tiles-per-batch (see :func:`chunk_payloads`).
 MAX_AUTO_BATCH = 64
@@ -92,18 +95,9 @@ class SharedStoreHandle:
     content_hash: str
 
 
-@dataclass(frozen=True)
-class SharedStoreData:
-    """What the shared block contains once unpickled: the per-tile cost
-    columns (keyed by tile) and the LUT tables that produced them."""
-
-    columns: dict[TileKey, tuple]
-    lut: LUTSnapshot | None = None
-
-
 class SharedCostStore:
     """Parent-owned shared-memory block holding one pickled
-    :class:`SharedStoreData`.
+    ``{tile key: tuple of ColumnCosts}`` mapping.
 
     Created once per (prepared instance, weighted flag) and reused by
     every run; the block is unlinked when :meth:`close` is called or the
@@ -116,8 +110,8 @@ class SharedCostStore:
     carry.
     """
 
-    def __init__(self, data: SharedStoreData) -> None:
-        blob = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
+    def __init__(self, columns: StoreColumns) -> None:
+        blob = pickle.dumps(dict(columns), protocol=pickle.HIGHEST_PROTOCOL)
         self._shm = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
         self._shm.buf[: len(blob)] = blob
         self.handle = SharedStoreHandle(
@@ -231,16 +225,12 @@ def live_store_names() -> tuple[str, ...]:
     return _LIVE_STORES.live_names()
 
 
-def make_shared_store(
-    columns: Mapping[TileKey, tuple],
-    lut: LUTSnapshot | None = None,
-) -> SharedCostStore | None:
+def make_shared_store(columns: StoreColumns) -> SharedCostStore | None:
     """Build a :class:`SharedCostStore`, or ``None`` where the platform
     has no usable shared memory (callers then fall back to inline
     per-payload columns — slower, never wrong)."""
-    data = SharedStoreData(columns=dict(columns), lut=lut)
     try:
-        return SharedCostStore(data)
+        return SharedCostStore(columns)
     except OSError:  # pragma: no cover - sandboxed /dev/shm
         return None
 
@@ -251,7 +241,7 @@ def make_shared_store(
 
 
 class _StoreCache:
-    """Per-process cache of the resolved :class:`SharedStoreData`.
+    """Per-process cache of the resolved store contents.
 
     Single-owner by construction — each worker process (and the parent,
     which uses the same resolver for its retry path) owns exactly one
@@ -261,9 +251,9 @@ class _StoreCache:
     """
 
     def __init__(self) -> None:
-        self._by_hash: dict[str, SharedStoreData] = {}
+        self._by_hash: dict[str, StoreColumns] = {}
 
-    def resolve(self, handle: SharedStoreHandle) -> SharedStoreData:
+    def resolve(self, handle: SharedStoreHandle) -> StoreColumns:
         cached = self._by_hash.get(handle.content_hash)
         if cached is not None:
             return cached
@@ -306,12 +296,12 @@ class _StoreCache:
 _STORE_CACHE = _StoreCache()
 
 
-def resolve_store(handle: SharedStoreHandle) -> SharedStoreData:
+def resolve_store(handle: SharedStoreHandle) -> StoreColumns:
     """Attach/verify/unpickle ``handle``'s block, cached by content hash."""
     return _STORE_CACHE.resolve(handle)
 
 
-def _hydrate(payload: TilePayload, data: SharedStoreData | None) -> TilePayload:
+def _hydrate(payload: TilePayload, data: StoreColumns | None) -> TilePayload:
     """Fill a store-backed payload's columns from the resolved store.
 
     Payloads that already carry inline columns pass through untouched, so
@@ -319,7 +309,7 @@ def _hydrate(payload: TilePayload, data: SharedStoreData | None) -> TilePayload:
     """
     if payload.columns or data is None:
         return payload
-    columns = data.columns.get(payload.key)
+    columns = data.get(payload.key)
     if columns is None:
         raise FillError(f"shared store has no cost columns for tile {payload.key}")
     return replace(payload, columns=columns)

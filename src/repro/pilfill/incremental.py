@@ -1,11 +1,11 @@
 """Incremental ECO re-fill: content-addressed tile-solution caching.
 
 Per-tile MDFC solves are pure functions of their local inputs: the
-column geometry + cost tables inside the tile, the tile's effective
-budget, the solve knobs that change output (method, weighting, ILP
-backend, seed, fallback policy, fault spec), and the tile key itself
-(the deterministic per-tile RNG stream and fault matching both hang off
-it). This module hashes exactly those inputs — mirroring the digest
+columns' electrical view + cost tables inside the tile, the tile's
+effective budget, the solve knobs that change output (method,
+weighting, ILP backend, seed, fallback policy, fault spec), and the
+tile key itself (the deterministic per-tile RNG stream and fault
+matching both hang off it). This module hashes exactly those inputs — mirroring the digest
 pattern of :mod:`repro.analysis.cache` — and fronts a
 :class:`~repro.pilfill.store.SolutionStore` with hit/miss/invalidation
 accounting.
@@ -135,19 +135,21 @@ def tile_digest(
     """Digest of one tile's full solve input.
 
     Covers the tile key (RNG stream + fault matching are keyed on it),
-    the effective budget, and — per column — the placement geometry
-    (site rects feed straight into the placed features), the gap class,
-    both timing neighbors, and the exact/linear cost tables. Floats
-    serialize via ``repr`` (shortest round-trip), so equal digests mean
-    bit-equal cost content, not merely approximately-equal.
+    the effective budget, and — per column — the gap class, both timing
+    neighbors, and the exact/linear cost tables: everything a solver
+    reads. Site rects and the site-grid column index are deliberately
+    out: no solver reads them, a cached solution holds only per-column
+    counts and site indices, and the engine maps those onto the
+    *current* prepared columns' sites at merge time — so a warm hit on
+    a tile whose sites moved places features exactly where a cold solve
+    would. Floats serialize via ``repr`` (shortest round-trip), so equal
+    digests mean bit-equal cost content, not merely approximately-equal.
     """
     columns: list[dict[str, object]] = []
     for cc in costs:
         column = cc.column
         columns.append(
             {
-                "col": column.col,
-                "sites": [_rect_payload(site) for site in column.sites],
                 "gap_um": column.gap_um,
                 "below": _neighbor_payload(column.below),
                 "above": _neighbor_payload(column.above),

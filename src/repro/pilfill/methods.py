@@ -7,10 +7,9 @@ state is what lets the process-pool backend ship a compact picklable
 payload to a worker and get back the exact solution the in-process path
 would have produced.
 
-Solvers accept anything with the :class:`~repro.pilfill.costs.ColumnCosts`
-duck type (``exact`` / ``linear`` tables, ``capacity``, and a ``column``
-exposing neighbors and ``resistance_weight``); the engine passes real
-``ColumnCosts``, the workers pass the reconstructed payload view.
+Solvers take a list of :class:`~repro.pilfill.costs.ColumnCosts` — the
+same objects in-process, in pool workers (inline or from the shared
+store) and in parent-side retries.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import random
 
 from repro.errors import FillError
 from repro.obs.trace import TracerLike
-from repro.pilfill.costlike import TileCosts
+from repro.pilfill.costs import TileCosts
 from repro.pilfill.dp import allocate_dp, allocation_cost
 from repro.pilfill.greedy import solve_tile_greedy, solve_tile_greedy_marginal
 from repro.pilfill.ilp1 import solve_tile_ilp1

@@ -20,8 +20,7 @@ from __future__ import annotations
 import heapq
 
 from repro.errors import FillError
-from repro.pilfill.costlike import TileCosts
-from repro.pilfill.costs import ColumnCosts
+from repro.pilfill.costs import ColumnCosts, TileCosts
 from repro.pilfill.solution import TileSolution
 
 

@@ -15,10 +15,10 @@ outcomes keyed in submission order for a deterministic merge:
 * **One per-tile entry.** Every tile travels as a :class:`TilePayload`
   (cost tables + budget + seed + deadlines, *not* layout objects) and is
   solved by :func:`solve_tile_payload` — in-process for ``workers=1``,
-  inside a pool worker otherwise, and in the parent for retries. Serial
-  payloads carry the engine's own cost tables; pool payloads carry
-  compact picklable copies, or nothing when the tables ride the
-  shared-memory store (see :mod:`repro.pilfill.executor`).
+  inside a pool worker otherwise, and in the parent for retries.
+  Payloads carry the tile's :class:`~repro.pilfill.costs.ColumnCosts`,
+  or nothing when the tables ride the shared-memory store (see
+  :mod:`repro.pilfill.executor`).
 * **Per-tile timing.** Every outcome records its solve seconds so the
   hot tiles are visible from the CLI and harness.
 * **Fault isolation.** With ``isolate=True`` (the default) a tile whose
@@ -46,8 +46,7 @@ from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer, TracerLike
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.pilfill.executor import SharedStoreHandle
-from repro.pilfill.columns import ColumnNeighbor
-from repro.pilfill.costlike import ColumnCostsLike, TileCosts
+from repro.pilfill.costs import ColumnCosts
 from repro.pilfill.robust import SolveReport, fallback_chain, solve_tile_robust
 from repro.pilfill.solution import TileSolution
 from repro.testing.faults import FaultSpec
@@ -104,55 +103,16 @@ class TileOutcome:
 
 
 @dataclass(frozen=True)
-class PayloadColumn:
-    """Electrical view of one slack column, without layout geometry.
-
-    Mirrors the parts of :class:`~repro.pilfill.columns.SlackColumn` the
-    per-tile solvers read (neighbors, gap, r̂) — site rectangles stay in
-    the parent process, which places the returned counts itself.
-    """
-
-    gap_um: float | None
-    below: ColumnNeighbor | None
-    above: ColumnNeighbor | None
-
-    @property
-    def has_impact(self) -> bool:
-        return self.below is not None and self.above is not None and self.gap_um is not None
-
-    def resistance_weight(self, weighted: bool) -> float:
-        total = 0.0
-        for neighbor in (self.below, self.above):
-            if neighbor is not None:
-                w = neighbor.sinks if weighted else 1
-                total += w * neighbor.resistance_ohm
-        return total
-
-
-@dataclass(frozen=True)
-class PayloadColumnCosts:
-    """Picklable stand-in for :class:`~repro.pilfill.costs.ColumnCosts`."""
-
-    column: PayloadColumn
-    exact: tuple[float, ...]
-    linear: tuple[float, ...]
-
-    @property
-    def capacity(self) -> int:
-        return len(self.exact) - 1
-
-
-@dataclass(frozen=True)
 class TilePayload:
     """Everything a worker process needs to solve one tile.
 
     Deliberately contains no layout, engine, or dissection objects so
-    pickling stays cheap. ``columns`` holds the engine's own
-    :class:`~repro.pilfill.costs.ColumnCosts` for in-process solves,
-    picklable :class:`PayloadColumnCosts` copies for pool solves (see
-    :func:`make_tile_payload`), or nothing when the tables ride a
-    shared-memory store. ``delay_budget_ps`` is the MVDC delay budget
-    (method ``"mvdc"``; budget then acts as the feature-count cap).
+    pickling stays cheap. ``columns`` holds the tile's
+    :class:`~repro.pilfill.costs.ColumnCosts` (geometry-free, so the same
+    objects serve in-process and pool solves), or nothing when the
+    tables ride a shared-memory store. ``delay_budget_ps`` is the MVDC
+    delay budget (method ``"mvdc"``; budget then acts as the
+    feature-count cap).
     """
 
     key: TileKey
@@ -161,7 +121,7 @@ class TilePayload:
     weighted: bool
     ilp_backend: str
     seed: int
-    columns: tuple[ColumnCostsLike, ...]  # pilfill: allow[C202] -- only PayloadColumnCosts cross the pool boundary; in-process payloads keep the engine's ColumnCosts
+    columns: tuple[ColumnCosts, ...]
     delay_budget_ps: float | None = None
     tile_deadline_s: float | None = None
     run_deadline: float | None = None  # absolute time.time() epoch
@@ -170,70 +130,12 @@ class TilePayload:
     telemetry: bool = False
 
 
-def payload_columns(costs: TileCosts) -> tuple[PayloadColumnCosts, ...]:
-    """Picklable column tables for one tile's :class:`ColumnCosts` list.
-
-    The conversion is pure data-copying, so callers that dispatch many
-    runs over the same prepared instance cache the result (see
-    :meth:`~repro.pilfill.prepare.PreparedInstance.payload_columns_for`)
-    and ship it through the shared-memory store instead of rebuilding it
-    per payload per run.
-    """
-    return tuple(
-        PayloadColumnCosts(
-            column=PayloadColumn(
-                gap_um=cc.column.gap_um,
-                below=cc.column.below,
-                above=cc.column.above,
-            ),
-            exact=tuple(cc.exact),
-            linear=tuple(cc.linear),
-        )
-        for cc in costs
-    )
-
-
-def make_tile_payload(
-    key: TileKey,
-    costs: TileCosts,
-    budget: int,
-    *,
-    method: str,
-    weighted: bool,
-    ilp_backend: str,
-    seed: int,
-    delay_budget_ps: float | None = None,
-    tile_deadline_s: float | None = None,
-    run_deadline: float | None = None,
-    fault_spec: FaultSpec | None = None,
-    fallback: bool = True,
-    telemetry: bool = False,
-) -> TilePayload:
-    """Picklable payload for one tile from its :class:`ColumnCosts` list
-    (the columns are converted with :func:`payload_columns`)."""
-    return TilePayload(
-        key=key,
-        method=method,
-        budget=budget,
-        weighted=weighted,
-        ilp_backend=ilp_backend,
-        seed=seed,
-        columns=payload_columns(costs),
-        delay_budget_ps=delay_budget_ps,
-        tile_deadline_s=tile_deadline_s,
-        run_deadline=run_deadline,
-        fault_spec=fault_spec,
-        fallback=fallback,
-        telemetry=telemetry,
-    )
-
-
 def solve_tile_payload(payload: TilePayload, attempt: int = 0) -> TileOutcome:
     """Solve one tile: the single per-tile entry for in-process solves,
     pool workers, and parent-side retries alike.
 
     Produces the same :class:`TileSolution` wherever it runs: the cost
-    tables are the engine's own (in-process) or bit-identical copies
+    tables are the engine's own (in-process) or their unpickled copies
     (pool), and the RNG is re-derived from ``(seed, key)``, so the solve
     is order-, host-, and attempt-independent. ``attempt`` is the
     dispatcher attempt number (threaded to the fault hooks so transient

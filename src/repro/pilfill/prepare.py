@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -63,7 +63,6 @@ from repro.tech.rules import DensityRules, FillRules
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.pilfill.engine import EngineConfig
     from repro.pilfill.executor import SharedCostStore
-    from repro.pilfill.parallel import PayloadColumnCosts
 
 TileKey = tuple[int, int]
 
@@ -96,9 +95,6 @@ class PreparedInstance:
     )
     _budgets: dict[tuple, dict[TileKey, int]] = field(default_factory=dict, repr=False)
     _lut_caches: dict[bool, LUTCache] = field(default_factory=dict, repr=False)
-    _payload_columns: dict[bool, dict[TileKey, tuple["PayloadColumnCosts", ...]]] = field(
-        default_factory=dict, repr=False
-    )
     _shared_stores: dict[bool, "SharedCostStore | None"] = field(
         default_factory=dict, repr=False
     )
@@ -146,135 +142,67 @@ class PreparedInstance:
         }
 
     def costs_for(
-        self, weighted: bool, tracer: TracerLike | None = None
+        self,
+        weighted: bool,
+        keys: Sequence[TileKey] | None = None,
+        tracer: TracerLike | None = None,
     ) -> dict[TileKey, list[ColumnCosts]]:
         """Per-tile cost tables under the given objective weighting.
 
-        Built once per ``weighted`` flag and shared by every run; the
-        tables are immutable so concurrent tile solvers may read them
-        freely. LUT-cache hit/miss counts accumulate into ``lut_stats``.
+        With ``keys=None`` the whole grid's tables are built once per
+        ``weighted`` flag, memoized, and shared by every run; the tables
+        are immutable so any number of tile solvers may read them. With
+        ``keys`` (one shard's tiles) the result is a subset of the
+        memoized tables when they exist, and is otherwise built for just
+        those tiles and *not* cached — the sharded solve owns its
+        lifetime, holding one shard's tables at a time. Both share one
+        LUT cache per flag, so shard-by-shard building reuses
+        interpolations exactly like the global build (caching is
+        value-transparent: the tables are bit-identical either way).
+        Tiles without slack columns are omitted. LUT-cache hit/miss
+        counts accumulate into ``lut_stats``.
         """
         cached = self._costs.get(weighted)
         if cached is not None:
-            return cached
-        trc = tracer if tracer is not None else NULL_TRACER
-        t0 = time.perf_counter()
-        with trc.span("prepare.costs", weighted=weighted):
-            layer_proc = self.layout.stack.layer(self.layer)
-            dbu = self.layout.stack.dbu_per_micron
-            lut_cache = LUTCache(
-                layer_proc.eps_r, layer_proc.thickness_um, self.fill_rules.fill_size / dbu
-            )
-            costs = {
-                key: build_costs(cols, layer_proc, self.fill_rules, dbu, lut_cache, weighted)
-                for key, cols in self.columns_by_tile.items()
-            }
-            for name, count in lut_cache.stats().items():
-                self.lut_stats[name] = self.lut_stats.get(name, 0) + count
-        self._costs[weighted] = costs
-        # Kept so the shared-memory store can ship the LUT tables to pool
-        # workers once instead of re-deriving them there.
-        self._lut_caches[weighted] = lut_cache
-        self.phase_seconds["costs"] = (
-            self.phase_seconds.get("costs", 0.0) + time.perf_counter() - t0
-        )
-        return costs
-
-    def costs_for_tiles(
-        self,
-        weighted: bool,
-        keys: Sequence[TileKey],
-        tracer: TracerLike | None = None,
-    ) -> dict[TileKey, list[ColumnCosts]]:
-        """Cost tables for just ``keys`` — the shard-scoped sibling of
-        :meth:`costs_for`.
-
-        When the full table set is already cached this returns a cheap
-        subset view (no rebuild). Otherwise it builds only the requested
-        tiles and — unlike :meth:`costs_for` — does *not* cache them on
-        the instance: the sharded solve path owns the lifetime, holding
-        one shard's tables at a time and releasing them before the next
-        shard builds. One LUT cache per ``weighted`` flag is shared
-        across calls, so shard-by-shard building reuses interpolations
-        exactly like the global build (caching is value-transparent, so
-        the tables are bit-identical either way). Tiles without slack
-        columns are omitted, matching :meth:`costs_for`.
-        """
-        cached = self._costs.get(weighted)
-        if cached is not None:
+            if keys is None:
+                return cached
             return {key: cached[key] for key in keys if key in cached}
+        tiles = (
+            self.columns_by_tile
+            if keys is None
+            else {key: self.columns_by_tile[key] for key in keys if key in self.columns_by_tile}
+        )
         trc = tracer if tracer is not None else NULL_TRACER
         t0 = time.perf_counter()
-        with trc.span("prepare.costs", weighted=weighted, tiles=len(keys)):
+        with trc.span("prepare.costs", weighted=weighted, tiles=len(tiles)):
             layer_proc = self.layout.stack.layer(self.layer)
             dbu = self.layout.stack.dbu_per_micron
             lut_cache = self._lut_caches.get(weighted)
             if lut_cache is None:
                 lut_cache = LUTCache(
-                    layer_proc.eps_r,
-                    layer_proc.thickness_um,
-                    self.fill_rules.fill_size / dbu,
+                    layer_proc.eps_r, layer_proc.thickness_um, self.fill_rules.fill_size / dbu
                 )
                 self._lut_caches[weighted] = lut_cache
-            stats_before = dict(lut_cache.stats())
+            stats_before = lut_cache.stats()
             costs = {
-                key: build_costs(
-                    self.columns_by_tile[key], layer_proc, self.fill_rules,
-                    dbu, lut_cache, weighted,
-                )
-                for key in keys
-                if key in self.columns_by_tile
+                key: build_costs(cols, layer_proc, self.fill_rules, dbu, lut_cache, weighted)
+                for key, cols in tiles.items()
             }
             for name, count in lut_cache.stats().items():
-                delta = count - stats_before.get(name, 0)
-                self.lut_stats[name] = self.lut_stats.get(name, 0) + delta
+                self.lut_stats[name] = (
+                    self.lut_stats.get(name, 0) + count - stats_before.get(name, 0)
+                )
+        if keys is None:
+            self._costs[weighted] = costs
         self.phase_seconds["costs"] = (
             self.phase_seconds.get("costs", 0.0) + time.perf_counter() - t0
         )
         return costs
 
-    def store_for_costs(
-        self,
-        weighted: bool,
-        costs_by_tile: Mapping[TileKey, list[ColumnCosts]],
-    ) -> "SharedCostStore | None":
-        """A caller-owned shared-memory store for a subset of tiles.
-
-        The sharded dispatch path builds one per shard and must
-        ``close()`` it when the shard completes — unlike
-        :meth:`shared_store_for`, nothing is cached on the instance, so
-        an unclosed store would linger until garbage collection.
-        Returns ``None`` where shared memory is unavailable (callers
-        fall back to inline payload columns).
-        """
-        from repro.pilfill.executor import make_shared_store
-        from repro.pilfill.parallel import payload_columns
-
-        columns = {key: payload_columns(cc) for key, cc in costs_by_tile.items()}
-        lut_cache = self._lut_caches.get(weighted)
-        return make_shared_store(
-            columns, lut_cache.snapshot() if lut_cache is not None else None
-        )
-
-    def payload_columns_for(
-        self, weighted: bool, tracer: TracerLike | None = None
-    ) -> dict[TileKey, tuple["PayloadColumnCosts", ...]]:
-        """Picklable per-tile column tables, converted once per
-        ``weighted`` flag and shared by every process-backend run."""
-        cached = self._payload_columns.get(weighted)
-        if cached is not None:
-            return cached
-        from repro.pilfill.parallel import payload_columns
-
-        costs = self.costs_for(weighted, tracer=tracer)
-        converted = {key: payload_columns(cc) for key, cc in costs.items()}
-        self._payload_columns[weighted] = converted
-        return converted
-
     def shared_store_for(
         self, weighted: bool, tracer: TracerLike | None = None
     ) -> "SharedCostStore | None":
-        """The shared-memory cost/LUT store for ``weighted`` runs.
+        """The shared-memory store of :meth:`costs_for` ``(weighted)``.
 
         Built once per flag and reused by every ``engine.run()`` on this
         instance — the persistent pool's workers resolve it by content
@@ -293,11 +221,8 @@ class PreparedInstance:
             del self._shared_stores[weighted]
         from repro.pilfill.executor import make_shared_store
 
-        columns = self.payload_columns_for(weighted, tracer=tracer)
-        lut_cache = self._lut_caches.get(weighted)
-        store = make_shared_store(
-            columns, lut_cache.snapshot() if lut_cache is not None else None
-        )
+        costs = self.costs_for(weighted, tracer=tracer)
+        store = make_shared_store({key: tuple(cc) for key, cc in costs.items()})
         self._shared_stores[weighted] = store
         return store
 
@@ -384,8 +309,9 @@ class PreparedInstance:
         Covers the geometry key (layer, rules, column definition), the
         dissection grid, the exact per-tile density bytes, and every
         slack column's full content — site rects, gap class, and both
-        timing neighbors, serialized exactly like the incremental
-        cache's :func:`~repro.pilfill.incremental.tile_digest`. Two
+        timing neighbors, serialized with the same helpers as the
+        incremental cache's :func:`~repro.pilfill.incremental.tile_digest`
+        (which leaves the site rects out). Two
         instances digest equal iff every downstream budget and tile
         solve is bit-identical, which makes this the equivalence oracle
         for the streaming preprocessor: ``prepare_streaming`` over a DEF

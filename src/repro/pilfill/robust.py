@@ -36,7 +36,7 @@ from types import MappingProxyType
 from repro.errors import SolveTimeoutError, WorkerDeathError
 from repro.obs.metrics import NULL_METRICS, MetricsLike
 from repro.obs.trace import NULL_TRACER, TracerLike
-from repro.pilfill.costlike import TileCosts
+from repro.pilfill.costs import TileCosts
 from repro.pilfill.solution import TileSolution
 from repro.testing import faults as fault_hooks
 from repro.testing.faults import FaultSpec

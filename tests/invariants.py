@@ -67,11 +67,12 @@ def assert_fill_invariants(result, prepared=None, weighted: bool = True) -> None
         assert len(solution.counts) == len(costs), (
             f"tile {key}: {len(solution.counts)} counts vs {len(costs)} columns"
         )
-        for k, cc in enumerate(costs):
+        columns = prepared.columns_by_tile.get(key, [])
+        for k, (cc, column) in enumerate(zip(costs, columns, strict=True)):
             assert solution.counts[k] <= cc.capacity, (
                 f"tile {key} column {k}: count {solution.counts[k]} exceeds "
                 f"capacity {cc.capacity}"
             )
-            legal_sites.update(cc.column.sites)
+            legal_sites.update(column.sites)
     for rect in rects:
         assert rect in legal_sites, f"feature at {rect} is not on a legal slack site"

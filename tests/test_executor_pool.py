@@ -29,20 +29,19 @@ from multiprocessing import shared_memory
 
 import pytest
 
-from repro.cap.lut import LUTCache, LUTSnapshot
 from repro.errors import FillError
 from repro.pilfill import (
     EngineConfig,
     PILFillEngine,
     SlackColumnDef,
+    TilePayload,
     chunk_payloads,
     dispatch_tile_payloads,
     executor,
     make_shared_store,
-    make_tile_payload,
-    payload_columns,
     pool_stats,
     prepare,
+    result_digest,
     shutdown_pools,
     worker_pids,
 )
@@ -97,7 +96,12 @@ def make_payloads(prepared, baseline, method="greedy", **overrides):
     kwargs = dict(method=method, weighted=True, ilp_backend="scipy", seed=0)
     kwargs.update(overrides)
     return [
-        make_tile_payload(key, costs_by_tile[key], baseline.effective_budget[key], **kwargs)
+        TilePayload(
+            key=key,
+            budget=baseline.effective_budget[key],
+            columns=tuple(costs_by_tile[key]),
+            **kwargs,
+        )
         for key in sorted(baseline.tile_solutions)
     ]
 
@@ -318,13 +322,13 @@ class TestTelemetrySingleMerge:
 
 class TestSharedStore:
     def test_round_trip_and_cache(self, prepared):
-        columns = {k: payload_columns(cc) for k, cc in prepared.costs_for(True).items()}
+        columns = {k: tuple(cc) for k, cc in prepared.costs_for(True).items()}
         store = make_shared_store(columns)
         if store is None:
             pytest.skip("platform has no usable shared memory")
         try:
             data = resolve_store(store.handle)
-            assert data.columns == columns
+            assert data == columns
             # Cached by content hash: the second resolve is the same object.
             assert resolve_store(store.handle) is data
             assert store.handle.content_hash in _STORE_CACHE.cached_hashes()
@@ -332,7 +336,7 @@ class TestSharedStore:
             store.close()
 
     def test_hash_mismatch_rejected(self, prepared):
-        columns = {k: payload_columns(cc) for k, cc in prepared.costs_for(True).items()}
+        columns = {k: tuple(cc) for k, cc in prepared.costs_for(True).items()}
         store = make_shared_store(columns)
         if store is None:
             pytest.skip("platform has no usable shared memory")
@@ -349,7 +353,7 @@ class TestSharedStore:
         for a newer handle."""
         costs = prepared.costs_for(True)
         keys = sorted(costs)
-        all_columns = {k: payload_columns(costs[k]) for k in keys}
+        all_columns = {k: tuple(costs[k]) for k in keys}
         half_columns = {k: all_columns[k] for k in keys[: len(keys) // 2 or 1]}
         store_a = make_shared_store(all_columns)
         store_b = make_shared_store(half_columns)
@@ -357,15 +361,15 @@ class TestSharedStore:
             pytest.skip("platform has no usable shared memory")
         try:
             assert store_a.handle.content_hash != store_b.handle.content_hash
-            assert resolve_store(store_a.handle).columns == all_columns
-            assert resolve_store(store_b.handle).columns == half_columns
-            assert resolve_store(store_a.handle).columns == all_columns
+            assert resolve_store(store_a.handle) == all_columns
+            assert resolve_store(store_b.handle) == half_columns
+            assert resolve_store(store_a.handle) == all_columns
         finally:
             store_a.close()
             store_b.close()
 
     def test_close_is_idempotent(self, prepared):
-        columns = {k: payload_columns(cc) for k, cc in prepared.costs_for(True).items()}
+        columns = {k: tuple(cc) for k, cc in prepared.costs_for(True).items()}
         store = make_shared_store(columns)
         if store is None:
             pytest.skip("platform has no usable shared memory")
@@ -412,6 +416,36 @@ class TestSharedStore:
             payloads=tuple(make_payloads(prepared, baseline)[:2]), store=handle
         )
         assert pickle.loads(pickle.dumps(batch)) == batch
+
+
+class TestNoSharedMemory:
+    """Where shared memory is unavailable the engine sends every pool
+    payload with its ColumnCosts inline — slower, never different."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_inline_pool_payloads_match_serial(
+        self, small_generated_layout, monkeypatch, shards
+    ):
+        monkeypatch.setattr("repro.pilfill.executor.make_shared_store", lambda columns: None)
+        monkeypatch.setattr("repro.pilfill.engine.make_shared_store", lambda columns: None)
+        prep = prepare(
+            small_generated_layout, "metal3", FILL, DENSITY, SlackColumnDef.FULL_LAYOUT
+        )
+        try:
+            serial = PILFillEngine(
+                small_generated_layout, "metal3", make_cfg(shards=shards), prepared=prep
+            ).run()
+            pooled = PILFillEngine(
+                small_generated_layout, "metal3",
+                make_cfg(workers=2, shards=shards, telemetry=True), prepared=prep,
+            ).run()
+        finally:
+            prep.close()
+            shutdown_pools()
+        counters = dict(pooled.telemetry.metrics.snapshot().counters)
+        assert counters["pool.tiles_submitted"] > 0
+        assert "pool.store_bytes" not in counters
+        assert result_digest(pooled) == result_digest(serial)
 
 
 def _exit_worker(batch):
@@ -489,7 +523,7 @@ class TestStoreLifetime:
             shutdown_pools()
 
     def test_release_store_unlinks_once(self, prepared):
-        columns = {k: payload_columns(cc) for k, cc in prepared.costs_for(True).items()}
+        columns = {k: tuple(cc) for k, cc in prepared.costs_for(True).items()}
         store = make_shared_store(columns)
         if store is None:
             pytest.skip("platform has no usable shared memory")
@@ -504,7 +538,7 @@ class TestStoreLifetime:
     def test_release_evicts_resolved_copy(self, prepared):
         """The parent's own resolved copy (broken-pool recovery path)
         must not pin the payload either: release drops the cache entry."""
-        columns = {k: payload_columns(cc) for k, cc in prepared.costs_for(True).items()}
+        columns = {k: tuple(cc) for k, cc in prepared.costs_for(True).items()}
         store = make_shared_store(columns)
         if store is None:
             pytest.skip("platform has no usable shared memory")
@@ -516,7 +550,7 @@ class TestStoreLifetime:
     def test_collected_store_leaves_no_registry_ghost(self, prepared):
         """The registry holds weak refs: a store that is simply dropped
         is finalized (segment unlinked) and vanishes from the audit."""
-        columns = {k: payload_columns(cc) for k, cc in prepared.costs_for(True).items()}
+        columns = {k: tuple(cc) for k, cc in prepared.costs_for(True).items()}
         store = make_shared_store(columns)
         if store is None:
             pytest.skip("platform has no usable shared memory")
@@ -545,37 +579,9 @@ class TestStoreLifetime:
             # Same content, fresh segment.
             assert rebuilt.handle.content_hash == store.handle.content_hash
             assert rebuilt.handle.name != store.handle.name
-            assert resolve_store(rebuilt.handle).columns
+            assert resolve_store(rebuilt.handle)
         finally:
             prep.close()
-
-
-class TestLUTSnapshot:
-    def test_round_trip_preserves_tables(self):
-        cache = LUTCache(eps_r=3.9, thickness_um=0.5, fill_width_um=0.5)
-        lut_a = cache.get(2.0, 3)
-        lut_b = cache.get(3.5, 6)
-        snap = cache.snapshot()
-        restored = LUTCache.from_snapshot(snap)
-        assert len(restored) == 2
-        assert restored.get(2.0, 3).table == lut_a.table
-        assert restored.get(3.5, 6).table == lut_b.table
-        # Restored entries are warm: those gets were hits, not rebuilds.
-        assert restored.stats()["misses"] == 0
-
-    def test_snapshot_bytes_stable_warm_or_cold(self):
-        """A warm cache (memoized numpy arrays) must snapshot to the same
-        bytes as a cold one — the store's content hash depends on it."""
-        a = LUTCache(eps_r=3.9, thickness_um=0.5, fill_width_um=0.5)
-        b = LUTCache(eps_r=3.9, thickness_um=0.5, fill_width_um=0.5)
-        a.get(2.0, 3)
-        b.get(2.0, 3)
-        _ = b.get(2.0, 3).table_array  # warm the memoized array on b only
-        assert pickle.dumps(a.snapshot()) == pickle.dumps(b.snapshot())
-
-    def test_snapshot_is_picklable_dataclass(self):
-        snap = LUTSnapshot(eps_r=3.9, thickness_um=0.5, fill_width_um=0.5)
-        assert pickle.loads(pickle.dumps(snap)) == snap
 
 
 class TestPreparedStoreLifecycle:

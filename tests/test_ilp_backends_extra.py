@@ -184,26 +184,21 @@ class TestSuccessWithoutSolutionGuard:
 
 class TestMvdcTrim:
     def test_trim_removes_most_expensive_first(self):
-        from repro.geometry import Rect
-        from repro.pilfill.columns import ColumnNeighbor, SlackColumn
+        from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
         from repro.pilfill.costs import ColumnCosts
         from repro.pilfill.methods import trim_to
         from repro.pilfill.solution import TileSolution
 
         neighbor = ColumnNeighbor("n", 0, 1, 1.0)
 
-        def cc(k, marginals):
-            sites = tuple(
-                Rect(k * 1000, n * 1000, k * 1000 + 500, n * 1000 + 500)
-                for n in range(len(marginals))
-            )
-            col = SlackColumn("metal3", (0, 0), k, sites, 4.0, neighbor, neighbor)
+        def cc(marginals):
+            col = ElectricalColumn(4.0, neighbor, neighbor)
             exact = [0.0]
             for m in marginals:
                 exact.append(exact[-1] + m)
             return ColumnCosts(col, tuple(exact), tuple(exact))
 
-        costs = [cc(0, [1.0, 5.0]), cc(1, [2.0])]
+        costs = [cc([1.0, 5.0]), cc([2.0])]
         solution = TileSolution(counts=[2, 1], model_objective_ps=8.0)
         trimmed = trim_to(costs, solution, want=2)
         # the 5.0 marginal goes first

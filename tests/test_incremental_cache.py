@@ -35,6 +35,7 @@ from repro.pilfill import (
     decode_entry,
     encode_entry,
     prepare,
+    result_digest,
     run_context_digest,
     tile_digest,
 )
@@ -276,6 +277,49 @@ class TestDigests:
         )
         mutated[0] = bumped
         assert tile_digest(ctx, key, mutated, 5) != base
+
+
+class TestSitesOutOfKey:
+    """Site rects are not a solve input: the tile digest leaves them out,
+    and a warm hit places its cached counts on the *current* sites."""
+
+    def test_moved_sites_hit_and_place_on_the_moved_sites(self, small_generated_layout):
+        layout = small_generated_layout
+        cfg = make_cfg()
+        original = prepare(layout, "metal3", FILL, DENSITY)
+        moved = prepare(layout, "metal3", FILL, DENSITY)
+        cache = SolutionCache()
+        primed = PILFillEngine(
+            layout, "metal3", make_cfg(solution_cache=cache), prepared=original
+        ).run()
+        key, k = next(
+            (key, k)
+            for key, sol in sorted(primed.tile_solutions.items())
+            for k, count in enumerate(sol.counts)
+            if count > 0
+        )
+        column = moved.columns_by_tile[key][k]
+        shifted = tuple(site.translated(1, 0) for site in column.sites)
+        moved.columns_by_tile[key][k] = dataclasses.replace(column, sites=shifted)
+
+        ctx = run_context_digest(cfg, "metal3")
+        budget = primed.effective_budget[key]
+        assert tile_digest(
+            ctx, key, moved.costs_for(cfg.weighted)[key], budget
+        ) == tile_digest(ctx, key, original.costs_for(cfg.weighted)[key], budget)
+
+        warm = PILFillEngine(
+            layout, "metal3", make_cfg(solution_cache=cache), prepared=moved
+        ).run()
+        cold = PILFillEngine(layout, "metal3", cfg, prepared=moved).run()
+        assert warm.cache_stats is not None
+        assert warm.cache_stats["misses"] == 0
+        assert result_digest(warm) == result_digest(cold)
+        assert result_digest(cold) != result_digest(primed)
+        placed = {f.rect for f in warm.features}
+        picked = primed.tile_solutions[key].sites_for(k)
+        assert {shifted[s] for s in picked} <= placed
+        assert not {column.sites[s] for s in picked} & placed
 
 
 class TestCacheEligible:

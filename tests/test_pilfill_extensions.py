@@ -6,7 +6,6 @@ import itertools
 import pytest
 
 from repro.errors import FillError
-from repro.geometry import Rect
 from repro.pilfill import (
     EngineConfig,
     PILFillEngine,
@@ -18,19 +17,16 @@ from repro.pilfill import (
     solve_tile_budgeted_ilp,
     solve_tile_mvdc,
 )
-from repro.pilfill.columns import ColumnNeighbor, SlackColumn
+from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
 from repro.pilfill.costs import ColumnCosts
 from repro.tech import DensityRules
 
 
-def make_column(k, marginals, net_a="a", net_b="b", sinks=1, res=1000.0):
+def make_column(marginals, net_a="a", net_b="b", sinks=1, res=1000.0):
     cap = len(marginals)
-    sites = tuple(
-        Rect(k * 1000, n * 1000, k * 1000 + 500, n * 1000 + 500) for n in range(cap)
-    )
     below = ColumnNeighbor(net=net_a, line_index=0, sinks=sinks, resistance_ohm=res)
     above = ColumnNeighbor(net=net_b, line_index=0, sinks=sinks, resistance_ohm=res)
-    col = SlackColumn("metal3", (0, 0), k, sites, 4.0, below, above)
+    col = ElectricalColumn(4.0, below, above)
     exact = [0.0]
     for m in marginals:
         exact.append(exact[-1] + m)
@@ -40,30 +36,26 @@ def make_column(k, marginals, net_a="a", net_b="b", sinks=1, res=1000.0):
 
 class TestMvdc:
     def test_zero_budget_places_nothing_costly(self):
-        costs = [make_column(0, [1.0, 2.0]), make_column(1, [0.5])]
+        costs = [make_column([1.0, 2.0]), make_column([0.5])]
         sol = solve_tile_mvdc(costs, 0.0)
         assert sol.total_features == 0
 
     def test_free_columns_always_granted(self):
         neighbor = ColumnNeighbor("a", 0, 1, 10.0)
-        free_col = SlackColumn(
-            "metal3", (0, 0), 0,
-            tuple(Rect(0, n * 1000, 500, n * 1000 + 500) for n in range(3)),
-            None, neighbor, None,
-        )
+        free_col = ElectricalColumn(None, neighbor, None)
         zero = (0.0, 0.0, 0.0, 0.0)
         costs = [ColumnCosts(free_col, zero, zero)]
         sol = solve_tile_mvdc(costs, 0.0)
         assert sol.total_features == 3
 
     def test_budget_respected(self):
-        costs = [make_column(0, [1.0, 2.0, 4.0]), make_column(1, [1.5, 3.0])]
+        costs = [make_column([1.0, 2.0, 4.0]), make_column([1.5, 3.0])]
         for budget in (0.5, 1.0, 2.5, 4.5, 100.0):
             sol = solve_tile_mvdc(costs, budget)
             assert sol.model_objective_ps <= budget + 1e-12
 
     def test_maximizes_count_brute_force(self):
-        costs = [make_column(0, [1.0, 2.0, 4.0]), make_column(1, [1.5, 3.0])]
+        costs = [make_column([1.0, 2.0, 4.0]), make_column([1.5, 3.0])]
         tables = [c.exact for c in costs]
         for budget in (0.0, 1.0, 2.4, 2.6, 4.5, 7.0, 100.0):
             sol = solve_tile_mvdc(costs, budget)
@@ -79,7 +71,7 @@ class TestMvdc:
             solve_tile_mvdc([], -1.0)
 
     def test_derive_budgets_scales_with_fraction(self):
-        costs = {(0, 0): [make_column(0, [1.0, 2.0])]}
+        costs = {(0, 0): [make_column([1.0, 2.0])]}
         requested = {(0, 0): 2}
         lo = derive_tile_delay_budgets(requested, costs, 0.2)
         hi = derive_tile_delay_budgets(requested, costs, 0.8)
@@ -117,7 +109,7 @@ class TestMvdc:
 
 class TestCapTables:
     def test_recovers_delta_c(self):
-        cc = make_column(0, [1.0, 2.0], sinks=2, res=500.0)
+        cc = make_column([1.0, 2.0], sinks=2, res=500.0)
         caps = build_cap_tables([cc])[0]
         # exact[n] = r_hat(w=True) * dC(n) * 1e-3; r_hat = 2 nets * 2 sinks * 500
         from repro.layout.rctree import OHM_FF_TO_PS
@@ -128,9 +120,7 @@ class TestCapTables:
 
     def test_zero_for_free_columns(self):
         neighbor = ColumnNeighbor("a", 0, 1, 10.0)
-        free_col = SlackColumn(
-            "metal3", (0, 0), 0, (Rect(0, 0, 500, 500),), None, neighbor, None
-        )
+        free_col = ElectricalColumn(None, neighbor, None)
         cc = ColumnCosts(free_col, (0.0, 0.0), (0.0, 0.0))
         assert build_cap_tables([cc])[0] == (0.0, 0.0)
 
@@ -139,9 +129,9 @@ class TestBudgetedFill:
     def columns(self):
         # Column 0 couples nets a/b; column 1 couples nets c/d; column 2 a/c.
         return [
-            make_column(0, [1.0, 2.0, 3.0], net_a="a", net_b="b"),
-            make_column(1, [1.2, 2.4], net_a="c", net_b="d"),
-            make_column(2, [5.0, 6.0], net_a="a", net_b="c"),
+            make_column([1.0, 2.0, 3.0], net_a="a", net_b="b"),
+            make_column([1.2, 2.4], net_a="c", net_b="d"),
+            make_column([5.0, 6.0], net_a="a", net_b="c"),
         ]
 
     def test_unconstrained_matches_ilp2_optimum(self):

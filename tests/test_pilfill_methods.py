@@ -6,7 +6,6 @@ import itertools
 import pytest
 
 from repro.errors import FillError
-from repro.geometry import Rect
 from repro.pilfill import (
     allocate_dp,
     allocate_marginal_greedy,
@@ -16,7 +15,7 @@ from repro.pilfill import (
     solve_tile_ilp1,
     solve_tile_ilp2,
 )
-from repro.pilfill.columns import ColumnNeighbor, SlackColumn
+from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
 from repro.pilfill.costs import ColumnCosts
 
 
@@ -106,21 +105,12 @@ class TestAllocators:
 
 
 def make_costs(specs):
-    """Build ColumnCosts from (exact_marginals, linear_per_feature) pairs.
-
-    Site rects are placeholders; only capacities matter to the solvers.
-    """
+    """Build ColumnCosts from (exact_marginals, linear_per_feature) pairs."""
     out = []
-    for i, (exact_marginals, lin) in enumerate(specs):
+    for exact_marginals, lin in specs:
         cap = len(exact_marginals)
-        sites = tuple(
-            Rect(i * 1000, n * 1000, i * 1000 + 500, n * 1000 + 500) for n in range(cap)
-        )
         neighbor = ColumnNeighbor(net="n", line_index=0, sinks=1, resistance_ohm=1.0)
-        col = SlackColumn(
-            layer="metal3", tile=(0, 0), col=i, sites=sites,
-            gap_um=4.0, below=neighbor, above=neighbor,
-        )
+        col = ElectricalColumn(gap_um=4.0, below=neighbor, above=neighbor)
         exact = convex_table(exact_marginals)
         linear = tuple(lin * n for n in range(cap + 1))
         out.append(ColumnCosts(col, exact, linear))
@@ -225,11 +215,7 @@ class TestTileSolvers:
     def test_free_columns_preferred(self):
         """Columns without both neighbors cost nothing and absorb budget."""
         neighbor = ColumnNeighbor(net="n", line_index=0, sinks=1, resistance_ohm=1.0)
-        free_sites = tuple(Rect(0, n * 1000, 500, n * 1000 + 500) for n in range(3))
-        free_col = SlackColumn(
-            layer="metal3", tile=(0, 0), col=0, sites=free_sites,
-            gap_um=None, below=neighbor, above=None,
-        )
+        free_col = ElectricalColumn(gap_um=None, below=neighbor, above=None)
         zero = tuple(0.0 for _ in range(4))
         free = ColumnCosts(free_col, zero, zero)
         paid = make_costs([([5.0, 6.0], 5.0)])[0]

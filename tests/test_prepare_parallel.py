@@ -19,21 +19,20 @@ import pytest
 from repro.dissection import density as density_module
 from repro.errors import FillError
 from repro.experiments import run_config
-from repro.geometry import Rect
 from repro.pilfill import (
     METHODS,
     EngineConfig,
     PILFillEngine,
     PreparedInstance,
+    TilePayload,
     TileSolution,
     dispatch_tile_payloads,
-    make_tile_payload,
     prepare,
     solve_tile_payload,
     tile_rng,
     trim_to,
 )
-from repro.pilfill.columns import ColumnNeighbor, SlackColumn
+from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
 from repro.pilfill.costs import ColumnCosts
 from repro.synth import default_fill_rules, density_rules_for, make_t1
 from repro.tech import DensityRules
@@ -135,10 +134,10 @@ class TestProcessBackend:
         baseline = engine.run()
         costs_by_tile = prepared.costs_for(cfg.weighted)
         key = next(iter(baseline.tile_solutions))
-        payload = make_tile_payload(
-            key, costs_by_tile[key], baseline.effective_budget[key],
-            method="greedy", weighted=cfg.weighted,
-            ilp_backend=cfg.backend, seed=cfg.seed,
+        payload = TilePayload(
+            key=key, method="greedy", budget=baseline.effective_budget[key],
+            weighted=cfg.weighted, ilp_backend=cfg.backend, seed=cfg.seed,
+            columns=tuple(costs_by_tile[key]),
         )
         blob = pickle.dumps(payload)
         outcome = solve_tile_payload(pickle.loads(blob))
@@ -177,6 +176,7 @@ class TestNormalSiteSampling:
                 continue
             assert solution.site_indices is not None
             costs = costs_by_tile[tile.key]
+            columns = prepared.columns_by_tile[tile.key]
             for k, cc in enumerate(costs):
                 picked = solution.sites_for(k)
                 assert len(picked) == solution.counts[k]
@@ -184,7 +184,7 @@ class TestNormalSiteSampling:
                 if picked and picked != tuple(range(len(picked))):
                     non_prefix_columns += 1
                 for s in picked:
-                    expected.append(cc.column.sites[s])
+                    expected.append(columns[k].sites[s])
         assert [f.rect for f in result.features] == expected
         # With 1000+ random slots the sample is essentially never a pure
         # column prefix everywhere; this is what the old code collapsed to.
@@ -203,10 +203,10 @@ class TestNormalSiteSampling:
         keys = sorted(baseline.tile_solutions)
         for order in (keys, list(reversed(keys))):
             outcomes = dispatch_tile_payloads([
-                make_tile_payload(
-                    key, costs_by_tile[key], baseline.effective_budget[key],
-                    method="normal", weighted=cfg.weighted,
-                    ilp_backend=cfg.backend, seed=cfg.seed,
+                TilePayload(
+                    key=key, method="normal", budget=baseline.effective_budget[key],
+                    weighted=cfg.weighted, ilp_backend=cfg.backend, seed=cfg.seed,
+                    columns=tuple(costs_by_tile[key]),
                 )
                 for key in order
             ])
@@ -288,11 +288,7 @@ class TestGuards:
         """A zero-count solution asked to shrink further must raise, not
         decrement counts[-1] into the negatives."""
         neighbor = ColumnNeighbor(net="n", line_index=0, sinks=1, resistance_ohm=1.0)
-        sites = tuple(Rect(0, n * 1000, 500, n * 1000 + 500) for n in range(2))
-        col = SlackColumn(
-            layer="metal3", tile=(0, 0), col=0, sites=sites,
-            gap_um=4.0, below=neighbor, above=neighbor,
-        )
+        col = ElectricalColumn(gap_um=4.0, below=neighbor, above=neighbor)
         costs = [ColumnCosts(col, (0.0, 1.0, 2.0), (0.0, 1.0, 2.0))]
         # counts disagree with the cost tables: total 2 but no positive
         # entry the trimmer can take a feature from.
