@@ -33,6 +33,10 @@ Measures, on the T1 testcase:
   gates ``digest_equal`` (bit-identical placements, via
   :func:`~repro.pilfill.shard.result_digest`) and
   ``shard_peak_lt_unsharded`` (tracemalloc peaks).
+* **Budget LP** — the Min-Var budget LP alone on synthetic 29x29, 52x52
+  and 77x77 tile grids (r=8), each in a fresh process: seconds per phase,
+  LP size and nonzeros, and the peak-RSS step; gates
+  ``rss_step_52_lt_120mb`` and ``completes_77``.
 
 Results land in a dated JSON file (``BENCH_YYYY-MM-DD.json`` by default;
 same-day reruns get a ``.1``/``.2`` suffix instead of overwriting) so the
@@ -716,6 +720,106 @@ def bench_t3_shard(
     }
 
 
+#: Tile grids (per side) of the budget-LP scenario, all at r=8: the chip
+#: workload's 29x29, then about 4x and 10x its window count.
+BUDGET_LP_GRIDS = (29, 52, 77)
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size in MB (``VmHWM`` on Linux)."""
+    import resource
+
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _budget_lp_point(n: int, r: int, seed: int) -> dict:
+    """One Min-Var budget LP on a synthetic ``n``x``n`` tile grid.
+
+    Runs in a fresh process (see :func:`bench_budget_lp`), so the peak-RSS
+    step is the LP's alone. Seconds per phase come from the budget's own
+    spans.
+    """
+    from repro.dissection.density import DensityMap
+    from repro.dissection.fixed import FixedDissection
+    from repro.fillsynth.budget import lp_minvar_budget, minvar_lp_size
+    from repro.geometry import Rect
+    from repro.obs.trace import Tracer
+    from repro.tech.process import default_stack
+
+    stack = default_stack()
+    fill_rules = default_fill_rules(stack)
+    density_rules = density_rules_for(20, r, stack)
+    tile = density_rules.tile_size
+    dissection = FixedDissection(Rect(0, 0, n * tile, n * tile), density_rules)
+    rng = np.random.default_rng(seed)
+    # Pre-fill densities of 5-40% per tile, and 0-8 fill sites of slack.
+    tile_area = np.floor(rng.uniform(0.05, 0.4, size=(n, n)) * tile * tile)
+    capacity = {t.key: int(rng.integers(0, 9)) for t in dissection.tiles()}
+    density = DensityMap(dissection, tile_area)
+
+    tracer = Tracer()
+    rss_before = _peak_rss_mb()
+    t0 = time.perf_counter()
+    budget = lp_minvar_budget(
+        density, capacity, fill_rules, target_density="mean", tracer=tracer
+    )
+    seconds = time.perf_counter() - t0
+    rss_step = _peak_rss_mb() - rss_before
+    span_s = {rec.name: rec.duration_s for rec in tracer.records()}
+    return {
+        "grid": [n, n],
+        "r": r,
+        **minvar_lp_size(dissection),
+        "seconds": round(seconds, 4),
+        "assemble_s": round(span_s["budget.assemble"], 4),
+        "lp_phase1_s": round(span_s["budget.lp_phase1"], 4),
+        "lp_phase2_s": round(span_s["budget.lp_phase2"], 4),
+        "rss_step_mb": round(rss_step, 1),
+        "features": sum(budget.values()),
+    }
+
+
+def bench_budget_lp(grids: tuple[int, ...] = BUDGET_LP_GRIDS, r: int = 8, seed: int = 0) -> dict:
+    """The Min-Var budget LP alone, on synthetic grids up to 77x77 tiles.
+
+    The chip workloads time the budget LP only at 29x29 tiles, and the
+    T3-scale benches pass in a uniform budget, so this scenario is where
+    the LP's growth with the grid shows. Each grid runs in a fresh spawned
+    process: a peak-RSS high-water mark only ever rises, so a shared
+    process would charge each grid only for what it added over the last.
+    Gates: the 52x52 LP's peak-RSS step stays under 120 MB, and the
+    77x77 LP completes.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    points = []
+    for n in grids:
+        with ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            points.append(pool.submit(_budget_lp_point, n, r, seed).result())
+    by_side = {p["grid"][0]: p for p in points}
+    return {
+        "r": r,
+        "seed": seed,
+        "points": points,
+        "gate": {
+            "rss_step_52_lt_120mb": 52 in by_side and by_side[52]["rss_step_mb"] < 120.0,
+            "completes_77": 77 in by_side,
+            "skipped": False,
+            "skip_reason": None,
+        },
+    }
+
+
 def git_sha() -> str | None:
     """Current commit SHA, or None outside a git checkout."""
     try:
@@ -793,6 +897,8 @@ def main(argv: list[str] | None = None) -> int:
     if not args.skip_t3_shard:
         print("benchmarking chip-scale T3 sharded solve ...")
         t3_shard = bench_t3_shard(n_nets=args.t3_shard_nets, shards=args.shards)
+    print("benchmarking the Min-Var budget LP on large grids ...")
+    budget_lp = bench_budget_lp()
 
     now = datetime.datetime.now(datetime.timezone.utc)
     payload = {
@@ -812,6 +918,7 @@ def main(argv: list[str] | None = None) -> int:
         "eco_refill": eco_refill,
         "t3_streaming": t3_streaming,
         "t3_shard": t3_shard,
+        "budget_lp": budget_lp,
     }
     if args.out:
         out_path = Path(args.out)  # explicit path: overwrite is intentional

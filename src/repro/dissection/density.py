@@ -38,6 +38,13 @@ DENSITY_BACKENDS = ("direct", "fft")
 _EXACT_INT_LIMIT = float(2**53)
 
 
+def density_ratio(areas: np.ndarray, geometry: np.ndarray) -> np.ndarray:
+    """Window densities from window feature areas and window geometric
+    areas: ``areas / geometry`` where the geometry is positive, else 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(geometry > 0, areas / geometry, 0.0)
+
+
 @dataclass(frozen=True)
 class DensityStats:
     """Summary of window densities on one layer."""
@@ -176,7 +183,7 @@ class DensityMap:
             np.rint(out, out=out)
         return out
 
-    def _window_geometry_area(self) -> np.ndarray:
+    def window_geometry_area(self) -> np.ndarray:
         """Geometric area per window, shape (wx, wy).
 
         Windows are separable: a window's rect spans ``r`` tiles per
@@ -196,15 +203,7 @@ class DensityMap:
 
     def window_density(self) -> np.ndarray:
         """Feature density per window (0..1), shape (wx, wy)."""
-        areas = self.window_area()
-        if self.backend == "fft":
-            window_geo = self._window_geometry_area()
-        else:
-            window_geo = np.zeros_like(areas)
-            for win in self.dissection.windows():
-                window_geo[win.ix, win.iy] = win.rect.area
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(window_geo > 0, areas / window_geo, 0.0)
+        return density_ratio(self.window_area(), self.window_geometry_area())
 
     def stats(self) -> DensityStats:
         """Min/max/mean window density."""

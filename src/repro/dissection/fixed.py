@@ -137,8 +137,11 @@ class FixedDissection:
                 keys = tuple(
                     (ix + dx, iy + dy) for dx in range(r) for dy in range(r)
                 )
-                rect = Rect.bounding([self._tiles[k].rect for k in keys])
-                yield Window(ix, iy, rect, keys)
+                # The bounding box of the r×r block is spanned by its
+                # lower-left and upper-right tiles.
+                lo = self._tiles[keys[0]].rect
+                hi = self._tiles[keys[-1]].rect
+                yield Window(ix, iy, Rect(lo.xlo, lo.ylo, hi.xhi, hi.yhi), keys)
 
     @property
     def window_count(self) -> int:

@@ -17,7 +17,7 @@ from repro.errors import SolverError
 from repro.ilp.branchbound import solve_branch_and_bound
 from repro.ilp.model import INF, LinExpr, Model, Sense, VarKind, Variable
 from repro.ilp.result import LPResult, SolveResult, SolveStatus
-from repro.ilp.scipy_backend import solve_scipy, solve_scipy_lp
+from repro.ilp.scipy_backend import solve_lp_arrays, solve_scipy, solve_scipy_lp
 from repro.ilp.simplex import solve_lp
 from repro.obs.trace import TracerLike
 
@@ -75,6 +75,7 @@ __all__ = [
     "solve",
     "solve_branch_and_bound",
     "solve_lp",
+    "solve_lp_arrays",
     "solve_scipy",
     "solve_scipy_lp",
 ]

@@ -1,21 +1,26 @@
-"""scipy/HiGHS backend for :class:`repro.ilp.model.Model`.
+"""scipy/HiGHS backend for :class:`repro.ilp.model.Model`, plus an
+array-level LP entry point.
 
-Used for large instances (the Min-Var budget LP over all tiles) and as an
-independent cross-check of the bundled branch-and-bound solver in tests.
+:func:`solve_scipy` is the per-tile MILP backend and an independent
+cross-check of the bundled branch-and-bound solver in tests.
+:func:`solve_lp_arrays` takes an LP already in array form — a sparse CSC
+constraint matrix — and is how the Min-Var budget LP over all tiles
+reaches HiGHS without a :class:`Model`.
 """
 
 from __future__ import annotations
 
 import math
 from types import MappingProxyType
+from typing import Any
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.sparse import csc_array
 
 from repro.errors import SolverError
 from repro.ilp.model import Model
-from repro.ilp.result import SolveResult, SolveStatus
+from repro.ilp.result import LPResult, SolveResult, SolveStatus
 from repro.obs.trace import NULL_TRACER, TracerLike
 
 # HiGHS milp/linprog status codes. Code 1 means "iteration or time limit";
@@ -36,6 +41,25 @@ def _classify(raw_status: int, time_limited: bool) -> SolveStatus:
     if raw_status == 1:
         return SolveStatus.TIME_LIMIT if time_limited else SolveStatus.ITERATION_LIMIT
     return _SCIPY_STATUS.get(raw_status, SolveStatus.FAILED)
+
+
+def _milp(
+    time_limit: float | None, **problem: Any
+) -> tuple[SolveStatus, np.ndarray | None]:
+    """Run ``scipy.optimize.milp`` on ``problem`` and classify its status.
+
+    Returns the status and the solution vector (None when HiGHS returned
+    none). Raises :class:`SolverError` when HiGHS claims success without a
+    point — never hand NaN to a caller that just checked is_optimal.
+    """
+    options = {} if time_limit is None else {"time_limit": float(time_limit)}
+    res = milp(options=options, **problem)
+    status = _classify(res.status, time_limit is not None)
+    if res.x is None:
+        if status is SolveStatus.OPTIMAL:
+            raise SolverError("scipy milp reported success without a solution vector")
+        return status, None
+    return status, np.asarray(res.x)
 
 
 def solve_scipy(
@@ -61,30 +85,17 @@ def solve_scipy(
     if compiled.a_eq.size:
         constraints.append(LinearConstraint(compiled.a_eq, compiled.b_eq, compiled.b_eq))
 
-    from scipy.optimize import Bounds
-
-    bounds = Bounds(compiled.lb, compiled.ub)
-    integrality = compiled.integer.astype(np.int64)
-    options = {}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
     with trc.span("ilp.scipy", vars=n) as span:
-        res = milp(
+        status, x = _milp(
+            time_limit,
             c=compiled.c,
             constraints=constraints,
-            bounds=bounds,
-            integrality=integrality,
-            options=options,
+            bounds=Bounds(compiled.lb, compiled.ub),
+            integrality=compiled.integer.astype(np.int64),
         )
-        status = _classify(res.status, time_limit is not None)
         span.set("status", status.name)
-        if res.x is None:
-            if status is SolveStatus.OPTIMAL:
-                # HiGHS claims success but returned no point — never hand NaN
-                # to a caller that just checked is_optimal.
-                raise SolverError("scipy milp reported success without a solution vector")
+        if x is None:
             return SolveResult(status, {}, math.nan, 0, 0)
-        x = np.asarray(res.x)
         values = {
             name: (round(v) if compiled.integer[i] else float(v))
             for i, (name, v) in enumerate(zip(compiled.names, x))
@@ -93,6 +104,33 @@ def solve_scipy(
         if model.is_maximization:
             objective = -objective
         return SolveResult(status, values, objective, 0, 0)
+
+
+def solve_lp_arrays(
+    c: np.ndarray,
+    a_ub: csc_array,
+    b_ub: np.ndarray,
+    lb: np.ndarray,
+    ub: np.ndarray,
+) -> LPResult:
+    """Solve the continuous LP ``min c·x s.t. a_ub·x <= b_ub, lb <= x <= ub``
+    via ``scipy.optimize.milp`` (HiGHS).
+
+    ``a_ub`` goes to HiGHS as given. A CSC matrix with sorted row indices
+    and no explicit zeros is exactly what :func:`solve_scipy` hands HiGHS
+    for the same dense rows (``milp`` converts dense matrices with
+    ``csc_array``), so an array-built LP solves bit-identically to its
+    :class:`Model` twin.
+    """
+    status, x = _milp(
+        None,
+        c=c,
+        constraints=[LinearConstraint(a_ub, -np.inf, b_ub)],
+        bounds=Bounds(lb, ub),
+    )
+    if x is None:
+        return LPResult(status, None, math.nan, 0)
+    return LPResult(status, x, float(c @ x), 0)
 
 
 def solve_scipy_lp(model: Model) -> SolveResult:

@@ -39,7 +39,12 @@ from repro.cap.lut import LUTCache
 from repro.dissection.density import DensityMap
 from repro.dissection.fixed import FixedDissection
 from repro.errors import FillError, ParseError
-from repro.fillsynth.budget import hybrid_budget, lp_minvar_budget, montecarlo_budget
+from repro.fillsynth.budget import (
+    hybrid_budget,
+    lp_minvar_budget,
+    minvar_lp_size,
+    montecarlo_budget,
+)
 from repro.fillsynth.slack_sites import SiteLegality
 from repro.geometry import Rect, total_area
 from repro.geometry.spatial import GridBinIndex
@@ -254,14 +259,16 @@ class PreparedInstance:
             return dict(cached)
         trc = tracer if tracer is not None else NULL_TRACER
         t0 = time.perf_counter()
-        with trc.span("prepare.budget", mode=config.budget_mode):
+        with trc.span("prepare.budget", mode=config.budget_mode) as span:
             capacity = self.capacity(config.capacity_margin)
-            target = config.target_density
-            if target == "mean":
-                target = float(self.density.window_density().mean())
+            target = config.target_density  # "mean" resolves in the back-end
+            if config.budget_mode in ("lp", "hybrid"):
+                for name, count in minvar_lp_size(self.dissection).items():
+                    span.set(name, count)
             if config.budget_mode == "lp":
                 budget = lp_minvar_budget(
-                    self.density, capacity, self.fill_rules, target_density=target
+                    self.density, capacity, self.fill_rules,
+                    target_density=target, tracer=trc,
                 )
             elif config.budget_mode == "hybrid":
                 budget = hybrid_budget(
@@ -270,6 +277,7 @@ class PreparedInstance:
                     self.fill_rules,
                     target_density=target,
                     seed=config.seed,
+                    tracer=trc,
                 )
             else:
                 budget = montecarlo_budget(

@@ -83,9 +83,10 @@ def run_rule_fill(
     legality = SiteLegality(layout, layer, rules)
     density = DensityMap.from_layout(dissection, layout, layer)
     capacity = legality.legal_count_by_tile(dissection)
-    if target_density is None:
-        target_density = float(density.window_density().mean())
-    budget = lp_minvar_budget(density, capacity, rules, target_density=target_density)
+    budget = lp_minvar_budget(
+        density, capacity, rules,
+        target_density="mean" if target_density is None else target_density,
+    )
 
     scratch = list(layout.fills)  # place_normal appends to layout.fills
     features = place_normal(

@@ -64,6 +64,20 @@ class TestFixedDissection:
             assert len(win.tile_keys) == 4
             assert win.rect.width == 16000
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_window_rects_bound_their_tiles(self, r):
+        # Die sides that are not tile multiples: the last row and column
+        # of tiles, and every window that holds them, are cut short.
+        d = FixedDissection(Rect(-500, 300, 26300, 21700), DensityRules(3000 * r, r))
+        assert (d.nx, d.ny) == (9, 8)
+        geometry = DensityMap(d, np.zeros((d.nx, d.ny))).window_geometry_area()
+        windows = list(d.windows())
+        assert len(windows) == d.window_count == geometry.size
+        for win in windows:
+            expected = Rect.bounding([d.tile(*key).rect for key in win.tile_keys])
+            assert win.rect == expected
+            assert geometry[win.ix, win.iy] == float(expected.area)
+
     def test_windows_containing_tile_inverse(self):
         d = make_dissection()
         for win in d.windows():

@@ -13,6 +13,8 @@ import json
 import pytest
 
 from repro.errors import SolveTimeoutError
+from repro.fillsynth.budget import minvar_lp
+from repro.obs.trace import Tracer
 from repro.pilfill import EngineConfig, PILFillEngine, SlackColumnDef, prepare
 from repro.pilfill.robust import solve_tile_robust
 from repro.pilfill.parallel import tile_rng
@@ -111,6 +113,28 @@ class TestTelemetryRun:
         # Worker tile spans were absorbed into the run tracer.
         names = span_names(result.telemetry.tracer)
         assert names.count("tile") == len(result.tile_solutions)
+
+
+class TestBudgetSpans:
+    @pytest.mark.parametrize("mode", ["lp", "hybrid"])
+    def test_budget_spans_nest_and_count_the_lp(self, small_generated_layout, mode):
+        """The budget span carries the Min-Var LP's size and splits its time
+        into assembly and the two HiGHS phases."""
+        fresh = prepare(
+            small_generated_layout, "metal3", FILL, DENSITY, SlackColumnDef.FULL_LAYOUT
+        )
+        tracer = Tracer()
+        fresh.budget_for(make_cfg("ilp2", budget_mode=mode), tracer=tracer)
+        records = tracer.records()
+        (root,) = [i for i, rec in enumerate(records) if rec.name == "prepare.budget"]
+        children = [rec.name for rec in records if rec.parent == root]
+        assert children == ["budget.assemble", "budget.lp_phase1", "budget.lp_phase2"]
+        attrs = dict(records[root].attrs)
+        d = fresh.dissection
+        assert int(attrs["lp_vars"]) == d.tile_count + 1
+        assert int(attrs["lp_rows"]) == 2 * d.window_count
+        lp = minvar_lp(fresh.density, fresh.capacity(), FILL)
+        assert int(attrs["lp_nnz"]) == lp.phase1()[1].nnz
 
 
 class TestRunReportExport:
