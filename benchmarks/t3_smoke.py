@@ -1,16 +1,12 @@
-"""CI smoke check for chip-scale streaming ingest + FFT density.
+"""CI smoke check for chip-scale streaming ingest.
 
 Runs :func:`run_bench.bench_t3_streaming` — band-sorted T3 DEF parsed
-both materialized and streaming, window densities computed with the
-direct summed-area oracle and the FFT backend — and exits nonzero unless
-both acceptance gates hold:
+both materialized and streaming, window densities timed on the streamed
+map — and exits nonzero unless the acceptance gate holds:
+``stream_peak < 50%`` of the materialized parse's tracemalloc peak.
 
-* ``density_speedup > 3`` (fft vs direct, same bit-identical densities),
-* ``stream_peak < 50%`` of the materialized parse's tracemalloc peak.
-
-Bit-identity (streamed tile areas == materialized; fft densities ==
-direct) is asserted inside the bench itself — a divergence raises before
-any gate is read.
+Bit-identity (streamed tile areas == materialized) is asserted inside
+the bench itself — a divergence raises before the gate is read.
 
 Run from the repo root::
 
@@ -48,22 +44,15 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps(row, indent=2))
     print(f"bench row written to {out_path}")
 
-    failures = []
-    if not row["gate"]["density_speedup_gt_3"]:
-        failures.append(
-            f"density speedup {row['density_speedup']} <= 3 (fft vs direct)"
-        )
     if not row["gate"]["stream_peak_lt_half"]:
-        failures.append(
-            f"streaming peak ratio {row['streaming_peak_ratio']} >= 0.5"
+        print(
+            f"FAIL: streaming peak ratio {row['streaming_peak_ratio']} >= 0.5",
+            file=sys.stderr,
         )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if failures:
         return 1
     print(
         f"OK: streaming peak {row['streaming_peak_mb']} MB vs materialized "
-        f"{row['materialized_peak_mb']} MB; density speedup {row['density_speedup']}x"
+        f"{row['materialized_peak_mb']} MB; density {row['density_direct_s']} s"
     )
     return 0
 

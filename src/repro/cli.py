@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.dissection import DENSITY_BACKENDS, DensityMap, FixedDissection
+from repro.dissection import DensityMap, FixedDissection
 from repro.experiments.ablation import STUDIES, run_study
 from repro.experiments.tables import TableSpec, run_table
 from repro.io import write_def
@@ -53,7 +53,7 @@ def _cmd_table(args: argparse.Namespace, weighted: bool) -> int:
         workers=args.workers, batch_tiles=args.batch_tiles,
         tile_deadline_s=args.tile_deadline, run_deadline_s=args.run_deadline,
         telemetry=telemetry, cache_dir=cache_dir,
-        density_backend=args.density_backend, shards=args.shards,
+        shards=args.shards,
         **quick,
     )
     table = run_table(
@@ -96,9 +96,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     layout = _layout_for(args.testcase)
     rules = density_rules_for(args.window, args.r, layout.stack)
     dissection = FixedDissection(layout.die, rules)
-    density = DensityMap.from_layout(
-        dissection, layout, args.layer, backend=args.density_backend
-    )
+    density = DensityMap.from_layout(dissection, layout, args.layer)
     stats = density.stats()
     print(f"{args.testcase} {args.layer} W={args.window}um r={args.r}")
     print(f"  tiles: {dissection.nx} x {dissection.ny}, windows: {dissection.window_count}")
@@ -118,7 +116,6 @@ def _cmd_fill(args: argparse.Namespace) -> int:
         density_rules=density_rules_for(args.window, args.r, layout.stack),
         method=args.method,
         weighted=not args.unweighted,
-        density_backend=args.density_backend,
         seed=args.seed,
         workers=args.workers,
         batch_tiles=args.batch_tiles,
@@ -245,10 +242,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-cache", action="store_true",
                    help="disable the tile-solution cache even when "
                         "--cache-dir is given")
-    p.add_argument("--density-backend", default="direct", choices=DENSITY_BACKENDS,
-                   help="window-density aggregation: direct summed-area "
-                        "oracle or one-pass FFT (bit-identical on real "
-                        "layouts, much faster on large grids)")
     p.add_argument("--trace-out", default=None,
                    help="write the run report(s) (spans, metrics, per-tile "
                         "solve reports) as JSON to this path; enables "
@@ -282,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", default="metal3")
     p.add_argument("--window", type=int, default=32)
     p.add_argument("-r", type=int, default=2, dest="r")
-    p.add_argument("--density-backend", default="direct", choices=DENSITY_BACKENDS,
-                   help="direct summed-area oracle or one-pass FFT")
 
     p = sub.add_parser("fill", help="run one fill configuration")
     p.add_argument("--testcase", default="T1", choices=("T1", "T2"))

@@ -1,7 +1,7 @@
 """Fixed r-dissection framework (paper Fig. 1) and density analysis."""
 
 from repro.dissection.fixed import FixedDissection, Tile, Window
-from repro.dissection.density import DENSITY_BACKENDS, DensityMap, DensityStats
+from repro.dissection.density import DensityMap, DensityStats
 from repro.dissection.smoothness import SmoothnessReport, smoothness
 from repro.dissection.checker import (
     DensityCheckReport,
@@ -16,7 +16,6 @@ __all__ = [
     "FixedDissection",
     "Tile",
     "Window",
-    "DENSITY_BACKENDS",
     "DensityMap",
     "DensityStats",
     "SmoothnessReport",

@@ -2,22 +2,8 @@
 
 Computes per-tile feature area (union-exact, clipped to tiles) and derives
 per-window densities, the quantities that CMP density rules constrain and
-the Min-Var fill-budget LP consumes.
-
-Two window-aggregation backends share one contract:
-
-* ``direct`` — a summed-area table walked window by window in Python.
-  Exact by construction (tile areas from integer-coordinate rects are
-  integers well below 2**53, so every float64 partial sum is exact).
-  This is the scalar oracle.
-* ``fft`` — one full 2-D FFT convolution with an ``r x r`` ones kernel
-  (the FFTPL trick, arXiv 1312.4587), then a canonical rounding step:
-  when the tile-area map is integer-valued — as every map derived from
-  drawn geometry is — the convolution output is snapped with
-  ``np.rint`` to the exact integer window sums, making the backend
-  *bit-identical* to ``direct`` and therefore to every downstream
-  budget. Non-integer maps (synthetic tests) skip the snap and agree
-  within FFT round-off only.
+the Min-Var fill-budget LP consumes. Window sums come from one four-slice
+expression over a summed-area table.
 """
 
 from __future__ import annotations
@@ -30,12 +16,20 @@ from repro.dissection.fixed import FixedDissection
 from repro.geometry import Rect, total_area
 from repro.layout.layout import RoutedLayout
 
-#: Window-aggregation backends accepted by :class:`DensityMap`.
-DENSITY_BACKENDS = ("direct", "fft")
+TileKey = tuple[int, int]
 
-#: Largest integer magnitude float64 represents exactly; tile-area maps
-#: below this bound can be snapped back to exact integers after the FFT.
-_EXACT_INT_LIMIT = float(2**53)
+
+def clip_to_tiles(
+    dissection: FixedDissection,
+    rect: Rect,
+    clips_by_tile: dict[TileKey, list[Rect]],
+) -> None:
+    """Append ``rect`` clipped to each tile it overlaps to that tile's
+    list in ``clips_by_tile``."""
+    for tile in dissection.tiles_overlapping(rect):
+        clipped = rect.intersection(tile.rect)
+        if clipped is not None:
+            clips_by_tile.setdefault(tile.key, []).append(clipped)
 
 
 def density_ratio(areas: np.ndarray, geometry: np.ndarray) -> np.ndarray:
@@ -65,46 +59,37 @@ class DensityMap:
 
     ``tile_area[ix, iy]`` holds drawn feature area (DBU²) clipped to tile
     ``(ix, iy)``; ``window_density()`` aggregates tiles into the sliding
-    windows of the dissection using the selected ``backend``.
+    windows of the dissection.
     """
 
-    def __init__(
-        self,
-        dissection: FixedDissection,
-        tile_area: np.ndarray,
-        backend: str = "direct",
-    ):
+    def __init__(self, dissection: FixedDissection, tile_area: np.ndarray):
         if tile_area.shape != (dissection.nx, dissection.ny):
             raise ValueError(
                 f"tile_area shape {tile_area.shape} != grid "
                 f"({dissection.nx},{dissection.ny})"
             )
-        if backend not in DENSITY_BACKENDS:
-            raise ValueError(
-                f"unknown density backend {backend!r}; expected one of "
-                f"{DENSITY_BACKENDS}"
-            )
         self.dissection = dissection
         self.tile_area = tile_area
-        self.backend = backend
 
     @staticmethod
-    def from_rects(
+    def from_tile_clips(
         dissection: FixedDissection,
-        rects: list[Rect],
-        backend: str = "direct",
+        clips_by_tile: dict[TileKey, list[Rect]],
     ) -> "DensityMap":
-        """Build from drawn rectangles (overlaps are not double counted)."""
+        """Build from per-tile clip lists (see :func:`clip_to_tiles`);
+        each tile's area is the union area of its clips."""
         area = np.zeros((dissection.nx, dissection.ny), dtype=np.float64)
-        by_tile: dict[tuple[int, int], list[Rect]] = {}
-        for rect in rects:
-            for tile in dissection.tiles_overlapping(rect):
-                clipped = rect.intersection(tile.rect)
-                if clipped is not None:
-                    by_tile.setdefault(tile.key, []).append(clipped)
-        for key, clips in by_tile.items():
+        for key, clips in clips_by_tile.items():
             area[key] = total_area(clips)
-        return DensityMap(dissection, area, backend)
+        return DensityMap(dissection, area)
+
+    @staticmethod
+    def from_rects(dissection: FixedDissection, rects: list[Rect]) -> "DensityMap":
+        """Build from drawn rectangles (overlaps are not double counted)."""
+        clips_by_tile: dict[TileKey, list[Rect]] = {}
+        for rect in rects:
+            clip_to_tiles(dissection, rect, clips_by_tile)
+        return DensityMap.from_tile_clips(dissection, clips_by_tile)
 
     @staticmethod
     def from_layout(
@@ -112,13 +97,10 @@ class DensityMap:
         layout: RoutedLayout,
         layer: str,
         include_fill: bool = False,
-        backend: str = "direct",
     ) -> "DensityMap":
         """Build from one layout layer."""
         return DensityMap.from_rects(
-            dissection,
-            layout.feature_rects(layer, include_fill=include_fill),
-            backend,
+            dissection, layout.feature_rects(layer, include_fill=include_fill)
         )
 
     # -- derived quantities ---------------------------------------------------
@@ -129,59 +111,17 @@ class DensityMap:
         return float(self.tile_area[ix, iy]) / tile.rect.area
 
     def window_area(self) -> np.ndarray:
-        """Feature area per window, shape (wx, wy), via ``self.backend``."""
-        if self.backend == "fft":
-            return self._window_area_fft()
-        return self._window_area_direct()
+        """Feature area per window, shape (wx, wy).
 
-    def _window_area_direct(self) -> np.ndarray:
-        """Summed-area table walked per window — the scalar oracle."""
-        r = self.dissection.rules.r
-        nx, ny = self.dissection.nx, self.dissection.ny
-        wx, wy = max(0, nx - r + 1), max(0, ny - r + 1)
-        # 2-D summed-area table for O(1) window sums.
-        summed = self.tile_area.cumsum(axis=0).cumsum(axis=1)
-        padded = np.zeros((nx + 1, ny + 1))
-        padded[1:, 1:] = summed
-        out = np.zeros((wx, wy))
-        for i in range(wx):
-            for j in range(wy):
-                out[i, j] = (
-                    padded[i + r, j + r]
-                    - padded[i, j + r]
-                    - padded[i + r, j]
-                    + padded[i, j]
-                )
-        return out
-
-    def _window_area_fft(self) -> np.ndarray:
-        """All window sums from one FFT convolution pass.
-
-        Convolving the tile-area map with an ``r x r`` ones kernel makes
-        every output cell a sum of an ``r x r`` block; slicing the full
-        convolution at offset ``r - 1`` selects exactly the in-grid
-        window positions the direct path enumerates. Integer-valued maps
-        are snapped back to exact integers (the canonical rounding step
-        that restores bit-identity with the oracle).
+        ``P`` is the summed-area table padded with a zero row and column,
+        so each window sum is four slices of it (the slices are empty
+        along an axis the window does not fit in).
         """
         r = self.dissection.rules.r
         nx, ny = self.dissection.nx, self.dissection.ny
-        wx, wy = max(0, nx - r + 1), max(0, ny - r + 1)
-        if wx == 0 or wy == 0:
-            return np.zeros((wx, wy))
-        fx, fy = nx + r - 1, ny + r - 1
-        spec = np.fft.rfft2(self.tile_area, s=(fx, fy))
-        kernel = np.fft.rfft2(np.ones((r, r)), s=(fx, fy))
-        conv = np.fft.irfft2(spec * kernel, s=(fx, fy))
-        out = np.ascontiguousarray(conv[r - 1 : r - 1 + wx, r - 1 : r - 1 + wy])
-        tile_area = self.tile_area
-        integral = bool(
-            np.all(np.abs(tile_area) < _EXACT_INT_LIMIT)
-            and np.all(tile_area == np.floor(tile_area))
-        )
-        if integral:
-            np.rint(out, out=out)
-        return out
+        P = np.zeros((nx + 1, ny + 1))
+        P[1:, 1:] = self.tile_area.cumsum(axis=0).cumsum(axis=1)
+        return P[r:, r:] - P[:-r, r:] - P[r:, :-r] + P[:-r, :-r]
 
     def window_geometry_area(self) -> np.ndarray:
         """Geometric area per window, shape (wx, wy).
@@ -219,4 +159,4 @@ class DensityMap:
     def added(self, extra_tile_area: np.ndarray) -> "DensityMap":
         """A new map with per-tile area increased by ``extra_tile_area``
         (e.g. planned fill)."""
-        return DensityMap(self.dissection, self.tile_area + extra_tile_area, self.backend)
+        return DensityMap(self.dissection, self.tile_area + extra_tile_area)

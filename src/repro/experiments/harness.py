@@ -111,7 +111,6 @@ def run_config(
     telemetry: bool = False,
     cache_dir: str | None = None,
     solution_cache: SolutionCache | None = None,
-    density_backend: str = "direct",
     shards: int = 1,
 ) -> ConfigResult:
     """Run every method on one configuration with a shared budget.
@@ -136,9 +135,6 @@ def run_config(
         solution_cache: a prebuilt cache to use instead of constructing
             one from ``cache_dir`` (the two are mutually exclusive);
             lets callers share one in-memory cache across configs.
-        density_backend: window-density aggregation backend
-            (``"direct"``/``"fft"``; see :class:`EngineConfig`) — FFT is
-            bit-identical on real layouts and much faster on large grids.
         shards: row-band shards for the solve phase (see
             :mod:`repro.pilfill.shard`); results are bit-identical for
             any value, sharding only bounds peak memory.
@@ -149,10 +145,7 @@ def run_config(
         fill_rules = default_fill_rules(layout.stack)
     density_rules = density_rules_for(window_um, r, layout.stack)
     if prepared is None:
-        prepared = prepare(
-            layout, layer, fill_rules, density_rules, column_def,
-            density_backend=density_backend,
-        )
+        prepared = prepare(layout, layer, fill_rules, density_rules, column_def)
 
     result = ConfigResult(testcase=testcase, window_um=window_um, r=r, budget_total=0)
     budget = None
@@ -163,7 +156,6 @@ def run_config(
             method=method,
             weighted=weighted,
             column_def=column_def,
-            density_backend=prepared.density_backend,
             backend=backend,
             seed=seed,
             workers=workers,

@@ -49,10 +49,6 @@ class TableSpec:
     #: then merges cached tile solutions instead of re-solving them.
     #: ``None`` (default) → no caching.
     cache_dir: str | None = None
-    #: Window-density aggregation backend (``"direct"``/``"fft"``; see
-    #: :class:`~repro.pilfill.engine.EngineConfig`). Bit-identical
-    #: results either way on real layouts; FFT wins on large grids.
-    density_backend: str = "direct"
     #: Row-band shards for the solve phase (see
     #: :mod:`repro.pilfill.shard`); 1 (default) → unsharded. Results are
     #: bit-identical for any value — sharding only bounds peak memory.
@@ -197,7 +193,6 @@ def run_table(
                     fault_spec=spec.fault_spec,
                     telemetry=spec.telemetry,
                     cache_dir=spec.cache_dir,
-                    density_backend=spec.density_backend,
                     shards=spec.shards,
                 )
                 table.rows.append(row)

@@ -152,8 +152,9 @@ def minvar_lp(
     lb = np.zeros(len(tile_keys) + 1)
     ub = np.append(cap * float(rules.fill_area), m_ub)
 
-    # 0.0 + sum turns a -0.0 window sum (an FFT rint) into +0.0, so the
-    # bounds equal the expression-built LP's bit for bit.
+    # 0.0 + sum turns any -0.0 window sum into +0.0, as the
+    # expression-built LP's constant term does, so the bounds equal its
+    # bit for bit.
     orig = 0.0 + window_area.ravel()
     area = geometry.ravel()
 

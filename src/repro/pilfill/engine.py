@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.dissection.density import DENSITY_BACKENDS
 from repro.errors import FillError, SolveTimeoutError
 from repro.ilp import ILP_BACKENDS
 from repro.layout.layout import FillFeature, RoutedLayout
@@ -100,13 +99,6 @@ class EngineConfig:
         weighted: sink-weighted (True, Table 2) or per-segment (False,
             Table 1) objective.
         column_def: slack-column definition (paper §5.1); III by default.
-        density_backend: how window densities are aggregated —
-            ``"direct"`` (summed-area table, the scalar oracle) or
-            ``"fft"`` (one FFT convolution pass; bit-identical on the
-            integer-valued tile-area maps real layouts produce, and the
-            only comfortable choice at chip scale). Excluded from the
-            incremental-cache :func:`run_context_digest` because it
-            never changes budgets or placements.
         budget_mode: ``"lp"`` (Min-Var LP), ``"montecarlo"`` (randomized
             greedy), or ``"hybrid"`` (LP first, Monte-Carlo top-up of the
             rounding shortfall — the iterated back-end of ref [3]).
@@ -192,7 +184,6 @@ class EngineConfig:
     method: str = "ilp2"
     weighted: bool = True
     column_def: SlackColumnDef = SlackColumnDef.FULL_LAYOUT
-    density_backend: str = "direct"
     budget_mode: str = "lp"
     target_density: float | str | None = "mean"
     capacity_margin: float = 0.7
@@ -212,11 +203,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise FillError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.density_backend not in DENSITY_BACKENDS:
-            raise FillError(
-                f"unknown density backend {self.density_backend!r}; "
-                f"expected one of {DENSITY_BACKENDS}"
-            )
         if self.budget_mode not in ("lp", "montecarlo", "hybrid"):
             raise FillError(f"unknown budget mode {self.budget_mode!r}")
         if isinstance(self.target_density, str) and self.target_density != "mean":
@@ -365,7 +351,7 @@ class PILFillEngine:
         cfg = self.config
         return prepare(
             self.layout, self.layer, cfg.fill_rules, cfg.density_rules, cfg.column_def,
-            tracer=tracer, density_backend=cfg.density_backend,
+            tracer=tracer,
         )
 
     def _prepared_traced(self, tracer: TracerLike) -> PreparedInstance:

@@ -56,7 +56,7 @@ def solve_tile_ilp1(
     for k, cc in enumerate(costs):
         m_k = model.add_var(f"m_{k}", lb=0, ub=cc.capacity, kind=VarKind.INTEGER)
         m_vars.append(m_k)
-        if not cc.column.has_impact:
+        if not cc.column.has_impact or cc.capacity == 0:
             continue
         # Cap_k = (per-feature linear ΔC folded with nothing) · m_k. The
         # cost tables store delay (ps) per count with r̂ folded in; recover

@@ -90,10 +90,6 @@ def run_context_digest(
     *output* and excludes the ones that only change *scheduling*
     (workers, parallel backend, batching, telemetry) — the bit-identity
     contract across dispatchers is what makes that exclusion sound.
-    ``density_backend`` is likewise excluded: the FFT path's canonical
-    rounding makes budgets bit-identical to the direct oracle, and the
-    per-tile digest covers the effective budget anyway, so a map-backend
-    switch can never serve a stale solution.
     :data:`~repro.pilfill.store.STORE_VERSION` is folded in so a store
     format bump retires every old digest at the key level too.
 

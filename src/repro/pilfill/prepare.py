@@ -36,7 +36,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.cap.lut import LUTCache
-from repro.dissection.density import DensityMap
+from repro.dissection.density import DensityMap, clip_to_tiles
 from repro.dissection.fixed import FixedDissection
 from repro.errors import FillError, ParseError
 from repro.fillsynth.budget import (
@@ -46,7 +46,7 @@ from repro.fillsynth.budget import (
     montecarlo_budget,
 )
 from repro.fillsynth.slack_sites import SiteLegality
-from repro.geometry import Rect, total_area
+from repro.geometry import Rect
 from repro.geometry.spatial import GridBinIndex
 from repro.io.deflite import net_ylo, parse_def_streaming
 from repro.layout.layout import RoutedLayout
@@ -91,7 +91,6 @@ class PreparedInstance:
     dissection: FixedDissection
     legality: SiteLegality
     columns_by_tile: dict[TileKey, list[SlackColumn]]
-    density_backend: str = "direct"
     phase_seconds: dict[str, float] = field(default_factory=dict)
     lut_stats: dict[str, int] = field(default_factory=dict)
     _density: DensityMap | None = field(default=None, repr=False)
@@ -117,10 +116,7 @@ class PreparedInstance:
         """
         if self._density is None:
             t0 = time.perf_counter()
-            self._density = DensityMap.from_layout(
-                self.dissection, self.layout, self.layer,
-                backend=self.density_backend,
-            )
+            self._density = DensityMap.from_layout(self.dissection, self.layout, self.layer)
             self.phase_seconds["density"] = time.perf_counter() - t0
         return self._density
 
@@ -305,11 +301,6 @@ class PreparedInstance:
                 f"prepared instance uses column definition {self.column_def}, "
                 f"config asks for {config.column_def}"
             )
-        if config.density_backend != self.density_backend:
-            raise FillError(
-                f"prepared instance uses density backend {self.density_backend!r}, "
-                f"config asks for {config.density_backend!r}"
-            )
 
     def digest(self) -> str:
         """Content digest of the prepared state the solve phase consumes.
@@ -324,10 +315,7 @@ class PreparedInstance:
         solve is bit-identical, which makes this the equivalence oracle
         for the streaming preprocessor: ``prepare_streaming`` over a DEF
         must digest equal to :func:`prepare` over the materialized
-        layout. Forces the (lazy) density build on first call. The
-        ``density_backend`` is deliberately excluded — it is a compute
-        hint, and the FFT path's canonical rounding keeps the density
-        bytes themselves identical.
+        layout. Forces the (lazy) density build on first call.
         """
         from repro.pilfill.incremental import _neighbor_payload, _rect_payload, _sha256
 
@@ -374,7 +362,6 @@ def prepare(
     density_rules: DensityRules,
     column_def: SlackColumnDef = SlackColumnDef.FULL_LAYOUT,
     tracer: TracerLike | None = None,
-    density_backend: str = "direct",
 ) -> PreparedInstance:
     """Run the shared preprocessing once and capture it.
 
@@ -414,7 +401,6 @@ def prepare(
         dissection=dissection,
         legality=legality,
         columns_by_tile=columns_by_tile,
-        density_backend=density_backend,
         phase_seconds=phase_seconds,
     )
 
@@ -427,7 +413,6 @@ def prepare_streaming(
     density_rules: DensityRules,
     column_def: SlackColumnDef = SlackColumnDef.FULL_LAYOUT,
     tracer: TracerLike | None = None,
-    density_backend: str = "direct",
     banded: bool = False,
 ) -> PreparedInstance:
     """Build a :class:`PreparedInstance` straight from a DEF-lite source.
@@ -513,10 +498,7 @@ def prepare_streaming(
                 continue
             rect = seg.rect
             legality.add_blockage(rect)
-            for tile in dissection.tiles_overlapping(rect):
-                clipped = rect.intersection(tile.rect)
-                if clipped is not None:
-                    clips_by_tile.setdefault(tile.key, []).append(clipped)
+            clip_to_tiles(dissection, rect, clips_by_tile)
         pending.extend(
             SweepLine(rect=line.segment.rect, timing=line)
             for line in tree.lines
@@ -559,10 +541,7 @@ def prepare_streaming(
         phase_seconds["scanline"] += clock() - t0
 
         t0 = clock()
-        area = np.zeros((dissection.nx, dissection.ny), dtype=np.float64)
-        for key, clips in clips_by_tile.items():
-            area[key] = total_area(clips)
-        density = DensityMap(dissection, area, backend=density_backend)
+        density = DensityMap.from_tile_clips(dissection, clips_by_tile)
         phase_seconds["density"] = clock() - t0
         span.set("nets", net_count)
         span.set("tiles", len(columns_by_tile))
@@ -577,7 +556,6 @@ def prepare_streaming(
         dissection=dissection,
         legality=legality,
         columns_by_tile=columns_by_tile,
-        density_backend=density_backend,
         phase_seconds=phase_seconds,
         _density=density,
     )

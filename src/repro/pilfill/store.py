@@ -197,6 +197,10 @@ class SolutionStore:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return None
+        # A well-formed entry filed under another digest's path answers a
+        # different tile: a miss, never a wrong hit.
+        if not isinstance(payload, dict) or payload.get("digest") != digest:
+            return None
         entry = decode_entry(payload)
         if entry is not None:
             self._memory[digest] = entry

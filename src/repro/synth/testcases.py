@@ -72,8 +72,7 @@ def t3_spec(seed: int = 3, n_nets: int = 7000) -> GeneratorSpec:
     area) at T2's density and fanout profile, so its feature mass lands
     roughly 60x T2's. Too big to round-trip comfortably through
     materialized text at interactive speed; it exists to exercise the
-    streaming DEF reader and the FFT density backend at the scale they
-    were built for."""
+    streaming DEF reader and the window-density pass at chip scale."""
     return GeneratorSpec(
         name="T3",
         die_um=768.0,

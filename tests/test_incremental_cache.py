@@ -118,6 +118,17 @@ class TestSolutionStore:
         store.entry_path(DIGEST).write_text("{ torn")
         assert SolutionStore(cache_dir=tmp_path).get(DIGEST) is None
 
+    def test_entry_under_wrong_digest_reads_as_miss(self, tmp_path):
+        # A well-formed entry copied to another digest's path answers a
+        # different tile; serving it would be a wrong hit.
+        other = "cd" + "0" * 62
+        store = SolutionStore(cache_dir=tmp_path)
+        store.put(DIGEST, sample_entry())
+        target = store.entry_path(other)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(store.entry_path(DIGEST).read_bytes())
+        assert SolutionStore(cache_dir=tmp_path).get(other) is None
+
     def test_evict_drops_both_layers(self, tmp_path):
         store = SolutionStore(cache_dir=tmp_path)
         store.put(DIGEST, sample_entry())

@@ -45,8 +45,7 @@ def instances(draw):
 
     Die sides are cut short of a tile multiple so edge tiles and windows
     are smaller; some tiles have zero capacity and some none at all. An
-    empty corner block gives the FFT backend windows whose sums snap to
-    -0.0, whose sign the bounds must not carry.
+    empty corner block gives windows whose feature area is zero.
     """
     r = draw(st.sampled_from([1, 2, 3, 8]))
     # At least two tiles a side, so a cut die still holds a whole tile.
@@ -66,10 +65,9 @@ def instances(draw):
             capacity[tile.key] = 0 if present < 0.3 else int(rng.integers(1, 40))
     empty = draw(st.integers(0, dissection.nx))
     tile_area[:empty, :empty] = 0.0
-    backend = draw(st.sampled_from(["direct", "fft"]))
     target = draw(st.one_of(st.none(), st.just("mean"), st.floats(0.0, 1.0)))
     max_density = draw(st.one_of(st.none(), st.floats(0.3, 1.0)))
-    return DensityMap(dissection, tile_area, backend), capacity, target, max_density
+    return DensityMap(dissection, tile_area), capacity, target, max_density
 
 
 def resolve(density, target):
