@@ -7,9 +7,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ilp import Model, solve_branch_and_bound, solve_scipy_lp
-from repro.ilp.simplex import solve_lp
 from repro.ilp.result import SolveStatus
+from repro.ilp.simplex import solve_lp
 
 
 def minvar_shaped_lp(n_tiles_side: int, r: int, seed: int = 0):

@@ -24,7 +24,7 @@ from repro.analysis.findings import Finding
 from repro.io.atomic import atomic_write_json
 
 #: Bump to invalidate every cache entry when rule semantics change.
-LINT_VERSION = 2
+LINT_VERSION = 3
 
 
 def context_digest(

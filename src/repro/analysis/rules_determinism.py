@@ -323,21 +323,8 @@ class FloatEqualityRule(Rule):
         if not ctx.policy.in_float_eq_scope(ctx.module):
             return []
         findings: list[Finding] = []
-        # The LP modeling DSL overloads == to *build constraints*; those
-        # comparisons are not float equality, so subtrees passed to
-        # add_constraint(...) are exempt.
-        skip: set[int] = set()
         for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "add_constraint"
-            ):
-                for arg in node.args:
-                    for sub in ast.walk(arg):
-                        skip.add(id(sub))
-        for node in ast.walk(ctx.tree):
-            if id(node) in skip or not isinstance(node, ast.Compare):
+            if not isinstance(node, ast.Compare):
                 continue
             if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
                 continue

@@ -19,8 +19,8 @@ from repro.experiments.ablation import STUDIES, run_study
 from repro.experiments.tables import TableSpec, run_table
 from repro.io import write_def
 from repro.pilfill import (
-    EngineConfig,
     METHODS,
+    EngineConfig,
     PILFillEngine,
     SolutionCache,
     evaluate_impact,

@@ -23,8 +23,8 @@ from repro.pilfill.engine import EngineConfig, PILFillEngine
 from repro.pilfill.evaluate import evaluate_impact
 from repro.pilfill.incremental import SolutionCache
 from repro.pilfill.prepare import PreparedInstance, prepare
-from repro.tech.rules import FillRules
 from repro.synth.testcases import default_fill_rules, density_rules_for
+from repro.tech.rules import FillRules
 
 #: Method order of the paper's tables.
 TABLE_METHODS = ("normal", "ilp1", "ilp2", "greedy")

@@ -1,6 +1,8 @@
 """Integer linear programming substrate.
 
-A small modeling layer (:class:`Model`) with two interchangeable engines:
+Models arrive as dense :class:`CompiledModel` arrays (the per-tile
+PIL-Fill builders write them directly) and go to one of two
+interchangeable engines:
 
 * ``"bundled"`` — the from-scratch two-phase simplex + branch-and-bound
   (the reproduction's substitute for the paper's CPLEX 7.0),
@@ -8,16 +10,17 @@ A small modeling layer (:class:`Model`) with two interchangeable engines:
   and as an independent cross-check.
 
 ``"auto"`` picks bundled for small models and scipy above
-:data:`AUTO_VAR_THRESHOLD` variables.
+:data:`AUTO_VAR_THRESHOLD` variables. :func:`solve_lp_arrays` is the
+sparse LP entry point of the Min-Var budget LP.
 """
 
 from __future__ import annotations
 
 from repro.errors import SolverError
 from repro.ilp.branchbound import solve_branch_and_bound
-from repro.ilp.model import INF, LinExpr, Model, Sense, VarKind, Variable
+from repro.ilp.model import CompiledModel
 from repro.ilp.result import LPResult, SolveResult, SolveStatus
-from repro.ilp.scipy_backend import solve_lp_arrays, solve_scipy, solve_scipy_lp
+from repro.ilp.scipy_backend import solve_lp_arrays, solve_scipy
 from repro.ilp.simplex import solve_lp
 from repro.obs.trace import TracerLike
 
@@ -31,7 +34,7 @@ ILP_BACKENDS = ("bundled", "scipy", "auto")
 
 
 def solve(
-    model: Model,
+    model: CompiledModel,
     backend: str = "auto",
     max_nodes: int = 100000,
     time_limit: float | None = None,
@@ -50,7 +53,7 @@ def solve(
             recording status and solver effort.
     """
     if backend == "auto":
-        backend = "bundled" if len(model.variables) <= AUTO_VAR_THRESHOLD else "scipy"
+        backend = "bundled" if model.c.size <= AUTO_VAR_THRESHOLD else "scipy"
     if backend == "bundled":
         return solve_branch_and_bound(
             model, max_nodes=max_nodes, time_limit=time_limit, tracer=tracer
@@ -61,14 +64,9 @@ def solve(
 
 
 __all__ = [
-    "INF",
     "AUTO_VAR_THRESHOLD",
     "ILP_BACKENDS",
-    "LinExpr",
-    "Model",
-    "Sense",
-    "VarKind",
-    "Variable",
+    "CompiledModel",
     "LPResult",
     "SolveResult",
     "SolveStatus",
@@ -77,5 +75,4 @@ __all__ = [
     "solve_lp",
     "solve_lp_arrays",
     "solve_scipy",
-    "solve_scipy_lp",
 ]

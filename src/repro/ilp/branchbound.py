@@ -12,7 +12,8 @@ Substitutes the paper's CPLEX 7.0. Design:
 
 The per-tile PIL-Fill instances are small (tens to a few hundred
 variables); for larger models use the scipy/HiGHS backend
-(:mod:`repro.ilp.scipy_backend`) which shares the same :class:`Model` API.
+(:mod:`repro.ilp.scipy_backend`), which takes the same
+:class:`~repro.ilp.model.CompiledModel` arrays.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SolverError
-from repro.ilp.model import CompiledModel, Model
-from repro.ilp.result import SolveResult, SolveStatus
+from repro.ilp.model import CompiledModel
+from repro.ilp.result import LPResult, SolveResult, SolveStatus
 from repro.ilp.simplex import solve_lp
 from repro.obs.trace import NULL_TRACER, TracerLike
 
@@ -82,14 +83,14 @@ class _ShiftedLP:
 
 
 def solve_branch_and_bound(
-    model: Model,
+    model: CompiledModel,
     max_nodes: int = 100000,
     time_limit: float | None = None,
     tracer: TracerLike | None = None,
 ) -> SolveResult:
     """Solve a mixed-integer model to optimality (within tolerances).
 
-    Returns OPTIMAL with variable values, INFEASIBLE, UNBOUNDED (when the
+    Returns OPTIMAL with the solution vector, INFEASIBLE, UNBOUNDED (when the
     root relaxation is unbounded), or NODE_LIMIT / TIME_LIMIT with the best
     incumbent found so far (if any). ``time_limit`` is wall-clock seconds;
     the deadline is checked between nodes, so a single huge LP relaxation
@@ -98,7 +99,7 @@ def solve_branch_and_bound(
     variable count, node count, and final status.
     """
     trc = tracer if tracer is not None else NULL_TRACER
-    with trc.span("ilp.branchbound", vars=len(model.variables)) as span:
+    with trc.span("ilp.branchbound", vars=model.c.size) as span:
         result = _branch_and_bound(model, max_nodes, time_limit)
         span.set("status", result.status.name)
         span.set("nodes", result.nodes)
@@ -106,12 +107,11 @@ def solve_branch_and_bound(
 
 
 def _branch_and_bound(
-    model: Model,
+    compiled: CompiledModel,
     max_nodes: int,
     time_limit: float | None,
 ) -> SolveResult:
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    compiled = model.compile()
     n = compiled.c.shape[0]
     int_idx = np.flatnonzero(compiled.integer)
 
@@ -139,11 +139,11 @@ def _branch_and_bound(
     root, iters = _solve_relaxation(compiled, compiled.lb.copy(), compiled.ub.copy())
     total_iters += iters
     if root is None:
-        return SolveResult(SolveStatus.INFEASIBLE, {}, math.nan, 0, total_iters)
+        return SolveResult(SolveStatus.INFEASIBLE, None, math.nan, 0, total_iters)
     if not isinstance(root, _ShiftedLP):
         if root.status is SolveStatus.UNBOUNDED:
-            return SolveResult(SolveStatus.UNBOUNDED, {}, -math.inf, 0, total_iters)
-        return SolveResult(SolveStatus(root.status.value), {}, math.nan, 0, total_iters)
+            return SolveResult(SolveStatus.UNBOUNDED, None, -math.inf, 0, total_iters)
+        return SolveResult(SolveStatus(root.status.value), None, math.nan, 0, total_iters)
 
     # Root heuristic: round to the nearest integer point in the box.
     if int_idx.size:
@@ -198,14 +198,10 @@ def _branch_and_bound(
 
     if incumbent_x is None:
         if status in (SolveStatus.NODE_LIMIT, SolveStatus.TIME_LIMIT):
-            return SolveResult(status, {}, math.nan, nodes_explored, total_iters)
-        return SolveResult(SolveStatus.INFEASIBLE, {}, math.nan, nodes_explored, total_iters)
+            return SolveResult(status, None, math.nan, nodes_explored, total_iters)
+        return SolveResult(SolveStatus.INFEASIBLE, None, math.nan, nodes_explored, total_iters)
 
-    values = {
-        name: (round(v) if compiled.integer[i] else float(v))
-        for i, (name, v) in enumerate(zip(compiled.names, incumbent_x))
-    }
     objective = float(compiled.c @ incumbent_x + compiled.c0)
-    if model.is_maximization:
-        objective = -objective
-    return SolveResult(status, values, objective, nodes_explored, total_iters)
+    return SolveResult(
+        status, compiled.rounded(incumbent_x), objective, nodes_explored, total_iters
+    )

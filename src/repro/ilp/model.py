@@ -1,187 +1,23 @@
-"""Declarative linear/integer programming model builder.
+"""Dense-array MILP form shared by both solver backends.
 
-A tiny modeling layer in the spirit of PuLP, sufficient for the paper's
-formulations: continuous/integer/binary variables with bounds, linear
-expressions, ``<=``/``>=``/``==`` constraints, and a linear objective.
-Models compile to dense arrays consumed by the bundled simplex + branch
-and bound engine (:mod:`repro.ilp.branchbound`) or by the scipy HiGHS
-backend (:mod:`repro.ilp.scipy_backend`).
+The per-tile PIL-Fill models (:mod:`repro.pilfill.ilp1`,
+:mod:`repro.pilfill.ilp2`, :mod:`repro.pilfill.budgeted`) are built
+straight into these arrays by index arithmetic, and both the bundled
+branch-and-bound (:mod:`repro.ilp.branchbound`) and the scipy HiGHS
+backend (:mod:`repro.ilp.scipy_backend`) read nothing else.
 """
 
 from __future__ import annotations
 
-import enum
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import SolverError
-
-INF = math.inf
-
-
-class VarKind(enum.Enum):
-    """Variable domain."""
-
-    CONTINUOUS = "continuous"
-    INTEGER = "integer"
-    BINARY = "binary"
-
-
-@dataclass(frozen=True)
-class Variable:
-    """Handle to a model variable. Supports arithmetic to build
-    :class:`LinExpr` terms: ``2 * x + y - 3``."""
-
-    model_id: int
-    index: int
-    name: str
-    kind: VarKind
-    lb: float
-    ub: float
-
-    def __add__(self, other: LinExpr | Variable | float) -> LinExpr:
-        return LinExpr.from_term(self) + other
-
-    def __radd__(self, other: LinExpr | Variable | float) -> LinExpr:
-        return LinExpr.from_term(self) + other
-
-    def __sub__(self, other: LinExpr | Variable | float) -> LinExpr:
-        return LinExpr.from_term(self) - other
-
-    def __rsub__(self, other: LinExpr | Variable | float) -> LinExpr:
-        return (-1.0 * self) + other
-
-    def __mul__(self, coeff: float) -> LinExpr:
-        return LinExpr({self.index: float(coeff)}, 0.0, self.model_id)
-
-    def __rmul__(self, coeff: float) -> LinExpr:
-        return self.__mul__(coeff)
-
-    def __neg__(self) -> LinExpr:
-        return self * -1.0
-
-    def __le__(self, other: LinExpr | Variable | float) -> Constraint:
-        return LinExpr.from_term(self).__le__(other)
-
-    def __ge__(self, other: LinExpr | Variable | float) -> Constraint:
-        return LinExpr.from_term(self).__ge__(other)
-
-    def __eq__(self, other: object) -> object:  # type: ignore[override]
-        if isinstance(other, (int, float, Variable, LinExpr)):
-            return LinExpr.from_term(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.model_id, self.index))
-
-
-class Sense(enum.Enum):
-    """Constraint sense."""
-
-    LE = "<="
-    GE = ">="
-    EQ = "=="
-
-
-@dataclass
-class LinExpr:
-    """Sparse linear expression ``Σ coeff_i · x_i + const``."""
-
-    coeffs: dict[int, float]
-    const: float = 0.0
-    model_id: int = -1
-
-    @staticmethod
-    def from_term(var: Variable) -> "LinExpr":
-        return LinExpr({var.index: 1.0}, 0.0, var.model_id)
-
-    @staticmethod
-    def constant(value: float) -> "LinExpr":
-        return LinExpr({}, float(value), -1)
-
-    def _merge_model(self, other_id: int) -> int:
-        if self.model_id == -1:
-            return other_id
-        if other_id == -1 or other_id == self.model_id:
-            return self.model_id
-        raise SolverError("cannot mix variables from different models")
-
-    def _coerce(self, other: LinExpr | Variable | float) -> "LinExpr":
-        if isinstance(other, LinExpr):
-            return other
-        if isinstance(other, Variable):
-            return LinExpr.from_term(other)
-        if isinstance(other, (int, float)):
-            return LinExpr.constant(float(other))
-        raise TypeError(f"cannot combine LinExpr with {type(other).__name__}")
-
-    def __add__(self, other: LinExpr | Variable | float) -> "LinExpr":
-        rhs = self._coerce(other)
-        coeffs = dict(self.coeffs)
-        for idx, c in rhs.coeffs.items():
-            coeffs[idx] = coeffs.get(idx, 0.0) + c
-        return LinExpr(coeffs, self.const + rhs.const, self._merge_model(rhs.model_id))
-
-    def __radd__(self, other: LinExpr | Variable | float) -> "LinExpr":
-        return self.__add__(other)
-
-    def __sub__(self, other: LinExpr | Variable | float) -> "LinExpr":
-        return self.__add__(self._coerce(other) * -1.0)
-
-    def __rsub__(self, other: LinExpr | Variable | float) -> "LinExpr":
-        return (self * -1.0).__add__(other)
-
-    def __mul__(self, coeff: float) -> "LinExpr":
-        if not isinstance(coeff, (int, float)):
-            raise TypeError("LinExpr supports multiplication by scalars only")
-        return LinExpr(
-            {i: c * coeff for i, c in self.coeffs.items()}, self.const * coeff, self.model_id
-        )
-
-    def __rmul__(self, coeff: float) -> "LinExpr":
-        return self.__mul__(coeff)
-
-    def __neg__(self) -> "LinExpr":
-        return self * -1.0
-
-    def __le__(self, other: LinExpr | Variable | float) -> "Constraint":
-        rhs = self._coerce(other)
-        return Constraint(self - rhs, Sense.LE)
-
-    def __ge__(self, other: LinExpr | Variable | float) -> "Constraint":
-        rhs = self._coerce(other)
-        return Constraint(self - rhs, Sense.GE)
-
-    def __eq__(self, other: object) -> object:  # type: ignore[override]
-        if isinstance(other, (int, float, Variable, LinExpr)):
-            rhs = self._coerce(other)
-            return Constraint(self - rhs, Sense.EQ)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return id(self)
-
-    def evaluate(self, values: np.ndarray) -> float:
-        """Value of the expression at a variable assignment vector."""
-        return self.const + sum(c * values[i] for i, c in self.coeffs.items())
-
-
-@dataclass
-class Constraint:
-    """A normalized constraint ``expr (sense) 0``."""
-
-    expr: LinExpr
-    sense: Sense
-    name: str = ""
-
 
 @dataclass
 class CompiledModel:
-    """Dense-array form: min c·x + c0 s.t. A_ub x <= b_ub, A_eq x = b_eq,
-    lb <= x <= ub, integrality flags per variable."""
+    """min c·x + c0 s.t. A_ub x <= b_ub, A_eq x = b_eq, lb <= x <= ub,
+    integrality flags per variable."""
 
     c: np.ndarray
     c0: float
@@ -192,135 +28,7 @@ class CompiledModel:
     lb: np.ndarray
     ub: np.ndarray
     integer: np.ndarray  # bool per variable
-    names: list[str]
 
-
-class Model:
-    """An optimization model under construction.
-
-    Example::
-
-        m = Model("tile")
-        x = m.add_var("x", lb=0, ub=5, kind=VarKind.INTEGER)
-        y = m.add_var("y", lb=0, ub=5, kind=VarKind.INTEGER)
-        m.add_constraint(x + y == 7)
-        m.minimize(3 * x + 2 * y)
-    """
-
-    # itertools.count: next() is atomic under the GIL, so models built
-    # concurrently (thread-backend tile solves) still get distinct ids —
-    # a bare `Model._next_id += 1` is a read-modify-write race.
-    _ids = itertools.count(1)
-
-    def __init__(self, name: str = "model") -> None:
-        self.name = name
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
-        self.objective: LinExpr | None = None
-        self._id = next(Model._ids)
-        self._names: set[str] = set()
-        self._maximized = False
-
-    def add_var(
-        self,
-        name: str,
-        lb: float = 0.0,
-        ub: float = INF,
-        kind: VarKind = VarKind.CONTINUOUS,
-    ) -> Variable:
-        """Create a variable. Binary variables force bounds to [0, 1]."""
-        if name in self._names:
-            raise SolverError(f"duplicate variable name {name!r}")
-        if kind is VarKind.BINARY:
-            lb, ub = 0.0, 1.0
-        if lb > ub:
-            raise SolverError(f"variable {name}: lb {lb} > ub {ub}")
-        if math.isinf(lb) and lb > 0 or math.isinf(ub) and ub < 0:
-            raise SolverError(f"variable {name}: invalid infinite bound")
-        var = Variable(self._id, len(self.variables), name, kind, float(lb), float(ub))
-        self.variables.append(var)
-        self._names.add(name)
-        return var
-
-    def add_constraint(self, constraint: Constraint, name: str = "") -> Constraint:
-        """Register a constraint built from expression comparisons."""
-        if not isinstance(constraint, Constraint):
-            raise SolverError(
-                "add_constraint expects an expression comparison "
-                "(e.g. x + y <= 3); got a bool — don't use chained comparisons"
-            )
-        if name:
-            constraint.name = name
-        self.constraints.append(constraint)
-        return constraint
-
-    @staticmethod
-    def _as_expr(expr: LinExpr | Variable | float) -> LinExpr:
-        if isinstance(expr, Variable):
-            return LinExpr.from_term(expr)
-        if isinstance(expr, (int, float)):
-            return LinExpr.constant(float(expr))
-        return expr
-
-    def minimize(self, expr: LinExpr | Variable | float) -> None:
-        """Set a minimization objective (constants allowed: feasibility
-        problems compile to a zero objective)."""
-        self.objective = self._as_expr(expr)
-        self._maximized = False
-
-    def maximize(self, expr: LinExpr | Variable | float) -> None:
-        """Set a maximization objective (stored negated)."""
-        self.objective = self._as_expr(expr) * -1.0
-        self._maximized = True
-
-    @property
-    def is_maximization(self) -> bool:
-        """True when :meth:`maximize` set the objective."""
-        return self._maximized
-
-    # -- compilation ---------------------------------------------------------
-
-    def compile(self) -> CompiledModel:
-        """Lower to dense arrays (minimization form)."""
-        n = len(self.variables)
-        c = np.zeros(n)
-        c0 = 0.0
-        if self.objective is not None:
-            for idx, coeff in self.objective.coeffs.items():
-                c[idx] = coeff
-            c0 = self.objective.const
-
-        ub_rows: list[np.ndarray] = []
-        ub_rhs: list[float] = []
-        eq_rows: list[np.ndarray] = []
-        eq_rhs: list[float] = []
-        for con in self.constraints:
-            row = np.zeros(n)
-            for idx, coeff in con.expr.coeffs.items():
-                row[idx] = coeff
-            rhs = -con.expr.const
-            if con.sense is Sense.LE:
-                ub_rows.append(row)
-                ub_rhs.append(rhs)
-            elif con.sense is Sense.GE:
-                ub_rows.append(-row)
-                ub_rhs.append(-rhs)
-            else:
-                eq_rows.append(row)
-                eq_rhs.append(rhs)
-
-        lb = np.array([v.lb for v in self.variables])
-        ub = np.array([v.ub for v in self.variables])
-        integer = np.array([v.kind is not VarKind.CONTINUOUS for v in self.variables])
-        return CompiledModel(
-            c=c,
-            c0=c0,
-            a_ub=np.array(ub_rows).reshape(len(ub_rows), n) if ub_rows else np.zeros((0, n)),
-            b_ub=np.array(ub_rhs),
-            a_eq=np.array(eq_rows).reshape(len(eq_rows), n) if eq_rows else np.zeros((0, n)),
-            b_eq=np.array(eq_rhs),
-            lb=lb,
-            ub=ub,
-            integer=integer,
-            names=[v.name for v in self.variables],
-        )
+    def rounded(self, x: np.ndarray) -> np.ndarray:
+        """``x`` with the integer variables rounded to whole numbers."""
+        return np.where(self.integer, np.round(x), x)

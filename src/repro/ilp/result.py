@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,26 +55,19 @@ class LPResult:
 
 @dataclass
 class SolveResult:
-    """MILP solve outcome mapped back to model variable names.
+    """MILP solve outcome in array form.
 
     Attributes:
         status: terminal status.
-        values: variable name → value (rounded to exact integers for
-            integer variables when optimal).
-        objective: objective value at the returned point.
+        x: the solution vector, integer variables rounded to whole
+            numbers; ``None`` when the backend returned no point.
+        objective: objective value ``c·x + c0`` at the returned point.
         nodes: number of branch-and-bound nodes explored.
         iterations: total simplex iterations across all LP relaxations.
     """
 
     status: SolveStatus
-    values: dict[str, float] = field(default_factory=dict)
+    x: np.ndarray | None = None
     objective: float = float("nan")
     nodes: int = 0
     iterations: int = 0
-
-    def __getitem__(self, name: str) -> float:
-        return self.values[name]
-
-    def value(self, name: str, default: float = 0.0) -> float:
-        """Value of a variable, with a default for absent names."""
-        return self.values.get(name, default)

@@ -1,11 +1,10 @@
-"""scipy/HiGHS backend for :class:`repro.ilp.model.Model`, plus an
-array-level LP entry point.
+"""scipy/HiGHS backend for :class:`repro.ilp.model.CompiledModel`, plus
+a sparse LP entry point.
 
 :func:`solve_scipy` is the per-tile MILP backend and an independent
 cross-check of the bundled branch-and-bound solver in tests.
-:func:`solve_lp_arrays` takes an LP already in array form — a sparse CSC
-constraint matrix — and is how the Min-Var budget LP over all tiles
-reaches HiGHS without a :class:`Model`.
+:func:`solve_lp_arrays` takes an LP with a sparse CSC constraint matrix
+and is how the Min-Var budget LP over all tiles reaches HiGHS.
 """
 
 from __future__ import annotations
@@ -15,11 +14,11 @@ from types import MappingProxyType
 from typing import Any
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csc_array
 
 from repro.errors import SolverError
-from repro.ilp.model import Model
+from repro.ilp.model import CompiledModel
 from repro.ilp.result import LPResult, SolveResult, SolveStatus
 from repro.obs.trace import NULL_TRACER, TracerLike
 
@@ -63,7 +62,7 @@ def _milp(
 
 
 def solve_scipy(
-    model: Model,
+    model: CompiledModel,
     time_limit: float | None = None,
     tracer: TracerLike | None = None,
 ) -> SolveResult:
@@ -76,34 +75,25 @@ def solve_scipy(
     span with the variable count and final status.
     """
     trc = tracer if tracer is not None else NULL_TRACER
-    compiled = model.compile()
-    n = compiled.c.shape[0]
-
     constraints = []
-    if compiled.a_ub.size:
-        constraints.append(LinearConstraint(compiled.a_ub, -np.inf, compiled.b_ub))
-    if compiled.a_eq.size:
-        constraints.append(LinearConstraint(compiled.a_eq, compiled.b_eq, compiled.b_eq))
+    if model.a_ub.size:
+        constraints.append(LinearConstraint(model.a_ub, -np.inf, model.b_ub))
+    if model.a_eq.size:
+        constraints.append(LinearConstraint(model.a_eq, model.b_eq, model.b_eq))
 
-    with trc.span("ilp.scipy", vars=n) as span:
+    with trc.span("ilp.scipy", vars=model.c.size) as span:
         status, x = _milp(
             time_limit,
-            c=compiled.c,
+            c=model.c,
             constraints=constraints,
-            bounds=Bounds(compiled.lb, compiled.ub),
-            integrality=compiled.integer.astype(np.int64),
+            bounds=Bounds(model.lb, model.ub),
+            integrality=model.integer.astype(np.int64),
         )
         span.set("status", status.name)
         if x is None:
-            return SolveResult(status, {}, math.nan, 0, 0)
-        values = {
-            name: (round(v) if compiled.integer[i] else float(v))
-            for i, (name, v) in enumerate(zip(compiled.names, x))
-        }
-        objective = float(compiled.c @ x + compiled.c0)
-        if model.is_maximization:
-            objective = -objective
-        return SolveResult(status, values, objective, 0, 0)
+            return SolveResult(status, None, math.nan, 0, 0)
+        objective = float(model.c @ x + model.c0)
+        return SolveResult(status, model.rounded(x), objective, 0, 0)
 
 
 def solve_lp_arrays(
@@ -119,8 +109,8 @@ def solve_lp_arrays(
     ``a_ub`` goes to HiGHS as given. A CSC matrix with sorted row indices
     and no explicit zeros is exactly what :func:`solve_scipy` hands HiGHS
     for the same dense rows (``milp`` converts dense matrices with
-    ``csc_array``), so an array-built LP solves bit-identically to its
-    :class:`Model` twin.
+    ``csc_array``), so a sparse-built LP solves bit-identically to its
+    dense twin.
     """
     status, x = _milp(
         None,
@@ -132,26 +122,3 @@ def solve_lp_arrays(
         return LPResult(status, None, math.nan, 0)
     return LPResult(status, x, float(c @ x), 0)
 
-
-def solve_scipy_lp(model: Model) -> SolveResult:
-    """Solve the continuous relaxation via ``scipy.optimize.linprog``."""
-    compiled = model.compile()
-    res = linprog(
-        c=compiled.c,
-        A_ub=compiled.a_ub if compiled.a_ub.size else None,
-        b_ub=compiled.b_ub if compiled.b_ub.size else None,
-        A_eq=compiled.a_eq if compiled.a_eq.size else None,
-        b_eq=compiled.b_eq if compiled.b_eq.size else None,
-        bounds=list(zip(compiled.lb, compiled.ub)),
-        method="highs",
-    )
-    status = _classify(res.status, time_limited=False)
-    if res.x is None:
-        if status is SolveStatus.OPTIMAL:
-            raise SolverError("scipy linprog reported success without a solution vector")
-        return SolveResult(status, {}, math.nan, 0, 0)
-    values = {name: float(v) for name, v in zip(compiled.names, res.x)}
-    objective = float(compiled.c @ res.x + compiled.c0)
-    if model.is_maximization:
-        objective = -objective
-    return SolveResult(status, values, objective, 0, int(getattr(res, "nit", 0)))

@@ -26,16 +26,18 @@ Budgets are naturally derived from timing slack via
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 
-import heapq
+import numpy as np
 
 from repro.errors import FillError
-from repro.ilp import Model, VarKind, solve
+from repro.ilp import CompiledModel, solve
 from repro.layout.layout import RoutedLayout
 from repro.layout.rctree import OHM_FF_TO_PS
 from repro.pilfill.costs import ColumnCosts
+from repro.pilfill.ilp2 import build_ilp2_model
 from repro.pilfill.solution import TileSolution
 
 
@@ -46,6 +48,41 @@ class BudgetedOutcome:
     solution: TileSolution
     cap_used_ff: dict[str, float]
     feasible: bool
+
+
+def build_budgeted_model(
+    costs: list[ColumnCosts],
+    cap_tables: list[tuple[float, ...]],
+    budget: int,
+    net_budgets_ff: dict[str, float],
+) -> tuple[CompiledModel, np.ndarray]:
+    """ILP-II's selector model plus one ``<=`` row per budgeted net, and
+    the index of every ``m_k``.
+
+    A net's row sums ``ΔC_k(n)·s_{k,n}`` over the impactful columns beside
+    it (twice for a column with the net on both sides), in the order nets
+    first meet a coupled column (one with a nonzero ΔC entry); a net that
+    never does gets no row.
+    """
+    model, m_at = build_ilp2_model(costs, budget)
+    rows: dict[str, np.ndarray] = {}
+    for k, (cc, caps) in enumerate(zip(costs, cap_tables)):
+        cap = cc.capacity
+        if cap == 0 or not cc.column.has_impact or not any(caps[1 : cap + 1]):
+            continue
+        selectors = slice(int(m_at[k]) + 2, int(m_at[k]) + cap + 2)
+        for neighbor in (cc.column.below, cc.column.above):
+            if neighbor is None or neighbor.net not in net_budgets_ff:
+                continue
+            row = rows.get(neighbor.net)
+            if row is None:
+                row = rows[neighbor.net] = np.zeros(model.c.size)
+            row[selectors] += caps[1 : cap + 1]  # a zero ΔC leaves +0.0
+    if rows:
+        model.a_ub = np.array(list(rows.values()))
+        # Moving B_net across the sense and back turns a ±0.0 into -0.0.
+        model.b_ub = -(0.0 - np.array([float(net_budgets_ff[net]) for net in rows]))
+    return model, m_at
 
 
 def solve_tile_budgeted_ilp(
@@ -76,47 +113,13 @@ def solve_tile_budgeted_ilp(
     if budget > capacity:
         raise FillError(f"budget {budget} exceeds tile capacity {capacity}")
 
-    model = Model("budgeted-tile")
-    m_vars = []
-    objective_terms = []
-    net_terms: dict[str, list] = defaultdict(list)
-    for k, (cc, caps) in enumerate(zip(costs, cap_tables)):
-        m_k = model.add_var(f"m_{k}", lb=0, ub=cc.capacity, kind=VarKind.INTEGER)
-        m_vars.append(m_k)
-        if cc.capacity == 0:
-            continue
-        selectors = [
-            model.add_var(f"s_{k}_{n}", kind=VarKind.BINARY)
-            for n in range(cc.capacity + 1)
-        ]
-        model.add_constraint(sum((s * 1.0 for s in selectors), start=0.0) == 1.0)
-        model.add_constraint(
-            m_k == sum((selectors[n] * float(n) for n in range(cc.capacity + 1)), start=0.0)
-        )
-        for n in range(1, cc.capacity + 1):
-            if cc.exact[n] != 0.0:  # pilfill: allow[D104] -- exact-zero sparsity test: no-impact entries are literal 0.0, not computed
-                objective_terms.append(selectors[n] * cc.exact[n])
-        if cc.column.has_impact:
-            for neighbor in (cc.column.below, cc.column.above):
-                if neighbor is None or neighbor.net not in net_budgets_ff:
-                    continue
-                for n in range(1, cc.capacity + 1):
-                    if caps[n] != 0.0:  # pilfill: allow[D104] -- exact-zero sparsity test: uncoupled columns tabulate literal 0.0
-                        net_terms[neighbor.net].append(selectors[n] * caps[n])
-
-    model.add_constraint(sum((m * 1.0 for m in m_vars), start=0.0) == float(budget))
-    for net, terms in net_terms.items():
-        model.add_constraint(
-            sum(terms, start=0.0) <= net_budgets_ff[net]
-        )
-    model.minimize(sum(objective_terms, start=0.0))
-
+    model, m_at = build_budgeted_model(costs, cap_tables, budget, net_budgets_ff)
     result = solve(model, backend=backend, time_limit=time_limit)
-    if not result.status.is_optimal:
+    if not result.status.is_optimal or result.x is None:
         # Includes TIME_LIMIT: the caller already has a budgeted-greedy
         # fallback for infeasible outcomes, which covers timeouts too.
         return BudgetedOutcome(TileSolution(counts=[0] * len(costs)), {}, False)
-    counts = [int(result.value(m.name)) for m in m_vars]
+    counts = result.x[m_at].astype(int).tolist()
     used = _cap_used(costs, cap_tables, counts)
     solution = TileSolution(
         counts=counts,

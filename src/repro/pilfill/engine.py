@@ -46,6 +46,11 @@ from repro.layout.layout import FillFeature, RoutedLayout
 from repro.obs.metrics import NULL_METRICS, MetricsLike
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import NULL_TRACER, TracerLike
+from repro.pilfill.budgeted import (
+    build_cap_tables,
+    solve_tile_budgeted_greedy,
+    solve_tile_budgeted_ilp,
+)
 from repro.pilfill.columns import SlackColumn, SlackColumnDef
 from repro.pilfill.costs import ColumnCosts
 from repro.pilfill.executor import SharedCostStore, make_shared_store
@@ -54,11 +59,6 @@ from repro.pilfill.incremental import (
     cache_eligible,
     run_context_digest,
     tile_digest,
-)
-from repro.pilfill.budgeted import (
-    build_cap_tables,
-    solve_tile_budgeted_greedy,
-    solve_tile_budgeted_ilp,
 )
 from repro.pilfill.mvdc import derive_tile_delay_budgets
 from repro.pilfill.parallel import (

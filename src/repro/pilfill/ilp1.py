@@ -12,12 +12,88 @@ Greedy and even to Normal fill on some configurations (paper Table 1).
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from repro.errors import FillError, SolverError, SolveTimeoutError
-from repro.ilp import INF, Model, VarKind, solve
+from repro.ilp import CompiledModel, solve
 from repro.ilp.result import SolveStatus
 from repro.obs.trace import TracerLike
 from repro.pilfill.costs import ColumnCosts
 from repro.pilfill.solution import TileSolution
+
+
+def build_ilp1_model(
+    costs: list[ColumnCosts], budget: int, weighted: bool
+) -> tuple[CompiledModel, np.ndarray]:
+    """One tile's ILP-I model (Eqs. 10-14) as dense arrays, and the index
+    of every ``m_k``.
+
+    Variables: per column ``m_k``, then ``Cap_k`` if the column has impact
+    and sites; after all columns, one ``Δτ_l`` per line beside such a
+    column. Rows: Eq. 12 per ``Cap_k``, Eq. 13 per line, the budget.
+    """
+    m_at: list[int] = []
+    cap_at: dict[int, int] = {}  # column -> index of its Cap_k
+    col_ub: list[float] = []
+    for k, cc in enumerate(costs):
+        m_at.append(len(col_ub))
+        col_ub.append(float(cc.capacity))
+        if cc.column.has_impact and cc.capacity > 0:
+            cap_at[k] = len(col_ub)
+            col_ub.append(math.inf)
+
+    # Each line's Δτ_l takes the share w·R / r̂_k of every Cap_k beside it.
+    # The cost tables store delay (ps) per count with r̂ folded in; the
+    # shares recover the per-line pieces so the model mirrors Eqs. 12-13.
+    lines: dict[tuple[str, int], dict[int, float]] = {}
+    for k, cap_idx in cap_at.items():
+        column = costs[k].column
+        r_hat = column.resistance_weight(weighted)
+        for neighbor in (column.below, column.above):
+            if neighbor is None:
+                continue
+            w = neighbor.sinks if weighted else 1
+            share = (w * neighbor.resistance_ohm) / r_hat if r_hat > 0 else 0.0
+            terms = lines.setdefault(neighbor.identity, {})
+            terms[cap_idx] = terms.get(cap_idx, 0.0) + share
+
+    n_cols = len(col_ub)
+    n = n_cols + len(lines)
+    a_eq = np.zeros((len(cap_at) + len(lines) + 1, n))
+    # Eqs. 12 and 13 move every variable to the left side: the right side
+    # is -0.0, and a coefficient is 0.0 - x so that x = 0 gives +0.0.
+    b_eq = np.full(a_eq.shape[0], -0.0)
+    for row, (k, cap_idx) in enumerate(cap_at.items()):
+        a_eq[row, cap_idx] = 1.0  # Eq. 12: Cap_k - (ps per feature)·m_k = 0
+        a_eq[row, m_at[k]] = 0.0 - costs[k].linear[1]
+    for j, terms in enumerate(lines.values()):
+        row = len(cap_at) + j
+        a_eq[row, n_cols + j] = 1.0  # Eq. 13: Δτ_l - Σ share·Cap_k = 0
+        for cap_idx, share in terms.items():
+            a_eq[row, cap_idx] = 0.0 - share
+    a_eq[-1, m_at] = 1.0  # Eq. 11
+    b_eq[-1] = float(budget)
+
+    c = np.zeros(n)
+    c[n_cols:] = 1.0
+    ub = np.full(n, math.inf)
+    ub[:n_cols] = col_ub
+    integer = np.zeros(n, dtype=bool)
+    integer[m_at] = True
+    model = CompiledModel(
+        c=c,
+        c0=0.0,
+        a_ub=np.zeros((0, n)),
+        b_ub=np.zeros(0),
+        a_eq=a_eq,
+        b_eq=b_eq,
+        lb=np.zeros(n),
+        ub=ub,
+        integer=integer,
+    )
+    return model, np.array(m_at, dtype=np.int64)
 
 
 def solve_tile_ilp1(
@@ -46,58 +122,14 @@ def solve_tile_ilp1(
     if budget > capacity:
         raise FillError(f"budget {budget} exceeds tile capacity {capacity}")
 
-    model = Model("ilp1-tile")
-    m_vars = []
-    # Group columns by adjacent line so Δτ_l variables match the paper's
-    # per-line constraints (Eq. 13).
-    line_terms: dict[tuple[str, int], list] = {}
-    line_weight: dict[tuple[str, int], int] = {}
-
-    for k, cc in enumerate(costs):
-        m_k = model.add_var(f"m_{k}", lb=0, ub=cc.capacity, kind=VarKind.INTEGER)
-        m_vars.append(m_k)
-        if not cc.column.has_impact or cc.capacity == 0:
-            continue
-        # Cap_k = (per-feature linear ΔC folded with nothing) · m_k. The
-        # cost tables store delay (ps) per count with r̂ folded in; recover
-        # the per-feature, per-line pieces so the model mirrors Eqs. 12-13.
-        per_feature_delay = cc.linear[1]  # ps per feature, both lines, weighted
-        cap_k = model.add_var(f"cap_{k}", lb=0.0, ub=INF)
-        model.add_constraint(cap_k == m_k * per_feature_delay)
-        for neighbor in (cc.column.below, cc.column.above):
-            if neighbor is None:
-                continue
-            ident = neighbor.identity
-            w = neighbor.sinks if weighted else 1
-            share = (
-                (w * neighbor.resistance_ohm)
-                / cc.column.resistance_weight(weighted)
-                if cc.column.resistance_weight(weighted) > 0
-                else 0.0
-            )
-            line_terms.setdefault(ident, []).append(cap_k * share)
-            line_weight[ident] = 1  # weight already folded into the share
-
-    tau_vars = []
-    for ident, terms in line_terms.items():
-        tau = model.add_var(f"tau_{ident[0]}_{ident[1]}", lb=0.0, ub=INF)
-        model.add_constraint(tau == sum(terms, start=0.0))
-        tau_vars.append(tau)
-
-    model.add_constraint(sum((m * 1.0 for m in m_vars), start=0.0) == budget)
-    if tau_vars:
-        model.minimize(sum((t * 1.0 for t in tau_vars), start=0.0))
-    else:
-        model.minimize(sum((m * 0.0 for m in m_vars), start=0.0))
-
+    model, m_at = build_ilp1_model(costs, budget, weighted)
     result = solve(model, backend=backend, time_limit=time_limit, tracer=tracer)
     if result.status is SolveStatus.TIME_LIMIT:
         raise SolveTimeoutError(f"ILP-I tile solve hit the {time_limit}s deadline")
-    if not result.status.is_optimal:
+    if not result.status.is_optimal or result.x is None:
         raise SolverError(f"ILP-I tile solve failed: {result.status}")
-    counts = [int(result.value(m.name)) for m in m_vars]
     return TileSolution(
-        counts=counts,
+        counts=result.x[m_at].astype(int).tolist(),
         model_objective_ps=result.objective,
         nodes=result.nodes,
         iterations=result.iterations,

@@ -19,12 +19,61 @@ tables at 3-6× their runtime.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import FillError, SolverError, SolveTimeoutError
-from repro.ilp import Model, VarKind, solve
+from repro.ilp import CompiledModel, solve
 from repro.ilp.result import SolveStatus
 from repro.obs.trace import TracerLike
 from repro.pilfill.costs import ColumnCosts
 from repro.pilfill.solution import TileSolution
+
+
+def build_ilp2_model(
+    costs: list[ColumnCosts], budget: int
+) -> tuple[CompiledModel, np.ndarray]:
+    """One tile's one-hot selector model (Eqs. 17-21) as dense arrays, and
+    the index of every ``m_k``.
+
+    Variables: per column ``m_k``, then its selectors ``s_{k,0..capacity}``
+    if it has sites. Rows: Eqs. 19 and 18 per such column, the budget. No
+    inequality rows: the budgeted model appends its own.
+    """
+    caps = np.array([cc.capacity for cc in costs], dtype=np.int64)
+    width = np.where(caps > 0, caps + 2, 1)  # m_k and its capacity + 1 selectors
+    m_at = np.cumsum(width) - width
+    n = int(width.sum())
+    open_cols = np.flatnonzero(caps > 0)
+    c = np.zeros(n)
+    a_eq = np.zeros((2 * open_cols.size + 1, n))
+    b_eq = np.empty(len(a_eq))
+    ub = np.ones(n)
+    ub[m_at] = caps
+    for i, k in enumerate(open_cols.tolist()):
+        cap, m = costs[k].capacity, int(m_at[k])
+        a_eq[2 * i, m + 1 : m + cap + 2] = 1.0  # Eq. 19: one selector is on
+        a_eq[2 * i + 1, m] = 1.0  # Eq. 18: m_k - Σ n·s_{k,n} = 0
+        a_eq[2 * i + 1, m + 2 : m + cap + 2] = -np.arange(1.0, cap + 1)
+        # Eq. 20 folded with Eq. 21; adding to +0.0 keeps a -0.0 entry
+        # out of the objective, as a zero cost term is.
+        c[m + 2 : m + cap + 2] = np.add(0.0, costs[k].exact[1:])
+    b_eq[0:-1:2] = 1.0
+    # Eq. 18 moves m_k to the left side, so its right side is -0.0.
+    b_eq[1:-1:2] = -0.0
+    a_eq[-1, m_at] = 1.0  # Eq. 17
+    b_eq[-1] = float(budget)
+    model = CompiledModel(
+        c=c,
+        c0=0.0,
+        a_ub=np.zeros((0, n)),
+        b_ub=np.zeros(0),
+        a_eq=a_eq,
+        b_eq=b_eq,
+        lb=np.zeros(n),
+        ub=ub,
+        integer=np.ones(n, dtype=bool),
+    )
+    return model, m_at
 
 
 def solve_tile_ilp2(
@@ -51,40 +100,14 @@ def solve_tile_ilp2(
     if budget > capacity:
         raise FillError(f"budget {budget} exceeds tile capacity {capacity}")
 
-    model = Model("ilp2-tile")
-    m_vars = []
-    objective_terms = []
-    for k, cc in enumerate(costs):
-        m_k = model.add_var(f"m_{k}", lb=0, ub=cc.capacity, kind=VarKind.INTEGER)
-        m_vars.append(m_k)
-        if cc.capacity == 0:
-            continue
-        selectors = [
-            model.add_var(f"s_{k}_{n}", kind=VarKind.BINARY)
-            for n in range(cc.capacity + 1)
-        ]
-        # Eq. 19 (with the n = 0 selector included).
-        model.add_constraint(sum((s * 1.0 for s in selectors), start=0.0) == 1.0)
-        # Eq. 18.
-        model.add_constraint(
-            m_k == sum((selectors[n] * float(n) for n in range(cc.capacity + 1)), start=0.0)
-        )
-        # Eq. 20 folded with Eq. 21 into the objective directly.
-        for n in range(1, cc.capacity + 1):
-            if cc.exact[n] != 0.0:  # pilfill: allow[D104] -- exact-zero sparsity test: no-impact entries are literal 0.0, not computed
-                objective_terms.append(selectors[n] * cc.exact[n])
-
-    model.add_constraint(sum((m * 1.0 for m in m_vars), start=0.0) == float(budget))
-    model.minimize(sum(objective_terms, start=0.0))
-
+    model, m_at = build_ilp2_model(costs, budget)
     result = solve(model, backend=backend, time_limit=time_limit, tracer=tracer)
     if result.status is SolveStatus.TIME_LIMIT:
         raise SolveTimeoutError(f"ILP-II tile solve hit the {time_limit}s deadline")
-    if not result.status.is_optimal:
+    if not result.status.is_optimal or result.x is None:
         raise SolverError(f"ILP-II tile solve failed: {result.status}")
-    counts = [int(result.value(m.name)) for m in m_vars]
     return TileSolution(
-        counts=counts,
+        counts=result.x[m_at].astype(int).tolist(),
         model_objective_ps=result.objective,
         nodes=result.nodes,
         iterations=result.iterations,

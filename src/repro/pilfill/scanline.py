@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.dissection.fixed import FixedDissection
 from repro.errors import FillError
 from repro.fillsynth.slack_sites import SiteLegality
-from repro.dissection.fixed import FixedDissection
 from repro.geometry import Interval, Rect
 from repro.geometry.grid import SiteGrid
 from repro.layout.layout import RoutedLayout

@@ -231,17 +231,17 @@ class SolutionStore:
         Dropping only the memory layer would leave the disk entry live
         for any *other* process — or a later cold start — whose digest
         computation lands back on the same value, silently serving a
-        stale solution. The disk unlink is best-effort like :meth:`put`
-        (a read-only filesystem cannot un-write the entry, but such a
-        store also never recorded the pre-ECO run that would alias it).
+        stale solution. The disk unlink is one call, so a process sharing
+        the directory can remove the entry first without an error here;
+        it is best-effort like :meth:`put` (a read-only filesystem cannot
+        un-write the entry, but such a store also never recorded the
+        pre-ECO run that would alias it).
         """
         held = self._memory.pop(digest, None) is not None
         if self._dir is not None:
-            path = self.entry_path(digest)
             try:
-                if path.exists():
-                    path.unlink()
-                    held = True
-            except OSError:  # pragma: no cover - store is best-effort
+                self.entry_path(digest).unlink()
+                held = True
+            except OSError:  # already gone, or a read-only store
                 pass
         return held

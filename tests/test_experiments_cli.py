@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import ConfigResult, TableSpec, run_config, run_table
+from repro.experiments import TableSpec, run_config, run_table
 from repro.synth import GeneratorSpec, generate_layout
 
 

@@ -12,7 +12,7 @@ from repro.fillsynth import (
 )
 from repro.geometry import Rect
 from repro.layout import validate_fill
-from repro.tech import DensityRules, FillRules
+from repro.tech import DensityRules
 from tests.conftest import build_two_line_layout
 
 

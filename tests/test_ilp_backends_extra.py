@@ -1,6 +1,6 @@
-"""Remaining solver-path coverage: scipy LP wrapper, auto dispatch at the
-threshold, infeasible/unbounded via scipy, MVDC trim path, time-limit /
-status-classification paths, and the success-without-solution guards."""
+"""Remaining solver-path coverage: auto dispatch at the threshold,
+infeasible/unbounded via scipy, MVDC trim path, time-limit /
+status-classification paths, and the success-without-solution guard."""
 
 import math
 import time
@@ -8,41 +8,8 @@ import time
 import pytest
 
 from repro.errors import SolverError
-from repro.ilp import (
-    AUTO_VAR_THRESHOLD,
-    Model,
-    SolveStatus,
-    VarKind,
-    solve,
-    solve_scipy,
-    solve_scipy_lp,
-)
-
-
-class TestScipyLpWrapper:
-    def test_simple_lp(self):
-        m = Model()
-        x = m.add_var("x", ub=4)
-        y = m.add_var("y", ub=4)
-        m.add_constraint(x + y <= 6)
-        m.maximize(3 * x + 2 * y)
-        res = solve_scipy_lp(m)
-        assert res.status.is_optimal
-        assert res.objective == pytest.approx(16.0)
-        assert res.values["x"] == pytest.approx(4.0)
-
-    def test_infeasible(self):
-        m = Model()
-        x = m.add_var("x", ub=1)
-        m.add_constraint(x >= 2)
-        m.minimize(x * 1.0)
-        assert solve_scipy_lp(m).status is SolveStatus.INFEASIBLE
-
-    def test_unbounded(self):
-        m = Model()
-        x = m.add_var("x")
-        m.minimize(-1 * x)
-        assert solve_scipy_lp(m).status is SolveStatus.UNBOUNDED
+from repro.ilp import AUTO_VAR_THRESHOLD, SolveStatus
+from tests.ilp_model_oracle import Model, VarKind, solve, solve_scipy
 
 
 class TestScipyMilpStatuses:
@@ -133,7 +100,7 @@ class TestBundledTimeLimit:
             return real_solve_lp(*args, **kwargs)
 
         monkeypatch.setattr(bb, "solve_lp", slow_solve_lp)
-        res = bb.solve_branch_and_bound(_small_int_model(), time_limit=0.01)
+        res = bb.solve_branch_and_bound(_small_int_model().compile(), time_limit=0.01)
         assert res.status is SolveStatus.TIME_LIMIT
         assert not res.status.is_optimal
 
@@ -170,16 +137,6 @@ class TestSuccessWithoutSolutionGuard:
         assert res.status is SolveStatus.TIME_LIMIT
         assert not res.status.is_optimal
         assert math.isnan(res.objective) and res.values == {}
-
-    def test_linprog_success_without_vector_raises(self, monkeypatch):
-        import repro.ilp.scipy_backend as sb
-
-        monkeypatch.setattr(sb, "linprog", lambda *a, **k: self._FakeRes(0))
-        m = Model()
-        x = m.add_var("x", ub=1)
-        m.minimize(1.0 * x)
-        with pytest.raises(SolverError, match="without a solution"):
-            solve_scipy_lp(m)
 
 
 class TestMvdcTrim:

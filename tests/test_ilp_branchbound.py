@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.ilp import (
+from repro.ilp import SolveStatus
+from tests.ilp_model_oracle import (
     Model,
-    SolveStatus,
     VarKind,
     solve,
     solve_branch_and_bound,

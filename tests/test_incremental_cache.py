@@ -151,6 +151,100 @@ class TestSolutionStore:
             SolutionStore().entry_path(DIGEST)
 
 
+#: One process sharing a cache directory: puts, evicts and cold-memory
+#: gets over overlapping digests, plus torn writes of the kind a crashed
+#: non-atomic writer leaves. Every hit must be exactly the entry filed
+#: under its digest.
+SHARED_DIR_WORKER = textwrap.dedent(
+    """
+    import json, random, sys, time
+    from pathlib import Path
+    from repro.pilfill import CachedEntry, SolutionStore, encode_entry
+    from repro.pilfill.robust import SolveReport
+    from repro.pilfill.solution import TileSolution
+
+    cache_dir, seed, rounds, digests, go = json.loads(sys.argv[1])
+
+    def entry(i):
+        return CachedEntry(
+            TileSolution(counts=[i, 1], model_objective_ps=i / 3, nodes=i),
+            SolveReport(key=(i, 0), requested_method="ilp2", used_method="ilp2"),
+        )
+
+    rng = random.Random(seed)
+    deadline = time.monotonic() + 30
+    while not Path(go).exists() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    stats = {"hits": 0, "wrong": 0, "evicted": 0}
+    for _ in range(rounds):
+        i = rng.randrange(len(digests))
+        store = SolutionStore(cache_dir=cache_dir)
+        op = rng.random()
+        if op < 0.35:
+            store.put(digests[i], entry(i))
+        elif op < 0.55:
+            stats["evicted"] += store.evict(digests[i])
+        elif op < 0.65:
+            path = store.entry_path(digests[i])
+            path.parent.mkdir(parents=True, exist_ok=True)
+            text = json.dumps(encode_entry(digests[i], entry(i)))
+            path.write_text(text[: rng.randrange(1, len(text) - 1)])
+        else:
+            got = store.get(digests[i])
+            if got is not None:
+                stats["hits"] += 1
+                stats["wrong"] += got != entry(i)
+    print(json.dumps(stats))
+    """
+)
+
+
+class TestSharedCacheDir:
+    """Two processes share one ``--cache-dir``."""
+
+    def test_concurrent_put_evict_never_serves_a_wrong_hit(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        go = tmp_path / "go"
+        digests = [f"{i % 3:02x}{i:062x}" for i in range(6)]  # shared prefixes
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", SHARED_DIR_WORKER,
+                 json.dumps([str(cache_dir), seed, 600, digests, str(go)])],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            )
+            for seed in (1, 2)
+        ]
+        go.touch()
+        outcomes = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            outcomes.append(json.loads(out))
+        for stats in outcomes:
+            assert stats["wrong"] == 0
+            assert stats["hits"] > 0 and stats["evicted"] > 0
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw[: len(raw) // 2],
+            lambda raw: raw[:-3],
+            lambda raw: b"\0" * len(raw),
+            lambda raw: raw.replace(b"{", b"[", 1),
+            lambda raw: b"",
+        ],
+        ids=["half", "tail", "zeroed", "bracket", "empty"],
+    )
+    def test_truncated_or_corrupt_entry_reads_as_miss(self, tmp_path, damage):
+        SolutionStore(cache_dir=tmp_path).put(DIGEST, sample_entry())
+        path = SolutionStore(cache_dir=tmp_path).entry_path(DIGEST)
+        path.write_bytes(damage(path.read_bytes()))
+        assert SolutionStore(cache_dir=tmp_path).get(DIGEST) is None
+
+
 class TestEncodeDecode:
     def test_round_trip(self):
         entry = sample_entry()

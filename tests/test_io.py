@@ -6,7 +6,6 @@ from repro.errors import ParseError
 from repro.geometry import Rect
 from repro.io import parse_def, parse_lef, write_def, write_lef
 from repro.layout import FillFeature
-from repro.tech import default_stack
 from tests.conftest import build_two_line_layout
 
 

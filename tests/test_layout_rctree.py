@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import LayoutError
-from repro.geometry import Point, Rect
-from repro.layout import Net, Pin, RCTree, RoutedLayout, WireSegment
+from repro.geometry import Point
+from repro.layout import Net, Pin, RCTree, WireSegment
 from repro.layout.rctree import OHM_FF_TO_PS
 
 

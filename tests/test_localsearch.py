@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dissection import DensityMap, FixedDissection
+from repro.dissection import FixedDissection
 from repro.fillsynth import SiteLegality
 from repro.layout import validate_fill
 from repro.pilfill import (

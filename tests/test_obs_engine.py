@@ -16,8 +16,8 @@ from repro.errors import SolveTimeoutError
 from repro.fillsynth.budget import minvar_lp
 from repro.obs.trace import Tracer
 from repro.pilfill import EngineConfig, PILFillEngine, SlackColumnDef, prepare
-from repro.pilfill.robust import solve_tile_robust
 from repro.pilfill.parallel import tile_rng
+from repro.pilfill.robust import solve_tile_robust
 from repro.tech import DensityRules, FillRules
 from repro.testing.faults import FaultRule, FaultSpec
 

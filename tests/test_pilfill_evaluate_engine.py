@@ -3,20 +3,19 @@
 import pytest
 
 from repro.cap import exact_column_cap
+from repro.dissection import DensityMap, FixedDissection
 from repro.errors import FillError
 from repro.geometry import Rect
 from repro.layout import FillFeature, validate_fill
 from repro.layout.rctree import OHM_FF_TO_PS
 from repro.pilfill import (
-    EngineConfig,
     METHODS,
+    EngineConfig,
     PILFillEngine,
     SlackColumnDef,
     evaluate_impact,
 )
-from repro.dissection import DensityMap, FixedDissection
 from repro.tech import DensityRules
-from tests.conftest import build_two_line_layout
 from tests.invariants import assert_fill_invariants
 
 

@@ -6,8 +6,8 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp import Model, VarKind, solve_branch_and_bound
 from repro.pilfill.dp import allocate_dp, allocate_marginal_greedy, allocation_cost
+from tests.ilp_model_oracle import Model, VarKind, solve_branch_and_bound
 
 
 @st.composite

@@ -1,6 +1,6 @@
 """Property-based tests of the geometric primitives (hypothesis)."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry import Interval, IntervalSet, Rect, total_area

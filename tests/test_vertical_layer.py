@@ -3,6 +3,8 @@ transposed scan-line, site gridding and evaluation paths end-to-end."""
 
 import pytest
 
+from repro.dissection import FixedDissection
+from repro.fillsynth import SiteLegality
 from repro.geometry import Point, Rect
 from repro.layout import Net, Pin, RoutedLayout, WireSegment, validate_fill
 from repro.pilfill import (
@@ -12,8 +14,6 @@ from repro.pilfill import (
     evaluate_impact,
     extract_columns,
 )
-from repro.dissection import FixedDissection
-from repro.fillsynth import SiteLegality
 from repro.tech import DensityRules
 
 

@@ -1,14 +1,12 @@
 """Via resistance, process corners, and the hybrid budget back-end."""
 
-from dataclasses import replace as dc_replace
-
 import pytest
 
 from repro.dissection import DensityMap, FixedDissection
 from repro.errors import TechError
 from repro.fillsynth import SiteLegality, hybrid_budget, lp_minvar_budget
 from repro.geometry import Point
-from repro.layout import Net, Pin, RCTree, RoutedLayout, WireSegment
+from repro.layout import Net, Pin, RCTree, WireSegment
 from repro.pilfill import EngineConfig, PILFillEngine
 from repro.tech import (
     FAST,
