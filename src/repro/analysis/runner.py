@@ -378,7 +378,7 @@ def lint_paths(
         results = [run_task(task) for task in tasks]
     # Cache writes and merging stay in the main thread, in sorted file
     # order — parallelism must not leak into output or cache layout.
-    for task, findings in zip(tasks, results):
+    for task, findings in zip(tasks, results, strict=True):
         cache.put(str(task.file), task.digest, findings)
         findings_by_file[task.file] = findings
 

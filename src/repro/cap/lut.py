@@ -120,7 +120,7 @@ class LUTCache:
                 raise FillError(f"capacity must be non-negative, got {capacity}")
             keys.append((round(spacing_um / quantum_um), capacity))
         missing: dict[tuple[int, int], tuple[float, int]] = {}
-        for key, spec in zip(keys, specs):
+        for key, spec in zip(keys, specs, strict=True):
             if key not in self._cache and key not in missing:
                 missing[key] = spec
         if missing:

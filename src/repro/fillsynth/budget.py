@@ -242,7 +242,7 @@ def lp_minvar_budget(
     return {
         key: min(int(value / fill_area + 1e-9), cap)
         for key, value, cap in zip(
-            lp.tile_keys, result.x[:-1].tolist(), lp.capacity.tolist()
+            lp.tile_keys, result.x[:-1].tolist(), lp.capacity.tolist(), strict=True
         )
     }
 

@@ -1,16 +1,19 @@
 """Slack-site computation: where may fill features legally go.
 
 The layout is gridded into candidate fill sites (side ``fill_size``, pitch
-``fill_size + fill_gap``) anchored at the die's lower-left corner. A site
-is *legal* when the site square, expanded by the buffer distance, overlaps
-no drawn geometry on the layer and stays inside the die. This exact test
-covers line ends and wrong-direction routing, which the parallel-line
-capacitance model itself does not see.
+``fill_size + fill_gap``) anchored one buffer distance inside the die's
+lower-left corner. A site belongs to the tile or region that holds its
+centre; :meth:`~repro.geometry.SiteGrid.centered_in` gives those sites as
+column and row index ranges, so a rect is built only for a site that is
+owned. A site is *legal* when the site square, expanded by the buffer
+distance, overlaps no drawn geometry on the layer and stays inside the
+die. This exact test covers line ends and wrong-direction routing, which
+the parallel-line capacitance model itself does not see.
 """
 
 from __future__ import annotations
 
-from repro.dissection.fixed import FixedDissection, Tile
+from repro.dissection.fixed import FixedDissection
 from repro.geometry import GridBinIndex, Rect, SiteGrid
 from repro.layout.layout import RoutedLayout
 from repro.tech.rules import FillRules
@@ -74,22 +77,18 @@ class SiteLegality:
         return True
 
     def legal_sites_in_region(self, region: Rect) -> list[Rect]:
-        """Legal site squares whose center lies in ``region``, sorted by
+        """Legal site squares whose centre lies in ``region``, sorted by
         (column, row)."""
-        # Candidate sites: any whose square could have its center in region.
-        pad = self.grid.site_size
-        search = Rect(
-            region.xlo - pad, region.ylo - pad, region.xhi + pad, region.yhi + pad
-        )
+        grid = self.grid
+        size, pitch = grid.site_size, grid.pitch
+        rows = grid.centered_in(region.ylo, region.yhi, grid.origin_y)
         out: list[Rect] = []
-        c0 = self.grid.col_at(search.xlo)
-        c1 = self.grid.col_at(search.xhi) + 1
-        r0 = self.grid.row_at(search.ylo)
-        r1 = self.grid.row_at(search.yhi) + 1
-        for col in range(c0, c1 + 1):
-            for row in range(r0, r1 + 1):
-                rect = self.grid.site_rect(col, row)
-                if region.contains_point(rect.center) and self.is_legal(rect):
+        for col in grid.centered_in(region.xlo, region.xhi, grid.origin_x):
+            x = grid.origin_x + col * pitch
+            for row in rows:
+                y = grid.origin_y + row * pitch
+                rect = Rect(x, y, x + size, y + size)
+                if self.is_legal(rect):
                     out.append(rect)
         return out
 
@@ -99,8 +98,3 @@ class SiteLegality:
         for tile in dissection.tiles():
             counts[tile.key] = len(self.legal_sites_in_region(tile.rect))
         return counts
-
-    def site_center_tile(self, dissection: FixedDissection, site_rect: Rect) -> Tile:
-        """Tile owning a site (by center containment)."""
-        c = site_rect.center
-        return dissection.tile_at_point(c.x, c.y)

@@ -2,7 +2,8 @@
 
 Fill features are squares of side ``site_size`` placed on a uniform grid
 with pitch ``site_pitch = site_size + site_gap`` anchored at the grid
-origin. A *site* is addressed by integer column/row indices ``(col, row)``.
+origin. A *site* is addressed by integer column/row indices ``(col, row)``
+and belongs to the tile or region that holds its centre.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import GeometryError
-from repro.geometry.rect import Rect
 
 
 @dataclass(frozen=True)
@@ -40,44 +40,15 @@ class SiteGrid:
         """Distance between the lower-left corners of adjacent sites."""
         return self.site_size + self.site_gap
 
-    def site_rect(self, col: int, row: int) -> Rect:
-        """Geometry of site ``(col, row)``."""
-        x = self.origin_x + col * self.pitch
-        y = self.origin_y + row * self.pitch
-        return Rect(x, y, x + self.site_size, y + self.site_size)
+    def centered_in(self, lo: int, hi: int, origin: int) -> range:
+        """Indices ``k`` whose site centre ``origin + k * pitch + site_size // 2``
+        lies in ``[lo, hi)``.
 
-    def col_at(self, x: int) -> int:
-        """Column index of the site whose pitch cell contains ``x``
-        (floor division — works for coordinates left of the origin too)."""
-        return (x - self.origin_x) // self.pitch
-
-    def row_at(self, y: int) -> int:
-        """Row index of the site whose pitch cell contains ``y``."""
-        return (y - self.origin_y) // self.pitch
-
-    def cols_fully_inside(self, xlo: int, xhi: int) -> range:
-        """Range of columns whose site squares fit entirely in ``[xlo, xhi)``."""
-        if xhi - xlo < self.site_size:
-            return range(0)
-        first = self.col_at(xlo + self.pitch - 1)  # ceil to next cell start
-        if self.origin_x + first * self.pitch < xlo:
-            first += 1
-        # last col c such that origin + c*pitch + site_size <= xhi
-        last = (xhi - self.site_size - self.origin_x) // self.pitch
-        return range(first, last + 1) if last >= first else range(0)
-
-    def rows_fully_inside(self, ylo: int, yhi: int) -> range:
-        """Range of rows whose site squares fit entirely in ``[ylo, yhi)``."""
-        if yhi - ylo < self.site_size:
-            return range(0)
-        first = self.row_at(ylo + self.pitch - 1)
-        if self.origin_y + first * self.pitch < ylo:
-            first += 1
-        last = (yhi - self.site_size - self.origin_y) // self.pitch
-        return range(first, last + 1) if last >= first else range(0)
-
-    def sites_fully_inside(self, region: Rect) -> list[tuple[int, int]]:
-        """All ``(col, row)`` whose squares fit entirely inside ``region``."""
-        cols = self.cols_fully_inside(region.xlo, region.xhi)
-        rows = self.rows_fully_inside(region.ylo, region.yhi)
-        return [(c, r) for c in cols for r in rows]
+        ``origin`` is ``origin_x`` for column indices and ``origin_y`` for
+        row indices. This is the one centre-ownership rule (paper §5.1): a
+        tile or region owns exactly the sites centred in it. Floor division
+        keeps the range exact left of the origin; ``hi <= lo`` gives an
+        empty range.
+        """
+        base = origin + self.site_size // 2
+        return range(-((base - lo) // self.pitch), -((base - hi) // self.pitch))

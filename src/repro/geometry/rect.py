@@ -10,6 +10,7 @@ extents outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterable, Iterator
 
 from repro.errors import GeometryError
@@ -184,7 +185,7 @@ def total_area(rects: Iterable[Rect]) -> int:
         return 0
     xs = sorted({r.xlo for r in rects} | {r.xhi for r in rects})
     area = 0
-    for xa, xb in zip(xs, xs[1:]):
+    for xa, xb in pairwise(xs):
         # y-intervals of rects covering this x-slab
         ys = sorted(
             (r.ylo, r.yhi) for r in rects if r.xlo <= xa and r.xhi >= xb

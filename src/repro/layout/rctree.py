@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import pairwise
 
 from repro.errors import LayoutError
 from repro.geometry import Point
@@ -250,7 +251,7 @@ class RCTree:
                 key=lambda p: seg.distance_from_start(p.x if seg.is_horizontal else p.y),
             )
             chain = [seg.start, *interior, seg.end]
-            for a, b in zip(chain, chain[1:]):
+            for a, b in pairwise(chain):
                 pieces.append(WireSegment(seg.net, counter, seg.layer, a, b, seg.width))
                 counter += 1
         return pieces

@@ -66,7 +66,7 @@ def build_budgeted_model(
     """
     model, m_at = build_ilp2_model(costs, budget)
     rows: dict[str, np.ndarray] = {}
-    for k, (cc, caps) in enumerate(zip(costs, cap_tables)):
+    for k, (cc, caps) in enumerate(zip(costs, cap_tables, strict=True)):
         cap = cc.capacity
         if cap == 0 or not cc.column.has_impact or not any(caps[1 : cap + 1]):
             continue
@@ -189,7 +189,7 @@ def _cap_used(
     counts: list[int],
 ) -> dict[str, float]:
     used: dict[str, float] = defaultdict(float)
-    for cc, caps, n in zip(costs, cap_tables, counts):
+    for cc, caps, n in zip(costs, cap_tables, counts, strict=True):
         if n == 0 or not cc.column.has_impact:
             continue
         for neighbor in (cc.column.below, cc.column.above):

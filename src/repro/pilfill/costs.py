@@ -80,7 +80,7 @@ def build_costs(
 
     views = [col.electrical for col in columns]
     impact: list[int] = []
-    for i, (col, view) in enumerate(zip(columns, views)):
+    for i, (col, view) in enumerate(zip(columns, views, strict=True)):
         if view.has_impact:
             impact.append(i)
         else:
@@ -104,7 +104,7 @@ def build_costs(
                 layer.eps_r, layer.thickness_um, col.gap_um, col.capacity, fill_w_um
             )
 
-    for i, lut in zip(impact, luts):
+    for i, lut in zip(impact, luts, strict=True):
         col, view = columns[i], views[i]
         r_hat = view.resistance_weight(weighted)
         exact = r_hat * lut.table_array * OHM_FF_TO_PS

@@ -171,7 +171,7 @@ def allocation_cost(cost_tables: list[tuple[float, ...]], counts: list[int]) -> 
     if len(counts) != len(cost_tables):
         raise FillError("counts/cost_tables length mismatch")
     total = 0.0
-    for table, n in zip(cost_tables, counts):
+    for table, n in zip(cost_tables, counts, strict=True):
         if not 0 <= n < len(table):
             raise FillError(f"count {n} outside table range 0..{len(table) - 1}")
         total += table[n]

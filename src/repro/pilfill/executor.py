@@ -562,7 +562,7 @@ def dispatch_batches(
 
     broken = False
     by_key: dict[TileKey, TileOutcome] = {}
-    for index, (batch, future) in enumerate(zip(batches, futures)):
+    for index, (batch, future) in enumerate(zip(batches, futures, strict=True)):
         with tracer.span("solve.batch", index=index, tiles=len(batch.payloads)):
             try:
                 outcomes = future.result()

@@ -10,7 +10,9 @@ it (``above = None``).
 
 Definitions I/II/III (paper §5.1) differ only in the sweep region and
 line clipping; :func:`extract_columns` then grids every block into legal
-fill-site columns per tile.
+fill-site columns per tile through one :class:`ColumnGridder`. A tile owns
+the sites whose centre it holds, and the gridder enumerates them as
+:meth:`~repro.geometry.SiteGrid.centered_in` index ranges.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from repro.dissection.fixed import FixedDissection
 from repro.errors import FillError
 from repro.fillsynth.slack_sites import SiteLegality
 from repro.geometry import Interval, Rect
-from repro.geometry.grid import SiteGrid
 from repro.layout.layout import RoutedLayout
 from repro.layout.rctree import LineTiming
 from repro.pilfill.columns import ColumnNeighbor, SlackColumn, SlackColumnDef
@@ -236,12 +237,18 @@ def layer_sweep_lines(layout: RoutedLayout, layer: str) -> tuple[list[SweepLine]
 class ColumnGridder:
     """Grids gap blocks into per-tile slack columns, batch by batch.
 
-    Wraps the ``_grid_block`` pass so the streaming preprocessor can
-    grid each :class:`IncrementalSweep` feed's blocks the moment they
-    close (their legality queries only look below the stream watermark,
-    so late-arriving geometry can never invalidate them). Feeding all
-    blocks at once reproduces :func:`extract_columns_from_lines`
-    exactly — same code, same order.
+    A tile owns the sites whose centre it holds (paper §5.1). For each
+    (block, tile) pair the columns are the sites centred in the tile's
+    clip of the block's along extent, and the rows are the sites that fit
+    the block's buffered cross band and are centred in the tile. Both are
+    :meth:`SiteGrid.centered_in` index ranges; a rect is built only for
+    those candidates, and each one must pass the exact legality test.
+
+    The streaming preprocessor grids each :class:`IncrementalSweep`
+    feed's blocks the moment they close (their legality queries only
+    look below the stream watermark, so late-arriving geometry can never
+    invalidate them). Feeding all blocks at once reproduces
+    :func:`extract_columns_from_lines` exactly — same code, same order.
     """
 
     def __init__(
@@ -264,12 +271,72 @@ class ColumnGridder:
         }
 
     def grid(self, blocks: list[GapBlock], only_tile: tuple[int, int] | None = None) -> None:
-        """Append the columns of ``blocks`` in emission order."""
+        """Append the columns of ``blocks`` in emission order (to
+        ``only_tile``'s list alone when it is given)."""
         for block in blocks:
-            _grid_block(
-                block, only_tile, self.layer, self.dissection, self.legality,
-                self.rules, self.axes, self.dbu, self.out,
+            self._grid_block(block, only_tile)
+
+    def _grid_block(self, block: GapBlock, only_tile: tuple[int, int] | None) -> None:
+        """Grid one gap block into per-tile slack columns."""
+        rules, axes, legality = self.rules, self.axes, self.legality
+        # Shrink the gap band by the buffer distance on line-adjacent sides.
+        cross_lo = block.cross_lo + (rules.buffer_distance if block.below is not None else 0)
+        cross_hi = block.cross_hi - (rules.buffer_distance if block.above is not None else 0)
+        if cross_hi - cross_lo < rules.fill_size:
+            return
+        usable = axes.rect(block.along, Interval(cross_lo, cross_hi))
+
+        grid = legality.grid
+        size, pitch, half = grid.site_size, grid.pitch, grid.site_size // 2
+        if axes.horizontal:
+            along_origin, cross_origin = grid.origin_x, grid.origin_y
+        else:
+            along_origin, cross_origin = grid.origin_y, grid.origin_x
+        # Centres of the squares that fit [cross_lo, cross_hi).
+        fit_lo, fit_hi = cross_lo + half, cross_hi - size + half + 1
+        bounded = block.below is not None and block.above is not None
+        gap_um = block.gap / self.dbu if bounded else None
+
+        for tile in self.dissection.tiles_overlapping(usable):
+            if only_tile is not None and tile.key != only_tile:
+                continue
+            clip = usable.intersection(tile.rect)
+            if clip is None:
+                continue
+            along_clip = axes.along_iv(clip)
+            tile_cross = axes.cross_iv(tile.rect)
+            rows = grid.centered_in(
+                max(fit_lo, tile_cross.lo), min(fit_hi, tile_cross.hi), cross_origin
             )
+            if not rows:
+                continue
+            for col in grid.centered_in(along_clip.lo, along_clip.hi, along_origin):
+                along_lo = along_origin + col * pitch
+                sites: list[Rect] = []
+                for row in rows:
+                    site_cross_lo = cross_origin + row * pitch
+                    if axes.horizontal:
+                        rect = Rect(along_lo, site_cross_lo, along_lo + size, site_cross_lo + size)
+                    else:
+                        rect = Rect(site_cross_lo, along_lo, site_cross_lo + size, along_lo + size)
+                    if legality.is_legal(rect):
+                        sites.append(rect)
+                if not sites:
+                    continue
+                center_along = along_lo + half
+                below = block.below.neighbor_at(center_along) if block.below else None
+                above = block.above.neighbor_at(center_along) if block.above else None
+                self.out[tile.key].append(
+                    SlackColumn(
+                        layer=self.layer,
+                        tile=tile.key,
+                        col=col,
+                        sites=tuple(sites),
+                        gap_um=gap_um,
+                        below=below,
+                        above=above,
+                    )
+                )
 
 
 def extract_columns_from_lines(
@@ -289,11 +356,8 @@ def extract_columns_from_lines(
     preprocessor calls it (or drives :class:`ColumnGridder` directly)
     without ever materializing a :class:`RoutedLayout`.
     """
-    axes = _Axes(horizontal)
-    out: dict[tuple[int, int], list[SlackColumn]] = {t.key: [] for t in dissection.tiles()}
-
+    gridder = ColumnGridder(layer, dissection, legality, rules, horizontal, dbu)
     if definition is SlackColumnDef.FULL_LAYOUT:
-        gridder = ColumnGridder(layer, dissection, legality, rules, horizontal, dbu)
         gridder.grid(sweep_gap_blocks(lines, die, horizontal))
         return gridder.out
 
@@ -307,9 +371,8 @@ def extract_columns_from_lines(
         blocks = sweep_gap_blocks(clipped, tile.rect, horizontal)
         if definition is SlackColumnDef.WITHIN_TILE:
             blocks = [b for b in blocks if b.below is not None and b.above is not None]
-        for block in blocks:
-            _grid_block(block, tile.key, layer, dissection, legality, rules, axes, dbu, out)
-    return out
+        gridder.grid(blocks, only_tile=tile.key)
+    return gridder.out
 
 
 def extract_columns(
@@ -331,96 +394,3 @@ def extract_columns(
         lines, horizontal, layout.die, layout.stack.dbu_per_micron,
         layer, dissection, legality, rules, definition,
     )
-
-
-def _grid_block(
-    block: GapBlock,
-    only_tile: tuple[int, int] | None,
-    layer: str,
-    dissection: FixedDissection,
-    legality: SiteLegality,
-    rules: FillRules,
-    axes: _Axes,
-    dbu: int,
-    out: dict[tuple[int, int], list[SlackColumn]],
-) -> None:
-    """Grid one gap block into per-tile slack columns, appending to ``out``."""
-    # Shrink the gap band by the buffer distance on line-adjacent sides.
-    cross_lo = block.cross_lo + (rules.buffer_distance if block.below is not None else 0)
-    cross_hi = block.cross_hi - (rules.buffer_distance if block.above is not None else 0)
-    if cross_hi - cross_lo < rules.fill_size:
-        return
-    usable = axes.rect(block.along, Interval(cross_lo, cross_hi))
-
-    grid = legality.grid
-    gap_um = block.gap / dbu if (block.below is not None and block.above is not None) else None
-
-    for tile in dissection.tiles_overlapping(usable):
-        if only_tile is not None and tile.key != only_tile:
-            continue
-        clip = usable.intersection(tile.rect)
-        if clip is None:
-            continue
-        along_clip = axes.along_iv(clip)
-        # Candidate along-axis columns: site center inside the block's
-        # along extent and owned by this tile. Centers (not full squares)
-        # decide membership so sites straddling block boundaries are not
-        # lost; the exact legality check still guarantees DRC cleanliness.
-        if axes.horizontal:
-            col_range = range(
-                grid.col_at(block.along.lo), grid.col_at(block.along.hi) + 2
-            )
-        else:
-            col_range = range(
-                grid.row_at(block.along.lo), grid.row_at(block.along.hi) + 2
-            )
-        for col in col_range:
-            if axes.horizontal:
-                site_along_lo = grid.origin_x + col * grid.pitch
-            else:
-                site_along_lo = grid.origin_y + col * grid.pitch
-            center_along = site_along_lo + grid.site_size // 2
-            if not along_clip.contains(center_along):
-                continue
-            sites = _column_sites(
-                grid, col, axes, cross_lo, cross_hi, tile.rect, legality
-            )
-            if not sites:
-                continue
-            below = block.below.neighbor_at(center_along) if block.below else None
-            above = block.above.neighbor_at(center_along) if block.above else None
-            out[tile.key].append(
-                SlackColumn(
-                    layer=layer,
-                    tile=tile.key,
-                    col=col,
-                    sites=tuple(sites),
-                    gap_um=gap_um,
-                    below=below,
-                    above=above,
-                )
-            )
-
-
-def _column_sites(
-    grid: SiteGrid,
-    col: int,
-    axes: _Axes,
-    cross_lo: int,
-    cross_hi: int,
-    tile_rect: Rect,
-    legality: SiteLegality,
-) -> list[Rect]:
-    """Legal site rects of one column inside a tile, ordered by cross
-    coordinate."""
-    if axes.horizontal:
-        rows = grid.rows_fully_inside(cross_lo, cross_hi)
-        candidates = [grid.site_rect(col, row) for row in rows]
-    else:
-        cols = grid.cols_fully_inside(cross_lo, cross_hi)
-        candidates = [grid.site_rect(c, col) for c in cols]
-    return [
-        rect
-        for rect in candidates
-        if tile_rect.contains_point(rect.center) and legality.is_legal(rect)
-    ]

@@ -346,7 +346,7 @@ def solve(model: Model, backend: str = "auto", **options: object) -> NamedResult
     if res.x is not None:
         values = {
             v.name: (round(x) if v.kind is not VarKind.CONTINUOUS else float(x))
-            for v, x in zip(model.variables, res.x)
+            for v, x in zip(model.variables, res.x, strict=True)
         }
     objective = -res.objective if model.is_maximization else res.objective
     return NamedResult(res.status, values, objective, res.nodes, res.iterations)
@@ -452,7 +452,7 @@ def dsl_budgeted_model(
     m_vars = []
     objective_terms = []
     net_terms: dict[str, list] = defaultdict(list)
-    for k, (cc, caps) in enumerate(zip(costs, cap_tables)):
+    for k, (cc, caps) in enumerate(zip(costs, cap_tables, strict=True)):
         m_k = model.add_var(f"m_{k}", lb=0, ub=cc.capacity, kind=VarKind.INTEGER)
         m_vars.append(m_k)
         if cc.capacity == 0:

@@ -1,5 +1,7 @@
 """Grounded-fill capacitance model and switch-factor (Miller) scaling."""
 
+from itertools import pairwise
+
 import pytest
 
 from repro.cap import (
@@ -30,12 +32,12 @@ class TestGroundedStack:
 
     def test_monotone_and_convex_after_first(self):
         caps = [grounded_column_cap_per_line(EPS_R, T, 6.0, m, W, G) for m in range(5)]
-        assert all(b > a for a, b in zip(caps, caps[1:]))
+        assert all(b > a for a, b in pairwise(caps))
         # The 0→1 marginal dominates (a ground plate appears from nothing),
         # so the table is NOT globally convex; from m ≥ 1 it is.
-        marginals = [b - a for a, b in zip(caps, caps[1:])]
+        marginals = [b - a for a, b in pairwise(caps)]
         assert marginals[0] > marginals[1]
-        assert all(b >= a for a, b in zip(marginals[1:], marginals[2:]))
+        assert all(b >= a for a, b in pairwise(marginals[1:]))
 
     def test_grounded_worse_than_floating(self):
         """At equal count, the grounded per-line increment exceeds the

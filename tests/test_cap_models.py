@@ -1,5 +1,7 @@
 """Capacitance models: plate, fill impact (exact vs linear), LUTs."""
 
+from itertools import pairwise
+
 import pytest
 
 from repro.cap import (
@@ -70,12 +72,12 @@ class TestFillImpact:
     def test_exact_monotone_increasing(self):
         caps = [exact_column_cap(EPS_R, T, 4.0, m, W) for m in range(6)]
         assert caps == sorted(caps)
-        assert all(b > a for a, b in zip(caps, caps[1:]))
+        assert all(b > a for a, b in pairwise(caps))
 
     def test_exact_convex(self):
         caps = [exact_column_cap(EPS_R, T, 4.0, m, W) for m in range(7)]
-        marginals = [b - a for a, b in zip(caps, caps[1:])]
-        assert all(b >= a for a, b in zip(marginals, marginals[1:]))
+        marginals = [b - a for a, b in pairwise(caps)]
+        assert all(b >= a for a, b in pairwise(marginals))
 
     def test_linear_underestimates_exact(self):
         for m in range(1, 7):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometry import GridBinIndex, Point, Rect, SiteGrid
+from tests.site_grid_oracle import col_at, cols_fully_inside, row_at, site_rect
 
 
 class TestPoint:
@@ -32,33 +33,46 @@ class TestSiteGrid:
 
     def test_site_rect(self):
         grid = SiteGrid(100, 200, 500, 250)
-        assert grid.site_rect(0, 0) == Rect(100, 200, 600, 700)
-        assert grid.site_rect(2, 1) == Rect(1600, 950, 2100, 1450)
+        assert site_rect(grid, 0, 0) == Rect(100, 200, 600, 700)
+        assert site_rect(grid, 2, 1) == Rect(1600, 950, 2100, 1450)
 
     def test_col_row_at(self):
         grid = SiteGrid(0, 0, 500, 250)
-        assert grid.col_at(0) == 0
-        assert grid.col_at(749) == 0
-        assert grid.col_at(750) == 1
-        assert grid.col_at(-1) == -1
-        assert grid.row_at(1500) == 2
+        assert col_at(grid, 0) == 0
+        assert col_at(grid, 749) == 0
+        assert col_at(grid, 750) == 1
+        assert col_at(grid, -1) == -1
+        assert row_at(grid, 1500) == 2
 
     def test_cols_fully_inside(self):
         grid = SiteGrid(0, 0, 500, 250)
         # [0, 2000): sites at 0-500, 750-1250, 1500-2000 all fit
-        assert list(grid.cols_fully_inside(0, 2000)) == [0, 1, 2]
+        assert list(cols_fully_inside(grid, 0, 2000)) == [0, 1, 2]
         # [100, 2000): site 0 no longer fits
-        assert list(grid.cols_fully_inside(100, 2000)) == [1, 2]
+        assert list(cols_fully_inside(grid, 100, 2000)) == [1, 2]
         # Too narrow for any site
-        assert list(grid.cols_fully_inside(0, 499)) == []
+        assert list(cols_fully_inside(grid, 0, 499)) == []
 
-    def test_sites_fully_inside(self):
+    def test_centered_in_includes_centre_on_lo(self):
+        grid = SiteGrid(0, 0, 500, 250)  # centres at 250 + 750k
+        assert grid.centered_in(250, 1000, grid.origin_x) == range(0, 1)
+
+    def test_centered_in_excludes_centre_on_hi(self):
         grid = SiteGrid(0, 0, 500, 250)
-        # site (1,1) spans [750,1250)x[750,1250) which still fits in [0,1250)
-        sites = grid.sites_fully_inside(Rect(0, 0, 1250, 1250))
-        assert set(sites) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-        # shrinking by 1 DBU drops the (1, *) and (*, 1) sites
-        assert set(grid.sites_fully_inside(Rect(0, 0, 1249, 1249))) == {(0, 0)}
+        assert len(grid.centered_in(0, 250, grid.origin_x)) == 0
+        assert grid.centered_in(251, 1001, grid.origin_x) == range(1, 2)
+
+    def test_centered_in_floors_left_of_origin(self):
+        grid = SiteGrid(-2000, 0, 500, 250)  # centres at -1750 + 750k
+        # centres -2500, -1750, -1000, -250; truncating -1650 // 750 would drop -250
+        assert grid.centered_in(-3000, -100, grid.origin_x) == range(-1, 3)
+        odd = SiteGrid(100, 100, 5, 2)  # centres at 102 + 7k (5 // 2 rounds down)
+        assert odd.centered_in(90, 100, odd.origin_y) == range(-1, 0)
+
+    def test_centered_in_empty_when_hi_not_above_lo(self):
+        grid = SiteGrid(0, 0, 500, 250)
+        assert len(grid.centered_in(250, 250, grid.origin_x)) == 0
+        assert len(grid.centered_in(2000, 0, grid.origin_x)) == 0
 
     def test_invalid_params(self):
         with pytest.raises(GeometryError):

@@ -56,7 +56,7 @@ def _rows(csv_text: str) -> dict[tuple, dict[str, str]]:
     header = lines[0].split(",")
     out: dict[tuple, dict[str, str]] = {}
     for line in lines[1:]:
-        row = dict(zip(header, line.split(",")))
+        row = dict(zip(header, line.split(","), strict=True))
         out[(row["testcase"], row["window_um"], row["r"], row["method"])] = row
     return out
 

@@ -128,7 +128,7 @@ class TestRandomCrossChecks:
         a = rng.integers(-3, 4, size=(3, n))
         x0 = [rng.integers(0, x.ub + 1) for x in xs]
         b = a @ np.array(x0) + rng.integers(0, 3, size=3)
-        for row, rhs in zip(a, b):
+        for row, rhs in zip(a, b, strict=True):
             m.add_constraint(
                 sum((int(row[i]) * xs[i] for i in range(n)), start=0.0) <= float(rhs)
             )

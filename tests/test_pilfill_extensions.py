@@ -61,7 +61,7 @@ class TestMvdc:
             sol = solve_tile_mvdc(costs, budget)
             best = 0
             for combo in itertools.product(*(range(len(t)) for t in tables)):
-                cost = sum(t[n] for t, n in zip(tables, combo))
+                cost = sum(t[n] for t, n in zip(tables, combo, strict=True))
                 if cost <= budget + 1e-12:
                     best = max(best, sum(combo))
             assert sol.total_features == best

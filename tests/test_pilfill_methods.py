@@ -26,7 +26,7 @@ def brute_force(tables, budget):
     for combo in itertools.product(*ranges):
         if sum(combo) != budget:
             continue
-        cost = sum(t[n] for t, n in zip(tables, combo))
+        cost = sum(t[n] for t, n in zip(tables, combo, strict=True))
         if best is None or cost < best:
             best = cost
     return best

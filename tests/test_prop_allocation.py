@@ -44,7 +44,7 @@ def brute_force(tables, budget):
     for combo in itertools.product(*(range(len(t)) for t in tables)):
         if sum(combo) != budget:
             continue
-        cost = sum(t[n] for t, n in zip(tables, combo))
+        cost = sum(t[n] for t, n in zip(tables, combo, strict=True))
         if best is None or cost < best:
             best = cost
     return best
@@ -56,7 +56,7 @@ def test_marginal_greedy_optimal_on_convex(tables, budget):
     budget = min(budget, capacity)
     counts = allocate_marginal_greedy(tables, budget)
     assert sum(counts) == budget
-    assert all(0 <= c < len(t) for c, t in zip(counts, tables))
+    assert all(0 <= c < len(t) for c, t in zip(counts, tables, strict=True))
     expected = brute_force(tables, budget)
     assert abs(allocation_cost(tables, counts) - expected) < 1e-9
 

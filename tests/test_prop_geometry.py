@@ -1,5 +1,7 @@
 """Property-based tests of the geometric primitives (hypothesis)."""
 
+from itertools import pairwise
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -48,7 +50,7 @@ class TestIntervalSetAlgebra:
     @given(interval_sets)
     def test_canonical_disjoint_sorted(self, s):
         ivs = list(s)
-        for prev, nxt in zip(ivs, ivs[1:]):
+        for prev, nxt in pairwise(ivs):
             assert prev.hi < nxt.lo  # disjoint AND non-touching
 
     @given(interval_sets)

@@ -19,6 +19,7 @@ Regression targets of the sharding PR:
 from __future__ import annotations
 
 import io
+from itertools import pairwise
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -114,7 +115,7 @@ class TestPlanProperties:
         # Contiguous ascending row bands, rows spread within one of even.
         assert plan.shards[0].iy_lo == 0
         assert plan.shards[-1].iy_hi == ny
-        for prev, cur in zip(plan.shards, plan.shards[1:]):
+        for prev, cur in pairwise(plan.shards):
             assert cur.iy_lo == prev.iy_hi
         rows = [s.rows for s in plan.shards]
         assert all(r >= 1 for r in rows)

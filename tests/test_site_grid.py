@@ -1,0 +1,235 @@
+"""Property tests: site enumeration by index range against the rect oracle.
+
+:class:`~repro.pilfill.scanline.ColumnGridder` and
+:meth:`~repro.fillsynth.slack_sites.SiteLegality.legal_sites_in_region`
+take their candidate sites from :meth:`SiteGrid.centered_in`. The oracle in
+:mod:`tests.site_grid_oracle` builds a rect for every site in a padded box
+and keeps those whose centre lies in the tile or region. On small random
+scenes both must give the same columns (``col``, ``sites``, ``gap_um`` and
+both neighbours, in order) and the same legal sites. The scenes cover grid
+origins that are negative or off the die, odd fill sizes, zero fill gaps and
+buffer distances, both routing directions, blocks with none, one or both
+neighbour lines, ``only_tile`` gridding, and tiles clipped at the die edge.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dissection.fixed import FixedDissection
+from repro.fillsynth.slack_sites import SiteLegality
+from repro.geometry import Interval, Point, Rect, SiteGrid
+from repro.layout.rctree import LineTiming
+from repro.layout.segment import WireSegment
+from repro.pilfill.columns import SlackColumn, SlackColumnDef
+from repro.pilfill.scanline import (
+    ColumnGridder,
+    GapBlock,
+    SweepLine,
+    _Axes,
+    extract_columns_from_lines,
+    sweep_gap_blocks,
+)
+from repro.tech.rules import DensityRules, FillRules
+from tests import site_grid_oracle as oracle
+
+LAYER = "m"
+DBU = 1000
+
+Columns = dict[tuple[int, int], list[SlackColumn]]
+
+
+@dataclass
+class Scene:
+    horizontal: bool
+    dissection: FixedDissection
+    legality: SiteLegality
+    rules: FillRules
+
+    @property
+    def die(self) -> Rect:
+        return self.dissection.die
+
+    @property
+    def axes(self) -> _Axes:
+        return _Axes(self.horizontal)
+
+
+@st.composite
+def rects_near(draw, die: Rect, margin: int, max_side: int) -> Rect:
+    """A rect overlapping ``die`` grown by ``margin``."""
+    xlo = draw(st.integers(die.xlo - margin, die.xhi + margin))
+    ylo = draw(st.integers(die.ylo - margin, die.yhi + margin))
+    width, height = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    return Rect(xlo, ylo, xlo + width, ylo + height)
+
+
+@st.composite
+def scenes(draw) -> Scene:
+    """A die (possibly at negative coordinates, ending mid-tile), fill rules
+    with odd sizes and zero gaps allowed, scattered blockages, and a site
+    grid that is either the die's own or anchored anywhere near it."""
+    r = draw(st.integers(1, 3))
+    tile = draw(st.integers(6, 40))
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dx = draw(st.integers(0, tile - 1)) if nx > 1 else 0
+    dy = draw(st.integers(0, tile - 1)) if ny > 1 else 0
+    xlo, ylo = draw(st.integers(-200, 200)), draw(st.integers(-200, 200))
+    die = Rect(xlo, ylo, xlo + nx * tile - dx, ylo + ny * tile - dy)
+    rules = FillRules(
+        fill_size=draw(st.integers(1, 9)),
+        fill_gap=draw(st.integers(0, 4)),
+        buffer_distance=draw(st.integers(0, 4)),
+    )
+    blockages = draw(st.lists(rects_near(die, 5, 12), max_size=8))
+    legality = SiteLegality.from_rects(die, LAYER, rules, blockages)
+    if draw(st.booleans()):
+        legality.grid = SiteGrid(
+            draw(st.integers(die.xlo - 60, die.xhi + 60)),
+            draw(st.integers(die.ylo - 60, die.yhi + 60)),
+            rules.fill_size,
+            rules.fill_gap,
+        )
+    dissection = FixedDissection(die, DensityRules(window_size=tile * r, r=r))
+    return Scene(draw(st.booleans()), dissection, legality, rules)
+
+
+@st.composite
+def timings(draw, horizontal: bool, along: Interval, edge: int) -> LineTiming:
+    """Electrical data of a line at cross coordinate ``edge`` spanning at
+    least ``along``, driven from either end."""
+    a0 = along.lo - draw(st.integers(0, 20))
+    a1 = along.hi + draw(st.integers(0, 20))
+    if draw(st.booleans()):
+        a0, a1 = a1, a0
+    start, end = (Point(a0, edge), Point(a1, edge)) if horizontal else (
+        Point(edge, a0), Point(edge, a1)
+    )
+    segment = WireSegment(
+        f"n{draw(st.integers(0, 3))}", draw(st.integers(0, 9)), LAYER, start, end, 2
+    )
+    return LineTiming(
+        segment,
+        upstream_res=draw(st.integers(0, 500)) / 4,
+        unit_res=draw(st.integers(0, 40)) / 8,
+        downstream_sinks=draw(st.integers(1, 4)),
+    )
+
+
+@st.composite
+def neighbours(draw, scene: Scene, along: Interval, cross: Interval) -> SweepLine | None:
+    """No line, a line without timing (clipped foreign geometry), or a timed
+    line on the ``cross`` band."""
+    kind = draw(st.sampled_from(("none", "blind", "timed")))
+    if kind == "none":
+        return None
+    rect = scene.axes.rect(along, cross)
+    if kind == "blind":
+        return SweepLine(rect, None)
+    edge = (cross.lo + cross.hi) // 2
+    return SweepLine(rect, draw(timings(scene.horizontal, along, edge)))
+
+
+@st.composite
+def gap_blocks(draw, scene: Scene) -> GapBlock:
+    """A gap block anywhere near the die, with none, one or both neighbours."""
+    along_die = scene.axes.along_iv(scene.die)
+    cross_die = scene.axes.cross_iv(scene.die)
+    lo = draw(st.integers(along_die.lo - 15, along_die.hi + 5))
+    along = Interval(lo, lo + draw(st.integers(1, 80)))
+    cross_lo = draw(st.integers(cross_die.lo - 10, cross_die.hi))
+    cross_hi = cross_lo + draw(st.integers(1, 40))
+    below = draw(neighbours(scene, along, Interval(cross_lo - 2, cross_lo)))
+    above = draw(neighbours(scene, along, Interval(cross_hi, cross_hi + 2)))
+    return GapBlock(along, cross_lo, cross_hi, below, above)
+
+
+@st.composite
+def sweep_lines(draw, scene: Scene) -> SweepLine:
+    """A timed routing line inside the die, in the preferred direction."""
+    along_die = scene.axes.along_iv(scene.die)
+    cross_die = scene.axes.cross_iv(scene.die)
+    a0 = draw(st.integers(along_die.lo, along_die.hi - 1))
+    along = Interval(a0, draw(st.integers(a0 + 1, along_die.hi)))
+    c0 = draw(st.integers(cross_die.lo, cross_die.hi - 1))
+    cross = Interval(c0, draw(st.integers(c0 + 1, min(c0 + 4, cross_die.hi))))
+    edge = (cross.lo + cross.hi) // 2
+    return SweepLine(
+        scene.axes.rect(along, cross), draw(timings(scene.horizontal, along, edge))
+    )
+
+
+def grid_oracle(scene: Scene, blocks: list[GapBlock], only_tile: tuple[int, int] | None) -> Columns:
+    return oracle.grid_blocks(
+        blocks, only_tile, LAYER, scene.dissection, scene.legality, scene.rules,
+        scene.horizontal, DBU,
+    )
+
+
+def extract_oracle(scene: Scene, lines: list[SweepLine], definition: SlackColumnDef) -> Columns:
+    """``extract_columns_from_lines`` with the oracle doing the gridding."""
+    if definition is SlackColumnDef.FULL_LAYOUT:
+        return grid_oracle(scene, sweep_gap_blocks(lines, scene.die, scene.horizontal), None)
+    out: Columns = {}
+    for tile in scene.dissection.tiles():
+        clipped = [
+            SweepLine(inter, line.timing)
+            for line in lines
+            if (inter := line.rect.intersection(tile.rect)) is not None
+        ]
+        blocks = sweep_gap_blocks(clipped, tile.rect, scene.horizontal)
+        if definition is SlackColumnDef.WITHIN_TILE:
+            blocks = [b for b in blocks if b.below is not None and b.above is not None]
+        out[tile.key] = grid_oracle(scene, blocks, tile.key)[tile.key]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gridder_matches_oracle(data):
+    scene = data.draw(scenes())
+    blocks = data.draw(st.lists(gap_blocks(scene), min_size=1, max_size=6))
+    keys = [t.key for t in scene.dissection.tiles()]
+    only_tile = data.draw(st.one_of(st.none(), st.sampled_from(keys)))
+    gridder = ColumnGridder(
+        LAYER, scene.dissection, scene.legality, scene.rules, scene.horizontal, DBU
+    )
+    gridder.grid(blocks, only_tile=only_tile)
+    assert gridder.out == grid_oracle(scene, blocks, only_tile)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extract_columns_matches_oracle(data):
+    scene = data.draw(scenes())
+    lines = data.draw(st.lists(sweep_lines(scene), max_size=8))
+    definition = data.draw(st.sampled_from(list(SlackColumnDef)))
+    got = extract_columns_from_lines(
+        lines, scene.horizontal, scene.die, DBU, LAYER, scene.dissection,
+        scene.legality, scene.rules, definition,
+    )
+    assert got == extract_oracle(scene, lines, definition)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_legal_sites_match_oracle(data):
+    scene = data.draw(scenes())
+    regions = [t.rect for t in scene.dissection.tiles()]
+    regions += data.draw(st.lists(rects_near(scene.die, 30, 60), max_size=4))
+    for region in regions:
+        got = scene.legality.legal_sites_in_region(region)
+        assert got == oracle.legal_sites_in_region(scene.legality, region)
+
+
+@given(
+    st.integers(-100, 100), st.integers(1, 9), st.integers(0, 4),
+    st.integers(-150, 150), st.integers(-150, 150),
+)
+def test_centered_in_is_the_centre_rule(origin, size, gap, lo, hi):
+    grid = SiteGrid(origin, 0, size, gap)
+    brute = [k for k in range(-400, 400) if lo <= origin + k * grid.pitch + size // 2 < hi]
+    assert list(grid.centered_in(lo, hi, origin)) == brute

@@ -105,7 +105,7 @@ class TestLUTBatch:
         specs = [(4.0, 5), (6.0, 8), (4.0, 5), (4.0005, 5), (10.0, 0)]
         batch = cache.get_batch(specs)
         assert len(batch) == len(specs)
-        for (spacing, capacity), lut in zip(specs, batch):
+        for (spacing, capacity), lut in zip(specs, batch, strict=True):
             single = cache.get(spacing, capacity)
             assert lut is single  # same quantized cache entry
             assert lut.table == single.table
@@ -137,7 +137,7 @@ class TestLUTBatch:
             t.join()
         assert not errors
         for slot in range(1, 8):
-            for first, other in zip(results[0], results[slot]):
+            for first, other in zip(results[0], results[slot], strict=True):
                 assert first is other
 
 
@@ -166,7 +166,7 @@ class TestBuildCostsVectorized:
                     ),
                     weighted,
                 )
-                for f, s in zip(fast, slow):
+                for f, s in zip(fast, slow, strict=True):
                     assert f.exact == s.exact
                     assert f.linear == s.linear
 
