@@ -14,7 +14,7 @@ Measures, on the T1 testcase:
   in-process and on the process pool, asserting the placements stay
   bit-identical across both,
 * **Large grid** — the r=8 (~1 000-tile) scenario the persistent-pool /
-  chunked-dispatch / shared-memory-store machinery targets, timing a cold
+  chunked-dispatch machinery targets, timing a cold
   (pool spin-up included) and a warm (steady-state) process run against
   serial. The ``process_speedup > 1`` gate is recorded honestly: it is
   skipped — with the reason — on hosts with fewer than 2 CPUs,
@@ -196,16 +196,17 @@ def bench_solve_sweep(layout, fill_rules, density_rules, prepared, workers: int)
 def bench_large_grid(layout, fill_rules, workers: int, window: int = 32, r: int = 8) -> dict:
     """Chunked persistent-pool dispatch on a fine dissection (~32×32 tiles).
 
-    This is the scenario the persistent-pool/chunked-dispatch/shared-store
-    work targets: ~1 000 small tile solves, where per-future and
+    This is the scenario the persistent-pool/chunked-dispatch work
+    targets: ~1 000 small tile solves, where per-future and
     per-payload overhead — not the solves — used to dominate the process
     backend. Three timed runs per method:
 
     * ``serial_s`` — the workers=1 baseline,
-    * ``process_cold_s`` — first process run, *including* pool spin-up and
-      the shared-store build (what a one-shot CLI run pays),
+    * ``process_cold_s`` — first process run, *including* pool spin-up
+      (what a one-shot CLI run pays),
     * ``process_warm_s`` — second process run on the same persistent pool
-      and store (what every further ``engine.run()`` pays).
+      (what every further ``engine.run()`` pays; each run pickles its
+      tiles' cost tables into the batches again).
 
     ``process_speedup`` is serial / warm. The ``gate`` block records
     whether the ``process_speedup > 1`` acceptance check applies: a host
@@ -214,7 +215,7 @@ def bench_large_grid(layout, fill_rules, workers: int, window: int = 32, r: int 
 
     ``workers`` is clamped to >= 2: with one worker the engine takes its
     serial fast-path and the "process" timings would never touch the
-    pool, the chunker, or the shared store — the machinery this bench
+    pool or the chunker — the machinery this bench
     exists to measure. ``effective_workers`` still records what the host
     can actually parallelize.
     """

@@ -1,9 +1,9 @@
 """Large-grid persistent-pool benchmark gate (slow; CI runs it separately).
 
-The acceptance check of the persistent-pool / chunked-dispatch /
-shared-memory-store work: on a fine dissection (r=8, ~1 000 tiles) a warm
-process-pool run must beat serial — but only on a host that *can* show a
-parallel speedup. On single-CPU hosts the gate is skipped with the reason
+The acceptance check of the persistent-pool / chunked-dispatch work,
+with each tile's cost tables inline in its payload: on a fine
+dissection (r=8, ~1 000 tiles) a warm process-pool run must beat
+serial — but only on a host that *can* show a parallel speedup. On single-CPU hosts the gate is skipped with the reason
 recorded, never silently passed; the structural fields (bit-identity,
 effective-worker honesty, gate bookkeeping) are asserted everywhere.
 """

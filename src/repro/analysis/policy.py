@@ -30,7 +30,6 @@ def _default_worker_entry_functions() -> tuple[str, ...]:
     return (
         # Everything a pool worker actually executes hangs off these.
         "repro.pilfill.executor.solve_tile_batch",
-        "repro.pilfill.executor._worker_init",
         "repro.pilfill.parallel.solve_tile_payload",
         "repro.pilfill.parallel._solve_payload_isolated",
     )
@@ -45,9 +44,8 @@ def _default_payload_registry() -> tuple[str, ...]:
         "repro.pilfill.columns.ColumnNeighbor",
         "repro.testing.faults.FaultSpec",
         "repro.testing.faults.FaultRule",
-        # Batched dispatch + shared-memory store (executor boundary).
+        # Batched dispatch (executor boundary).
         "repro.pilfill.executor.TileBatch",
-        "repro.pilfill.executor.SharedStoreHandle",
         # Returned from pool workers (the response side).
         "repro.pilfill.parallel.TileOutcome",
         "repro.pilfill.solution.TileSolution",
@@ -95,11 +93,11 @@ class LintPolicy:
             ``<pool>.submit(...)`` detection.
         worker_entry_functions: dotted function names pool workers
             execute directly; X301 walks the call graph from these and
-            reports module-state writes that bypass the shared-memory
-            store protocol.
+            reports module-state writes, since workers are pure
+            functions of their payload.
         worker_state_allowlist: dotted module-level names reachable
-            worker code may legitimately mutate (the content-hash-keyed
-            shared-store resolver cache — the sanctioned shipping path).
+            worker code may legitimately mutate (empty: no worker state
+            is sanctioned).
     """
 
     float_eq_packages: tuple[str, ...] = ("repro.pilfill", "repro.ilp", "repro.cap")
@@ -155,11 +153,7 @@ class LintPolicy:
     worker_entry_functions: tuple[str, ...] = field(
         default_factory=_default_worker_entry_functions
     )
-    worker_state_allowlist: tuple[str, ...] = (
-        # The per-process shared-store resolver cache: mutation *is* the
-        # sanctioned re-sync mechanism (content-hash handshake, PR 6).
-        "repro.pilfill.executor._STORE_CACHE",
-    )
+    worker_state_allowlist: tuple[str, ...] = ()
 
     def in_float_eq_scope(self, module: str) -> bool:
         """Whether D104 applies to ``module``."""

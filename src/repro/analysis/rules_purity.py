@@ -1,7 +1,7 @@
 """X3xx: shard purity for pool-worker code.
 
 Sharding the fill run (ROADMAP) only works if worker-side code is a pure
-function of its payload plus the shared-memory store: any module-level
+function of its payload: any module-level
 state a worker mutates is invisible to the other shards and to the
 serial baseline, breaking the bit-identity contract in ways no per-file
 rule can see (the write usually sits in a helper far from the worker
@@ -11,9 +11,9 @@ X301 walks the call graph from the policy-listed worker entry functions
 and reports, for every reachable function, writes to module-level names:
 ``global NAME`` rebinding, ``NAME[...] = ...`` / ``NAME[...] += ...``
 subscript stores, in-place mutator calls (``NAME.append`` etc.), and
-attribute stores on imported modules. The shared-memory resolver cache
-(``worker_state_allowlist``) is the sanctioned exception — that mutation
-*is* the shipping protocol.
+attribute stores on imported modules. Workers are pure functions of
+their payload, so ``worker_state_allowlist`` is empty by default; a
+policy may name module-level state it sanctions there.
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ class ShardPurityRule(ProgramRule):
     rule_id = "X301"
     summary = (
         "function reachable from a pool-worker entry point writes module "
-        "state not shipped via the shared-memory store — invisible to "
-        "other shards and to the serial baseline"
+        "state not shipped in its payload — invisible to other shards and "
+        "to the serial baseline"
     )
     scope = "program"
 
@@ -253,7 +253,7 @@ class ShardPurityRule(ProgramRule):
                         rule_id=self.rule_id,
                         message=(
                             f"worker-reachable {qualname} {desc}; ship state "
-                            "through the shared-memory store instead"
+                            "in the payload instead"
                         ),
                         trace=tuple(trace),
                     )

@@ -33,12 +33,9 @@ from repro.pilfill.dp import (
 )
 from repro.pilfill.engine import METHODS, EngineConfig, FillResult, PILFillEngine
 from repro.pilfill.executor import (
-    SharedCostStore,
-    SharedStoreHandle,
     TileBatch,
     chunk_payloads,
     get_pool,
-    make_shared_store,
     pool_stats,
     shutdown_pools,
     worker_pids,
@@ -127,12 +124,9 @@ __all__ = [
     "EngineConfig",
     "FillResult",
     "PILFillEngine",
-    "SharedCostStore",
-    "SharedStoreHandle",
     "TileBatch",
     "chunk_payloads",
     "get_pool",
-    "make_shared_store",
     "pool_stats",
     "shutdown_pools",
     "worker_pids",

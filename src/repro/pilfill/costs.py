@@ -40,8 +40,7 @@ class ColumnCosts:
     ``exact[n]`` and ``linear[n]`` are delay impacts in ps for ``n``
     features; both have length ``capacity + 1`` with entry 0 equal to 0.
     ``column`` is the geometry-free :class:`ElectricalColumn`, so the
-    same object serves in-process solves, the shared-memory store and
-    inline pool payloads; site rects stay on the prepared instance's
+    same object serves in-process solves and pool payloads; site rects stay on the prepared instance's
     :class:`SlackColumn` list at the same index.
     """
 

@@ -53,7 +53,6 @@ from repro.pilfill.budgeted import (
 )
 from repro.pilfill.columns import SlackColumn, SlackColumnDef
 from repro.pilfill.costs import ColumnCosts
-from repro.pilfill.executor import SharedCostStore, make_shared_store
 from repro.pilfill.incremental import (
     SolutionCache,
     cache_eligible,
@@ -119,12 +118,11 @@ class EngineConfig:
             iteration order or worker count.
         workers: per-tile solver parallelism. 1 (default) solves tiles
             in-process; N > 1 ships them as compact picklable payloads
-            (budget + seed + deadlines, no layout objects) in chunked
-            batches to the persistent N-worker process pool (created
-            lazily, reused across runs; release it with
-            :func:`repro.pilfill.executor.shutdown_pools`), with the cost
-            tables riding a shared-memory store that crosses the pickle
-            boundary once per worker. Results are
+            (each tile's cost tables + budget + seed + deadlines, no
+            layout objects) in chunked batches to the persistent
+            N-worker process pool (created lazily, reused across runs;
+            release it with
+            :func:`repro.pilfill.executor.shutdown_pools`). Results are
             bit-identical to serial for every method.
         parallel_backend: ``"process"``, the only pool kind (kept so
             configurations that name it still construct).
@@ -167,14 +165,14 @@ class EngineConfig:
         shards: partition the solve phase into this many row-band shards
             along the dissection's window cut lines (see
             :mod:`repro.pilfill.shard`). Each shard builds only its own
-            cost tables and shared-memory store, so peak memory holds
-            one band instead of the grid; all shards share one warm
-            persistent pool, and the merge is bit-identical to the
+            cost tables, which ride in its tile payloads, so peak memory
+            holds one band instead of the grid; all shards share one
+            warm persistent pool, and the merge is bit-identical to the
             unsharded run — sharding is a scheduling knob, excluded from
             :func:`~repro.pilfill.incremental.run_context_digest` like
             ``workers``. 1 (default) → one shard holding the grid, whose
-            cost tables and store stay memoized on the prepared
-            instance. Honored by :meth:`PILFillEngine.run` and
+            cost tables stay memoized on the prepared instance. Honored
+            by :meth:`PILFillEngine.run` and
             :meth:`PILFillEngine.run_mvdc`; rejected by
             :meth:`PILFillEngine.run_budgeted`.
     """
@@ -518,8 +516,7 @@ class PILFillEngine:
                         outcomes.update(
                             self._dispatch(
                                 dispatch_keys, method, costs_by_tile, caps,
-                                delay_budgets, run_deadline, plan.n_shards > 1,
-                                tracer, metrics,
+                                delay_budgets, run_deadline, tracer, metrics,
                             )
                         )
                     dispatched.extend(dispatch_keys)
@@ -573,63 +570,42 @@ class PILFillEngine:
         caps: Mapping[TileKey, int],
         delay_budgets: Mapping[TileKey, float] | None,
         run_deadline: float | None,
-        shard_scoped: bool,
         tracer: TracerLike,
         metrics: MetricsLike,
     ) -> dict[TileKey, TileOutcome]:
         """Solve ``keys`` through :func:`dispatch_tile_payloads`, one
         :class:`TileOutcome` per key.
 
-        Payloads carry the tiles' cost tables, except on the pool path
-        when a shared-memory store holds them — the prepared instance's
-        memoized grid store, or with ``shard_scoped`` a store of just
-        these tiles that is closed before returning. Where the platform
-        has no shared memory the pool payloads carry the tables inline.
+        Every payload carries its own tile's cost tables, so a shard's
+        tables ride in its payloads and die with them.
         """
         cfg = self.config
-        store: SharedCostStore | None = None
-        if cfg.workers > 1 and len(keys) > 1:
-            store = (
-                make_shared_store({key: tuple(costs_by_tile[key]) for key in keys})
-                if shard_scoped
-                else self.prepared.shared_store_for(cfg.weighted, tracer=tracer)
+        payloads = [
+            TilePayload(
+                key=key,
+                method=method,
+                budget=caps[key],
+                weighted=cfg.weighted,
+                ilp_backend=cfg.backend,
+                seed=cfg.seed,
+                columns=tuple(costs_by_tile[key]),
+                delay_budget_ps=None if delay_budgets is None else delay_budgets[key],
+                tile_deadline_s=cfg.tile_deadline_s,
+                run_deadline=run_deadline,
+                fault_spec=cfg.fault_spec,
+                fallback=cfg.fallback,
+                telemetry=cfg.telemetry,
             )
-        try:
-            payloads = []
-            for key in keys:
-                columns = () if store is not None else tuple(costs_by_tile[key])
-                payloads.append(
-                    TilePayload(
-                        key=key,
-                        method=method,
-                        budget=caps[key],
-                        weighted=cfg.weighted,
-                        ilp_backend=cfg.backend,
-                        seed=cfg.seed,
-                        columns=columns,
-                        delay_budget_ps=(
-                            None if delay_budgets is None else delay_budgets[key]
-                        ),
-                        tile_deadline_s=cfg.tile_deadline_s,
-                        run_deadline=run_deadline,
-                        fault_spec=cfg.fault_spec,
-                        fallback=cfg.fallback,
-                        telemetry=cfg.telemetry,
-                    )
-                )
-            return dispatch_tile_payloads(
-                payloads,
-                workers=cfg.workers,
-                isolate=cfg.fallback,
-                store=store.handle if store is not None else None,
-                batch_tiles=cfg.batch_tiles,
-                tracer=tracer,
-                metrics=metrics,
-            )
-        finally:
-            if store is not None and shard_scoped:
-                # Shard-scoped segment: never outlives its shard.
-                store.close()
+            for key in keys
+        ]
+        return dispatch_tile_payloads(
+            payloads,
+            workers=cfg.workers,
+            isolate=cfg.fallback,
+            batch_tiles=cfg.batch_tiles,
+            tracer=tracer,
+            metrics=metrics,
+        )
 
     def _start(self) -> tuple[FillResult, TracerLike, MetricsLike]:
         """A fresh result plus the run's tracer and metrics (no-ops

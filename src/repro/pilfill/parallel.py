@@ -16,9 +16,8 @@ outcomes keyed in submission order for a deterministic merge:
   (cost tables + budget + seed + deadlines, *not* layout objects) and is
   solved by :func:`solve_tile_payload` — in-process for ``workers=1``,
   inside a pool worker otherwise, and in the parent for retries.
-  Payloads carry the tile's :class:`~repro.pilfill.costs.ColumnCosts`,
-  or nothing when the tables ride the shared-memory store (see
-  :mod:`repro.pilfill.executor`).
+  Payloads carry the tile's :class:`~repro.pilfill.costs.ColumnCosts`
+  inline, so a solve is a pure function of its payload.
 * **Per-tile timing.** Every outcome records its solve seconds so the
   hot tiles are visible from the CLI and harness.
 * **Fault isolation.** With ``isolate=True`` (the default) a tile whose
@@ -38,14 +37,12 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.errors import SolveTimeoutError
 from repro.obs.metrics import NULL_METRICS, Metrics, MetricsLike, MetricsSnapshot
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer, TracerLike
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.pilfill.executor import SharedStoreHandle
 from repro.pilfill.costs import ColumnCosts
 from repro.pilfill.robust import SolveReport, fallback_chain, solve_tile_robust
 from repro.pilfill.solution import TileSolution
@@ -109,9 +106,8 @@ class TilePayload:
     Deliberately contains no layout, engine, or dissection objects so
     pickling stays cheap. ``columns`` holds the tile's
     :class:`~repro.pilfill.costs.ColumnCosts` (geometry-free, so the same
-    objects serve in-process and pool solves), or nothing when the
-    tables ride a shared-memory store. ``delay_budget_ps`` is the MVDC
-    delay budget (method ``"mvdc"``; budget then acts as the
+    objects serve in-process and pool solves). ``delay_budget_ps`` is
+    the MVDC delay budget (method ``"mvdc"``; budget then acts as the
     feature-count cap).
     """
 
@@ -245,7 +241,6 @@ def dispatch_tile_payloads(
     workers: int = 1,
     isolate: bool = True,
     *,
-    store: "SharedStoreHandle | None" = None,
     batch_tiles: int | None = None,
     tracer: TracerLike = NULL_TRACER,
     metrics: MetricsLike = NULL_METRICS,
@@ -261,13 +256,10 @@ def dispatch_tile_payloads(
     giving a deterministic merge.
 
     ``workers > 1`` dispatches chunked :class:`~repro.pilfill.executor.
-    TileBatch` submits on the persistent pool for that worker count.
-    ``store`` names a shared-memory cost store; payloads built with empty
-    ``columns`` are hydrated from it on the worker side, so the big
-    tables cross the pickle boundary once per worker rather than once
-    per tile. ``batch_tiles`` overrides the
-    auto chunk size; ``tracer``/``metrics`` receive per-batch spans and
-    dispatch-cost metrics (payload bytes, batches, broken pools).
+    TileBatch` submits on the persistent pool for that worker count;
+    each batch carries its tiles' cost tables inline. ``batch_tiles``
+    overrides the auto chunk size; ``tracer``/``metrics`` receive
+    per-batch spans and dispatch metrics (batches, tiles, broken pools).
 
     With ``isolate=True`` a failing tile is retried once and then
     recorded as a failed :class:`TileOutcome` instead of aborting the
@@ -276,16 +268,13 @@ def dispatch_tile_payloads(
     process, which is attempt 1 of the same deterministic contract.
     With ``isolate=False`` the first exception propagates.
     """
-    from repro.pilfill.executor import _hydrate, dispatch_batches, resolve_store
+    from repro.pilfill.executor import dispatch_batches
 
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not payloads:
         return {}
     if workers == 1 or len(payloads) <= 1:
-        if store is not None:
-            data = resolve_store(store)
-            payloads = [_hydrate(p, data) for p in payloads]
         if isolate:
             return {p.key: _solve_payload_isolated(p) for p in payloads}
         return {p.key: solve_tile_payload(p) for p in payloads}
@@ -293,7 +282,6 @@ def dispatch_tile_payloads(
         payloads,
         workers,
         isolate,
-        store=store,
         batch_tiles=batch_tiles,
         tracer=tracer,
         metrics=metrics,

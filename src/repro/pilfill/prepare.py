@@ -67,7 +67,6 @@ from repro.tech.rules import DensityRules, FillRules
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.pilfill.engine import EngineConfig
-    from repro.pilfill.executor import SharedCostStore
 
 TileKey = tuple[int, int]
 
@@ -99,9 +98,6 @@ class PreparedInstance:
     )
     _budgets: dict[tuple, dict[TileKey, int]] = field(default_factory=dict, repr=False)
     _lut_caches: dict[bool, LUTCache] = field(default_factory=dict, repr=False)
-    _shared_stores: dict[bool, "SharedCostStore | None"] = field(
-        default_factory=dict, repr=False
-    )
     _tile_index: "GridBinIndex[TileKey] | None" = field(default=None, repr=False)
 
     #: Process-wide count of full preprocessing builds (see :func:`prepare`).
@@ -200,40 +196,10 @@ class PreparedInstance:
         )
         return costs
 
-    def shared_store_for(
-        self, weighted: bool, tracer: TracerLike | None = None
-    ) -> "SharedCostStore | None":
-        """The shared-memory store of :meth:`costs_for` ``(weighted)``.
-
-        Built once per flag and reused by every ``engine.run()`` on this
-        instance — the persistent pool's workers resolve it by content
-        hash, so consecutive runs (even interleaved with runs of another
-        prepared instance) always see the right tables. A cached store
-        whose block was released early (a broken-pool recovery unlinks
-        eagerly — see :func:`~repro.pilfill.executor.release_store`) is
-        rebuilt rather than handed out dead. Returns ``None`` where
-        shared memory is unavailable; callers then fall back to inline
-        per-payload columns.
-        """
-        if weighted in self._shared_stores:
-            cached = self._shared_stores[weighted]
-            if cached is None or not cached.closed:
-                return cached
-            del self._shared_stores[weighted]
-        from repro.pilfill.executor import make_shared_store
-
-        costs = self.costs_for(weighted, tracer=tracer)
-        store = make_shared_store({key: tuple(cc) for key, cc in costs.items()})
-        self._shared_stores[weighted] = store
-        return store
-
     def close(self) -> None:
-        """Release the shared-memory stores (idempotent; also guaranteed
-        by per-store finalizers when the instance is garbage-collected)."""
-        for store in self._shared_stores.values():
-            if store is not None:
-                store.close()
-        self._shared_stores.clear()
+        """Drop the memoized cost tables (idempotent). A later run over
+        this instance rebuilds them, with the same values."""
+        self._costs.clear()
 
     def budget_for(
         self, config: "EngineConfig", tracer: TracerLike | None = None

@@ -12,9 +12,9 @@ at a time and merges in global dissection order:
 * **Bounded peak memory.** A multi-shard run builds only the current
   shard's cost tables
   (:meth:`~repro.pilfill.prepare.PreparedInstance.costs_for` with
-  ``keys``), ships them through a shard-scoped shared-memory store, and releases
-  both when the shard completes — peak memory holds one band, not the
-  grid. The shard bands are the same horizontal bands
+  ``keys``), ships them inline in that shard's tile payloads, and
+  releases them when the shard completes — peak memory holds one band,
+  not the grid. The shard bands are the same horizontal bands
   :class:`~repro.io.deflite.DefWindowStream` streams a chip-scale DEF
   in (:func:`iter_shard_windows` maps its windows onto shard keys), so a
   future multi-host driver can feed each shard only its slice of the

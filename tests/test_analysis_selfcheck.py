@@ -8,6 +8,7 @@ the same ``path:line:col: RULE message`` lines the CLI prints.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 from repro.analysis import lint_paths, render_text
@@ -36,6 +37,7 @@ def test_interprocedural_rules_are_live_over_the_tree() -> None:
     # the real call graph.
     from repro.analysis import DEFAULT_POLICY, all_program_rules
     from repro.analysis.modgraph import ModuleGraph
+    from repro.analysis.rules_purity import module_level_names
     from repro.analysis.runner import _build_whole_program
 
     assert {r.rule_id for r in all_program_rules()} == {"X101", "X201", "X202", "X301"}
@@ -57,3 +59,24 @@ def test_interprocedural_rules_are_live_over_the_tree() -> None:
         if site.callee in set(DEFAULT_POLICY.taint_sink_functions)
     }
     assert sink_calls, "no call sites of any taint sink resolved"
+    # Every payload-registry and worker-state entry names a top-level
+    # definition in the tree: a stale entry for deleted code would
+    # otherwise pass silently.
+    defined = {
+        module: module_level_names(unit)
+        | {
+            stmt.name
+            for stmt in unit.tree.body
+            if isinstance(stmt, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for module, unit in program.units.items()
+    }
+    for dotted in DEFAULT_POLICY.payload_registry + DEFAULT_POLICY.worker_state_allowlist:
+        module, _, name = dotted.rpartition(".")
+        if module:
+            assert name in defined.get(module, ()), f"policy entry {dotted} not defined"
+        else:
+            assert any(name in names for names in defined.values()), (
+                f"policy entry {dotted} not defined in any module"
+            )
+

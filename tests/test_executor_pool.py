@@ -1,4 +1,4 @@
-"""Persistent process pool, chunked dispatch, shared-memory cost store.
+"""Persistent process pool and chunked dispatch of inline tile payloads.
 
 Regression targets of the persistent-pool executor PR:
 
@@ -15,17 +15,13 @@ Regression targets of the persistent-pool executor PR:
   retried,
 * telemetry merges each tile exactly once (solved+failed == dispatched,
   even when a batch is re-solved in the parent after a worker death),
-* the shared store round-trips content by hash, rejects corrupted
-  blocks, and re-syncs across store epochs.
+* a real worker death re-solves every batch in the parent and the
+  broken pool is rebuilt on the next dispatch.
 """
 
 from __future__ import annotations
 
-import gc
 import os
-import pickle
-from dataclasses import replace
-from multiprocessing import shared_memory
 
 import pytest
 
@@ -38,23 +34,13 @@ from repro.pilfill import (
     chunk_payloads,
     dispatch_tile_payloads,
     executor,
-    make_shared_store,
     pool_stats,
     prepare,
     result_digest,
     shutdown_pools,
     worker_pids,
 )
-from repro.pilfill.executor import (
-    SharedStoreHandle,
-    TileBatch,
-    _STORE_CACHE,
-    dispatch_batches,
-    live_store_names,
-    release_store,
-    resolve_store,
-    solve_tile_batch,
-)
+from repro.pilfill.executor import TileBatch, dispatch_batches, solve_tile_batch
 from repro.tech import DensityRules, FillRules
 from repro.testing.faults import FaultSpec
 
@@ -320,114 +306,12 @@ class TestTelemetrySingleMerge:
         shutdown_pools()
 
 
-class TestSharedStore:
-    def test_round_trip_and_cache(self, prepared):
-        columns = {k: tuple(cc) for k, cc in prepared.costs_for(True).items()}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        try:
-            data = resolve_store(store.handle)
-            assert data == columns
-            # Cached by content hash: the second resolve is the same object.
-            assert resolve_store(store.handle) is data
-            assert store.handle.content_hash in _STORE_CACHE.cached_hashes()
-        finally:
-            store.close()
-
-    def test_hash_mismatch_rejected(self, prepared):
-        columns = {k: tuple(cc) for k, cc in prepared.costs_for(True).items()}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        try:
-            forged = replace(store.handle, content_hash="0" * 64)
-            with pytest.raises(FillError, match="hash mismatch"):
-                resolve_store(forged)
-        finally:
-            store.close()
-
-    def test_two_epochs_resolve_independently(self, prepared):
-        """The stale-worker handshake: handles of different content hash
-        resolve to their own data — a cached older epoch is never served
-        for a newer handle."""
-        costs = prepared.costs_for(True)
-        keys = sorted(costs)
-        all_columns = {k: tuple(costs[k]) for k in keys}
-        half_columns = {k: all_columns[k] for k in keys[: len(keys) // 2 or 1]}
-        store_a = make_shared_store(all_columns)
-        store_b = make_shared_store(half_columns)
-        if store_a is None or store_b is None:
-            pytest.skip("platform has no usable shared memory")
-        try:
-            assert store_a.handle.content_hash != store_b.handle.content_hash
-            assert resolve_store(store_a.handle) == all_columns
-            assert resolve_store(store_b.handle) == half_columns
-            assert resolve_store(store_a.handle) == all_columns
-        finally:
-            store_a.close()
-            store_b.close()
-
-    def test_close_is_idempotent(self, prepared):
-        columns = {k: tuple(cc) for k, cc in prepared.costs_for(True).items()}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        store.close()
-        store.close()
-
-    def test_store_backed_batch_solves_like_inline(self, prepared, baseline):
-        """solve_tile_batch hydrating from the store must equal the
-        inline-columns solve — this is the path pool workers run."""
-        inline = make_payloads(prepared, baseline)
-        stripped = [replace(p, columns=()) for p in inline]
-        columns = {p.key: p.columns for p in inline}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        try:
-            via_store = solve_tile_batch(
-                TileBatch(payloads=tuple(stripped), store=store.handle)
-            )
-            via_inline = solve_tile_batch(TileBatch(payloads=tuple(inline)))
-            assert [o.value.counts for o in via_store] == [
-                o.value.counts for o in via_inline
-            ]
-        finally:
-            store.close()
-
-    def test_missing_tile_in_store_raises(self, prepared, baseline):
-        inline = make_payloads(prepared, baseline)
-        store = make_shared_store({})  # empty store: no tile data at all
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        try:
-            stripped = replace(inline[0], columns=())
-            with pytest.raises(FillError, match="no cost columns"):
-                solve_tile_batch(
-                    TileBatch(payloads=(stripped,), store=store.handle, isolate=False)
-                )
-        finally:
-            store.close()
-
-    def test_handles_and_batches_pickle(self, prepared, baseline):
-        handle = SharedStoreHandle(name="x", size=3, content_hash="ab")
-        batch = TileBatch(
-            payloads=tuple(make_payloads(prepared, baseline)[:2]), store=handle
-        )
-        assert pickle.loads(pickle.dumps(batch)) == batch
-
-
 class TestNoSharedMemory:
-    """Where shared memory is unavailable the engine sends every pool
-    payload with its ColumnCosts inline — slower, never different."""
+    """Pool payloads carry their ColumnCosts inline — the one wire
+    format — and the pooled run's digest equals the serial one."""
 
     @pytest.mark.parametrize("shards", [1, 3])
-    def test_inline_pool_payloads_match_serial(
-        self, small_generated_layout, monkeypatch, shards
-    ):
-        monkeypatch.setattr("repro.pilfill.executor.make_shared_store", lambda columns: None)
-        monkeypatch.setattr("repro.pilfill.engine.make_shared_store", lambda columns: None)
+    def test_inline_pool_payloads_match_serial(self, small_generated_layout, shards):
         prep = prepare(
             small_generated_layout, "metal3", FILL, DENSITY, SlackColumnDef.FULL_LAYOUT
         )
@@ -444,7 +328,6 @@ class TestNoSharedMemory:
             shutdown_pools()
         counters = dict(pooled.telemetry.metrics.snapshot().counters)
         assert counters["pool.tiles_submitted"] > 0
-        assert "pool.store_bytes" not in counters
         assert result_digest(pooled) == result_digest(serial)
 
 
@@ -455,146 +338,57 @@ def _exit_worker(batch):
     os._exit(1)
 
 
-class TestStoreLifetime:
-    """Shared-memory segments must never outlive the run that made them.
+class TestBrokenPool:
+    """A real worker death breaks the pool mid-run: every batch is
+    re-solved in the parent, the broken pool is discarded, and the next
+    dispatch rebuilds one."""
 
-    Regression targets of the broken-pool lifetime fix: a
-    BrokenProcessPool mid-run used to strand both the parent-side shm
-    block and the parent's resolved recovery copy until interpreter
-    exit. Now the dispatcher releases the store eagerly once every batch
-    is recovered, the registry/cache forget it, and owners that cached
-    the store observe ``closed`` and rebuild.
-    """
-
-    def _store_payloads(self, prepared, baseline):
-        inline = make_payloads(prepared, baseline)
-        columns = {p.key: p.columns for p in inline}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        return inline, [replace(p, columns=()) for p in inline], store
-
-    def test_broken_pool_releases_store_and_recovers(
+    def test_broken_pool_recovers_in_parent_and_rebuilds(
         self, prepared, baseline, monkeypatch
     ):
-        """One real worker death: every batch is re-solved in the parent
-        (bit-identical), then the shm segment is unlinked eagerly — no
-        /dev/shm leak — and the broken pool is discarded for rebuild."""
         shutdown_pools()
         # The pool submits executor.solve_tile_batch; forked workers
         # resolve the swapped-in entry by reference and hard-exit.
         monkeypatch.setattr(executor, "solve_tile_batch", _exit_worker)
-        inline, stripped, store = self._store_payloads(prepared, baseline)
-        assert store.handle.name in live_store_names()
+        payloads = make_payloads(prepared, baseline)
         created_before = pool_stats()["created"]
         try:
             outcomes = dispatch_batches(
-                stripped,
-                workers=2,
-                store=store.handle,
-                batch_tiles=len(stripped),
+                payloads, workers=2, batch_tiles=len(payloads)
             )
             monkeypatch.undo()
             reference = {
                 o.key: o
-                for o in solve_tile_batch(TileBatch(payloads=tuple(inline)))
+                for o in solve_tile_batch(TileBatch(payloads=tuple(payloads)))
             }
             assert set(outcomes) == set(reference)
             for key, outcome in outcomes.items():
                 assert not outcome.failed, key
                 assert outcome.value.counts == reference[key].value.counts
 
-            # The eager release: block unlinked, every index dropped.
-            assert store.closed
-            assert store.handle.name not in live_store_names()
-            assert store.handle.content_hash not in _STORE_CACHE.cached_hashes()
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=store.handle.name)
-
             # The broken pool is gone; the next dispatch rebuilds one.
             stats = pool_stats()
             assert stats["created"] == created_before + 1
             assert stats["live"] == 0
-            rebuilt = dispatch_tile_payloads(inline, workers=2)
-            assert len(rebuilt) == len(inline)
+            rebuilt = dispatch_tile_payloads(payloads, workers=2)
+            assert len(rebuilt) == len(payloads)
             assert pool_stats()["created"] == created_before + 2
         finally:
-            store.close()
             shutdown_pools()
 
-    def test_release_store_unlinks_once(self, prepared):
-        columns = {k: tuple(cc) for k, cc in prepared.costs_for(True).items()}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        assert not store.closed
-        assert release_store(store.handle) is True
-        assert store.closed
-        assert store.handle.name not in live_store_names()
-        # Idempotent: the second release finds nothing live.
-        assert release_store(store.handle) is False
-        store.close()  # also still idempotent
 
-    def test_release_evicts_resolved_copy(self, prepared):
-        """The parent's own resolved copy (broken-pool recovery path)
-        must not pin the payload either: release drops the cache entry."""
-        columns = {k: tuple(cc) for k, cc in prepared.costs_for(True).items()}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        resolve_store(store.handle)
-        assert store.handle.content_hash in _STORE_CACHE.cached_hashes()
-        release_store(store.handle)
-        assert store.handle.content_hash not in _STORE_CACHE.cached_hashes()
-
-    def test_collected_store_leaves_no_registry_ghost(self, prepared):
-        """The registry holds weak refs: a store that is simply dropped
-        is finalized (segment unlinked) and vanishes from the audit."""
-        columns = {k: tuple(cc) for k, cc in prepared.costs_for(True).items()}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        name = store.handle.name
-        del store
-        gc.collect()
-        assert name not in live_store_names()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_prepared_rebuilds_store_after_release(self, small_generated_layout):
-        """PreparedInstance caches its store per weighted flag; after an
-        eager release it must hand out a fresh live store, not the
-        closed one."""
+class TestPreparedClose:
+    def test_close_is_idempotent_and_run_after_close_matches(
+        self, small_generated_layout
+    ):
+        """close() drops the memoized cost tables; closing twice is
+        harmless and a later run rebuilds them to the same result."""
         prep = prepare(
             small_generated_layout, "metal3", FILL, DENSITY, SlackColumnDef.FULL_LAYOUT
         )
-        try:
-            store = prep.shared_store_for(True)
-            if store is None:
-                pytest.skip("platform has no usable shared memory")
-            release_store(store.handle)
-            rebuilt = prep.shared_store_for(True)
-            assert rebuilt is not store
-            assert not rebuilt.closed
-            # Same content, fresh segment.
-            assert rebuilt.handle.content_hash == store.handle.content_hash
-            assert rebuilt.handle.name != store.handle.name
-            assert resolve_store(rebuilt.handle)
-        finally:
-            prep.close()
-
-
-class TestPreparedStoreLifecycle:
-    def test_shared_store_cached_per_flag_and_closed(self, small_generated_layout):
-        prep = prepare(
-            small_generated_layout, "metal3", FILL, DENSITY, SlackColumnDef.FULL_LAYOUT
-        )
-        store = prep.shared_store_for(True)
-        assert prep.shared_store_for(True) is store  # built once per flag
+        engine = PILFillEngine(small_generated_layout, "metal3", make_cfg(), prepared=prep)
+        before = result_digest(engine.run())
         prep.close()
-        prep.close()  # idempotent
-        if store is not None:
-            # The block is unlinked: a fresh resolve cannot attach it.
-            fresh = replace(store.handle, content_hash="f" * 64)
-            with pytest.raises((FileNotFoundError, FillError)):
-                resolve_store(fresh)
+        prep.close()
+        assert result_digest(engine.run()) == before
+        prep.close()
