@@ -121,8 +121,8 @@ def bench_kernels(layout, fill_rules, density_rules, prepared) -> dict:
     )
     features = PILFillEngine(layout, "metal3", cfg, prepared=prepared).run().features
     t_eval = _time(lambda: evaluate_impact(layout, "metal3", features, fill_rules))
+    # score on a reused model: the sweep and spatial index are built once.
     model = ImpactModel(layout, "metal3", fill_rules)
-    model.score(features)  # warm the locate cache once, like a what-if loop
     t_score = _time(lambda: model.score(features))
 
     return {

@@ -23,7 +23,6 @@ On a fully warm cache neither tier builds the function-level call graph
 from __future__ import annotations
 
 import ast
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -262,15 +261,12 @@ def lint_paths(
     paths: list[str],
     policy: LintPolicy | None = None,
     cache_path: Path | None = None,
-    jobs: int = 1,
     changed_only: bool = False,
 ) -> LintReport:
     """Lint every file under ``paths`` with the full rule catalog.
 
     ``cache_path`` enables the result cache (content-digest keyed; safe
-    to commit to CI cache storage). ``jobs > 1`` scans cache-missed
-    files on a thread pool — findings are merged in sorted file order,
-    so output is byte-identical to a serial run. ``changed_only``
+    to commit to CI cache storage). ``changed_only``
     restricts the run to files changed per git plus their import-closure
     dependents (full lint when git state is unavailable).
     """
@@ -371,14 +367,8 @@ def lint_paths(
             str(task.file), findings, parse_suppressions(task.source), known_rule_ids()
         )
 
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_task, tasks))
-    else:
-        results = [run_task(task) for task in tasks]
-    # Cache writes and merging stay in the main thread, in sorted file
-    # order — parallelism must not leak into output or cache layout.
-    for task, findings in zip(tasks, results, strict=True):
+    for task in tasks:
+        findings = run_task(task)
         cache.put(str(task.file), task.digest, findings)
         findings_by_file[task.file] = findings
 

@@ -11,16 +11,18 @@ capacitance increment attached to each line at the column position is
     ΔC_exact(m)  = ε₀ ε_r t w (1/(d − m·w) − 1/d)
     ΔC_linear(m) = ε₀ ε_r t w · m·w / d²          (Eq. 6, w ≪ d regime)
 
-ILP-I uses the linear form; ILP-II and the evaluator use the exact form
-(via :class:`repro.cap.lut.CapacitanceLUT`).
+ILP-I uses the linear form; ILP-II uses the exact form via
+:class:`repro.cap.lut.CapacitanceLUT`, and the impact scorer applies it
+to every column of a placement through :func:`exact_column_cap_array`.
 
-Both models also come in array form (:func:`exact_column_cap_array`,
-:func:`linear_column_cap_array`): one vectorized evaluation over the whole
-``m = 0 .. capacity`` range. The array variants apply the identical IEEE
-operation sequence elementwise, so every entry is bit-identical to the
-scalar function at the same ``m`` — the cost-table builder and the LUT
-cache rely on this to swap in the batched kernels without perturbing any
-result.
+Both models also come in array form. :func:`exact_column_cap_array`
+takes an array of feature counts and one gap (the LUT cache's
+``m = 0 .. capacity`` table) or per-count gaps (the impact scorer's
+columns); :func:`linear_column_cap_array` tabulates ``m = 0 .. capacity``.
+The array variants apply the identical IEEE operation sequence
+elementwise, so every entry is bit-identical to the scalar function at the
+same ``m`` and gap — the cost-table builder, the LUT cache and the scorer
+rely on this to use the batched kernels without perturbing any result.
 """
 
 from __future__ import annotations
@@ -75,23 +77,32 @@ def linear_column_cap(eps_r: float, thickness_um: float, spacing_um: float,
     return base * m * fill_width_um / (spacing_um * spacing_um)
 
 
-def exact_column_cap_array(eps_r: float, thickness_um: float, spacing_um: float,
-                           capacity: int, fill_width_um: float) -> np.ndarray:
-    """Vectorized :func:`exact_column_cap` over ``m = 0 .. capacity``, fF.
+def exact_column_cap_array(eps_r: float, thickness_um: float,
+                           spacing_um: float | np.ndarray, counts: np.ndarray,
+                           fill_width_um: float) -> np.ndarray:
+    """Vectorized :func:`exact_column_cap`: entry ``i`` is ΔC (fF) of
+    ``counts[i]`` features in a gap of ``spacing_um`` — one gap for every
+    entry, or an array of per-entry gaps.
 
-    Entry ``m`` is bit-identical to ``exact_column_cap(..., m, ...)``; the
-    whole table is one numpy pass instead of ``capacity + 1`` Python calls.
+    Entry ``i`` is bit-identical to ``exact_column_cap(..., gap_i,
+    counts[i], ...)``. The LUT cache tabulates one gap over
+    ``counts = 0 .. capacity``; the impact scorer prices every column of a
+    placement at its own gap.
     """
-    _check(eps_r, thickness_um, spacing_um, capacity, fill_width_um)
-    n = np.arange(capacity + 1, dtype=np.float64)
-    remaining = spacing_um - n * fill_width_um
-    if capacity > 0 and remaining[-1] <= 0:
+    counts = np.asarray(counts, dtype=np.float64)
+    gaps = np.broadcast_to(np.asarray(spacing_um, dtype=np.float64), counts.shape)
+    _check(eps_r, thickness_um, float(gaps.min(initial=np.inf)),
+           int(counts.min(initial=0)), fill_width_um)
+    remaining = gaps - counts * fill_width_um
+    overfull = np.flatnonzero(remaining <= 0)
+    if overfull.size:
+        i = overfull[-1]
         raise FillError(
-            f"{capacity} features of width {fill_width_um} do not fit in gap {spacing_um}"
+            f"{int(counts[i])} features of width {fill_width_um} do not fit in gap {gaps[i]}"
         )
     base = EPS0_FF_PER_UM * eps_r * thickness_um * fill_width_um
-    out = base * (1.0 / remaining - 1.0 / spacing_um)
-    out[0] = 0.0
+    out = base * (1.0 / remaining - 1.0 / gaps)
+    out[counts == 0] = 0.0
     return out
 
 

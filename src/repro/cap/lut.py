@@ -6,11 +6,12 @@ by quantized key so the thousands of columns in a layout share a handful
 of tables — exactly the pre-building the paper describes.
 
 Tables are built with the vectorized capacitance kernel
-(:func:`repro.cap.fillimpact.exact_column_cap_array`), so one cache miss
-costs one numpy pass regardless of capacity, and the cache itself is
-thread-safe: the engine shares a single :class:`LUTCache` across worker
-threads, so the get-or-build is guarded by a lock (two workers asking for
-the same key get the same table object, built once).
+(:func:`repro.cap.fillimpact.exact_column_cap_array` over
+``n = 0 .. capacity``), so one cache miss costs one numpy pass regardless
+of capacity. The engine builds cost tables in one thread per process; the
+cache stays safe for callers that do share it across threads, because the
+get-or-build is guarded by a lock (two threads asking for the same key get
+the same table object, built once).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class LUTCache:
     Keys quantize the gap distance to a DBU so physically identical columns
     share one table. Safe for concurrent readers and builders: lookups are
     lock-free on the hit path, and misses take a lock around the build so
-    racing workers cannot build the same table twice.
+    racing threads cannot build the same table twice.
     """
 
     def __init__(self, eps_r: float, thickness_um: float, fill_width_um: float):
@@ -140,7 +141,8 @@ class LUTCache:
 
     def _build(self, spacing_um: float, capacity: int) -> CapacitanceLUT:
         table = exact_column_cap_array(
-            self.eps_r, self.thickness_um, spacing_um, capacity, self.fill_width_um
+            self.eps_r, self.thickness_um, spacing_um, np.arange(capacity + 1),
+            self.fill_width_um,
         )
         return CapacitanceLUT(spacing_um, self.fill_width_um, tuple(table.tolist()))
 

@@ -188,7 +188,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     report = lint_paths(
         args.paths,
         cache_path=cache_path,
-        jobs=max(args.jobs, 1),
         changed_only=args.changed,
     )
     if args.format == "json":
@@ -313,9 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lint only files changed per git plus their "
                         "import-closure dependents (falls back to a full "
                         "lint when git state is unavailable)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel file-scan threads (output is identical "
-                        "for any value)")
 
     p = sub.add_parser("report", help="full markdown reproduction report")
     p.add_argument("-o", "--out", default="REPORT.md")

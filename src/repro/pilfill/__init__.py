@@ -13,7 +13,8 @@ Public surface:
 * :class:`ShardPlan` / :func:`plan_shards` — grid sharding along the
   dissection's cut lines (``EngineConfig.shards``: bounded peak memory,
   bit-identical merge),
-* :func:`evaluate_impact` — the common delay-impact scorer,
+* :class:`ImpactModel` / :func:`evaluate_impact` — the one delay-impact
+  scorer (``evaluate_impact`` is a one-shot ``ImpactModel.score``),
 * the per-tile methods (ILP-I, ILP-II, Greedy, marginal greedy, DP),
 * the scan-line slack-column extraction (paper Fig. 7).
 """
@@ -41,7 +42,7 @@ from repro.pilfill.executor import (
     worker_pids,
 )
 from repro.pilfill.methods import solve_tile_method, solve_tile_normal, trim_to
-from repro.pilfill.evaluate import ImpactReport, evaluate_impact
+from repro.pilfill.evaluate import ImpactModel, ImpactReport, evaluate_impact
 from repro.pilfill.budgeted import (
     BudgetedOutcome,
     build_cap_tables,
@@ -50,7 +51,6 @@ from repro.pilfill.budgeted import (
     solve_tile_budgeted_ilp,
 )
 from repro.pilfill.greedy import solve_tile_greedy, solve_tile_greedy_marginal
-from repro.pilfill.impact_model import ImpactModel
 from repro.pilfill.incremental import (
     SolutionCache,
     cache_eligible,

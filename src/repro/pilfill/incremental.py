@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
 
     from repro.layout.layout import FillFeature
     from repro.pilfill.engine import EngineConfig
-    from repro.pilfill.impact_model import ImpactModel
+    from repro.pilfill.evaluate import ImpactModel
     from repro.testing.faults import FaultSpec
 
 TileKey = tuple[int, int]

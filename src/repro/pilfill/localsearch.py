@@ -28,7 +28,7 @@ from repro.geometry import Rect
 from repro.layout.layout import FillFeature
 from repro.layout.rctree import OHM_FF_TO_PS
 from repro.pilfill.columns import SlackColumn
-from repro.pilfill.impact_model import ImpactModel
+from repro.pilfill.evaluate import ImpactModel
 
 
 @dataclass

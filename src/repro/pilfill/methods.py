@@ -8,8 +8,8 @@ payload to a worker and get back the exact solution the in-process path
 would have produced.
 
 Solvers take a list of :class:`~repro.pilfill.costs.ColumnCosts` — the
-same objects in-process, in pool workers (inline or from the shared
-store) and in parent-side retries.
+same objects in-process, in pool workers (carried inline in each
+:class:`~repro.pilfill.executor.TileBatch`) and in parent-side retries.
 """
 
 from __future__ import annotations

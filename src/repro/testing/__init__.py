@@ -9,9 +9,8 @@ death) on chosen tiles and verify the engine degrades instead of dying.
 from repro.testing.faults import (
     FaultRule,
     FaultSpec,
-    activate,
     inject,
     sample_tiles,
 )
 
-__all__ = ["FaultRule", "FaultSpec", "activate", "inject", "sample_tiles"]
+__all__ = ["FaultRule", "FaultSpec", "inject", "sample_tiles"]

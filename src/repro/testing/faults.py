@@ -19,19 +19,16 @@ on a counter, so behavior is identical whether the retry happens in the
 same process (in-process solves) or in the parent after a pool worker
 died (process pool), and identical across repeated runs.
 
-Two injection channels exist so both in-process and pool-worker solves
-can be targeted: an explicit spec argument (what the engine threads
-through), and a module-global :data:`ACTIVE_SPEC` set via the
-:func:`activate` context manager (handy in tests that cannot reach the
-config, in-process solves only — pool workers do not inherit it).
+There is one injection channel: the explicit spec. The engine threads
+``EngineConfig.fault_spec`` into every in-process solve and into the
+payloads it ships to pool workers, so the same spec reaches both.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import FillError, SolverError, SolveTimeoutError, WorkerDeathError
 
@@ -39,10 +36,6 @@ TileKey = tuple[int, int]
 
 #: Accepted fault kinds.
 FAULT_KINDS = ("error", "timeout", "worker_death")
-
-#: Module-global spec consulted by :func:`inject` in addition to the
-#: explicit argument. Set it via :func:`activate`, not directly.
-ACTIVE_SPEC: "FaultSpec | None" = None
 
 
 @dataclass(frozen=True)
@@ -128,31 +121,11 @@ class FaultSpec:
 def inject(key: TileKey, method: str, attempt: int, spec: FaultSpec | None = None) -> None:
     """The hook the robust solve layer calls before every attempt.
 
-    Checks the explicit ``spec`` first, then the module-global
-    :data:`ACTIVE_SPEC`. Tests may also monkeypatch this function
-    wholesale to inject arbitrary behavior.
+    Checks ``spec`` when one is given. Tests may also monkeypatch this
+    function wholesale to inject arbitrary behavior.
     """
     if spec is not None:
         spec.check(key, method, attempt)
-    if ACTIVE_SPEC is not None:
-        ACTIVE_SPEC.check(key, method, attempt)
-
-
-@contextmanager
-def activate(spec: FaultSpec) -> Iterator[FaultSpec]:
-    """Temporarily install ``spec`` as the module-global fault source.
-
-    In-process solves only — pool workers run in other processes and
-    do not see this global; ship the spec through ``EngineConfig.fault_spec``
-    (and thus the tile payloads) to reach them.
-    """
-    global ACTIVE_SPEC  # pilfill: allow[C201] -- documented in-process-only test channel; pool workers get specs via TilePayload.fault_spec
-    previous = ACTIVE_SPEC
-    ACTIVE_SPEC = spec
-    try:
-        yield spec
-    finally:
-        ACTIVE_SPEC = previous
 
 
 def sample_tiles(keys: Iterable[TileKey], fraction: float, seed: int = 0) -> frozenset[TileKey]:

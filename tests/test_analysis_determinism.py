@@ -2,8 +2,8 @@
 
 A lint gate that itself leaks set order or thread scheduling into its
 report would fail the very property it enforces. These tests run the
-full pipeline repeatedly — cold, warm, shuffled input order, and under a
-parallelized file scan — and require byte-identical reports every time.
+full pipeline repeatedly — cold, warm, and in shuffled input order — and
+require byte-identical reports every time.
 """
 
 from __future__ import annotations
@@ -77,23 +77,10 @@ def test_input_order_does_not_matter(pkg: Path) -> None:
     assert _render_all(forward) == _render_all(backward)
 
 
-@pytest.mark.parametrize("jobs", [2, 4, 8])
-def test_parallel_scan_matches_serial(pkg: Path, jobs: int) -> None:
-    serial = lint_paths([str(pkg)], policy=_POLICY, jobs=1)
-    parallel = lint_paths([str(pkg)], policy=_POLICY, jobs=jobs)
-    assert _render_all(parallel) == _render_all(serial)
-
-
-def test_parallel_scan_populates_the_same_cache(pkg: Path, tmp_path: Path) -> None:
-    serial_cache = tmp_path / "serial.json"
-    parallel_cache = tmp_path / "parallel.json"
-    lint_paths([str(pkg)], policy=_POLICY, cache_path=serial_cache, jobs=1)
-    lint_paths([str(pkg)], policy=_POLICY, cache_path=parallel_cache, jobs=4)
-    assert serial_cache.read_text(encoding="utf-8") == parallel_cache.read_text(
-        encoding="utf-8"
-    )
-    # And a warm read of the parallel-written cache hits everything.
-    warm = lint_paths([str(pkg)], policy=_POLICY, cache_path=parallel_cache)
+def test_warm_cache_hits_every_file(pkg: Path, tmp_path: Path) -> None:
+    cache = tmp_path / "cache.json"
+    lint_paths([str(pkg)], policy=_POLICY, cache_path=cache)
+    warm = lint_paths([str(pkg)], policy=_POLICY, cache_path=cache)
     assert warm.cache_hits >= len(_FILES)
 
 

@@ -63,11 +63,6 @@ class TestLintCommand:
         document = json.loads(sarif_path.read_text(encoding="utf-8"))
         assert document["runs"][0]["tool"]["driver"]["name"] == "pilfill-lint"
 
-    def test_jobs_flag_accepted(self, tmp_path, capsys):
-        pkg = self._write_pkg(tmp_path)
-        assert main(["lint", str(pkg), "--no-cache", "--jobs", "4"]) == 0
-        assert "0 findings" in capsys.readouterr().out
-
     def test_changed_lints_only_dirty_closure(self, tmp_path, capsys, monkeypatch):
         pkg = self._write_pkg(tmp_path)
         (pkg / "dep.py").write_text("BASE = 1\n", encoding="utf-8")

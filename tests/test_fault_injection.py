@@ -31,7 +31,7 @@ from repro.pilfill import (
     prepare,
 )
 from repro.tech import DensityRules, FillRules
-from repro.testing.faults import FaultRule, FaultSpec, activate, sample_tiles
+from repro.testing.faults import FaultRule, FaultSpec, sample_tiles
 from tests.invariants import assert_fill_invariants
 
 FILL = FillRules(fill_size=500, fill_gap=250, buffer_distance=250)
@@ -119,17 +119,6 @@ class TestFaultSpecUnit:
         assert len(sample_tiles(keys, 1e-9)) == 1  # at least one when > 0
         with pytest.raises(FillError):
             sample_tiles(keys, 1.5)
-
-    def test_activate_restores_previous(self):
-        from repro.testing import faults
-
-        spec = FaultSpec.single("error")
-        assert faults.ACTIVE_SPEC is None
-        with activate(spec):
-            assert faults.ACTIVE_SPEC is spec
-            with pytest.raises(SolverError):
-                faults.inject((0, 0), "ilp2", 0)
-        assert faults.ACTIVE_SPEC is None
 
     def test_fallback_chain_shape(self):
         assert fallback_chain("ilp2") == ("ilp2", "ilp1", "greedy")

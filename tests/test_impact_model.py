@@ -1,35 +1,74 @@
-"""Incremental impact model vs the batch evaluator."""
+"""The one delay-impact scorer: ``evaluate_impact`` is a one-shot
+``ImpactModel.score``, bit for bit."""
 
 import pytest
 
 from repro.errors import FillError
+from repro.experiments.harness import TABLE_METHODS
 from repro.geometry import Rect
 from repro.layout import FillFeature
-from repro.pilfill import EngineConfig, ImpactModel, PILFillEngine, evaluate_impact
-from repro.tech import DensityRules
+from repro.pilfill import EngineConfig, ImpactModel, PILFillEngine, evaluate_impact, prepare
+from repro.synth import default_fill_rules, density_rules_for, make_t1, make_t2
+
+
+def table_placements(layout, window_um, r, methods=TABLE_METHODS):
+    """``{method: features}`` on metal3, sharing one prepare and budget
+    the way the table harness does."""
+    rules = default_fill_rules(layout.stack)
+    density = density_rules_for(window_um, r, layout.stack)
+    prepared = prepare(layout, "metal3", rules, density)
+    placements, budget = {}, None
+    for method in methods:
+        cfg = EngineConfig(
+            fill_rules=rules, density_rules=density, method=method, backend="scipy"
+        )
+        run = PILFillEngine(layout, "metal3", cfg, prepared=prepared).run(budget=budget)
+        budget = run.requested_budget if budget is None else budget
+        placements[method] = run.features
+    return placements
+
+
+def report_fields(report):
+    return (
+        report.total_ps,
+        report.weighted_total_ps,
+        list(report.per_net_ps.items()),
+        list(report.per_net_weighted_ps.items()),
+        report.columns,
+        report.features_scored,
+        report.features_free,
+    )
 
 
 class TestAgainstBatchEvaluator:
-    def test_identical_on_engine_placement(self, small_generated_layout, fill_rules):
-        cfg = EngineConfig(
-            fill_rules=fill_rules,
-            density_rules=DensityRules(window_size=16000, r=2, max_density=0.6),
-            method="greedy",
-            backend="scipy",
-        )
-        result = PILFillEngine(small_generated_layout, "metal3", cfg).run()
-        batch = evaluate_impact(small_generated_layout, "metal3", result.features, fill_rules)
-        model = ImpactModel(small_generated_layout, "metal3", fill_rules)
-        incremental = model.score(result.features)
-        assert incremental.total_ps == pytest.approx(batch.total_ps)
-        assert incremental.weighted_total_ps == pytest.approx(batch.weighted_total_ps)
-        assert incremental.features_scored == batch.features_scored
-        assert incremental.features_free == batch.features_free
-        assert incremental.columns == batch.columns
-        for net, value in batch.per_net_weighted_ps.items():
-            assert incremental.per_net_weighted_ps[net] == pytest.approx(value)
-        for net, value in batch.per_net_ps.items():
-            assert incremental.per_net_ps[net] == pytest.approx(value)
+    def test_identical_on_engine_placement(self, small_generated_layout):
+        """Every table method at 32/2 and 20/8: score == evaluate_impact
+        exactly, per-net dicts in the same order."""
+        rules = default_fill_rules(small_generated_layout.stack)
+        for window_um, r in ((32, 2), (20, 8)):
+            placements = table_placements(small_generated_layout, window_um, r)
+            for method, features in placements.items():
+                assert features, (window_um, r, method)
+                batch = evaluate_impact(small_generated_layout, "metal3", features, rules)
+                model = ImpactModel(small_generated_layout, "metal3", rules)
+                assert report_fields(model.score(features)) == report_fields(batch), (
+                    window_um, r, method,
+                )
+
+    @pytest.mark.parametrize(
+        ("make", "method", "expected"),
+        [
+            (make_t1, "greedy", "0.037435400583224476"),
+            (make_t2, "normal", "0.5214545399143629"),
+        ],
+    )
+    def test_weighted_tau_bits_pinned(self, make, method, expected):
+        """The τ the golden tables and the benchmark digest are computed
+        from: a change to the accumulation order moves the last bits."""
+        layout = make()
+        features = table_placements(layout, 32, 2, methods=("normal", "greedy"))[method]
+        impact = evaluate_impact(layout, "metal3", features, default_fill_rules(layout.stack))
+        assert repr(impact.weighted_total_ps) == expected
 
     def test_empty_placement(self, two_line_layout, fill_rules):
         model = ImpactModel(two_line_layout, "metal3", fill_rules)

@@ -6,12 +6,12 @@ its scalar reference exactly (same IEEE-754 operation order), not merely
 within tolerance. These tests enforce that contract on randomized inputs
 and on real prepared instances:
 
-* ``exact_column_cap_array`` / ``linear_column_cap_array`` vs the scalar
+* ``exact_column_cap_array`` (one gap over ``m = 0 .. capacity``, and
+  per-column gaps) / ``linear_column_cap_array`` vs the scalar
   capacitance functions, entry by entry,
 * ``build_costs`` vs ``build_costs_scalar`` on a generated layout,
 * ``allocate_marginal_greedy`` (argpartition path) vs the heap reference,
   including tie-heavy and non-convex tables,
-* ``column_delta_caps`` vs ``exact_column_cap``,
 * ``LUTCache.get_batch`` vs repeated ``get``, plus thread-safety.
 """
 
@@ -39,7 +39,6 @@ from repro.pilfill.dp import (
     allocate_marginal_greedy_scalar,
     allocation_cost,
 )
-from repro.pilfill.evaluate import column_delta_caps
 from repro.pilfill.prepare import prepare
 from repro.synth import default_fill_rules, density_rules_for
 
@@ -67,7 +66,9 @@ class TestCapArrayKernels:
     @settings(max_examples=100, deadline=None)
     def test_exact_array_matches_scalar(self, geom):
         eps_r, thickness, spacing, capacity, width = geom
-        table = exact_column_cap_array(eps_r, thickness, spacing, capacity, width)
+        table = exact_column_cap_array(
+            eps_r, thickness, spacing, np.arange(capacity + 1), width
+        )
         assert table.shape == (capacity + 1,)
         for n in range(capacity + 1):
             assert table[n] == exact_column_cap(eps_r, thickness, spacing, n, width)
@@ -82,21 +83,21 @@ class TestCapArrayKernels:
 
     @given(_cap_geometry())
     @settings(max_examples=50, deadline=None)
-    def test_column_delta_caps_matches_scalar(self, geom):
+    def test_per_column_gaps_match_scalar(self, geom):
         eps_r, thickness, spacing, capacity, width = geom
-        counts = np.arange(capacity + 1)
-        gaps = np.full(capacity + 1, spacing)
-        deltas = column_delta_caps(gaps, counts, eps_r, thickness, width)
-        for n in range(capacity + 1):
-            assert deltas[n] == exact_column_cap(eps_r, thickness, spacing, n, width)
+        counts = np.arange(capacity + 1)[::-1]
+        gaps = spacing + width * np.arange(capacity + 1)
+        deltas = exact_column_cap_array(eps_r, thickness, gaps, counts, width)
+        for gap, n, delta in zip(gaps.tolist(), counts.tolist(), deltas, strict=True):
+            assert delta == exact_column_cap(eps_r, thickness, gap, n, width)
 
     def test_exact_array_overfull_raises(self):
-        with pytest.raises(FillError, match="do not fit"):
-            exact_column_cap_array(3.9, 1.0, 1.0, 10, 0.2)
+        with pytest.raises(FillError, match="^10 features of width 0.2 do not fit in gap 1.0$"):
+            exact_column_cap_array(3.9, 1.0, 1.0, np.arange(11), 0.2)
 
-    def test_column_delta_caps_overfull_raises(self):
-        with pytest.raises(FillError, match="do not fit"):
-            column_delta_caps(np.array([1.0]), np.array([10]), 3.9, 1.0, 0.2)
+    def test_per_column_overfull_raises(self):
+        with pytest.raises(FillError, match="^10 features of width 0.2 do not fit in gap 1.5$"):
+            exact_column_cap_array(3.9, 1.0, np.array([4.0, 1.5]), np.array([3, 10]), 0.2)
 
 
 class TestLUTBatch:
