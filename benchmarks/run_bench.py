@@ -219,7 +219,7 @@ def bench_large_grid(layout, fill_rules, workers: int, window: int = 32, r: int 
     exists to measure. ``effective_workers`` still records what the host
     can actually parallelize.
     """
-    from repro.pilfill.executor import pool_stats, shutdown_pools
+    from repro.pilfill import pool_stats, shutdown_pools
     from repro.synth import density_rules_for
 
     workers = max(2, workers)

@@ -29,7 +29,7 @@ def _default_taint_sinks() -> tuple[str, ...]:
 def _default_worker_entry_functions() -> tuple[str, ...]:
     return (
         # Everything a pool worker actually executes hangs off these.
-        "repro.pilfill.executor.solve_tile_batch",
+        "repro.pilfill.parallel.solve_tile_batch",
         "repro.pilfill.parallel.solve_tile_payload",
         "repro.pilfill.parallel._solve_payload_isolated",
     )
@@ -44,8 +44,6 @@ def _default_payload_registry() -> tuple[str, ...]:
         "repro.pilfill.columns.ColumnNeighbor",
         "repro.testing.faults.FaultSpec",
         "repro.testing.faults.FaultRule",
-        # Batched dispatch (executor boundary).
-        "repro.pilfill.executor.TileBatch",
         # Returned from pool workers (the response side).
         "repro.pilfill.parallel.TileOutcome",
         "repro.pilfill.solution.TileSolution",
@@ -115,9 +113,9 @@ class LintPolicy:
     )
     worker_entry_modules: tuple[str, ...] = (
         "repro.pilfill.parallel",
-        "repro.pilfill.executor",
-        # Unpickling the sharded batch solver imports this module (and
-        # its closure) inside every pool worker.
+        # No pool payload is defined here any more (the sharded batch
+        # solver is gone); the entry keeps the shard planner and the
+        # modules it imports inside C201's scope.
         "repro.pilfill.shard",
     )
     payload_registry: tuple[str, ...] = field(default_factory=_default_payload_registry)
@@ -147,7 +145,7 @@ class LintPolicy:
     rng_factory_names: tuple[str, ...] = ("Random", "SystemRandom", "default_rng", "SeedSequence")
     taint_sink_functions: tuple[str, ...] = field(default_factory=_default_taint_sinks)
     pool_dispatch_functions: tuple[str, ...] = (
-        "repro.pilfill.executor.dispatch_batches",
+        "repro.pilfill.parallel._dispatch_chunks",
         "repro.pilfill.parallel.dispatch_tile_payloads",
     )
     worker_entry_functions: tuple[str, ...] = field(

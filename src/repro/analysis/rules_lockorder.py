@@ -1,7 +1,8 @@
 """X2xx: interprocedural lock-order analysis.
 
-The executor/store/LUT/obs stack each guard their own state with a
-private lock; none of them may *nest* in inconsistent order, and none
+The pool registry (:mod:`repro.pilfill.parallel`), the capacitance LUT
+cache and the impact model's locate memo each guard their own state
+with a private lock; none of them may *nest* in inconsistent order, and none
 may be held while work is handed to a process pool (a worker result
 callback that wants the same lock deadlocks the dispatcher; at minimum
 the pool round-trip serializes under the lock).

@@ -50,7 +50,7 @@ def _cmd_table(args: argparse.Namespace, weighted: bool) -> int:
         else {}
     )
     spec = TableSpec(
-        workers=args.workers, batch_tiles=args.batch_tiles,
+        workers=args.workers,
         tile_deadline_s=args.tile_deadline, run_deadline_s=args.run_deadline,
         telemetry=telemetry, cache_dir=cache_dir,
         shards=args.shards,
@@ -118,7 +118,6 @@ def _cmd_fill(args: argparse.Namespace) -> int:
         weighted=not args.unweighted,
         seed=args.seed,
         workers=args.workers,
-        batch_tiles=args.batch_tiles,
         tile_deadline_s=args.tile_deadline,
         run_deadline_s=args.run_deadline,
         telemetry=bool(args.trace_out or args.metrics_out),
@@ -225,9 +224,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=1,
                    help="per-tile solver parallelism: 1 solves in-process, "
                         "N > 1 uses the persistent N-worker process pool")
-    p.add_argument("--batch-tiles", type=int, default=None,
-                   help="tiles per process-pool submit (default: "
-                        "auto-sized; results are identical either way)")
     p.add_argument("--tile-deadline", type=float, default=None,
                    help="per-tile solve deadline in seconds; timed-out "
                         "tiles degrade ILP-II -> ILP-I -> Greedy")

@@ -102,7 +102,6 @@ def run_config(
     backend: str = "scipy",
     seed: int = 0,
     workers: int = 1,
-    batch_tiles: int | None = None,
     prepared: PreparedInstance | None = None,
     tile_deadline_s: float | None = None,
     run_deadline_s: float | None = None,
@@ -118,8 +117,6 @@ def run_config(
     Args:
         workers: per-tile solver parallelism, forwarded to every method's
             engine (see :class:`EngineConfig`).
-        batch_tiles: tiles per process-pool submit (None auto-sizes; see
-            :class:`EngineConfig`).
         prepared: preprocessing to reuse; built once here when omitted.
         tile_deadline_s: per-tile solve deadline (see :class:`EngineConfig`).
         run_deadline_s: whole-solve-phase deadline, applied per method run.
@@ -159,7 +156,6 @@ def run_config(
             backend=backend,
             seed=seed,
             workers=workers,
-            batch_tiles=batch_tiles,
             tile_deadline_s=tile_deadline_s,
             run_deadline_s=run_deadline_s,
             fallback=fallback,

@@ -32,8 +32,6 @@ class TableSpec:
     seed: int = 0
     #: Per-tile solver parallelism forwarded to every engine run.
     workers: int = 1
-    #: Tiles per process-pool submit; None auto-sizes (see EngineConfig).
-    batch_tiles: int | None = None
     #: Per-tile / per-run wall-clock deadlines (seconds; see EngineConfig).
     tile_deadline_s: float | None = None
     run_deadline_s: float | None = None
@@ -186,7 +184,6 @@ def run_table(
                     backend=spec.backend,
                     seed=spec.seed,
                     workers=spec.workers,
-                    batch_tiles=spec.batch_tiles,
                     tile_deadline_s=spec.tile_deadline_s,
                     run_deadline_s=spec.run_deadline_s,
                     fallback=spec.fallback,

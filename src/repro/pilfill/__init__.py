@@ -33,14 +33,6 @@ from repro.pilfill.dp import (
     allocation_cost,
 )
 from repro.pilfill.engine import METHODS, EngineConfig, FillResult, PILFillEngine
-from repro.pilfill.executor import (
-    TileBatch,
-    chunk_payloads,
-    get_pool,
-    pool_stats,
-    shutdown_pools,
-    worker_pids,
-)
 from repro.pilfill.methods import solve_tile_method, solve_tile_normal, trim_to
 from repro.pilfill.evaluate import ImpactModel, ImpactReport, evaluate_impact
 from repro.pilfill.budgeted import (
@@ -65,9 +57,14 @@ from repro.pilfill.parallel import (
     PARALLEL_BACKENDS,
     TileOutcome,
     TilePayload,
+    chunk_payloads,
     dispatch_tile_payloads,
+    get_pool,
+    pool_stats,
+    shutdown_pools,
     solve_tile_payload,
     tile_rng,
+    worker_pids,
 )
 from repro.pilfill.prepare import PreparedInstance, prepare, prepare_streaming
 from repro.pilfill.robust import (
@@ -124,7 +121,6 @@ __all__ = [
     "EngineConfig",
     "FillResult",
     "PILFillEngine",
-    "TileBatch",
     "chunk_payloads",
     "get_pool",
     "pool_stats",

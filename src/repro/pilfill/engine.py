@@ -119,18 +119,15 @@ class EngineConfig:
         workers: per-tile solver parallelism. 1 (default) solves tiles
             in-process; N > 1 ships them as compact picklable payloads
             (each tile's cost tables + budget + seed + deadlines, no
-            layout objects) in chunked batches to the persistent
+            layout objects) in auto-sized chunks to the persistent
             N-worker process pool (created lazily, reused across runs;
             release it with
-            :func:`repro.pilfill.executor.shutdown_pools`). Results are
+            :func:`repro.pilfill.parallel.shutdown_pools`). Results are
             bit-identical to serial for every method.
-        parallel_backend: ``"process"``, the only pool kind (kept so
-            configurations that name it still construct).
-        batch_tiles: tiles per process-pool submit. ``None`` (default)
-            auto-sizes to a few batches per worker, capped at 64 —
-            dozens of tiles per future instead of one, so dispatch
-            overhead stops swamping the tiny per-tile solves. Chunking
-            never affects results.
+        parallel_backend: ``"process"``, the only pool kind. The field
+            stays because existing callers construct configurations that
+            name it — the ``table_t2_p2`` benchmark workload passes
+            ``parallel_backend="process"``.
         tile_deadline_s: wall-clock deadline per tile solve (seconds).
             An ILP attempt exceeding it surfaces ``TIME_LIMIT`` and the
             tile degrades down the fallback chain (ILP-II → ILP-I →
@@ -145,8 +142,8 @@ class EngineConfig:
             with the same derived RNG, and the sweep always completes,
             with every substitution recorded in
             ``FillResult.solve_reports``. False → strict mode: a
-            one-rung chain with isolation off, so the first failure
-            propagates. Successful solves are identical either way.
+            one-rung chain with no retry, so the first failure
+            propagates (on the pool too). Successful solves are identical either way.
         fault_spec: deterministic fault injection for tests (see
             :mod:`repro.testing.faults`); ``None`` in production.
         telemetry: True → record tracing spans and metrics for the run
@@ -157,7 +154,7 @@ class EngineConfig:
             incremental ECO re-fill (see
             :mod:`repro.pilfill.incremental`). Tiles whose solve inputs
             hash to a cached entry are merged from the cache and never
-            dispatched (chunked process batches shrink accordingly);
+            dispatched (pool chunks shrink accordingly);
             misses are solved normally and recorded. Cached results are
             bit-identical to cold solves by construction. ``None``
             (default) → no caching. Ignored (with zeroed counters) when
@@ -189,7 +186,6 @@ class EngineConfig:
     seed: int = 0
     workers: int = 1
     parallel_backend: str = "process"
-    batch_tiles: int | None = None
     tile_deadline_s: float | None = None
     run_deadline_s: float | None = None
     fallback: bool = True
@@ -215,8 +211,6 @@ class EngineConfig:
             raise FillError(f"workers must be >= 1, got {self.workers}")
         if self.shards < 1:
             raise FillError(f"shards must be >= 1, got {self.shards}")
-        if self.batch_tiles is not None and self.batch_tiles < 1:
-            raise FillError(f"batch_tiles must be >= 1, got {self.batch_tiles}")
         if self.backend not in ILP_BACKENDS:
             raise FillError(
                 f"unknown ILP backend {self.backend!r}; expected one of {ILP_BACKENDS}"
@@ -601,8 +595,6 @@ class PILFillEngine:
         return dispatch_tile_payloads(
             payloads,
             workers=cfg.workers,
-            isolate=cfg.fallback,
-            batch_tiles=cfg.batch_tiles,
             tracer=tracer,
             metrics=metrics,
         )

@@ -88,7 +88,7 @@ def run_context_digest(
 
     Includes every :class:`EngineConfig` field that changes solve
     *output* and excludes the ones that only change *scheduling*
-    (workers, parallel backend, batching, telemetry) — the bit-identity
+    (workers, parallel backend, shards, telemetry) — the bit-identity
     contract across dispatchers is what makes that exclusion sound.
     :data:`~repro.pilfill.store.STORE_VERSION` is folded in so a store
     format bump retires every old digest at the key level too.

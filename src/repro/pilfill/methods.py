@@ -9,7 +9,7 @@ would have produced.
 
 Solvers take a list of :class:`~repro.pilfill.costs.ColumnCosts` — the
 same objects in-process, in pool workers (carried inline in each
-:class:`~repro.pilfill.executor.TileBatch`) and in parent-side retries.
+:class:`~repro.pilfill.parallel.TilePayload`) and in parent-side retries.
 """
 
 from __future__ import annotations

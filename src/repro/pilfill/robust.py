@@ -21,9 +21,10 @@ degrades that tile instead of aborting the sweep:
 
 :class:`~repro.errors.WorkerDeathError` deliberately escapes the chain:
 nothing inside a dead worker can run recovery code, so the *dispatcher*
-(:mod:`repro.pilfill.parallel`) catches it, retries the tile once with
-the same derived RNG (preserving the bit-identity contract), and only
-then records the tile as failed.
+(:mod:`repro.pilfill.parallel`) re-solves the worker's chunk in the
+parent, where the per-tile policy retries the tile once with the same
+derived RNG (preserving the bit-identity contract) and only then
+records the tile as failed.
 """
 
 from __future__ import annotations

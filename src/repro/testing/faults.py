@@ -16,8 +16,8 @@ whether that attempt raises, and what:
 
 Everything is stateless: a rule fires based on the attempt *number*, not
 on a counter, so behavior is identical whether the retry happens in the
-same process (in-process solves) or in the parent after a pool worker
-died (process pool), and identical across repeated runs.
+same process (serial dispatch) or in the parent, which re-solves a
+dead pool worker's whole chunk, and identical across repeated runs.
 
 There is one injection channel: the explicit spec. The engine threads
 ``EngineConfig.fault_spec`` into every in-process solve and into the

@@ -79,4 +79,8 @@ def test_interprocedural_rules_are_live_over_the_tree() -> None:
             assert any(name in names for names in defined.values()), (
                 f"policy entry {dotted} not defined in any module"
             )
+    # Module-scoped entries name modules in the tree: a stale entry for a
+    # deleted module would otherwise narrow nothing and pass silently.
+    for module in DEFAULT_POLICY.worker_entry_modules + DEFAULT_POLICY.wall_clock_allowlist:
+        assert module in program.units, f"policy module {module} not in the tree"
 

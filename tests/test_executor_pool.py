@@ -33,14 +33,14 @@ from repro.pilfill import (
     TilePayload,
     chunk_payloads,
     dispatch_tile_payloads,
-    executor,
+    parallel,
     pool_stats,
     prepare,
     result_digest,
     shutdown_pools,
     worker_pids,
 )
-from repro.pilfill.executor import TileBatch, dispatch_batches, solve_tile_batch
+from repro.pilfill.parallel import _dispatch_chunks, solve_tile_batch
 from repro.tech import DensityRules, FillRules
 from repro.testing.faults import FaultSpec
 
@@ -74,6 +74,18 @@ def baseline(small_generated_layout, prepared):
     return PILFillEngine(
         small_generated_layout, "metal3", make_cfg(), prepared=prepared
     ).run()
+
+
+def fixed_chunks(size):
+    """A chunker with a fixed tiles-per-submit (``None``: one chunk of
+    every payload), swapped in for
+    :func:`~repro.pilfill.parallel.chunk_payloads` (parent side only)."""
+
+    def chunk(payloads, workers):
+        step = size or len(payloads)
+        return [tuple(payloads[i : i + step]) for i in range(0, len(payloads), step)]
+
+    return chunk
 
 
 def make_payloads(prepared, baseline, method="greedy", **overrides):
@@ -127,28 +139,24 @@ class TestChunking:
         # ~4 batches per worker: 300/(2*4) -> 38 per chunk.
         assert max(sizes) == 38
 
-    def test_explicit_chunk_size(self):
-        chunks = chunk_payloads(list(range(10)), workers=4, batch_tiles=3)
-        assert [len(c) for c in chunks] == [3, 3, 3, 1]
-
     def test_empty_and_invalid(self):
         assert chunk_payloads([], workers=4) == []
-        with pytest.raises(FillError, match="batch_tiles"):
-            chunk_payloads([1], workers=1, batch_tiles=0)
-
-    def test_engine_batch_tiles_validated(self):
-        with pytest.raises(FillError, match="batch_tiles"):
-            make_cfg(batch_tiles=0)
+        with pytest.raises(ValueError, match="workers"):
+            dispatch_tile_payloads([], workers=0)
 
     @pytest.mark.parametrize("method", ["greedy", "normal", "dp"])
-    @pytest.mark.parametrize("batch_tiles", [1, 2, None])
+    @pytest.mark.parametrize("chunk_size", [1, 2, None])
     def test_chunked_bit_identical_to_serial(
-        self, small_generated_layout, prepared, method, batch_tiles
+        self, small_generated_layout, prepared, method, chunk_size, monkeypatch
     ):
+        """``chunk_size=None`` is the auto chunking; 1 and 2 swap in a
+        fixed-size chunker."""
         serial = PILFillEngine(
             small_generated_layout, "metal3", make_cfg(method), prepared=prepared
         ).run()
-        cfg = make_cfg(method, workers=2, batch_tiles=batch_tiles)
+        if chunk_size is not None:
+            monkeypatch.setattr(parallel, "chunk_payloads", fixed_chunks(chunk_size))
+        cfg = make_cfg(method, workers=2)
         chunked = PILFillEngine(
             small_generated_layout, "metal3", cfg, prepared=prepared
         ).run(budget=serial.requested_budget)
@@ -158,11 +166,14 @@ class TestChunking:
             k: s.counts for k, s in serial.tile_solutions.items()
         }
 
-    def test_chunked_mvdc_bit_identical(self, small_generated_layout, prepared):
+    def test_chunked_mvdc_bit_identical(
+        self, small_generated_layout, prepared, monkeypatch
+    ):
         serial = PILFillEngine(
             small_generated_layout, "metal3", make_cfg(), prepared=prepared
         ).run_mvdc(slack_fraction=0.3)
-        cfg = make_cfg(workers=2, batch_tiles=2)
+        monkeypatch.setattr(parallel, "chunk_payloads", fixed_chunks(2))
+        cfg = make_cfg(workers=2)
         chunked = PILFillEngine(
             small_generated_layout, "metal3", cfg, prepared=prepared
         ).run_mvdc(slack_fraction=0.3)
@@ -221,10 +232,8 @@ class TestFaultsMidBatch:
         spec = FaultSpec.single("worker_death", tiles=[dying], attempts=(0,))
         payloads = make_payloads(prepared, baseline, fault_spec=spec)
         clean = make_payloads(prepared, baseline)
-        # One big batch: the death strands every batchmate behind it.
-        faulted = dispatch_tile_payloads(
-            payloads, workers=2, batch_tiles=len(payloads)
-        )
+        # One big chunk: the death strands every batchmate behind it.
+        faulted = _dispatch_chunks([tuple(payloads)], workers=2)
         reference = dispatch_tile_payloads(clean, workers=2)
         assert set(faulted) == set(reference)
         for key in keys:
@@ -239,9 +248,7 @@ class TestFaultsMidBatch:
         dying = keys[0]
         spec = FaultSpec.single("worker_death", tiles=[dying], attempts=None)
         payloads = make_payloads(prepared, baseline, fault_spec=spec)
-        outcomes = dispatch_tile_payloads(
-            payloads, workers=2, batch_tiles=len(payloads)
-        )
+        outcomes = _dispatch_chunks([tuple(payloads)], workers=2)
         assert outcomes[dying].failed
         assert "WorkerDeathError" in outcomes[dying].error
         for key in keys[1:]:
@@ -259,9 +266,7 @@ class TestFaultsMidBatch:
             "timeout", tiles=[expiring], methods=("greedy",), attempts=None
         )
         payloads = make_payloads(prepared, baseline, fault_spec=spec)
-        outcomes = dispatch_tile_payloads(
-            payloads, workers=2, batch_tiles=len(payloads)
-        )
+        outcomes = _dispatch_chunks([tuple(payloads)], workers=2)
         assert outcomes[expiring].failed
         assert outcomes[expiring].error.startswith("TIME_LIMIT")
         assert outcomes[expiring].retries == 0
@@ -274,7 +279,7 @@ class TestFaultsMidBatch:
 class TestTelemetrySingleMerge:
     @pytest.mark.parametrize("fault", [None, "worker_death"])
     def test_metric_totals_count_each_tile_once(
-        self, small_generated_layout, prepared, fault
+        self, small_generated_layout, prepared, fault, monkeypatch
     ):
         """tiles.solved + tiles.failed must equal the dispatched tile
         count even when a batch is re-solved in the parent after a worker
@@ -289,9 +294,9 @@ class TestTelemetrySingleMerge:
             if fault
             else None
         )
-        cfg = make_cfg(
-            workers=2, batch_tiles=len(keys), telemetry=True, fault_spec=spec,
-        )
+        # One chunk holding every tile: the death strands all of them.
+        monkeypatch.setattr(parallel, "chunk_payloads", fixed_chunks(None))
+        cfg = make_cfg(workers=2, telemetry=True, fault_spec=spec)
         result = PILFillEngine(
             small_generated_layout, "metal3", cfg, prepared=prepared
         ).run(budget=serial.requested_budget)
@@ -331,7 +336,7 @@ class TestNoSharedMemory:
         assert result_digest(pooled) == result_digest(serial)
 
 
-def _exit_worker(batch):
+def _exit_worker(payloads):
     """Pool entry that hard-kills its worker: a *real* worker death (not
     the injected WorkerDeathError), so the future raises
     BrokenProcessPool and the dispatcher walks its recovery path."""
@@ -347,20 +352,15 @@ class TestBrokenPool:
         self, prepared, baseline, monkeypatch
     ):
         shutdown_pools()
-        # The pool submits executor.solve_tile_batch; forked workers
+        # The pool submits parallel.solve_tile_batch; forked workers
         # resolve the swapped-in entry by reference and hard-exit.
-        monkeypatch.setattr(executor, "solve_tile_batch", _exit_worker)
+        monkeypatch.setattr(parallel, "solve_tile_batch", _exit_worker)
         payloads = make_payloads(prepared, baseline)
         created_before = pool_stats()["created"]
         try:
-            outcomes = dispatch_batches(
-                payloads, workers=2, batch_tiles=len(payloads)
-            )
+            outcomes = _dispatch_chunks([tuple(payloads)], workers=2)
             monkeypatch.undo()
-            reference = {
-                o.key: o
-                for o in solve_tile_batch(TileBatch(payloads=tuple(payloads)))
-            }
+            reference = {o.key: o for o in solve_tile_batch(tuple(payloads))}
             assert set(outcomes) == set(reference)
             for key, outcome in outcomes.items():
                 assert not outcome.failed, key

@@ -324,15 +324,18 @@ class TestDeadlines:
 
 
 class TestStrictMode:
+    @pytest.mark.parametrize("workers", WORKERS)
     def test_fallback_false_propagates_fault(
-        self, small_generated_layout, prepared, base_ilp2
+        self, small_generated_layout, prepared, base_ilp2, workers
     ):
+        """Strict mode raises the injected error on both dispatch paths:
+        the pool's parent-side re-solve of the failed chunk re-raises."""
         key = sorted(base_ilp2.tile_solutions)[0]
         spec = FaultSpec.single("error", tiles=[key], methods=("ilp2",), attempts=None)
         with pytest.raises(SolverError):
             faulted_run(
                 small_generated_layout, prepared, "ilp2", spec,
-                budget=base_ilp2.requested_budget, fallback=False,
+                budget=base_ilp2.requested_budget, fallback=False, workers=workers,
             )
 
     def test_fallback_false_unfaulted_matches_robust_run(

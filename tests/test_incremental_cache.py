@@ -353,7 +353,6 @@ class TestDigests:
         [
             {"workers": 4},
             {"parallel_backend": "process"},
-            {"batch_tiles": 2},
             {"telemetry": True},
             {"shards": 3},
         ],
