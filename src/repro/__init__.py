@@ -33,14 +33,12 @@ from repro.errors import (
     DissectionError,
     FillError,
     GeometryError,
-    InfeasibleError,
     LayoutError,
     ParseError,
     ReproError,
     SolverError,
     SolveTimeoutError,
     TechError,
-    UnboundedError,
     WorkerDeathError,
 )
 from repro.geometry import GridBinIndex, Interval, IntervalSet, Point, Rect, SiteGrid
@@ -124,7 +122,7 @@ __all__ = [
     # errors
     "ReproError", "GeometryError", "LayoutError", "TechError", "DissectionError",
     "ParseError", "SolverError", "SolveTimeoutError", "WorkerDeathError",
-    "InfeasibleError", "UnboundedError", "FillError",
+    "FillError",
     # geometry
     "Point", "Rect", "Interval", "IntervalSet", "SiteGrid", "GridBinIndex",
     # tech

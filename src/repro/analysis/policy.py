@@ -67,7 +67,8 @@ class LintPolicy:
         float_eq_packages: dotted package prefixes where ``==`` / ``!=``
             against floats is forbidden (D104).
         wall_clock_allowlist: modules allowed to read the wall clock
-            (D102) — deadline enforcement and phase timing live here.
+            (D102) — deadline enforcement, per-tile timing across the
+            process boundary, and the telemetry clock live here.
         worker_entry_modules: roots of the worker-payload import graph;
             every module transitively imported from these runs inside
             pool workers, so C201 (module-level mutable state) applies.
@@ -103,10 +104,7 @@ class LintPolicy:
         "repro.pilfill.engine",
         "repro.pilfill.robust",
         "repro.pilfill.parallel",
-        "repro.pilfill.prepare",
-        "repro.pilfill.shard",
         "repro.ilp.branchbound",
-        "repro.experiments.harness",
         # The telemetry clock: the single sanctioned wall-clock read for
         # repro.obs — spans take time via an injected Clock, never directly.
         "repro.obs.clock",

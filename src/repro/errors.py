@@ -76,13 +76,5 @@ class WorkerDeathError(ReproError):
     worker death deterministically."""
 
 
-class InfeasibleError(SolverError):
-    """The optimization instance admits no feasible solution."""
-
-
-class UnboundedError(SolverError):
-    """The LP relaxation is unbounded below."""
-
-
 class FillError(ReproError):
     """Fill synthesis failure (budget exceeds slack capacity, bad rules)."""

@@ -2,8 +2,9 @@
 
 Telemetry is opt-in (``EngineConfig.telemetry=True`` or the CLI's
 ``--trace-out`` / ``--metrics-out``); when off, the engine holds the
-shared :data:`NULL_TRACER` / :data:`NULL_METRICS` singletons whose
-methods are no-ops, so instrumented code pays only an attribute lookup.
+shared :data:`NULL_TRACER` / :data:`NULL_METRICS` singletons, which
+record nothing. Null spans still time themselves: span durations are
+the one source of the engine's phase timings.
 Nothing here may perturb solver results — telemetry observes the run,
 it never participates in it.
 """

@@ -1,7 +1,8 @@
 """Injectable monotonic clocks for the telemetry layer.
 
-Every span duration in :mod:`repro.obs.trace` comes from a ``Clock``
-passed in at tracer construction, so this module is the *only* place in
+Every span duration in :mod:`repro.obs.trace` — and with it every
+phase timing the engine reports — comes from a ``Clock`` passed in at
+tracer construction, so this module is the *only* place in
 the observability package that reads the real wall clock — it is the
 sole ``repro.obs`` entry on the D102 wall-clock allowlist, which keeps
 the lint rule honest: tracing code elsewhere cannot quietly call

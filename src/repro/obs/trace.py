@@ -11,9 +11,12 @@ Tracers are deliberately lock-free: each tracer has a single owner (the
 engine's run loop, or one worker solving one tile) and cross-thread
 results are merged by the owner, never written concurrently.
 
-When telemetry is off, callers hold :data:`NULL_TRACER`, whose ``span``
-returns a shared no-op context manager — the disabled fast path is two
-attribute lookups and no allocation.
+Every span handle is also a stopwatch: after the ``with`` block exits,
+``handle.seconds`` is the span's measured duration, on a real tracer and
+on the null one alike. The engine's phase timings are read from there,
+so the span clock is the one timing source. When telemetry is off,
+callers hold :data:`NULL_TRACER`: its spans read the clock on entry and
+exit but record nothing.
 """
 
 from __future__ import annotations
@@ -52,12 +55,15 @@ class SpanRecord:
 
 
 class SpanHandle:
-    """Mutable attribute sink for one open span; no-op when detached."""
+    """Attribute sink and stopwatch for one span: ``seconds`` is its
+    duration once it has exited (0.0 before); ``set`` is a no-op when
+    detached (``attrs=None``)."""
 
-    __slots__ = ("_attrs",)
+    __slots__ = ("_attrs", "seconds")
 
     def __init__(self, attrs: dict[str, str] | None) -> None:
         self._attrs = attrs
+        self.seconds = 0.0
 
     def set(self, key: str, value: object) -> None:
         """Attach ``key=value`` to the span (stringified); no-op when null."""
@@ -65,16 +71,18 @@ class SpanHandle:
             self._attrs[key] = str(value)
 
 
-_NULL_HANDLE = SpanHandle(None)
+class _NullSpan(SpanHandle):
+    """A timed span that records nothing (see :class:`NullTracer`)."""
 
+    __slots__ = ("_clock", "_t0")
 
-class _NullSpan:
-    """Shared no-op context manager returned by :class:`NullTracer`."""
-
-    __slots__ = ()
+    def __init__(self, clock: Clock) -> None:
+        super().__init__(None)
+        self._clock = clock
 
     def __enter__(self) -> SpanHandle:
-        return _NULL_HANDLE
+        self._t0 = self._clock.now()
+        return self
 
     def __exit__(
         self,
@@ -82,24 +90,23 @@ class _NullSpan:
         exc: BaseException | None,
         tb: TracebackType | None,
     ) -> None:
+        self.seconds = self._clock.now() - self._t0
         return None
 
 
-_NULL_SPAN = _NullSpan()
+class _ActiveSpan(SpanHandle):
+    """One live span on a real :class:`Tracer`; on exit ``seconds`` is
+    the duration written to its record."""
 
-
-class _ActiveSpan:
-    """Context manager for one live span on a real :class:`Tracer`."""
-
-    __slots__ = ("_tracer", "_index", "_attrs")
+    __slots__ = ("_tracer", "_index")
 
     def __init__(self, tracer: Tracer, index: int, attrs: dict[str, str]) -> None:
+        super().__init__(attrs)
         self._tracer = tracer
         self._index = index
-        self._attrs = attrs
 
     def __enter__(self) -> SpanHandle:
-        return SpanHandle(self._attrs)
+        return self
 
     def __exit__(
         self,
@@ -107,9 +114,10 @@ class _ActiveSpan:
         exc: BaseException | None,
         tb: TracebackType | None,
     ) -> None:
-        if exc is not None and "error" not in self._attrs:
-            self._attrs["error"] = f"{type(exc).__name__}: {exc}"
-        self._tracer._close(self._index, self._attrs)
+        attrs = self._attrs or {}
+        if exc is not None and "error" not in attrs:
+            attrs["error"] = f"{type(exc).__name__}: {exc}"
+        self.seconds = self._tracer._close(self._index, attrs)
         return None
 
 
@@ -134,15 +142,16 @@ class Tracer:
         self._stack.append(index)
         return _ActiveSpan(self, index, {k: str(v) for k, v in attrs.items()})
 
-    def _close(self, index: int, attrs: dict[str, str]) -> None:
+    def _close(self, index: int, attrs: dict[str, str]) -> float:
+        """Close span ``index`` and return its duration."""
         if self._stack and self._stack[-1] == index:
             self._stack.pop()
         placeholder = self._records[index]
+        duration_s = self._clock.now() - self._t0 - placeholder.start_s
         self._records[index] = dataclasses.replace(
-            placeholder,
-            duration_s=self._clock.now() - self._t0 - placeholder.start_s,
-            attrs=tuple(sorted(attrs.items())),
+            placeholder, duration_s=duration_s, attrs=tuple(sorted(attrs.items()))
         )
+        return duration_s
 
     def records(self) -> tuple[SpanRecord, ...]:
         """All closed (and still-open placeholder) spans, in open order."""
@@ -186,12 +195,15 @@ def span_tree(records: tuple[SpanRecord, ...]) -> list[dict[str, Any]]:
 
 
 class NullTracer:
-    """Disabled-telemetry tracer: every call is a no-op."""
+    """Disabled-telemetry tracer: spans are timed but nothing is recorded."""
 
-    __slots__ = ()
+    __slots__ = ("_clock",)
+
+    def __init__(self, clock: Clock | None = None) -> None:
+        self._clock: Clock = clock if clock is not None else SYSTEM_CLOCK
 
     def span(self, name: str, **attrs: object) -> _NullSpan:
-        return _NULL_SPAN
+        return _NullSpan(self._clock)
 
     def records(self) -> tuple[SpanRecord, ...]:
         return ()

@@ -47,7 +47,6 @@ from repro.pilfill.incremental import (
     SolutionCache,
     cache_eligible,
     run_context_digest,
-    stale_fill_features,
     tile_digest,
 )
 from repro.pilfill.localsearch import RefineResult, refine_placement
@@ -174,7 +173,6 @@ __all__ = [
     "SolutionCache",
     "cache_eligible",
     "run_context_digest",
-    "stale_fill_features",
     "tile_digest",
     "STORE_VERSION",
     "CachedEntry",

@@ -37,7 +37,7 @@ features via ``layout.add_fill`` afterwards.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from repro.errors import FillError, SolveTimeoutError
@@ -148,8 +148,10 @@ class EngineConfig:
             :mod:`repro.testing.faults`); ``None`` in production.
         telemetry: True → record tracing spans and metrics for the run
             (see :mod:`repro.obs`) and attach them to the result for
-            ``FillResult.to_report()``. False (default) → the no-op fast
-            path; solver results are bit-identical either way.
+            ``FillResult.to_report()``. False (default) → the null
+            tracer: spans are still timed, so ``phase_seconds`` is
+            filled, but nothing is recorded; solver results are
+            bit-identical either way.
         solution_cache: content-addressed tile-solution cache for
             incremental ECO re-fill (see
             :mod:`repro.pilfill.incremental`). Tiles whose solve inputs
@@ -230,12 +232,17 @@ class EngineConfig:
 class FillResult:
     """Outcome of one engine run.
 
-    ``phase_seconds`` covers every phase in :data:`PHASES`; preprocessing
-    phases report the (once-paid) cost recorded on the shared
-    :class:`PreparedInstance`, so a run that reuses preparation still
-    shows what that preparation cost. ``tile_seconds`` breaks the solve
-    phase down per tile. ``telemetry`` holds the run's tracer + metrics
-    when ``EngineConfig.telemetry`` was set (``None`` otherwise).
+    ``phase_seconds`` covers every phase in :data:`PHASES`, each the self
+    time of its phase spans (spans with a ``phase`` attribute): a span's
+    duration less that of the phase spans nested in it, so every second
+    counts under one phase. Preprocessing phases report the (once-paid)
+    cost recorded on the shared :class:`PreparedInstance`, so a run that
+    reuses preparation still shows what that preparation cost; ``solve``
+    is this run's ``engine.run`` / ``engine.run_budgeted`` span less any
+    budget, density or cost-table build inside it. ``tile_seconds``
+    breaks the solve phase down per tile. ``telemetry`` holds the run's
+    tracer + metrics when ``EngineConfig.telemetry`` was set (``None``
+    otherwise).
     ``cache_stats`` holds this run's solution-cache counter deltas
     (hits/misses/stores/invalidated) when a cache was active, ``None``
     otherwise.
@@ -424,16 +431,16 @@ class PILFillEngine:
         result, tracer, metrics = self._start()
         prep = self._prepared_traced(tracer)
         plan = plan_shards(prep, n_shards=cfg.shards)
+        charged = sum(prep.phase_seconds.values())
 
         with tracer.span(
-            "engine.run", method=method, backend=cfg.backend,
+            "engine.run", phase="solve", method=method, backend=cfg.backend,
             workers=cfg.workers, shards=plan.n_shards,
-        ):
+        ) as run_span:
             if budget is None:
                 budget = prep.budget_for(cfg, tracer=tracer)
             result.requested_budget = dict(budget)
 
-            t0 = time.perf_counter()
             run_deadline = self._run_deadline()
             cache = (
                 cfg.solution_cache
@@ -553,7 +560,7 @@ class PILFillEngine:
                 }
                 for name, delta in result.cache_stats.items():
                     metrics.count(f"cache.{name}", delta)
-            self._finish(result, metrics, time.perf_counter() - t0)
+        self._finish(result, metrics, run_span.seconds, charged)
         return result
 
     def _dispatch(
@@ -607,18 +614,20 @@ class PILFillEngine:
             return FillResult(), NULL_TRACER, NULL_METRICS
         return FillResult(telemetry=telemetry), telemetry.tracer, telemetry.metrics
 
-    def _finish(self, result: FillResult, metrics: MetricsLike, solve_seconds: float) -> None:
-        """Fill ``phase_seconds`` from the shared preparation + this
-        solve, and record the run-level metrics."""
+    def _finish(
+        self, result: FillResult, metrics: MetricsLike, run_seconds: float, charged: float
+    ) -> None:
+        """Fill ``phase_seconds`` and record the run-level metrics.
+        ``solve`` is the run span's self time: ``run_seconds`` less the
+        preparation phases charged since their total was ``charged``."""
         prep = self.prepared
         for phase in PHASES:
             result.phase_seconds[phase] = prep.phase_seconds.get(phase, 0.0)
-        result.phase_seconds["solve"] = solve_seconds
+        nested = sum(prep.phase_seconds.values()) - charged
+        result.phase_seconds["solve"] = run_seconds - nested
         metrics.count("features.placed", result.total_features)
         for name, hits in prep.lut_stats.items():
             metrics.count(f"lut.{name}", hits)
-        for phase, seconds in result.phase_seconds.items():
-            metrics.observe(f"phase.{phase}.seconds", seconds)
 
     def _run_deadline(self) -> float | None:
         """Absolute epoch the solve phase must finish by (``time.time()``
@@ -716,12 +725,14 @@ class PILFillEngine:
         method = "budgeted_ilp" if exact else "budgeted_greedy"
         result, tracer, metrics = self._start()
         prep = self._prepared_traced(tracer)
+        charged = sum(prep.phase_seconds.values())
 
-        with tracer.span("engine.run_budgeted", method=method, backend=cfg.backend):
+        with tracer.span(
+            "engine.run_budgeted", phase="solve", method=method, backend=cfg.backend
+        ) as run_span:
             budget = prep.budget_for(cfg, tracer=tracer)
             result.requested_budget = dict(budget)
 
-            t0 = time.perf_counter()
             costs_by_tile = prep.costs_for(cfg.weighted, tracer=tracer)
             run_deadline = self._run_deadline()
             remaining = dict(net_budgets_ff)
@@ -737,16 +748,17 @@ class PILFillEngine:
                     result.effective_budget[key] = 0
                     if effective == 0:
                         continue
-                    with tracer.span("tile", tile=key, method=method):
+                    with tracer.span("tile", tile=key, method=method) as tile_span:
                         outcome = self._solve_budgeted(
                             key, costs, effective, remaining, method, run_deadline
                         )
+                    outcome = replace(outcome, seconds=tile_span.seconds)
                     solution = self._merge_outcome(
                         result, key, outcome, self._placed(prep.columns_by_tile[key], outcome),
                         len(costs), method, tracer, metrics,
                     )
                     result.effective_budget[key] = solution.total_features
-            self._finish(result, metrics, time.perf_counter() - t0)
+        self._finish(result, metrics, run_span.seconds, charged)
         return result
 
     def _solve_budgeted(
@@ -760,15 +772,12 @@ class PILFillEngine:
     ) -> TileOutcome:
         """Solve one budgeted tile and deduct the capacitance it used from
         ``remaining``. A run deadline that already passed fails the tile
-        without solving it."""
-        tick = time.perf_counter()
+        without solving it. The outcome's ``seconds`` is left 0.0: the
+        caller's ``tile`` span times the call."""
         try:
             time_limit = effective_time_limit(self.config.tile_deadline_s, run_deadline)
         except SolveTimeoutError as exc:
-            return TileOutcome(
-                key=key, value=None, seconds=time.perf_counter() - tick,
-                error=f"TIME_LIMIT: {exc}",
-            )
+            return TileOutcome(key=key, value=None, seconds=0.0, error=f"TIME_LIMIT: {exc}")
         cap_tables = build_cap_tables(costs)
         report = SolveReport(key=key, requested_method=method, used_method=method)
         if method == "budgeted_ilp":
@@ -791,10 +800,7 @@ class PILFillEngine:
         for net, used in outcome.cap_used_ff.items():
             if net in remaining:
                 remaining[net] -= used
-        return TileOutcome(
-            key=key, value=outcome.solution, seconds=time.perf_counter() - tick,
-            report=report,
-        )
+        return TileOutcome(key=key, value=outcome.solution, seconds=0.0, report=report)
 
     def compute_budget(self) -> dict[TileKey, int]:
         """Per-tile feature budgets from the density-control baseline

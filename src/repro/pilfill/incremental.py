@@ -29,7 +29,6 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.errors import FillError
 from repro.geometry.rect import Rect
 from repro.geometry.spatial import GridBinIndex
 from repro.pilfill.columns import ColumnNeighbor
@@ -41,9 +40,7 @@ from repro.pilfill.store import STORE_VERSION, CachedEntry, SolutionStore, copy_
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from pathlib import Path
 
-    from repro.layout.layout import FillFeature
     from repro.pilfill.engine import EngineConfig
-    from repro.pilfill.evaluate import ImpactModel
     from repro.testing.faults import FaultSpec
 
 TileKey = tuple[int, int]
@@ -249,29 +246,3 @@ class SolutionCache:
             "invalidated": self.invalidated,
         }
 
-
-def stale_fill_features(
-    model: "ImpactModel",
-    features: Sequence["FillFeature"],
-    window: Rect,
-) -> tuple[list["FillFeature"], list["FillFeature"]]:
-    """Partition prior fill inside ``window`` into (kept, displaced).
-
-    Impact bookkeeping for an ECO: a fill feature from the previous run
-    survives the edit iff :meth:`ImpactModel.locate` (rect-memoized, so
-    the sweep is cheap on repeat calls) still places it off active
-    geometry on the *edited* layout. Features outside the window are
-    untouched by definition and are not examined.
-    """
-    kept: list[FillFeature] = []
-    displaced: list[FillFeature] = []
-    for feature in features:
-        if not feature.rect.overlaps(window):
-            continue
-        try:
-            model.locate(feature)
-        except FillError:
-            displaced.append(feature)
-        else:
-            kept.append(feature)
-    return kept, displaced

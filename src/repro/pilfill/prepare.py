@@ -29,7 +29,6 @@ happens.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
@@ -79,7 +78,10 @@ class PreparedInstance:
     constructor itself performs no work. ``phase_seconds`` records the
     time spent in each preprocessing phase (``setup``, ``scanline``, and
     lazily ``density`` / ``costs`` / ``budget``) — each is paid once per
-    instance no matter how many engine runs reuse it.
+    instance no matter how many engine runs reuse it. Every entry is the
+    summed duration of that phase's ``prepare.<phase>`` spans, which
+    carry a ``phase`` attribute; no phase span nests inside another one
+    here, so each second is counted under exactly one phase.
     """
 
     layout: RoutedLayout
@@ -110,10 +112,15 @@ class PreparedInstance:
         Runs that receive an explicit budget override never touch this,
         so they skip the density scan entirely.
         """
+        return self._density_map(NULL_TRACER)
+
+    def _density_map(self, tracer: TracerLike) -> DensityMap:
+        """:attr:`density`, recording its first build as a
+        ``prepare.density`` span on ``tracer``."""
         if self._density is None:
-            t0 = time.perf_counter()
-            self._density = DensityMap.from_layout(self.dissection, self.layout, self.layer)
-            self.phase_seconds["density"] = time.perf_counter() - t0
+            with tracer.span("prepare.density", phase="density") as span:
+                self._density = DensityMap.from_layout(self.dissection, self.layout, self.layer)
+            self.phase_seconds["density"] = span.seconds
         return self._density
 
     def tile_index(self) -> GridBinIndex[TileKey]:
@@ -170,8 +177,7 @@ class PreparedInstance:
             else {key: self.columns_by_tile[key] for key in keys if key in self.columns_by_tile}
         )
         trc = tracer if tracer is not None else NULL_TRACER
-        t0 = time.perf_counter()
-        with trc.span("prepare.costs", weighted=weighted, tiles=len(tiles)):
+        with trc.span("prepare.costs", phase="costs", weighted=weighted, tiles=len(tiles)) as span:
             layer_proc = self.layout.stack.layer(self.layer)
             dbu = self.layout.stack.dbu_per_micron
             lut_cache = self._lut_caches.get(weighted)
@@ -191,9 +197,7 @@ class PreparedInstance:
                 )
         if keys is None:
             self._costs[weighted] = costs
-        self.phase_seconds["costs"] = (
-            self.phase_seconds.get("costs", 0.0) + time.perf_counter() - t0
-        )
+        self.phase_seconds["costs"] = self.phase_seconds.get("costs", 0.0) + span.seconds
         return costs
 
     def close(self) -> None:
@@ -207,7 +211,9 @@ class PreparedInstance:
         """Per-tile feature budgets from the density-control baseline.
 
         Cached by the budget-relevant knobs (mode, target, seed, margin),
-        so methods sharing a configuration derive the budget once.
+        so methods sharing a configuration derive the budget once. A
+        first-time density build runs before the ``prepare.budget`` span
+        opens, so it is timed under ``density`` alone.
         """
         self.check_config(config)
         key = (
@@ -220,8 +226,8 @@ class PreparedInstance:
         if cached is not None:
             return dict(cached)
         trc = tracer if tracer is not None else NULL_TRACER
-        t0 = time.perf_counter()
-        with trc.span("prepare.budget", mode=config.budget_mode) as span:
+        density = self._density_map(trc)
+        with trc.span("prepare.budget", phase="budget", mode=config.budget_mode) as span:
             capacity = self.capacity(config.capacity_margin)
             target = config.target_density  # "mean" resolves in the back-end
             if config.budget_mode in ("lp", "hybrid"):
@@ -229,12 +235,12 @@ class PreparedInstance:
                     span.set(name, count)
             if config.budget_mode == "lp":
                 budget = lp_minvar_budget(
-                    self.density, capacity, self.fill_rules,
+                    density, capacity, self.fill_rules,
                     target_density=target, tracer=trc,
                 )
             elif config.budget_mode == "hybrid":
                 budget = hybrid_budget(
-                    self.density,
+                    density,
                     capacity,
                     self.fill_rules,
                     target_density=target,
@@ -243,16 +249,14 @@ class PreparedInstance:
                 )
             else:
                 budget = montecarlo_budget(
-                    self.density,
+                    density,
                     capacity,
                     self.fill_rules,
                     target_density=target,
                     seed=config.seed,
                 )
         self._budgets[key] = budget
-        self.phase_seconds["budget"] = (
-            self.phase_seconds.get("budget", 0.0) + time.perf_counter() - t0
-        )
+        self.phase_seconds["budget"] = self.phase_seconds.get("budget", 0.0) + span.seconds
         return dict(budget)
 
     def check_config(self, config: "EngineConfig") -> None:
@@ -332,30 +336,26 @@ def prepare(
     """Run the shared preprocessing once and capture it.
 
     Performs the dissection, legality indexing, and scan-line column
-    extraction eagerly (timed under ``setup`` / ``scanline``); the density
-    map, cost tables, and budgets are derived lazily on first use.
-    ``tracer``, when given, records ``prepare.setup`` / ``prepare.scanline``
-    spans around the eager phases.
+    extraction eagerly, in the ``prepare.setup`` / ``prepare.scanline``
+    spans whose durations become ``phase_seconds["setup"]`` /
+    ``["scanline"]``; the density map, cost tables, and budgets are
+    derived lazily on first use. ``tracer``, when given, records those
+    spans; without one they are timed on :data:`NULL_TRACER`.
     """
     if not layout.stack.has_layer(layer):
         raise FillError(f"layout stack has no layer {layer!r}")
     trc = tracer if tracer is not None else NULL_TRACER
-    clock = time.perf_counter
-    phase_seconds: dict[str, float] = {}
 
-    t0 = clock()
-    with trc.span("prepare.setup"):
+    with trc.span("prepare.setup", phase="setup") as setup:
         dissection = FixedDissection(layout.die, density_rules)
         legality = SiteLegality(layout, layer, fill_rules)
-    phase_seconds["setup"] = clock() - t0
 
-    t0 = clock()
-    with trc.span("prepare.scanline") as span:
+    with trc.span("prepare.scanline", phase="scanline") as scan:
         columns_by_tile = extract_columns(
             layout, layer, dissection, legality, fill_rules, column_def
         )
-        span.set("tiles", len(columns_by_tile))
-    phase_seconds["scanline"] = clock() - t0
+        scan.set("tiles", len(columns_by_tile))
+    phase_seconds = {"setup": setup.seconds, "scanline": scan.seconds}
 
     PreparedInstance.build_count += 1
     return PreparedInstance(
@@ -414,15 +414,18 @@ def prepare_streaming(
     The returned instance carries a *shell* layout (die, stack, fills —
     no nets): everything :meth:`PILFillEngine.run` consumes lives in the
     prepared state, but post-hoc evaluation against the routed nets
-    (``evaluate_impact``) needs the materialized layout. Per-net work
-    (tree build, blockage insertion, clip accumulation, sweep feeds) is
-    accounted to the ``scanline`` phase; the final per-tile union-area
-    aggregation to ``density``, which is pre-built eagerly here.
+    (``evaluate_impact``) needs the materialized layout. Timing: under
+    one ``prepare.stream`` span, the dissection and legality setup is a
+    ``prepare.setup`` span; each net's work (tree build, blockage
+    insertion, clip accumulation, sweep feeds) and the final sweep are
+    ``prepare.scanline`` spans; the final per-tile union-area
+    aggregation, pre-built eagerly here, is a ``prepare.density`` span.
+    ``phase_seconds`` sums their durations per phase; parsing itself is
+    in no phase.
     """
     if not stack.has_layer(layer):
         raise FillError(f"process stack has no layer {layer!r}")
     trc = tracer if tracer is not None else NULL_TRACER
-    clock = time.perf_counter
     phase_seconds: dict[str, float] = {"setup": 0.0, "scanline": 0.0}
 
     horizontal = stack.layer(layer).direction == "h"
@@ -442,13 +445,15 @@ def prepare_streaming(
 
     def _on_die(die: Rect) -> None:
         nonlocal dissection, legality, sweep, gridder
-        t0 = clock()
-        dissection = FixedDissection(die, density_rules)
-        legality = SiteLegality.from_rects(die, layer, fill_rules, [])
-        if incremental:
-            sweep = IncrementalSweep(die, horizontal)
-            gridder = ColumnGridder(layer, dissection, legality, fill_rules, horizontal, dbu)
-        phase_seconds["setup"] += clock() - t0
+        with trc.span("prepare.setup", phase="setup") as span:
+            dissection = FixedDissection(die, density_rules)
+            legality = SiteLegality.from_rects(die, layer, fill_rules, [])
+            if incremental:
+                sweep = IncrementalSweep(die, horizontal)
+                gridder = ColumnGridder(
+                    layer, dissection, legality, fill_rules, horizontal, dbu
+                )
+        phase_seconds["setup"] += span.seconds
 
     def _consume(net: Net, start_line: int) -> None:
         nonlocal net_count, fed_watermark
@@ -456,61 +461,61 @@ def prepare_streaming(
             raise ParseError(
                 "DIEAREA must precede NETS for streaming preparation", start_line
             )
-        t0 = clock()
         net_count += 1
-        tree = RCTree.build(net, stack)
-        for seg in net.segments:
-            if seg.layer != layer:
-                continue
-            rect = seg.rect
-            legality.add_blockage(rect)
-            clip_to_tiles(dissection, rect, clips_by_tile)
-        pending.extend(
-            SweepLine(rect=line.segment.rect, timing=line)
-            for line in tree.lines
-            if line.segment.layer == layer and line.segment.is_horizontal == horizontal
-        )
-        if sweep is not None and gridder is not None:
-            ylo = net_ylo(net)
-            if fed_watermark is not None and ylo < fed_watermark:
-                raise FillError(
-                    f"net {net.name!r} (bbox y-low {ylo}) arrived below the fed "
-                    f"sweep watermark {fed_watermark}; streamed input must be "
-                    f"band-sorted — re-run with banded=False"
-                )
-            # This net's own lines sit at or above its bbox y-low, so
-            # splitting pending at `ylo` after extending is still exact.
-            ready = [line for line in pending if line.rect.ylo < ylo]
-            if ready:
-                pending[:] = [line for line in pending if line.rect.ylo >= ylo]
-                gridder.grid(sweep.feed(ready))
-                fed_watermark = ylo
-        phase_seconds["scanline"] += clock() - t0
+        with trc.span("prepare.scanline", phase="scanline") as span:
+            tree = RCTree.build(net, stack)
+            for seg in net.segments:
+                if seg.layer != layer:
+                    continue
+                rect = seg.rect
+                legality.add_blockage(rect)
+                clip_to_tiles(dissection, rect, clips_by_tile)
+            pending.extend(
+                SweepLine(rect=line.segment.rect, timing=line)
+                for line in tree.lines
+                if line.segment.layer == layer and line.segment.is_horizontal == horizontal
+            )
+            if sweep is not None and gridder is not None:
+                ylo = net_ylo(net)
+                if fed_watermark is not None and ylo < fed_watermark:
+                    raise FillError(
+                        f"net {net.name!r} (bbox y-low {ylo}) arrived below the fed "
+                        f"sweep watermark {fed_watermark}; streamed input must be "
+                        f"band-sorted — re-run with banded=False"
+                    )
+                # This net's own lines sit at or above its bbox y-low, so
+                # splitting pending at `ylo` after extending is still exact.
+                ready = [line for line in pending if line.rect.ylo < ylo]
+                if ready:
+                    pending[:] = [line for line in pending if line.rect.ylo >= ylo]
+                    gridder.grid(sweep.feed(ready))
+                    fed_watermark = ylo
+        phase_seconds["scanline"] += span.seconds
 
-    with trc.span("prepare.stream") as span:
+    with trc.span("prepare.stream") as stream:
         shell = parse_def_streaming(
             source, stack, on_die=_on_die, on_net=_consume, keep_nets=False
         )
         assert dissection is not None and legality is not None
 
-        t0 = clock()
-        if sweep is not None and gridder is not None:
-            if pending:
-                gridder.grid(sweep.feed(pending))
-            gridder.grid(sweep.finish())
-            columns_by_tile = gridder.out
-        else:
-            columns_by_tile = extract_columns_from_lines(
-                pending, horizontal, shell.die, dbu, layer, dissection, legality,
-                fill_rules, column_def,
-            )
-        phase_seconds["scanline"] += clock() - t0
+        with trc.span("prepare.scanline", phase="scanline") as span:
+            if sweep is not None and gridder is not None:
+                if pending:
+                    gridder.grid(sweep.feed(pending))
+                gridder.grid(sweep.finish())
+                columns_by_tile = gridder.out
+            else:
+                columns_by_tile = extract_columns_from_lines(
+                    pending, horizontal, shell.die, dbu, layer, dissection, legality,
+                    fill_rules, column_def,
+                )
+        phase_seconds["scanline"] += span.seconds
 
-        t0 = clock()
-        density = DensityMap.from_tile_clips(dissection, clips_by_tile)
-        phase_seconds["density"] = clock() - t0
-        span.set("nets", net_count)
-        span.set("tiles", len(columns_by_tile))
+        with trc.span("prepare.density", phase="density") as span:
+            density = DensityMap.from_tile_clips(dissection, clips_by_tile)
+        phase_seconds["density"] = span.seconds
+        stream.set("nets", net_count)
+        stream.set("tiles", len(columns_by_tile))
 
     PreparedInstance.build_count += 1
     return PreparedInstance(

@@ -9,9 +9,11 @@ the same ``path:line:col: RULE message`` lines the CLI prints.
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
-from repro.analysis import lint_paths, render_text
+from repro.analysis import FileContext, lint_paths, render_text
+from repro.analysis.rules_determinism import WallClockRule
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -83,4 +85,12 @@ def test_interprocedural_rules_are_live_over_the_tree() -> None:
     # deleted module would otherwise narrow nothing and pass silently.
     for module in DEFAULT_POLICY.worker_entry_modules + DEFAULT_POLICY.wall_clock_allowlist:
         assert module in program.units, f"policy module {module} not in the tree"
+    # Every wall-clock allowlist entry still reads the clock: with the
+    # allowlist emptied, D102 flags at least one read in it. An entry for
+    # a module whose timers are gone would otherwise widen D102 silently.
+    no_allowlist = dataclasses.replace(DEFAULT_POLICY, wall_clock_allowlist=())
+    for module in DEFAULT_POLICY.wall_clock_allowlist:
+        unit = program.units[module]
+        ctx = FileContext(unit.path, module, unit.source, unit.tree, no_allowlist)
+        assert WallClockRule().check(ctx), f"allowlisted module {module} reads no clock"
 

@@ -33,6 +33,7 @@ from repro.pilfill import (
     TilePayload,
     chunk_payloads,
     dispatch_tile_payloads,
+    get_pool,
     parallel,
     pool_stats,
     prepare,
@@ -201,20 +202,23 @@ class TestPoolPersistence:
         assert pool_stats()["live"] == 0
 
     def test_worker_pids_stable_across_dispatches(self, prepared, baseline):
-        """Dispatch-level PID check: consecutive dispatches on the
-        persistent pool are served by the same worker processes."""
+        """Dispatch-level persistence: the second dispatch creates no pool,
+        and every outcome of both came from that one pool's worker
+        processes. Which worker drains which chunk is the pool's choice
+        (one fresh worker may take a whole dispatch), so the PID sets of
+        the two dispatches are not compared."""
         shutdown_pools()
         payloads = make_payloads(prepared, baseline)
         first = dispatch_tile_payloads(payloads, workers=2)
+        created = pool_stats()["created"]
         second = dispatch_tile_payloads(payloads, workers=2)
-        pids_a, pids_b = worker_pids(first), worker_pids(second)
-        assert pids_a and pids_a == pids_b
-        assert os.getpid() not in pids_a
+        assert pool_stats()["created"] == created
+        pids = worker_pids(first) | worker_pids(second)
+        assert pids and pids <= set(get_pool(2)._processes)
+        assert os.getpid() not in pids
         shutdown_pools()
 
     def test_registry_rejects_serial_worker_count(self):
-        from repro.pilfill import get_pool
-
         with pytest.raises(FillError, match="workers"):
             get_pool(1)
 

@@ -21,6 +21,7 @@ from repro.obs import (
     ManualClock,
     Metrics,
     MetricsSnapshot,
+    NullTracer,
     SpanRecord,
     TimerStat,
     Tracer,
@@ -113,6 +114,24 @@ class TestTracer:
         assert forest[0]["children"][0]["name"] == "child"
         assert forest[0]["children"][0]["children"] == []
         json.dumps(forest)  # JSON-ready
+
+    def test_handle_reports_its_duration_after_exit(self):
+        clock = ManualClock()
+        tracer = Tracer(clock)
+        with tracer.span("s") as span:
+            clock.advance(1.5)
+            assert span.seconds == 0.0
+        assert span.seconds == 1.5 == tracer.records()[0].duration_s
+
+    def test_null_tracer_times_spans_but_records_nothing(self):
+        clock = ManualClock()
+        tracer = NullTracer(clock)
+        with tracer.span("outer") as outer:
+            clock.advance(1.0)
+            with tracer.span("inner") as inner:
+                clock.advance(2.0)
+        assert (outer.seconds, inner.seconds) == (3.0, 2.0)
+        assert tracer.records() == () and tracer.tree() == []
 
     def test_null_tracer_is_inert(self):
         with NULL_TRACER.span("anything", x=1) as span:
