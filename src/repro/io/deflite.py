@@ -68,6 +68,7 @@ def write_def_lines(
     *,
     net_count: int | None = None,
     fill_count: int | None = None,
+    exact: bool = False,
 ) -> Iterator[str]:
     """Yield DEF-lite lines one at a time.
 
@@ -76,7 +77,13 @@ def write_def_lines(
     emitted before the first net is realized — the readers never check
     the declared count, but round-trips should still be faithful).
     When counts are omitted the iterables are materialized to count them.
+    Pin ``DRIVER RES`` and ``CAP`` values are printed to 6 significant
+    digits, or as their full ``repr`` when ``exact`` is set.
     """
+
+    def value(v: float) -> str:
+        return repr(v) if exact else f"{v:g}"
+
     if net_count is None:
         nets = list(nets)
         net_count = len(nets)
@@ -94,12 +101,12 @@ def write_def_lines(
             if pin.is_driver:
                 yield (
                     f"  + PIN {pin.name} ( {pin.point.x} {pin.point.y} ) "
-                    f"LAYER {pin.layer} DRIVER RES {pin.driver_res_ohm:g}"
+                    f"LAYER {pin.layer} DRIVER RES {value(pin.driver_res_ohm)}"
                 )
             else:
                 yield (
                     f"  + PIN {pin.name} ( {pin.point.x} {pin.point.y} ) "
-                    f"LAYER {pin.layer} CAP {pin.load_cap_ff:g}"
+                    f"LAYER {pin.layer} CAP {value(pin.load_cap_ff)}"
                 )
         for seg in net.segments:
             yield (
@@ -134,9 +141,12 @@ def layout_digest(layout: RoutedLayout) -> str:
     """sha256 of the layout's canonical DEF-lite serialization.
 
     Streamed line by line, so digesting a chip-scale layout never builds
-    the full text. Two layouts digest equal iff :func:`write_def` would
-    produce identical text — the equivalence oracle for the streaming
-    reader and for ECO round-trips.
+    the full text. The text is :func:`write_def`'s except that pin
+    ``DRIVER RES`` and ``CAP`` values are hashed at full precision
+    (``repr``): two layouts digest equal iff their geometry, fills and pin
+    values are identical, even where ``write_def``'s 6 digits would print
+    them alike. The equivalence oracle for the streaming reader and for
+    ECO round-trips.
     """
     h = hashlib.sha256()
     lines = write_def_lines(
@@ -147,6 +157,7 @@ def layout_digest(layout: RoutedLayout) -> str:
         layout.fills,
         net_count=len(layout.nets),
         fill_count=len(layout.fills),
+        exact=True,
     )
     for line in lines:
         h.update(line.encode("utf-8"))

@@ -51,6 +51,20 @@ from repro.units import ps_to_ns
 
 #: Columns per block are keyed ``block_id * 2**32 + grid_column`` so one
 #: int64 sort recovers the (block, column) lexicographic bucket order.
+#:
+#: Why τ's bits do not depend on how finely the sweep cuts blocks: the
+#: sweep coalesces fragments, so it emits one block where a finer sweep
+#: emitted a run of abutting blocks with the same cross band and the same
+#: two lines, and block ids are renumbered. Each merged block replaces
+#: blocks that were emitted one after another, so ids keep their relative
+#: order and the (block, column) keys sort the same columns in the same
+#: order. A merged block would join two old columns only if features on
+#: both sides of an old boundary shared an ``along // pitch`` cell; fill
+#: on the site grid has one centre per cell, so it never does. Every
+#: column keeps its features, count, centre and Eq. 5 ΔC, and the float
+#: sums below run in the same order. ``TestCoalescedBlocks`` in
+#: ``tests/test_impact_model.py`` pins this against the uncoalesced
+#: oracle sweep.
 _COLUMN_KEY_STRIDE = 1 << 32
 
 

@@ -8,6 +8,15 @@ is known. Each arriving line closes the fragments it covers (emitting
 fragment above itself. Fragments surviving to the boundary close against
 it (``above = None``).
 
+The open fragments are kept sorted by ``along.lo``, pairwise disjoint and
+non-empty, and *coalesced*: no two abutting fragments share both
+``start_cross`` and the very same ``below`` line (``is``), since such a
+pair is one open gap. A line bisects to the run of k fragments it
+overlaps and splices that run's replacement in place, so it costs
+O(log F + k) Python steps for F open fragments (plus one list splice, a
+memory move), and each block it closes is a maximal piece of one gap
+rather than a sliver per earlier line.
+
 Definitions I/II/III (paper §5.1) differ only in the sweep region and
 line clipping; :func:`extract_columns` then grids every block into legal
 fill-site columns per tile through one :class:`ColumnGridder`. A tile owns
@@ -17,6 +26,7 @@ the sites whose centre it holds, and the gridder enumerates them as
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.dissection.fixed import FixedDissection
@@ -74,11 +84,26 @@ class GapBlock:
         return self.cross_hi - self.cross_lo
 
 
-@dataclass
+@dataclass(slots=True)
 class _Fragment:
+    """An open gap: ``along`` is free from ``start_cross`` up, above ``below``."""
+
     along: Interval
     start_cross: int
     below: SweepLine | None
+
+
+def _append_coalesced(
+    run: list[_Fragment], along: Interval, start_cross: int, below: SweepLine | None
+) -> None:
+    """Append a fragment to ``run``, or extend the last one when the new
+    piece abuts it with the same ``start_cross`` and the same ``below``."""
+    if run:
+        tail = run[-1]
+        if tail.along.hi == along.lo and tail.start_cross == start_cross and tail.below is below:
+            tail.along = Interval(tail.along.lo, along.hi)
+            return
+    run.append(_Fragment(along, start_cross, below))
 
 
 class _Axes:
@@ -114,6 +139,22 @@ class IncrementalSweep:
     :class:`FillError` rather than silently reordering the sweep).
     Within a batch, ties keep arrival order — matching the stable sort
     of the one-shot path.
+
+    Fragment invariants (see the module docstring): ``_fragments`` is
+    sorted by ``along.lo``, disjoint, non-empty and coalesced, and
+    ``_his`` holds each fragment's ``along.hi`` in the same order. A line
+    spanning ``[a, b)`` takes ``bisect_right(_his, a)`` as the first
+    fragment it overlaps and walks right while ``along.lo < b``. Its
+    replacement run is the left remainder, the covered pieces (reopened
+    above the line, or left open when the line lies under an earlier,
+    taller one) and the right remainder, coalesced as they are appended,
+    so the line costs O(log F + k). The run never needs merging with the fragments just outside it: its
+    end pieces either keep an end fragment's own ``(start_cross, below)``,
+    which already differed from its outer neighbour's, or have the new
+    line as ``below``, which no open fragment has yet (every caller feeds
+    each :class:`SweepLine` once). ``tests/scanline_oracle.py`` keeps the
+    uncoalesced fragment scan this replaced; merging its abutting
+    equal-attribute blocks gives exactly these blocks, in the same order.
     """
 
     def __init__(self, region: Rect, horizontal: bool):
@@ -123,6 +164,8 @@ class IncrementalSweep:
         self._fragments: list[_Fragment] = [
             _Fragment(self.region_along, self.region_cross.lo, None)
         ]
+        # ``along.hi`` of each fragment, in list order: the bisect key.
+        self._his: list[int] = [self.region_along.hi]
         self._max_key: tuple[int, int] | None = None
         self._finished = False
 
@@ -142,26 +185,27 @@ class IncrementalSweep:
         if events:
             self._max_key = self._key(events[-1])
         blocks: list[GapBlock] = []
-        fragments = self._fragments
+        fragments, his = self._fragments, self._his
         for line in events:
             span = self.axes.along_iv(line.rect)
             band = self.axes.cross_iv(line.rect)
-            new_fragments: list[_Fragment] = []
-            for frag in fragments:
-                overlap = frag.along.intersection(span)
-                if overlap is None:
-                    new_fragments.append(frag)
-                    continue
-                # Left remainder keeps the old gap open.
-                if frag.along.lo < overlap.lo:
-                    new_fragments.append(
-                        _Fragment(Interval(frag.along.lo, overlap.lo), frag.start_cross, frag.below)
-                    )
-                # Right remainder likewise.
-                if overlap.hi < frag.along.hi:
-                    new_fragments.append(
-                        _Fragment(Interval(overlap.hi, frag.along.hi), frag.start_cross, frag.below)
-                    )
+            if span.is_empty():
+                continue
+            # The run fragments[i:j] is every fragment the line overlaps.
+            i = j = bisect_right(his, span.lo)
+            while j < len(fragments) and fragments[j].along.lo < span.hi:
+                j += 1
+            if i == j:
+                continue
+            first, last = fragments[i], fragments[j - 1]
+            run: list[_Fragment] = []
+            # Left remainder keeps the old gap open.
+            if first.along.lo < span.lo:
+                run.append(
+                    _Fragment(Interval(first.along.lo, span.lo), first.start_cross, first.below)
+                )
+            for frag in fragments[i:j]:
+                overlap = Interval(max(frag.along.lo, span.lo), min(frag.along.hi, span.hi))
                 # The covered part closes (emit block) and reopens above the line.
                 if frag.start_cross < band.lo:
                     blocks.append(
@@ -174,13 +218,18 @@ class IncrementalSweep:
                         )
                     )
                 if band.hi >= frag.start_cross:
-                    new_fragments.append(_Fragment(overlap, band.hi, line))
+                    _append_coalesced(run, overlap, band.hi, line)
                 else:
                     # The arriving line is entirely below the open gap (overlap
                     # with an earlier, taller line): the old gap stays open.
-                    new_fragments.append(_Fragment(overlap, frag.start_cross, frag.below))
-            fragments = sorted(new_fragments, key=lambda f: f.along.lo)
-        self._fragments = fragments
+                    _append_coalesced(run, overlap, frag.start_cross, frag.below)
+            # Right remainder likewise.
+            if span.hi < last.along.hi:
+                _append_coalesced(
+                    run, Interval(span.hi, last.along.hi), last.start_cross, last.below
+                )
+            fragments[i:j] = run
+            his[i:j] = [frag.along.hi for frag in run]
         return blocks
 
     def finish(self) -> list[GapBlock]:

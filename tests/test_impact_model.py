@@ -1,6 +1,8 @@
 """The one delay-impact scorer: ``evaluate_impact`` is a one-shot
 ``ImpactModel.score``, bit for bit."""
 
+import random
+
 import pytest
 
 from repro.errors import FillError
@@ -9,6 +11,7 @@ from repro.geometry import Rect
 from repro.layout import FillFeature
 from repro.pilfill import EngineConfig, ImpactModel, PILFillEngine, evaluate_impact, prepare
 from repro.synth import default_fill_rules, density_rules_for, make_t1, make_t2
+from tests.scanline_oracle import oracle_sweep_gap_blocks
 
 
 def table_placements(layout, window_um, r, methods=TABLE_METHODS):
@@ -85,6 +88,35 @@ class TestAgainstBatchEvaluator:
         b = model.score([f2])
         both = model.score([f1, f2])
         assert both.total_ps == pytest.approx(a.total_ps + b.total_ps)
+
+
+class TestCoalescedBlocks:
+    @pytest.mark.parametrize("make", [make_t1, make_t2], ids=["T1", "T2"])
+    @pytest.mark.parametrize(("window_um", "r"), [(32, 2), (20, 8)], ids=["32-2", "20-8"])
+    def test_tau_bits_equal_on_oracle_blocks(self, monkeypatch, make, window_um, r):
+        """The sweep emits one block where the fragment-scan oracle emitted
+        a run of abutting ones, so the block ids differ. The scores on
+        every table method's placement and on a seeded random third of the
+        legal sites must still be equal, float bits and dict order alike."""
+        layout = make()
+        rules = default_fill_rules(layout.stack)
+        placements = table_placements(layout, window_um, r)
+        prepared = prepare(layout, "metal3", rules, density_rules_for(window_um, r, layout.stack))
+        sites = [
+            FillFeature("metal3", site)
+            for cols in prepared.columns_by_tile.values()
+            for col in cols
+            for site in col.sites
+        ]
+        placements["random"] = random.Random(window_um * r).sample(sites, len(sites) // 3)
+        model = ImpactModel(layout, "metal3", rules)
+        monkeypatch.setattr("repro.pilfill.evaluate.sweep_gap_blocks", oracle_sweep_gap_blocks)
+        oracle_model = ImpactModel(layout, "metal3", rules)
+        assert model.block_count < oracle_model.block_count
+        for method, features in placements.items():
+            ours, theirs = model.score(features), oracle_model.score(features)
+            assert repr(ours.weighted_total_ps) == repr(theirs.weighted_total_ps), method
+            assert report_fields(ours) == report_fields(theirs), method
 
 
 class TestMarginalCost:

@@ -1,10 +1,12 @@
 """LEF-lite / DEF-lite round trips and error handling."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ParseError
 from repro.geometry import Rect
-from repro.io import parse_def, parse_lef, write_def, write_lef
+from repro.io import layout_digest, parse_def, parse_lef, write_def, write_lef
 from repro.layout import FillFeature
 from tests.conftest import build_two_line_layout
 
@@ -110,3 +112,18 @@ class TestDefRoundtrip:
         text = write_def(small_generated_layout)
         parsed = parse_def(text, stack)
         assert parsed.stats() == small_generated_layout.stats()
+
+
+class TestLayoutDigest:
+    @pytest.mark.parametrize("field", ["driver_res_ohm", "load_cap_ff"])
+    def test_pin_value_in_seventh_digit_changes_digest(self, stack, field):
+        """``write_def`` prints both layouts alike (6 significant digits);
+        the digest still tells them apart."""
+        base, edited = build_two_line_layout(stack), build_two_line_layout(stack)
+        pins = edited.nets["n0"].pins
+        index = next(i for i, p in enumerate(pins) if p.is_driver == (field == "driver_res_ohm"))
+        old = getattr(pins[index], field)
+        pins[index] = replace(pins[index], **{field: old * (1 + 3e-7)})
+        assert write_def(base) == write_def(edited)
+        assert layout_digest(base) != layout_digest(edited)
+        assert layout_digest(base) == layout_digest(build_two_line_layout(stack))
