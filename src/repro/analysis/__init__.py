@@ -4,23 +4,26 @@ PRs 1-3 established load-bearing invariants — bit-identical results
 across the serial/thread/process backends, per-tile seeded RNGs,
 picklable pool payloads, lock-guarded shared caches — that dynamic tests
 only catch when a test happens to exercise the violating path. This
-package checks them *statically*:
+package checks them *statically*, with one rule per contract:
 
 * :mod:`repro.analysis.rules_determinism` — D101 (global RNG), D102
   (wall clock), D103 (set-order iteration), D104 (float equality);
-* :mod:`repro.analysis.rules_concurrency` — C201 (module state in
-  worker-reachable modules), C202 (payload registry picklability),
-  C203/C204 (lock-guarded caches);
-* :mod:`repro.analysis.rules_typing` — T301 (strict-typing gate);
+* :mod:`repro.analysis.rules_concurrency` — C202 (payload registry
+  picklability), C203/C204 (lock-guarded caches);
 * interprocedural families over the function-level call graph
   (:mod:`repro.analysis.callgraph`): :mod:`repro.analysis.rules_taint`
-  — X101 (determinism source reaching a digest/payload sink, with the
-  full source→sink chain); :mod:`repro.analysis.rules_lockorder` —
-  X201 (lock-order cycles), X202 (lock held across pool dispatch);
+  — X101 (an environment read or ``id()``/``hash()`` reaching a
+  digest/payload sink, with the full source→sink chain; clock, RNG and
+  set-order sources are the D-rules' alone);
+  :mod:`repro.analysis.rules_lockorder` — X201 (lock-order cycles),
+  X202 (lock held across pool dispatch);
   :mod:`repro.analysis.rules_purity` — X301 (worker-reachable writes to
   unshipped module state);
 * suppressions: ``# pilfill: allow[rule-id] -- justification`` (the
   justification is mandatory — A001 flags blanket allows).
+
+Strict typing is mypy's gate (``[[tool.mypy.overrides]]`` in
+``pyproject.toml``), not a lint rule.
 
 Entry points: the ``pilfill lint`` CLI subcommand and
 ``tests/test_analysis_selfcheck.py``, which fails the suite on any

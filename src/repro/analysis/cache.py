@@ -3,11 +3,10 @@
 Re-linting an unchanged tree costs one digest per file instead of a full
 AST pass. A per-file cache entry is keyed by a digest of the file
 *content* plus the analysis context — linter version, rule ids, policy
-fingerprint, worker-reachability, and (since the interprocedural passes)
-the file's **import-closure digest**, so a finding explained by a
-dependency goes stale the moment that dependency edits. Content hashing,
-not mtimes, so the cache is immune to clock skew and checkout timestamp
-churn.
+fingerprint, and (since the interprocedural passes) the file's
+**import-closure digest**, so a finding explained by a dependency goes
+stale the moment that dependency edits. Content hashing, not mtimes, so
+the cache is immune to clock skew and checkout timestamp churn.
 
 Program-scoped rules (lock-order cycles, worker purity) depend on facts
 outside any single file's closure, so their findings live in a separate
@@ -24,13 +23,12 @@ from repro.analysis.findings import Finding
 from repro.io.atomic import atomic_write_json
 
 #: Bump to invalidate every cache entry when rule semantics change.
-LINT_VERSION = 3
+LINT_VERSION = 4
 
 
 def context_digest(
     rule_ids: tuple[str, ...],
     policy_fingerprint: str,
-    worker_reachable: bool,
     closure_digest: str = "",
 ) -> str:
     """Digest of everything besides file content that affects findings."""
@@ -39,7 +37,6 @@ def context_digest(
             "version": LINT_VERSION,
             "rules": sorted(rule_ids),
             "policy": policy_fingerprint,
-            "reachable": worker_reachable,
             "closure": closure_digest,
         },
         sort_keys=True,

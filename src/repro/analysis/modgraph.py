@@ -1,16 +1,12 @@
-"""Import graph over the source tree, for cross-module facts.
+"""Import graph over the source tree, for cache soundness.
 
-The C-family rules need to know which modules run inside process-pool
-workers: everything transitively imported from the worker entry modules
-(``repro.pilfill.parallel``). Imports are collected from the AST —
-including function-local imports, which the solve path uses deliberately
-— so the reachable set matches what a worker process actually loads.
-
-The interprocedural passes (PR 9) lean on the same graph for cache
-soundness: :meth:`ModuleGraph.closure_digest` hashes a module's whole
-import closure so per-file cache entries invalidate when *any* imported
-module changes, and :meth:`ModuleGraph.dependents_of` inverts the edges
-for ``pilfill lint --changed``.
+Imports are collected from the AST — including function-local imports,
+which the solve path uses deliberately — so a module's closure matches
+what importing it actually loads. :meth:`ModuleGraph.closure_digest`
+hashes a module's whole import closure so per-file cache entries of the
+interprocedural passes invalidate when *any* imported module changes,
+and :meth:`ModuleGraph.dependents_of` inverts the edges for
+``pilfill lint --changed``.
 """
 
 from __future__ import annotations
@@ -103,9 +99,20 @@ class ModuleGraph:
         """``module`` plus everything it transitively imports (within
         the root). Memoized — the runner asks per linted file."""
         cached = self._closures.get(module)
-        if cached is None:
-            cached = self.reachable_from((module,))
-            self._closures[module] = cached
+        if cached is not None:
+            return cached
+        seen: set[str] = set()
+        stack = [module] if module in self._paths else []
+        while stack:
+            current = stack.pop()
+            if current in seen:
+                continue
+            seen.add(current)
+            for target in sorted(self._edges.get(current, set())):
+                resolved = self._resolve(target)
+                if resolved is not None and resolved not in seen:
+                    stack.append(resolved)
+        cached = self._closures[module] = frozenset(seen)
         return cached
 
     def closure_digest(self, module: str) -> str:
@@ -144,22 +151,6 @@ class ModuleGraph:
             if module in modules or (self.closure_of(module) & modules):
                 out.add(module)
         return frozenset(out)
-
-    def reachable_from(self, entries: tuple[str, ...]) -> frozenset[str]:
-        """Modules transitively imported from ``entries`` (inclusive),
-        restricted to modules that exist under the root."""
-        seen: set[str] = set()
-        stack = [entry for entry in entries if entry in self._paths]
-        while stack:
-            module = stack.pop()
-            if module in seen:
-                continue
-            seen.add(module)
-            for target in sorted(self._edges.get(module, set())):
-                resolved = self._resolve(target)
-                if resolved is not None and resolved not in seen:
-                    stack.append(resolved)
-        return frozenset(seen)
 
     def _resolve(self, dotted: str) -> str | None:
         """Map an imported dotted name to a module in this graph (the

@@ -69,17 +69,11 @@ class LintPolicy:
         wall_clock_allowlist: modules allowed to read the wall clock
             (D102) — deadline enforcement, per-tile timing across the
             process boundary, and the telemetry clock live here.
-        worker_entry_modules: roots of the worker-payload import graph;
-            every module transitively imported from these runs inside
-            pool workers, so C201 (module-level mutable state) applies.
         payload_registry: dotted class names that cross the process-pool
             pickle boundary; C202 requires each to be a dataclass with
             picklable-by-construction field types.
         picklable_type_names: type names C202 accepts in payload field
             annotations, beyond the registry classes themselves.
-        strict_typing_packages: dotted package prefixes where every
-            function must be fully annotated (T301 — the local mirror of
-            mypy's ``disallow_untyped_defs`` gate).
         rng_factory_names: callables D101 accepts as *seeded* RNG
             constructors (their first positional argument is the seed).
         taint_sink_functions: dotted function names whose inputs feed a
@@ -109,13 +103,6 @@ class LintPolicy:
         # repro.obs — spans take time via an injected Clock, never directly.
         "repro.obs.clock",
     )
-    worker_entry_modules: tuple[str, ...] = (
-        "repro.pilfill.parallel",
-        # No pool payload is defined here any more (the sharded batch
-        # solver is gone); the entry keeps the shard planner and the
-        # modules it imports inside C201's scope.
-        "repro.pilfill.shard",
-    )
     payload_registry: tuple[str, ...] = field(default_factory=_default_payload_registry)
     picklable_type_names: tuple[str, ...] = (
         "int",
@@ -133,13 +120,6 @@ class LintPolicy:
         "Union",
         "TileKey",  # alias of tuple[int, int]
     )
-    strict_typing_packages: tuple[str, ...] = (
-        "repro.pilfill",
-        "repro.cap",
-        "repro.ilp",
-        "repro.analysis",
-        "repro.obs",
-    )
     rng_factory_names: tuple[str, ...] = ("Random", "SystemRandom", "default_rng", "SeedSequence")
     taint_sink_functions: tuple[str, ...] = field(default_factory=_default_taint_sinks)
     pool_dispatch_functions: tuple[str, ...] = (
@@ -153,15 +133,13 @@ class LintPolicy:
 
     def in_float_eq_scope(self, module: str) -> bool:
         """Whether D104 applies to ``module``."""
-        return _in_packages(module, self.float_eq_packages)
+        return any(
+            module == pkg or module.startswith(pkg + ".") for pkg in self.float_eq_packages
+        )
 
     def wall_clock_allowed(self, module: str) -> bool:
         """Whether ``module`` may read the wall clock (D102)."""
         return module in self.wall_clock_allowlist
-
-    def in_strict_typing_scope(self, module: str) -> bool:
-        """Whether T301 applies to ``module``."""
-        return _in_packages(module, self.strict_typing_packages)
 
     def payload_classes_in(self, module: str) -> tuple[str, ...]:
         """Registered payload class base names defined in ``module``."""
@@ -179,10 +157,6 @@ class LintPolicy:
     def fingerprint(self) -> str:
         """Stable digest input for the per-file cache key."""
         return repr(self)
-
-
-def _in_packages(module: str, packages: tuple[str, ...]) -> bool:
-    return any(module == pkg or module.startswith(pkg + ".") for pkg in packages)
 
 
 #: The policy `pilfill lint` uses unless a caller overrides it.

@@ -4,8 +4,8 @@ Rules self-register at import time via :func:`register` (per-file) or
 :func:`register_program` (interprocedural); the runner asks
 :func:`all_rules` / :func:`all_program_rules` for the catalogs. A
 per-file rule sees a :class:`FileContext` — one parsed file plus
-everything repo-level the rule families need (module name, worker
-reachability, policy). A :class:`ProgramRule` sees the whole
+everything repo-level the rule families need (module name, policy). A
+:class:`ProgramRule` sees the whole
 :class:`~repro.analysis.callgraph.ProgramContext` instead and declares a
 ``scope``:
 
@@ -45,8 +45,6 @@ class FileContext:
         source: raw file text.
         tree: parsed AST of ``source``.
         policy: the active :class:`LintPolicy`.
-        worker_reachable: True when the module is transitively imported
-            from the worker-payload entry modules (C201 scope).
     """
 
     path: str
@@ -54,14 +52,13 @@ class FileContext:
     source: str
     tree: ast.Module
     policy: LintPolicy = field(default_factory=lambda: DEFAULT_POLICY)
-    worker_reachable: bool = False
 
 
 class Rule(abc.ABC):
     """One analysis rule: an id, a one-line summary, and a check."""
 
     #: Unique id, e.g. ``"D104"``. Families: D = determinism,
-    #: C = concurrency, T = typing, A = suppression hygiene.
+    #: C = concurrency, A = suppression hygiene.
     rule_id: str = ""
     #: One-line description shown by ``pilfill lint --rules``.
     summary: str = ""
@@ -160,5 +157,4 @@ def _load_builtin_rules() -> None:
         rules_lockorder,
         rules_purity,
         rules_taint,
-        rules_typing,
     )

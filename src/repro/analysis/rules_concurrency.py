@@ -1,10 +1,9 @@
 """C-family rules: the parallel-solve contract, checked statically.
 
-These protect the PR-2/3 pool contracts — compact picklable payloads,
-no shared mutable state between tiles, lock-guarded shared caches:
+These protect the PR-2/3 pool contracts — compact picklable payloads and
+lock-guarded shared caches (worker purity is X301's, over the call
+graph):
 
-* C201 — no mutable module-level state in modules that run inside pool
-  workers (anything reachable from ``repro.pilfill.parallel``).
 * C202 — classes in the pool-payload registry must be dataclasses whose
   fields are picklable by construction.
 * C203 — a class that owns a lock must mutate its private dict/set
@@ -20,14 +19,14 @@ from dataclasses import dataclass
 from repro.analysis.findings import Finding
 from repro.analysis.registry import FileContext, Rule, register
 
-#: Calls whose results are mutable containers (module-level bindings of
-#: these are shared state).
+#: Calls whose results are mutable containers.
 _MUTABLE_FACTORIES = frozenset(
     {"list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter", "OrderedDict"}
 )
 
-#: Method calls that mutate a dict/set/list store in place.
-_MUTATOR_METHODS = frozenset(
+#: Method calls that mutate a dict/set/list store in place (C203/C204
+#: here, X301 for module-level state).
+MUTATOR_METHODS = frozenset(
     {
         "update",
         "setdefault",
@@ -50,59 +49,6 @@ def _is_mutable_value(node: ast.expr) -> bool:
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         return node.func.id in _MUTABLE_FACTORIES
     return False
-
-
-@register
-class ModuleStateRule(Rule):
-    """C201: worker-reachable modules hold no mutable module state."""
-
-    rule_id = "C201"
-    summary = (
-        "mutable module-level state (container binding, `global` rebinding) "
-        "in a module that runs inside pool workers"
-    )
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        if not ctx.worker_reachable:
-            return []
-        findings: list[Finding] = []
-        for stmt in ctx.tree.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            elif isinstance(stmt, ast.AugAssign):
-                findings.append(
-                    self.finding(ctx, stmt, "module-level augmented assignment")
-                )
-                continue
-            if value is None or not _is_mutable_value(value):
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name) and not target.id.startswith("__"):
-                    findings.append(
-                        self.finding(
-                            ctx,
-                            stmt,
-                            f"module-level mutable container {target.id!r}; use an "
-                            "immutable value (tuple/frozenset/MappingProxyType) or "
-                            "move it into per-call state",
-                        )
-                    )
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Global):
-                names = ", ".join(node.names)
-                findings.append(
-                    self.finding(
-                        ctx,
-                        node,
-                        f"`global {names}` rebinds module state from a function; "
-                        "worker processes will not see (or share) the rebinding",
-                    )
-                )
-        return findings
 
 
 def _annotation_names(node: ast.expr) -> list[tuple[ast.expr, str]]:
@@ -320,7 +266,7 @@ def _mutated_store(stmt: ast.stmt, stores: set[str]) -> str | None:
                 return attr
     if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
         func = stmt.value.func
-        if isinstance(func, ast.Attribute) and func.attr in _MUTATOR_METHODS:
+        if isinstance(func, ast.Attribute) and func.attr in MUTATOR_METHODS:
             attr = _self_attr(func.value)
             if attr in stores:
                 return attr

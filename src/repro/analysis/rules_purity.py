@@ -30,24 +30,7 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.findings import Finding, TraceStep
 from repro.analysis.registry import ProgramRule, register_program
-
-#: In-place container mutators (matches the C201 catalog).
-_MUTATOR_METHODS = frozenset(
-    {
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "clear",
-        "add",
-        "discard",
-        "remove",
-        "append",
-        "extend",
-        "insert",
-    }
-)
-
+from repro.analysis.rules_concurrency import MUTATOR_METHODS
 
 def module_level_names(unit: ModuleUnit) -> frozenset[str]:
     """Names bound at module top level (assignment targets)."""
@@ -169,7 +152,7 @@ def _module_state_writes(
                 base = node.func.value
                 if (
                     isinstance(base, ast.Name)
-                    and node.func.attr in _MUTATOR_METHODS
+                    and node.func.attr in MUTATOR_METHODS
                     and is_module_name(base.id)
                 ):
                     writes.append(

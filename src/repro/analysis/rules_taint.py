@@ -1,19 +1,24 @@
 """X1xx: interprocedural determinism taint.
 
 The D-family rules catch a nondeterminism source where it is *used*; the
-taint pass catches one where it *matters* — a wall-clock read or
-``os.environ`` lookup three calls away from a sha256 digest helper
-poisons a cache key just as surely as one inline. X101 walks the call
-graph: for every call site whose callee is a policy-listed digest sink
-(or a C202 payload-registry constructor), any nondeterminism source in
-the calling function or its transitive callees is reported with the full
-source → call chain → sink trace.
+taint pass catches one where it *matters* — an ``os.environ`` lookup
+three calls away from a sha256 digest helper poisons a cache key just as
+surely as one inline. X101 walks the call graph: for every call site
+whose callee is a policy-listed digest sink (or a C202 payload-registry
+constructor), any nondeterminism source in the calling function or its
+transitive callees is reported with the full source → call chain → sink
+trace.
+
+Sources are only those no per-file rule flags: environment reads
+(``os.environ`` / ``os.getenv``) and the process-dependent builtins
+``id()`` / ``hash()`` (outside ``__hash__``). Wall-clock reads, global
+RNG calls and set-order iteration are reported once, at the source, by
+D102, D101 and D103.
 
 Approximation: value-flow is not tracked — a source anywhere in the
 sink-caller's forward call cone is assumed to be able to reach the sink
 arguments. That over-approximates, but the sources are things
-deterministic code has no business touching near a digest anyway, and
-the same allowlists that scope D101/D102 scope the taint sources here.
+deterministic code has no business touching near a digest anyway.
 """
 
 from __future__ import annotations
@@ -30,15 +35,7 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.findings import Finding, TraceStep
 from repro.analysis.registry import ProgramRule, register_program
-from repro.analysis.rules_determinism import (
-    _DATETIME_FNS,
-    _NP_GLOBAL_RNG_FNS,
-    _RANDOM_MODULE_OK,
-    _TIME_FNS,
-    _from_imports,
-    _is_set_expr,
-    _module_aliases,
-)
+from repro.analysis.rules_determinism import _from_imports, _module_aliases
 
 
 @dataclass(frozen=True)
@@ -52,32 +49,17 @@ class TaintSource:
 
 
 @dataclass
-class _ModuleSourceTables:
-    """Per-module alias tables needed to spot sources."""
+class _OsNames:
+    """Names one module binds to ``os`` and to its environment readers."""
 
-    time_aliases: set[str]
-    time_fns: set[str]
-    datetime_aliases: set[str]
     os_aliases: set[str]
     environ_names: set[str]
     getenv_names: set[str]
-    random_aliases: set[str]
-    random_fns: set[str]
-    numpy_aliases: set[str]
-    nprandom_aliases: set[str]
 
 
-def _tables_for(unit: ModuleUnit) -> _ModuleSourceTables:
+def _os_names_for(unit: ModuleUnit) -> _OsNames:
     os_imports = _from_imports(unit.tree, "os")
-    return _ModuleSourceTables(
-        time_aliases=_module_aliases(unit.tree, "time"),
-        time_fns={
-            local
-            for local, orig in _from_imports(unit.tree, "time").items()
-            if orig in _TIME_FNS
-        },
-        datetime_aliases=_module_aliases(unit.tree, "datetime")
-        | set(_from_imports(unit.tree, "datetime")),
+    return _OsNames(
         os_aliases=_module_aliases(unit.tree, "os"),
         environ_names={
             local for local, orig in os_imports.items() if orig == "environ"
@@ -85,24 +67,10 @@ def _tables_for(unit: ModuleUnit) -> _ModuleSourceTables:
         getenv_names={
             local for local, orig in os_imports.items() if orig == "getenv"
         },
-        random_aliases=_module_aliases(unit.tree, "random"),
-        random_fns={
-            local
-            for local, orig in _from_imports(unit.tree, "random").items()
-            if orig not in _RANDOM_MODULE_OK
-        },
-        numpy_aliases=_module_aliases(unit.tree, "numpy"),
-        nprandom_aliases=_module_aliases(unit.tree, "numpy.random"),
     )
 
 
-def _attr_base_name(node: ast.Attribute) -> str | None:
-    return node.value.id if isinstance(node.value, ast.Name) else None
-
-
-def function_sources(
-    info: FunctionInfo, unit: ModuleUnit, tables: _ModuleSourceTables, clock_ok: bool
-) -> list[TaintSource]:
+def function_sources(info: FunctionInfo, names: _OsNames) -> list[TaintSource]:
     """Nondeterminism sources inside one function's owned statements."""
     out: list[TaintSource] = []
 
@@ -126,58 +94,25 @@ def function_sources(
                 if isinstance(func, ast.Name):
                     if func.id in ("id", "hash") and not in_hash_dunder:
                         add(node, f"process-dependent builtin {func.id}()")
-                    elif func.id in tables.random_fns:
-                        add(node, f"global RNG function {func.id!r}")
-                    elif func.id in tables.getenv_names:
+                    elif func.id in names.getenv_names:
                         add(node, "environment read os.getenv(...)")
-                elif isinstance(func, ast.Attribute):
-                    base = _attr_base_name(func)
-                    if base in tables.random_aliases and (
-                        func.attr not in _RANDOM_MODULE_OK
-                    ):
-                        add(node, f"module-global RNG 'random.{func.attr}'")
-                    elif base in tables.os_aliases and func.attr == "getenv":
-                        add(node, "environment read os.getenv(...)")
-                    elif func.attr in _NP_GLOBAL_RNG_FNS and (
-                        base in tables.nprandom_aliases
-                        or (
-                            isinstance(func.value, ast.Attribute)
-                            and func.value.attr == "random"
-                            and _attr_base_name(func.value) in tables.numpy_aliases
-                        )
-                    ):
-                        add(node, f"legacy global numpy RNG 'np.random.{func.attr}'")
-            if isinstance(node, ast.Attribute):
-                base = _attr_base_name(node)
-                if not clock_ok:
-                    if base in tables.time_aliases and node.attr in _TIME_FNS:
-                        add(node, f"wall-clock read 'time.{node.attr}'")
-                    elif node.attr in _DATETIME_FNS:
-                        root_expr: ast.expr = node.value
-                        while isinstance(root_expr, ast.Attribute):
-                            root_expr = root_expr.value
-                        if (
-                            isinstance(root_expr, ast.Name)
-                            and root_expr.id in tables.datetime_aliases
-                        ):
-                            add(node, f"wall-clock read 'datetime...{node.attr}'")
-                if base in tables.os_aliases and node.attr == "environ":
+                elif (
+                    isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in names.os_aliases
+                    and func.attr == "getenv"
+                ):
+                    add(node, "environment read os.getenv(...)")
+            elif isinstance(node, ast.Attribute):
+                if (
+                    isinstance(node.value, ast.Name)
+                    and node.value.id in names.os_aliases
+                    and node.attr == "environ"
+                ):
                     add(node, "environment read os.environ")
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                if node.id in tables.environ_names:
+                if node.id in names.environ_names:
                     add(node, "environment read os.environ")
-                elif node.id in tables.time_fns and not clock_ok:
-                    add(node, f"wall-clock read {node.id!r}")
-            iters: list[ast.expr] = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters.append(node.iter)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                iters.extend(gen.iter for gen in node.generators)
-            for it in iters:
-                if _is_set_expr(it):
-                    add(it, "iteration over a set expression (hash order)")
     return sorted(out, key=lambda s: (s.line, s.desc))
 
 
@@ -211,9 +146,8 @@ class DeterminismTaintRule(ProgramRule):
 
     rule_id = "X101"
     summary = (
-        "nondeterminism source (clock, environ, global RNG, id()/hash(), "
-        "set-order iteration) reaches a digest or payload sink through the "
-        "call graph — the full source→sink chain is attached"
+        "environment read or id()/hash() reaches a digest or payload sink "
+        "through the call graph — the full source→sink chain is attached"
     )
     scope = "file"
 
@@ -222,21 +156,15 @@ class DeterminismTaintRule(ProgramRule):
         sinks = frozenset(ctx.policy.taint_sink_functions) | frozenset(
             ctx.policy.payload_registry
         )
-        tables = {
-            module: _tables_for(unit) for module, unit in sorted(ctx.units.items())
+        os_names = {
+            module: _os_names_for(unit) for module, unit in sorted(ctx.units.items())
         }
         sources: dict[str, list[TaintSource]] = {}
         for qualname in sorted(graph.functions):
             info = graph.functions[qualname]
-            unit = ctx.units.get(info.module)
-            if unit is None:
+            if info.module not in os_names:
                 continue
-            found = function_sources(
-                info,
-                unit,
-                tables[info.module],
-                clock_ok=ctx.policy.wall_clock_allowed(info.module),
-            )
+            found = function_sources(info, os_names[info.module])
             if found:
                 sources[qualname] = found
         if not sources:

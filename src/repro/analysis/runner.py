@@ -2,8 +2,8 @@
 
 :func:`lint_paths` is what the CLI subcommand and the pytest self-check
 gate call; :func:`lint_source` / :func:`lint_modules` are the
-fixture-test entry points (analyze snippets under a forced module name /
-reachability, no filesystem).
+fixture-test entry points (analyze snippets under a forced module name,
+no filesystem).
 
 Two rule tiers run per invocation:
 
@@ -102,9 +102,8 @@ def lint_source(
     path: str = "<string>",
     module: str = "",
     policy: LintPolicy | None = None,
-    worker_reachable: bool = False,
 ) -> list[Finding]:
-    """Lint a source snippet (fixture tests force module/reachability).
+    """Lint a source snippet (fixture tests force the module name).
 
     Program rules run over the snippet as a one-module program, so
     intra-module taint/lock/purity findings appear alongside the
@@ -129,7 +128,6 @@ def lint_source(
         source=source,
         tree=tree,
         policy=policy,
-        worker_reachable=worker_reachable,
     )
     findings = _file_rule_findings(ctx)
     program = ProgramContext(
@@ -188,7 +186,7 @@ def lint_modules(
 
 def _graph_root(files: list[Path]) -> Path | None:
     """Topmost package directory containing the first package file —
-    the root the worker-reachability graph is built over."""
+    the root the import graph is built over."""
     for file in files:
         if module_name_for(file):
             current = file.parent
@@ -254,7 +252,6 @@ class _FileTask:
     module: str
     source: str
     digest: str
-    worker_reachable: bool
 
 
 def lint_paths(
@@ -273,12 +270,8 @@ def lint_paths(
     policy = policy if policy is not None else DEFAULT_POLICY
     files = collect_files(paths)
 
-    graph: ModuleGraph | None = None
-    reachable: frozenset[str] = frozenset()
     root = _graph_root(files)
-    if root is not None:
-        graph = ModuleGraph(root)
-        reachable = graph.reachable_from(policy.worker_entry_modules)
+    graph = ModuleGraph(root) if root is not None else None
 
     if changed_only:
         selected = _select_changed(files, graph)
@@ -298,13 +291,10 @@ def lint_paths(
         module = module_name_for(file)
         if module:
             path_overrides[file.resolve()] = str(file)
-        worker_reachable = module in reachable
         closure = (
             graph.closure_digest(module) if graph is not None and module else ""
         )
-        ctx_digest = context_digest(
-            rule_ids, policy.fingerprint(), worker_reachable, closure
-        )
+        ctx_digest = context_digest(rule_ids, policy.fingerprint(), closure)
         try:
             source = file.read_text(encoding="utf-8")
         except OSError as exc:
@@ -325,13 +315,7 @@ def lint_paths(
             findings_by_file[file] = cached
             continue
         tasks.append(
-            _FileTask(
-                file=file,
-                module=module,
-                source=source,
-                digest=digest,
-                worker_reachable=worker_reachable,
-            )
+            _FileTask(file=file, module=module, source=source, digest=digest)
         )
 
     program: ProgramContext | None = None
@@ -359,7 +343,6 @@ def lint_paths(
             source=task.source,
             tree=tree,
             policy=policy,
-            worker_reachable=task.worker_reachable,
         )
         findings = _file_rule_findings(ctx)
         findings.extend(file_scope_by_path.get(str(task.file), []))

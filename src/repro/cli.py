@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="determinism/concurrency/typing lint over the source tree",
+        help="determinism/concurrency lint over the source tree",
     )
     p.add_argument("paths", nargs="*", default=["src/repro"],
                    help="files or directories to lint (default: src/repro)")

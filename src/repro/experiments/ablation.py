@@ -6,12 +6,14 @@ the CLI, the benchmarks, and notebooks share one implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.cap import exact_column_cap, grounded_column_table, linear_column_cap
 from repro.errors import ReproError
 from repro.layout.layout import RoutedLayout
 from repro.pilfill import (
     EngineConfig,
+    FillResult,
     PILFillEngine,
     SlackColumnDef,
     evaluate_impact,
@@ -23,6 +25,36 @@ from repro.synth import (
     t1_spec,
 )
 from repro.tech.rules import FillRules
+
+
+def _normal_vs_ilp2(
+    layout: RoutedLayout,
+    layer: str,
+    rules: FillRules,
+    window_um: int,
+    r: int,
+    **knobs: Any,
+) -> tuple[int, int, float, float]:
+    """Normal, then ILP-II on Normal's budget (``knobs`` are extra
+    :class:`EngineConfig` fields), each scored by :func:`evaluate_impact`:
+    ``(Normal's budget total, Normal's features, Normal's weighted τ,
+    ILP-II's weighted τ)``."""
+
+    def run(method: str, budget: dict[tuple[int, int], int] | None) -> tuple[FillResult, float]:
+        config = EngineConfig(
+            fill_rules=rules,
+            density_rules=density_rules_for(window_um, r, layout.stack),
+            method=method,
+            backend="scipy",
+            **knobs,
+        )
+        result = PILFillEngine(layout, layer, config).run(budget=budget)
+        impact = evaluate_impact(layout, layer, result.features, rules)
+        return result, impact.weighted_total_ps
+
+    normal, normal_tau = run("normal", None)
+    _, ilp2_tau = run("ilp2", normal.requested_budget)
+    return sum(normal.requested_budget.values()), normal.total_features, normal_tau, ilp2_tau
 
 
 # -- A: slack-column definitions ------------------------------------------------
@@ -182,29 +214,10 @@ def ablation_capacity_margin(
     rules = default_fill_rules(layout.stack)
     rows = []
     for margin in margins:
-        budget = None
-        taus = {}
-        for method in ("normal", "ilp2"):
-            config = EngineConfig(
-                fill_rules=rules,
-                density_rules=density_rules_for(window_um, r, layout.stack),
-                method=method,
-                capacity_margin=margin,
-                backend="scipy",
-            )
-            result = PILFillEngine(layout, layer, config).run(budget=budget)
-            if budget is None:
-                budget = result.requested_budget
-            impact = evaluate_impact(layout, layer, result.features, rules)
-            taus[method] = impact.weighted_total_ps
-        rows.append(
-            MarginRow(
-                margin=margin,
-                budget_total=sum(budget.values()),
-                normal_wtau_ps=taus["normal"],
-                ilp2_wtau_ps=taus["ilp2"],
-            )
+        budget_total, _, normal_tau, ilp2_tau = _normal_vs_ilp2(
+            layout, layer, rules, window_um, r, capacity_margin=margin
         )
+        rows.append(MarginRow(margin, budget_total, normal_tau, ilp2_tau))
     return rows
 
 
@@ -252,30 +265,11 @@ def ablation_fill_size(
             fill_gap=round(size * dbu / 2),
             buffer_distance=round(size * dbu / 2),
         )
-        budget = None
-        taus = {}
-        features = 0
-        for method in ("normal", "ilp2"):
-            config = EngineConfig(
-                fill_rules=rules,
-                density_rules=density_rules_for(window_um, r, layout.stack),
-                method=method,
-                backend="scipy",
-            )
-            result = PILFillEngine(layout, layer, config).run(budget=budget)
-            if budget is None:
-                budget = result.requested_budget
-                features = result.total_features
-            impact = evaluate_impact(layout, layer, result.features, rules)
-            taus[method] = impact.weighted_total_ps
+        _, features, normal_tau, ilp2_tau = _normal_vs_ilp2(
+            layout, layer, rules, window_um, r
+        )
         rows.append(
-            FillSizeRow(
-                fill_size_um=size,
-                features=features,
-                fill_area_um2=features * size * size,
-                normal_wtau_ps=taus["normal"],
-                ilp2_wtau_ps=taus["ilp2"],
-            )
+            FillSizeRow(size, features, features * size * size, normal_tau, ilp2_tau)
         )
     return rows
 
@@ -322,23 +316,8 @@ def ablation_seed_sensitivity(
     for seed in seeds:
         layout = generate_layout(t1_spec(seed=seed))
         rules = default_fill_rules(layout.stack)
-        budget = None
-        taus = {}
-        for method in ("normal", "ilp2"):
-            config = EngineConfig(
-                fill_rules=rules,
-                density_rules=density_rules_for(window_um, r, layout.stack),
-                method=method,
-                backend="scipy",
-            )
-            result = PILFillEngine(layout, "metal3", config).run(budget=budget)
-            if budget is None:
-                budget = result.requested_budget
-            impact = evaluate_impact(layout, "metal3", result.features, rules)
-            taus[method] = impact.weighted_total_ps
-        budget = None
-        rows.append(SeedRow(seed=seed, normal_wtau_ps=taus["normal"],
-                            ilp2_wtau_ps=taus["ilp2"]))
+        _, _, normal_tau, ilp2_tau = _normal_vs_ilp2(layout, "metal3", rules, window_um, r)
+        rows.append(SeedRow(seed, normal_tau, ilp2_tau))
     return rows
 
 

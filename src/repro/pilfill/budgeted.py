@@ -226,26 +226,19 @@ def derive_net_cap_budgets(
     return budgets
 
 
-def build_cap_tables(costs: list[ColumnCosts]) -> list[tuple[float, ...]]:
-    """Recover raw ΔC(n) (fF) per column from the weighted cost tables.
+def build_cap_tables(costs: list[ColumnCosts], weighted: bool) -> list[tuple[float, ...]]:
+    """Recover raw ΔC(n) (fF) per column from its cost tables.
 
-    ``exact[n] = r̂ · ΔC(n) · OHM_FF_TO_PS`` with the r̂ the tables were
-    built with; dividing it back out yields the capacitance each adjacent
-    net receives. Columns without impact get all-zero tables.
+    ``exact[n] = r̂ · ΔC(n) · OHM_FF_TO_PS`` with ``r̂ =
+    resistance_weight(weighted)``, the flag the tables were built with;
+    dividing it back out yields the capacitance each adjacent net
+    receives. Columns without impact (or with ``r̂ = 0``) get all-zero
+    tables.
     """
     out: list[tuple[float, ...]] = []
     for cc in costs:
-        if not cc.column.has_impact:
-            out.append(tuple(0.0 for _ in range(cc.capacity + 1)))
-            continue
-        # The tables may have been built weighted or unweighted; both
-        # divisors are available on the column, and exactly one of them
-        # reproduces a consistent ΔC — weighted tables were built with
-        # resistance_weight(True). Prefer it; fall back when degenerate.
-        divisor = cc.column.resistance_weight(True) * OHM_FF_TO_PS
-        if divisor <= 0:
-            divisor = cc.column.resistance_weight(False) * OHM_FF_TO_PS
-        if divisor <= 0:
+        divisor = cc.column.resistance_weight(weighted) * OHM_FF_TO_PS
+        if not cc.column.has_impact or divisor <= 0:
             out.append(tuple(0.0 for _ in range(cc.capacity + 1)))
             continue
         out.append(tuple(v / divisor for v in cc.exact))

@@ -778,7 +778,7 @@ class PILFillEngine:
             time_limit = effective_time_limit(self.config.tile_deadline_s, run_deadline)
         except SolveTimeoutError as exc:
             return TileOutcome(key=key, value=None, seconds=0.0, error=f"TIME_LIMIT: {exc}")
-        cap_tables = build_cap_tables(costs)
+        cap_tables = build_cap_tables(costs, self.config.weighted)
         report = SolveReport(key=key, requested_method=method, used_method=method)
         if method == "budgeted_ilp":
             outcome = solve_tile_budgeted_ilp(

@@ -28,8 +28,8 @@ typically an order of magnitude fewer than features.
 A model is reusable: what-if loops and optimizers build it once and call
 :meth:`ImpactModel.score`, :meth:`ImpactModel.marginal_cost_ps` and
 :meth:`ImpactModel.locate` many times. ``locate`` memoizes by feature
-rectangle, so repeated marginal-cost queries, stale-tile checks and local
-search pay the spatial lookup once per site; ``score`` locates without
+rectangle, so repeated marginal-cost queries and local search pay the
+spatial lookup once per site; ``score`` locates without
 the memo.
 """
 
@@ -124,8 +124,8 @@ class ImpactModel:
         self._fill_w_um = rules.fill_size / self._dbu
         # locate() depends only on the feature rectangle, and Rect is
         # frozen/hashable — memoizing by rect makes repeated what-if
-        # queries (marginal_cost_ps over a growing placement, stale-tile
-        # checks, local search) pay the spatial query once per site.
+        # queries (marginal_cost_ps over a growing placement, local
+        # search) pay the spatial query once per site.
         # Callers may share one model across threads, so writes
         # go through the lock (reads stay lock-free: entries are
         # immutable and never invalidated).

@@ -47,7 +47,7 @@ TileKey = tuple[int, int]
 #: Degradation order per requested method. Greedy is the terminal rung:
 #: deterministic, near-instant, and never invokes an ILP backend.
 #: Immutable: this module runs inside pool workers, so module state must
-#: not be writable (C201).
+#: not be writable (X301 checks that no worker path writes it).
 _CHAINS: MappingProxyType[str, tuple[str, ...]] = MappingProxyType(
     {
         "ilp2": ("ilp2", "ilp1", "greedy"),

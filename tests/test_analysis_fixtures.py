@@ -3,7 +3,7 @@
 Every rule id has a failing and a passing example under
 ``tests/analysis_fixtures/``; each failing fixture must produce findings
 of exactly its rule, and each passing fixture must lint clean under the
-same (module, reachability, policy) context. Suppression semantics, the
+same (module, policy) context. Suppression semantics, the
 JSON reporter round-trip, and the result cache are covered here too.
 """
 
@@ -29,7 +29,7 @@ FIXTURES = Path(__file__).parent / "analysis_fixtures"
 
 #: A module outside every rule scope except the universal ones.
 NEUTRAL = "repro.experiments.fx"
-#: A module inside the float-eq and strict-typing scopes.
+#: A module inside the float-eq scope.
 STRICT = "repro.pilfill.fx"
 
 #: Policy that registers the C202 fixture's class as a pool payload.
@@ -39,28 +39,26 @@ X101_POLICY = LintPolicy(taint_sink_functions=(f"{NEUTRAL}.digest_key",))
 #: Policy naming the X301 fixtures' entry point as a pool-worker root.
 X301_POLICY = LintPolicy(worker_entry_functions=(f"{NEUTRAL}.worker_main",))
 
-#: rule id -> (module, worker_reachable, policy) the fixture pair runs under.
-CONTEXTS: dict[str, tuple[str, bool, LintPolicy | None]] = {
-    "D101": (NEUTRAL, False, None),
-    "D102": (NEUTRAL, False, None),
-    "D103": (NEUTRAL, False, None),
-    "D104": (STRICT, False, None),
-    "C201": (NEUTRAL, True, None),
-    "C202": (NEUTRAL, False, C202_POLICY),
-    "C203": (NEUTRAL, False, None),
-    "C204": (NEUTRAL, False, None),
-    "T301": (STRICT, False, None),
-    "A001": (NEUTRAL, False, None),
-    "A002": (NEUTRAL, False, None),
-    "X101": (NEUTRAL, False, X101_POLICY),
-    "X201": (NEUTRAL, False, None),
-    "X202": (NEUTRAL, False, None),
-    "X301": (NEUTRAL, False, X301_POLICY),
+#: rule id -> (module, policy) the fixture pair runs under.
+CONTEXTS: dict[str, tuple[str, LintPolicy | None]] = {
+    "D101": (NEUTRAL, None),
+    "D102": (NEUTRAL, None),
+    "D103": (NEUTRAL, None),
+    "D104": (STRICT, None),
+    "C202": (NEUTRAL, C202_POLICY),
+    "C203": (NEUTRAL, None),
+    "C204": (NEUTRAL, None),
+    "A001": (NEUTRAL, None),
+    "A002": (NEUTRAL, None),
+    "X101": (NEUTRAL, X101_POLICY),
+    "X201": (NEUTRAL, None),
+    "X202": (NEUTRAL, None),
+    "X301": (NEUTRAL, X301_POLICY),
 }
 
 #: Pass-side overrides: D102's passing case IS the allowlist membership.
-PASS_CONTEXTS: dict[str, tuple[str, bool, LintPolicy | None]] = {
-    "D102": ("repro.pilfill.engine", False, None),
+PASS_CONTEXTS: dict[str, tuple[str, LintPolicy | None]] = {
+    "D102": ("repro.pilfill.engine", None),
 }
 
 #: Extra fixture pairs beyond the one-per-rule core set: fixture stem ->
@@ -68,19 +66,14 @@ PASS_CONTEXTS: dict[str, tuple[str, bool, LintPolicy | None]] = {
 #: pins the telemetry contract: tracing code (repro.obs.trace) may not
 #: read the wall clock; only repro.obs.clock is allowlisted.
 EXTRA_PAIRS: dict[
-    str,
-    tuple[
-        str,
-        tuple[str, bool, LintPolicy | None],
-        tuple[str, bool, LintPolicy | None],
-    ],
+    str, tuple[str, tuple[str, LintPolicy | None], tuple[str, LintPolicy | None]]
 ] = {
     "D102_obs": (
         "D102",
         # repro.obs.report: inside the telemetry package, not allowlisted,
         # and (unlike repro.obs.trace) hosts no registered payload class.
-        ("repro.obs.report", False, None),
-        ("repro.obs.clock", False, None),
+        ("repro.obs.report", None),
+        ("repro.obs.clock", None),
     ),
     "D102_cachekey": (
         "D102",
@@ -89,52 +82,49 @@ EXTRA_PAIRS: dict[
         # wall clock (vs a pure content hash) makes hits irreproducible.
         # (Not linted as .store: that module must host the registered
         # CachedEntry payload, which the fixtures don't define.)
-        ("repro.pilfill.incremental", False, None),
-        ("repro.pilfill.incremental", False, None),
+        ("repro.pilfill.incremental", None),
+        ("repro.pilfill.incremental", None),
     ),
 }
 
 
-def _lint_fixture(
-    name: str, module: str, reachable: bool, policy: LintPolicy | None
-) -> list[Finding]:
+def _lint_fixture(name: str, module: str, policy: LintPolicy | None) -> list[Finding]:
     path = FIXTURES / name
     return lint_source(
         path.read_text(encoding="utf-8"),
         path=str(path),
         module=module,
         policy=policy or DEFAULT_POLICY,
-        worker_reachable=reachable,
     )
 
 
 @pytest.mark.parametrize("rule_id", sorted(CONTEXTS))
 def test_fail_fixture_fires_exactly_its_rule(rule_id: str) -> None:
-    module, reachable, policy = CONTEXTS[rule_id]
-    findings = _lint_fixture(f"{rule_id}_fail.py", module, reachable, policy)
+    module, policy = CONTEXTS[rule_id]
+    findings = _lint_fixture(f"{rule_id}_fail.py", module, policy)
     assert findings, f"{rule_id}_fail.py produced no findings"
     assert {f.rule_id for f in findings} == {rule_id}, render_text(findings, 1)
 
 
 @pytest.mark.parametrize("rule_id", sorted(CONTEXTS))
 def test_pass_fixture_is_clean(rule_id: str) -> None:
-    module, reachable, policy = PASS_CONTEXTS.get(rule_id, CONTEXTS[rule_id])
-    findings = _lint_fixture(f"{rule_id}_pass.py", module, reachable, policy)
+    module, policy = PASS_CONTEXTS.get(rule_id, CONTEXTS[rule_id])
+    findings = _lint_fixture(f"{rule_id}_pass.py", module, policy)
     assert findings == [], render_text(findings, 1)
 
 
 @pytest.mark.parametrize("stem", sorted(EXTRA_PAIRS))
 def test_extra_fail_fixture_fires_exactly_its_rule(stem: str) -> None:
-    rule_id, (module, reachable, policy), _ = EXTRA_PAIRS[stem]
-    findings = _lint_fixture(f"{stem}_fail.py", module, reachable, policy)
+    rule_id, (module, policy), _ = EXTRA_PAIRS[stem]
+    findings = _lint_fixture(f"{stem}_fail.py", module, policy)
     assert findings, f"{stem}_fail.py produced no findings"
     assert {f.rule_id for f in findings} == {rule_id}, render_text(findings, 1)
 
 
 @pytest.mark.parametrize("stem", sorted(EXTRA_PAIRS))
 def test_extra_pass_fixture_is_clean(stem: str) -> None:
-    _, _, (module, reachable, policy) = EXTRA_PAIRS[stem]
-    findings = _lint_fixture(f"{stem}_pass.py", module, reachable, policy)
+    _, _, (module, policy) = EXTRA_PAIRS[stem]
+    findings = _lint_fixture(f"{stem}_pass.py", module, policy)
     assert findings == [], render_text(findings, 1)
 
 
@@ -145,6 +135,70 @@ def test_every_fixture_has_a_pair() -> None:
         assert f"{stem}_fail.py" in names
         assert f"{stem}_pass.py" in names
     assert names == {f"{s}_{kind}.py" for s in stems for kind in ("fail", "pass")}
+
+
+#: A value read by ``read()`` flows two calls into the X101 sink
+#: ``digest_key``; ``{imports}``/``{expr}`` pick the source.
+_SOURCE_TO_SINK = """{imports}import hashlib
+
+
+def read() -> str:
+    return {expr}
+
+
+def digest_key(payload: str) -> str:
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def cache_key() -> str:
+    return digest_key(read())
+"""
+
+#: A module-level container a function writes through ``global``,
+#: reached from a worker entry.
+_WORKER_WRITE = """_CACHE: dict[str, int] = {}
+
+
+def remember(key: str, value: int) -> None:
+    global _CACHE
+    _CACHE[key] = value
+
+
+def worker_main(key: str, value: int) -> None:
+    remember(key, value)
+"""
+
+
+def _to_sink(imports: str, expr: str) -> str:
+    return _SOURCE_TO_SINK.format(imports=imports, expr=expr)
+
+
+#: case -> (snippet, policy, the one rule that reports it). Clock,
+#: global-RNG and set-order sources are the D-rules' alone; X101 reports
+#: only the sources no per-file rule flags; X301 is the one worker-purity
+#: rule.
+ONE_RULE_CASES: dict[str, tuple[str, LintPolicy, str]] = {
+    "clock": (_to_sink("import time\n", "str(time.time())"), X101_POLICY, "D102"),
+    "global_rng": (_to_sink("import random\n", "str(random.random())"), X101_POLICY, "D101"),
+    "set_order": (_to_sink("", '",".join(name for name in {"a", "b"})'), X101_POLICY, "D103"),
+    "environ": (
+        _to_sink("import os\n", 'os.environ.get("PILFILL_HOST", "local")'),
+        X101_POLICY,
+        "X101",
+    ),
+    "getenv": (
+        _to_sink("import os\n", 'os.getenv("PILFILL_HOST", "local")'), X101_POLICY, "X101"
+    ),
+    "id": (_to_sink("", "str(id(object()))"), X101_POLICY, "X101"),
+    "worker_module_state": (_WORKER_WRITE, X301_POLICY, "X301"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_RULE_CASES))
+def test_each_violation_is_reported_by_one_rule(case: str) -> None:
+    snippet, policy, rule_id = ONE_RULE_CASES[case]
+    findings = lint_source(snippet, path="fx.py", module=NEUTRAL, policy=policy)
+    assert [f.rule_id for f in findings] == [rule_id], render_text(findings, 1)
 
 
 #: Policy for the cross-module pair under ``analysis_fixtures/xmod/``:
@@ -191,8 +245,8 @@ def test_suppression_requires_matching_rule_id() -> None:
 
 
 def test_json_report_round_trips() -> None:
-    module, reachable, policy = CONTEXTS["D101"]
-    findings = _lint_fixture("D101_fail.py", module, reachable, policy)
+    module, policy = CONTEXTS["D101"]
+    findings = _lint_fixture("D101_fail.py", module, policy)
     text = render_json(findings, files_checked=1)
     assert findings_from_json(text) == sorted(findings)
 
@@ -203,8 +257,8 @@ def test_syntax_error_reports_e000() -> None:
 
 
 def test_render_text_summary_line() -> None:
-    module, reachable, policy = CONTEXTS["T301"]
-    findings = _lint_fixture("T301_fail.py", module, reachable, policy)
+    module, policy = CONTEXTS["D101"]
+    findings = _lint_fixture("D101_fail.py", module, policy)
     text = render_text(findings, files_checked=1)
     assert text.splitlines()[-1] == "1 finding in 1 file(s)"
 

@@ -1,6 +1,6 @@
 """The lint gate: the shipped source tree must be finding-free.
 
-This is the enforcement point of the determinism/concurrency/typing
+This is the enforcement point of the determinism/concurrency
 contracts — any rule violation (or blanket/unknown suppression, which
 the suppression layer itself reports as A001/A002) fails the suite with
 the same ``path:line:col: RULE message`` lines the CLI prints.
@@ -26,7 +26,7 @@ def test_source_tree_is_lint_clean() -> None:
 
 def test_analysis_package_checks_itself() -> None:
     # The linter is part of the lint scope: its own modules obey the
-    # rules they enforce (including T301 strict typing).
+    # rules they enforce.
     report = lint_paths([str(SRC / "analysis")])
     assert report.files_checked >= 10
     assert report.clean, "\n" + render_text(report.findings, report.files_checked)
@@ -37,11 +37,15 @@ def test_interprocedural_rules_are_live_over_the_tree() -> None:
     # nothing*, not because they were skipped: the default policy's
     # sinks, dispatch functions, and worker entries must all resolve in
     # the real call graph.
-    from repro.analysis import DEFAULT_POLICY, all_program_rules
+    from repro.analysis import DEFAULT_POLICY, all_program_rules, all_rules
     from repro.analysis.modgraph import ModuleGraph
     from repro.analysis.rules_purity import module_level_names
     from repro.analysis.runner import _build_whole_program
 
+    # One rule per contract: the catalog is exactly these.
+    assert {r.rule_id for r in all_rules()} == {
+        "D101", "D102", "D103", "D104", "C202", "C203", "C204"
+    }
     assert {r.rule_id for r in all_program_rules()} == {"X101", "X201", "X202", "X301"}
     graph = ModuleGraph(SRC.parent)
     program = _build_whole_program(graph, DEFAULT_POLICY, {})
@@ -83,7 +87,7 @@ def test_interprocedural_rules_are_live_over_the_tree() -> None:
             )
     # Module-scoped entries name modules in the tree: a stale entry for a
     # deleted module would otherwise narrow nothing and pass silently.
-    for module in DEFAULT_POLICY.worker_entry_modules + DEFAULT_POLICY.wall_clock_allowlist:
+    for module in DEFAULT_POLICY.float_eq_packages + DEFAULT_POLICY.wall_clock_allowlist:
         assert module in program.units, f"policy module {module} not in the tree"
     # Every wall-clock allowlist entry still reads the clock: with the
     # allowlist emptied, D102 flags at least one read in it. An entry for

@@ -156,6 +156,6 @@ def test_budgeted_arrays_match_oracle(tile):
 def test_budgeted_without_net_budgets_reaches_dp_optimum(backend, tile):
     """With no net budgeted, the budgeted model is ILP-II: DP optimum."""
     costs, budget = tile
-    out = solve_tile_budgeted_ilp(costs, build_cap_tables(costs), budget, {}, backend=backend)
+    out = solve_tile_budgeted_ilp(costs, build_cap_tables(costs, True), budget, {}, backend=backend)
     assert out.feasible
     assert_reaches_optimum(out.solution, [c.exact for c in costs], budget)

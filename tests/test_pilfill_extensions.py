@@ -110,7 +110,7 @@ class TestMvdc:
 class TestCapTables:
     def test_recovers_delta_c(self):
         cc = make_column([1.0, 2.0], sinks=2, res=500.0)
-        caps = build_cap_tables([cc])[0]
+        caps = build_cap_tables([cc], True)[0]
         # exact[n] = r_hat(w=True) * dC(n) * 1e-3; r_hat = 2 nets * 2 sinks * 500
         from repro.layout.rctree import OHM_FF_TO_PS
 
@@ -122,7 +122,62 @@ class TestCapTables:
         neighbor = ColumnNeighbor("a", 0, 1, 10.0)
         free_col = ElectricalColumn(None, neighbor, None)
         cc = ColumnCosts(free_col, (0.0, 0.0), (0.0, 0.0))
-        assert build_cap_tables([cc])[0] == (0.0, 0.0)
+        assert build_cap_tables([cc], True)[0] == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_budgeted_cap_tables_are_lut_delta_c(weighted):
+    """Regression: unweighted tables were divided by the sink-weighted r̂,
+    so on T1 32/2 metal3 2,255 of 4,099 impactful columns carried a wrong
+    ΔC (up to 67%) and an unweighted budgeted greedy run overspent 18
+    nets. Either flag must recover the LUT's ΔC and keep every net within
+    its budget by that ΔC."""
+    from collections import defaultdict
+
+    from repro.cap.lut import LUTCache
+    from repro.synth import default_fill_rules, density_rules_for, make_t1
+
+    layout = make_t1()
+    cfg = EngineConfig(
+        fill_rules=default_fill_rules(layout.stack),
+        density_rules=density_rules_for(32, 2, layout.stack),
+        method="ilp2",
+        backend="scipy",
+        weighted=weighted,
+    )
+    engine = PILFillEngine(layout, "metal3", cfg)
+    prep = engine.prepared
+    layer = layout.stack.layer("metal3")
+    lut = LUTCache(
+        layer.eps_r, layer.thickness_um, cfg.fill_rules.fill_size / layout.stack.dbu_per_micron
+    )
+    impactful = 0
+    for key, costs in prep.costs_for(weighted).items():
+        caps = build_cap_tables(costs, weighted)
+        for col, cc, table in zip(prep.columns_by_tile[key], costs, caps, strict=True):
+            if not cc.column.has_impact:
+                continue
+            impactful += 1
+            delta_c = lut.get(col.gap_um, col.capacity)
+            for n in range(col.capacity + 1):
+                assert table[n] == pytest.approx(delta_c.cap(n), rel=1e-9, abs=0.0)
+    assert impactful > 0
+
+    budgets = derive_net_cap_budgets(layout, 1e-4)
+    result = engine.run_budgeted(budgets, exact=False)
+    assert result.total_features > 0
+    used: dict[str, float] = defaultdict(float)
+    for key, solution in result.tile_solutions.items():
+        for col, n in zip(prep.columns_by_tile[key], solution.counts, strict=True):
+            if n == 0 or not col.electrical.has_impact:
+                continue
+            for neighbor in (col.electrical.below, col.electrical.above):
+                if neighbor is not None:
+                    used[neighbor.net] += lut.get(col.gap_um, col.capacity).cap(n)
+    over = sorted(
+        net for net, cap in used.items() if cap > budgets.get(net, float("inf")) * (1 + 1e-9)
+    )
+    assert over == []
 
 
 class TestBudgetedFill:
@@ -136,7 +191,7 @@ class TestBudgetedFill:
 
     def test_unconstrained_matches_ilp2_optimum(self):
         costs = self.columns()
-        caps = build_cap_tables(costs)
+        caps = build_cap_tables(costs, True)
         out = solve_tile_budgeted_ilp(costs, caps, 3, {}, backend="bundled")
         assert out.feasible
         from repro.pilfill import solve_tile_ilp2
@@ -148,7 +203,7 @@ class TestBudgetedFill:
 
     def test_tight_budget_shifts_placement(self):
         costs = self.columns()
-        caps = build_cap_tables(costs)
+        caps = build_cap_tables(costs, True)
         free = solve_tile_budgeted_ilp(costs, caps, 3, {}, backend="bundled")
         # Forbid net 'a' from receiving almost anything: columns 0 and 2
         # become unusable, so everything must go to column 1 (capacity 2)
@@ -169,7 +224,7 @@ class TestBudgetedFill:
 
     def test_cap_used_respects_budgets(self):
         costs = self.columns()
-        caps = build_cap_tables(costs)
+        caps = build_cap_tables(costs, True)
         budgets = {"a": caps[0][2], "b": 1e9, "c": 1e9, "d": 1e9}
         out = solve_tile_budgeted_ilp(costs, caps, 4, budgets, backend="bundled")
         if out.feasible:
@@ -178,7 +233,7 @@ class TestBudgetedFill:
 
     def test_greedy_respects_budgets(self):
         costs = self.columns()
-        caps = build_cap_tables(costs)
+        caps = build_cap_tables(costs, True)
         budgets = {"a": 1e-9}
         out = solve_tile_budgeted_greedy(costs, caps, 3, budgets)
         assert not out.feasible  # only column 1 usable, capacity 2 < 3
@@ -188,7 +243,7 @@ class TestBudgetedFill:
 
     def test_greedy_matches_ilp_when_unconstrained(self):
         costs = self.columns()
-        caps = build_cap_tables(costs)
+        caps = build_cap_tables(costs, True)
         greedy = solve_tile_budgeted_greedy(costs, caps, 4, {})
         ilp = solve_tile_budgeted_ilp(costs, caps, 4, {}, backend="bundled")
         assert greedy.feasible and ilp.feasible
@@ -198,7 +253,7 @@ class TestBudgetedFill:
 
     def test_budget_over_capacity_raises(self):
         costs = self.columns()
-        caps = build_cap_tables(costs)
+        caps = build_cap_tables(costs, True)
         with pytest.raises(FillError):
             solve_tile_budgeted_ilp(costs, caps, 100, {})
 
