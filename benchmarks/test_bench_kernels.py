@@ -1,6 +1,6 @@
 """Vectorized kernels vs scalar references, and the process-pool backend.
 
-Wall-clock guards for the perf PR's hot paths:
+Wall-clock guards for the batched numpy hot paths:
 
 * the argpartition marginal-greedy selection must clearly beat the heap
   on large instances (thousands of columns),
@@ -24,9 +24,10 @@ import numpy as np
 
 from repro.cap.lut import LUTCache
 from repro.pilfill import EngineConfig, PILFillEngine, prepare
-from repro.pilfill.costs import build_costs, build_costs_scalar
+from repro.pilfill.costs import build_costs
 from repro.pilfill.dp import allocate_marginal_greedy, allocate_marginal_greedy_scalar
 from repro.synth import default_fill_rules, density_rules_for
+from tests.costs_oracle import build_costs_scalar
 
 
 def _best_of(fn, repeats: int = 3) -> float:

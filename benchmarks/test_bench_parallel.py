@@ -97,7 +97,7 @@ def test_shared_prepare_beats_legacy_sweep(benchmark, layouts):
 
 
 def test_parallel_workers_never_slower_than_half(layouts):
-    """Thread dispatch overhead stays bounded: a 4-worker solve of the
+    """Process-pool dispatch overhead stays bounded: a 4-worker solve of the
     heaviest configuration finishes within 2x the serial solve (on
     multi-core hosts it should be faster; the bound guards pathological
     regressions without flaking on 1-core CI runners)."""

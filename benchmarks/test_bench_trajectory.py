@@ -1,10 +1,9 @@
-"""Trajectory-file plumbing of run_bench: collision-safe filenames,
-git/timestamp provenance.
+"""The trajectory-file helpers perfbench's suite imports from run_bench:
+collision-safe filenames and git provenance.
 
-Guards the bench-trajectory bugfix: same-day reruns used to overwrite
-``BENCH_<date>.json``, erasing earlier points; default filenames now get
-a numeric suffix, and every payload is anchored by git SHA + UTC
-timestamp so points stay attributable after the fact.
+A same-day rerun must not overwrite an earlier ``BENCH_<date>.json``, so
+default filenames get a numeric suffix, and every suite file records its
+git SHA so points stay attributable.
 """
 
 from __future__ import annotations

@@ -60,7 +60,8 @@ class Rule(abc.ABC):
     #: Unique id, e.g. ``"D104"``. Families: D = determinism,
     #: C = concurrency, A = suppression hygiene.
     rule_id: str = ""
-    #: One-line description shown by ``pilfill lint --rules``.
+    #: One-line description, published as the rule's ``shortDescription``
+    #: in the SARIF report's ``tool.driver.rules`` catalog.
     summary: str = ""
 
     @abc.abstractmethod
@@ -90,7 +91,8 @@ class ProgramRule(abc.ABC):
     #: Unique id, e.g. ``"X101"``. Families: X1xx = determinism taint,
     #: X2xx = lock order, X3xx = shard purity.
     rule_id: str = ""
-    #: One-line description shown by ``pilfill lint --rules``.
+    #: One-line description, published as the rule's ``shortDescription``
+    #: in the SARIF report's ``tool.driver.rules`` catalog.
     summary: str = ""
     #: ``"file"`` when findings are closure-local (cacheable per file),
     #: ``"program"`` when they depend on the whole program.

@@ -25,7 +25,7 @@ from repro.pilfill.columns import (
     SlackColumn,
     SlackColumnDef,
 )
-from repro.pilfill.costs import ColumnCosts, build_costs, build_costs_scalar
+from repro.pilfill.costs import ColumnCosts, build_costs
 from repro.pilfill.dp import (
     allocate_dp,
     allocate_marginal_greedy,
@@ -108,7 +108,6 @@ __all__ = [
     "SlackColumnDef",
     "ColumnCosts",
     "build_costs",
-    "build_costs_scalar",
     "allocate_dp",
     "allocate_marginal_greedy",
     "allocate_marginal_greedy_scalar",

@@ -32,7 +32,7 @@ from repro.cap.fillimpact import (
 )
 from repro.cap.lut import LUTCache
 from repro.errors import FillError
-from repro.pilfill.costs import build_costs, build_costs_scalar
+from repro.pilfill.costs import build_costs
 from repro.pilfill.dp import (
     _VECTOR_MIN_SLOTS,
     allocate_marginal_greedy,
@@ -41,6 +41,7 @@ from repro.pilfill.dp import (
 )
 from repro.pilfill.prepare import prepare
 from repro.synth import default_fill_rules, density_rules_for
+from tests.costs_oracle import build_costs_scalar
 
 # Geometry strategy: spacing comfortably above capacity * width so the
 # exact model stays defined for every n in 0..capacity.
