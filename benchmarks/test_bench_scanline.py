@@ -1,4 +1,5 @@
-"""Fig. 7 scan-line algorithm: throughput and scaling over layout size."""
+"""Fig. 7 scan-line algorithm: throughput, scaling over layout size, and
+pinned chip-scale prepare digests."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import pytest
 from repro.dissection import FixedDissection
 from repro.fillsynth import SiteLegality
 from repro.pilfill import SlackColumnDef, extract_columns, sweep_gap_blocks
+from repro.pilfill.prepare import prepare_streaming
 from repro.pilfill.scanline import layer_sweep_lines
 from repro.synth import (
     GeneratorSpec,
@@ -17,7 +19,16 @@ from repro.synth import (
     generate_layout,
     t3_spec,
 )
+from repro.synth.testcases import iter_banded_def_lines
 from repro.tech.process import default_stack
+
+
+def t3_scaled(die_um: float) -> GeneratorSpec:
+    """The T3 profile (seed 3) on a ``die_um`` die at T3's net density."""
+    spec = t3_spec(seed=3)
+    return replace(
+        spec, die_um=die_um, n_nets=round(spec.n_nets * (die_um / spec.die_um) ** 2)
+    )
 
 
 @pytest.mark.parametrize("n_nets", [40, 80, 160], ids=lambda n: f"nets{n}")
@@ -53,14 +64,40 @@ def test_gap_blocks_linear_in_lines(die_um):
     each later cover emitted a sliver per earlier line, and the ratio
     grew with the die: 29x, 62x and 120x.
     """
-    spec = t3_spec(seed=3)
-    spec = replace(
-        spec, die_um=die_um, n_nets=round(spec.n_nets * (die_um / spec.die_um) ** 2)
-    )
-    layout = generate_layout(spec, default_stack())
+    layout = generate_layout(t3_scaled(die_um), default_stack())
     lines, horizontal = layer_sweep_lines(layout, "metal3")
     blocks = sweep_gap_blocks(lines, layout.die, horizontal)
     assert len(blocks) <= 3 * len(lines) + 1, (len(lines), len(blocks))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    ("die_um", "digest"),
+    [
+        (72.0, "9fe9956a57d918a74191a7ccd1418fc457118da3dded2a5e7bc187ede76f4652"),
+        (144.0, "ef4117a4e1783c98d3cf1871658da3fe08d07bd39b058db1404bdeddd17ee6b4"),
+    ],
+    ids=["72um", "144um"],
+)
+def test_banded_prepare_digest_pinned(die_um, digest):
+    """Banded ``prepare_streaming`` (20/8, metal3, Definition III) of the
+    T3 profile keeps its ``PreparedInstance.digest``.
+
+    The digests were recorded when the sweep became linear and have held
+    through every rewrite of the legality test and the gridder since: the
+    sweep, the legality raster, the neighbour resistances and the streamed
+    watermark feeding all reach them.
+    """
+    stack = default_stack()
+    prepared = prepare_streaming(
+        iter_banded_def_lines(t3_scaled(die_um), stack),
+        stack,
+        "metal3",
+        default_fill_rules(stack),
+        density_rules_for(20, 8, stack),
+        banded=True,
+    )
+    assert prepared.digest() == digest
 
 
 @pytest.mark.parametrize("definition", list(SlackColumnDef), ids=lambda d: f"def{d.value}")

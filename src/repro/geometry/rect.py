@@ -27,6 +27,17 @@ class Rect:
     yhi: int
 
     def __post_init__(self) -> None:
+        xlo, ylo, xhi, yhi = self.xlo, self.ylo, self.xhi, self.yhi
+        if (
+            isinstance(xlo, int)
+            and isinstance(ylo, int)
+            and isinstance(xhi, int)
+            and isinstance(yhi, int)
+            and xlo <= xhi
+            and ylo <= yhi
+        ):
+            return
+        # Slow path: name the first non-int field, else the inverted extents.
         for name in ("xlo", "ylo", "xhi", "yhi"):
             if not isinstance(getattr(self, name), int):
                 raise GeometryError(f"Rect.{name} must be an integer, got {getattr(self, name)!r}")

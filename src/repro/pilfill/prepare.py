@@ -2,7 +2,7 @@
 
 The engine's per-run pipeline starts with work that depends only on the
 ``(layout, layer, fill_rules, density_rules, column_def)`` tuple — the
-fixed r-dissection, the site-legality oracle, the pre-fill density map,
+fixed r-dissection, the site-legality raster, the pre-fill density map,
 the scan-line slack-column extraction, and the per-column cost tables.
 None of it depends on the *method*, so rebuilding it per method (as the
 experiment harness would otherwise do, once per table cell) is pure
@@ -335,7 +335,7 @@ def prepare(
 ) -> PreparedInstance:
     """Run the shared preprocessing once and capture it.
 
-    Performs the dissection, legality indexing, and scan-line column
+    Performs the dissection, legality raster painting, and scan-line column
     extraction eagerly, in the ``prepare.setup`` / ``prepare.scanline``
     spans whose durations become ``phase_seconds["setup"]`` /
     ``["scanline"]``; the density map, cost tables, and budgets are
@@ -384,7 +384,7 @@ def prepare_streaming(
     """Build a :class:`PreparedInstance` straight from a DEF-lite source.
 
     The chip-scale entry point: nets are parsed, timed
-    (:meth:`RCTree.build`), folded into the legality oracle, the density
+    (:meth:`RCTree.build`), painted into the legality raster, the density
     accumulator, and the scan-line sweep one at a time, then discarded —
     the full net list is never resident. The result :meth:`digests
     <PreparedInstance.digest>` equal to ``prepare(parse_def(text), ...)``

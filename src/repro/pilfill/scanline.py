@@ -51,17 +51,34 @@ class SweepLine:
     rect: Rect
     timing: LineTiming | None
 
-    def neighbor_at(self, along_coord: int) -> ColumnNeighbor | None:
-        """Electrical view of this line at an along-axis coordinate."""
-        if self.timing is None:
-            return None
-        line = self.timing
-        return ColumnNeighbor(
-            net=line.segment.net,
-            line_index=line.segment.index,
-            sinks=line.downstream_sinks,
-            resistance_ohm=line.resistance_at(along_coord),
-        )
+
+class _NeighborBasis:
+    """The fields of a line's :class:`ColumnNeighbor`, read once per gap block.
+
+    :meth:`at` repeats :meth:`LineTiming.resistance_at`'s operations in the
+    same order (clamp to the segment, distance from its start, times the
+    unit resistance, plus the upstream resistance), so the resistance has
+    the same bits.
+    """
+
+    __slots__ = ("net", "index", "sinks", "upstream_res", "unit_res", "low", "high", "origin")
+
+    def __init__(self, line: LineTiming):
+        seg = line.segment
+        self.net, self.index, self.sinks = seg.net, seg.index, line.downstream_sinks
+        self.upstream_res, self.unit_res = line.upstream_res, line.unit_res
+        self.low, self.high = seg.low_coord, seg.high_coord
+        self.origin = seg.start.x if seg.is_horizontal else seg.start.y
+
+    def at(self, along_coord: int) -> ColumnNeighbor:
+        """Electrical view of the line at an along-axis coordinate."""
+        coord = min(max(along_coord, self.low), self.high)
+        resistance = self.upstream_res + self.unit_res * abs(coord - self.origin)
+        return ColumnNeighbor(self.net, self.index, self.sinks, resistance)
+
+
+def _basis(line: SweepLine | None) -> _NeighborBasis | None:
+    return None if line is None or line.timing is None else _NeighborBasis(line.timing)
 
 
 @dataclass(frozen=True)
@@ -272,8 +289,8 @@ def sweep_gap_blocks(
 def layer_sweep_lines(layout: RoutedLayout, layer: str) -> tuple[list[SweepLine], bool]:
     """Active lines of ``layer`` in their preferred routing direction, plus
     whether that direction is horizontal. Wrong-direction lines are
-    excluded from the sweep (paper §5.2) — they still block fill sites via
-    the exact legality check."""
+    excluded from the sweep (paper §5.2) — they still block fill sites in
+    the legality raster."""
     horizontal = layout.stack.layer(layer).direction == "h"
     lines = [
         SweepLine(rect=line.segment.rect, timing=line)
@@ -290,12 +307,14 @@ class ColumnGridder:
     (block, tile) pair the columns are the sites centred in the tile's
     clip of the block's along extent, and the rows are the sites that fit
     the block's buffered cross band and are centred in the tile. Both are
-    :meth:`SiteGrid.centered_in` index ranges; a rect is built only for
-    those candidates, and each one must pass the exact legality test.
+    :meth:`SiteGrid.centered_in` index ranges. Each candidate is read from
+    the legality raster, which is pinned to the exact test in
+    ``tests/legality_oracle.py``; a rect is built only for a free site.
+    Each neighbour line's electrical fields are read once per block.
 
     The streaming preprocessor grids each :class:`IncrementalSweep`
-    feed's blocks the moment they close (their legality queries only
-    look below the stream watermark, so late-arriving geometry can never
+    feed's blocks the moment they close (their legality reads only look
+    below the stream watermark, so late-arriving geometry can never
     invalidate them). Feeding all blocks at once reproduces
     :func:`extract_columns_from_lines` exactly — same code, same order.
     """
@@ -327,63 +346,82 @@ class ColumnGridder:
 
     def _grid_block(self, block: GapBlock, only_tile: tuple[int, int] | None) -> None:
         """Grid one gap block into per-tile slack columns."""
-        rules, axes, legality = self.rules, self.axes, self.legality
+        rules, legality = self.rules, self.legality
+        horizontal = self.axes.horizontal
         # Shrink the gap band by the buffer distance on line-adjacent sides.
         cross_lo = block.cross_lo + (rules.buffer_distance if block.below is not None else 0)
         cross_hi = block.cross_hi - (rules.buffer_distance if block.above is not None else 0)
         if cross_hi - cross_lo < rules.fill_size:
             return
-        usable = axes.rect(block.along, Interval(cross_lo, cross_hi))
+        usable = self.axes.rect(block.along, Interval(cross_lo, cross_hi))
+        along_lo, along_hi = block.along.lo, block.along.hi
 
-        grid = legality.grid
+        grid, free = legality.grid, legality.free
         size, pitch, half = grid.site_size, grid.pitch, grid.site_size // 2
-        if axes.horizontal:
+        # The raster is indexed [col][row]; ``a*`` is the along axis, ``x*``
+        # the cross axis.
+        if horizontal:
             along_origin, cross_origin = grid.origin_x, grid.origin_y
+            a0, a_end = legality.col0, legality.col0 + len(free)
+            x0, x_end = legality.row0, legality.row0 + legality.nrows
         else:
             along_origin, cross_origin = grid.origin_y, grid.origin_x
+            a0, a_end = legality.row0, legality.row0 + legality.nrows
+            x0, x_end = legality.col0, legality.col0 + len(free)
         # Centres of the squares that fit [cross_lo, cross_hi).
         fit_lo, fit_hi = cross_lo + half, cross_hi - size + half + 1
         bounded = block.below is not None and block.above is not None
         gap_um = block.gap / self.dbu if bounded else None
+        below, above = _basis(block.below), _basis(block.above)
 
         for tile in self.dissection.tiles_overlapping(usable):
             if only_tile is not None and tile.key != only_tile:
                 continue
-            clip = usable.intersection(tile.rect)
-            if clip is None:
+            t = tile.rect
+            if horizontal:
+                t_along_lo, t_along_hi, t_cross_lo, t_cross_hi = t.xlo, t.xhi, t.ylo, t.yhi
+            else:
+                t_along_lo, t_along_hi, t_cross_lo, t_cross_hi = t.ylo, t.yhi, t.xlo, t.xhi
+            clip_lo, clip_hi = max(along_lo, t_along_lo), min(along_hi, t_along_hi)
+            if clip_hi <= clip_lo or min(cross_hi, t_cross_hi) <= max(cross_lo, t_cross_lo):
                 continue
-            along_clip = axes.along_iv(clip)
-            tile_cross = axes.cross_iv(tile.rect)
+            # Candidate rows and columns, clipped to the in-die raster
+            # (a site outside it is never legal).
             rows = grid.centered_in(
-                max(fit_lo, tile_cross.lo), min(fit_hi, tile_cross.hi), cross_origin
+                max(fit_lo, t_cross_lo), min(fit_hi, t_cross_hi), cross_origin
             )
-            if not rows:
+            row_lo, row_hi = max(rows.start, x0), min(rows.stop, x_end)
+            if row_lo >= row_hi:
                 continue
-            for col in grid.centered_in(along_clip.lo, along_clip.hi, along_origin):
-                along_lo = along_origin + col * pitch
+            cols = grid.centered_in(clip_lo, clip_hi, along_origin)
+            columns = self.out[tile.key]
+            for col in range(max(cols.start, a0), min(cols.stop, a_end)):
+                site_along = along_origin + col * pitch
                 sites: list[Rect] = []
-                for row in rows:
-                    site_cross_lo = cross_origin + row * pitch
-                    if axes.horizontal:
-                        rect = Rect(along_lo, site_cross_lo, along_lo + size, site_cross_lo + size)
-                    else:
-                        rect = Rect(site_cross_lo, along_lo, site_cross_lo + size, along_lo + size)
-                    if legality.is_legal(rect):
-                        sites.append(rect)
+                if horizontal:
+                    bits = free[col - a0][row_lo - x0 : row_hi - x0]
+                    for row, bit in enumerate(bits, row_lo):
+                        if bit:
+                            y = cross_origin + row * pitch
+                            sites.append(Rect(site_along, y, site_along + size, y + size))
+                else:
+                    k = col - a0
+                    for row in range(row_lo, row_hi):
+                        if free[row - x0][k]:
+                            x = cross_origin + row * pitch
+                            sites.append(Rect(x, site_along, x + size, site_along + size))
                 if not sites:
                     continue
-                center_along = along_lo + half
-                below = block.below.neighbor_at(center_along) if block.below else None
-                above = block.above.neighbor_at(center_along) if block.above else None
-                self.out[tile.key].append(
+                center_along = site_along + half
+                columns.append(
                     SlackColumn(
                         layer=self.layer,
                         tile=tile.key,
                         col=col,
                         sites=tuple(sites),
                         gap_um=gap_um,
-                        below=below,
-                        above=above,
+                        below=below.at(center_along) if below is not None else None,
+                        above=above.at(center_along) if above is not None else None,
                     )
                 )
 
@@ -435,7 +473,7 @@ def extract_columns(
     """Slack columns per tile under the chosen definition (paper §5.1).
 
     Returns a mapping tile key → columns (possibly empty). Every site in
-    every returned column passed the exact legality test, so any placement
+    every returned column is free in the legality raster, so any placement
     into these sites is design-rule clean.
     """
     lines, horizontal = layer_sweep_lines(layout, layer)

@@ -1,22 +1,25 @@
 """Rect-per-candidate site enumeration: the test oracle for site gridding.
 
 This is the gridder and the legal-site scan as they were before both moved
-onto :meth:`repro.geometry.SiteGrid.centered_in`. Each one builds a
-:class:`~repro.geometry.Rect` for every candidate site in a padded box and
-then keeps the sites whose centre lies in the tile (or region). The
-``SiteGrid`` helpers it needs are free functions here. The loops are kept
-unchanged, so ``tests/test_site_grid.py`` can show that the index-range
-enumeration returns the same columns and sites in the same order.
+onto :meth:`repro.geometry.SiteGrid.centered_in` and the legality raster.
+Each one builds a :class:`~repro.geometry.Rect` for every candidate site in
+a padded box, keeps the sites whose centre lies in the tile (or region),
+and asks the exact rect test of :mod:`tests.legality_oracle` whether each
+is legal. Neighbour resistances come from
+:meth:`~repro.layout.rctree.LineTiming.resistance_at`. The ``SiteGrid``
+helpers it needs are free functions here. The loops are kept unchanged, so
+``tests/test_site_grid.py`` can show that the index-range enumeration over
+the raster returns the same columns and sites in the same order.
 """
 
 from __future__ import annotations
 
 from repro.dissection.fixed import FixedDissection
-from repro.fillsynth.slack_sites import SiteLegality
 from repro.geometry import Interval, Rect, SiteGrid
-from repro.pilfill.columns import SlackColumn
-from repro.pilfill.scanline import GapBlock, _Axes
+from repro.pilfill.columns import ColumnNeighbor, SlackColumn
+from repro.pilfill.scanline import GapBlock, SweepLine, _Axes
 from repro.tech.rules import FillRules
+from tests.legality_oracle import ExactLegality
 
 # -- SiteGrid helpers ---------------------------------------------------------
 
@@ -65,10 +68,9 @@ def rows_fully_inside(grid: SiteGrid, ylo: int, yhi: int) -> range:
 # -- legal sites ----------------------------------------------------------------
 
 
-def legal_sites_in_region(legality: SiteLegality, region: Rect) -> list[Rect]:
+def legal_sites_in_region(grid: SiteGrid, exact: ExactLegality, region: Rect) -> list[Rect]:
     """Legal site squares whose center lies in ``region``, sorted by
     (column, row)."""
-    grid = legality.grid
     # Candidate sites: any whose square could have its center in region.
     pad = grid.site_size
     search = Rect(
@@ -82,7 +84,7 @@ def legal_sites_in_region(legality: SiteLegality, region: Rect) -> list[Rect]:
     for col in range(c0, c1 + 1):
         for row in range(r0, r1 + 1):
             rect = site_rect(grid, col, row)
-            if region.contains_point(rect.center) and legality.is_legal(rect):
+            if region.contains_point(rect.center) and exact.is_legal(rect):
                 out.append(rect)
     return out
 
@@ -95,7 +97,8 @@ def grid_blocks(
     only_tile: tuple[int, int] | None,
     layer: str,
     dissection: FixedDissection,
-    legality: SiteLegality,
+    grid: SiteGrid,
+    exact: ExactLegality,
     rules: FillRules,
     horizontal: bool,
     dbu: int,
@@ -104,8 +107,21 @@ def grid_blocks(
     axes = _Axes(horizontal)
     out: dict[tuple[int, int], list[SlackColumn]] = {t.key: [] for t in dissection.tiles()}
     for block in blocks:
-        _grid_block(block, only_tile, layer, dissection, legality, rules, axes, dbu, out)
+        _grid_block(block, only_tile, layer, dissection, grid, exact, rules, axes, dbu, out)
     return out
+
+
+def neighbor_at(line: SweepLine | None, along_coord: int) -> ColumnNeighbor | None:
+    """Electrical view of a neighbour line at an along-axis coordinate."""
+    if line is None or line.timing is None:
+        return None
+    timing = line.timing
+    return ColumnNeighbor(
+        net=timing.segment.net,
+        line_index=timing.segment.index,
+        sinks=timing.downstream_sinks,
+        resistance_ohm=timing.resistance_at(along_coord),
+    )
 
 
 def _grid_block(
@@ -113,7 +129,8 @@ def _grid_block(
     only_tile: tuple[int, int] | None,
     layer: str,
     dissection: FixedDissection,
-    legality: SiteLegality,
+    grid: SiteGrid,
+    exact: ExactLegality,
     rules: FillRules,
     axes: _Axes,
     dbu: int,
@@ -127,7 +144,6 @@ def _grid_block(
         return
     usable = axes.rect(block.along, Interval(cross_lo, cross_hi))
 
-    grid = legality.grid
     gap_um = block.gap / dbu if (block.below is not None and block.above is not None) else None
 
     for tile in dissection.tiles_overlapping(usable):
@@ -140,7 +156,7 @@ def _grid_block(
         # Candidate along-axis columns: site center inside the block's
         # along extent and owned by this tile. Centers (not full squares)
         # decide membership so sites straddling block boundaries are not
-        # lost; the exact legality check still guarantees DRC cleanliness.
+        # lost; the exact legality test still guarantees DRC cleanliness.
         if axes.horizontal:
             col_range = range(
                 col_at(grid, block.along.lo), col_at(grid, block.along.hi) + 2
@@ -158,12 +174,12 @@ def _grid_block(
             if not along_clip.contains(center_along):
                 continue
             sites = _column_sites(
-                grid, col, axes, cross_lo, cross_hi, tile.rect, legality
+                grid, col, axes, cross_lo, cross_hi, tile.rect, exact
             )
             if not sites:
                 continue
-            below = block.below.neighbor_at(center_along) if block.below else None
-            above = block.above.neighbor_at(center_along) if block.above else None
+            below = neighbor_at(block.below, center_along)
+            above = neighbor_at(block.above, center_along)
             out[tile.key].append(
                 SlackColumn(
                     layer=layer,
@@ -184,7 +200,7 @@ def _column_sites(
     cross_lo: int,
     cross_hi: int,
     tile_rect: Rect,
-    legality: SiteLegality,
+    exact: ExactLegality,
 ) -> list[Rect]:
     """Legal site rects of one column inside a tile, ordered by cross
     coordinate."""
@@ -197,5 +213,5 @@ def _column_sites(
     return [
         rect
         for rect in candidates
-        if tile_rect.contains_point(rect.center) and legality.is_legal(rect)
+        if tile_rect.contains_point(rect.center) and exact.is_legal(rect)
     ]

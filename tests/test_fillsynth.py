@@ -10,10 +10,12 @@ from repro.fillsynth import (
     montecarlo_budget,
     place_normal,
 )
-from repro.geometry import Rect
+from repro.geometry import Rect, SiteGrid
 from repro.layout import validate_fill
 from repro.tech import DensityRules
+from tests import site_grid_oracle as oracle
 from tests.conftest import build_two_line_layout
+from tests.legality_oracle import ExactLegality
 
 
 @pytest.fixture
@@ -27,12 +29,23 @@ def two_line_setup(stack, fill_rules):
 
 
 class TestSiteLegality:
+    """Each case reads the grid site at the spot from the raster, and keeps
+    the original off-grid rect against the exact test."""
+
+    @staticmethod
+    def site_at(legality, rect):
+        grid = legality.grid
+        return oracle.col_at(grid, rect.xlo), oracle.row_at(grid, rect.ylo)
+
     def test_site_on_line_illegal(self, two_line_setup, fill_rules):
         layout, _d, legality, _ = two_line_setup
         line_rect = layout.segments_on_layer("metal3")[0].rect
         on_line = Rect(line_rect.xlo + 1000, line_rect.ylo,
                        line_rect.xlo + 1500, line_rect.ylo + 500)
-        assert not legality.is_legal(on_line)
+        col, row = self.site_at(legality, on_line)
+        assert oracle.site_rect(legality.grid, col, row).overlaps(line_rect)
+        assert not legality.is_free(col, row)
+        assert not ExactLegality.from_layout(layout, "metal3", fill_rules).is_legal(on_line)
 
     def test_site_within_buffer_illegal(self, two_line_setup, fill_rules):
         layout, _d, legality, _ = two_line_setup
@@ -40,16 +53,34 @@ class TestSiteLegality:
         # 100 DBU above the line top, buffer is 250
         near = Rect(line_rect.xlo + 1000, line_rect.yhi + 100,
                     line_rect.xlo + 1500, line_rect.yhi + 600)
-        assert not legality.is_legal(near)
+        assert not ExactLegality.from_layout(layout, "metal3", fill_rules).is_legal(near)
+        # No die-anchored row starts inside the buffer here, so anchor a
+        # grid at ``near``: its site (0, 0) is that rect.
+        grid = SiteGrid(near.xlo, near.ylo, fill_rules.fill_size, fill_rules.fill_gap)
+        anchored = SiteLegality.from_rects(
+            layout.die, "metal3", fill_rules, layout.feature_rects("metal3"), grid=grid
+        )
+        assert oracle.site_rect(grid, 0, 0) == near
+        assert not anchored.is_free(0, 0)
+        assert anchored.is_free(0, 1)
 
-    def test_far_site_legal(self, two_line_setup):
-        _l, _d, legality, _ = two_line_setup
-        assert legality.is_legal(Rect(2000, 2000, 2500, 2500))
+    def test_far_site_legal(self, two_line_setup, fill_rules):
+        layout, _d, legality, _ = two_line_setup
+        far = Rect(2000, 2000, 2500, 2500)
+        assert legality.is_free(*self.site_at(legality, far))
+        assert ExactLegality.from_layout(layout, "metal3", fill_rules).is_legal(far)
 
-    def test_site_outside_die_illegal(self, two_line_setup):
+    def test_site_outside_die_illegal(self, two_line_setup, fill_rules):
         layout, _d, legality, _ = two_line_setup
         edge = layout.die.xhi
-        assert not legality.is_legal(Rect(edge - 100, 1000, edge + 400, 1500))
+        grid = legality.grid
+        # The first column whose square does not fit left of the die edge.
+        col = (edge - grid.site_size - grid.origin_x) // grid.pitch + 1
+        assert oracle.site_rect(grid, col, 1).xhi > edge
+        assert not legality.is_free(col, 1)
+        assert legality.is_free(col - 1, 1)
+        outside = Rect(edge - 100, 1000, edge + 400, 1500)
+        assert not ExactLegality.from_layout(layout, "metal3", fill_rules).is_legal(outside)
 
     def test_legal_sites_in_region_drc_clean(self, two_line_setup, fill_rules):
         layout, dissection, legality, _ = two_line_setup

@@ -28,6 +28,18 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             Rect(0.5, 0, 1, 1)
 
+    def test_error_messages_pinned(self):
+        """The first non-int field is named before any extent check, and
+        inverted extents print both corners."""
+        with pytest.raises(GeometryError, match=r"^Rect\.ylo must be an integer, got '1'$"):
+            Rect(9, "1", 0, 2.5)
+        with pytest.raises(GeometryError, match=r"^Rect\.yhi must be an integer, got 2\.5$"):
+            Rect(0, 0, 1, 2.5)
+        with pytest.raises(
+            GeometryError, match=r"^Rect extents inverted: \(0,5\)-\(5,0\)$"
+        ):
+            Rect(0, 5, 5, 0)
+
 
 class TestPredicates:
     def test_contains_point_half_open(self):

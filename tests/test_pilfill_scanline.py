@@ -9,6 +9,8 @@ from repro.pilfill import SlackColumnDef, extract_columns, sweep_gap_blocks
 from repro.pilfill.scanline import SweepLine, layer_sweep_lines
 from repro.tech import DensityRules
 from tests.conftest import build_two_line_layout
+from tests.legality_oracle import ExactLegality
+from tests.site_grid_oracle import col_at, row_at
 
 
 def region():
@@ -194,11 +196,14 @@ class TestExtractColumns:
         layout, dissection, legality = setup
         columns = extract_columns(layout, "metal3", dissection, legality, fill_rules,
                                   SlackColumnDef.FULL_LAYOUT)
+        exact = ExactLegality.from_layout(layout, "metal3", fill_rules)
         for key, cols in columns.items():
             tile = dissection.tile(*key)
             for col in cols:
                 for rect in col.sites:
-                    assert legality.is_legal(rect)
+                    grid = legality.grid
+                    assert legality.is_free(col_at(grid, rect.xlo), row_at(grid, rect.ylo))
+                    assert exact.is_legal(rect)
                     assert tile.rect.contains_point(rect.center)
 
     def test_resistance_weight_monotone_along_line(self, setup, fill_rules):

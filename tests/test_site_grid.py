@@ -1,14 +1,20 @@
-"""Property tests: site enumeration by index range against the rect oracle.
+"""Property tests: site enumeration over the legality raster against the
+rect oracles.
 
 :class:`~repro.pilfill.scanline.ColumnGridder` and
 :meth:`~repro.fillsynth.slack_sites.SiteLegality.legal_sites_in_region`
-take their candidate sites from :meth:`SiteGrid.centered_in`. The oracle in
-:mod:`tests.site_grid_oracle` builds a rect for every site in a padded box
-and keeps those whose centre lies in the tile or region. On small random
-scenes both must give the same columns (``col``, ``sites``, ``gap_um`` and
-both neighbours, in order) and the same legal sites. The scenes cover grid
-origins that are negative or off the die, odd fill sizes, zero fill gaps and
-buffer distances, both routing directions, blocks with none, one or both
+take their candidate sites from :meth:`SiteGrid.centered_in` and read each
+one's legality from the raster. The oracle in :mod:`tests.site_grid_oracle`
+builds a rect for every site in a padded box, keeps those whose centre lies
+in the tile or region and asks the exact rect test of
+:mod:`tests.legality_oracle`. On small random scenes both must give the
+same columns (``col``, ``sites``, ``gap_um`` and both neighbours, in order)
+and the same legal sites, and every site in and around the die must be
+free in the raster exactly when the exact test calls it legal, also while
+blockages are added one at a time. The scenes cover grid origins that are
+negative or off the die, odd fill sizes, zero fill gaps and buffer
+distances, zero-width and zero-height blockages and blockages straddling
+the die edge, both routing directions, blocks with none, one or both
 neighbour lines, ``only_tile`` gridding, and tiles clipped at the die edge.
 """
 
@@ -35,6 +41,7 @@ from repro.pilfill.scanline import (
 )
 from repro.tech.rules import DensityRules, FillRules
 from tests import site_grid_oracle as oracle
+from tests.legality_oracle import ExactLegality
 
 LAYER = "m"
 DBU = 1000
@@ -47,6 +54,7 @@ class Scene:
     horizontal: bool
     dissection: FixedDissection
     legality: SiteLegality
+    exact: ExactLegality
     rules: FillRules
 
     @property
@@ -85,16 +93,18 @@ def scenes(draw) -> Scene:
         buffer_distance=draw(st.integers(0, 4)),
     )
     blockages = draw(st.lists(rects_near(die, 5, 12), max_size=8))
-    legality = SiteLegality.from_rects(die, LAYER, rules, blockages)
+    grid = None
     if draw(st.booleans()):
-        legality.grid = SiteGrid(
+        grid = SiteGrid(
             draw(st.integers(die.xlo - 60, die.xhi + 60)),
             draw(st.integers(die.ylo - 60, die.yhi + 60)),
             rules.fill_size,
             rules.fill_gap,
         )
+    legality = SiteLegality.from_rects(die, LAYER, rules, blockages, grid=grid)
+    exact = ExactLegality(die, rules, blockages)
     dissection = FixedDissection(die, DensityRules(window_size=tile * r, r=r))
-    return Scene(draw(st.booleans()), dissection, legality, rules)
+    return Scene(draw(st.booleans()), dissection, legality, exact, rules)
 
 
 @st.composite
@@ -164,8 +174,8 @@ def sweep_lines(draw, scene: Scene) -> SweepLine:
 
 def grid_oracle(scene: Scene, blocks: list[GapBlock], only_tile: tuple[int, int] | None) -> Columns:
     return oracle.grid_blocks(
-        blocks, only_tile, LAYER, scene.dissection, scene.legality, scene.rules,
-        scene.horizontal, DBU,
+        blocks, only_tile, LAYER, scene.dissection, scene.legality.grid, scene.exact,
+        scene.rules, scene.horizontal, DBU,
     )
 
 
@@ -222,7 +232,55 @@ def test_legal_sites_match_oracle(data):
     regions += data.draw(st.lists(rects_near(scene.die, 30, 60), max_size=4))
     for region in regions:
         got = scene.legality.legal_sites_in_region(region)
-        assert got == oracle.legal_sites_in_region(scene.legality, region)
+        assert got == oracle.legal_sites_in_region(scene.legality.grid, scene.exact, region)
+
+
+def sites_around(scene: Scene, pad: int = 3) -> list[tuple[int, int]]:
+    """Every site index whose pitch cell lies in the die grown by ``pad``
+    pitches: all in-die sites and a ring of out-of-die ones."""
+    grid, die = scene.legality.grid, scene.die
+    margin = pad * grid.pitch
+    c0, c1 = oracle.col_at(grid, die.xlo - margin), oracle.col_at(grid, die.xhi + margin)
+    r0, r1 = oracle.row_at(grid, die.ylo - margin), oracle.row_at(grid, die.yhi + margin)
+    return [(c, r) for c in range(c0, c1 + 1) for r in range(r0, r1 + 1)]
+
+
+def grown_overlaps(scene: Scene, col: int, row: int, rect: Rect) -> bool:
+    """True when site ``(col, row)``'s buffer-grown square overlaps
+    ``rect``'s open interior."""
+    grown = oracle.site_rect(scene.legality.grid, col, row).expanded(
+        scene.rules.buffer_distance
+    )
+    return grown.overlaps(rect)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenes())
+def test_raster_matches_exact_test(scene):
+    """A site is free in the raster iff the exact test calls its rect legal."""
+    grid = scene.legality.grid
+    for col, row in sites_around(scene):
+        want = scene.exact.is_legal(oracle.site_rect(grid, col, row))
+        assert scene.legality.is_free(col, row) == want, (col, row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_add_blockage_flips_only_overlapped_sites(data):
+    """Interleave blockage inserts with reads: each insert clears exactly
+    the free sites whose grown square overlaps the new rect, and the
+    raster keeps matching the exact test."""
+    scene = data.draw(scenes())
+    sites = sites_around(scene)
+    grid = scene.legality.grid
+    for rect in data.draw(st.lists(rects_near(scene.die, 8, 15), min_size=1, max_size=5)):
+        before = {site: scene.legality.is_free(*site) for site in sites}
+        scene.legality.add_blockage(rect)
+        scene.exact.add_blockage(rect)
+        for site in sites:
+            after = scene.legality.is_free(*site)
+            assert after == (before[site] and not grown_overlaps(scene, *site, rect)), site
+            assert after == scene.exact.is_legal(oracle.site_rect(grid, *site)), site
 
 
 @given(

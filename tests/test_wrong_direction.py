@@ -15,6 +15,8 @@ from repro.pilfill import (
 from repro.pilfill.scanline import layer_sweep_lines
 from repro.synth import GeneratorSpec, generate_layout
 from repro.tech import DensityRules
+from tests.legality_oracle import ExactLegality
+from tests.site_grid_oracle import col_at, row_at
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +63,9 @@ class TestJoggedGeneration:
             covering.center.x + fill_rules.fill_size,
             covering.center.y + fill_rules.fill_size,
         )
-        assert not legality.is_legal(site)
+        grid = legality.grid
+        assert not legality.is_free(col_at(grid, site.xlo), row_at(grid, site.ylo))
+        assert not ExactLegality.from_layout(jogged_layout, "metal3", fill_rules).is_legal(site)
 
     def test_columns_never_contain_sites_on_jogs(self, jogged_layout, fill_rules):
         dissection = FixedDissection(jogged_layout.die, DensityRules(16000, 2))
