@@ -25,8 +25,9 @@ from repro.ilp.simplex import solve_lp
 from repro.obs.trace import TracerLike
 
 #: "auto" switches from the bundled engine to scipy above this many variables.
-#: Calibrated on harvested per-tile ILP-II instances: below ~100 variables the
-#: bundled branch-and-bound solves in milliseconds; above it HiGHS pulls ahead.
+#: The digest contract holds this value, not speed: the two engines resolve
+#: tied optima differently and ``result_digest`` hashes each tile's counts
+#: and objective repr, so moving the threshold moves digests. Keep it.
 AUTO_VAR_THRESHOLD = 100
 
 #: Accepted values of the ``backend`` argument of :func:`solve`.

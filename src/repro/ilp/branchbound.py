@@ -3,8 +3,8 @@
 Substitutes the paper's CPLEX 7.0. Design:
 
 * LP relaxations via :func:`repro.ilp.simplex.solve_lp`; general variable
-  bounds are handled by shifting finite lower bounds to zero and emitting
-  explicit upper-bound rows,
+  bounds are handled by shifting finite lower bounds to zero and passing
+  the shifted upper bounds, which the simplex writes as explicit rows,
 * best-first node selection on the parent relaxation bound,
 * branching on the most fractional integer variable,
 * a root rounding heuristic to seed the incumbent,
@@ -48,28 +48,18 @@ class _Node:
 def _solve_relaxation(
     compiled: CompiledModel, lb: np.ndarray, ub: np.ndarray
 ) -> tuple[LPResult | _ShiftedLP | None, int]:
-    """LP relaxation with per-node bounds: shift lb to 0, add ub rows."""
-    if np.any(np.isneginf(lb)):
+    """LP relaxation with per-node bounds: shift lb to 0, bound the rest above."""
+    if np.isneginf(lb).any():
         raise SolverError(
             "bundled branch-and-bound requires finite lower bounds; "
             "use the scipy backend for free variables"
         )
-    if np.any(lb > ub + 1e-12):
+    if (lb > ub + 1e-12).any():
         return None, 0  # empty box
-    n = compiled.c.shape[0]
     shift = lb
     b_ub = compiled.b_ub - compiled.a_ub @ shift if compiled.a_ub.size else compiled.b_ub
     b_eq = compiled.b_eq - compiled.a_eq @ shift if compiled.a_eq.size else compiled.b_eq
-
-    span = ub - lb
-    finite = np.flatnonzero(np.isfinite(span))
-    extra_rows = np.zeros((finite.size, n))
-    for r, i in enumerate(finite):
-        extra_rows[r, i] = 1.0
-    a_ub = np.vstack([compiled.a_ub, extra_rows]) if compiled.a_ub.size else extra_rows
-    b_ub_full = np.concatenate([b_ub, span[finite]])
-
-    res = solve_lp(compiled.c, a_ub, b_ub_full, compiled.a_eq, b_eq)
+    res = solve_lp(compiled.c, compiled.a_ub, b_ub, compiled.a_eq, b_eq, upper=ub - lb)
     if res.status is not SolveStatus.OPTIMAL:
         return res, res.iterations
     x = res.x + shift
@@ -112,7 +102,6 @@ def _branch_and_bound(
     time_limit: float | None,
 ) -> SolveResult:
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    n = compiled.c.shape[0]
     int_idx = np.flatnonzero(compiled.integer)
 
     total_iters = 0

@@ -19,6 +19,8 @@ tables at 3-6× their runtime.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.errors import FillError, SolverError, SolveTimeoutError
@@ -39,24 +41,36 @@ def build_ilp2_model(
     if it has sites. Rows: Eqs. 19 and 18 per such column, the budget. No
     inequality rows: the budgeted model appends its own.
     """
-    caps = np.array([cc.capacity for cc in costs], dtype=np.int64)
-    width = np.where(caps > 0, caps + 2, 1)  # m_k and its capacity + 1 selectors
-    m_at = np.cumsum(width) - width
-    n = int(width.sum())
-    open_cols = np.flatnonzero(caps > 0)
+    tables = [cc.exact for cc in costs]
+    sizes = [len(t) for t in tables]  # capacity + 1 per column
+    width = [s + 1 if s > 1 else 1 for s in sizes]  # m_k and its selectors
+    starts = list(itertools.accumulate(width, initial=0))
+    n = starts.pop()
+    m_at = np.array(starts, dtype=np.int64)
+    open_m = [m for m, s in zip(starts, sizes, strict=True) if s > 1]
+    open_sizes = [s for s in sizes if s > 1]
+    # One entry per selector s_{k,j} of the columns with sites, in
+    # variable order: its count j, its variable index and its Eq. 19 row.
+    j = np.fromiter(
+        itertools.chain.from_iterable(map(range, open_sizes)), np.int64, sum(open_sizes)
+    )
+    var = np.repeat(np.add(open_m, 1), open_sizes) + j
+    row19 = np.repeat(np.arange(0, 2 * len(open_m), 2), open_sizes)
     c = np.zeros(n)
-    a_eq = np.zeros((2 * open_cols.size + 1, n))
+    a_eq = np.zeros((2 * len(open_m) + 1, n))
     b_eq = np.empty(len(a_eq))
     ub = np.ones(n)
-    ub[m_at] = caps
-    for i, k in enumerate(open_cols.tolist()):
-        cap, m = costs[k].capacity, int(m_at[k])
-        a_eq[2 * i, m + 1 : m + cap + 2] = 1.0  # Eq. 19: one selector is on
-        a_eq[2 * i + 1, m] = 1.0  # Eq. 18: m_k - Σ n·s_{k,n} = 0
-        a_eq[2 * i + 1, m + 2 : m + cap + 2] = -np.arange(1.0, cap + 1)
-        # Eq. 20 folded with Eq. 21; adding to +0.0 keeps a -0.0 entry
-        # out of the objective, as a zero cost term is.
-        c[m + 2 : m + cap + 2] = np.add(0.0, costs[k].exact[1:])
+    ub[m_at] = np.subtract(sizes, 1)
+    a_eq[row19, var] = 1.0  # Eq. 19: one selector is on
+    a_eq[np.arange(1, 2 * len(open_m), 2), open_m] = 1.0  # Eq. 18: m_k - Σ j·s_{k,j} = 0
+    a_eq[row19 + 1, var] = -j  # s_{k,0} gets -0, which is +0.0
+    # Eq. 20 folded with Eq. 21; adding to +0.0 keeps a -0.0 entry out of
+    # the objective, as a zero cost term is.
+    exact = np.fromiter(
+        itertools.chain.from_iterable(t for t in tables if len(t) > 1), np.float64, j.size
+    )
+    on = j > 0
+    c[var[on]] = np.add(0.0, exact[on])
     b_eq[0:-1:2] = 1.0
     # Eq. 18 moves m_k to the left side, so its right side is -0.0.
     b_eq[1:-1:2] = -0.0
