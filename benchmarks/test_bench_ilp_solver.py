@@ -11,7 +11,7 @@ from repro.cap.lut import LUTCache
 from repro.dissection import FixedDissection
 from repro.fillsynth import SiteLegality
 from repro.pilfill import SlackColumnDef, extract_columns, solve_tile_ilp2
-from repro.pilfill.costs import build_costs
+from repro.pilfill.costs import build_cost_views
 from repro.synth import default_fill_rules, density_rules_for
 
 
@@ -27,19 +27,18 @@ def harvested_tiles(t1_layout):
     )
     layer = t1_layout.stack.layer("metal3")
     dbu = t1_layout.stack.dbu_per_micron
-    lut = LUTCache(layer.eps_r, layer.thickness_um, rules.fill_size / dbu)
-    instances = []
-    for cols in columns.values():
+    chosen = {}
+    for key, cols in columns.items():
         impactful = [c for c in cols if c.capacity > 0]
         if len(impactful) < 4:
             continue
-        costs = build_costs(impactful, layer, rules, dbu, lut, weighted=True)
-        capacity = sum(c.capacity for c in costs)
-        instances.append((costs, capacity // 3))
-        if len(instances) == 6:
+        chosen[key] = impactful
+        if len(chosen) == 6:
             break
-    assert instances, "expected harvestable tiles"
-    return instances
+    assert chosen, "expected harvestable tiles"
+    lut = LUTCache(layer.eps_r, layer.thickness_um, rules.fill_size / dbu)
+    views = build_cost_views(chosen, layer, rules, dbu, lut, weighted=True)
+    return [(view, view.capacity // 3) for view in views.values()]
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ Wall-clock guards for the batched numpy hot paths:
 
 * the argpartition marginal-greedy selection must clearly beat the heap
   on large instances (thousands of columns),
-* the vectorized cost builder must never regress against the scalar
+* the batched cost-table pass must never regress against the scalar
   reference on a real prepared instance,
 * the process backend must stay bit-identical to serial and, on hosts
   with enough cores, deliver real wall-clock speedup for the pure-Python
@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.cap.lut import LUTCache
 from repro.pilfill import EngineConfig, PILFillEngine, prepare
-from repro.pilfill.costs import build_costs
+from repro.pilfill.costs import build_cost_views
 from repro.pilfill.dp import allocate_marginal_greedy, allocate_marginal_greedy_scalar
 from repro.synth import default_fill_rules, density_rules_for
 from tests.costs_oracle import build_costs_scalar
@@ -75,7 +75,7 @@ def test_build_costs_never_regresses(benchmark, t1_layout):
     prepared = prepare(layout, "metal3", fill_rules, density_rules)
     proc = layout.stack.layer("metal3")
     dbu = layout.stack.dbu_per_micron
-    tiles = list(prepared.columns_by_tile.values())
+    tiles = prepared.columns_by_tile
 
     def fresh_cache() -> LUTCache:
         return LUTCache(
@@ -84,25 +84,32 @@ def test_build_costs_never_regresses(benchmark, t1_layout):
             fill_width_um=fill_rules.fill_size / dbu,
         )
 
-    def run(builder) -> list:
+    def batched() -> dict:
+        return build_cost_views(tiles, proc, fill_rules, dbu, fresh_cache(), True)
+
+    def scalar() -> list:
         cache = fresh_cache()
         out = []
-        for cols in tiles:
-            out.extend(builder(cols, proc, fill_rules, dbu, cache, True))
+        for cols in tiles.values():
+            out.extend(build_costs_scalar(cols, proc, fill_rules, dbu, cache, True))
         return out
 
-    fast = benchmark.pedantic(run, args=(build_costs,), rounds=3, iterations=1)
-    t_vec = _best_of(lambda: run(build_costs))
-    t_scalar = _best_of(lambda: run(build_costs_scalar))
-    slow = run(build_costs_scalar)
+    fast = benchmark.pedantic(batched, rounds=3, iterations=1)
+    t_vec = _best_of(batched)
+    t_scalar = _best_of(scalar)
+    slow = scalar()
 
     benchmark.extra_info["vector_ms"] = round(t_vec * 1e3, 3)
     benchmark.extra_info["scalar_ms"] = round(t_scalar * 1e3, 3)
+    benchmark.extra_info["scalar_over_vector"] = round(t_scalar / t_vec, 2)
 
-    assert [c.exact for c in fast] == [c.exact for c in slow]
-    assert [c.linear for c in fast] == [c.linear for c in slow]
-    # Equal-or-better with generous slack: T1 columns are shallow (small
-    # capacities), so the win is modest; the guard is against regression.
+    def packed(tables) -> bytes:
+        return np.array([x for table in tables for x in table], dtype=np.float64).tobytes()
+
+    views = list(fast.values())
+    assert b"".join(v.exact.tobytes() for v in views) == packed(c.exact for c in slow)
+    assert b"".join(v.linear.tobytes() for v in views) == packed(c.linear for c in slow)
+    # Equal-or-better with generous slack; the guard is against regression.
     assert t_vec < 1.5 * t_scalar + 0.01
 
 

@@ -18,7 +18,8 @@ to every column of a placement through :func:`exact_column_cap_array`.
 Both models also come in array form. :func:`exact_column_cap_array`
 takes an array of feature counts and one gap (the LUT cache's
 ``m = 0 .. capacity`` table) or per-count gaps (the impact scorer's
-columns); :func:`linear_column_cap_array` tabulates ``m = 0 .. capacity``.
+columns); :func:`linear_column_cap_array` takes the same arguments (the
+cost-table pass gives it every entry of every column at once).
 The array variants apply the identical IEEE operation sequence
 elementwise, so every entry is bit-identical to the scalar function at the
 same ``m`` and gap — the cost-table builder, the LUT cache and the scorer
@@ -106,16 +107,31 @@ def exact_column_cap_array(eps_r: float, thickness_um: float,
     return out
 
 
-def linear_column_cap_array(eps_r: float, thickness_um: float, spacing_um: float,
-                            capacity: int, fill_width_um: float) -> np.ndarray:
-    """Vectorized :func:`linear_column_cap` over ``m = 0 .. capacity``, fF.
+def linear_column_cap_array(eps_r: float, thickness_um: float,
+                            spacing_um: float | np.ndarray, counts: np.ndarray,
+                            fill_width_um: float) -> np.ndarray:
+    """Vectorized :func:`linear_column_cap`: entry ``i`` is the Eq. 6 ΔC
+    (fF) of ``counts[i]`` features in a gap of ``spacing_um`` — one gap
+    for every entry, or an array of per-entry gaps.
 
-    Entry ``m`` is bit-identical to ``linear_column_cap(..., m, ...)``.
+    Entry ``i`` is bit-identical to ``linear_column_cap(..., gap_i,
+    counts[i], ...)``. The cost-table pass prices every entry of every
+    column of a grid at its column's own gap in one call.
     """
-    _check(eps_r, thickness_um, spacing_um, capacity, fill_width_um)
-    n = np.arange(capacity + 1, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
+    gaps = np.broadcast_to(np.asarray(spacing_um, dtype=np.float64), counts.shape)
+    _check(eps_r, thickness_um, float(gaps.min(initial=np.inf)),
+           int(counts.min(initial=0)), fill_width_um)
     base = EPS0_FF_PER_UM * eps_r * thickness_um * fill_width_um
-    return base * n * fill_width_um / (spacing_um * spacing_um)
+    return base * counts * fill_width_um / (gaps * gaps)
+
+
+def table_counts(capacities: np.ndarray) -> np.ndarray:
+    """Feature counts ``0 .. capacity`` of every capacity, back to back:
+    the ``counts`` argument of the array kernels for tables stored end
+    to end (one ``np.repeat``, no per-table loop)."""
+    lengths = np.asarray(capacities, dtype=np.int64) + 1
+    return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
 def _check(eps_r: float, thickness_um: float, spacing_um: float,

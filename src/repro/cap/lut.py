@@ -7,23 +7,23 @@ of tables — exactly the pre-building the paper describes.
 
 Tables are built with the vectorized capacitance kernel
 (:func:`repro.cap.fillimpact.exact_column_cap_array` over
-``n = 0 .. capacity``), so one cache miss costs one numpy pass regardless
-of capacity. The engine builds cost tables in one thread per process; the
-cache stays safe for callers that do share it across threads, because the
-get-or-build is guarded by a lock (two threads asking for the same key get
-the same table object, built once).
+``n = 0 .. capacity``); :meth:`LUTCache.get_batch` builds every table it
+misses in one numpy pass, whatever their number and capacities. The
+engine builds cost tables in one thread per process; the cache stays safe
+for callers that do share it across threads, because the get-or-build is
+guarded by a lock (two threads asking for the same key get the same table
+object, built once).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.cap.fillimpact import exact_column_cap_array
+from repro.cap.fillimpact import exact_column_cap_array, table_counts
 from repro.errors import FillError
 
 
@@ -40,14 +40,6 @@ class CapacitanceLUT:
     def max_features(self) -> int:
         """Largest tabulated feature count."""
         return len(self.table) - 1
-
-    @cached_property
-    def table_array(self) -> np.ndarray:
-        """The table as a read-only float64 array (cached; shared by the
-        vectorized cost-table builder)."""
-        arr = np.asarray(self.table, dtype=np.float64)
-        arr.setflags(write=False)
-        return arr
 
     def cap(self, n: int) -> float:
         """ΔC for ``n`` features."""
@@ -99,7 +91,7 @@ class LUTCache:
                 self._hits += 1
                 return hit
             self._misses += 1
-            lut = self._build(spacing_um, capacity)
+            lut = self._build([(spacing_um, capacity)])[0]
             self._cache[key] = lut
             return lut
 
@@ -110,9 +102,10 @@ class LUTCache:
     ) -> list[CapacitanceLUT]:
         """LUTs for many ``(spacing_um, capacity)`` columns at once.
 
-        Deduplicates by quantized key, builds every missing table in one
-        locked pass, and returns the tables in input order — the batched
-        entry point the vectorized cost-table builder uses.
+        Deduplicates by quantized key (the first spec of a key builds its
+        table), builds every missing table in one locked pass and one
+        array evaluation, and returns the tables in input order — the
+        batched entry point the cost-table pass uses.
         """
         specs = list(specs)
         keys = []
@@ -126,10 +119,10 @@ class LUTCache:
                 missing[key] = spec
         if missing:
             with self._lock:
-                for key, (spacing_um, capacity) in missing.items():
-                    if key not in self._cache:
-                        self._misses += 1
-                        self._cache[key] = self._build(spacing_um, capacity)
+                todo = {key: spec for key, spec in missing.items() if key not in self._cache}
+                for key, lut in zip(todo, self._build(list(todo.values())), strict=True):
+                    self._misses += 1
+                    self._cache[key] = lut
         self._hits += len(keys) - len(missing)
         return [self._cache[key] for key in keys]
 
@@ -139,12 +132,25 @@ class LUTCache:
         which is fine for telemetry and never affects cached contents)."""
         return {"hits": self._hits, "misses": self._misses}
 
-    def _build(self, spacing_um: float, capacity: int) -> CapacitanceLUT:
-        table = exact_column_cap_array(
-            self.eps_r, self.thickness_um, spacing_um, np.arange(capacity + 1),
-            self.fill_width_um,
+    def _build(self, specs: list[tuple[float, int]]) -> list[CapacitanceLUT]:
+        """Tables for ``specs``: every entry ``n = 0 .. capacity`` of every
+        spec in one :func:`exact_column_cap_array` call at per-entry gaps
+        (entry by entry the same IEEE operations as one call per table)."""
+        capacities = np.array([capacity for _, capacity in specs], dtype=np.int64)
+        counts = table_counts(capacities)
+        gaps = np.repeat(
+            np.array([spacing for spacing, _ in specs], dtype=np.float64), capacities + 1
         )
-        return CapacitanceLUT(spacing_um, self.fill_width_um, tuple(table.tolist()))
+        values = exact_column_cap_array(
+            self.eps_r, self.thickness_um, gaps, counts, self.fill_width_um
+        ).tolist()
+        luts = []
+        start = 0
+        for spacing_um, capacity in specs:
+            end = start + capacity + 1
+            luts.append(CapacitanceLUT(spacing_um, self.fill_width_um, tuple(values[start:end])))
+            start = end
+        return luts
 
     def __len__(self) -> int:
         return len(self._cache)

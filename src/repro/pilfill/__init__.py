@@ -21,11 +21,12 @@ Public surface:
 
 from repro.pilfill.columns import (
     ColumnNeighbor,
+    ColumnSites,
     ElectricalColumn,
     SlackColumn,
     SlackColumnDef,
 )
-from repro.pilfill.costs import ColumnCosts, build_costs
+from repro.pilfill.costs import ColumnCosts, TileCostView, build_cost_views
 from repro.pilfill.dp import (
     allocate_dp,
     allocate_marginal_greedy,
@@ -103,11 +104,13 @@ from repro.pilfill.store import (
 
 __all__ = [
     "ColumnNeighbor",
+    "ColumnSites",
     "ElectricalColumn",
     "SlackColumn",
     "SlackColumnDef",
     "ColumnCosts",
-    "build_costs",
+    "TileCostView",
+    "build_cost_views",
     "allocate_dp",
     "allocate_marginal_greedy",
     "allocate_marginal_greedy_scalar",

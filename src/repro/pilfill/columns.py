@@ -23,7 +23,9 @@ precisely the inaccuracy of definitions I/II that the paper discusses.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import overload
 
 from repro.geometry import Rect
 from repro.layout.rctree import OHM_FF_TO_PS
@@ -93,6 +95,72 @@ class ElectricalColumn:
         return total
 
 
+class ColumnSites(Sequence[Rect]):
+    """One slack column's legal sites, stored as site-grid rows.
+
+    The gridder records the free rows of a column (``rows``, increasing)
+    and the column's along-axis site coordinate; each :class:`Rect` is
+    built only when it is read, so a column that no placement touches
+    never builds one. Indexing and iteration give the same rects, in the
+    same order (increasing cross coordinate), as a tuple of the site
+    rects would; a :class:`ColumnSites` compares equal to any sequence of
+    the same rects.
+    """
+
+    __slots__ = ("rows", "along", "cross_origin", "pitch", "size", "horizontal")
+
+    def __init__(
+        self,
+        rows: tuple[int, ...],
+        along: int,
+        cross_origin: int,
+        pitch: int,
+        size: int,
+        horizontal: bool,
+    ):
+        self.rows = rows
+        self.along = along
+        self.cross_origin = cross_origin
+        self.pitch = pitch
+        self.size = size
+        self.horizontal = horizontal
+
+    def _rect(self, row: int) -> Rect:
+        cross = self.cross_origin + row * self.pitch
+        along, size = self.along, self.size
+        if self.horizontal:
+            return Rect(along, cross, along + size, cross + size)
+        return Rect(cross, along, cross + size, along + size)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @overload
+    def __getitem__(self, index: int) -> Rect: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> tuple[Rect, ...]: ...
+
+    def __getitem__(self, index: int | slice) -> Rect | tuple[Rect, ...]:
+        if isinstance(index, slice):
+            return tuple(self._rect(row) for row in self.rows[index])
+        return self._rect(self.rows[index])
+
+    def __iter__(self) -> Iterator[Rect]:
+        return (self._rect(row) for row in self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"ColumnSites({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class SlackColumn:
     """A stack of legal fill sites in one gap, clipped to one tile.
@@ -102,7 +170,9 @@ class SlackColumn:
         tile: owning tile key ``(ix, iy)``.
         col: global site-grid column index along the routing direction.
         sites: legal site rectangles, ordered nearest-line-first is NOT
-            guaranteed — ordered by increasing cross coordinate.
+            guaranteed — ordered by increasing cross coordinate. The
+            gridder stores them as :class:`ColumnSites` rows, which build
+            each rect when it is read.
         gap_um: edge-to-edge distance between the two neighbor lines (µm),
             or None when fewer than two line neighbors exist.
         below: neighbor on the low-coordinate side (None = boundary).
@@ -112,7 +182,7 @@ class SlackColumn:
     layer: str
     tile: tuple[int, int]
     col: int
-    sites: tuple[Rect, ...]
+    sites: Sequence[Rect]
     gap_um: float | None
     below: ColumnNeighbor | None
     above: ColumnNeighbor | None

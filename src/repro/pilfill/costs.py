@@ -1,7 +1,7 @@
-"""Per-tile cost tables shared by the MDFC solution methods.
+"""Cost tables shared by the MDFC solution methods.
 
-For every slack column ``k`` in a tile we tabulate the delay impact (ps)
-of placing ``n = 0 .. C_k`` features:
+For every slack column ``k`` we tabulate the delay impact (ps) of placing
+``n = 0 .. C_k`` features:
 
 * exact costs — the LUT capacitance model (ILP-II, Greedy, DP, evaluator),
 * linear costs — ILP-I's Eq. 6 approximation (per-feature constant).
@@ -10,27 +10,36 @@ Both are weighted by the column's r̂ multiplier (Σ neighbor weight ×
 upstream resistance), so a cost table entry *is* the objective
 contribution of that column.
 
-:func:`build_costs` is the vectorized builder: columns are grouped by
-their (quantized gap, capacity) LUT key, each group's capacitance tables
-are evaluated once over the whole ``n = 0 .. C`` vector, and the per-column
-r̂ scaling is a single numpy multiply. It is bit-identical to the scalar
-oracle in ``tests/costs_oracle.py``, which the property tests pin the
-vectorized path against.
+:func:`build_cost_views` evaluates Eq. 5/6 for every column of a set of
+tiles in one array pass: the columns' capacities, gaps and r̂ inputs are
+gathered once, one :meth:`LUTCache.get_batch` call resolves every
+impactful column's table (in tile-then-column order, so the first spec of
+each quantized key builds its table), the distinct tables are
+concatenated, and ``np.repeat`` index arithmetic writes every entry of
+every column into two flat float64 arrays. Each tile gets a
+:class:`TileCostView` over its slice; :class:`ColumnCosts` are built from
+a slice only when a solver asks for them. The result is bit-identical to
+the scalar oracle in ``tests/costs_oracle.py``, which the property tests
+pin the batched pass against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import overload
 
 import numpy as np
 
-from repro.cap.fillimpact import linear_column_cap_array
+from repro.cap.fillimpact import linear_column_cap_array, table_counts
 from repro.cap.lut import LUTCache
 from repro.layout.rctree import OHM_FF_TO_PS
 from repro.pilfill.columns import ElectricalColumn, SlackColumn
 from repro.tech.process import ProcessLayer
 from repro.tech.rules import FillRules
+
+TileKey = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -40,8 +49,9 @@ class ColumnCosts:
     ``exact[n]`` and ``linear[n]`` are delay impacts in ps for ``n``
     features; both have length ``capacity + 1`` with entry 0 equal to 0.
     ``column`` is the geometry-free :class:`ElectricalColumn`, so the
-    same object serves in-process solves and pool payloads; site rects stay on the prepared instance's
-    :class:`SlackColumn` list at the same index.
+    same object serves in-process solves and pool payloads; site rects
+    stay on the prepared instance's :class:`SlackColumn` list at the same
+    index.
     """
 
     column: ElectricalColumn
@@ -57,57 +67,146 @@ class ColumnCosts:
 TileCosts = Sequence[ColumnCosts]
 
 
-def build_costs(
-    columns: list[SlackColumn],
+class TileCostView(Sequence[ColumnCosts]):
+    """One tile's cost tables, as slices of the batched arrays.
+
+    ``columns`` are the tile's slack columns, ``capacities`` their site
+    counts (int64), and ``exact`` / ``linear`` every column's ``capacity +
+    1`` entries back to back, in column order. The engine reads the
+    tile's total capacity and its cache digest straight from these; the
+    per-column :class:`ColumnCosts` a solver takes are built on first
+    indexing or iteration, and kept.
+    """
+
+    __slots__ = ("columns", "capacities", "exact", "linear", "_costs")
+
+    def __init__(
+        self,
+        columns: Sequence[SlackColumn],
+        capacities: np.ndarray,
+        exact: np.ndarray,
+        linear: np.ndarray,
+    ):
+        self.columns = columns
+        self.capacities = capacities
+        self.exact = exact
+        self.linear = linear
+        self._costs: list[ColumnCosts] | None = None
+
+    @property
+    def capacity(self) -> int:
+        """Total sites over the tile's columns."""
+        return len(self.exact) - len(self.columns)
+
+    def _column_costs(self) -> list[ColumnCosts]:
+        if self._costs is None:
+            exact, linear = self.exact.tolist(), self.linear.tolist()
+            costs: list[ColumnCosts] = []
+            start = 0
+            for col, cap in zip(self.columns, self.capacities.tolist(), strict=True):
+                end = start + cap + 1
+                costs.append(
+                    ColumnCosts(col.electrical, tuple(exact[start:end]), tuple(linear[start:end]))
+                )
+                start = end
+            self._costs = costs
+        return self._costs
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    @overload
+    def __getitem__(self, index: int) -> ColumnCosts: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[ColumnCosts]: ...
+
+    def __getitem__(self, index: int | slice) -> ColumnCosts | list[ColumnCosts]:
+        return self._column_costs()[index]
+
+    def __iter__(self) -> Iterator[ColumnCosts]:
+        return iter(self._column_costs())
+
+
+def build_cost_views(
+    tiles: Mapping[TileKey, Sequence[SlackColumn]],
     layer: ProcessLayer,
     rules: FillRules,
     dbu_per_micron: int,
     lut_cache: LUTCache,
     weighted: bool,
-) -> list[ColumnCosts]:
-    """Cost tables for every column of a tile (vectorized).
+) -> dict[TileKey, TileCostView]:
+    """Cost tables for every column of ``tiles``, in one array pass.
 
-    Impactful columns are batched through :meth:`LUTCache.get_batch` (one
-    vectorized capacitance evaluation per distinct geometry) and the linear
-    tables are grouped by exact ``(gap, capacity)`` so each distinct
-    geometry is evaluated once; the r̂ weighting is applied as one array
-    multiply per column. Results are bit-identical to the scalar oracle
-    ``build_costs_scalar`` in ``tests/costs_oracle.py``.
+    A column is impactful when both neighbours and its gap are present
+    (:attr:`ElectricalColumn.has_impact`); every other column's entries
+    stay 0.0. For an impactful column, r̂ is ``0.0 + w_b·R_b + w_a·R_a``
+    in that order (:meth:`ElectricalColumn.resistance_weight`), ``exact``
+    is ``r̂ · table · OHM_FF_TO_PS`` over its LUT table and ``linear`` is
+    ``r̂ · Eq. 6 · OHM_FF_TO_PS`` at the column's own (unquantized) gap —
+    the same IEEE operations, entry by entry, as
+    ``tests/costs_oracle.py::build_costs_scalar``. Returns one view per
+    tile of ``tiles``, in its order.
     """
-    fill_w_um = rules.fill_size / dbu_per_micron
-    out: list[ColumnCosts | None] = [None] * len(columns)
-
-    views = [col.electrical for col in columns]
+    caps: list[int] = []
+    specs: list[tuple[float, int]] = []
     impact: list[int] = []
-    for i, (col, view) in enumerate(zip(columns, views, strict=True)):
-        if view.has_impact:
-            impact.append(i)
-        else:
-            zero = (0.0,) * (col.capacity + 1)
-            out[i] = ColumnCosts(view, zero, zero)
-    if not impact:
-        return out  # type: ignore[return-value]
+    r_inputs: list[tuple[int, float, int, float]] = []
+    for cols in tiles.values():
+        for col in cols:
+            cap = col.capacity
+            below, above, gap = col.below, col.above, col.gap_um
+            if below is not None and above is not None and gap is not None:
+                impact.append(len(caps))
+                specs.append((gap, cap))
+                r_inputs.append(
+                    (below.sinks, below.resistance_ohm, above.sinks, above.resistance_ohm)
+                )
+            caps.append(cap)
 
-    luts = lut_cache.get_batch(
-        [(columns[i].gap_um, columns[i].capacity) for i in impact]
-    )
-    # Linear tables depend only on (gap, capacity); share one vectorized
-    # evaluation per distinct geometry (no quantization — the scalar
-    # reference uses each column's own gap value).
-    linear_groups: dict[tuple[float, int], np.ndarray] = {}
-    for i in impact:
-        col = columns[i]
-        key = (col.gap_um, col.capacity)
-        if key not in linear_groups:
-            linear_groups[key] = linear_column_cap_array(
-                layer.eps_r, layer.thickness_um, col.gap_um, col.capacity, fill_w_um
-            )
+    capacities = np.array(caps, dtype=np.int64)
+    ends = np.cumsum(capacities + 1)
+    exact = np.zeros(int(ends[-1]) if caps else 0)
+    linear = np.zeros_like(exact)
+    if impact:
+        luts = lut_cache.get_batch(specs)
+        # The distinct tables back to back; ``table_at[i]`` is where
+        # impactful column i's table starts.
+        first: dict[int, int] = {}
+        tables: list[tuple[float, ...]] = []
+        table_at: list[int] = []
+        size = 0
+        for lut in luts:
+            at = first.get(id(lut))
+            if at is None:
+                at = first[id(lut)] = size
+                tables.append(lut.table)
+                size += len(lut.table)
+            table_at.append(at)
+        table = np.fromiter(chain.from_iterable(tables), dtype=np.float64, count=size)
+        # Entry n of impactful column i: ``within`` is n, ``dest`` its slot
+        # in the flat arrays, ``src`` its slot in the concatenated tables.
+        within = table_counts(capacities[impact])
+        lengths = capacities[impact] + 1
+        dest = np.repeat(ends[impact] - lengths, lengths) + within
+        src = np.repeat(np.array(table_at), lengths) + within
 
-    for i, lut in zip(impact, luts, strict=True):
-        col, view = columns[i], views[i]
-        r_hat = view.resistance_weight(weighted)
-        exact = r_hat * lut.table_array * OHM_FF_TO_PS
-        linear = r_hat * linear_groups[(col.gap_um, col.capacity)] * OHM_FF_TO_PS
-        out[i] = ColumnCosts(view, tuple(exact.tolist()), tuple(linear.tolist()))
-    return out  # type: ignore[return-value]
+        w_b, r_b, w_a, r_a = np.array(r_inputs, dtype=np.float64).T
+        r_hat = 0.0 + (w_b * r_b if weighted else r_b)
+        r_hat = r_hat + (w_a * r_a if weighted else r_a)
+        r_rep = np.repeat(r_hat, lengths)
+        exact[dest] = r_rep * table[src] * OHM_FF_TO_PS
+        gaps = np.repeat(np.array([gap for gap, _ in specs]), lengths)
+        fill_w_um = rules.fill_size / dbu_per_micron
+        eq6 = linear_column_cap_array(layer.eps_r, layer.thickness_um, gaps, within, fill_w_um)
+        linear[dest] = r_rep * eq6 * OHM_FF_TO_PS
 
+    views: dict[TileKey, TileCostView] = {}
+    bounds = [0, *ends.tolist()]
+    c = 0
+    for key, cols in tiles.items():
+        n = len(cols)
+        lo, hi = bounds[c], bounds[c + n]
+        views[key] = TileCostView(cols, capacities[c : c + n], exact[lo:hi], linear[lo:hi])
+        c += n
+    return views

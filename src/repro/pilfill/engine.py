@@ -52,7 +52,7 @@ from repro.pilfill.budgeted import (
     solve_tile_budgeted_ilp,
 )
 from repro.pilfill.columns import SlackColumn, SlackColumnDef
-from repro.pilfill.costs import ColumnCosts
+from repro.pilfill.costs import TileCosts
 from repro.pilfill.incremental import (
     SolutionCache,
     cache_eligible,
@@ -363,7 +363,8 @@ class PILFillEngine:
         """The features one tile's outcome places on its slack ``columns``
         (the prepared instance's, index-aligned with the cost tables):
         explicit sampled sites when the method recorded them, column-prefix
-        sites otherwise, and none for a failed tile."""
+        sites otherwise, and none for a failed tile. Only the placed
+        sites' rects are built."""
         solution = outcome.value
         if solution is None:
             return []
@@ -475,12 +476,12 @@ class PILFillEngine:
                     )
                     solve_keys: list[TileKey] = []
                     for key in shard.tile_keys:
-                        costs = costs_by_tile.get(key, [])
+                        costs = costs_by_tile.get(key)
                         want = budget.get(key, 0)
-                        if mvdc:
-                            caps[key] = want if costs else 0
+                        if not costs:
+                            caps[key] = 0
                         else:
-                            caps[key] = min(want, sum(c.capacity for c in costs))
+                            caps[key] = want if mvdc else min(want, costs.capacity)
                         if caps[key] > 0:
                             solve_keys.append(key)
                     delay_budgets = (
@@ -567,7 +568,7 @@ class PILFillEngine:
         self,
         keys: list[TileKey],
         method: str,
-        costs_by_tile: Mapping[TileKey, list[ColumnCosts]],
+        costs_by_tile: Mapping[TileKey, TileCosts],
         caps: Mapping[TileKey, int],
         delay_budgets: Mapping[TileKey, float] | None,
         run_deadline: float | None,
@@ -743,8 +744,8 @@ class PILFillEngine:
             with tracer.span("solve"):
                 for tile in order:
                     key = tile.key
-                    costs = costs_by_tile.get(key, [])
-                    effective = min(budget.get(key, 0), sum(c.capacity for c in costs))
+                    costs = costs_by_tile.get(key)
+                    effective = min(budget.get(key, 0), costs.capacity) if costs else 0
                     result.effective_budget[key] = 0
                     if effective == 0:
                         continue
@@ -764,7 +765,7 @@ class PILFillEngine:
     def _solve_budgeted(
         self,
         key: TileKey,
-        costs: list[ColumnCosts],
+        costs: TileCosts,
         effective: int,
         remaining: dict[str, float],
         method: str,

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from repro.geometry.rect import Rect
 from repro.geometry.spatial import GridBinIndex
 from repro.pilfill.columns import ColumnNeighbor
-from repro.pilfill.costs import ColumnCosts
+from repro.pilfill.costs import TileCostView
 from repro.pilfill.robust import SolveReport
 from repro.pilfill.solution import TileSolution
 from repro.pilfill.store import STORE_VERSION, CachedEntry, SolutionStore, copy_solution
@@ -122,41 +122,36 @@ def run_context_digest(
 def tile_digest(
     context_digest: str,
     key: TileKey,
-    costs: Sequence[ColumnCosts],
+    costs: TileCostView,
     budget: int,
 ) -> str:
     """Digest of one tile's full solve input.
 
     Covers the tile key (RNG stream + fault matching are keyed on it),
-    the effective budget, and — per column — the gap class, both timing
-    neighbors, and the exact/linear cost tables: everything a solver
-    reads. Site rects and the site-grid column index are deliberately
-    out: no solver reads them, a cached solution holds only per-column
-    counts and site indices, and the engine maps those onto the
-    *current* prepared columns' sites at merge time — so a warm hit on
-    a tile whose sites moved places features exactly where a cold solve
-    would. Floats serialize via ``repr`` (shortest round-trip), so equal
-    digests mean bit-equal cost content, not merely approximately-equal.
+    the effective budget, the column count, the packed bytes of the
+    view's capacities and exact/linear cost tables, and — per column —
+    the gap class and both timing neighbors: everything a solver reads.
+    Site rects and the site-grid column index are deliberately out: no
+    solver reads them, a cached solution holds only per-column counts
+    and site indices, and the engine maps those onto the *current*
+    prepared columns' sites at merge time — so a warm hit on a tile
+    whose sites moved places features exactly where a cold solve would.
+    Table entries hash as their float64 bytes and the per-column fields
+    through ``repr`` (shortest round-trip), so equal digests mean
+    bit-equal cost content (``-0.0`` and ``0.0`` differ), not merely
+    approximately-equal. Every section's length follows from the header
+    and the capacities, so no two inputs share one byte stream.
     """
-    columns: list[dict[str, object]] = []
-    for cc in costs:
-        column = cc.column
-        columns.append(
-            {
-                "gap_um": column.gap_um,
-                "below": _neighbor_payload(column.below),
-                "above": _neighbor_payload(column.above),
-                "exact": list(cc.exact),
-                "linear": list(cc.linear),
-            }
-        )
-    payload: dict[str, object] = {
-        "context": context_digest,
-        "tile": list(key),
-        "budget": budget,
-        "columns": columns,
-    }
-    return _sha256(payload)
+    digest = hashlib.sha256(repr((context_digest, key, budget, len(costs))).encode("utf-8"))
+    digest.update(costs.capacities.tobytes())
+    digest.update(costs.exact.tobytes())
+    digest.update(costs.linear.tobytes())
+    fields = [
+        (column.gap_um, _neighbor_payload(column.below), _neighbor_payload(column.above))
+        for column in costs.columns
+    ]
+    digest.update(repr(fields).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def cache_eligible(config: "EngineConfig") -> bool:

@@ -15,6 +15,7 @@ same objects in-process, in pool workers (carried inline in each
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 from repro.errors import FillError
 from repro.obs.trace import TracerLike
@@ -54,7 +55,7 @@ def solve_tile_method(
     budget: int,
     weighted: bool,
     ilp_backend: str,
-    rng: random.Random,
+    rng: Callable[[], random.Random],
     time_limit: float | None = None,
     tracer: TracerLike | None = None,
     delay_budget_ps: float | None = None,
@@ -62,6 +63,9 @@ def solve_tile_method(
     """Solve one tile with the named method (see ``engine.METHODS``), or
     with ``"mvdc"``: the most features ``delay_budget_ps`` allows, capped
     at ``budget`` (see :mod:`repro.pilfill.mvdc`).
+
+    ``rng`` makes the tile's RNG (:func:`~repro.pilfill.parallel.tile_rng`);
+    only the Normal baseline draws from it, so only that method calls it.
 
     ``time_limit`` is a wall-clock deadline in seconds for this tile; only
     the ILP methods can spend unbounded time, so only they enforce it (the
@@ -86,7 +90,7 @@ def solve_tile_method(
         counts = allocate_dp(tables, budget)
         return TileSolution(counts=counts, model_objective_ps=allocation_cost(tables, counts))
     if method == "normal":
-        return solve_tile_normal(costs, budget, rng)
+        return solve_tile_normal(costs, budget, rng())
     if method == "mvdc":
         if delay_budget_ps is None:
             raise FillError("method 'mvdc' needs a delay budget")

@@ -18,9 +18,10 @@ raising the cost), so the solver is an exact marginal greedy.
 from __future__ import annotations
 
 import heapq
+from typing import Mapping
 
 from repro.errors import FillError
-from repro.pilfill.costs import ColumnCosts, TileCosts
+from repro.pilfill.costs import TileCosts
 from repro.pilfill.solution import TileSolution
 
 
@@ -62,7 +63,7 @@ def solve_tile_mvdc(costs: TileCosts, delay_budget_ps: float) -> TileSolution:
 
 def derive_tile_delay_budgets(
     requested: dict[tuple[int, int], int],
-    costs_by_tile: dict[tuple[int, int], list[ColumnCosts]],
+    costs_by_tile: Mapping[tuple[int, int], TileCosts],
     slack_fraction: float,
 ) -> dict[tuple[int, int], float]:
     """Heuristic per-tile delay budgets for an MVDC run.

@@ -61,6 +61,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 from repro.errors import FillError, SolveTimeoutError, WorkerDeathError
@@ -163,8 +164,9 @@ def solve_tile_payload(payload: TilePayload, attempt: int = 0) -> TileOutcome:
 
     Produces the same :class:`TileSolution` wherever it runs: the cost
     tables are the engine's own (in-process) or their unpickled copies
-    (pool), and the RNG is re-derived from ``(seed, key)``, so the solve
-    is order-, host-, and attempt-independent. ``attempt`` is the
+    (pool), and the RNG is re-derived from ``(seed, key)`` — only when a
+    Normal rung runs, the one method that draws from it — so the solve is
+    order-, host-, and attempt-independent. ``attempt`` is the
     dispatcher attempt number (threaded to the fault hooks so transient
     faults fire on the first attempt only, regardless of which process
     runs the retry).
@@ -189,7 +191,7 @@ def solve_tile_payload(payload: TilePayload, attempt: int = 0) -> TileOutcome:
         payload.budget,
         payload.weighted,
         payload.ilp_backend,
-        tile_rng(payload.seed, payload.key),
+        partial(tile_rng, payload.seed, payload.key),
         key=payload.key,
         chain=fallback_chain(payload.method) if payload.fallback else (payload.method,),
         delay_budget_ps=payload.delay_budget_ps,

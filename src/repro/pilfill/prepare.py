@@ -17,7 +17,8 @@ state.
   rather than silently mixing geometries,
 * **lazy** — the density map is only built when a budget actually has to
   be derived (an explicit budget override skips it entirely), and cost
-  tables are built per ``weighted`` flag on first use,
+  tables are built per ``weighted`` flag on first use, in one batched
+  pass over every column (:func:`~repro.pilfill.costs.build_cost_views`),
 * **memoizing** — budgets are cached by the budget-relevant config knobs
   so e.g. four methods sharing one configuration derive the budget once.
 
@@ -53,7 +54,7 @@ from repro.layout.net import Net
 from repro.layout.rctree import RCTree
 from repro.obs.trace import NULL_TRACER, TracerLike
 from repro.pilfill.columns import SlackColumn, SlackColumnDef
-from repro.pilfill.costs import ColumnCosts, build_costs
+from repro.pilfill.costs import TileCostView, build_cost_views
 from repro.pilfill.scanline import (
     ColumnGridder,
     IncrementalSweep,
@@ -95,7 +96,7 @@ class PreparedInstance:
     phase_seconds: dict[str, float] = field(default_factory=dict)
     lut_stats: dict[str, int] = field(default_factory=dict)
     _density: DensityMap | None = field(default=None, repr=False)
-    _costs: dict[bool, dict[TileKey, list[ColumnCosts]]] = field(
+    _costs: dict[bool, dict[TileKey, TileCostView]] = field(
         default_factory=dict, repr=False
     )
     _budgets: dict[tuple, dict[TileKey, int]] = field(default_factory=dict, repr=False)
@@ -150,21 +151,25 @@ class PreparedInstance:
         weighted: bool,
         keys: Sequence[TileKey] | None = None,
         tracer: TracerLike | None = None,
-    ) -> dict[TileKey, list[ColumnCosts]]:
+    ) -> dict[TileKey, TileCostView]:
         """Per-tile cost tables under the given objective weighting.
 
-        With ``keys=None`` the whole grid's tables are built once per
-        ``weighted`` flag, memoized, and shared by every run; the tables
-        are immutable so any number of tile solvers may read them. With
-        ``keys`` (one shard's tiles) the result is a subset of the
-        memoized tables when they exist, and is otherwise built for just
-        those tiles and *not* cached — the sharded solve owns its
-        lifetime, holding one shard's tables at a time. Both share one
-        LUT cache per flag, so shard-by-shard building reuses
+        One :func:`~repro.pilfill.costs.build_cost_views` pass evaluates
+        every column's tables into flat arrays and returns a
+        :class:`~repro.pilfill.costs.TileCostView` per tile over its
+        slice. With ``keys=None`` the whole grid is built once per
+        ``weighted`` flag, memoized, and shared by every run; the arrays
+        are never written after the pass, so any number of tile solvers
+        may read them. With ``keys`` (one shard's tiles) the result is a
+        subset of the memoized views when they exist, and is otherwise
+        built for just those tiles and *not* cached — the sharded solve
+        owns its lifetime, holding one shard's tables at a time. Both
+        share one LUT cache per flag, so shard-by-shard building reuses
         interpolations exactly like the global build (caching is
         value-transparent: the tables are bit-identical either way).
-        Tiles without slack columns are omitted. LUT-cache hit/miss
-        counts accumulate into ``lut_stats``.
+        Every tile of ``columns_by_tile`` (or of ``keys``) gets a view,
+        empty for a tile without slack columns. LUT-cache hit/miss counts
+        accumulate into ``lut_stats``.
         """
         cached = self._costs.get(weighted)
         if cached is not None:
@@ -187,10 +192,9 @@ class PreparedInstance:
                 )
                 self._lut_caches[weighted] = lut_cache
             stats_before = lut_cache.stats()
-            costs = {
-                key: build_costs(cols, layer_proc, self.fill_rules, dbu, lut_cache, weighted)
-                for key, cols in tiles.items()
-            }
+            costs = build_cost_views(
+                tiles, layer_proc, self.fill_rules, dbu, lut_cache, weighted
+            )
             for name, count in lut_cache.stats().items():
                 self.lut_stats[name] = (
                     self.lut_stats.get(name, 0) + count - stats_before.get(name, 0)

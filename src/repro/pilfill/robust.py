@@ -33,6 +33,7 @@ import random
 import time
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import Callable
 
 from repro.errors import SolveTimeoutError, WorkerDeathError
 from repro.obs.metrics import NULL_METRICS, MetricsLike
@@ -141,7 +142,7 @@ def solve_tile_robust(
     budget: int,
     weighted: bool,
     ilp_backend: str,
-    rng: random.Random,
+    rng: Callable[[], random.Random],
     *,
     key: TileKey,
     chain: tuple[str, ...] | None = None,
@@ -155,8 +156,10 @@ def solve_tile_robust(
 ) -> RobustSolve:
     """Solve one tile, degrading down the fallback chain on failure.
 
-    ``chain`` overrides :func:`fallback_chain` — strict mode passes the
-    one-rung chain ``(method,)``, so the first failure re-raises.
+    ``rng`` makes the tile's RNG; only a Normal rung calls it (see
+    :func:`~repro.pilfill.methods.solve_tile_method`). ``chain`` overrides
+    :func:`fallback_chain` — strict mode passes the one-rung chain
+    ``(method,)``, so the first failure re-raises.
     ``delay_budget_ps`` feeds the ``"mvdc"`` rung.
 
     Raises :class:`WorkerDeathError` (never handled here — the dispatcher

@@ -21,13 +21,15 @@ Definitions I/II/III (paper §5.1) differ only in the sweep region and
 line clipping; :func:`extract_columns` then grids every block into legal
 fill-site columns per tile through one :class:`ColumnGridder`. A tile owns
 the sites whose centre it holds, and the gridder enumerates them as
-:meth:`~repro.geometry.SiteGrid.centered_in` index ranges.
+:meth:`~repro.geometry.SiteGrid.centered_in` index ranges and records a
+column's free site rows, not a rect per site.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 from repro.dissection.fixed import FixedDissection
 from repro.errors import FillError
@@ -35,7 +37,7 @@ from repro.fillsynth.slack_sites import SiteLegality
 from repro.geometry import Interval, Rect
 from repro.layout.layout import RoutedLayout
 from repro.layout.rctree import LineTiming
-from repro.pilfill.columns import ColumnNeighbor, SlackColumn, SlackColumnDef
+from repro.pilfill.columns import ColumnNeighbor, ColumnSites, SlackColumn, SlackColumnDef
 from repro.tech.rules import FillRules
 
 
@@ -309,8 +311,12 @@ class ColumnGridder:
     the block's buffered cross band and are centred in the tile. Both are
     :meth:`SiteGrid.centered_in` index ranges. Each candidate is read from
     the legality raster, which is pinned to the exact test in
-    ``tests/legality_oracle.py``; a rect is built only for a free site.
-    Each neighbour line's electrical fields are read once per block.
+    ``tests/legality_oracle.py``. A column keeps its free rows in a
+    :class:`~repro.pilfill.columns.ColumnSites` (``itertools.compress``
+    over the raster bytes), which builds a site's rect only when it is
+    read. Each neighbour line's electrical fields are read once per
+    block, and a column's two neighbours once per block and column, so
+    the tiles stacked across a tall block share them.
 
     The streaming preprocessor grids each :class:`IncrementalSweep`
     feed's blocks the moment they close (their legality reads only look
@@ -373,6 +379,9 @@ class ColumnGridder:
         bounded = block.below is not None and block.above is not None
         gap_um = block.gap / self.dbu if bounded else None
         below, above = _basis(block.below), _basis(block.above)
+        # A column's neighbours depend on the block and the column alone,
+        # so tiles stacked across a tall block share them.
+        neighbors: dict[int, tuple[ColumnNeighbor | None, ColumnNeighbor | None]] = {}
 
         for tile in self.dissection.tiles_overlapping(usable):
             if only_tile is not None and tile.key != only_tile:
@@ -394,34 +403,35 @@ class ColumnGridder:
             if row_lo >= row_hi:
                 continue
             cols = grid.centered_in(clip_lo, clip_hi, along_origin)
+            candidates = range(row_lo, row_hi)
             columns = self.out[tile.key]
             for col in range(max(cols.start, a0), min(cols.stop, a_end)):
-                site_along = along_origin + col * pitch
-                sites: list[Rect] = []
                 if horizontal:
-                    bits = free[col - a0][row_lo - x0 : row_hi - x0]
-                    for row, bit in enumerate(bits, row_lo):
-                        if bit:
-                            y = cross_origin + row * pitch
-                            sites.append(Rect(site_along, y, site_along + size, y + size))
+                    rows = tuple(compress(candidates, free[col - a0][row_lo - x0 : row_hi - x0]))
                 else:
                     k = col - a0
-                    for row in range(row_lo, row_hi):
-                        if free[row - x0][k]:
-                            x = cross_origin + row * pitch
-                            sites.append(Rect(x, site_along, x + size, site_along + size))
-                if not sites:
+                    rows = tuple(row for row in candidates if free[row - x0][k])
+                if not rows:
                     continue
-                center_along = site_along + half
+                site_along = along_origin + col * pitch
+                pair = neighbors.get(col)
+                if pair is None:
+                    center_along = site_along + half
+                    pair = neighbors[col] = (
+                        below.at(center_along) if below is not None else None,
+                        above.at(center_along) if above is not None else None,
+                    )
                 columns.append(
                     SlackColumn(
                         layer=self.layer,
                         tile=tile.key,
                         col=col,
-                        sites=tuple(sites),
+                        sites=ColumnSites(
+                            rows, site_along, cross_origin, pitch, size, horizontal
+                        ),
                         gap_um=gap_um,
-                        below=below.at(center_along) if below is not None else None,
-                        above=above.at(center_along) if above is not None else None,
+                        below=pair[0],
+                        above=pair[1],
                     )
                 )
 

@@ -57,7 +57,7 @@ def copy_solution(solution: TileSolution) -> TileSolution:
 
 #: Bump to invalidate every persisted entry when solve semantics change
 #: (method behavior, cost-table construction, RNG derivation, ...).
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 #: Schema tag embedded in every on-disk entry.
 STORE_SCHEMA = "pilfill-solution-store/v1"

@@ -1,9 +1,10 @@
-"""Scalar cost-table builder: the test oracle for ``build_costs``.
+"""Scalar cost-table builder: the test oracle for ``build_cost_views``.
 
 One pure-Python loop per column entry, with no batching and no sharing of
-tables between columns of equal geometry. The vectorized builder in
-:mod:`repro.pilfill.costs` must reproduce its tables exactly;
-``tests/test_vector_kernels.py`` asserts that, and
+tables between columns of equal geometry. The batched pass in
+:mod:`repro.pilfill.costs` must reproduce its tables exactly, byte for
+byte, with the same LUT hit/miss accounting when it is run tile by tile
+on one shared cache; ``tests/test_vector_kernels.py`` asserts that, and
 ``benchmarks/test_bench_kernels.py`` times the two against each other.
 """
 

@@ -48,7 +48,7 @@ def tiles(draw) -> tuple[list[ColumnCosts], int]:
     Neighboring columns share a line (column ``k`` lies between lines
     ``k`` and ``k + 1``), so ILP-I sums several columns into one line's
     delay. A column without impact has a zero linear table, as
-    :func:`~repro.pilfill.costs.build_costs` gives it.
+    :func:`~repro.pilfill.costs.build_cost_views` gives it.
     """
     n_cols = draw(st.integers(1, 4))
     out = []

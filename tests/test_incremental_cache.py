@@ -18,6 +18,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,10 +27,12 @@ from repro.errors import LayoutError
 from repro.geometry import Rect
 from repro.pilfill import (
     CachedEntry,
+    ColumnSites,
     EngineConfig,
     PILFillEngine,
     SolutionCache,
     SolutionStore,
+    TileCostView,
     cache_eligible,
     copy_solution,
     decode_entry,
@@ -371,16 +374,84 @@ class TestDigests:
         assert tile_digest(ctx, key, costs[key], 6) != base
         assert tile_digest(ctx, (key[0] + 1, key[1]), costs[key], 5) != base
 
-    def test_tile_digest_covers_cost_content(self, digest_inputs):
-        cfg, costs, key = digest_inputs
-        ctx = run_context_digest(cfg, "metal3")
-        base = tile_digest(ctx, key, costs[key], 5)
-        mutated = list(costs[key])
-        bumped = dataclasses.replace(
-            mutated[0], exact=tuple(v + 1.0 for v in mutated[0].exact)
+    @pytest.fixture(scope="class")
+    def impact_view(self, prepared):
+        """A tile view, the index of a column with both neighbours, and the
+        flat index of that column's last (nonzero) exact entry."""
+        costs = prepared.costs_for(True)
+        for key, view in sorted(costs.items()):
+            start = 0
+            for k, (column, cap) in enumerate(
+                zip(view.columns, view.capacities.tolist(), strict=True)
+            ):
+                if column.below is not None and column.above is not None and cap > 0:
+                    return key, view, k, start + cap
+                start += cap + 1
+        raise AssertionError("no impactful column")
+
+    @staticmethod
+    def _copy(view, **changes):
+        fields = {
+            "columns": list(view.columns),
+            "capacities": view.capacities.copy(),
+            "exact": view.exact.copy(),
+            "linear": view.linear.copy(),
+        }
+        fields.update(changes)
+        return TileCostView(**fields)
+
+    def test_equal_content_digests_equal(self, impact_view):
+        key, view, _k, _entry = impact_view
+        ctx = run_context_digest(make_cfg(), "metal3")
+        assert tile_digest(ctx, key, self._copy(view), 5) == tile_digest(ctx, key, view, 5)
+
+    def test_tile_digest_covers_cost_content(self, impact_view):
+        """One table entry flipped ``0.0 -> -0.0`` or moved one ULP, in
+        either table, is a different solve input."""
+        key, view, _k, entry = impact_view
+        ctx = run_context_digest(make_cfg(), "metal3")
+        base = tile_digest(ctx, key, view, 5)
+        for table in ("exact", "linear"):
+            flipped = getattr(view, table).copy()
+            assert flipped[0] == 0.0 and not np.signbit(flipped[0])
+            flipped[0] = -0.0
+            assert tile_digest(ctx, key, self._copy(view, **{table: flipped}), 5) != base
+            bumped = getattr(view, table).copy()
+            assert bumped[entry] > 0.0
+            bumped[entry] = np.nextafter(bumped[entry], np.inf)
+            assert tile_digest(ctx, key, self._copy(view, **{table: bumped}), 5) != base
+
+    @pytest.mark.parametrize(
+        "side, field, value",
+        [
+            ("below", "net", "other-net"),
+            ("below", "line_index", 10_001),
+            ("above", "sinks", 999),
+            ("above", "resistance_ohm", None),
+        ],
+        ids=["net", "line_index", "sinks", "resistance_ohm"],
+    )
+    def test_tile_digest_covers_neighbour_fields(self, impact_view, side, field, value):
+        key, view, k, _entry = impact_view
+        ctx = run_context_digest(make_cfg(), "metal3")
+        column = view.columns[k]
+        neighbor = getattr(column, side)
+        if value is None:  # one ULP up
+            value = float(np.nextafter(neighbor.resistance_ohm, np.inf))
+        columns = list(view.columns)
+        columns[k] = dataclasses.replace(
+            column, **{side: dataclasses.replace(neighbor, **{field: value})}
         )
-        mutated[0] = bumped
-        assert tile_digest(ctx, key, mutated, 5) != base
+        mutated = self._copy(view, columns=columns)
+        assert tile_digest(ctx, key, mutated, 5) != tile_digest(ctx, key, view, 5)
+
+    def test_tile_digest_covers_gap(self, impact_view):
+        key, view, k, _entry = impact_view
+        ctx = run_context_digest(make_cfg(), "metal3")
+        columns = list(view.columns)
+        columns[k] = dataclasses.replace(columns[k], gap_um=columns[k].gap_um + 1.0)
+        mutated = self._copy(view, columns=columns)
+        assert tile_digest(ctx, key, mutated, 5) != tile_digest(ctx, key, view, 5)
 
 
 class TestSitesOutOfKey:
@@ -388,7 +459,24 @@ class TestSitesOutOfKey:
     and a warm hit places its cached counts on the *current* sites."""
 
     def test_moved_sites_hit_and_place_on_the_moved_sites(self, small_generated_layout):
-        layout = small_generated_layout
+        self._check_moved(
+            small_generated_layout,
+            lambda sites: tuple(site.translated(1, 0) for site in sites),
+        )
+
+    def test_moved_site_rows_hit_and_place_on_the_moved_rows(self, small_generated_layout):
+        def up_one_pitch(sites):
+            # The gridder's own representation, every free row one pitch up.
+            assert isinstance(sites, ColumnSites)
+            return ColumnSites(
+                tuple(row + 1 for row in sites.rows), sites.along, sites.cross_origin,
+                sites.pitch, sites.size, sites.horizontal,
+            )
+
+        self._check_moved(small_generated_layout, up_one_pitch)
+
+    @staticmethod
+    def _check_moved(layout, move):
         cfg = make_cfg()
         original = prepare(layout, "metal3", FILL, DENSITY)
         moved = prepare(layout, "metal3", FILL, DENSITY)
@@ -403,7 +491,8 @@ class TestSitesOutOfKey:
             if count > 0
         )
         column = moved.columns_by_tile[key][k]
-        shifted = tuple(site.translated(1, 0) for site in column.sites)
+        sites = column.sites
+        shifted = move(sites)
         moved.columns_by_tile[key][k] = dataclasses.replace(column, sites=shifted)
 
         ctx = run_context_digest(cfg, "metal3")
@@ -422,8 +511,9 @@ class TestSitesOutOfKey:
         assert result_digest(cold) != result_digest(primed)
         placed = {f.rect for f in warm.features}
         picked = primed.tile_solutions[key].sites_for(k)
-        assert {shifted[s] for s in picked} <= placed
-        assert not {column.sites[s] for s in picked} & placed
+        moved_to = {shifted[s] for s in picked}
+        assert moved_to <= placed
+        assert not ({sites[s] for s in picked} - moved_to) & placed
 
 
 class TestCacheEligible:

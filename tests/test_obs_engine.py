@@ -9,6 +9,7 @@ dispatch path.
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 
@@ -230,7 +231,7 @@ class TestTimeoutRetryFix:
         with pytest.raises(SolveTimeoutError) as excinfo:
             solve_tile_robust(
                 costs, "ilp2", base_run.effective_budget[key], True, "scipy",
-                tile_rng(0, key), key=key, run_deadline=10.0, fault_spec=spec,
+                partial(tile_rng, 0, key), key=key, run_deadline=10.0, fault_spec=spec,
             )
         assert "run deadline" in str(excinfo.value)
         assert len(excinfo.value.rung_errors) == 1

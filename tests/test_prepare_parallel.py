@@ -28,6 +28,7 @@ from repro.pilfill import (
     TileSolution,
     dispatch_tile_payloads,
     prepare,
+    result_digest,
     solve_tile_payload,
     tile_rng,
     trim_to,
@@ -224,6 +225,49 @@ class TestNormalSiteSampling:
         c = tile_rng(7, (4, 3)).random()
         assert a == b
         assert a != c
+
+
+class TestTileRngOnDemand:
+    """Only the Normal baseline draws from a tile's RNG, so only a Normal
+    rung derives one; the digests pin that the streams did not move."""
+
+    #: ``result_digest`` of T1/32/2 at seed 3 (scipy backend), from before
+    #: the RNG was derived on demand.
+    NORMAL_DIGEST = "8dae0249a1dff59f89b3e11193cbe1cb645b3df5981277a790d5a06a67b0f80a"
+    MVDC_DIGEST = "f2e3ef4d27297a04dbb0440207d880264d6f4e4fede85af85a91d54fd5430e99"
+
+    @pytest.fixture
+    def rng_calls(self, monkeypatch):
+        import repro.pilfill.parallel as parallel_mod
+
+        calls: list[tuple[int, tuple[int, int]]] = []
+
+        def spy(seed, key):
+            calls.append((seed, key))
+            return tile_rng(seed, key)
+
+        monkeypatch.setattr(parallel_mod, "tile_rng", spy)
+        return calls
+
+    def _engine(self, t1_setup, method):
+        layout, fill_rules, density_rules, prepared = t1_setup
+        cfg = _config(fill_rules, density_rules, method=method, seed=3)
+        return PILFillEngine(layout, "metal3", cfg, prepared=prepared)
+
+    def test_ilp2_run_derives_no_rng(self, t1_setup, rng_calls):
+        result = self._engine(t1_setup, "ilp2").run()
+        assert result.tile_solutions
+        assert rng_calls == []
+
+    def test_normal_run_derives_one_rng_per_solved_tile(self, t1_setup, rng_calls):
+        result = self._engine(t1_setup, "normal").run()
+        assert result_digest(result) == self.NORMAL_DIGEST
+        assert sorted(rng_calls) == sorted((3, key) for key in result.tile_solutions)
+
+    def test_mvdc_run_derives_no_rng(self, t1_setup, rng_calls):
+        result = self._engine(t1_setup, "greedy").run_mvdc(0.25)
+        assert result_digest(result) == self.MVDC_DIGEST
+        assert rng_calls == []
 
 
 class TestPreparedSharing:

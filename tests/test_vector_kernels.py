@@ -9,7 +9,8 @@ and on real prepared instances:
 * ``exact_column_cap_array`` (one gap over ``m = 0 .. capacity``, and
   per-column gaps) / ``linear_column_cap_array`` vs the scalar
   capacitance functions, entry by entry,
-* ``build_costs`` vs ``build_costs_scalar`` on a generated layout,
+* ``build_cost_views`` vs ``build_costs_scalar`` (as bytes, with the LUT
+  accounting) on a generated layout, on T1/T2 grids and on edge columns,
 * ``allocate_marginal_greedy`` (argpartition path) vs the heap reference,
   including tie-heavy and non-convex tables,
 * ``LUTCache.get_batch`` vs repeated ``get``, plus thread-safety.
@@ -32,7 +33,9 @@ from repro.cap.fillimpact import (
 )
 from repro.cap.lut import LUTCache
 from repro.errors import FillError
-from repro.pilfill.costs import build_costs
+from repro.geometry import Rect
+from repro.pilfill.columns import ColumnNeighbor, SlackColumn
+from repro.pilfill.costs import build_cost_views
 from repro.pilfill.dp import (
     _VECTOR_MIN_SLOTS,
     allocate_marginal_greedy,
@@ -40,7 +43,7 @@ from repro.pilfill.dp import (
     allocation_cost,
 )
 from repro.pilfill.prepare import prepare
-from repro.synth import default_fill_rules, density_rules_for
+from repro.synth import default_fill_rules, density_rules_for, make_t1, make_t2
 from tests.costs_oracle import build_costs_scalar
 
 # Geometry strategy: spacing comfortably above capacity * width so the
@@ -78,7 +81,9 @@ class TestCapArrayKernels:
     @settings(max_examples=100, deadline=None)
     def test_linear_array_matches_scalar(self, geom):
         eps_r, thickness, spacing, capacity, width = geom
-        table = linear_column_cap_array(eps_r, thickness, spacing, capacity, width)
+        table = linear_column_cap_array(
+            eps_r, thickness, spacing, np.arange(capacity + 1), width
+        )
         for n in range(capacity + 1):
             assert table[n] == linear_column_cap(eps_r, thickness, spacing, n, width)
 
@@ -91,6 +96,18 @@ class TestCapArrayKernels:
         deltas = exact_column_cap_array(eps_r, thickness, gaps, counts, width)
         for gap, n, delta in zip(gaps.tolist(), counts.tolist(), deltas, strict=True):
             assert delta == exact_column_cap(eps_r, thickness, gap, n, width)
+
+    @given(_cap_geometry())
+    @settings(max_examples=50, deadline=None)
+    def test_linear_per_entry_gaps_match_scalar(self, geom):
+        eps_r, thickness, spacing, capacity, width = geom
+        counts = np.arange(capacity + 1)[::-1]
+        gaps = spacing + width * np.arange(capacity + 1)
+        deltas = linear_column_cap_array(eps_r, thickness, gaps, counts, width)
+        for gap, n, delta in zip(gaps.tolist(), counts.tolist(), deltas.tolist(), strict=True):
+            assert np.float64(delta).tobytes() == np.float64(
+                linear_column_cap(eps_r, thickness, gap, n, width)
+            ).tobytes()
 
     def test_exact_array_overfull_raises(self):
         with pytest.raises(FillError, match="^10 features of width 0.2 do not fit in gap 1.0$"):
@@ -143,6 +160,44 @@ class TestLUTBatch:
                 assert first is other
 
 
+def _cost_cache(layer, fill_rules, dbu) -> LUTCache:
+    return LUTCache(layer.eps_r, layer.thickness_um, fill_rules.fill_size / dbu)
+
+
+def _assert_batched_matches_scalar(tiles, layer, fill_rules, dbu, weighted) -> None:
+    """The batched pass over ``tiles`` against the scalar oracle run tile
+    by tile on one shared cache: the flat arrays, every view's
+    ``ColumnCosts`` and the LUT hit/miss accounting, all exactly."""
+    batch_cache = _cost_cache(layer, fill_rules, dbu)
+    views = build_cost_views(tiles, layer, fill_rules, dbu, batch_cache, weighted)
+    scalar_cache = _cost_cache(layer, fill_rules, dbu)
+    slow = {
+        key: build_costs_scalar(cols, layer, fill_rules, dbu, scalar_cache, weighted)
+        for key, cols in tiles.items()
+    }
+    assert list(views) == list(slow)
+    for key, view in views.items():
+        costs = slow[key]
+        assert len(view) == len(costs)
+        assert view.capacity == sum(cc.capacity for cc in costs)
+        want_exact = np.array([x for cc in costs for x in cc.exact], dtype=np.float64)
+        want_linear = np.array([x for cc in costs for x in cc.linear], dtype=np.float64)
+        assert view.exact.tobytes() == want_exact.tobytes()
+        assert view.linear.tobytes() == want_linear.tobytes()
+        for got, want in zip(view, costs, strict=True):
+            assert got.column == want.column
+            assert np.array(got.exact).tobytes() == np.array(want.exact).tobytes()
+            assert np.array(got.linear).tobytes() == np.array(want.linear).tobytes()
+    assert batch_cache.stats() == scalar_cache.stats()
+
+
+_GRIDS = [
+    pytest.param(make, window, r, id=f"{name}-{window}/{r}")
+    for name, make in (("T1", make_t1), ("T2", make_t2))
+    for window, r in ((32, 2), (20, 8))
+]
+
+
 class TestBuildCostsVectorized:
     def test_bit_identical_on_generated_layout(self, small_generated_layout):
         layout = small_generated_layout
@@ -152,25 +207,72 @@ class TestBuildCostsVectorized:
         proc = layout.stack.layer("metal3")
         dbu = layout.stack.dbu_per_micron
         for weighted in (False, True):
-            for key, columns in prepared.columns_by_tile.items():
-                cache = LUTCache(
-                    eps_r=proc.eps_r,
-                    thickness_um=proc.thickness_um,
-                    fill_width_um=fill_rules.fill_size / dbu,
-                )
-                fast = build_costs(columns, proc, fill_rules, dbu, cache, weighted)
-                slow = build_costs_scalar(
-                    columns, proc, fill_rules, dbu,
-                    LUTCache(
-                        eps_r=proc.eps_r,
-                        thickness_um=proc.thickness_um,
-                        fill_width_um=fill_rules.fill_size / dbu,
-                    ),
-                    weighted,
-                )
-                for f, s in zip(fast, slow, strict=True):
-                    assert f.exact == s.exact
-                    assert f.linear == s.linear
+            _assert_batched_matches_scalar(
+                prepared.columns_by_tile, proc, fill_rules, dbu, weighted
+            )
+
+    @pytest.mark.parametrize("make, window, r", _GRIDS)
+    def test_bit_identical_on_whole_grids(self, make, window, r):
+        layout = make()
+        fill_rules = default_fill_rules(layout.stack)
+        prepared = prepare(
+            layout, "metal3", fill_rules, density_rules_for(window, r, layout.stack)
+        )
+        proc = layout.stack.layer("metal3")
+        dbu = layout.stack.dbu_per_micron
+        for weighted in (False, True):
+            _assert_batched_matches_scalar(
+                prepared.columns_by_tile, proc, fill_rules, dbu, weighted
+            )
+            # costs_for is that pass, memoized, with the same LUT accounting.
+            fresh = prepare(
+                layout, "metal3", fill_rules, density_rules_for(window, r, layout.stack)
+            )
+            views = fresh.costs_for(weighted)
+            oracle = _cost_cache(proc, fill_rules, dbu)
+            for key, cols in fresh.columns_by_tile.items():
+                slow = build_costs_scalar(cols, proc, fill_rules, dbu, oracle, weighted)
+                assert views[key].exact.tobytes() == np.array(
+                    [x for cc in slow for x in cc.exact], dtype=np.float64
+                ).tobytes()
+            assert fresh.lut_stats == oracle.stats()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_on_edge_columns(self, stack, data):
+        """Two gaps in one LUT quantum (the first spec builds the table),
+        zero-capacity columns and columns without a neighbour or a gap."""
+        fill_rules = default_fill_rules(stack)
+        proc = stack.layer("metal3")
+        dbu = stack.dbu_per_micron
+        fill_w = fill_rules.fill_size / dbu
+        # 2.0105 and 2.0113 quantize to one 1e-3 key; 3.7 and 6.25 do not.
+        gaps = [g * 8 * fill_w for g in (2.0105, 2.0113, 3.7, 6.25)]
+        neighbor = st.builds(
+            ColumnNeighbor,
+            net=st.sampled_from(["a", "b", "c"]),
+            line_index=st.integers(0, 5),
+            sinks=st.integers(1, 9),
+            resistance_ohm=st.floats(0.0, 2000.0),
+        )
+        optional = st.one_of(st.none(), neighbor)
+        column = st.builds(
+            lambda cap, gap, below, above: SlackColumn(
+                layer="metal3", tile=(0, 0), col=0,
+                sites=tuple(Rect(0, i, 1, i + 1) for i in range(cap)),
+                gap_um=gap, below=below, above=above,
+            ),
+            cap=st.integers(0, 8),
+            gap=st.one_of(st.none(), st.sampled_from(gaps)),
+            below=st.one_of(neighbor, optional),
+            above=st.one_of(neighbor, optional),
+        )
+        tiles = {
+            (i, 0): data.draw(st.lists(column, max_size=5), label=f"tile {i}")
+            for i in range(data.draw(st.integers(1, 4), label="tiles"))
+        }
+        weighted = data.draw(st.booleans(), label="weighted")
+        _assert_batched_matches_scalar(tiles, proc, fill_rules, dbu, weighted)
 
 
 # Convex tables: nondecreasing marginals, the regime where the
