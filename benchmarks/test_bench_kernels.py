@@ -27,6 +27,7 @@ from repro.pilfill import EngineConfig, PILFillEngine, prepare
 from repro.pilfill.costs import build_cost_views
 from repro.pilfill.dp import allocate_marginal_greedy, allocate_marginal_greedy_scalar
 from repro.synth import default_fill_rules, density_rules_for
+from tests.cost_tables import pack_costs
 from tests.costs_oracle import build_costs_scalar
 
 
@@ -39,30 +40,30 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-def _large_tables(n_cols: int = 2000, slots: int = 8):
+def _large_costs(n_cols: int = 2000, slots: int = 8):
     rng = np.random.default_rng(7)
     tables = []
     for _ in range(n_cols):
         marginals = np.sort(rng.uniform(0.0, 5.0, size=slots))
         tables.append(tuple(np.concatenate([[0.0], np.cumsum(marginals)])))
-    return tables
+    return pack_costs(tables)
 
 
 def test_marginal_greedy_vector_beats_heap(benchmark):
-    tables = _large_tables()
-    budget = sum(len(t) - 1 for t in tables) // 2
+    costs = _large_costs()
+    budget = costs.capacity // 2
 
     fast = benchmark.pedantic(
-        allocate_marginal_greedy, args=(tables, budget), rounds=3, iterations=1
+        allocate_marginal_greedy, args=(costs, budget), rounds=3, iterations=1
     )
-    t_vec = _best_of(lambda: allocate_marginal_greedy(tables, budget))
-    t_heap = _best_of(lambda: allocate_marginal_greedy_scalar(tables, budget))
+    t_vec = _best_of(lambda: allocate_marginal_greedy(costs, budget))
+    t_heap = _best_of(lambda: allocate_marginal_greedy_scalar(costs, budget))
 
     benchmark.extra_info["vector_ms"] = round(t_vec * 1e3, 3)
     benchmark.extra_info["heap_ms"] = round(t_heap * 1e3, 3)
     benchmark.extra_info["speedup"] = round(t_heap / t_vec, 2)
 
-    assert fast == allocate_marginal_greedy_scalar(tables, budget)
+    assert fast == allocate_marginal_greedy_scalar(costs, budget)
     # 16k slots is deep in the vectorized regime; the argpartition path
     # must win outright (it measures ~5x on a laptop core).
     assert t_vec < t_heap
@@ -89,10 +90,10 @@ def test_build_costs_never_regresses(benchmark, t1_layout):
 
     def scalar() -> list:
         cache = fresh_cache()
-        out = []
-        for cols in tiles.values():
-            out.extend(build_costs_scalar(cols, proc, fill_rules, dbu, cache, True))
-        return out
+        return [
+            build_costs_scalar(cols, proc, fill_rules, dbu, cache, True)
+            for cols in tiles.values()
+        ]
 
     fast = benchmark.pedantic(batched, rounds=3, iterations=1)
     t_vec = _best_of(batched)
@@ -103,12 +104,11 @@ def test_build_costs_never_regresses(benchmark, t1_layout):
     benchmark.extra_info["scalar_ms"] = round(t_scalar * 1e3, 3)
     benchmark.extra_info["scalar_over_vector"] = round(t_scalar / t_vec, 2)
 
-    def packed(tables) -> bytes:
-        return np.array([x for table in tables for x in table], dtype=np.float64).tobytes()
-
     views = list(fast.values())
-    assert b"".join(v.exact.tobytes() for v in views) == packed(c.exact for c in slow)
-    assert b"".join(v.linear.tobytes() for v in views) == packed(c.linear for c in slow)
+    assert b"".join(v.exact.tobytes() for v in views) == b"".join(c.exact.tobytes() for c in slow)
+    assert b"".join(v.linear.tobytes() for v in views) == b"".join(
+        c.linear.tobytes() for c in slow
+    )
     # Equal-or-better with generous slack; the guard is against regression.
     assert t_vec < 1.5 * t_scalar + 0.01
 

@@ -14,15 +14,15 @@ from repro.pilfill import (
     solve_tile_ilp2,
 )
 from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
-from repro.pilfill.costs import ColumnCosts
 from repro.pilfill.dp import allocate_dp, allocation_cost
 from repro.pilfill.solution import TileSolution
+from tests.cost_tables import pack_costs
 
 
 def synthetic_tile(n_columns: int, max_capacity: int, seed: int = 0):
     """A representative per-tile instance with convex exact tables."""
     rng = random.Random(seed)
-    costs = []
+    columns, exact_tables, linear_tables = [], [], []
     for _ in range(n_columns):
         cap = rng.randint(1, max_capacity)
         base = rng.uniform(0.1, 2.0)
@@ -34,17 +34,18 @@ def synthetic_tile(n_columns: int, max_capacity: int, seed: int = 0):
             marginal *= growth
         linear = tuple(base * n for n in range(cap + 1))
         neighbor = ColumnNeighbor("n", 0, rng.randint(1, 4), rng.uniform(50, 500))
-        col = ElectricalColumn(4.0, neighbor, neighbor)
-        costs.append(ColumnCosts(col, tuple(exact), linear))
-    capacity = sum(c.capacity for c in costs)
-    return costs, capacity // 2
+        columns.append(ElectricalColumn(4.0, neighbor, neighbor))
+        exact_tables.append(tuple(exact))
+        linear_tables.append(linear)
+    costs = pack_costs(exact_tables, linear_tables, columns)
+    return costs, costs.capacity // 2
 
 
 SOLVERS = {
     "greedy": lambda costs, budget: solve_tile_greedy(costs, budget),
     "greedy_marginal": lambda costs, budget: solve_tile_greedy_marginal(costs, budget),
     "dp": lambda costs, budget: TileSolution(
-        counts=allocate_dp([c.exact for c in costs], budget)
+        counts=allocate_dp(costs, budget)
     ),
     "ilp1_bundled": lambda costs, budget: solve_tile_ilp1(
         costs, budget, weighted=True, backend="bundled"
@@ -61,7 +62,7 @@ def test_tile_solver_speed(benchmark, solver_name):
     solution = benchmark(solver, costs, budget)
     assert sum(solution.counts) == budget
     benchmark.extra_info["objective"] = round(
-        allocation_cost([c.exact for c in costs], solution.counts), 6
+        allocation_cost(costs, solution.counts), 6
     )
 
 

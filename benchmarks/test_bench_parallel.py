@@ -70,15 +70,22 @@ def _shared_sweep(layouts, workers: int) -> list[float]:
 def test_shared_prepare_beats_legacy_sweep(benchmark, layouts):
     workers = max(1, min(4, os.cpu_count() or 1))
 
-    t0 = time.perf_counter()
-    legacy = _legacy_sweep(layouts)
-    legacy_s = time.perf_counter() - t0
+    # Each arm's time is the best of three alternating runs, so another
+    # process loading a CPU during one run cannot decide the comparison.
+    legacy_s = shared_s = float("inf")
+    for round_ in range(3):
+        t0 = time.perf_counter()
+        legacy = _legacy_sweep(layouts)
+        legacy_s = min(legacy_s, time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
-    shared = benchmark.pedantic(
-        _shared_sweep, args=(layouts, workers), rounds=1, iterations=1
-    )
-    shared_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        if round_ == 0:  # the run pytest-benchmark records
+            shared = benchmark.pedantic(
+                _shared_sweep, args=(layouts, workers), rounds=1, iterations=1
+            )
+        else:
+            shared = _shared_sweep(layouts, workers)
+        shared_s = min(shared_s, time.perf_counter() - t0)
 
     benchmark.extra_info["legacy_s"] = round(legacy_s, 3)
     benchmark.extra_info["shared_s"] = round(shared_s, 3)

@@ -39,7 +39,7 @@ def _default_payload_registry() -> tuple[str, ...]:
     return (
         # Shipped to pool workers (the request side of the boundary).
         "repro.pilfill.parallel.TilePayload",
-        "repro.pilfill.costs.ColumnCosts",
+        "repro.pilfill.costs.TileCosts",
         "repro.pilfill.columns.ElectricalColumn",
         "repro.pilfill.columns.ColumnNeighbor",
         "repro.testing.faults.FaultSpec",
@@ -119,6 +119,9 @@ class LintPolicy:
         "Optional",
         "Union",
         "TileKey",  # alias of tuple[int, int]
+        # numpy arrays pickle as dtype, shape and their own bytes (a slice
+        # as a copy of just its bytes): the cost tables ship this way.
+        "ndarray",
     )
     rng_factory_names: tuple[str, ...] = ("Random", "SystemRandom", "default_rng", "SeedSequence")
     taint_sink_functions: tuple[str, ...] = field(default_factory=_default_taint_sinks)

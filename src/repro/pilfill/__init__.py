@@ -26,7 +26,7 @@ from repro.pilfill.columns import (
     SlackColumn,
     SlackColumnDef,
 )
-from repro.pilfill.costs import ColumnCosts, TileCostView, build_cost_views
+from repro.pilfill.costs import TileCosts, build_cost_views
 from repro.pilfill.dp import (
     allocate_dp,
     allocate_marginal_greedy,
@@ -38,7 +38,7 @@ from repro.pilfill.methods import solve_tile_method, solve_tile_normal, trim_to
 from repro.pilfill.evaluate import ImpactModel, ImpactReport, evaluate_impact
 from repro.pilfill.budgeted import (
     BudgetedOutcome,
-    build_cap_tables,
+    delta_cap_ff,
     derive_net_cap_budgets,
     solve_tile_budgeted_greedy,
     solve_tile_budgeted_ilp,
@@ -108,8 +108,7 @@ __all__ = [
     "ElectricalColumn",
     "SlackColumn",
     "SlackColumnDef",
-    "ColumnCosts",
-    "TileCostView",
+    "TileCosts",
     "build_cost_views",
     "allocate_dp",
     "allocate_marginal_greedy",
@@ -132,7 +131,7 @@ __all__ = [
     "solve_tile_greedy",
     "solve_tile_greedy_marginal",
     "BudgetedOutcome",
-    "build_cap_tables",
+    "delta_cap_ff",
     "derive_net_cap_budgets",
     "solve_tile_budgeted_greedy",
     "solve_tile_budgeted_ilp",

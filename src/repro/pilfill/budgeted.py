@@ -36,7 +36,7 @@ from repro.errors import FillError
 from repro.ilp import CompiledModel, solve
 from repro.layout.layout import RoutedLayout
 from repro.layout.rctree import OHM_FF_TO_PS
-from repro.pilfill.costs import ColumnCosts
+from repro.pilfill.costs import TileCosts
 from repro.pilfill.ilp2 import build_ilp2_model
 from repro.pilfill.solution import TileSolution
 
@@ -51,8 +51,8 @@ class BudgetedOutcome:
 
 
 def build_budgeted_model(
-    costs: list[ColumnCosts],
-    cap_tables: list[tuple[float, ...]],
+    costs: TileCosts,
+    cap_ff: np.ndarray,
     budget: int,
     net_budgets_ff: dict[str, float],
 ) -> tuple[CompiledModel, np.ndarray]:
@@ -66,18 +66,19 @@ def build_budgeted_model(
     """
     model, m_at = build_ilp2_model(costs, budget)
     rows: dict[str, np.ndarray] = {}
-    for k, (cc, caps) in enumerate(zip(costs, cap_tables, strict=True)):
-        cap = cc.capacity
-        if cap == 0 or not cc.column.has_impact or not any(caps[1 : cap + 1]):
+    at = costs.offsets()
+    for k, (column, cap) in enumerate(zip(costs.columns, costs.capacities.tolist(), strict=True)):
+        entries = cap_ff[at[k] + 1 : at[k] + cap + 1]
+        if cap == 0 or not column.has_impact or not entries.any():
             continue
         selectors = slice(int(m_at[k]) + 2, int(m_at[k]) + cap + 2)
-        for neighbor in (cc.column.below, cc.column.above):
+        for neighbor in (column.below, column.above):
             if neighbor is None or neighbor.net not in net_budgets_ff:
                 continue
             row = rows.get(neighbor.net)
             if row is None:
                 row = rows[neighbor.net] = np.zeros(model.c.size)
-            row[selectors] += caps[1 : cap + 1]  # a zero ΔC leaves +0.0
+            row[selectors] += entries  # a zero ΔC leaves +0.0
     if rows:
         model.a_ub = np.array(list(rows.values()))
         # Moving B_net across the sense and back turns a ±0.0 into -0.0.
@@ -86,8 +87,8 @@ def build_budgeted_model(
 
 
 def solve_tile_budgeted_ilp(
-    costs: list[ColumnCosts],
-    cap_tables: list[tuple[float, ...]],
+    costs: TileCosts,
+    cap_ff: np.ndarray,
     budget: int,
     net_budgets_ff: dict[str, float],
     backend: str = "auto",
@@ -96,9 +97,10 @@ def solve_tile_budgeted_ilp(
     """Exact per-tile solve with per-net capacitance budgets.
 
     Args:
-        costs: per-column cost tables (exact delay model).
-        cap_tables: per-column ΔC(n) in fF (parallel to ``costs``) — the
-            raw capacitance each count adds to *each* adjacent net.
+        costs: the tile's cost tables (exact delay model).
+        cap_ff: ΔC(n) in fF per entry of ``costs.exact``
+            (:func:`delta_cap_ff`) — the raw capacitance each count adds
+            to *each* adjacent net.
         budget: features to place in this tile.
         net_budgets_ff: remaining capacitance budget per net name; nets
             absent from the mapping are unconstrained.
@@ -109,18 +111,17 @@ def solve_tile_budgeted_ilp(
     """
     if budget == 0:
         return BudgetedOutcome(TileSolution(counts=[0] * len(costs)), {}, True)
-    capacity = sum(c.capacity for c in costs)
-    if budget > capacity:
-        raise FillError(f"budget {budget} exceeds tile capacity {capacity}")
+    if budget > costs.capacity:
+        raise FillError(f"budget {budget} exceeds tile capacity {costs.capacity}")
 
-    model, m_at = build_budgeted_model(costs, cap_tables, budget, net_budgets_ff)
+    model, m_at = build_budgeted_model(costs, cap_ff, budget, net_budgets_ff)
     result = solve(model, backend=backend, time_limit=time_limit)
     if not result.status.is_optimal or result.x is None:
         # Includes TIME_LIMIT: the caller already has a budgeted-greedy
         # fallback for infeasible outcomes, which covers timeouts too.
         return BudgetedOutcome(TileSolution(counts=[0] * len(costs)), {}, False)
     counts = result.x[m_at].astype(int).tolist()
-    used = _cap_used(costs, cap_tables, counts)
+    used = _cap_used(costs, cap_ff.tolist(), counts)
     solution = TileSolution(
         counts=counts,
         model_objective_ps=result.objective,
@@ -131,8 +132,8 @@ def solve_tile_budgeted_ilp(
 
 
 def solve_tile_budgeted_greedy(
-    costs: list[ColumnCosts],
-    cap_tables: list[tuple[float, ...]],
+    costs: TileCosts,
+    cap_ff: np.ndarray,
     budget: int,
     net_budgets_ff: dict[str, float],
 ) -> BudgetedOutcome:
@@ -143,14 +144,16 @@ def solve_tile_budgeted_greedy(
     return fewer than ``budget`` features when the budgets bind —
     ``feasible`` reflects whether the full count was placed.
     """
+    exact, caps, at = costs.exact.tolist(), cap_ff.tolist(), costs.offsets()
+    capacities = costs.capacities.tolist()
     remaining = dict(net_budgets_ff)
     counts = [0] * len(costs)
     spent = 0.0
 
     heap: list[tuple[float, int]] = []
-    for k, cc in enumerate(costs):
-        if cc.capacity > 0:
-            heapq.heappush(heap, (cc.exact[1] - cc.exact[0], k))
+    for k, cap in enumerate(capacities):
+        if cap > 0:
+            heapq.heappush(heap, (exact[at[k] + 1] - exact[at[k]], k))
 
     placed = 0
     frozen: set[int] = set()
@@ -158,43 +161,38 @@ def solve_tile_budgeted_greedy(
         marginal, k = heapq.heappop(heap)
         if k in frozen:
             continue
-        cc, caps = costs[k], cap_tables[k]
-        nxt = counts[k] + 1
-        delta_cap = caps[nxt] - caps[counts[k]]
+        column, n = costs.columns[k], at[k] + counts[k]
+        delta_cap = caps[n + 1] - caps[n]
         nets = []
-        if cc.column.has_impact:
+        if column.has_impact:
             nets = [
-                n.net for n in (cc.column.below, cc.column.above)
-                if n is not None and n.net in remaining
+                nb.net for nb in (column.below, column.above)
+                if nb is not None and nb.net in remaining
             ]
-        if any(remaining[n] < delta_cap - 1e-15 for n in nets):
+        if any(remaining[net] < delta_cap - 1e-15 for net in nets):
             frozen.add(k)
             continue
-        counts[k] = nxt
-        for n in nets:
-            remaining[n] -= delta_cap
+        counts[k] += 1
+        for net in nets:
+            remaining[net] -= delta_cap
         spent += marginal
         placed += 1
-        if nxt < len(cc.exact) - 1:
-            heapq.heappush(heap, (cc.exact[nxt + 1] - cc.exact[nxt], k))
+        if counts[k] < capacities[k]:
+            heapq.heappush(heap, (exact[n + 2] - exact[n + 1], k))
 
-    used = _cap_used(costs, cap_tables, counts)
+    used = _cap_used(costs, caps, counts)
     solution = TileSolution(counts=counts, model_objective_ps=spent)
     return BudgetedOutcome(solution, used, placed == budget)
 
 
-def _cap_used(
-    costs: list[ColumnCosts],
-    cap_tables: list[tuple[float, ...]],
-    counts: list[int],
-) -> dict[str, float]:
+def _cap_used(costs: TileCosts, caps: list[float], counts: list[int]) -> dict[str, float]:
     used: dict[str, float] = defaultdict(float)
-    for cc, caps, n in zip(costs, cap_tables, counts, strict=True):
-        if n == 0 or not cc.column.has_impact:
+    for column, at, n in zip(costs.columns, costs.offsets()[:-1], counts, strict=True):
+        if n == 0 or not column.has_impact:
             continue
-        for neighbor in (cc.column.below, cc.column.above):
+        for neighbor in (column.below, column.above):
             if neighbor is not None:
-                used[neighbor.net] += caps[n]
+                used[neighbor.net] += caps[at + n]
     return dict(used)
 
 
@@ -226,20 +224,20 @@ def derive_net_cap_budgets(
     return budgets
 
 
-def build_cap_tables(costs: list[ColumnCosts], weighted: bool) -> list[tuple[float, ...]]:
-    """Recover raw ΔC(n) (fF) per column from its cost tables.
+def delta_cap_ff(costs: TileCosts, weighted: bool) -> np.ndarray:
+    """Raw ΔC(n) (fF) per entry of ``costs.exact``.
 
     ``exact[n] = r̂ · ΔC(n) · OHM_FF_TO_PS`` with ``r̂ =
     resistance_weight(weighted)``, the flag the tables were built with;
-    dividing it back out yields the capacitance each adjacent net
-    receives. Columns without impact (or with ``r̂ = 0``) get all-zero
-    tables.
+    one division of each column's entries by its ``r̂ · OHM_FF_TO_PS``
+    yields the capacitance each adjacent net receives. Columns without
+    impact (or with ``r̂ = 0``) get all-zero entries.
     """
-    out: list[tuple[float, ...]] = []
-    for cc in costs:
-        divisor = cc.column.resistance_weight(weighted) * OHM_FF_TO_PS
-        if not cc.column.has_impact or divisor <= 0:
-            out.append(tuple(0.0 for _ in range(cc.capacity + 1)))
-            continue
-        out.append(tuple(v / divisor for v in cc.exact))
+    divisors = [
+        c.resistance_weight(weighted) * OHM_FF_TO_PS if c.has_impact else 0.0
+        for c in costs.columns
+    ]
+    divisor = np.repeat(np.array(divisors, dtype=np.float64), costs.capacities + 1)
+    out = np.zeros_like(costs.exact)
+    np.divide(costs.exact, divisor, out=out, where=divisor > 0)
     return out

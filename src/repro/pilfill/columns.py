@@ -66,11 +66,11 @@ class ColumnNeighbor:
 class ElectricalColumn:
     """Electrical view of one slack column, without layout geometry.
 
-    The part of a :class:`SlackColumn` the per-tile solvers read (gap,
-    neighbors, r̂); it rides inside every
-    :class:`~repro.pilfill.costs.ColumnCosts`, in-process and across the
-    pool boundary alike. Site rectangles stay on the :class:`SlackColumn`
-    in the parent, which places the solved counts itself.
+    The part of a :class:`SlackColumn` (its subclass) the per-tile
+    solvers read: gap, neighbors, r̂. A pool payload's
+    :class:`~repro.pilfill.costs.TileCosts` carries these instead of the
+    :class:`SlackColumn` objects, whose site rectangles stay in the
+    parent, which places the solved counts itself.
     """
 
     gap_um: float | None
@@ -162,10 +162,14 @@ class ColumnSites(Sequence[Rect]):
 
 
 @dataclass(frozen=True)
-class SlackColumn:
+class SlackColumn(ElectricalColumn):
     """A stack of legal fill sites in one gap, clipped to one tile.
 
     Attributes:
+        gap_um: edge-to-edge distance between the two neighbor lines (µm),
+            or None when fewer than two line neighbors exist.
+        below: neighbor on the low-coordinate side (None = boundary).
+        above: neighbor on the high-coordinate side (None = boundary).
         layer: routing layer.
         tile: owning tile key ``(ix, iy)``.
         col: global site-grid column index along the routing direction.
@@ -173,34 +177,17 @@ class SlackColumn:
             guaranteed — ordered by increasing cross coordinate. The
             gridder stores them as :class:`ColumnSites` rows, which build
             each rect when it is read.
-        gap_um: edge-to-edge distance between the two neighbor lines (µm),
-            or None when fewer than two line neighbors exist.
-        below: neighbor on the low-coordinate side (None = boundary).
-        above: neighbor on the high-coordinate side (None = boundary).
     """
 
     layer: str
     tile: tuple[int, int]
     col: int
     sites: Sequence[Rect]
-    gap_um: float | None
-    below: ColumnNeighbor | None
-    above: ColumnNeighbor | None
 
     @property
     def capacity(self) -> int:
         """Number of fill features the column can take in this tile."""
         return len(self.sites)
-
-    @property
-    def electrical(self) -> ElectricalColumn:
-        """The geometry-free view the cost tables carry."""
-        return ElectricalColumn(self.gap_um, self.below, self.above)
-
-    @property
-    def has_impact(self) -> bool:
-        """See :attr:`ElectricalColumn.has_impact`."""
-        return self.electrical.has_impact
 
     @property
     def gap_key(self) -> tuple:
@@ -211,10 +198,6 @@ class SlackColumn:
         below = self.below.identity if self.below else None
         above = self.above.identity if self.above else None
         return (self.layer, self.col, below, above)
-
-    def resistance_weight(self, weighted: bool) -> float:
-        """See :meth:`ElectricalColumn.resistance_weight`."""
-        return self.electrical.resistance_weight(weighted)
 
     def delay_ps(self, cap_ff: float, weighted: bool) -> float:
         """Delay impact (ps) of attaching ``cap_ff`` in this column."""

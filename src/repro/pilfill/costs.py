@@ -17,18 +17,17 @@ impactful column's table (in tile-then-column order, so the first spec of
 each quantized key builds its table), the distinct tables are
 concatenated, and ``np.repeat`` index arithmetic writes every entry of
 every column into two flat float64 arrays. Each tile gets a
-:class:`TileCostView` over its slice; :class:`ColumnCosts` are built from
-a slice only when a solver asks for them. The result is bit-identical to
+:class:`TileCosts` over its slices, which every solver, the solution
+cache and the pool payloads read as they are. The result is bit-identical to
 the scalar oracle in ``tests/costs_oracle.py``, which the property tests
 pin the batched pass against.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
-from typing import overload
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -42,90 +41,55 @@ from repro.tech.rules import FillRules
 TileKey = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ColumnCosts:
-    """Cost tables of one column — the only per-column solve input.
+@dataclass(eq=False, slots=True)
+class TileCosts:
+    """One tile's cost tables — the only per-tile solve input.
 
-    ``exact[n]`` and ``linear[n]`` are delay impacts in ps for ``n``
-    features; both have length ``capacity + 1`` with entry 0 equal to 0.
-    ``column`` is the geometry-free :class:`ElectricalColumn`, so the
-    same object serves in-process solves and pool payloads; site rects
-    stay on the prepared instance's :class:`SlackColumn` list at the same
-    index.
+    ``columns`` are the tile's slack columns: the prepared
+    :class:`SlackColumn` objects in the parent, or the geometry-free
+    :class:`ElectricalColumn` copies a pool payload carries
+    (:meth:`electrical`). ``capacities`` holds each column's site count
+    (int64); ``exact`` and ``linear`` hold every column's ``capacity + 1``
+    delay impacts (ps, entry 0 equal to 0) back to back in column order,
+    so column ``k``'s table is ``exact[offsets()[k] : offsets()[k + 1]]``.
+    In the parent the three arrays are slices of the arrays
+    :func:`build_cost_views` fills; pickling copies just the slice.
+    ``len()`` is the column count. Every cost pass builds one per tile, so
+    the class is slotted rather than frozen (a third of the construction
+    time); nothing writes a field after construction.
     """
 
-    column: ElectricalColumn
-    exact: tuple[float, ...]
-    linear: tuple[float, ...]
+    columns: tuple[ElectricalColumn, ...]
+    capacities: np.ndarray
+    exact: np.ndarray
+    linear: np.ndarray
 
-    @property
-    def capacity(self) -> int:
-        return len(self.exact) - 1
-
-
-#: What every per-tile solver takes: one cost table per slack column.
-TileCosts = Sequence[ColumnCosts]
-
-
-class TileCostView(Sequence[ColumnCosts]):
-    """One tile's cost tables, as slices of the batched arrays.
-
-    ``columns`` are the tile's slack columns, ``capacities`` their site
-    counts (int64), and ``exact`` / ``linear`` every column's ``capacity +
-    1`` entries back to back, in column order. The engine reads the
-    tile's total capacity and its cache digest straight from these; the
-    per-column :class:`ColumnCosts` a solver takes are built on first
-    indexing or iteration, and kept.
-    """
-
-    __slots__ = ("columns", "capacities", "exact", "linear", "_costs")
-
-    def __init__(
-        self,
-        columns: Sequence[SlackColumn],
-        capacities: np.ndarray,
-        exact: np.ndarray,
-        linear: np.ndarray,
-    ):
-        self.columns = columns
-        self.capacities = capacities
-        self.exact = exact
-        self.linear = linear
-        self._costs: list[ColumnCosts] | None = None
+    def __len__(self) -> int:
+        return len(self.columns)
 
     @property
     def capacity(self) -> int:
         """Total sites over the tile's columns."""
         return len(self.exact) - len(self.columns)
 
-    def _column_costs(self) -> list[ColumnCosts]:
-        if self._costs is None:
-            exact, linear = self.exact.tolist(), self.linear.tolist()
-            costs: list[ColumnCosts] = []
-            start = 0
-            for col, cap in zip(self.columns, self.capacities.tolist(), strict=True):
-                end = start + cap + 1
-                costs.append(
-                    ColumnCosts(col.electrical, tuple(exact[start:end]), tuple(linear[start:end]))
-                )
-                start = end
-            self._costs = costs
-        return self._costs
+    def offsets(self) -> list[int]:
+        """Where each column's entry 0 sits in ``exact`` / ``linear``,
+        then the end: ``len(self) + 1`` offsets."""
+        return list(accumulate(self.capacities.tolist(), lambda at, cap: at + cap + 1, initial=0))
 
-    def __len__(self) -> int:
-        return len(self.columns)
+    def marginals(self) -> np.ndarray:
+        """Every column's ``exact[n] - exact[n - 1]`` for ``n = 1 ..
+        capacity``, in (column, n) order."""
+        diffs = np.diff(self.exact)
+        # Drop the differences that straddle two columns.
+        keep = np.ones(diffs.size, dtype=bool)
+        keep[np.cumsum(self.capacities + 1)[:-1] - 1] = False
+        return diffs[keep]
 
-    @overload
-    def __getitem__(self, index: int) -> ColumnCosts: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> list[ColumnCosts]: ...
-
-    def __getitem__(self, index: int | slice) -> ColumnCosts | list[ColumnCosts]:
-        return self._column_costs()[index]
-
-    def __iter__(self) -> Iterator[ColumnCosts]:
-        return iter(self._column_costs())
+    def electrical(self) -> TileCosts:
+        """The same tables over geometry-free columns, for a payload."""
+        columns = tuple(ElectricalColumn(c.gap_um, c.below, c.above) for c in self.columns)
+        return TileCosts(columns, self.capacities, self.exact, self.linear)
 
 
 def build_cost_views(
@@ -135,7 +99,7 @@ def build_cost_views(
     dbu_per_micron: int,
     lut_cache: LUTCache,
     weighted: bool,
-) -> dict[TileKey, TileCostView]:
+) -> dict[TileKey, TileCosts]:
     """Cost tables for every column of ``tiles``, in one array pass.
 
     A column is impactful when both neighbours and its gap are present
@@ -145,8 +109,8 @@ def build_cost_views(
     is ``r̂ · table · OHM_FF_TO_PS`` over its LUT table and ``linear`` is
     ``r̂ · Eq. 6 · OHM_FF_TO_PS`` at the column's own (unquantized) gap —
     the same IEEE operations, entry by entry, as
-    ``tests/costs_oracle.py::build_costs_scalar``. Returns one view per
-    tile of ``tiles``, in its order.
+    ``tests/costs_oracle.py::build_costs_scalar``. Returns one
+    :class:`TileCosts` per tile of ``tiles``, in its order.
     """
     caps: list[int] = []
     specs: list[tuple[float, int]] = []
@@ -171,15 +135,17 @@ def build_cost_views(
     if impact:
         luts = lut_cache.get_batch(specs)
         # The distinct tables back to back; ``table_at[i]`` is where
-        # impactful column i's table starts.
-        first: dict[int, int] = {}
+        # impactful column i's table starts. A cached table is the only
+        # one with its (spacing, length).
+        first: dict[tuple[float, int], int] = {}
         tables: list[tuple[float, ...]] = []
         table_at: list[int] = []
         size = 0
         for lut in luts:
-            at = first.get(id(lut))
+            key = (lut.spacing_um, len(lut.table))
+            at = first.get(key)
             if at is None:
-                at = first[id(lut)] = size
+                at = first[key] = size
                 tables.append(lut.table)
                 size += len(lut.table)
             table_at.append(at)
@@ -201,12 +167,12 @@ def build_cost_views(
         eq6 = linear_column_cap_array(layer.eps_r, layer.thickness_um, gaps, within, fill_w_um)
         linear[dest] = r_rep * eq6 * OHM_FF_TO_PS
 
-    views: dict[TileKey, TileCostView] = {}
+    views: dict[TileKey, TileCosts] = {}
     bounds = [0, *ends.tolist()]
     c = 0
     for key, cols in tiles.items():
         n = len(cols)
         lo, hi = bounds[c], bounds[c + n]
-        views[key] = TileCostView(cols, capacities[c : c + n], exact[lo:hi], linear[lo:hi])
+        views[key] = TileCosts(tuple(cols), capacities[c : c + n], exact[lo:hi], linear[lo:hi])
         c += n
     return views

@@ -18,6 +18,7 @@ import heapq
 import numpy as np
 
 from repro.errors import FillError
+from repro.pilfill.costs import TileCosts
 
 #: Below this many total feature slots the scalar heap wins on constant
 #: factors; above it the vectorized selection dominates. Results are
@@ -25,12 +26,19 @@ from repro.errors import FillError
 _VECTOR_MIN_SLOTS = 64
 
 
-def allocate_marginal_greedy(cost_tables: list[tuple[float, ...]], budget: int) -> list[int]:
+def _check_budget(costs: TileCosts, budget: int) -> None:
+    if budget < 0:
+        raise FillError(f"budget must be non-negative, got {budget}")
+    if budget > costs.capacity:
+        raise FillError(f"budget {budget} exceeds total column capacity {costs.capacity}")
+
+
+def allocate_marginal_greedy(costs: TileCosts, budget: int) -> list[int]:
     """Optimal allocation for convex cost tables via marginal greedy.
 
-    Grants features to the globally cheapest next-feature marginals.
-    Optimal when every table's marginals are nondecreasing (convexity),
-    which holds for Eq. 5/Eq. 6 costs.
+    Grants features to the globally cheapest next-feature marginals of the
+    ``exact`` tables. Optimal when every table's marginals are
+    nondecreasing (convexity), which holds for Eq. 5/Eq. 6 costs.
 
     Large instances take a vectorized path — an
     ``np.argpartition``-based selection of the ``budget`` cheapest
@@ -41,7 +49,7 @@ def allocate_marginal_greedy(cost_tables: list[tuple[float, ...]], budget: int) 
     fall back to the scalar path, preserving its legacy behavior exactly.
 
     Args:
-        cost_tables: per column, cost of 0..C_k features (entry 0 must be 0).
+        costs: the tile's cost tables (entry 0 of each must be 0).
         budget: exact total features to allocate.
 
     Returns:
@@ -50,41 +58,23 @@ def allocate_marginal_greedy(cost_tables: list[tuple[float, ...]], budget: int) 
     Raises:
         FillError: when the budget exceeds total capacity.
     """
-    capacity = sum(len(t) - 1 for t in cost_tables)
-    if budget < 0:
-        raise FillError(f"budget must be non-negative, got {budget}")
-    if budget > capacity:
-        raise FillError(f"budget {budget} exceeds total column capacity {capacity}")
+    _check_budget(costs, budget)
     if budget == 0:
-        return [0] * len(cost_tables)
-    if budget == capacity:
-        return [len(t) - 1 for t in cost_tables]
-    if capacity < _VECTOR_MIN_SLOTS:
-        return allocate_marginal_greedy_scalar(cost_tables, budget)
+        return [0] * len(costs)
+    if budget == costs.capacity:
+        return costs.capacities.tolist()
+    if costs.capacity < _VECTOR_MIN_SLOTS:
+        return allocate_marginal_greedy_scalar(costs, budget)
 
-    # Flatten every column's marginal vector; flat order is (column,
-    # position) lexicographic, which is exactly the heap's tie order.
-    # One flat concatenation + one diff, rather than a numpy call per
-    # table — with thousands of short tables the per-array overhead
-    # would otherwise dominate.
-    lengths = np.fromiter((len(t) for t in cost_tables), dtype=np.int64, count=len(cost_tables))
-    flat = np.fromiter(
-        (v for t in cost_tables for v in t), dtype=np.float64, count=int(lengths.sum())
-    )
-    diffs = np.diff(flat)
-    # Drop the diffs that straddle a table boundary (last entry of one
-    # table to first entry of the next); what remains are the per-column
-    # marginals in (column, position) order.
-    boundary = np.cumsum(lengths)[:-1] - 1
-    keep = np.ones(diffs.size, dtype=bool)
-    keep[boundary] = False
-    marginals = diffs[keep]
-    cols = np.repeat(np.arange(len(cost_tables)), lengths - 1)
+    # Marginals in (column, position) order, which is exactly the heap's
+    # tie order.
+    marginals = costs.marginals()
+    cols = np.repeat(np.arange(len(costs)), costs.capacities)
 
     # Convexity check: within-column marginals must be nondecreasing.
     same_col = cols[1:] == cols[:-1]
     if same_col.any() and (np.diff(marginals)[same_col] < 0.0).any():
-        return allocate_marginal_greedy_scalar(cost_tables, budget)
+        return allocate_marginal_greedy_scalar(costs, budget)
 
     # The budget cheapest marginals; ties at the cut resolve in flat
     # (column, position) order, matching the heap's (marginal, k) order.
@@ -93,13 +83,11 @@ def allocate_marginal_greedy(cost_tables: list[tuple[float, ...]], budget: int) 
     below = np.flatnonzero(marginals < threshold)
     ties = np.flatnonzero(marginals == threshold)[: budget - below.size]
     chosen = np.concatenate([below, ties])
-    counts = np.bincount(cols[chosen], minlength=len(cost_tables))
+    counts = np.bincount(cols[chosen], minlength=len(costs))
     return [int(c) for c in counts]
 
 
-def allocate_marginal_greedy_scalar(
-    cost_tables: list[tuple[float, ...]], budget: int
-) -> list[int]:
+def allocate_marginal_greedy_scalar(costs: TileCosts, budget: int) -> list[int]:
     """Scalar heap reference for :func:`allocate_marginal_greedy`.
 
     Repeatedly grants one more feature to the column with the cheapest
@@ -107,43 +95,36 @@ def allocate_marginal_greedy_scalar(
     the verification oracle the property tests pin the vectorized path
     against, and as the fallback for tiny or non-convex instances.
     """
-    capacity = sum(len(t) - 1 for t in cost_tables)
-    if budget < 0:
-        raise FillError(f"budget must be non-negative, got {budget}")
-    if budget > capacity:
-        raise FillError(f"budget {budget} exceeds total column capacity {capacity}")
-
-    counts = [0] * len(cost_tables)
+    _check_budget(costs, budget)
+    exact, at = costs.exact.tolist(), costs.offsets()
+    caps = costs.capacities.tolist()
+    counts = [0] * len(caps)
     heap: list[tuple[float, int]] = []
-    for k, table in enumerate(cost_tables):
-        if len(table) > 1:
-            heapq.heappush(heap, (table[1] - table[0], k))
+    for k, cap in enumerate(caps):
+        if cap > 0:
+            heapq.heappush(heap, (exact[at[k] + 1] - exact[at[k]], k))
     for _ in range(budget):
         marginal, k = heapq.heappop(heap)
         counts[k] += 1
-        table = cost_tables[k]
-        nxt = counts[k] + 1
-        if nxt < len(table):
-            heapq.heappush(heap, (table[nxt] - table[counts[k]], k))
+        if counts[k] < caps[k]:
+            n = at[k] + counts[k]
+            heapq.heappush(heap, (exact[n + 1] - exact[n], k))
     return counts
 
 
-def allocate_dp(cost_tables: list[tuple[float, ...]], budget: int) -> list[int]:
+def allocate_dp(costs: TileCosts, budget: int) -> list[int]:
     """Exact allocation by dynamic programming (no convexity assumption).
 
     O(K · F · C_max) time — intended for verification and modest tiles.
     """
-    capacity = sum(len(t) - 1 for t in cost_tables)
-    if budget < 0:
-        raise FillError(f"budget must be non-negative, got {budget}")
-    if budget > capacity:
-        raise FillError(f"budget {budget} exceeds total column capacity {capacity}")
-
+    _check_budget(costs, budget)
+    exact, at = costs.exact.tolist(), costs.offsets()
     inf = float("inf")
     # best[f] = minimal cost to allocate f features among processed columns.
     best = [0.0] + [inf] * budget
     choice: list[list[int]] = []
-    for table in cost_tables:
+    for start, end in zip(at[:-1], at[1:], strict=True):
+        table = exact[start:end]
         cmax = len(table) - 1
         new = [inf] * (budget + 1)
         pick = [0] * (budget + 1)
@@ -156,9 +137,9 @@ def allocate_dp(cost_tables: list[tuple[float, ...]], budget: int) -> list[int]:
         best = new
         choice.append(pick)
 
-    counts = [0] * len(cost_tables)
+    counts = [0] * len(costs)
     f = budget
-    for k in range(len(cost_tables) - 1, -1, -1):
+    for k in range(len(costs) - 1, -1, -1):
         n = choice[k][f]
         counts[k] = n
         f -= n
@@ -166,13 +147,15 @@ def allocate_dp(cost_tables: list[tuple[float, ...]], budget: int) -> list[int]:
     return counts
 
 
-def allocation_cost(cost_tables: list[tuple[float, ...]], counts: list[int]) -> float:
-    """Objective value of an allocation."""
-    if len(counts) != len(cost_tables):
-        raise FillError("counts/cost_tables length mismatch")
+def allocation_cost(costs: TileCosts, counts: list[int]) -> float:
+    """Objective value of an allocation: the ``exact`` entries of
+    ``counts``, summed as Python floats in column order."""
+    if len(counts) != len(costs):
+        raise FillError("counts/cost tables length mismatch")
+    exact = costs.exact.tolist()
     total = 0.0
-    for table, n in zip(cost_tables, counts, strict=True):
-        if not 0 <= n < len(table):
-            raise FillError(f"count {n} outside table range 0..{len(table) - 1}")
-        total += table[n]
+    for at, cap, n in zip(costs.offsets()[:-1], costs.capacities.tolist(), counts, strict=True):
+        if not 0 <= n <= cap:
+            raise FillError(f"count {n} outside table range 0..{cap}")
+        total += exact[at + n]
     return total

@@ -47,7 +47,7 @@ from repro.obs.metrics import NULL_METRICS, MetricsLike
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import NULL_TRACER, TracerLike
 from repro.pilfill.budgeted import (
-    build_cap_tables,
+    delta_cap_ff,
     solve_tile_budgeted_greedy,
     solve_tile_budgeted_ilp,
 )
@@ -590,7 +590,7 @@ class PILFillEngine:
                 weighted=cfg.weighted,
                 ilp_backend=cfg.backend,
                 seed=cfg.seed,
-                columns=tuple(costs_by_tile[key]),
+                costs=costs_by_tile[key].electrical(),
                 delay_budget_ps=None if delay_budgets is None else delay_budgets[key],
                 tile_deadline_s=cfg.tile_deadline_s,
                 run_deadline=run_deadline,
@@ -779,17 +779,17 @@ class PILFillEngine:
             time_limit = effective_time_limit(self.config.tile_deadline_s, run_deadline)
         except SolveTimeoutError as exc:
             return TileOutcome(key=key, value=None, seconds=0.0, error=f"TIME_LIMIT: {exc}")
-        cap_tables = build_cap_tables(costs, self.config.weighted)
+        cap_ff = delta_cap_ff(costs, self.config.weighted)
         report = SolveReport(key=key, requested_method=method, used_method=method)
         if method == "budgeted_ilp":
             outcome = solve_tile_budgeted_ilp(
-                costs, cap_tables, effective, remaining,
+                costs, cap_ff, effective, remaining,
                 backend=self.config.backend, time_limit=time_limit,
             )
             if not outcome.feasible:
                 # Fall back to the largest feasible count via greedy
                 # (covers infeasible budgets and ILP timeouts alike).
-                outcome = solve_tile_budgeted_greedy(costs, cap_tables, effective, remaining)
+                outcome = solve_tile_budgeted_greedy(costs, cap_ff, effective, remaining)
                 report = SolveReport(
                     key=key,
                     requested_method=method,
@@ -797,7 +797,7 @@ class PILFillEngine:
                     errors=("budgeted_ilp: not feasible within budgets/deadline",),
                 )
         else:
-            outcome = solve_tile_budgeted_greedy(costs, cap_tables, effective, remaining)
+            outcome = solve_tile_budgeted_greedy(costs, cap_ff, effective, remaining)
         for net, used in outcome.cap_used_ff.items():
             if net in remaining:
                 remaining[net] -= used

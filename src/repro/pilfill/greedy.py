@@ -16,43 +16,40 @@ ILP-II; it is provided as an extension/ablation beyond the paper.
 from __future__ import annotations
 
 from repro.errors import FillError
-from repro.pilfill.costs import ColumnCosts
+from repro.pilfill.costs import TileCosts
 from repro.pilfill.dp import allocate_marginal_greedy, allocation_cost
 from repro.pilfill.solution import TileSolution
 
 
-def solve_tile_greedy(costs: list[ColumnCosts], budget: int) -> TileSolution:
+def solve_tile_greedy(costs: TileCosts, budget: int) -> TileSolution:
     """Solve one tile with the paper's Greedy algorithm (Fig. 8)."""
     if budget == 0:
         return TileSolution(counts=[0] * len(costs))
-    capacity = sum(c.capacity for c in costs)
-    if budget > capacity:
-        raise FillError(f"budget {budget} exceeds tile capacity {capacity}")
+    if budget > costs.capacity:
+        raise FillError(f"budget {budget} exceeds tile capacity {costs.capacity}")
 
     # Fig. 8 line 13: sort by whole-column delay r̂_k · Cap(C_k); our cost
-    # tables already fold r̂ in, so the score is exact[C_k]. Ties resolve
-    # by column index for determinism.
-    order = sorted(
-        range(len(costs)),
-        key=lambda k: (costs[k].exact[costs[k].capacity], k),
-    )
+    # tables already fold r̂ in, so the score is the column's last exact
+    # entry. Ties resolve by column index for determinism.
+    exact = costs.exact.tolist()
+    whole = [exact[end - 1] for end in costs.offsets()[1:]]
+    order = sorted(range(len(costs)), key=lambda k: (whole[k], k))
+    caps = costs.capacities.tolist()
     counts = [0] * len(costs)
     remaining = budget
     for k in order:
         if remaining == 0:
             break
-        take = min(remaining, costs[k].capacity)
+        take = min(remaining, caps[k])
         counts[k] = take
         remaining -= take
-    objective = allocation_cost([c.exact for c in costs], counts)
-    return TileSolution(counts=counts, model_objective_ps=objective)
+    return TileSolution(counts=counts, model_objective_ps=allocation_cost(costs, counts))
 
 
-def solve_tile_greedy_marginal(costs: list[ColumnCosts], budget: int) -> TileSolution:
+def solve_tile_greedy_marginal(costs: TileCosts, budget: int) -> TileSolution:
     """Extension: marginal-cost greedy (optimal for the convex exact
     model). Not in the paper; used for the ablation benchmarks."""
     if budget == 0:
         return TileSolution(counts=[0] * len(costs))
-    tables = [c.exact for c in costs]
-    counts = allocate_marginal_greedy(tables, budget)
-    return TileSolution(counts=counts, model_objective_ps=allocation_cost(tables, counts))
+    counts = allocate_marginal_greedy(costs, budget)
+    return TileSolution(counts=counts, model_objective_ps=allocation_cost(costs, counts))

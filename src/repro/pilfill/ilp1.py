@@ -20,12 +20,12 @@ from repro.errors import FillError, SolverError, SolveTimeoutError
 from repro.ilp import CompiledModel, solve
 from repro.ilp.result import SolveStatus
 from repro.obs.trace import TracerLike
-from repro.pilfill.costs import ColumnCosts
+from repro.pilfill.costs import TileCosts
 from repro.pilfill.solution import TileSolution
 
 
 def build_ilp1_model(
-    costs: list[ColumnCosts], budget: int, weighted: bool
+    costs: TileCosts, budget: int, weighted: bool
 ) -> tuple[CompiledModel, np.ndarray]:
     """One tile's ILP-I model (Eqs. 10-14) as dense arrays, and the index
     of every ``m_k``.
@@ -37,10 +37,12 @@ def build_ilp1_model(
     m_at: list[int] = []
     cap_at: dict[int, int] = {}  # column -> index of its Cap_k
     col_ub: list[float] = []
-    for k, cc in enumerate(costs):
+    for k, (column, capacity) in enumerate(
+        zip(costs.columns, costs.capacities.tolist(), strict=True)
+    ):
         m_at.append(len(col_ub))
-        col_ub.append(float(cc.capacity))
-        if cc.column.has_impact and cc.capacity > 0:
+        col_ub.append(float(capacity))
+        if column.has_impact and capacity > 0:
             cap_at[k] = len(col_ub)
             col_ub.append(math.inf)
 
@@ -49,7 +51,7 @@ def build_ilp1_model(
     # shares recover the per-line pieces so the model mirrors Eqs. 12-13.
     lines: dict[tuple[str, int], dict[int, float]] = {}
     for k, cap_idx in cap_at.items():
-        column = costs[k].column
+        column = costs.columns[k]
         r_hat = column.resistance_weight(weighted)
         for neighbor in (column.below, column.above):
             if neighbor is None:
@@ -65,9 +67,10 @@ def build_ilp1_model(
     # Eqs. 12 and 13 move every variable to the left side: the right side
     # is -0.0, and a coefficient is 0.0 - x so that x = 0 gives +0.0.
     b_eq = np.full(a_eq.shape[0], -0.0)
+    linear, at = costs.linear.tolist(), costs.offsets()
     for row, (k, cap_idx) in enumerate(cap_at.items()):
         a_eq[row, cap_idx] = 1.0  # Eq. 12: Cap_k - (ps per feature)·m_k = 0
-        a_eq[row, m_at[k]] = 0.0 - costs[k].linear[1]
+        a_eq[row, m_at[k]] = 0.0 - linear[at[k] + 1]
     for j, terms in enumerate(lines.values()):
         row = len(cap_at) + j
         a_eq[row, n_cols + j] = 1.0  # Eq. 13: Δτ_l - Σ share·Cap_k = 0
@@ -97,7 +100,7 @@ def build_ilp1_model(
 
 
 def solve_tile_ilp1(
-    costs: list[ColumnCosts],
+    costs: TileCosts,
     budget: int,
     weighted: bool,
     backend: str = "auto",
@@ -107,7 +110,7 @@ def solve_tile_ilp1(
     """Solve one tile with the ILP-I formulation.
 
     Args:
-        costs: per-column cost tables (the ``linear`` tables are used).
+        costs: the tile's cost tables (the ``linear`` tables are used).
         budget: features to place in this tile (Eq. 11's ``F``).
         weighted: True for the sink-weighted objective (weights are already
             folded into the cost tables; the flag is kept for symmetry and
@@ -118,9 +121,8 @@ def solve_tile_ilp1(
     """
     if budget == 0:
         return TileSolution(counts=[0] * len(costs))
-    capacity = sum(c.capacity for c in costs)
-    if budget > capacity:
-        raise FillError(f"budget {budget} exceeds tile capacity {capacity}")
+    if budget > costs.capacity:
+        raise FillError(f"budget {budget} exceeds tile capacity {costs.capacity}")
 
     model, m_at = build_ilp1_model(costs, budget, weighted)
     result = solve(model, backend=backend, time_limit=time_limit, tracer=tracer)

@@ -27,13 +27,11 @@ from repro.errors import FillError, SolverError, SolveTimeoutError
 from repro.ilp import CompiledModel, solve
 from repro.ilp.result import SolveStatus
 from repro.obs.trace import TracerLike
-from repro.pilfill.costs import ColumnCosts
+from repro.pilfill.costs import TileCosts
 from repro.pilfill.solution import TileSolution
 
 
-def build_ilp2_model(
-    costs: list[ColumnCosts], budget: int
-) -> tuple[CompiledModel, np.ndarray]:
+def build_ilp2_model(costs: TileCosts, budget: int) -> tuple[CompiledModel, np.ndarray]:
     """One tile's one-hot selector model (Eqs. 17-21) as dense arrays, and
     the index of every ``m_k``.
 
@@ -41,8 +39,7 @@ def build_ilp2_model(
     if it has sites. Rows: Eqs. 19 and 18 per such column, the budget. No
     inequality rows: the budgeted model appends its own.
     """
-    tables = [cc.exact for cc in costs]
-    sizes = [len(t) for t in tables]  # capacity + 1 per column
+    sizes = (costs.capacities + 1).tolist()  # capacity + 1 per column
     width = [s + 1 if s > 1 else 1 for s in sizes]  # m_k and its selectors
     starts = list(itertools.accumulate(width, initial=0))
     n = starts.pop()
@@ -60,15 +57,14 @@ def build_ilp2_model(
     a_eq = np.zeros((2 * len(open_m) + 1, n))
     b_eq = np.empty(len(a_eq))
     ub = np.ones(n)
-    ub[m_at] = np.subtract(sizes, 1)
+    ub[m_at] = costs.capacities
     a_eq[row19, var] = 1.0  # Eq. 19: one selector is on
     a_eq[np.arange(1, 2 * len(open_m), 2), open_m] = 1.0  # Eq. 18: m_k - Σ j·s_{k,j} = 0
     a_eq[row19 + 1, var] = -j  # s_{k,0} gets -0, which is +0.0
     # Eq. 20 folded with Eq. 21; adding to +0.0 keeps a -0.0 entry out of
-    # the objective, as a zero cost term is.
-    exact = np.fromiter(
-        itertools.chain.from_iterable(t for t in tables if len(t) > 1), np.float64, j.size
-    )
+    # the objective, as a zero cost term is. A column without sites has
+    # no selectors, so its lone 0.0 entry is skipped.
+    exact = costs.exact[np.repeat(costs.capacities > 0, costs.capacities + 1)]
     on = j > 0
     c[var[on]] = np.add(0.0, exact[on])
     b_eq[0:-1:2] = 1.0
@@ -91,7 +87,7 @@ def build_ilp2_model(
 
 
 def solve_tile_ilp2(
-    costs: list[ColumnCosts],
+    costs: TileCosts,
     budget: int,
     backend: str = "auto",
     time_limit: float | None = None,
@@ -100,7 +96,7 @@ def solve_tile_ilp2(
     """Solve one tile with the ILP-II (lookup table) formulation.
 
     Args:
-        costs: per-column cost tables (the ``exact`` tables are used; the
+        costs: the tile's cost tables (the ``exact`` tables are used; the
             sink weights and upstream resistances are already folded in, so
             ``exact[n]`` is the Eq. 21 objective contribution directly).
         budget: features to place in this tile.
@@ -110,9 +106,8 @@ def solve_tile_ilp2(
     """
     if budget == 0:
         return TileSolution(counts=[0] * len(costs))
-    capacity = sum(c.capacity for c in costs)
-    if budget > capacity:
-        raise FillError(f"budget {budget} exceeds tile capacity {capacity}")
+    if budget > costs.capacity:
+        raise FillError(f"budget {budget} exceeds tile capacity {costs.capacity}")
 
     model, m_at = build_ilp2_model(costs, budget)
     result = solve(model, backend=backend, time_limit=time_limit, tracer=tracer)

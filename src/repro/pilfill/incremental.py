@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Mapping
 from repro.geometry.rect import Rect
 from repro.geometry.spatial import GridBinIndex
 from repro.pilfill.columns import ColumnNeighbor
-from repro.pilfill.costs import TileCostView
+from repro.pilfill.costs import TileCosts
 from repro.pilfill.robust import SolveReport
 from repro.pilfill.solution import TileSolution
 from repro.pilfill.store import STORE_VERSION, CachedEntry, SolutionStore, copy_solution
@@ -122,14 +122,14 @@ def run_context_digest(
 def tile_digest(
     context_digest: str,
     key: TileKey,
-    costs: TileCostView,
+    costs: TileCosts,
     budget: int,
 ) -> str:
     """Digest of one tile's full solve input.
 
     Covers the tile key (RNG stream + fault matching are keyed on it),
     the effective budget, the column count, the packed bytes of the
-    view's capacities and exact/linear cost tables, and — per column —
+    tile's capacities and exact/linear cost-table slices, and — per column —
     the gap class and both timing neighbors: everything a solver reads.
     Site rects and the site-grid column index are deliberately out: no
     solver reads them, a cached solution holds only per-column counts

@@ -7,9 +7,10 @@ state is what lets the process-pool backend ship a compact picklable
 payload to a worker and get back the exact solution the in-process path
 would have produced.
 
-Solvers take a list of :class:`~repro.pilfill.costs.ColumnCosts` — the
-same objects in-process, in pool workers (carried inline in each
-:class:`~repro.pilfill.parallel.TilePayload`) and in parent-side retries.
+Solvers take the tile's :class:`~repro.pilfill.costs.TileCosts` — its
+slices of the batched cost arrays, the same in-process, in pool workers
+(carried inline in each :class:`~repro.pilfill.parallel.TilePayload`) and
+in parent-side retries.
 """
 
 from __future__ import annotations
@@ -34,17 +35,16 @@ def solve_tile_normal(costs: TileCosts, budget: int, rng: random.Random) -> Tile
     control quality is identical — paper Section 6). The sampled site
     indices are recorded so the placement uses the exact sites that were
     drawn, not a column-prefix approximation of them."""
-    slots = [(k, s) for k, cc in enumerate(costs) for s in range(cc.capacity)]
+    slots = [(k, s) for k, cap in enumerate(costs.capacities.tolist()) for s in range(cap)]
     chosen = rng.sample(slots, budget)
     counts = [0] * len(costs)
-    picked: list[list[int]] = [[] for _ in costs]
+    picked: list[list[int]] = [[] for _ in range(len(costs))]
     for k, s in chosen:
         counts[k] += 1
         picked[k].append(s)
-    tables = [c.exact for c in costs]
     return TileSolution(
         counts=counts,
-        model_objective_ps=allocation_cost(tables, counts),
+        model_objective_ps=allocation_cost(costs, counts),
         site_indices=tuple(tuple(sorted(p)) for p in picked),
     )
 
@@ -86,9 +86,8 @@ def solve_tile_method(
     if method == "greedy_marginal":
         return solve_tile_greedy_marginal(costs, budget)
     if method == "dp":
-        tables = [c.exact for c in costs]
-        counts = allocate_dp(tables, budget)
-        return TileSolution(counts=counts, model_objective_ps=allocation_cost(tables, counts))
+        counts = allocate_dp(costs, budget)
+        return TileSolution(counts=counts, model_objective_ps=allocation_cost(costs, counts))
     if method == "normal":
         return solve_tile_normal(costs, budget, rng())
     if method == "mvdc":
@@ -107,11 +106,13 @@ def trim_to(costs: TileCosts, solution: TileSolution, want: int) -> TileSolution
     remain (marginals are convex, so trimming from the top is optimal)."""
     counts = list(solution.counts)
     spent = solution.model_objective_ps
+    exact, at = costs.exact.tolist(), costs.offsets()
     while sum(counts) > want:
         worst_k, worst_marginal = -1, -1.0
-        for k, cc in enumerate(costs):
+        for k in range(len(costs)):
             if counts[k] > 0:
-                marginal = cc.exact[counts[k]] - cc.exact[counts[k] - 1]
+                n = at[k] + counts[k]
+                marginal = exact[n] - exact[n - 1]
                 if marginal > worst_marginal:
                     worst_k, worst_marginal = k, marginal
         if worst_k < 0:

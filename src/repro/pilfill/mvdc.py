@@ -29,7 +29,7 @@ def solve_tile_mvdc(costs: TileCosts, delay_budget_ps: float) -> TileSolution:
     """Maximize feature count in one tile under a delay-impact cap.
 
     Args:
-        costs: per-column cost tables (exact model).
+        costs: the tile's cost tables (exact model).
         delay_budget_ps: upper bound on the summed column delay impact, ps.
 
     Returns:
@@ -39,12 +39,14 @@ def solve_tile_mvdc(costs: TileCosts, delay_budget_ps: float) -> TileSolution:
     if delay_budget_ps < 0:
         raise FillError(f"delay budget must be non-negative, got {delay_budget_ps}")
 
+    exact, at = costs.exact.tolist(), costs.offsets()
+    caps = costs.capacities.tolist()
     counts = [0] * len(costs)
     spent = 0.0
     heap: list[tuple[float, int]] = []
-    for k, cc in enumerate(costs):
-        if cc.capacity > 0:
-            heapq.heappush(heap, (cc.exact[1] - cc.exact[0], k))
+    for k, cap in enumerate(caps):
+        if cap > 0:
+            heapq.heappush(heap, (exact[at[k] + 1] - exact[at[k]], k))
     while heap:
         marginal, k = heapq.heappop(heap)
         if spent + marginal > delay_budget_ps + 1e-15:
@@ -54,10 +56,9 @@ def solve_tile_mvdc(costs: TileCosts, delay_budget_ps: float) -> TileSolution:
             break
         counts[k] += 1
         spent += marginal
-        table = costs[k].exact
-        nxt = counts[k] + 1
-        if nxt < len(table):
-            heapq.heappush(heap, (table[nxt] - table[counts[k]], k))
+        if counts[k] < caps[k]:
+            n = at[k] + counts[k]
+            heapq.heappush(heap, (exact[n + 1] - exact[n], k))
     return TileSolution(counts=counts, model_objective_ps=spent)
 
 
@@ -81,12 +82,9 @@ def derive_tile_delay_budgets(
         if want <= 0 or not costs:
             budgets[key] = 0.0
             continue
-        # Worst case: most expensive marginals first.
-        marginals: list[float] = []
-        for cc in costs:
-            marginals.extend(
-                cc.exact[n] - cc.exact[n - 1] for n in range(1, cc.capacity + 1)
-            )
+        # Worst case: most expensive marginals first, summed as Python
+        # floats.
+        marginals = costs.marginals().tolist()
         marginals.sort(reverse=True)
         worst = sum(marginals[:want])
         budgets[key] = worst * slack_fraction

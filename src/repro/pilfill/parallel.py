@@ -15,9 +15,10 @@ outcomes keyed in submission order for a deterministic merge:
 * **Self-contained payloads.** Every tile travels as a
   :class:`TilePayload` (cost tables + budget + seed + deadlines, *not*
   layout objects) and is solved by :func:`solve_tile_payload`. Payloads
-  carry the tile's :class:`~repro.pilfill.costs.ColumnCosts` inline, so
-  a solve is a pure function of its payload and a persistent pool can
-  serve runs over different layouts back to back.
+  carry the tile's :class:`~repro.pilfill.costs.TileCosts` inline — its
+  slices of the batched arrays over geometry-free columns — so a solve
+  is a pure function of its payload and a persistent pool can serve runs
+  over different layouts back to back.
 * **One per-tile policy.** :func:`_solve_payload_isolated` is the policy
   on both sides of the process boundary. A robust payload
   (``fallback=True``) whose solve raises is retried once with the same
@@ -68,7 +69,7 @@ from repro.errors import FillError, SolveTimeoutError, WorkerDeathError
 from repro.obs.metrics import NULL_METRICS, Metrics, MetricsLike, MetricsSnapshot
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer, TracerLike
 
-from repro.pilfill.costs import ColumnCosts
+from repro.pilfill.costs import TileCosts
 from repro.pilfill.robust import SolveReport, fallback_chain, solve_tile_robust
 from repro.pilfill.solution import TileSolution
 from repro.testing.faults import FaultSpec
@@ -136,9 +137,11 @@ class TilePayload:
     """Everything a worker process needs to solve one tile.
 
     Deliberately contains no layout, engine, or dissection objects so
-    pickling stays cheap. ``columns`` holds the tile's
-    :class:`~repro.pilfill.costs.ColumnCosts` (geometry-free, so the same
-    objects serve in-process and pool solves). ``delay_budget_ps`` is
+    pickling stays cheap. ``costs`` is the tile's
+    :class:`~repro.pilfill.costs.TileCosts` over geometry-free columns
+    (:meth:`~repro.pilfill.costs.TileCosts.electrical`): pickling copies
+    only the tile's own slices of the batched arrays, and the same object
+    serves in-process and pool solves. ``delay_budget_ps`` is
     the MVDC delay budget (method ``"mvdc"``; budget then acts as the
     feature-count cap).
     """
@@ -149,7 +152,7 @@ class TilePayload:
     weighted: bool
     ilp_backend: str
     seed: int
-    columns: tuple[ColumnCosts, ...]
+    costs: TileCosts
     delay_budget_ps: float | None = None
     tile_deadline_s: float | None = None
     run_deadline: float | None = None  # absolute time.time() epoch
@@ -186,7 +189,7 @@ def solve_tile_payload(payload: TilePayload, attempt: int = 0) -> TileOutcome:
     metrics = Metrics() if payload.telemetry else None
     t0 = time.perf_counter()
     robust = solve_tile_robust(
-        list(payload.columns),
+        payload.costs,
         payload.method,
         payload.budget,
         payload.weighted,

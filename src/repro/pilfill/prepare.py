@@ -54,7 +54,7 @@ from repro.layout.net import Net
 from repro.layout.rctree import RCTree
 from repro.obs.trace import NULL_TRACER, TracerLike
 from repro.pilfill.columns import SlackColumn, SlackColumnDef
-from repro.pilfill.costs import TileCostView, build_cost_views
+from repro.pilfill.costs import TileCosts, build_cost_views
 from repro.pilfill.scanline import (
     ColumnGridder,
     IncrementalSweep,
@@ -96,7 +96,7 @@ class PreparedInstance:
     phase_seconds: dict[str, float] = field(default_factory=dict)
     lut_stats: dict[str, int] = field(default_factory=dict)
     _density: DensityMap | None = field(default=None, repr=False)
-    _costs: dict[bool, dict[TileKey, TileCostView]] = field(
+    _costs: dict[bool, dict[TileKey, TileCosts]] = field(
         default_factory=dict, repr=False
     )
     _budgets: dict[tuple, dict[TileKey, int]] = field(default_factory=dict, repr=False)
@@ -151,24 +151,24 @@ class PreparedInstance:
         weighted: bool,
         keys: Sequence[TileKey] | None = None,
         tracer: TracerLike | None = None,
-    ) -> dict[TileKey, TileCostView]:
+    ) -> dict[TileKey, TileCosts]:
         """Per-tile cost tables under the given objective weighting.
 
         One :func:`~repro.pilfill.costs.build_cost_views` pass evaluates
         every column's tables into flat arrays and returns a
-        :class:`~repro.pilfill.costs.TileCostView` per tile over its
+        :class:`~repro.pilfill.costs.TileCosts` per tile over its
         slice. With ``keys=None`` the whole grid is built once per
         ``weighted`` flag, memoized, and shared by every run; the arrays
         are never written after the pass, so any number of tile solvers
         may read them. With ``keys`` (one shard's tiles) the result is a
-        subset of the memoized views when they exist, and is otherwise
+        subset of the memoized tables when they exist, and is otherwise
         built for just those tiles and *not* cached — the sharded solve
         owns its lifetime, holding one shard's tables at a time. Both
         share one LUT cache per flag, so shard-by-shard building reuses
         interpolations exactly like the global build (caching is
         value-transparent: the tables are bit-identical either way).
-        Every tile of ``columns_by_tile`` (or of ``keys``) gets a view,
-        empty for a tile without slack columns. LUT-cache hit/miss counts
+        Every tile of ``columns_by_tile`` (or of ``keys``) gets one, empty
+        for a tile without slack columns. LUT-cache hit/miss counts
         accumulate into ``lut_stats``.
         """
         cached = self._costs.get(weighted)

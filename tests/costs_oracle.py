@@ -13,10 +13,11 @@ from __future__ import annotations
 from repro.cap.fillimpact import linear_column_cap
 from repro.cap.lut import LUTCache
 from repro.layout.rctree import OHM_FF_TO_PS
-from repro.pilfill.columns import SlackColumn
-from repro.pilfill.costs import ColumnCosts
+from repro.pilfill.columns import ElectricalColumn, SlackColumn
+from repro.pilfill.costs import TileCosts
 from repro.tech.process import ProcessLayer
 from repro.tech.rules import FillRules
+from tests.cost_tables import pack_costs
 
 
 def build_costs_scalar(
@@ -26,16 +27,21 @@ def build_costs_scalar(
     dbu_per_micron: int,
     lut_cache: LUTCache,
     weighted: bool,
-) -> list[ColumnCosts]:
-    """Cost tables for every column of a tile, one entry at a time."""
+) -> TileCosts:
+    """Cost tables for every column of a tile, one entry at a time, packed
+    over geometry-free copies of the columns."""
     fill_w_um = rules.fill_size / dbu_per_micron
-    out: list[ColumnCosts] = []
+    views: list[ElectricalColumn] = []
+    exact_tables: list[tuple[float, ...]] = []
+    linear_tables: list[tuple[float, ...]] = []
     for col in columns:
         cap = col.capacity
-        view = col.electrical
+        view = ElectricalColumn(col.gap_um, col.below, col.above)
+        views.append(view)
         if not view.has_impact:
             zero = tuple(0.0 for _ in range(cap + 1))
-            out.append(ColumnCosts(view, zero, zero))
+            exact_tables.append(zero)
+            linear_tables.append(zero)
             continue
         r_hat = view.resistance_weight(weighted)
         lut = lut_cache.get(col.gap_um, cap)
@@ -46,5 +52,6 @@ def build_costs_scalar(
             * OHM_FF_TO_PS
             for n in range(cap + 1)
         )
-        out.append(ColumnCosts(view, exact, linear))
-    return out
+        exact_tables.append(exact)
+        linear_tables.append(linear)
+    return pack_costs(exact_tables, linear_tables, views)

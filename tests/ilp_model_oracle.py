@@ -26,7 +26,9 @@ import numpy as np
 from repro import ilp
 from repro.errors import SolverError
 from repro.ilp import CompiledModel, SolveStatus
-from repro.pilfill.costs import ColumnCosts
+from repro.pilfill.columns import ElectricalColumn
+from repro.pilfill.costs import TileCosts
+from tests.cost_tables import column_tables
 
 INF = math.inf
 
@@ -365,8 +367,30 @@ def solve_scipy(model: Model, **options: object) -> NamedResult:
 # -- the per-tile models as the DSL built them --------------------------------
 
 
+@dataclass(frozen=True)
+class _Column:
+    """One column's tables, split out of a tile's flat arrays."""
+
+    column: ElectricalColumn
+    exact: tuple[float, ...]
+    linear: tuple[float, ...]
+
+    @property
+    def capacity(self) -> int:
+        return len(self.exact) - 1
+
+
+def _columns(costs: TileCosts) -> list[_Column]:
+    return [
+        _Column(column, exact, linear)
+        for column, exact, linear in zip(
+            costs.columns, column_tables(costs), column_tables(costs, costs.linear), strict=True
+        )
+    ]
+
+
 def dsl_ilp1_model(
-    costs: list[ColumnCosts], budget: int, weighted: bool
+    costs: TileCosts, budget: int, weighted: bool
 ) -> tuple[Model, list[Variable]]:
     """ILP-I (Eqs. 10-14); returns the model and the ``m_k`` variables."""
     model = Model("ilp1-tile")
@@ -375,7 +399,7 @@ def dsl_ilp1_model(
     # per-line constraints (Eq. 13).
     line_terms: dict[tuple[str, int], list] = {}
 
-    for k, cc in enumerate(costs):
+    for k, cc in enumerate(_columns(costs)):
         m_k = model.add_var(f"m_{k}", lb=0, ub=cc.capacity, kind=VarKind.INTEGER)
         m_vars.append(m_k)
         if not cc.column.has_impact or cc.capacity == 0:
@@ -410,12 +434,12 @@ def dsl_ilp1_model(
     return model, m_vars
 
 
-def dsl_ilp2_model(costs: list[ColumnCosts], budget: int) -> tuple[Model, list[Variable]]:
+def dsl_ilp2_model(costs: TileCosts, budget: int) -> tuple[Model, list[Variable]]:
     """ILP-II (Eqs. 17-21); returns the model and the ``m_k`` variables."""
     model = Model("ilp2-tile")
     m_vars = []
     objective_terms = []
-    for k, cc in enumerate(costs):
+    for k, cc in enumerate(_columns(costs)):
         m_k = model.add_var(f"m_{k}", lb=0, ub=cc.capacity, kind=VarKind.INTEGER)
         m_vars.append(m_k)
         if cc.capacity == 0:
@@ -441,18 +465,20 @@ def dsl_ilp2_model(costs: list[ColumnCosts], budget: int) -> tuple[Model, list[V
 
 
 def dsl_budgeted_model(
-    costs: list[ColumnCosts],
-    cap_tables: list[tuple[float, ...]],
+    costs: TileCosts,
+    cap_ff: np.ndarray,
     budget: int,
     net_budgets_ff: dict[str, float],
 ) -> tuple[Model, list[Variable]]:
-    """ILP-II plus one ``<=`` row per budgeted net; returns the model and
-    the ``m_k`` variables."""
+    """ILP-II plus one ``<=`` row per budgeted net (``cap_ff`` is ΔC per
+    entry of ``costs.exact``); returns the model and the ``m_k``
+    variables."""
+    cap_tables = column_tables(costs, cap_ff)
     model = Model("budgeted-tile")
     m_vars = []
     objective_terms = []
     net_terms: dict[str, list] = defaultdict(list)
-    for k, (cc, caps) in enumerate(zip(costs, cap_tables, strict=True)):
+    for k, (cc, caps) in enumerate(zip(_columns(costs), cap_tables, strict=True)):
         m_k = model.add_var(f"m_{k}", lb=0, ub=cc.capacity, kind=VarKind.INTEGER)
         m_vars.append(m_k)
         if cc.capacity == 0:

@@ -63,15 +63,16 @@ def assert_fill_invariants(result, prepared=None, weighted: bool = True) -> None
     costs_by_tile = prepared.costs_for(weighted)
     legal_sites = set()
     for key, solution in result.tile_solutions.items():
-        costs = costs_by_tile.get(key, [])
-        assert len(solution.counts) == len(costs), (
-            f"tile {key}: {len(solution.counts)} counts vs {len(costs)} columns"
+        costs = costs_by_tile.get(key)
+        capacities = [] if costs is None else costs.capacities.tolist()
+        assert len(solution.counts) == len(capacities), (
+            f"tile {key}: {len(solution.counts)} counts vs {len(capacities)} columns"
         )
         columns = prepared.columns_by_tile.get(key, [])
-        for k, (cc, column) in enumerate(zip(costs, columns, strict=True)):
-            assert solution.counts[k] <= cc.capacity, (
+        for k, (capacity, column) in enumerate(zip(capacities, columns, strict=True)):
+            assert solution.counts[k] <= capacity, (
                 f"tile {key} column {k}: count {solution.counts[k]} exceeds "
-                f"capacity {cc.capacity}"
+                f"capacity {capacity}"
             )
             legal_sites.update(column.sites)
     for rect in rects:

@@ -34,6 +34,8 @@ STRICT = "repro.pilfill.fx"
 
 #: Policy that registers the C202 fixture's class as a pool payload.
 C202_POLICY = LintPolicy(payload_registry=(f"{NEUTRAL}.Payload",))
+#: Policy that registers the cost-table fixtures' two classes.
+C202_ARRAYS_POLICY = LintPolicy(payload_registry=(f"{NEUTRAL}.Costs", f"{NEUTRAL}.Column"))
 #: Policy naming the X101 fixtures' digest helper as the taint sink.
 X101_POLICY = LintPolicy(taint_sink_functions=(f"{NEUTRAL}.digest_key",))
 #: Policy naming the X301 fixtures' entry point as a pool-worker root.
@@ -74,6 +76,13 @@ EXTRA_PAIRS: dict[
         # and (unlike repro.obs.trace) hosts no registered payload class.
         ("repro.obs.report", None),
         ("repro.obs.clock", None),
+    ),
+    "C202_arrays": (
+        "C202",
+        # A payload of numpy arrays passes under the default picklable
+        # type names; declaring its columns as an unregistered type fails.
+        (NEUTRAL, C202_ARRAYS_POLICY),
+        (NEUTRAL, C202_ARRAYS_POLICY),
     ),
     "D102_cachekey": (
         "D102",

@@ -98,7 +98,7 @@ def make_payloads(prepared, baseline, method="greedy", **overrides):
         TilePayload(
             key=key,
             budget=baseline.effective_budget[key],
-            columns=tuple(costs_by_tile[key]),
+            costs=costs_by_tile[key].electrical(),
             **kwargs,
         )
         for key in sorted(baseline.tile_solutions)
@@ -316,7 +316,7 @@ class TestTelemetrySingleMerge:
 
 
 class TestNoSharedMemory:
-    """Pool payloads carry their ColumnCosts inline — the one wire
+    """Pool payloads carry their tile's TileCosts inline — the one wire
     format — and the pooled run's digest equals the serial one."""
 
     @pytest.mark.parametrize("shards", [1, 3])

@@ -23,13 +23,14 @@ from hypothesis import strategies as st
 from repro.ilp import CompiledModel
 from repro.pilfill.budgeted import (
     build_budgeted_model,
-    build_cap_tables,
+    delta_cap_ff,
     solve_tile_budgeted_ilp,
 )
 from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
-from repro.pilfill.costs import ColumnCosts
+from repro.pilfill.costs import TileCosts
 from repro.pilfill.ilp1 import build_ilp1_model
 from repro.pilfill.ilp2 import build_ilp2_model
+from tests.cost_tables import pack_costs
 from tests.ilp_model_oracle import dsl_budgeted_model, dsl_ilp1_model, dsl_ilp2_model
 from tests.test_ilp_differential import BACKENDS, assert_reaches_optimum, tiles
 
@@ -62,10 +63,8 @@ def neighbors(draw) -> ColumnNeighbor:
 
 
 @st.composite
-def tile_models(
-    draw,
-) -> tuple[list[ColumnCosts], list[tuple[float, ...]], int, dict[str, float]]:
-    """One tile: column costs, ΔC tables, a budget in ``[1, capacity]``
+def tile_models(draw) -> tuple[TileCosts, np.ndarray, int, dict[str, float]]:
+    """One tile: its cost tables, ΔC entries, a budget in ``[1, capacity]``
     and per-net capacitance budgets.
 
     Columns may have no sites, no impact (no gap, or one neighbor), and
@@ -74,27 +73,26 @@ def tile_models(
     budgets.
     """
     any_impact = draw(st.booleans())
-    costs, cap_tables = [], []
+    columns, exact, linear, cap_tables = [], [], [], []
     for _ in range(draw(st.integers(1, 5))):
         capacity = draw(st.integers(0, 4))
         impact = any_impact and draw(st.booleans())
         below = draw(neighbors())
         above = draw(neighbors()) if impact else draw(st.none() | neighbors())
-        column = ElectricalColumn(4.0 if impact else None, below, above)
+        columns.append(ElectricalColumn(4.0 if impact else None, below, above))
         per_feature = draw(entries) if impact else 0.0
-        exact = (0.0, *draw(st.lists(entries, min_size=capacity, max_size=capacity)))
-        linear = tuple(per_feature * n for n in range(capacity + 1))
-        costs.append(ColumnCosts(column, exact, linear))
+        exact.append((0.0, *draw(st.lists(entries, min_size=capacity, max_size=capacity))))
+        linear.append(tuple(per_feature * n for n in range(capacity + 1)))
         cap_tables.append(
             (0.0, *draw(st.lists(entries, min_size=capacity, max_size=capacity)))
         )
-    total = sum(cc.capacity for cc in costs)
-    assume(total > 0)
-    budget = draw(st.integers(1, total))
+    costs = pack_costs(exact, linear, columns)
+    assume(costs.capacity > 0)
+    budget = draw(st.integers(1, costs.capacity))
     net_budgets = draw(
         st.dictionaries(st.sampled_from(NETS), st.one_of(zeros, st.floats(0.0, 50.0)))
     )
-    return costs, cap_tables, budget, net_budgets
+    return costs, pack_costs(cap_tables).exact, budget, net_budgets
 
 
 def _signed_zero_tile():
@@ -102,14 +100,18 @@ def _signed_zero_tile():
     ``±0.0`` entries in every table."""
     a0, a1 = ColumnNeighbor("a", 0, 2, 10.0), ColumnNeighbor("a", 1, 1, 0.0)
     b = ColumnNeighbor("b", 0, 1, 5.0)
-    costs = [
-        ColumnCosts(ElectricalColumn(4.0, a0, a1), (0.0, -0.0, 2.0), (0.0, -0.0, -0.0)),
-        ColumnCosts(ElectricalColumn(4.0, a1, b), (0.0,), (0.0,)),
-        ColumnCosts(ElectricalColumn(None, b, None), (0.0, 0.0), (0.0, 0.0)),
-        ColumnCosts(ElectricalColumn(4.0, b, a0), (0.0, 1.5, -0.0), (0.0, 0.5, 1.0)),
-    ]
-    cap_tables = [(0.0, -0.0, 3.0), (0.0,), (0.0, 1.0), (0.0, 0.0, 0.0)]
-    return costs, cap_tables, 3, {"a": 0.0, "b": -0.0}
+    costs = pack_costs(
+        [(0.0, -0.0, 2.0), (0.0,), (0.0, 0.0), (0.0, 1.5, -0.0)],
+        [(0.0, -0.0, -0.0), (0.0,), (0.0, 0.0), (0.0, 0.5, 1.0)],
+        [
+            ElectricalColumn(4.0, a0, a1),
+            ElectricalColumn(4.0, a1, b),
+            ElectricalColumn(None, b, None),
+            ElectricalColumn(4.0, b, a0),
+        ],
+    )
+    cap_ff = pack_costs([(0.0, -0.0, 3.0), (0.0,), (0.0, 1.0), (0.0, 0.0, 0.0)]).exact
+    return costs, cap_ff, 3, {"a": 0.0, "b": -0.0}
 
 
 def _m_indices(m_vars) -> list[int]:
@@ -143,9 +145,9 @@ def test_ilp2_arrays_match_oracle(tile):
 @given(tile_models())
 @example(_signed_zero_tile())
 def test_budgeted_arrays_match_oracle(tile):
-    costs, cap_tables, budget, net_budgets = tile
-    model, m_at = build_budgeted_model(costs, cap_tables, budget, net_budgets)
-    oracle, m_vars = dsl_budgeted_model(costs, cap_tables, budget, net_budgets)
+    costs, cap_ff, budget, net_budgets = tile
+    model, m_at = build_budgeted_model(costs, cap_ff, budget, net_budgets)
+    oracle, m_vars = dsl_budgeted_model(costs, cap_ff, budget, net_budgets)
     assert_same_model(model, oracle.compile())
     assert m_at.tolist() == _m_indices(m_vars)
 
@@ -156,6 +158,6 @@ def test_budgeted_arrays_match_oracle(tile):
 def test_budgeted_without_net_budgets_reaches_dp_optimum(backend, tile):
     """With no net budgeted, the budgeted model is ILP-II: DP optimum."""
     costs, budget = tile
-    out = solve_tile_budgeted_ilp(costs, build_cap_tables(costs, True), budget, {}, backend=backend)
+    out = solve_tile_budgeted_ilp(costs, delta_cap_ff(costs, True), budget, {}, backend=backend)
     assert out.feasible
-    assert_reaches_optimum(out.solution, [c.exact for c in costs], budget)
+    assert_reaches_optimum(out.solution, costs, budget)

@@ -142,20 +142,13 @@ class TestSuccessWithoutSolutionGuard:
 class TestMvdcTrim:
     def test_trim_removes_most_expensive_first(self):
         from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
-        from repro.pilfill.costs import ColumnCosts
         from repro.pilfill.methods import trim_to
         from repro.pilfill.solution import TileSolution
+        from tests.cost_tables import pack_costs
 
         neighbor = ColumnNeighbor("n", 0, 1, 1.0)
-
-        def cc(marginals):
-            col = ElectricalColumn(4.0, neighbor, neighbor)
-            exact = [0.0]
-            for m in marginals:
-                exact.append(exact[-1] + m)
-            return ColumnCosts(col, tuple(exact), tuple(exact))
-
-        costs = [cc([1.0, 5.0]), cc([2.0])]
+        col = ElectricalColumn(4.0, neighbor, neighbor)
+        costs = pack_costs([(0.0, 1.0, 6.0), (0.0, 2.0)], columns=[col, col])
         solution = TileSolution(counts=[2, 1], model_objective_ps=8.0)
         trimmed = trim_to(costs, solution, want=2)
         # the 5.0 marginal goes first

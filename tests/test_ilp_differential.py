@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.pilfill import allocate_dp, allocation_cost, solve_tile_ilp1, solve_tile_ilp2
 from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
-from repro.pilfill.costs import ColumnCosts
+from repro.pilfill.costs import TileCosts
+from tests.cost_tables import linear_objective, pack_costs
 
 BACKENDS = ("bundled", "scipy")
 
@@ -42,7 +43,7 @@ def exact_table(draw, capacity: int) -> tuple[float, ...]:
 
 
 @st.composite
-def tiles(draw) -> tuple[list[ColumnCosts], int]:
+def tiles(draw) -> tuple[TileCosts, int]:
     """One tile's column costs plus a budget in ``[0, capacity]``.
 
     Neighboring columns share a line (column ``k`` lies between lines
@@ -51,7 +52,7 @@ def tiles(draw) -> tuple[list[ColumnCosts], int]:
     :func:`~repro.pilfill.costs.build_cost_views` gives it.
     """
     n_cols = draw(st.integers(1, 4))
-    out = []
+    columns, exact, linear = [], [], []
     for k in range(n_cols):
         capacity = draw(st.integers(0, 4))
         impact = draw(st.booleans())
@@ -69,16 +70,20 @@ def tiles(draw) -> tuple[list[ColumnCosts], int]:
             above=lines[1] if impact else None,
         )
         per_feature = draw(costs_) if impact else 0.0
-        linear = tuple(per_feature * n for n in range(capacity + 1))
-        out.append(ColumnCosts(column, draw(exact_table(capacity)), linear))
-    budget = draw(st.integers(0, sum(c.capacity for c in out)))
-    return out, budget
+        columns.append(column)
+        exact.append(draw(exact_table(capacity)))
+        linear.append(tuple(per_feature * n for n in range(capacity + 1)))
+    costs = pack_costs(exact, linear, columns)
+    budget = draw(st.integers(0, costs.capacity))
+    return costs, budget
 
 
-def assert_reaches_optimum(sol, tables: list[tuple[float, ...]], budget: int) -> None:
+def assert_reaches_optimum(sol, costs: TileCosts, budget: int) -> None:
+    """``sol`` places ``budget`` features at the DP optimum of
+    ``costs.exact``."""
     assert sum(sol.counts) == budget
-    optimum = allocation_cost(tables, allocate_dp(tables, budget))
-    assert allocation_cost(tables, sol.counts) == pytest.approx(optimum, rel=REL, abs=ABS)
+    optimum = allocation_cost(costs, allocate_dp(costs, budget))
+    assert allocation_cost(costs, sol.counts) == pytest.approx(optimum, rel=REL, abs=ABS)
     assert sol.model_objective_ps == pytest.approx(optimum, rel=REL, abs=ABS)
 
 
@@ -88,17 +93,15 @@ def assert_reaches_optimum(sol, tables: list[tuple[float, ...]], budget: int) ->
 def test_ilp2_reaches_dp_optimum(backend, tile):
     costs, budget = tile
     sol = solve_tile_ilp2(costs, budget, backend=backend)
-    assert_reaches_optimum(sol, [c.exact for c in costs], budget)
+    assert_reaches_optimum(sol, costs, budget)
 
 
-def _zero_capacity_with_impact() -> tuple[list[ColumnCosts], int]:
+def _zero_capacity_with_impact() -> tuple[TileCosts, int]:
     """A column with both neighbor lines but no sites, beside an open one."""
     lines = [ColumnNeighbor(net=f"n{i}", line_index=0, sinks=1, resistance_ohm=1.0)
              for i in range(3)]
-    return [
-        ColumnCosts(ElectricalColumn(4.0, lines[0], lines[1]), (0.0,), (0.0,)),
-        ColumnCosts(ElectricalColumn(4.0, lines[1], lines[2]), (0.0, 2.0), (0.0, 1.5)),
-    ], 1
+    columns = [ElectricalColumn(4.0, lines[0], lines[1]), ElectricalColumn(4.0, lines[1], lines[2])]
+    return pack_costs([(0.0,), (0.0, 2.0)], [(0.0,), (0.0, 1.5)], columns), 1
 
 
 @pytest.mark.parametrize("weighted", [True, False])
@@ -109,5 +112,5 @@ def _zero_capacity_with_impact() -> tuple[list[ColumnCosts], int]:
 def test_ilp1_reaches_dp_optimum_on_linear_tables(backend, weighted, tile):
     costs, budget = tile
     sol = solve_tile_ilp1(costs, budget, weighted, backend=backend)
-    assert_reaches_optimum(sol, [c.linear for c in costs], budget)
+    assert_reaches_optimum(sol, linear_objective(costs), budget)
 

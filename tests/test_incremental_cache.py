@@ -32,7 +32,7 @@ from repro.pilfill import (
     PILFillEngine,
     SolutionCache,
     SolutionStore,
-    TileCostView,
+    TileCosts,
     cache_eligible,
     copy_solution,
     decode_entry,
@@ -392,13 +392,13 @@ class TestDigests:
     @staticmethod
     def _copy(view, **changes):
         fields = {
-            "columns": list(view.columns),
+            "columns": tuple(view.columns),
             "capacities": view.capacities.copy(),
             "exact": view.exact.copy(),
             "linear": view.linear.copy(),
         }
         fields.update(changes)
-        return TileCostView(**fields)
+        return TileCosts(**fields)
 
     def test_equal_content_digests_equal(self, impact_view):
         key, view, _k, _entry = impact_view
@@ -442,7 +442,7 @@ class TestDigests:
         columns[k] = dataclasses.replace(
             column, **{side: dataclasses.replace(neighbor, **{field: value})}
         )
-        mutated = self._copy(view, columns=columns)
+        mutated = self._copy(view, columns=tuple(columns))
         assert tile_digest(ctx, key, mutated, 5) != tile_digest(ctx, key, view, 5)
 
     def test_tile_digest_covers_gap(self, impact_view):
@@ -450,7 +450,7 @@ class TestDigests:
         ctx = run_context_digest(make_cfg(), "metal3")
         columns = list(view.columns)
         columns[k] = dataclasses.replace(columns[k], gap_um=columns[k].gap_um + 1.0)
-        mutated = self._copy(view, columns=columns)
+        mutated = self._copy(view, columns=tuple(columns))
         assert tile_digest(ctx, key, mutated, 5) != tile_digest(ctx, key, view, 5)
 
 

@@ -29,7 +29,7 @@ from repro.layout.rctree import RCTree
 from repro.obs.clock import ManualClock, MonotonicClock
 from repro.obs.trace import Tracer, span_tree
 from repro.pilfill import EngineConfig, PILFillEngine, prepare, prepare_streaming
-from repro.pilfill.budgeted import build_cap_tables, derive_net_cap_budgets
+from repro.pilfill.budgeted import delta_cap_ff, derive_net_cap_budgets
 from repro.pilfill.parallel import dispatch_tile_payloads
 from repro.pilfill.scanline import (
     IncrementalSweep,
@@ -102,7 +102,7 @@ def clock(monkeypatch):
         (prepare_module, "lp_minvar_budget", _stepped(manual, 32.0, lp_minvar_budget)),
         (engine_module, "dispatch_tile_payloads",
          _stepped(manual, 64.0, dispatch_tile_payloads)),
-        (engine_module, "build_cap_tables", _stepped(manual, 64.0, build_cap_tables)),
+        (engine_module, "delta_cap_ff", _stepped(manual, 64.0, delta_cap_ff)),
     ):
         monkeypatch.setattr(module, name, value)
     return manual

@@ -9,7 +9,7 @@ from repro.errors import FillError
 from repro.pilfill import (
     EngineConfig,
     PILFillEngine,
-    build_cap_tables,
+    delta_cap_ff,
     derive_net_cap_budgets,
     derive_tile_delay_budgets,
     evaluate_impact,
@@ -18,11 +18,12 @@ from repro.pilfill import (
     solve_tile_mvdc,
 )
 from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
-from repro.pilfill.costs import ColumnCosts
 from repro.tech import DensityRules
+from tests.cost_tables import column_tables, pack_costs
 
 
 def make_column(marginals, net_a="a", net_b="b", sinks=1, res=1000.0):
+    """One impactful column's (column, exact, linear)."""
     cap = len(marginals)
     below = ColumnNeighbor(net=net_a, line_index=0, sinks=sinks, resistance_ohm=res)
     above = ColumnNeighbor(net=net_b, line_index=0, sinks=sinks, resistance_ohm=res)
@@ -31,32 +32,44 @@ def make_column(marginals, net_a="a", net_b="b", sinks=1, res=1000.0):
     for m in marginals:
         exact.append(exact[-1] + m)
     linear = tuple(marginals[0] * n if marginals else 0.0 for n in range(cap + 1))
-    return ColumnCosts(col, tuple(exact), linear)
+    return col, tuple(exact), linear
+
+
+def tile(*columns):
+    """Pack ``make_column`` results into one tile's cost tables."""
+    return pack_costs(
+        [exact for _, exact, _ in columns],
+        [linear for _, _, linear in columns],
+        [col for col, _, _ in columns],
+    )
+
+
+def free_tile(capacity):
+    """One column with a single neighbour: no modeled impact."""
+    free_col = ElectricalColumn(None, ColumnNeighbor("a", 0, 1, 10.0), None)
+    zero = (0.0,) * (capacity + 1)
+    return pack_costs([zero], [zero], [free_col])
 
 
 class TestMvdc:
     def test_zero_budget_places_nothing_costly(self):
-        costs = [make_column([1.0, 2.0]), make_column([0.5])]
+        costs = tile(make_column([1.0, 2.0]), make_column([0.5]))
         sol = solve_tile_mvdc(costs, 0.0)
         assert sol.total_features == 0
 
     def test_free_columns_always_granted(self):
-        neighbor = ColumnNeighbor("a", 0, 1, 10.0)
-        free_col = ElectricalColumn(None, neighbor, None)
-        zero = (0.0, 0.0, 0.0, 0.0)
-        costs = [ColumnCosts(free_col, zero, zero)]
-        sol = solve_tile_mvdc(costs, 0.0)
+        sol = solve_tile_mvdc(free_tile(3), 0.0)
         assert sol.total_features == 3
 
     def test_budget_respected(self):
-        costs = [make_column([1.0, 2.0, 4.0]), make_column([1.5, 3.0])]
+        costs = tile(make_column([1.0, 2.0, 4.0]), make_column([1.5, 3.0]))
         for budget in (0.5, 1.0, 2.5, 4.5, 100.0):
             sol = solve_tile_mvdc(costs, budget)
             assert sol.model_objective_ps <= budget + 1e-12
 
     def test_maximizes_count_brute_force(self):
-        costs = [make_column([1.0, 2.0, 4.0]), make_column([1.5, 3.0])]
-        tables = [c.exact for c in costs]
+        costs = tile(make_column([1.0, 2.0, 4.0]), make_column([1.5, 3.0]))
+        tables = column_tables(costs)
         for budget in (0.0, 1.0, 2.4, 2.6, 4.5, 7.0, 100.0):
             sol = solve_tile_mvdc(costs, budget)
             best = 0
@@ -68,10 +81,10 @@ class TestMvdc:
 
     def test_negative_budget_rejected(self):
         with pytest.raises(FillError):
-            solve_tile_mvdc([], -1.0)
+            solve_tile_mvdc(pack_costs([]), -1.0)
 
     def test_derive_budgets_scales_with_fraction(self):
-        costs = {(0, 0): [make_column([1.0, 2.0])]}
+        costs = {(0, 0): tile(make_column([1.0, 2.0]))}
         requested = {(0, 0): 2}
         lo = derive_tile_delay_budgets(requested, costs, 0.2)
         hi = derive_tile_delay_budgets(requested, costs, 0.8)
@@ -109,20 +122,17 @@ class TestMvdc:
 
 class TestCapTables:
     def test_recovers_delta_c(self):
-        cc = make_column([1.0, 2.0], sinks=2, res=500.0)
-        caps = build_cap_tables([cc], True)[0]
+        costs = tile(make_column([1.0, 2.0], sinks=2, res=500.0))
+        caps = delta_cap_ff(costs, True)
         # exact[n] = r_hat(w=True) * dC(n) * 1e-3; r_hat = 2 nets * 2 sinks * 500
         from repro.layout.rctree import OHM_FF_TO_PS
 
-        r_hat = cc.column.resistance_weight(True)
+        r_hat = costs.columns[0].resistance_weight(True)
         for n in range(3):
-            assert caps[n] == pytest.approx(cc.exact[n] / (r_hat * OHM_FF_TO_PS))
+            assert caps[n] == pytest.approx(costs.exact[n] / (r_hat * OHM_FF_TO_PS))
 
     def test_zero_for_free_columns(self):
-        neighbor = ColumnNeighbor("a", 0, 1, 10.0)
-        free_col = ElectricalColumn(None, neighbor, None)
-        cc = ColumnCosts(free_col, (0.0, 0.0), (0.0, 0.0))
-        assert build_cap_tables([cc], True)[0] == (0.0, 0.0)
+        assert delta_cap_ff(free_tile(1), True).tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -153,9 +163,9 @@ def test_budgeted_cap_tables_are_lut_delta_c(weighted):
     )
     impactful = 0
     for key, costs in prep.costs_for(weighted).items():
-        caps = build_cap_tables(costs, weighted)
-        for col, cc, table in zip(prep.columns_by_tile[key], costs, caps, strict=True):
-            if not cc.column.has_impact:
+        caps = column_tables(costs, delta_cap_ff(costs, weighted))
+        for col, table in zip(prep.columns_by_tile[key], caps, strict=True):
+            if not col.has_impact:
                 continue
             impactful += 1
             delta_c = lut.get(col.gap_um, col.capacity)
@@ -169,9 +179,9 @@ def test_budgeted_cap_tables_are_lut_delta_c(weighted):
     used: dict[str, float] = defaultdict(float)
     for key, solution in result.tile_solutions.items():
         for col, n in zip(prep.columns_by_tile[key], solution.counts, strict=True):
-            if n == 0 or not col.electrical.has_impact:
+            if n == 0 or not col.has_impact:
                 continue
-            for neighbor in (col.electrical.below, col.electrical.above):
+            for neighbor in (col.below, col.above):
                 if neighbor is not None:
                     used[neighbor.net] += lut.get(col.gap_um, col.capacity).cap(n)
     over = sorted(
@@ -183,15 +193,15 @@ def test_budgeted_cap_tables_are_lut_delta_c(weighted):
 class TestBudgetedFill:
     def columns(self):
         # Column 0 couples nets a/b; column 1 couples nets c/d; column 2 a/c.
-        return [
+        return tile(
             make_column([1.0, 2.0, 3.0], net_a="a", net_b="b"),
             make_column([1.2, 2.4], net_a="c", net_b="d"),
             make_column([5.0, 6.0], net_a="a", net_b="c"),
-        ]
+        )
 
     def test_unconstrained_matches_ilp2_optimum(self):
         costs = self.columns()
-        caps = build_cap_tables(costs, True)
+        caps = delta_cap_ff(costs, True)
         out = solve_tile_budgeted_ilp(costs, caps, 3, {}, backend="bundled")
         assert out.feasible
         from repro.pilfill import solve_tile_ilp2
@@ -203,7 +213,7 @@ class TestBudgetedFill:
 
     def test_tight_budget_shifts_placement(self):
         costs = self.columns()
-        caps = build_cap_tables(costs, True)
+        caps = delta_cap_ff(costs, True)
         free = solve_tile_budgeted_ilp(costs, caps, 3, {}, backend="bundled")
         # Forbid net 'a' from receiving almost anything: columns 0 and 2
         # become unusable, so everything must go to column 1 (capacity 2)
@@ -224,8 +234,8 @@ class TestBudgetedFill:
 
     def test_cap_used_respects_budgets(self):
         costs = self.columns()
-        caps = build_cap_tables(costs, True)
-        budgets = {"a": caps[0][2], "b": 1e9, "c": 1e9, "d": 1e9}
+        caps = delta_cap_ff(costs, True)
+        budgets = {"a": caps[2], "b": 1e9, "c": 1e9, "d": 1e9}
         out = solve_tile_budgeted_ilp(costs, caps, 4, budgets, backend="bundled")
         if out.feasible:
             for net, used in out.cap_used_ff.items():
@@ -233,7 +243,7 @@ class TestBudgetedFill:
 
     def test_greedy_respects_budgets(self):
         costs = self.columns()
-        caps = build_cap_tables(costs, True)
+        caps = delta_cap_ff(costs, True)
         budgets = {"a": 1e-9}
         out = solve_tile_budgeted_greedy(costs, caps, 3, budgets)
         assert not out.feasible  # only column 1 usable, capacity 2 < 3
@@ -243,7 +253,7 @@ class TestBudgetedFill:
 
     def test_greedy_matches_ilp_when_unconstrained(self):
         costs = self.columns()
-        caps = build_cap_tables(costs, True)
+        caps = delta_cap_ff(costs, True)
         greedy = solve_tile_budgeted_greedy(costs, caps, 4, {})
         ilp = solve_tile_budgeted_ilp(costs, caps, 4, {}, backend="bundled")
         assert greedy.feasible and ilp.feasible
@@ -253,7 +263,7 @@ class TestBudgetedFill:
 
     def test_budget_over_capacity_raises(self):
         costs = self.columns()
-        caps = build_cap_tables(costs, True)
+        caps = delta_cap_ff(costs, True)
         with pytest.raises(FillError):
             solve_tile_budgeted_ilp(costs, caps, 100, {})
 

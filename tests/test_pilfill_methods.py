@@ -16,7 +16,7 @@ from repro.pilfill import (
     solve_tile_ilp2,
 )
 from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
-from repro.pilfill.costs import ColumnCosts
+from tests.cost_tables import linear_objective, pack_costs
 
 
 def brute_force(tables, budget):
@@ -42,10 +42,11 @@ def convex_table(marginals):
 class TestAllocators:
     def test_marginal_greedy_hand_case(self):
         tables = [convex_table([1, 2, 3]), convex_table([2, 2, 2])]
-        counts = allocate_marginal_greedy(tables, 4)
+        costs = pack_costs(tables)
+        counts = allocate_marginal_greedy(costs, 4)
         assert sum(counts) == 4
         # cheapest marginals: 1,2,2,2 -> [2,2] or [1,3]? marginals taken: 1,2,2,2
-        assert allocation_cost(tables, counts) == pytest.approx(7.0)
+        assert allocation_cost(costs, counts) == pytest.approx(7.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_marginal_greedy_matches_brute_force_on_convex(self, seed):
@@ -57,11 +58,11 @@ class TestAllocators:
             k = rng.randint(0, 3)
             marginals = sorted(rng.uniform(0, 5) for _ in range(k))
             tables.append(convex_table(marginals))
-        capacity = sum(len(t) - 1 for t in tables)
-        for budget in range(capacity + 1):
-            counts = allocate_marginal_greedy(tables, budget)
+        costs = pack_costs(tables)
+        for budget in range(costs.capacity + 1):
+            counts = allocate_marginal_greedy(costs, budget)
             assert sum(counts) == budget
-            assert allocation_cost(tables, counts) == pytest.approx(
+            assert allocation_cost(costs, counts) == pytest.approx(
                 brute_force(tables, budget)
             )
 
@@ -77,44 +78,50 @@ class TestAllocators:
             tables.append(tuple(values))  # arbitrary, not convex
         capacity = sum(len(t) - 1 for t in tables)
         budget = rng.randint(0, capacity)
-        counts = allocate_dp(tables, budget)
+        costs = pack_costs(tables)
+        counts = allocate_dp(costs, budget)
         assert sum(counts) == budget
-        assert allocation_cost(tables, counts) == pytest.approx(
+        assert allocation_cost(costs, counts) == pytest.approx(
             brute_force(tables, budget)
         )
 
     def test_budget_over_capacity_raises(self):
         with pytest.raises(FillError):
-            allocate_marginal_greedy([convex_table([1.0])], 2)
+            allocate_marginal_greedy(pack_costs([convex_table([1.0])]), 2)
         with pytest.raises(FillError):
-            allocate_dp([convex_table([1.0])], 2)
+            allocate_dp(pack_costs([convex_table([1.0])]), 2)
 
     def test_negative_budget_raises(self):
         with pytest.raises(FillError):
-            allocate_marginal_greedy([], -1)
+            allocate_marginal_greedy(pack_costs([]), -1)
 
     def test_zero_budget(self):
-        assert allocate_marginal_greedy([convex_table([1, 2])], 0) == [0]
-        assert allocate_dp([convex_table([1, 2])], 0) == [0]
+        assert allocate_marginal_greedy(pack_costs([convex_table([1, 2])]), 0) == [0]
+        assert allocate_dp(pack_costs([convex_table([1, 2])]), 0) == [0]
 
     def test_allocation_cost_validates(self):
         with pytest.raises(FillError):
-            allocation_cost([convex_table([1.0])], [5])
+            allocation_cost(pack_costs([convex_table([1.0])]), [5])
         with pytest.raises(FillError):
-            allocation_cost([convex_table([1.0])], [0, 0])
+            allocation_cost(pack_costs([convex_table([1.0])]), [0, 0])
+
+
+NEIGHBOR = ColumnNeighbor(net="n", line_index=0, sinks=1, resistance_ohm=1.0)
+COLUMN = ElectricalColumn(gap_um=4.0, below=NEIGHBOR, above=NEIGHBOR)
+
+
+def make_tables(specs):
+    """Exact and linear tables from (exact_marginals, linear_per_feature)
+    pairs."""
+    exact = [convex_table(marginals) for marginals, _ in specs]
+    linear = [tuple(lin * n for n in range(len(m) + 1)) for m, lin in specs]
+    return exact, linear
 
 
 def make_costs(specs):
-    """Build ColumnCosts from (exact_marginals, linear_per_feature) pairs."""
-    out = []
-    for exact_marginals, lin in specs:
-        cap = len(exact_marginals)
-        neighbor = ColumnNeighbor(net="n", line_index=0, sinks=1, resistance_ohm=1.0)
-        col = ElectricalColumn(gap_um=4.0, below=neighbor, above=neighbor)
-        exact = convex_table(exact_marginals)
-        linear = tuple(lin * n for n in range(cap + 1))
-        out.append(ColumnCosts(col, exact, linear))
-    return out
+    """Pack the tables of ``specs`` over impactful columns."""
+    exact, linear = make_tables(specs)
+    return pack_costs(exact, linear, [COLUMN] * len(specs))
 
 
 class TestTileSolvers:
@@ -127,13 +134,12 @@ class TestTileSolvers:
 
     def test_ilp2_matches_dp_optimum(self):
         costs = make_costs(self.SPECS)
-        tables = [c.exact for c in costs]
         for budget in (1, 3, 5, 8):
             sol = solve_tile_ilp2(costs, budget, backend="bundled")
             assert sum(sol.counts) == budget
-            dp = allocate_dp(tables, budget)
-            assert allocation_cost(tables, sol.counts) == pytest.approx(
-                allocation_cost(tables, dp)
+            dp = allocate_dp(costs, budget)
+            assert allocation_cost(costs, sol.counts) == pytest.approx(
+                allocation_cost(costs, dp)
             )
 
     def test_ilp2_scipy_backend_agrees(self):
@@ -160,11 +166,10 @@ class TestTileSolvers:
 
     def test_paper_greedy_never_better_than_ilp2(self):
         costs = make_costs(self.SPECS)
-        tables = [c.exact for c in costs]
         for budget in range(1, 9):
             greedy = solve_tile_greedy(costs, budget)
             ilp = solve_tile_ilp2(costs, budget, backend="bundled")
-            g_cost = allocation_cost(tables, greedy.counts)
+            g_cost = allocation_cost(costs, greedy.counts)
             assert g_cost >= ilp.model_objective_ps - 1e-9
 
     def test_ilp1_optimal_under_linear_model(self):
@@ -172,10 +177,10 @@ class TestTileSolvers:
         for budget in (2, 4, 6):
             sol = solve_tile_ilp1(costs, budget, weighted=False, backend="bundled")
             assert sum(sol.counts) == budget
-            lin_tables = [c.linear for c in costs]
-            dp = allocate_dp(lin_tables, budget)
-            assert allocation_cost(lin_tables, sol.counts) == pytest.approx(
-                allocation_cost(lin_tables, dp)
+            lin = linear_objective(costs)
+            dp = allocate_dp(lin, budget)
+            assert allocation_cost(lin, sol.counts) == pytest.approx(
+                allocation_cost(lin, dp)
             )
 
     def test_ilp1_can_be_suboptimal_under_exact_model(self):
@@ -185,10 +190,9 @@ class TestTileSolvers:
             ([2.0, 2.1, 2.2], 2.0),
         ]
         costs = make_costs(specs)
-        tables = [c.exact for c in costs]
         ilp1 = solve_tile_ilp1(costs, 3, weighted=False, backend="bundled")
         ilp2 = solve_tile_ilp2(costs, 3, backend="bundled")
-        assert allocation_cost(tables, ilp1.counts) > allocation_cost(tables, ilp2.counts)
+        assert allocation_cost(costs, ilp1.counts) > allocation_cost(costs, ilp2.counts)
 
     def test_zero_budget_all_methods(self):
         costs = make_costs(self.SPECS)
@@ -204,7 +208,7 @@ class TestTileSolvers:
 
     def test_budget_over_capacity_raises(self):
         costs = make_costs(self.SPECS)
-        capacity = sum(c.capacity for c in costs)
+        capacity = costs.capacity
         with pytest.raises(FillError):
             solve_tile_ilp2(costs, capacity + 1)
         with pytest.raises(FillError):
@@ -214,16 +218,15 @@ class TestTileSolvers:
 
     def test_free_columns_preferred(self):
         """Columns without both neighbors cost nothing and absorb budget."""
-        neighbor = ColumnNeighbor(net="n", line_index=0, sinks=1, resistance_ohm=1.0)
-        free_col = ElectricalColumn(gap_um=None, below=neighbor, above=None)
+        free_col = ElectricalColumn(gap_um=None, below=NEIGHBOR, above=None)
         zero = tuple(0.0 for _ in range(4))
-        free = ColumnCosts(free_col, zero, zero)
-        paid = make_costs([([5.0, 6.0], 5.0)])[0]
+        exact, linear = make_tables([([5.0, 6.0], 5.0)])
+        costs = pack_costs([zero, *exact], [zero, *linear], [free_col, COLUMN])
         for solver in (
             lambda c, b: solve_tile_ilp2(c, b, backend="bundled"),
             solve_tile_greedy,
             solve_tile_greedy_marginal,
         ):
-            sol = solver([free, paid], 3)
+            sol = solver(costs, 3)
             assert sol.counts[0] == 3
             assert sol.model_objective_ps == pytest.approx(0.0)

@@ -33,10 +33,11 @@ from repro.pilfill import (
     tile_rng,
     trim_to,
 )
+from repro.pilfill.budgeted import derive_net_cap_budgets
 from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
-from repro.pilfill.costs import ColumnCosts
 from repro.synth import default_fill_rules, density_rules_for, make_t1
 from repro.tech import DensityRules
+from tests.cost_tables import pack_costs
 
 
 @pytest.fixture(scope="module")
@@ -138,13 +139,40 @@ class TestProcessBackend:
         payload = TilePayload(
             key=key, method="greedy", budget=baseline.effective_budget[key],
             weighted=cfg.weighted, ilp_backend=cfg.backend, seed=cfg.seed,
-            columns=tuple(costs_by_tile[key]),
+            costs=costs_by_tile[key].electrical(),
         )
         blob = pickle.dumps(payload)
         outcome = solve_tile_payload(pickle.loads(blob))
         assert outcome.value.counts == baseline.tile_solutions[key].counts
         # Compactness: a tile ships in kilobytes, not a pickled layout.
         assert len(blob) < 200_000
+
+    def test_payload_ships_only_its_tiles_slices(self, t1_setup):
+        """A one-tile payload cut from the whole-grid tables round-trips
+        its arrays byte for byte, and pickles the tile's own slices plus
+        its columns — never the grid's arrays behind them."""
+        import pickle
+
+        costs_by_tile = t1_setup[-1].costs_for(True)
+        key = max(costs_by_tile, key=lambda k: costs_by_tile[k].capacity)
+        costs = costs_by_tile[key].electrical()
+        assert costs.exact.base is not None  # a view into the grid's arrays
+        payload = TilePayload(
+            key=key, method="greedy", budget=1, weighted=True,
+            ilp_backend="scipy", seed=0, costs=costs,
+        )
+        blob = pickle.dumps(payload)
+        shipped = pickle.loads(blob).costs
+        for name in ("capacities", "exact", "linear"):
+            got, want = getattr(shipped, name), getattr(costs, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+        assert shipped.columns == costs.columns
+        own = costs.capacities.nbytes + costs.exact.nbytes + costs.linear.nbytes
+        # The fixed part: the payload's scalar fields and three array headers.
+        overhead = 2_000
+        assert len(blob) <= own + len(pickle.dumps(costs.columns)) + overhead
+        assert len(blob) < costs.exact.base.nbytes
 
     def test_parallel_backend_validated(self, t1_setup):
         _, fill_rules, density_rules, _ = t1_setup
@@ -176,12 +204,12 @@ class TestNormalSiteSampling:
             if solution is None:
                 continue
             assert solution.site_indices is not None
-            costs = costs_by_tile[tile.key]
+            capacities = costs_by_tile[tile.key].capacities.tolist()
             columns = prepared.columns_by_tile[tile.key]
-            for k, cc in enumerate(costs):
+            for k, capacity in enumerate(capacities):
                 picked = solution.sites_for(k)
                 assert len(picked) == solution.counts[k]
-                assert all(0 <= s < cc.capacity for s in picked)
+                assert all(0 <= s < capacity for s in picked)
                 if picked and picked != tuple(range(len(picked))):
                     non_prefix_columns += 1
                 for s in picked:
@@ -207,7 +235,7 @@ class TestNormalSiteSampling:
                 TilePayload(
                     key=key, method="normal", budget=baseline.effective_budget[key],
                     weighted=cfg.weighted, ilp_backend=cfg.backend, seed=cfg.seed,
-                    columns=tuple(costs_by_tile[key]),
+                    costs=costs_by_tile[key].electrical(),
                 )
                 for key in order
             ])
@@ -268,6 +296,47 @@ class TestTileRngOnDemand:
         result = self._engine(t1_setup, "greedy").run_mvdc(0.25)
         assert result_digest(result) == self.MVDC_DIGEST
         assert rng_calls == []
+
+
+class TestCostTableDigests:
+    """``result_digest`` of T1/32/2 at seed 3 (scipy backend) for the runs
+    that read the cost tables through the allocation kernels, ILP-I's
+    unweighted model and the capacitance-budgeted variant, pinned before
+    the tables became one array representation."""
+
+    MARGINAL_DIGEST = "26adb05729a53db3f03907bf32099fbd15e0ae0450d24c8596a3267ef3e84a93"
+    ILP1_UNWEIGHTED_DIGEST = "022c5867ef95023243797ed7e9b7ee19c30128cf150c02f434bf5785875b5bad"
+    #: (slack fraction, exact) -> digest. At 0.0002 the budgets bind: five
+    #: tiles fall back from the ILP to the budgeted greedy, and both
+    #: variants place fewer features than requested.
+    BUDGETED_DIGESTS = {
+        (0.05, True): "ef3c0c92b25a5be2e003a19e8a132238aad41b334faafb7c300b514fe8d0aa2c",
+        (0.05, False): "eefd086c3718e21651e7aef96f4fa3a6017c44f83a8dde0d2650fe5b0cf2e254",
+        (0.0002, True): "d50762917ea7fd572c7f2fa12a36aac76bfc8c4095e59091621f9f5d58489784",
+        (0.0002, False): "a073123b8858b7fcc26e0433f6d629ccdd299f1a8bb54ce999d26d398f87d97d",
+    }
+
+    def _engine(self, t1_setup, **kwargs):
+        layout, fill_rules, density_rules, prepared = t1_setup
+        cfg = _config(fill_rules, density_rules, seed=3, **kwargs)
+        return PILFillEngine(layout, "metal3", cfg, prepared=prepared)
+
+    @pytest.mark.parametrize("method", ("greedy_marginal", "dp"))
+    def test_exact_allocation_kernels(self, t1_setup, method):
+        # Both are optimal on convex tables and sum the objective in
+        # column order, so they digest equal.
+        result = self._engine(t1_setup, method=method).run()
+        assert result_digest(result) == self.MARGINAL_DIGEST
+
+    def test_unweighted_ilp1(self, t1_setup):
+        result = self._engine(t1_setup, method="ilp1", weighted=False).run()
+        assert result_digest(result) == self.ILP1_UNWEIGHTED_DIGEST
+
+    @pytest.mark.parametrize(("fraction", "exact"), sorted(BUDGETED_DIGESTS))
+    def test_budgeted(self, t1_setup, fraction, exact):
+        budgets = derive_net_cap_budgets(t1_setup[0], fraction)
+        result = self._engine(t1_setup, method="ilp2").run_budgeted(budgets, exact=exact)
+        assert result_digest(result) == self.BUDGETED_DIGESTS[(fraction, exact)]
 
 
 class TestPreparedSharing:
@@ -333,7 +402,7 @@ class TestGuards:
         decrement counts[-1] into the negatives."""
         neighbor = ColumnNeighbor(net="n", line_index=0, sinks=1, resistance_ohm=1.0)
         col = ElectricalColumn(gap_um=4.0, below=neighbor, above=neighbor)
-        costs = [ColumnCosts(col, (0.0, 1.0, 2.0), (0.0, 1.0, 2.0))]
+        costs = pack_costs([(0.0, 1.0, 2.0)], columns=[col])
         # counts disagree with the cost tables: total 2 but no positive
         # entry the trimmer can take a feature from.
         bad = TileSolution(counts=[0, 2], model_objective_ps=2.0)

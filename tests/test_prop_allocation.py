@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pilfill.dp import allocate_dp, allocate_marginal_greedy, allocation_cost
+from tests.cost_tables import pack_costs
 from tests.ilp_model_oracle import Model, VarKind, solve_branch_and_bound
 
 
@@ -54,21 +55,23 @@ def brute_force(tables, budget):
 def test_marginal_greedy_optimal_on_convex(tables, budget):
     capacity = sum(len(t) - 1 for t in tables)
     budget = min(budget, capacity)
-    counts = allocate_marginal_greedy(tables, budget)
+    costs = pack_costs(tables)
+    counts = allocate_marginal_greedy(costs, budget)
     assert sum(counts) == budget
     assert all(0 <= c < len(t) for c, t in zip(counts, tables, strict=True))
     expected = brute_force(tables, budget)
-    assert abs(allocation_cost(tables, counts) - expected) < 1e-9
+    assert abs(allocation_cost(costs, counts) - expected) < 1e-9
 
 
 @given(arbitrary_tables(), st.integers(0, 9))
 def test_dp_optimal_on_arbitrary(tables, budget):
     capacity = sum(len(t) - 1 for t in tables)
     budget = min(budget, capacity)
-    counts = allocate_dp(tables, budget)
+    costs = pack_costs(tables)
+    counts = allocate_dp(costs, budget)
     assert sum(counts) == budget
     expected = brute_force(tables, budget)
-    assert abs(allocation_cost(tables, counts) - expected) < 1e-9
+    assert abs(allocation_cost(costs, counts) - expected) < 1e-9
 
 
 @settings(max_examples=25, deadline=None)

@@ -51,7 +51,7 @@ def test_ilp2_costs_no_more_than_any_method_per_tile(seed):
         results[method] = PILFillEngine(layout, "metal3", cfg, prepared=prepared).run(budget)
         budget = results[method].requested_budget
 
-    tables = {key: [c.exact for c in costs] for key, costs in prepared.costs_for(True).items()}
+    tables = prepared.costs_for(True)
     best = results.pop("ilp2")
     assert best.tile_solutions
     for method, result in results.items():

@@ -44,6 +44,7 @@ from repro.pilfill.dp import (
 )
 from repro.pilfill.prepare import prepare
 from repro.synth import default_fill_rules, density_rules_for, make_t1, make_t2
+from tests.cost_tables import pack_costs
 from tests.costs_oracle import build_costs_scalar
 
 # Geometry strategy: spacing comfortably above capacity * width so the
@@ -166,8 +167,9 @@ def _cost_cache(layer, fill_rules, dbu) -> LUTCache:
 
 def _assert_batched_matches_scalar(tiles, layer, fill_rules, dbu, weighted) -> None:
     """The batched pass over ``tiles`` against the scalar oracle run tile
-    by tile on one shared cache: the flat arrays, every view's
-    ``ColumnCosts`` and the LUT hit/miss accounting, all exactly."""
+    by tile on one shared cache: every tile's capacities and exact/linear
+    arrays as bytes, its columns, and the LUT hit/miss accounting, all
+    exactly."""
     batch_cache = _cost_cache(layer, fill_rules, dbu)
     views = build_cost_views(tiles, layer, fill_rules, dbu, batch_cache, weighted)
     scalar_cache = _cost_cache(layer, fill_rules, dbu)
@@ -177,17 +179,15 @@ def _assert_batched_matches_scalar(tiles, layer, fill_rules, dbu, weighted) -> N
     }
     assert list(views) == list(slow)
     for key, view in views.items():
-        costs = slow[key]
-        assert len(view) == len(costs)
-        assert view.capacity == sum(cc.capacity for cc in costs)
-        want_exact = np.array([x for cc in costs for x in cc.exact], dtype=np.float64)
-        want_linear = np.array([x for cc in costs for x in cc.linear], dtype=np.float64)
-        assert view.exact.tobytes() == want_exact.tobytes()
-        assert view.linear.tobytes() == want_linear.tobytes()
-        for got, want in zip(view, costs, strict=True):
-            assert got.column == want.column
-            assert np.array(got.exact).tobytes() == np.array(want.exact).tobytes()
-            assert np.array(got.linear).tobytes() == np.array(want.linear).tobytes()
+        want = slow[key]
+        assert len(view) == len(want)
+        assert view.capacity == want.capacity
+        for name in ("capacities", "exact", "linear"):
+            got_array, want_array = getattr(view, name), getattr(want, name)
+            assert got_array.dtype == want_array.dtype, name
+            assert got_array.tobytes() == want_array.tobytes(), name
+        assert view.columns == tuple(tiles[key])
+        assert view.electrical().columns == want.columns
     assert batch_cache.stats() == scalar_cache.stats()
 
 
@@ -232,9 +232,7 @@ class TestBuildCostsVectorized:
             oracle = _cost_cache(proc, fill_rules, dbu)
             for key, cols in fresh.columns_by_tile.items():
                 slow = build_costs_scalar(cols, proc, fill_rules, dbu, oracle, weighted)
-                assert views[key].exact.tobytes() == np.array(
-                    [x for cc in slow for x in cc.exact], dtype=np.float64
-                ).tobytes()
+                assert views[key].exact.tobytes() == slow.exact.tobytes()
             assert fresh.lut_stats == oracle.stats()
 
     @given(st.data())
@@ -303,14 +301,14 @@ class TestMarginalGreedyVectorized:
     @given(_convex_tables(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_matches_heap_oracle(self, tables, data):
-        capacity = sum(len(t) - 1 for t in tables)
-        budget = data.draw(st.integers(min_value=0, max_value=capacity))
-        fast = allocate_marginal_greedy(tables, budget)
-        slow = allocate_marginal_greedy_scalar(tables, budget)
+        costs = pack_costs(tables)
+        budget = data.draw(st.integers(min_value=0, max_value=costs.capacity))
+        fast = allocate_marginal_greedy(costs, budget)
+        slow = allocate_marginal_greedy_scalar(costs, budget)
         assert sum(fast) == budget
         # Counts may differ only between tied marginals; the objective
         # (what the engine consumes) must match exactly.
-        assert allocation_cost(tables, fast) == allocation_cost(tables, slow)
+        assert allocation_cost(costs, fast) == allocation_cost(costs, slow)
 
     def test_large_instance_exercises_vector_path(self):
         """Deterministic instance big enough for the argpartition path."""
@@ -319,24 +317,25 @@ class TestMarginalGreedyVectorized:
         for _ in range(40):
             marginals = np.sort(rng.uniform(0.0, 5.0, size=8))
             tables.append(tuple(np.concatenate([[0.0], np.cumsum(marginals)])))
-        capacity = sum(len(t) - 1 for t in tables)
+        costs = pack_costs(tables)
+        capacity = costs.capacity
         assert capacity >= _VECTOR_MIN_SLOTS
         for budget in (0, 1, capacity // 3, capacity // 2, capacity - 1, capacity):
-            fast = allocate_marginal_greedy(tables, budget)
-            slow = allocate_marginal_greedy_scalar(tables, budget)
+            fast = allocate_marginal_greedy(costs, budget)
+            slow = allocate_marginal_greedy_scalar(costs, budget)
             assert fast == slow
 
     def test_heavy_ties_stay_budget_exact(self):
         """All-equal marginals: the tie split must still hand out exactly
         ``budget`` features."""
-        tables = [tuple(float(n) for n in range(9))] * 16
-        capacity = sum(len(t) - 1 for t in tables)
+        costs = pack_costs([tuple(float(n) for n in range(9))] * 16)
+        capacity = costs.capacity
         assert capacity >= _VECTOR_MIN_SLOTS
         for budget in (0, 1, 7, capacity // 2, capacity):
-            counts = allocate_marginal_greedy(tables, budget)
+            counts = allocate_marginal_greedy(costs, budget)
             assert sum(counts) == budget
-            assert allocation_cost(tables, counts) == allocation_cost(
-                tables, allocate_marginal_greedy_scalar(tables, budget)
+            assert allocation_cost(costs, counts) == allocation_cost(
+                costs, allocate_marginal_greedy_scalar(costs, budget)
             )
 
     def test_non_convex_falls_back_to_heap(self):
@@ -351,9 +350,10 @@ class TestMarginalGreedyVectorized:
         # convexity check (not the size gate) can trigger the fallback.
         tables = tables * 12
         tables[0] = (0.0, 5.0, 5.5, 5.6)  # marginals 5.0, 0.5, 0.1 — decreasing
-        capacity = sum(len(t) - 1 for t in tables)
+        costs = pack_costs(tables)
+        capacity = costs.capacity
         assert capacity >= _VECTOR_MIN_SLOTS
         for budget in (1, 5, capacity // 2, capacity):
-            assert allocate_marginal_greedy(tables, budget) == (
-                allocate_marginal_greedy_scalar(tables, budget)
+            assert allocate_marginal_greedy(costs, budget) == (
+                allocate_marginal_greedy_scalar(costs, budget)
             )
