@@ -3,49 +3,38 @@
 Measures, on T1/32/2: the slack capacity each definition captures, the
 fraction of the density budget it can satisfy, and the evaluated delay
 impact of greedy fill under each definition. Definition III captures the
-most capacity and the truest costs."""
+most capacity and the truest costs. Each case runs the ``columns`` study
+(:func:`repro.experiments.ablation_column_definitions`) on its one
+definition."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.pilfill import (
-    EngineConfig,
-    PILFillEngine,
-    SlackColumnDef,
-    evaluate_impact,
-)
-from repro.synth import default_fill_rules, density_rules_for
+from repro.experiments import ablation_column_definitions, format_rows
+from repro.pilfill import SlackColumnDef
 
 _rows: list = []
 
 
 @pytest.mark.parametrize("definition", list(SlackColumnDef), ids=lambda d: f"def{d.value}")
 def test_column_definition_ablation(benchmark, t1_layout, definition):
-    rules = default_fill_rules(t1_layout.stack)
-    config = EngineConfig(
-        fill_rules=rules,
-        density_rules=density_rules_for(32, 2, t1_layout.stack),
-        method="greedy",
-        column_def=definition,
-        backend="scipy",
+    (row,) = benchmark.pedantic(
+        ablation_column_definitions,
+        args=(t1_layout,),
+        kwargs=dict(definitions=(definition,)),
+        rounds=1,
+        iterations=1,
     )
-    engine = PILFillEngine(t1_layout, "metal3", config)
-    result = benchmark.pedantic(engine.run, rounds=1, iterations=1)
-    impact = evaluate_impact(t1_layout, "metal3", result.features, rules)
-    _rows.append(
-        (definition.value, result.total_features, result.shortfall,
-         impact.weighted_total_ps)
-    )
-    benchmark.extra_info["features"] = result.total_features
-    benchmark.extra_info["shortfall"] = result.shortfall
-    benchmark.extra_info["wtau_ps"] = round(impact.weighted_total_ps, 6)
+    outcome = row.outcomes["greedy"]
+    _rows.append(row)
+    benchmark.extra_info["features"] = outcome.features
+    benchmark.extra_info["shortfall"] = outcome.shortfall
+    benchmark.extra_info["wtau_ps"] = round(outcome.weighted_tau_ps, 6)
 
 
 def teardown_module(module):
     if not _rows:
         return
-    print("\n\nAblation A — slack-column definitions (T1/32/2, greedy):")
-    print(f"{'def':>5}{'features':>10}{'shortfall':>11}{'wtau (ps)':>12}")
-    for name, features, shortfall, wtau in _rows:
-        print(f"{name:>5}{features:>10d}{shortfall:>11d}{wtau:>12.4f}")
+    print("\n")
+    print(format_rows("Ablation A — slack-column definitions (T1/32/2, greedy)", "def", _rows))

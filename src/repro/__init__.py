@@ -106,7 +106,7 @@ from repro.synth import (
     make_t1,
     make_t2,
 )
-from repro.experiments import generate_report, run_config, run_study, run_table1, run_table2
+from repro.experiments import generate_report, run_config, run_study, run_table
 from repro.io import parse_def, parse_lef, write_def, write_lef
 from repro.timing import (
     baseline_sink_delays,
@@ -150,7 +150,7 @@ __all__ = [
     "GeneratorSpec", "generate_layout", "make_t1", "make_t2",
     "default_fill_rules", "density_rules_for",
     # experiments
-    "run_config", "run_table1", "run_table2", "run_study", "generate_report",
+    "run_config", "run_table", "run_study", "generate_report",
     # io
     "parse_lef", "write_lef", "parse_def", "write_def",
     # timing

@@ -10,7 +10,6 @@ from repro.cap.fillimpact import (
 )
 from repro.cap.lut import CapacitanceLUT, LUTCache
 from repro.cap.grounded import (
-    grounded_boundary_cap,
     grounded_column_cap_per_line,
     grounded_column_table,
     grounded_stack_extent,
@@ -25,7 +24,6 @@ from repro.cap.miller import (
 )
 
 __all__ = [
-    "grounded_boundary_cap",
     "grounded_column_cap_per_line",
     "grounded_column_table",
     "grounded_stack_extent",

@@ -19,9 +19,7 @@ column footprint ``w`` is
 
 which is strictly larger than the floating increment at the same count —
 grounded fill is electrically safer to model but costlier, matching
-industry practice. For single-neighbor (boundary) columns grounded fill is
-*not* free: the line sees ε₀ ε_r t w / side, with the stack pushed to the
-far end of the column span.
+industry practice. Only two-neighbor columns are modeled here.
 
 Note the table is NOT globally convex in ``m``: the 0 → 1 marginal (a
 ground plate appearing where there was none) dominates all later
@@ -68,32 +66,6 @@ def grounded_column_cap_per_line(
         )
     base = EPS0_FF_PER_UM * eps_r * thickness_um * fill_width_um
     return base * (1.0 / side - 1.0 / spacing_um)
-
-
-def grounded_boundary_cap(
-    eps_r: float,
-    thickness_um: float,
-    span_um: float,
-    m: int,
-    fill_width_um: float,
-    fill_gap_um: float,
-    min_clearance_um: float,
-) -> float:
-    """Increment on a line whose column has no opposite neighbor, fF.
-
-    The stack is pushed to the far end of the ``span_um`` column extent;
-    the clearance to the line is ``span − extent`` but never less than
-    ``min_clearance_um`` (the buffer distance).
-    """
-    _check(eps_r, thickness_um, span_um, m, fill_width_um, fill_gap_um)
-    if m == 0:
-        return 0.0
-    extent = grounded_stack_extent(m, fill_width_um, fill_gap_um)
-    clearance = max(span_um - extent, min_clearance_um)
-    if clearance <= 0:
-        raise FillError("grounded boundary stack has non-positive clearance")
-    base = EPS0_FF_PER_UM * eps_r * thickness_um * fill_width_um
-    return base / clearance
 
 
 def grounded_column_table(

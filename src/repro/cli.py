@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any
 
 from repro.dissection import DensityMap, FixedDissection
 from repro.experiments.ablation import STUDIES, run_study
@@ -41,21 +42,27 @@ def _layout_for(name: str):
     raise SystemExit(f"unknown testcase {name!r}; expected T1 or T2")
 
 
-def _cmd_table(args: argparse.Namespace, weighted: bool) -> int:
-    telemetry = bool(args.trace_out or args.metrics_out)
+def _engine_knobs(args: argparse.Namespace) -> dict[str, Any]:
+    """The :class:`EngineConfig` fields that :func:`_add_run_flags` sets.
+    One :class:`SolutionCache` serves the whole command (every table row)."""
     cache_dir = None if args.no_cache else args.cache_dir
+    return {
+        "workers": args.workers,
+        "tile_deadline_s": args.tile_deadline,
+        "run_deadline_s": args.run_deadline,
+        "telemetry": bool(args.trace_out or args.metrics_out),
+        "solution_cache": SolutionCache(cache_dir=cache_dir) if cache_dir else None,
+        "shards": args.shards,
+    }
+
+
+def _cmd_table(args: argparse.Namespace, weighted: bool) -> int:
     quick = (
         {"testcases": ("T1",), "windows_um": (32,), "r_values": (2,)}
         if args.quick
         else {}
     )
-    spec = TableSpec(
-        workers=args.workers,
-        tile_deadline_s=args.tile_deadline, run_deadline_s=args.run_deadline,
-        telemetry=telemetry, cache_dir=cache_dir,
-        shards=args.shards,
-        **quick,
-    )
+    spec = TableSpec(engine=_engine_knobs(args), **quick)
     table = run_table(
         weighted=weighted, spec=spec, progress=lambda label: print(f"  done {label}")
     )
@@ -109,20 +116,13 @@ def _cmd_density(args: argparse.Namespace) -> int:
 def _cmd_fill(args: argparse.Namespace) -> int:
     layout = _layout_for(args.testcase)
     fill_rules = default_fill_rules(layout.stack)
-    cache_dir = None if args.no_cache else args.cache_dir
-    solution_cache = SolutionCache(cache_dir=cache_dir) if cache_dir else None
     cfg = EngineConfig(
         fill_rules=fill_rules,
         density_rules=density_rules_for(args.window, args.r, layout.stack),
         method=args.method,
         weighted=not args.unweighted,
         seed=args.seed,
-        workers=args.workers,
-        tile_deadline_s=args.tile_deadline,
-        run_deadline_s=args.run_deadline,
-        telemetry=bool(args.trace_out or args.metrics_out),
-        solution_cache=solution_cache,
-        shards=args.shards,
+        **_engine_knobs(args),
     )
     engine = PILFillEngine(layout, args.layer, cfg)
     result = engine.run()

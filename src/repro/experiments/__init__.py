@@ -5,15 +5,10 @@ from repro.experiments.ablation import (
     ablation_cap_models,
     ablation_capacity_margin,
     ablation_column_definitions,
+    ablation_fill_size,
     ablation_seed_sensitivity,
+    format_rows,
     run_study,
-)
-from repro.experiments.compare import (
-    ComparisonReport,
-    ResultRow,
-    check_shape,
-    compare_results,
-    parse_results_csv,
 )
 from repro.experiments.report import ReportSpec, generate_report
 from repro.experiments.harness import (
@@ -27,8 +22,6 @@ from repro.experiments.tables import (
     TableSpec,
     default_layouts,
     run_table,
-    run_table1,
-    run_table2,
 )
 
 __all__ = [
@@ -36,15 +29,12 @@ __all__ = [
     "ablation_cap_models",
     "ablation_capacity_margin",
     "ablation_column_definitions",
+    "ablation_fill_size",
     "ablation_seed_sensitivity",
+    "format_rows",
     "run_study",
     "ReportSpec",
     "generate_report",
-    "ComparisonReport",
-    "ResultRow",
-    "check_shape",
-    "compare_results",
-    "parse_results_csv",
     "TABLE_METHODS",
     "ConfigResult",
     "MethodOutcome",
@@ -53,6 +43,4 @@ __all__ = [
     "TableSpec",
     "default_layouts",
     "run_table",
-    "run_table1",
-    "run_table2",
 ]

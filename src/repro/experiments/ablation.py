@@ -1,23 +1,27 @@
-"""Programmatic ablation studies for the design choices DESIGN.md calls
-out. Each study returns plain dataclass rows plus a ``format_*`` helper so
-the CLI, the benchmarks, and notebooks share one implementation.
+"""Ablation studies for the design choices DESIGN.md calls out.
+
+Every engine study is a list of
+:func:`~repro.experiments.harness.run_config` rows — each a label, a
+layout and the :class:`~repro.pilfill.engine.EngineConfig` fields the row
+varies — so it follows the tables' own protocol: the first method's run
+fixes the row's budget, every method places it, and the common evaluator
+scores each. A study returns one
+:class:`~repro.experiments.harness.ConfigResult` per row (its
+``testcase`` is the row label) and :func:`format_rows` renders any of
+them. The ``capmodel`` study compares closed-form capacitance models and
+makes no engine run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.cap import exact_column_cap, grounded_column_table, linear_column_cap
 from repro.errors import ReproError
+from repro.experiments.harness import ConfigResult, run_config
 from repro.layout.layout import RoutedLayout
-from repro.pilfill import (
-    EngineConfig,
-    FillResult,
-    PILFillEngine,
-    SlackColumnDef,
-    evaluate_impact,
-)
+from repro.pilfill import SlackColumnDef
+from repro.pilfill.prepare import prepare
 from repro.synth import (
     default_fill_rules,
     density_rules_for,
@@ -26,90 +30,52 @@ from repro.synth import (
 )
 from repro.tech.rules import FillRules
 
+#: The methods the margin, fill-size and seed studies compare.
+NORMAL_VS_ILP2 = ("normal", "ilp2")
 
-def _normal_vs_ilp2(
-    layout: RoutedLayout,
-    layer: str,
-    rules: FillRules,
-    window_um: int,
-    r: int,
-    **knobs: Any,
-) -> tuple[int, int, float, float]:
-    """Normal, then ILP-II on Normal's budget (``knobs`` are extra
-    :class:`EngineConfig` fields), each scored by :func:`evaluate_impact`:
-    ``(Normal's budget total, Normal's features, Normal's weighted τ,
-    ILP-II's weighted τ)``."""
 
-    def run(method: str, budget: dict[tuple[int, int], int] | None) -> tuple[FillResult, float]:
-        config = EngineConfig(
-            fill_rules=rules,
-            density_rules=density_rules_for(window_um, r, layout.stack),
-            method=method,
-            backend="scipy",
-            **knobs,
+def format_rows(title: str, label: str, rows: list[ConfigResult]) -> str:
+    """One study table: per row its budget, the first method's features
+    and shortfall, each method's weighted τ, and ILP-II's τ reduction
+    against Normal when both ran."""
+    methods = list(rows[0].outcomes) if rows else []
+    compare = {"normal", "ilp2"} <= set(methods)
+    header = (
+        f"{label:>7}{'budget':>8}{'features':>10}{'shortfall':>11}"
+        + "".join(f"{method:>10}" for method in methods)
+        + (f"{'reduction':>10}" if compare else "")
+    )
+    lines = [f"{title} — weighted tau in ps:", header]
+    for row in rows:
+        first = row.outcomes[methods[0]]
+        line = (
+            f"{row.testcase:>7}{row.budget_total:>8d}{first.features:>10d}"
+            f"{first.shortfall:>11d}"
+            + "".join(f"{row.tau(method, True):>10.4f}" for method in methods)
         )
-        result = PILFillEngine(layout, layer, config).run(budget=budget)
-        impact = evaluate_impact(layout, layer, result.features, rules)
-        return result, impact.weighted_total_ps
-
-    normal, normal_tau = run("normal", None)
-    _, ilp2_tau = run("ilp2", normal.requested_budget)
-    return sum(normal.requested_budget.values()), normal.total_features, normal_tau, ilp2_tau
+        if compare:
+            line += f"{row.reduction_vs_normal('ilp2', True):>10.0%}"
+        lines.append(line)
+    return "\n".join(lines)
 
 
 # -- A: slack-column definitions ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColumnDefRow:
-    definition: str
-    features: int
-    shortfall: int
-    weighted_tau_ps: float
-
-
 def ablation_column_definitions(
     layout: RoutedLayout,
+    definitions: tuple[SlackColumnDef, ...] = tuple(SlackColumnDef),
     layer: str = "metal3",
     window_um: int = 32,
     r: int = 2,
     method: str = "greedy",
-) -> list[ColumnDefRow]:
-    """Capacity and delay impact under definitions I/II/III (paper §5.1)."""
-    rules = default_fill_rules(layout.stack)
-    rows = []
-    for definition in SlackColumnDef:
-        config = EngineConfig(
-            fill_rules=rules,
-            density_rules=density_rules_for(window_um, r, layout.stack),
-            method=method,
-            column_def=definition,
-            backend="scipy",
-        )
-        result = PILFillEngine(layout, layer, config).run()
-        impact = evaluate_impact(layout, layer, result.features, rules)
-        rows.append(
-            ColumnDefRow(
-                definition=definition.value,
-                features=result.total_features,
-                shortfall=result.shortfall,
-                weighted_tau_ps=impact.weighted_total_ps,
-            )
-        )
-    return rows
-
-
-def format_column_definitions(rows: list[ColumnDefRow]) -> str:
-    lines = [
-        "Slack-column definitions (paper §5.1):",
-        f"{'def':>5}{'features':>10}{'shortfall':>11}{'wtau (ps)':>12}",
+) -> list[ConfigResult]:
+    """Capacity and delay impact under definitions I/II/III (paper §5.1),
+    each placing the budget its own density step fixes."""
+    return [
+        run_config(layout, d.value, window_um, r, layer=layer, methods=(method,), column_def=d)
+        for d in definitions
     ]
-    for row in rows:
-        lines.append(
-            f"{row.definition:>5}{row.features:>10d}{row.shortfall:>11d}"
-            f"{row.weighted_tau_ps:>12.4f}"
-        )
-    return "\n".join(lines)
 
 
 # -- B: capacitance models (linear vs exact vs grounded) -----------------------
@@ -188,62 +154,30 @@ def format_cap_models(rows: list[CapModelRow]) -> str:
 # -- C: capacity margin sweep ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarginRow:
-    margin: float
-    budget_total: int
-    normal_wtau_ps: float
-    ilp2_wtau_ps: float
-
-    @property
-    def reduction(self) -> float:
-        if self.normal_wtau_ps <= 0:
-            return 0.0
-        return 1.0 - self.ilp2_wtau_ps / self.normal_wtau_ps
-
-
 def ablation_capacity_margin(
     layout: RoutedLayout,
     margins: tuple[float, ...] = (1.0, 0.85, 0.7, 0.5),
     layer: str = "metal3",
     window_um: int = 32,
     r: int = 4,
-) -> list[MarginRow]:
+) -> list[ConfigResult]:
     """How the budget-headroom knob trades fill amount for method
-    distinguishability (see DESIGN.md substitutions)."""
-    rules = default_fill_rules(layout.stack)
-    rows = []
-    for margin in margins:
-        budget_total, _, normal_tau, ilp2_tau = _normal_vs_ilp2(
-            layout, layer, rules, window_um, r, capacity_margin=margin
+    distinguishability (see DESIGN.md substitutions). The margin moves
+    only the budget, so every row reuses one preparation."""
+    prepared = prepare(
+        layout, layer, default_fill_rules(layout.stack),
+        density_rules_for(window_um, r, layout.stack), SlackColumnDef.FULL_LAYOUT,
+    )
+    return [
+        run_config(
+            layout, f"{m:.2f}", window_um, r, layer=layer, methods=NORMAL_VS_ILP2,
+            prepared=prepared, capacity_margin=m,
         )
-        rows.append(MarginRow(margin, budget_total, normal_tau, ilp2_tau))
-    return rows
-
-
-def format_capacity_margin(rows: list[MarginRow]) -> str:
-    lines = [
-        "Capacity-margin sweep (Normal vs ILP-II, weighted):",
-        f"{'margin':>7}{'budget':>8}{'normal':>10}{'ilp2':>10}{'reduction':>10}",
+        for m in margins
     ]
-    for row in rows:
-        lines.append(
-            f"{row.margin:>7.2f}{row.budget_total:>8d}{row.normal_wtau_ps:>10.4f}"
-            f"{row.ilp2_wtau_ps:>10.4f}{row.reduction:>10.0%}"
-        )
-    return "\n".join(lines)
 
 
 # -- D: fill feature size (Grobman et al., ref [8]) ----------------------------
-
-
-@dataclass(frozen=True)
-class FillSizeRow:
-    fill_size_um: float
-    features: int
-    fill_area_um2: float
-    normal_wtau_ps: float
-    ilp2_wtau_ps: float
 
 
 def ablation_fill_size(
@@ -252,90 +186,42 @@ def ablation_fill_size(
     layer: str = "metal3",
     window_um: int = 32,
     r: int = 2,
-) -> list[FillSizeRow]:
+) -> list[ConfigResult]:
     """Ref [8]'s observation: at the same *fill density*, smaller features
     limit the capacitance increase. Sweep the feature size with gap and
     buffer scaled proportionally (constant pattern density) and compare
     delay impact at matched fill area."""
     dbu = layout.stack.dbu_per_micron
-    rows = []
-    for size in sizes_um:
-        rules = FillRules(
-            fill_size=round(size * dbu),
-            fill_gap=round(size * dbu / 2),
-            buffer_distance=round(size * dbu / 2),
+    return [
+        run_config(
+            layout, f"{size:.2f}", window_um, r, layer=layer, methods=NORMAL_VS_ILP2,
+            fill_rules=FillRules(
+                fill_size=round(size * dbu),
+                fill_gap=round(size * dbu / 2),
+                buffer_distance=round(size * dbu / 2),
+            ),
         )
-        _, features, normal_tau, ilp2_tau = _normal_vs_ilp2(
-            layout, layer, rules, window_um, r
-        )
-        rows.append(
-            FillSizeRow(size, features, features * size * size, normal_tau, ilp2_tau)
-        )
-    return rows
-
-
-def format_fill_size(rows: list[FillSizeRow]) -> str:
-    lines = [
-        "Fill feature size (ref [8]; same pattern density per size):",
-        f"{'size (um)':>10}{'features':>10}{'area um^2':>11}"
-        f"{'normal':>10}{'ilp2':>10}{'n/area':>10}",
+        for size in sizes_um
     ]
-    for row in rows:
-        per_area = row.normal_wtau_ps / row.fill_area_um2 if row.fill_area_um2 else 0.0
-        lines.append(
-            f"{row.fill_size_um:>10.2f}{row.features:>10d}{row.fill_area_um2:>11.0f}"
-            f"{row.normal_wtau_ps:>10.4f}{row.ilp2_wtau_ps:>10.4f}{per_area:>10.6f}"
-        )
-    return "\n".join(lines)
 
 
 # -- E: seed sensitivity -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SeedRow:
-    seed: int
-    normal_wtau_ps: float
-    ilp2_wtau_ps: float
-
-    @property
-    def reduction(self) -> float:
-        if self.normal_wtau_ps <= 0:
-            return 0.0
-        return 1.0 - self.ilp2_wtau_ps / self.normal_wtau_ps
 
 
 def ablation_seed_sensitivity(
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5),
     window_um: int = 32,
     r: int = 2,
-) -> list[SeedRow]:
+) -> list[ConfigResult]:
     """The headline reduction across independently generated T1-class
     layouts — is the result an artifact of one seed?"""
-    rows = []
-    for seed in seeds:
-        layout = generate_layout(t1_spec(seed=seed))
-        rules = default_fill_rules(layout.stack)
-        _, _, normal_tau, ilp2_tau = _normal_vs_ilp2(layout, "metal3", rules, window_um, r)
-        rows.append(SeedRow(seed, normal_tau, ilp2_tau))
-    return rows
-
-
-def format_seed_sensitivity(rows: list[SeedRow]) -> str:
-    reductions = [row.reduction for row in rows]
-    mean = sum(reductions) / len(reductions)
-    spread = max(reductions) - min(reductions)
-    lines = [
-        "Seed sensitivity (T1-class layouts, W=32 r=2, ILP-II vs Normal):",
-        f"{'seed':>5}{'normal':>10}{'ilp2':>10}{'reduction':>10}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.seed:>5d}{row.normal_wtau_ps:>10.4f}{row.ilp2_wtau_ps:>10.4f}"
-            f"{row.reduction:>10.0%}"
+    return [
+        run_config(
+            generate_layout(t1_spec(seed=seed)), str(seed), window_um, r,
+            methods=NORMAL_VS_ILP2,
         )
-    lines.append(f"mean reduction {mean:.0%}, spread {spread:.0%}")
-    return "\n".join(lines)
+        for seed in seeds
+    ]
 
 
 #: Registry used by the CLI.
@@ -349,21 +235,32 @@ STUDIES = {
 
 
 def run_study(name: str, layout: RoutedLayout | None = None) -> str:
-    """Run one named study and return its formatted report."""
-    if name == "columns":
-        if layout is None:
-            layout = generate_layout(t1_spec())
-        return format_column_definitions(ablation_column_definitions(layout))
+    """Run one named study and return its formatted report; the layout
+    studies default to the T1 preset."""
+    if name not in STUDIES:
+        raise ReproError(
+            f"unknown ablation study {name!r}; expected one of {sorted(STUDIES)}"
+        )
     if name == "capmodel":
         return format_cap_models(ablation_cap_models())
-    if name == "margin":
-        if layout is None:
-            layout = generate_layout(t1_spec())
-        return format_capacity_margin(ablation_capacity_margin(layout))
-    if name == "fillsize":
-        if layout is None:
-            layout = generate_layout(t1_spec())
-        return format_fill_size(ablation_fill_size(layout))
     if name == "seeds":
-        return format_seed_sensitivity(ablation_seed_sensitivity())
-    raise ReproError(f"unknown ablation study {name!r}; expected one of {sorted(STUDIES)}")
+        return format_rows(
+            "Seed sensitivity (T1-class layouts, W=32 r=2, ILP-II vs Normal)",
+            "seed", ablation_seed_sensitivity(),
+        )
+    if layout is None:
+        layout = generate_layout(t1_spec())
+    if name == "columns":
+        return format_rows(
+            "Slack-column definitions (paper §5.1), greedy",
+            "def", ablation_column_definitions(layout),
+        )
+    if name == "margin":
+        return format_rows(
+            "Capacity-margin sweep (Normal vs ILP-II)",
+            "margin", ablation_capacity_margin(layout),
+        )
+    return format_rows(
+        "Fill feature size (ref [8]; same pattern density per size, um)",
+        "size", ablation_fill_size(layout),
+    )

@@ -11,20 +11,24 @@ the harness builds one :class:`~repro.pilfill.prepare.PreparedInstance`
 per configuration and hands it to every method's engine — the dissection,
 legality map, density map, slack columns, cost tables, and budget are
 each computed exactly once per configuration instead of once per method.
+
+:func:`run_config` is the one runner: the tables
+(:mod:`repro.experiments.tables`) and the ablation studies
+(:mod:`repro.experiments.ablation`) are lists of its calls, and every
+engine knob reaches it under its :class:`EngineConfig` field name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Any
 
+from repro.errors import ReproError
 from repro.layout.layout import RoutedLayout
-from repro.pilfill.columns import SlackColumnDef
 from repro.pilfill.engine import EngineConfig, PILFillEngine
 from repro.pilfill.evaluate import evaluate_impact
-from repro.pilfill.incremental import SolutionCache
 from repro.pilfill.prepare import PreparedInstance, prepare
 from repro.synth.testcases import default_fill_rules, density_rules_for
-from repro.tech.rules import FillRules
 
 #: Method order of the paper's tables.
 TABLE_METHODS = ("normal", "ilp1", "ilp2", "greedy")
@@ -48,6 +52,9 @@ class MethodOutcome:
     cpu_s: float
     features: int
     model_objective_ps: float
+    #: Features the density step asked for that no slack column could
+    #: hold (``FillResult.shortfall``).
+    shortfall: int = 0
     degraded_tiles: int = 0
     failed_tiles: int = 0
     retried_tiles: int = 0
@@ -64,6 +71,8 @@ class MethodOutcome:
 class ConfigResult:
     """All methods on one ``T/W/r`` configuration."""
 
+    #: The row label: a testcase name in the tables, the varied value in
+    #: an ablation study.
     testcase: str
     window_um: int
     r: int
@@ -94,82 +103,44 @@ def run_config(
     testcase: str,
     window_um: int,
     r: int,
+    *,
     layer: str = "metal3",
     methods: tuple[str, ...] = TABLE_METHODS,
-    weighted: bool = True,
-    fill_rules: FillRules | None = None,
-    column_def: SlackColumnDef = SlackColumnDef.FULL_LAYOUT,
-    backend: str = "scipy",
-    seed: int = 0,
-    workers: int = 1,
     prepared: PreparedInstance | None = None,
-    tile_deadline_s: float | None = None,
-    run_deadline_s: float | None = None,
-    fallback: bool = True,
-    fault_spec=None,
-    telemetry: bool = False,
-    cache_dir: str | None = None,
-    solution_cache: SolutionCache | None = None,
-    shards: int = 1,
+    **engine: Any,
 ) -> ConfigResult:
     """Run every method on one configuration with a shared budget.
 
     Args:
-        workers: per-tile solver parallelism, forwarded to every method's
-            engine (see :class:`EngineConfig`).
+        testcase: the row's label (see :attr:`ConfigResult.testcase`).
+        methods: methods to run, in order; the first one's run fixes the
+            budget every later method places.
         prepared: preprocessing to reuse; built once here when omitted.
-        tile_deadline_s: per-tile solve deadline (see :class:`EngineConfig`).
-        run_deadline_s: whole-solve-phase deadline, applied per method run.
-        fallback: robust solving with method degradation (default) vs
-            strict first-failure-propagates mode.
-        fault_spec: deterministic fault injection for tests.
-        telemetry: record tracing spans + metrics per method run and
-            attach each run's JSON report to its :class:`MethodOutcome`.
-        cache_dir: directory for a disk-backed tile-solution cache (see
-            :mod:`repro.pilfill.incremental`); a warm re-run of an
-            unchanged configuration then merges cached tiles instead of
-            re-solving. ``None`` (default) → no caching.
-        solution_cache: a prebuilt cache to use instead of constructing
-            one from ``cache_dir`` (the two are mutually exclusive);
-            lets callers share one in-memory cache across configs.
-        shards: row-band shards for the solve phase (see
-            :mod:`repro.pilfill.shard`); results are bit-identical for
-            any value, sharding only bounds peak memory.
+        engine: :class:`EngineConfig` fields, passed through unchanged
+            (``EngineConfig`` validates them). The harness supplies only
+            ``density_rules`` from ``window_um``/``r`` and two defaults:
+            ``backend="scipy"`` and ``fill_rules`` from
+            :func:`default_fill_rules`. ``method`` comes from ``methods``.
+            With ``telemetry=True`` each outcome carries its run report.
     """
-    if solution_cache is None and cache_dir is not None:
-        solution_cache = SolutionCache(cache_dir=cache_dir)
-    if fill_rules is None:
-        fill_rules = default_fill_rules(layout.stack)
-    density_rules = density_rules_for(window_um, r, layout.stack)
+    if "method" in engine:
+        raise ReproError("run_config takes methods=(...), not an engine method")
+    engine = {"backend": "scipy", "fill_rules": default_fill_rules(layout.stack), **engine}
+    base = EngineConfig(density_rules=density_rules_for(window_um, r, layout.stack), **engine)
     if prepared is None:
-        prepared = prepare(layout, layer, fill_rules, density_rules, column_def)
+        prepared = prepare(
+            layout, layer, base.fill_rules, base.density_rules, base.column_def
+        )
 
     result = ConfigResult(testcase=testcase, window_um=window_um, r=r, budget_total=0)
     budget = None
     for method in methods:
-        cfg = EngineConfig(
-            fill_rules=fill_rules,
-            density_rules=density_rules,
-            method=method,
-            weighted=weighted,
-            column_def=column_def,
-            backend=backend,
-            seed=seed,
-            workers=workers,
-            tile_deadline_s=tile_deadline_s,
-            run_deadline_s=run_deadline_s,
-            fallback=fallback,
-            fault_spec=fault_spec,
-            telemetry=telemetry,
-            solution_cache=solution_cache,
-            shards=shards,
-        )
-        engine = PILFillEngine(layout, layer, cfg, prepared=prepared)
-        run = engine.run(budget=budget)
+        cfg = replace(base, method=method)
+        run = PILFillEngine(layout, layer, cfg, prepared=prepared).run(budget=budget)
         if budget is None:
             budget = run.requested_budget
             result.budget_total = sum(budget.values())
-        impact = evaluate_impact(layout, layer, run.features, fill_rules)
+        impact = evaluate_impact(layout, layer, run.features, cfg.fill_rules)
         result.outcomes[method] = MethodOutcome(
             method=method,
             tau_ps=impact.total_ps,
@@ -177,10 +148,11 @@ def run_config(
             cpu_s=run.solve_seconds,
             features=run.total_features,
             model_objective_ps=run.model_objective_ps,
+            shortfall=run.shortfall,
             degraded_tiles=len(run.degraded_tiles),
             failed_tiles=len(run.failed_tiles),
             retried_tiles=len(run.retried_tiles),
-            report=run.to_report(cfg) if telemetry else None,
+            report=run.to_report(cfg) if cfg.telemetry else None,
         )
     result.prepare_seconds = dict(prepared.phase_seconds)
     return result

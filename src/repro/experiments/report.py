@@ -13,14 +13,7 @@ import time
 from dataclasses import dataclass
 
 from repro.dissection import DensityMap, FixedDissection, smoothness
-from repro.experiments.ablation import (
-    ablation_cap_models,
-    ablation_capacity_margin,
-    ablation_column_definitions,
-    format_cap_models,
-    format_capacity_margin,
-    format_column_definitions,
-)
+from repro.experiments.ablation import run_study
 from repro.experiments.tables import TableResult, TableSpec, default_layouts, run_table
 from repro.layout.layout import RoutedLayout
 from repro.synth import density_rules_for
@@ -98,11 +91,11 @@ def generate_report(spec: ReportSpec | None = None) -> str:
         t1 = layouts["T1"]
         parts += [
             "", "## Ablation A — slack-column definitions", "",
-            "```", format_column_definitions(ablation_column_definitions(t1)), "```",
+            "```", run_study("columns", t1), "```",
             "", "## Ablation B — capacitance models", "",
-            "```", format_cap_models(ablation_cap_models()), "```",
+            "```", run_study("capmodel"), "```",
             "", "## Ablation C — capacity margin", "",
-            "```", format_capacity_margin(ablation_capacity_margin(t1)), "```",
+            "```", run_study("margin", t1), "```",
         ]
     parts.append("")
     return "\n".join(parts)

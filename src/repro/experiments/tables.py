@@ -12,7 +12,7 @@ target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable, Mapping
 
 from repro.experiments.harness import TABLE_METHODS, ConfigResult, run_config
 from repro.layout.layout import RoutedLayout
@@ -28,29 +28,11 @@ class TableSpec:
     r_values: tuple[int, ...] = R_VALUES
     methods: tuple[str, ...] = TABLE_METHODS
     layer: str = "metal3"
-    backend: str = "scipy"
-    seed: int = 0
-    #: Per-tile solver parallelism forwarded to every engine run.
-    workers: int = 1
-    #: Per-tile / per-run wall-clock deadlines (seconds; see EngineConfig).
-    tile_deadline_s: float | None = None
-    run_deadline_s: float | None = None
-    #: Robust solving (method degradation + fault isolation) — default on.
-    fallback: bool = True
-    #: Deterministic fault injection for tests (repro.testing.faults).
-    fault_spec: object | None = None
-    #: Record spans + metrics per method run; each cell's outcome then
-    #: carries its full run report (see :meth:`TableResult.reports`).
-    telemetry: bool = False
-    #: Directory for the disk-backed tile-solution cache (see
-    #: :mod:`repro.pilfill.incremental`); re-running an unchanged table
-    #: then merges cached tile solutions instead of re-solving them.
-    #: ``None`` (default) → no caching.
-    cache_dir: str | None = None
-    #: Row-band shards for the solve phase (see
-    #: :mod:`repro.pilfill.shard`); 1 (default) → unsharded. Results are
-    #: bit-identical for any value — sharding only bounds peak memory.
-    shards: int = 1
+    #: :class:`~repro.pilfill.engine.EngineConfig` fields forwarded to
+    #: every row's :func:`run_config` (``weighted`` comes from the table).
+    #: A ``solution_cache`` here is shared by every row, so re-running an
+    #: unchanged table merges cached tile solutions instead of solving.
+    engine: Mapping[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -119,7 +101,7 @@ class TableResult:
     def reports(self) -> dict[str, dict[str, dict]]:
         """Per-cell run reports, ``{row label: {method: report dict}}``.
 
-        Only populated when the table ran with ``TableSpec.telemetry``;
+        Only populated when ``TableSpec.engine`` set ``telemetry=True``;
         cells without a report are omitted. This is what the CLI's
         ``--trace-out`` serializes — reading a degraded cell's entry shows
         the fallback-rung history and span tree behind the ``*``/``!``.
@@ -174,35 +156,12 @@ def run_table(
         for window_um in spec.windows_um:
             for r in spec.r_values:
                 row = run_config(
-                    layout,
-                    testcase,
-                    window_um,
-                    r,
-                    layer=spec.layer,
-                    methods=spec.methods,
-                    weighted=weighted,
-                    backend=spec.backend,
-                    seed=spec.seed,
-                    workers=spec.workers,
-                    tile_deadline_s=spec.tile_deadline_s,
-                    run_deadline_s=spec.run_deadline_s,
-                    fallback=spec.fallback,
-                    fault_spec=spec.fault_spec,
-                    telemetry=spec.telemetry,
-                    cache_dir=spec.cache_dir,
-                    shards=spec.shards,
+                    layout, testcase, window_um, r,
+                    layer=spec.layer, methods=spec.methods,
+                    weighted=weighted, **spec.engine,
                 )
                 table.rows.append(row)
                 if progress is not None:
                     progress(row.label)
     return table
 
-
-def run_table1(spec: TableSpec | None = None, **kwargs) -> TableResult:
-    """Paper Table 1: non-weighted τ."""
-    return run_table(weighted=False, spec=spec, **kwargs)
-
-
-def run_table2(spec: TableSpec | None = None, **kwargs) -> TableResult:
-    """Paper Table 2: sink-weighted τ."""
-    return run_table(weighted=True, spec=spec, **kwargs)

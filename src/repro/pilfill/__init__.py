@@ -64,7 +64,6 @@ from repro.pilfill.parallel import (
     shutdown_pools,
     solve_tile_payload,
     tile_rng,
-    worker_pids,
 )
 from repro.pilfill.prepare import PreparedInstance, prepare, prepare_streaming
 from repro.pilfill.robust import (
@@ -125,7 +124,6 @@ __all__ = [
     "get_pool",
     "pool_stats",
     "shutdown_pools",
-    "worker_pids",
     "ImpactReport",
     "evaluate_impact",
     "solve_tile_greedy",

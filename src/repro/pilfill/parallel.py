@@ -63,7 +63,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.errors import FillError, SolveTimeoutError, WorkerDeathError
 from repro.obs.metrics import NULL_METRICS, Metrics, MetricsLike, MetricsSnapshot
@@ -462,12 +462,3 @@ def _dispatch_chunks(
                 solved = _solve_in_parent(chunk)
         outcomes.update((o.key, o) for o in solved)
     return outcomes
-
-
-def worker_pids(outcomes: Mapping[TileKey, TileOutcome]) -> frozenset[int]:
-    """Distinct worker PIDs that produced ``outcomes`` (excluding the
-    current process — i.e. excluding serial/parent-retry solves)."""
-    me = os.getpid()
-    return frozenset(
-        o.pid for o in outcomes.values() if o.pid is not None and o.pid != me
-    )

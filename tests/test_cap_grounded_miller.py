@@ -10,7 +10,6 @@ from repro.cap import (
     SF_SAME_DIRECTION,
     effective_coupling,
     exact_column_cap,
-    grounded_boundary_cap,
     grounded_column_cap_per_line,
     grounded_column_table,
     grounded_stack_extent,
@@ -51,21 +50,6 @@ class TestGroundedStack:
     def test_overfull_rejected(self):
         with pytest.raises(FillError):
             grounded_column_cap_per_line(EPS_R, T, 2.0, 3, W, G)  # extent 2.0 == gap
-
-    def test_boundary_cap_positive_and_monotone(self):
-        caps = [
-            grounded_boundary_cap(EPS_R, T, 8.0, m, W, G, min_clearance_um=0.25)
-            for m in range(1, 6)
-        ]
-        assert all(c > 0 for c in caps)
-        assert caps == sorted(caps)
-
-    def test_boundary_cap_clearance_floor(self):
-        # span 2.0, 2 features -> extent 1.25 -> clearance 0.75 > floor
-        loose = grounded_boundary_cap(EPS_R, T, 2.0, 2, W, G, 0.25)
-        # span 1.5 -> clearance 0.25 == floor
-        tight = grounded_boundary_cap(EPS_R, T, 1.5, 2, W, G, 0.25)
-        assert tight > loose
 
     def test_table_matches_direct(self):
         table = grounded_column_table(EPS_R, T, 6.0, 4, W, G)

@@ -39,7 +39,6 @@ from repro.pilfill import (
     prepare,
     result_digest,
     shutdown_pools,
-    worker_pids,
 )
 from repro.pilfill.parallel import _dispatch_chunks, solve_tile_batch
 from repro.tech import DensityRules, FillRules
@@ -47,6 +46,15 @@ from repro.testing.faults import FaultSpec
 
 FILL = FillRules(fill_size=500, fill_gap=250, buffer_distance=250)
 DENSITY = DensityRules(window_size=16000, r=2, max_density=0.6)
+
+
+def worker_pids(outcomes) -> frozenset[int]:
+    """Distinct worker PIDs that produced ``outcomes`` (excluding the
+    current process — i.e. excluding serial/parent-retry solves)."""
+    me = os.getpid()
+    return frozenset(
+        o.pid for o in outcomes.values() if o.pid is not None and o.pid != me
+    )
 
 #: Worker counts covering both dispatch paths (in-process, process pool).
 WORKERS = [

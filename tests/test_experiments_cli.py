@@ -4,7 +4,9 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import TableSpec, run_config, run_table
+from repro.pilfill import SolutionCache
 from repro.synth import GeneratorSpec, generate_layout
+from tests.results_compare import parse_results_csv
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +72,25 @@ class TestTableMachinery:
         assert lines[0].startswith("testcase,")
         assert len(lines) == 1 + 4  # header + 4 methods
 
+    def test_shared_solution_cache(self, tiny_layout, tmp_path):
+        """One SolutionCache in ``TableSpec.engine`` serves every row: a
+        cold and a warm run both print the uncached CSV (``cpu_s`` aside),
+        and the warm run solves nothing — every tile lookup is a hit."""
+        layouts = {"tiny": tiny_layout}
+        rows = dict(testcases=("tiny",), windows_um=(16,), r_values=(2,))
+        plain = run_table(True, TableSpec(**rows), layouts=layouts).to_csv()
+        cache = SolutionCache(cache_dir=tmp_path)
+        spec = TableSpec(**rows, engine={"solution_cache": cache})
+        cold = run_table(True, spec, layouts=layouts).to_csv()
+        cold_misses = cache.misses
+        assert cold_misses > 0 and cache.stores > 0 and cache.hits == 0
+        warm = run_table(True, spec, layouts=layouts).to_csv()
+        assert cache.misses == cold_misses
+        assert cache.hits == cold_misses
+        expected = parse_results_csv(plain)
+        assert parse_results_csv(cold) == expected
+        assert parse_results_csv(warm) == expected
+
 
 class TestCli:
     def test_parser_subcommands(self):
@@ -97,6 +118,26 @@ class TestCli:
         assert "FILLS" in text
         out = capsys.readouterr().out
         assert "delay impact" in out
+
+    def test_table_cache_dir_flag(self, tmp_path, capsys):
+        """``--cache-dir`` reaches the engine: the warm re-run of a quick
+        table writes the cold run's CSV and rewrites no cache entry."""
+        cache_dir = tmp_path / "cache"
+
+        def entries():
+            return {p: p.stat().st_mtime_ns for p in cache_dir.rglob("*") if p.is_file()}
+
+        csvs = []
+        for run in ("cold", "warm"):
+            csv = tmp_path / f"{run}.csv"
+            argv = ["table2", "--quick", "--csv", str(csv), "--cache-dir", str(cache_dir)]
+            assert main(argv) == 0
+            csvs.append(parse_results_csv(csv.read_text()))
+            if run == "cold":
+                primed = entries()
+                assert primed
+        assert csvs[0] == csvs[1]
+        assert entries() == primed
 
     def test_bad_method_rejected(self):
         with pytest.raises(SystemExit):

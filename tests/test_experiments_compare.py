@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ReproError
-from repro.experiments import (
+from tests.results_compare import (
+    ResultRow,
     check_shape,
     compare_results,
     parse_results_csv,
@@ -118,8 +119,6 @@ class TestGoldenFiles:
         ]
         result = run_config(make_t1(), "T1", 32, 2, weighted=True, backend="scipy")
         fresh = []
-        from repro.experiments.compare import ResultRow
-
         for method, outcome in result.outcomes.items():
             fresh.append(ResultRow(
                 testcase="T1", window_um=32, r=2, method=method,

@@ -411,7 +411,7 @@ class TestHarnessAndTables:
         t0, t1 = sorted(base_ilp2.tile_solutions)[:2]
         spec = TableSpec(
             testcases=("small",), windows_um=(16,), r_values=(2,),
-            fault_spec=FaultSpec(rules=(
+            engine={"fault_spec": FaultSpec(rules=(
                 # t0: ILP-II degrades to ILP-I -> the ilp2 cell gets `*`.
                 FaultRule(kind="error", tiles=frozenset({t0}),
                           methods=("ilp2",), attempts=None),
@@ -419,7 +419,7 @@ class TestHarnessAndTables:
                 # (greedy's own cell fails on t1 too).
                 FaultRule(kind="error", tiles=frozenset({t1}),
                           methods=("ilp1", "greedy"), attempts=None),
-            )),
+            ))},
         )
         table = run_table(
             weighted=False, spec=spec, layouts={"small": small_generated_layout}
@@ -452,9 +452,9 @@ class TestHarnessAndTables:
         spec = TableSpec(
             testcases=("small",), windows_um=(16,), r_values=(2,),
             methods=("normal", "ilp1", "ilp2", "greedy"),
-            fault_spec=FaultSpec.single(
+            engine={"fault_spec": FaultSpec.single(
                 "error", methods=("ilp2",), attempts=None
-            ),
+            )},
         )
         table = run_table(
             weighted=False, spec=spec, layouts={"small": small_generated_layout}

@@ -26,15 +26,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.tables import TableSpec, run_table1, run_table2
+from repro.experiments.tables import TableSpec, run_table
 from repro.synth import make_t1
+from tests.results_compare import ResultRow, parse_results_csv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-#: Column -> comparison kind for one CSV row.
-EXACT_FIELDS = ("testcase", "window_um", "r", "method", "features",
-                "degraded_tiles", "failed_tiles", "retried_tiles")
+#: Column -> comparison kind for one CSV row (the row key covers
+#: testcase, window_um, r and method; ``cpu_s`` is not parsed).
+EXACT_FIELDS = ("features", "degraded_tiles", "failed_tiles", "retried_tiles")
 FLOAT_FIELDS = ("tau_ps", "weighted_tau_ps")
-IGNORED_FIELDS = ("cpu_s",)
 
 
 def golden_spec() -> TableSpec:
@@ -45,20 +45,14 @@ def generate() -> dict[str, str]:
     layouts = {"T1": make_t1()}
     spec = golden_spec()
     return {
-        "results_table1.csv": run_table1(spec, layouts=layouts).to_csv(),
-        "results_table2.csv": run_table2(spec, layouts=layouts).to_csv(),
+        "results_table1.csv": run_table(False, spec, layouts=layouts).to_csv(),
+        "results_table2.csv": run_table(True, spec, layouts=layouts).to_csv(),
     }
 
 
-def _rows(csv_text: str) -> dict[tuple, dict[str, str]]:
-    """CSV body as ``{(testcase, window, r, method): {column: cell}}``."""
-    lines = [ln for ln in csv_text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    out: dict[tuple, dict[str, str]] = {}
-    for line in lines[1:]:
-        row = dict(zip(header, line.split(","), strict=True))
-        out[(row["testcase"], row["window_um"], row["r"], row["method"])] = row
-    return out
+def _rows(csv_text: str) -> dict[tuple, ResultRow]:
+    """CSV body as ``{(testcase, window, r, method): row}``."""
+    return {(*row.config, row.method): row for row in parse_results_csv(csv_text)}
 
 
 def assert_csv_matches_golden(fresh: str, golden: str, name: str) -> None:
@@ -72,12 +66,11 @@ def assert_csv_matches_golden(fresh: str, golden: str, name: str) -> None:
     for key, golden_row in golden_rows.items():
         fresh_row = fresh_rows[key]
         for column in EXACT_FIELDS:
-            if fresh_row[column] != golden_row[column]:
-                mismatches.append(
-                    f"{key} {column}: {golden_row[column]} -> {fresh_row[column]}"
-                )
+            want, got = getattr(golden_row, column), getattr(fresh_row, column)
+            if got != want:
+                mismatches.append(f"{key} {column}: {want} -> {got}")
         for column in FLOAT_FIELDS:
-            got, want = float(fresh_row[column]), float(golden_row[column])
+            got, want = getattr(fresh_row, column), getattr(golden_row, column)
             # Serialized at 6 decimals; 1e-6 relative plus one final-digit
             # rounding step of absolute slack.
             if not math.isclose(got, want, rel_tol=1e-6, abs_tol=1.5e-6):
