@@ -19,9 +19,6 @@ def _default_taint_sinks() -> tuple[str, ...]:
         "repro.pilfill.incremental._sha256",
         "repro.pilfill.incremental.run_context_digest",
         "repro.pilfill.incremental.tile_digest",
-        "repro.analysis.cache.context_digest",
-        "repro.analysis.cache.entry_digest",
-        "repro.analysis.cache.program_digest",
         "repro.io.deflite.layout_digest",
     )
 
@@ -156,10 +153,6 @@ class LintPolicy:
     def payload_base_names(self) -> frozenset[str]:
         """Base names of every registered payload class."""
         return frozenset(dotted.rpartition(".")[2] for dotted in self.payload_registry)
-
-    def fingerprint(self) -> str:
-        """Stable digest input for the per-file cache key."""
-        return repr(self)
 
 
 #: The policy `pilfill lint` uses unless a caller overrides it.

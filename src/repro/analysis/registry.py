@@ -10,12 +10,12 @@ everything repo-level the rule families need (module name, policy). A
 ``scope``:
 
 * ``"file"`` — every finding is explained by the finding-file's import
-  closure, so the runner may cache it per file under a closure digest
-  (X101 taint chains, X202 lock-across-dispatch).
+  closure, so the runner merges it into that file's per-file findings
+  before suppressions apply (X101 taint chains, X202 lock-across-dispatch).
 * ``"program"`` — findings depend on facts outside any single closure
   (lock-order cycles across unrelated files, reverse reachability from
-  worker entries), so they are cached only under a whole-program digest
-  (X201, X301).
+  worker entries), so the runner only filters them against their anchor
+  file's allows (X201, X301).
 """
 
 from __future__ import annotations
@@ -94,8 +94,9 @@ class ProgramRule(abc.ABC):
     #: One-line description, published as the rule's ``shortDescription``
     #: in the SARIF report's ``tool.driver.rules`` catalog.
     summary: str = ""
-    #: ``"file"`` when findings are closure-local (cacheable per file),
-    #: ``"program"`` when they depend on the whole program.
+    #: ``"file"`` when findings are closure-local (merged into the
+    #: anchor file's findings), ``"program"`` when they depend on the
+    #: whole program.
     scope: str = "file"
 
     @abc.abstractmethod

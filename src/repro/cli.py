@@ -183,12 +183,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     from repro.analysis import lint_paths, render_json, render_sarif, render_text
 
-    cache_path = None if args.no_cache else Path(args.cache)
-    report = lint_paths(
-        args.paths,
-        cache_path=cache_path,
-        changed_only=args.changed,
-    )
+    report = lint_paths(args.paths)
     if args.format == "json":
         rendered = render_json(report.findings, report.files_checked)
     elif args.format == "sarif":
@@ -300,14 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "GitHub code scanning)")
     p.add_argument("--sarif-out", default=None,
                    help="additionally write a SARIF report to this path")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the content-hash result cache")
-    p.add_argument("--cache", default=".pilfill-lint-cache.json",
-                   help="cache file path (content-digest keyed)")
-    p.add_argument("--changed", action="store_true",
-                   help="lint only files changed per git plus their "
-                        "import-closure dependents (falls back to a full "
-                        "lint when git state is unavailable)")
 
     p = sub.add_parser("report", help="full markdown reproduction report")
     p.add_argument("-o", "--out", default="REPORT.md")

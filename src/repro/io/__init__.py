@@ -1,9 +1,6 @@
 """Layout and technology I/O: LEF-lite and DEF-lite text dialects."""
 
 from repro.io.deflite import (
-    DefWindow,
-    DefWindowStream,
-    iter_def_windows,
     layout_digest,
     parse_def,
     parse_def_streaming,
@@ -13,9 +10,6 @@ from repro.io.deflite import (
 from repro.io.leflite import parse_lef, write_lef
 
 __all__ = [
-    "DefWindow",
-    "DefWindowStream",
-    "iter_def_windows",
     "layout_digest",
     "parse_def",
     "parse_def_streaming",

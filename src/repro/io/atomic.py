@@ -1,10 +1,10 @@
 """Atomic file writes for JSON artifacts.
 
-Bench trajectory files, run reports, the lint result cache, and the
-solution store are all read back by later runs (or by CI artifact
-consumers). A plain ``write_text`` interrupted mid-write leaves a torn
-file that poisons that later read — the classic failure mode being a
-half-written JSON document that parses as garbage or not at all.
+Bench trajectory files, run reports and the solution store are all
+read back by later runs (or by CI artifact consumers). A plain
+``write_text`` interrupted mid-write leaves a torn file that poisons
+that later read — the classic failure mode being a half-written JSON
+document that parses as garbage or not at all.
 
 Every artifact writer routes through :func:`atomic_write_text` instead:
 the payload lands in a temporary file *in the target directory* (same

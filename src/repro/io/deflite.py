@@ -30,9 +30,7 @@ Two readers share one line-fed statement machine (:class:`_DefMachine`):
 * :func:`parse_def_streaming` consumes any line source (string, open
   file, iterator) and hands each net to a callback the moment its
   terminating ``;`` arrives, so a chip-scale DEF never has to be held
-  in memory at once. :class:`DefWindowStream` / :func:`iter_def_windows`
-  build on it to group nets into horizontal bands for window-by-window
-  processing with bounded peak memory on band-sorted input.
+  in memory at once.
 
 Both readers attribute *every* error to a physical input line — including
 net-level validation failures (unknown layer, geometry leaving the die),
@@ -44,10 +42,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator
 
-from repro.errors import FillError, LayoutError, ParseError
+from repro.errors import LayoutError, ParseError
 from repro.geometry import Point, Rect
 from repro.layout import FillFeature, Net, Pin, RoutedLayout, WireSegment
 from repro.tech.process import ProcessStack
@@ -284,8 +281,8 @@ def parse_def_streaming(
     """Parse DEF-lite from any line source, streaming nets as they close.
 
     ``on_die(rect)`` fires once, as soon as the ``DIEAREA`` statement is
-    read — streaming consumers (the streaming preprocessor, window
-    banding) need the die before the first net arrives.
+    read — the streaming preprocessor needs the die before the first
+    net arrives.
     ``on_net(net, start_line)`` fires as soon as a net's terminating
     ``;`` is read — the net's start line lets callers attribute their own
     validation errors to the input. With ``keep_nets=False`` the returned
@@ -356,152 +353,18 @@ def _add_net_checked(layout: RoutedLayout, net: Net, start_line: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# window streaming
-
-
-@dataclass
-class DefWindow:
-    """One horizontal band of nets from a streamed DEF.
-
-    ``index`` is the band number (``y_lo = die.ylo + index * band_dbu``);
-    nets are assigned by the y-low of their bounding box and appear in
-    file order within the band.
-    """
-
-    index: int
-    y_lo: int
-    y_hi: int
-    nets: list[Net] = field(default_factory=list)
+# net banding
 
 
 def net_ylo(net: Net) -> int:
     """Bounding-box y-low of a net's geometry (segments and pins) —
-    the banding key for window streaming and the streaming preprocessor's
-    sweep-watermark contract."""
+    the sort key of band-sorted DEF input and the streaming
+    preprocessor's sweep-watermark contract."""
     coords = [seg.rect.ylo for seg in net.segments]
     coords.extend(pin.point.y for pin in net.pins)
     if not coords:
         raise LayoutError(f"net {net.name}: no geometry to band")
     return min(coords)
-
-
-class DefWindowStream:
-    """Stream a DEF-lite source as horizontal bands of nets.
-
-    Iterate :meth:`windows` to receive :class:`DefWindow` partitions.
-    While the input's nets arrive sorted by band (ascending bounding-box
-    y-low, as :func:`repro.synth.testcases.iter_t3_def_lines` emits
-    them), each band is yielded as soon as the first net of a later band
-    arrives, so peak memory holds roughly one band. Out-of-order input
-    *above* the yield watermark flips ``sorted_input`` and degrades to
-    buffering — remaining bands are held and yielded in index order at
-    EOF, still exactly once per index. A net landing in a band that was
-    **already yielded** is unrecoverable for a streaming consumer (the
-    partition it belongs to is gone), so it raises
-    :class:`~repro.errors.FillError` rather than silently re-emitting a
-    duplicate band index with a partial net list. Every yielded window
-    is therefore an exclusive partition: one window per band index,
-    carrying all of that band's nets.
-
-    ``die``, ``name`` and ``fills`` are populated as parsing proceeds;
-    ``die`` is guaranteed set before the first window is yielded.
-    """
-
-    def __init__(
-        self,
-        source: "str | IO[str] | Iterable[str]",
-        stack: ProcessStack,
-        band_dbu: int,
-    ):
-        if band_dbu <= 0:
-            raise ValueError(f"band_dbu must be positive, got {band_dbu}")
-        self.stack = stack
-        self.band_dbu = band_dbu
-        self.name = "design"
-        self.die: Rect | None = None
-        self.fills: list[FillFeature] = []
-        self.sorted_input = True
-        self._source = source
-        self._bands: dict[int, DefWindow] = {}
-        self._max_band = -1
-        self._yielded_max = -1
-
-    def _band_of(self, net: Net) -> int:
-        assert self.die is not None
-        return max(0, (net_ylo(net) - self.die.ylo) // self.band_dbu)
-
-    def _window(self, index: int) -> DefWindow:
-        win = self._bands.get(index)
-        if win is None:
-            assert self.die is not None
-            win = DefWindow(
-                index=index,
-                y_lo=self.die.ylo + index * self.band_dbu,
-                y_hi=self.die.ylo + (index + 1) * self.band_dbu,
-            )
-            self._bands[index] = win
-        return win
-
-    def windows(self) -> Iterator[DefWindow]:
-        """Parse lazily, yielding each completed band exactly once."""
-        pending: list[Net] = []
-
-        def _on_net(net: Net, _start_line: int) -> None:
-            pending.append(net)
-
-        def _on_fill(fill: FillFeature, _line_no: int) -> None:
-            self.fills.append(fill)
-
-        machine = _DefMachine(self.stack, _on_net, _on_fill)
-        for line_no, raw in enumerate(_iter_lines(self._source), start=1):
-            done = machine.feed(line_no, raw)
-            if machine.die is not None and self.die is None:
-                self.die = machine.die
-                self.name = machine.name
-            while pending:
-                net = pending.pop(0)
-                band = self._band_of(net)
-                if band <= self._yielded_max:
-                    raise FillError(
-                        f"line {line_no}: net {net.name!r} lands in band "
-                        f"{band}, already yielded (watermark "
-                        f"{self._yielded_max}); windows emitted so far are "
-                        "invalid for this input — re-stream it sorted or "
-                        "use read_def_lite"
-                    )
-                if band < self._max_band:
-                    self.sorted_input = False
-                self._max_band = max(self._max_band, band)
-                self._window(band).nets.append(net)
-                if self.sorted_input:
-                    # Every band strictly below the newest net's band is
-                    # complete: later nets can only land at `band` or above.
-                    for idx in sorted(self._bands):
-                        if idx >= band:
-                            break
-                        self._yielded_max = max(self._yielded_max, idx)
-                        yield self._bands.pop(idx)
-            if done:
-                break
-        machine.finish()
-        if machine.die is None:
-            raise ParseError("missing DIEAREA statement")
-        self.name = machine.name
-        for idx in sorted(self._bands):
-            yield self._bands.pop(idx)
-
-
-def iter_def_windows(
-    source: "str | IO[str] | Iterable[str]",
-    stack: ProcessStack,
-    band_dbu: int,
-) -> Iterator[DefWindow]:
-    """Convenience wrapper: yield :class:`DefWindow` bands from a source.
-
-    Use :class:`DefWindowStream` directly when the die rect, design name
-    or fill records are needed alongside the windows.
-    """
-    yield from DefWindowStream(source, stack, band_dbu).windows()
 
 
 # ---------------------------------------------------------------------------

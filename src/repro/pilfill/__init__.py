@@ -75,7 +75,6 @@ from repro.pilfill.robust import (
 from repro.pilfill.shard import (
     GridShard,
     ShardPlan,
-    iter_shard_windows,
     plan_shards,
     result_digest,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "solve_tile_robust",
     "GridShard",
     "ShardPlan",
-    "iter_shard_windows",
     "plan_shards",
     "result_digest",
     "MultiLayerResult",

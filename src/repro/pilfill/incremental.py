@@ -5,8 +5,7 @@ columns' electrical view + cost tables inside the tile, the tile's
 effective budget, the solve knobs that change output (method,
 weighting, ILP backend, seed, fallback policy, fault spec), and the
 tile key itself (the deterministic per-tile RNG stream and fault
-matching both hang off it). This module hashes exactly those inputs — mirroring the digest
-pattern of :mod:`repro.analysis.cache` — and fronts a
+matching both hang off it). This module hashes exactly those inputs and fronts a
 :class:`~repro.pilfill.store.SolutionStore` with hit/miss/invalidation
 accounting.
 

@@ -115,12 +115,12 @@ def iter_banded_def_lines(
     """DEF-lite lines of a spec's layout, nets band-sorted, one at a time.
 
     Nets are emitted in ascending bounding-box y-low order — the
-    band-sorted contract :class:`repro.io.deflite.DefWindowStream` and
-    ``prepare_streaming(banded=True)`` key on. Net objects are generated
-    lazily and held only for the sort (a few hundred bytes each); the
-    full DEF text is never assembled. The emitted *design* is identical
-    to ``generate_layout(spec)`` — same nets, same geometry — only the
-    statement order differs, and the readers' results are order-independent.
+    band-sorted contract ``prepare_streaming(banded=True)`` keys on. Net
+    objects are generated lazily and held only for the sort (a few
+    hundred bytes each); the full DEF text is never assembled. The
+    emitted *design* is identical to ``generate_layout(spec)`` — same
+    nets, same geometry — only the statement order differs, and the
+    readers' results are order-independent.
     """
     stack = stack or default_stack()
     nets = sorted(iter_layout_nets(spec, stack), key=net_ylo)

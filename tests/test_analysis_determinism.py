@@ -2,8 +2,8 @@
 
 A lint gate that itself leaks set order or thread scheduling into its
 report would fail the very property it enforces. These tests run the
-full pipeline repeatedly — cold, warm, and in shuffled input order — and
-require byte-identical reports every time.
+full pipeline repeatedly and in shuffled input order, and require
+byte-identical reports every time.
 """
 
 from __future__ import annotations
@@ -57,17 +57,13 @@ def _render_all(report) -> tuple[str, str, str]:
     )
 
 
-def test_repeated_runs_are_byte_identical(pkg: Path, tmp_path: Path) -> None:
-    cache = tmp_path / "cache.json"
-    baseline = lint_paths([str(pkg)], policy=_POLICY, cache_path=cache)
+def test_repeated_runs_are_byte_identical(pkg: Path) -> None:
+    baseline = lint_paths([str(pkg)], policy=_POLICY)
     assert baseline.findings, "corpus should produce findings"
     rendered = _render_all(baseline)
     for _ in range(3):
-        again = lint_paths([str(pkg)], policy=_POLICY, cache_path=cache)
+        again = lint_paths([str(pkg)], policy=_POLICY)
         assert _render_all(again) == rendered
-    # No-cache runs agree with cached runs too.
-    nocache = lint_paths([str(pkg)], policy=_POLICY)
-    assert _render_all(nocache) == rendered
 
 
 def test_input_order_does_not_matter(pkg: Path) -> None:
@@ -75,13 +71,6 @@ def test_input_order_does_not_matter(pkg: Path) -> None:
     forward = lint_paths(files, policy=_POLICY)
     backward = lint_paths(list(reversed(files)), policy=_POLICY)
     assert _render_all(forward) == _render_all(backward)
-
-
-def test_warm_cache_hits_every_file(pkg: Path, tmp_path: Path) -> None:
-    cache = tmp_path / "cache.json"
-    lint_paths([str(pkg)], policy=_POLICY, cache_path=cache)
-    warm = lint_paths([str(pkg)], policy=_POLICY, cache_path=cache)
-    assert warm.cache_hits >= len(_FILES)
 
 
 def test_findings_are_sorted_by_location(pkg: Path) -> None:

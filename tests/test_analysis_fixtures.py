@@ -18,7 +18,6 @@ from repro.analysis import (
     LintPolicy,
     findings_from_json,
     lint_modules,
-    lint_paths,
     lint_source,
     render_json,
     render_text,
@@ -270,17 +269,3 @@ def test_render_text_summary_line() -> None:
     findings = _lint_fixture("D101_fail.py", module, policy)
     text = render_text(findings, files_checked=1)
     assert text.splitlines()[-1] == "1 finding in 1 file(s)"
-
-
-def test_lint_paths_cache_round_trip(tmp_path: Path) -> None:
-    target = tmp_path / "mod.py"
-    target.write_text("VALUE = 1\n", encoding="utf-8")
-    cache = tmp_path / "cache.json"
-    cold = lint_paths([str(target)], cache_path=cache)
-    warm = lint_paths([str(target)], cache_path=cache)
-    assert cold.cache_hits == 0
-    assert warm.cache_hits == 1
-    assert cold.findings == warm.findings == []
-    # Content change invalidates the digest.
-    target.write_text("VALUE = 2\n", encoding="utf-8")
-    assert lint_paths([str(target)], cache_path=cache).cache_hits == 0

@@ -38,7 +38,6 @@ def test_interprocedural_rules_are_live_over_the_tree() -> None:
     # sinks, dispatch functions, and worker entries must all resolve in
     # the real call graph.
     from repro.analysis import DEFAULT_POLICY, all_program_rules, all_rules
-    from repro.analysis.modgraph import ModuleGraph
     from repro.analysis.rules_purity import module_level_names
     from repro.analysis.runner import _build_whole_program
 
@@ -47,8 +46,7 @@ def test_interprocedural_rules_are_live_over_the_tree() -> None:
         "D101", "D102", "D103", "D104", "C202", "C203", "C204"
     }
     assert {r.rule_id for r in all_program_rules()} == {"X101", "X201", "X202", "X301"}
-    graph = ModuleGraph(SRC.parent)
-    program = _build_whole_program(graph, DEFAULT_POLICY, {})
+    program = _build_whole_program(SRC.parent, DEFAULT_POLICY, {})
     functions = program.callgraph.functions
     for entry in DEFAULT_POLICY.worker_entry_functions:
         assert entry in functions, f"worker entry {entry} not in call graph"

@@ -1,8 +1,6 @@
-"""CLI: ablation, report, and lint subcommands, plus render helpers not
-covered elsewhere."""
+"""CLI: ablation, report, lint and quickstart subcommands."""
 
 import json
-import subprocess
 
 import pytest
 
@@ -48,7 +46,7 @@ class TestLintCommand:
 
     def test_sarif_format_prints_a_valid_document(self, tmp_path, capsys):
         pkg = self._write_pkg(tmp_path)
-        assert main(["lint", str(pkg), "--no-cache", "--format", "sarif"]) == 0
+        assert main(["lint", str(pkg), "--format", "sarif"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["version"] == "2.1.0"
         assert document["runs"][0]["results"] == []
@@ -56,50 +54,22 @@ class TestLintCommand:
     def test_sarif_out_writes_alongside_text(self, tmp_path, capsys):
         pkg = self._write_pkg(tmp_path)
         sarif_path = tmp_path / "lint.sarif"
-        assert main(
-            ["lint", str(pkg), "--no-cache", "--sarif-out", str(sarif_path)]
-        ) == 0
+        assert main(["lint", str(pkg), "--sarif-out", str(sarif_path)]) == 0
         assert "0 findings" in capsys.readouterr().out
         document = json.loads(sarif_path.read_text(encoding="utf-8"))
         assert document["runs"][0]["tool"]["driver"]["name"] == "pilfill-lint"
 
-    def test_changed_lints_only_dirty_closure(self, tmp_path, capsys, monkeypatch):
-        pkg = self._write_pkg(tmp_path)
-        (pkg / "dep.py").write_text("BASE = 1\n", encoding="utf-8")
-        (pkg / "user.py").write_text(
-            "from clipkg.dep import BASE\n\nTOTAL = BASE + 1\n", encoding="utf-8"
-        )
-
-        def git(*args):
-            subprocess.run(
-                ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
-                cwd=tmp_path,
-                check=True,
-                capture_output=True,
-            )
-
-        git("init", "-q")
-        git("add", "-A")
-        git("commit", "-qm", "seed")
-        monkeypatch.chdir(tmp_path)
-
-        # Clean tree: nothing to lint.
-        assert main(["lint", str(pkg), "--no-cache", "--changed"]) == 0
-        assert "0 file(s)" in capsys.readouterr().out
-
-        # Touch the dependency: it AND its dependent are selected.
-        (pkg / "dep.py").write_text("BASE = 2\n", encoding="utf-8")
-        assert main(["lint", str(pkg), "--no-cache", "--changed"]) == 0
-        assert "2 file(s)" in capsys.readouterr().out
-
-    def test_changed_outside_git_falls_back_to_full_lint(
+    def test_lint_writes_nothing_into_the_working_directory(
         self, tmp_path, capsys, monkeypatch
     ):
         pkg = self._write_pkg(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("GIT_DIR", str(tmp_path / "nonexistent-gitdir"))
-        assert main(["lint", str(pkg), "--no-cache", "--changed"]) == 0
-        assert "2 file(s)" in capsys.readouterr().out
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        before = sorted(p.name for p in cwd.iterdir())
+        assert main(["lint", str(pkg)]) == 0
+        assert "0 findings in 2 file(s)" in capsys.readouterr().out
+        assert sorted(p.name for p in cwd.iterdir()) == before
 
 
 class TestQuickstartCommand:
@@ -107,18 +77,3 @@ class TestQuickstartCommand:
         assert main(["quickstart"]) == 0
         out = capsys.readouterr().out
         assert "weighted delay impact" in out
-
-
-class TestVizRenderDensity:
-    def test_render_density(self, small_generated_layout):
-        from repro import viz
-        from repro.dissection import DensityMap, FixedDissection
-        from repro.tech import DensityRules
-
-        dissection = FixedDissection(small_generated_layout.die, DensityRules(16000, 2))
-        density = DensityMap.from_layout(dissection, small_generated_layout, "metal3")
-        art = viz.render_density(density)
-        lines = art.splitlines()
-        assert len(lines) == dissection.ny
-        assert all(len(line) == dissection.nx for line in lines)
-        assert any(ch != " " for line in lines for ch in line)

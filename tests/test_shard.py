@@ -11,14 +11,11 @@ Regression targets of the sharding PR:
   under fault injection, and with the solution cache on (both warm
   directions), for even, uneven, and single-shard plans,
 * :func:`result_digest` is a faithful oracle: equal runs digest equal,
-  a changed placement digests different,
-* :func:`iter_shard_windows` tags a band-sorted DEF stream with the
-  shard keys the plan assigns those bands.
+  a changed placement digests different.
 """
 
 from __future__ import annotations
 
-import io
 from itertools import pairwise
 
 import pytest
@@ -31,16 +28,13 @@ from repro.geometry import Rect
 from repro.pilfill import (
     EngineConfig,
     PILFillEngine,
-    ShardPlan,
     SlackColumnDef,
-    iter_shard_windows,
     plan_shards,
     prepare,
     result_digest,
     shutdown_pools,
 )
 from repro.tech import DensityRules, FillRules
-from repro.tech.process import default_stack
 from repro.testing.faults import FaultSpec
 
 FILL = FillRules(fill_size=500, fill_gap=250, buffer_distance=250)
@@ -126,24 +120,8 @@ class TestPlanProperties:
         assert len(seen) == len(set(seen)) == nx * ny
         for shard in plan.shards:
             assert list(shard.tile_keys) == sorted(shard.tile_keys)
-            for ix, iy in shard.tile_keys:
+            for _, iy in shard.tile_keys:
                 assert shard.iy_lo <= iy < shard.iy_hi
-                assert plan.shard_of((ix, iy)) == shard.key
-
-    @given(
-        nx=st.integers(min_value=1, max_value=10),
-        ny=st.integers(min_value=1, max_value=10),
-        cap=st.integers(min_value=1, max_value=60),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_max_tiles_per_shard_caps_shard_size(self, nx, ny, cap):
-        plan = plan_shards(grid(nx, ny), max_tiles_per_shard=cap)
-        seen = [key for s in plan.shards for key in s.tile_keys]
-        assert len(seen) == len(set(seen)) == nx * ny
-        # A shard never exceeds the cap unless one full row already does
-        # (rows are indivisible: they are the cut-line granularity).
-        for shard in plan.shards:
-            assert shard.tile_count <= max(cap, nx)
 
     @given(
         nx=st.integers(min_value=1, max_value=8),
@@ -156,30 +134,9 @@ class TestPlanProperties:
             grid(nx, ny), n_shards=n
         )
 
-    def test_band_bounds_tile_the_die(self):
-        plan = plan_shards(grid(4, 7), n_shards=3)
-        lo, _ = plan.band_bounds_dbu(0)
-        assert lo == 0
-        for key in range(plan.n_shards - 1):
-            assert plan.band_bounds_dbu(key)[1] == plan.band_bounds_dbu(key + 1)[0]
-        assert plan.band_bounds_dbu(plan.n_shards - 1)[1] == 7 * plan.tile_size
-
-    def test_shard_of_row_clamps_to_edges(self):
-        plan = plan_shards(grid(3, 6), n_shards=3)
-        assert plan.shard_of_row(-1) == 0
-        assert plan.shard_of_row(0) == 0
-        assert plan.shard_of_row(5) == plan.n_shards - 1
-        assert plan.shard_of_row(99) == plan.n_shards - 1
-
-    def test_granularity_args_are_mutually_exclusive(self):
-        with pytest.raises(FillError, match="not both"):
-            plan_shards(grid(2, 2), n_shards=2, max_tiles_per_shard=2)
-
     def test_invalid_granularity_rejected(self):
         with pytest.raises(FillError, match="n_shards"):
             plan_shards(grid(2, 2), n_shards=0)
-        with pytest.raises(FillError, match="max_tiles_per_shard"):
-            plan_shards(grid(2, 2), max_tiles_per_shard=0)
 
     def test_no_granularity_means_one_shard(self):
         plan = plan_shards(grid(3, 4))
@@ -335,38 +292,3 @@ class TestResultDigest:
         ).run(budget=unsharded.requested_budget)
         assert other.features != unsharded.features
         assert result_digest(other) != result_digest(unsharded)
-
-
-class TestShardWindows:
-    def _def_text(self, stack, ys):
-        lines = [
-            "VERSION 1.0 ;",
-            "DESIGN shardband ;",
-            f"UNITS DISTANCE MICRONS {stack.dbu_per_micron} ;",
-            "DIEAREA ( 0 0 ) ( 64000 64000 ) ;",
-            f"NETS {len(ys)} ;",
-        ]
-        for i, y in enumerate(ys):
-            lines += [
-                f"- n{i}",
-                f"  + PIN drv ( 1000 {y} ) LAYER metal3 DRIVER RES 100",
-                f"  + PIN s0 ( 9000 {y} ) LAYER metal3 CAP 5",
-                f"  + ROUTED metal3 ( 1000 {y} ) ( 9000 {y} ) WIDTH 400",
-                ";",
-            ]
-        lines += ["END NETS", "FILLS 0 ;", "END FILLS", "END DESIGN"]
-        return "\n".join(lines) + "\n"
-
-    def test_windows_arrive_tagged_in_shard_order(self):
-        stack = default_stack()
-        plan = plan_shards(grid(4, 4, tile=16000), n_shards=2)
-        assert isinstance(plan, ShardPlan)
-        # One net per tile-row band, band-sorted.
-        text = self._def_text(stack, [1000, 17000, 33000, 49000])
-        tagged = list(iter_shard_windows(io.StringIO(text), stack, plan))
-        assert [shard for shard, _ in tagged] == [0, 0, 1, 1]
-        for shard_key, window in tagged:
-            lo, hi = plan.band_bounds_dbu(shard_key)
-            assert lo <= window.y_lo and window.y_hi <= hi
-        names = [net.name for _, w in tagged for net in w.nets]
-        assert names == ["n0", "n1", "n2", "n3"]

@@ -18,8 +18,6 @@ import pytest
 
 from repro.errors import FillError, LayoutError, ParseError
 from repro.io.deflite import (
-    DefWindowStream,
-    iter_def_windows,
     layout_digest,
     net_ylo,
     parse_def,
@@ -197,85 +195,6 @@ def _banded_def(stack, ys, die_hi=100000):
     return "\n".join(lines) + "\n"
 
 
-class TestWindowStreaming:
-    BAND = 32000
-
-    def test_banded_input_streams_sorted_windows(self, stack, banded_t1_lines):
-        stream = DefWindowStream(iter(banded_t1_lines), stack, self.BAND)
-        seen: list[str] = []
-        indices: list[int] = []
-        for window in stream.windows():
-            indices.append(window.index)
-            for net in window.nets:
-                seen.append(net.name)
-                assert window.y_lo <= net_ylo(net) < window.y_hi
-        assert stream.sorted_input
-        assert indices == sorted(indices)
-        reference = parse_def("\n".join(banded_t1_lines), stack)
-        assert sorted(seen) == sorted(reference.nets)
-
-    def test_unsorted_input_still_covers_every_net(self, stack, t1_text):
-        names = [
-            net.name
-            for window in iter_def_windows(t1_text, stack, self.BAND)
-            for net in window.nets
-        ]
-        reference = parse_def(t1_text, stack)
-        assert sorted(names) == sorted(reference.nets)
-        assert len(names) == len(reference.nets)
-
-    def test_late_net_in_yielded_band_raises(self, stack):
-        """A net landing in a band that was already yielded cannot be
-        silently dropped into a window the consumer has seen: the stream
-        must fail loud. (The old behavior flipped ``sorted_input`` and
-        kept going — the already-emitted windows were wrong.)"""
-        # n0 -> band 0; n1 -> band 2, which yields band 0 eagerly;
-        # n2 -> band 0 again, below the yield watermark.
-        text = _banded_def(stack, [1000, 70000, 2000])
-        stream = DefWindowStream(io.StringIO(text), stack, self.BAND)
-        windows = stream.windows()
-        first = next(windows)
-        assert first.index == 0
-        with pytest.raises(FillError, match="already yielded"):
-            list(windows)
-
-    def test_out_of_order_above_watermark_buffers_exactly_once(self, stack):
-        """Out-of-order input that never dips below the watermark is
-        still legal: eager yielding stops, bands buffer, and EOF flushes
-        each window exactly once in index order."""
-        # n0 -> band 0; n1 -> band 2 (yields band 0); n2 -> band 1:
-        # out of order but above the watermark.
-        text = _banded_def(stack, [1000, 70000, 40000])
-        stream = DefWindowStream(io.StringIO(text), stack, self.BAND)
-        windows = list(stream.windows())
-        assert not stream.sorted_input
-        assert [w.index for w in windows] == [0, 1, 2]
-        assert [net.name for w in windows for net in w.nets] == ["n0", "n2", "n1"]
-        for window in windows:
-            for net in window.nets:
-                assert window.y_lo <= net_ylo(net) < window.y_hi
-
-    def test_band_boundary_is_half_open(self, stack):
-        """The off-by-one pin: a net whose lowest geometry sits exactly
-        on a band cut line belongs to the *upper* band (bands are
-        half-open ``[y_lo, y_hi)``), while one DBU below stays in the
-        lower band."""
-        # Wires are 400 wide: centers BAND+199 / BAND+200 put net_ylo at
-        # BAND-1 and exactly BAND.
-        text = _banded_def(stack, [self.BAND + 199, self.BAND + 200])
-        stream = DefWindowStream(io.StringIO(text), stack, self.BAND)
-        windows = list(stream.windows())
-        assert stream.sorted_input
-        assert [(w.index, [n.name for n in w.nets]) for w in windows] == [
-            (0, ["n0"]),
-            (1, ["n1"]),
-        ]
-        below, on_cut = windows[0].nets[0], windows[1].nets[0]
-        assert net_ylo(below) == self.BAND - 1
-        assert net_ylo(on_cut) == self.BAND
-        assert windows[0].y_hi == self.BAND == windows[1].y_lo
-
-
 # ---------------------------------------------------------------------------
 # malformed input, both readers
 
@@ -379,6 +298,16 @@ class TestMalformedInput:
         with pytest.raises(ParseError) as err:
             read(text, stack)
         assert err.value.line_no == where["net"]
+
+    def test_net_ylo_is_the_lowest_geometry_edge(self, stack):
+        """The off-by-one pin: a net whose lowest geometry sits exactly on
+        a cut line keys at the cut line, one DBU lower keys one below."""
+        cut = 32000
+        # Wires are 400 wide: centers cut+199 / cut+200 put net_ylo at
+        # cut-1 and exactly cut.
+        layout = parse_def(_banded_def(stack, [cut + 199, cut + 200]), stack)
+        assert net_ylo(layout.nets["n0"]) == cut - 1
+        assert net_ylo(layout.nets["n1"]) == cut
 
     def test_net_ylo_requires_geometry(self):
         from repro.layout import Net
