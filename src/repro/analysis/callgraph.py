@@ -6,7 +6,9 @@ boundaries — a wall-clock read three calls away from a digest helper, a
 lock acquired inside a callee while another is held. This module builds
 the program-wide structure they share:
 
-* :class:`ModuleUnit` — one parsed module (name, path, source, AST).
+* :class:`ModuleUnit` — the one record of a module: path, name, source,
+  AST, and (computed once, on first use) its suppression comments and
+  import bindings. Every rule resolves imported names through it.
 * :class:`CallGraph` — every function/method in the program, each call
   site resolved (best effort, statically) to a dotted callee name, plus
   forward/transitive reachability and shortest call paths for chain
@@ -27,8 +29,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.analysis.policy import LintPolicy
+from repro.analysis.suppress import Suppression, parse_suppressions
 
 #: Qualname suffix used for a module's top-level statements (module body
 #: code runs on import — inside pool workers too, so it is a graph node).
@@ -37,12 +41,63 @@ MODULE_BODY = "<module>"
 
 @dataclass(frozen=True)
 class ModuleUnit:
-    """One module of the program under analysis."""
+    """One module of the program under analysis.
 
-    module: str
+    The runner builds one record per module and hands the same object to
+    the per-file rules (as a
+    :class:`~repro.analysis.registry.FileContext`) and to the program
+    rules, so the suppressions and import bindings below are computed
+    once per module.
+    """
+
     path: str
+    module: str
     source: str
     tree: ast.Module
+
+    @cached_property
+    def suppressions(self) -> list[Suppression]:
+        """The module's ``# pilfill: allow[...]`` comments."""
+        return parse_suppressions(self.source)
+
+    @cached_property
+    def _bindings(self) -> tuple[dict[str, str], dict[str, str]]:
+        aliases: dict[str, str] = {}
+        from_bindings: dict[str, str] = {}
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    head = alias.name.split(".")[0]
+                    aliases[alias.asname or head] = alias.name if alias.asname else head
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                for alias in node.names:
+                    from_bindings[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        return aliases, from_bindings
+
+    @property
+    def module_aliases(self) -> dict[str, str]:
+        """Local alias -> imported module (``import numpy as np``;
+        ``import a.b`` binds ``a``)."""
+        return self._bindings[0]
+
+    @property
+    def from_bindings(self) -> dict[str, str]:
+        """Local alias -> imported symbol (``from m import f as g``;
+        relative imports bind nothing)."""
+        return self._bindings[1]
+
+    def imported_name(self, node: ast.expr) -> str | None:
+        """Dotted name a ``Name``/``Attribute`` chain refers to through
+        the module's imports (``np.random.rand`` -> ``numpy.random.rand``
+        under ``import numpy as np``); None when its head is not bound
+        by an import."""
+        parts = _dotted_parts(node)
+        if parts is None:
+            return None
+        base = self.from_bindings.get(parts[0]) or self.module_aliases.get(parts[0])
+        if base is None:
+            return None
+        return ".".join([base, *parts[1:]])
 
 
 @dataclass(frozen=True)
@@ -99,32 +154,17 @@ def owned_statements(info: FunctionInfo) -> list[ast.stmt]:
 
 @dataclass
 class _ModuleSymbols:
-    """Name-resolution tables for one module."""
+    """The module's own top-level names (imports live on the unit)."""
 
-    #: local alias -> imported module dotted name (``import numpy as np``).
-    module_aliases: dict[str, str] = field(default_factory=dict)
-    #: local alias -> imported symbol dotted name (``from m import f as g``).
-    from_bindings: dict[str, str] = field(default_factory=dict)
     #: top-level def/class local names (resolve to ``module.<name>``).
     local_names: set[str] = field(default_factory=set)
     #: class local name -> method names defined on it.
     class_methods: dict[str, set[str]] = field(default_factory=dict)
 
 
-def _collect_symbols(unit: ModuleUnit) -> _ModuleSymbols:
+def _collect_symbols(tree: ast.Module) -> _ModuleSymbols:
     syms = _ModuleSymbols()
-    for node in ast.walk(unit.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                syms.module_aliases[alias.asname or alias.name.split(".")[0]] = (
-                    alias.name if alias.asname else alias.name.split(".")[0]
-                )
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            for alias in node.names:
-                syms.from_bindings[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}"
-                )
-    for stmt in unit.tree.body:
+    for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             syms.local_names.add(stmt.name)
         elif isinstance(stmt, ast.ClassDef):
@@ -155,20 +195,21 @@ class CallGraph:
     def __init__(self, units: dict[str, ModuleUnit]):
         self.functions: dict[str, FunctionInfo] = {}
         self.calls: dict[str, tuple[CallSite, ...]] = {}
+        self._units = units
         self._symbols: dict[str, _ModuleSymbols] = {}
         self._classes: dict[str, str] = {}  # dotted class name -> module
         for module in sorted(units):
-            self._add_module(units[module])
+            self._add_module(module, units[module])
         for module in sorted(units):
-            self._resolve_module(units[module])
+            self._resolve_module(module, units[module])
 
     # -- construction -------------------------------------------------
 
-    def _add_module(self, unit: ModuleUnit) -> None:
-        self._symbols[unit.module] = _collect_symbols(unit)
-        self.functions[unit.module] = FunctionInfo(
-            qualname=unit.module,
-            module=unit.module,
+    def _add_module(self, module: str, unit: ModuleUnit) -> None:
+        self._symbols[module] = _collect_symbols(unit.tree)
+        self.functions[module] = FunctionInfo(
+            qualname=module,
+            module=module,
             path=unit.path,
             name=MODULE_BODY,
             lineno=1,
@@ -176,23 +217,23 @@ class CallGraph:
         )
         for stmt in unit.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{unit.module}.{stmt.name}"
+                qual = f"{module}.{stmt.name}"
                 self.functions[qual] = FunctionInfo(
                     qualname=qual,
-                    module=unit.module,
+                    module=module,
                     path=unit.path,
                     name=stmt.name,
                     lineno=stmt.lineno,
                     node=stmt,
                 )
             elif isinstance(stmt, ast.ClassDef):
-                self._classes[f"{unit.module}.{stmt.name}"] = unit.module
+                self._classes[f"{module}.{stmt.name}"] = module
                 for item in stmt.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        qual = f"{unit.module}.{stmt.name}.{item.name}"
+                        qual = f"{module}.{stmt.name}.{item.name}"
                         self.functions[qual] = FunctionInfo(
                             qualname=qual,
-                            module=unit.module,
+                            module=module,
                             path=unit.path,
                             name=item.name,
                             lineno=item.lineno,
@@ -200,18 +241,18 @@ class CallGraph:
                             class_name=stmt.name,
                         )
 
-    def _resolve_module(self, unit: ModuleUnit) -> None:
-        syms = self._symbols[unit.module]
-        module_fn = self.functions[unit.module]
+    def _resolve_module(self, module: str, unit: ModuleUnit) -> None:
+        syms = self._symbols[module]
+        module_fn = self.functions[module]
         owned: list[tuple[FunctionInfo, list[ast.stmt]]] = []
         owned.append((module_fn, owned_statements(module_fn)))
         for stmt in unit.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owned.append((self.functions[f"{unit.module}.{stmt.name}"], [stmt]))
+                owned.append((self.functions[f"{module}.{stmt.name}"], [stmt]))
             elif isinstance(stmt, ast.ClassDef):
                 for item in stmt.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        qual = f"{unit.module}.{stmt.name}.{item.name}"
+                        qual = f"{module}.{stmt.name}.{item.name}"
                         owned.append((self.functions[qual], [item]))
         for info, roots in owned:
             sites: list[CallSite] = []
@@ -219,7 +260,7 @@ class CallGraph:
                 for node in ast.walk(root):
                     if not isinstance(node, ast.Call):
                         continue
-                    callee = self.resolve_call(unit.module, info.class_name, node.func)
+                    callee = self.resolve_call(module, info.class_name, node.func)
                     if callee is not None:
                         sites.append(
                             CallSite(
@@ -239,25 +280,20 @@ class CallGraph:
         if parts is None:
             return None
         syms = self._symbols[module]
+        unit = self._units[module]
         head, rest = parts[0], parts[1:]
         if head == "self" and class_name and len(rest) == 1:
             if rest[0] in syms.class_methods.get(class_name, set()):
                 return f"{module}.{class_name}.{rest[0]}"
             return None
-        dotted: str | None = None
-        if head in syms.from_bindings:
-            dotted = syms.from_bindings[head]
-        elif head in syms.module_aliases:
-            if not rest:
-                return None  # calling a module object: not a thing
-            dotted = syms.module_aliases[head]
-        elif head in syms.local_names:
-            dotted = f"{module}.{head}"
-        if dotted is None:
-            return None
-        if rest:
-            dotted = f"{dotted}.{'.'.join(rest)}"
-        return dotted
+        if head in unit.from_bindings:
+            return unit.imported_name(func)
+        if head in unit.module_aliases:
+            # Calling a module object is not a thing.
+            return unit.imported_name(func) if rest else None
+        if head in syms.local_names:
+            return ".".join([module, *parts])
+        return None
 
     # -- queries ------------------------------------------------------
 
@@ -345,7 +381,9 @@ class ProgramContext:
     """Everything an interprocedural rule may consult about the program.
 
     Attributes:
-        units: module name -> :class:`ModuleUnit`.
+        units: module name -> :class:`ModuleUnit`. The key names the
+            module in the call graph (a nameless snippet is linted as
+            ``snippet``).
         policy: the active :class:`~repro.analysis.policy.LintPolicy`.
     """
 

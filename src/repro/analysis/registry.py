@@ -3,8 +3,8 @@
 Rules self-register at import time via :func:`register` (per-file) or
 :func:`register_program` (interprocedural); the runner asks
 :func:`all_rules` / :func:`all_program_rules` for the catalogs. A
-per-file rule sees a :class:`FileContext` — one parsed file plus
-everything repo-level the rule families need (module name, policy). A
+per-file rule sees a :class:`FileContext` — the module's record
+(:class:`~repro.analysis.callgraph.ModuleUnit`) plus the active policy. A
 :class:`ProgramRule` sees the whole
 :class:`~repro.analysis.callgraph.ProgramContext` instead and declares a
 ``scope``:
@@ -23,19 +23,17 @@ from __future__ import annotations
 import abc
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from repro.analysis.callgraph import ModuleUnit, ProgramContext
 from repro.analysis.findings import Finding
 from repro.analysis.policy import DEFAULT_POLICY, LintPolicy
 from repro.errors import FillError
 
-if TYPE_CHECKING:
-    from repro.analysis.callgraph import ProgramContext
 
-
-@dataclass
-class FileContext:
-    """Everything a rule may consult about one file under analysis.
+@dataclass(frozen=True)
+class FileContext(ModuleUnit):
+    """Everything a rule may consult about one file under analysis: the
+    module's record plus the active policy.
 
     Attributes:
         path: the path findings are reported under.
@@ -45,12 +43,11 @@ class FileContext:
         source: raw file text.
         tree: parsed AST of ``source``.
         policy: the active :class:`LintPolicy`.
+
+    Suppressions and import bindings are the record's cached properties;
+    rules resolve imported names with :meth:`ModuleUnit.imported_name`.
     """
 
-    path: str
-    module: str
-    source: str
-    tree: ast.Module
     policy: LintPolicy = field(default_factory=lambda: DEFAULT_POLICY)
 
 

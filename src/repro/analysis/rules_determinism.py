@@ -63,29 +63,33 @@ _TIME_FNS = frozenset(
         "clock_gettime",
     }
 )
+_TIME_READS = frozenset(f"time.{fn}" for fn in _TIME_FNS)
 _DATETIME_FNS = frozenset({"now", "utcnow", "today"})
 
 
-def _module_aliases(tree: ast.Module, target: str) -> set[str]:
-    """Names the file binds to module ``target`` (``import numpy as np``
-    puts ``np`` in the result for target ``numpy``)."""
-    aliases: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == target:
-                    aliases.add(alias.asname or alias.name.split(".")[0])
-    return aliases
-
-
-def _from_imports(tree: ast.Module, module: str) -> dict[str, str]:
-    """``local name -> original name`` for ``from <module> import ...``."""
-    out: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == module:
-            for alias in node.names:
-                out[alias.asname or alias.name] = alias.name
-    return out
+def _rng_message(node: ast.Call, dotted: str) -> str | None:
+    """D101's message for a call of ``dotted`` (resolved through the
+    module's imports), or None when the call is a seeded RNG use."""
+    module, _, fn = dotted.rpartition(".")
+    bare = node.func.id if isinstance(node.func, ast.Name) else None
+    seedless = not (node.args or node.keywords)
+    if module == "random":
+        if fn == "Random":
+            return "random.Random() without an explicit seed" if seedless else None
+        if fn in _RANDOM_MODULE_OK:
+            return None
+        if bare:
+            return f"call of global RNG function {bare!r}"
+        return f"call of module-global RNG 'random.{fn}'"
+    if module == "numpy.random":
+        if fn in _NP_GLOBAL_RNG_FNS:
+            if bare:
+                return f"call of global RNG function {bare!r}"
+            return f"call of legacy global numpy RNG 'np.random.{fn}'"
+        if fn == "default_rng" and seedless:
+            prefix = "" if bare else "np.random."
+            return f"{prefix}default_rng() without an explicit seed"
+    return None
 
 
 @register
@@ -100,78 +104,13 @@ class GlobalRngRule(Rule):
 
     def check(self, ctx: FileContext) -> list[Finding]:
         findings: list[Finding] = []
-        random_aliases = _module_aliases(ctx.tree, "random")
-        numpy_aliases = _module_aliases(ctx.tree, "numpy")
-        nprandom_aliases = _module_aliases(ctx.tree, "numpy.random")
-        random_fns = {
-            local
-            for local, orig in _from_imports(ctx.tree, "random").items()
-            if orig not in _RANDOM_MODULE_OK
-        }
-        np_fns = {
-            local
-            for local, orig in _from_imports(ctx.tree, "numpy.random").items()
-            if orig in _NP_GLOBAL_RNG_FNS
-        }
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                if func.id in random_fns or func.id in np_fns:
-                    findings.append(
-                        self.finding(
-                            ctx, node, f"call of global RNG function {func.id!r}"
-                        )
-                    )
-                elif func.id == "default_rng" and not (node.args or node.keywords):
-                    findings.append(
-                        self.finding(ctx, node, "default_rng() without an explicit seed")
-                    )
-                continue
-            if not isinstance(func, ast.Attribute):
-                continue
-            base = func.value
-            # random.<fn>(...) on the stdlib module.
-            if isinstance(base, ast.Name) and base.id in random_aliases:
-                if func.attr in _RANDOM_MODULE_OK:
-                    if func.attr == "Random" and not (node.args or node.keywords):
-                        findings.append(
-                            self.finding(
-                                ctx, node, "random.Random() without an explicit seed"
-                            )
-                        )
-                else:
-                    findings.append(
-                        self.finding(
-                            ctx,
-                            node,
-                            f"call of module-global RNG 'random.{func.attr}'",
-                        )
-                    )
-                continue
-            # np.random.<fn>(...) / numpy.random aliased imports.
-            is_np_random = (
-                isinstance(base, ast.Attribute)
-                and base.attr == "random"
-                and isinstance(base.value, ast.Name)
-                and base.value.id in numpy_aliases
-            ) or (isinstance(base, ast.Name) and base.id in nprandom_aliases)
-            if is_np_random:
-                if func.attr in _NP_GLOBAL_RNG_FNS:
-                    findings.append(
-                        self.finding(
-                            ctx,
-                            node,
-                            f"call of legacy global numpy RNG 'np.random.{func.attr}'",
-                        )
-                    )
-                elif func.attr == "default_rng" and not (node.args or node.keywords):
-                    findings.append(
-                        self.finding(
-                            ctx, node, "np.random.default_rng() without an explicit seed"
-                        )
-                    )
+            dotted = ctx.imported_name(node.func)
+            message = _rng_message(node, dotted) if dotted else None
+            if message:
+                findings.append(self.finding(ctx, node, message))
         return findings
 
 
@@ -189,43 +128,21 @@ class WallClockRule(Rule):
         if ctx.policy.wall_clock_allowed(ctx.module):
             return []
         findings: list[Finding] = []
-        time_aliases = _module_aliases(ctx.tree, "time")
-        datetime_aliases = _module_aliases(ctx.tree, "datetime") | set(
-            _from_imports(ctx.tree, "datetime")
-        )
-        time_fns = {
-            local
-            for local, orig in _from_imports(ctx.tree, "time").items()
-            if orig in _TIME_FNS
-        }
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Name) and node.id in time_fns:
-                if isinstance(node.ctx, ast.Load):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if ctx.imported_name(node) in _TIME_READS:
                     findings.append(
                         self.finding(ctx, node, f"wall-clock read {node.id!r}")
                     )
-                continue
-            if not isinstance(node, ast.Attribute):
-                continue
-            base = node.value
-            if (
-                isinstance(base, ast.Name)
-                and base.id in time_aliases
-                and node.attr in _TIME_FNS
-            ):
-                findings.append(
-                    self.finding(ctx, node, f"wall-clock read 'time.{node.attr}'")
-                )
-                continue
-            if node.attr not in _DATETIME_FNS:
-                continue
-            root = base
-            while isinstance(root, ast.Attribute):
-                root = root.value
-            if isinstance(root, ast.Name) and root.id in datetime_aliases:
-                findings.append(
-                    self.finding(ctx, node, f"wall-clock read 'datetime...{node.attr}'")
-                )
+            elif isinstance(node, ast.Attribute):
+                dotted = ctx.imported_name(node) or ""
+                if dotted in _TIME_READS:
+                    message = f"wall-clock read 'time.{node.attr}'"
+                elif dotted.startswith("datetime.") and node.attr in _DATETIME_FNS:
+                    message = f"wall-clock read 'datetime...{node.attr}'"
+                else:
+                    continue
+                findings.append(self.finding(ctx, node, message))
         return findings
 
 

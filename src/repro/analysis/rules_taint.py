@@ -35,7 +35,6 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.findings import Finding, TraceStep
 from repro.analysis.registry import ProgramRule, register_program
-from repro.analysis.rules_determinism import _from_imports, _module_aliases
 
 
 @dataclass(frozen=True)
@@ -48,30 +47,10 @@ class TaintSource:
     desc: str
 
 
-@dataclass
-class _OsNames:
-    """Names one module binds to ``os`` and to its environment readers."""
-
-    os_aliases: set[str]
-    environ_names: set[str]
-    getenv_names: set[str]
-
-
-def _os_names_for(unit: ModuleUnit) -> _OsNames:
-    os_imports = _from_imports(unit.tree, "os")
-    return _OsNames(
-        os_aliases=_module_aliases(unit.tree, "os"),
-        environ_names={
-            local for local, orig in os_imports.items() if orig == "environ"
-        },
-        getenv_names={
-            local for local, orig in os_imports.items() if orig == "getenv"
-        },
-    )
-
-
-def function_sources(info: FunctionInfo, names: _OsNames) -> list[TaintSource]:
-    """Nondeterminism sources inside one function's owned statements."""
+def function_sources(info: FunctionInfo, unit: ModuleUnit) -> list[TaintSource]:
+    """Nondeterminism sources inside one function's owned statements
+    (``unit`` is the function's module record, which resolves ``os``
+    names through its imports)."""
     out: list[TaintSource] = []
 
     def add(node: ast.AST, desc: str) -> None:
@@ -91,27 +70,15 @@ def function_sources(info: FunctionInfo, names: _OsNames) -> list[TaintSource]:
         for node in ast.walk(root):
             if isinstance(node, ast.Call):
                 func = node.func
-                if isinstance(func, ast.Name):
-                    if func.id in ("id", "hash") and not in_hash_dunder:
+                if isinstance(func, ast.Name) and func.id in ("id", "hash"):
+                    if not in_hash_dunder:
                         add(node, f"process-dependent builtin {func.id}()")
-                    elif func.id in names.getenv_names:
-                        add(node, "environment read os.getenv(...)")
-                elif (
-                    isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in names.os_aliases
-                    and func.attr == "getenv"
-                ):
+                elif unit.imported_name(func) == "os.getenv":
                     add(node, "environment read os.getenv(...)")
-            elif isinstance(node, ast.Attribute):
-                if (
-                    isinstance(node.value, ast.Name)
-                    and node.value.id in names.os_aliases
-                    and node.attr == "environ"
-                ):
-                    add(node, "environment read os.environ")
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                if node.id in names.environ_names:
+            elif isinstance(node, ast.Attribute) or (
+                isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            ):
+                if unit.imported_name(node) == "os.environ":
                     add(node, "environment read os.environ")
     return sorted(out, key=lambda s: (s.line, s.desc))
 
@@ -156,15 +123,10 @@ class DeterminismTaintRule(ProgramRule):
         sinks = frozenset(ctx.policy.taint_sink_functions) | frozenset(
             ctx.policy.payload_registry
         )
-        os_names = {
-            module: _os_names_for(unit) for module, unit in sorted(ctx.units.items())
-        }
         sources: dict[str, list[TaintSource]] = {}
         for qualname in sorted(graph.functions):
             info = graph.functions[qualname]
-            if info.module not in os_names:
-                continue
-            found = function_sources(info, os_names[info.module])
+            found = function_sources(info, ctx.units[info.module])
             if found:
                 sources[qualname] = found
         if not sources:

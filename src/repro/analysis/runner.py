@@ -23,7 +23,7 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.callgraph import ModuleUnit, ProgramContext, build_program
+from repro.analysis.callgraph import ProgramContext
 from repro.analysis.findings import Finding
 from repro.analysis.policy import DEFAULT_POLICY, LintPolicy
 from repro.analysis.registry import (
@@ -32,11 +32,7 @@ from repro.analysis.registry import (
     all_rules,
     known_rule_ids,
 )
-from repro.analysis.suppress import (
-    apply_suppressions,
-    filter_suppressed,
-    parse_suppressions,
-)
+from repro.analysis.suppress import apply_suppressions, filter_suppressed
 
 
 @dataclass
@@ -63,11 +59,26 @@ def collect_files(paths: list[str]) -> list[Path]:
     return sorted(out)
 
 
-def _file_rule_findings(ctx: FileContext) -> list[Finding]:
-    findings: list[Finding] = []
-    for rule in all_rules():
-        findings.extend(rule.check(ctx))
-    return findings
+def _load(
+    path: str, module: str, source: str | Path, policy: LintPolicy
+) -> FileContext | Finding:
+    """The module's record — ``source`` is its text or the file to read
+    it from — or the E000 finding when it cannot be read or parsed."""
+    try:
+        text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
+        return FileContext(path, module, text, ast.parse(text), policy)
+    except OSError as exc:
+        return Finding(
+            path=path, line=1, col=0, rule_id="E000", message=f"cannot read file: {exc}"
+        )
+    except SyntaxError as exc:
+        return Finding(
+            path=path,
+            line=exc.lineno or 1,
+            col=exc.offset or 0,
+            rule_id="E000",
+            message=f"syntax error: {exc.msg}",
+        )
 
 
 def _program_findings_by_path(
@@ -79,15 +90,36 @@ def _program_findings_by_path(
     for rule in all_program_rules():
         if rule.scope == scope:
             raw.extend(rule.check_program(program))
-    sups_by_path: dict[str, list] = {}
-    for unit in program.units.values():
-        sups_by_path[unit.path] = parse_suppressions(unit.source)
+    units_by_path = {unit.path: unit for unit in program.units.values()}
     grouped: dict[str, list[Finding]] = {}
     for finding in sorted(raw):
-        sups = sups_by_path.get(finding.path, [])
-        if filter_suppressed([finding], sups):
+        unit = units_by_path.get(finding.path)
+        if unit is None or filter_suppressed([finding], unit.suppressions):
             grouped.setdefault(finding.path, []).append(finding)
     return grouped
+
+
+def _lint(records: list[FileContext | Finding], program: ProgramContext) -> list[Finding]:
+    """The lint core: per-file rules plus the ``scope="file"`` program
+    findings of each record, through its suppressions; the
+    ``scope="program"`` findings anchored in a record; and the E000
+    finding of each module that failed to load."""
+    file_scope = _program_findings_by_path(program, "file")
+    program_scope = _program_findings_by_path(program, "program")
+    findings: list[Finding] = []
+    for record in records:
+        if isinstance(record, Finding):
+            findings.append(record)
+            continue
+        per_file = [finding for rule in all_rules() for finding in rule.check(record)]
+        per_file.extend(file_scope.get(record.path, []))
+        findings.extend(
+            apply_suppressions(
+                record.path, per_file, record.suppressions, known_rule_ids()
+            )
+        )
+        findings.extend(program_scope.get(record.path, []))
+    return sorted(findings)
 
 
 def lint_source(
@@ -103,35 +135,10 @@ def lint_source(
     per-file families.
     """
     policy = policy if policy is not None else DEFAULT_POLICY
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                rule_id="E000",
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-    ctx = FileContext(
-        path=path,
-        module=module,
-        source=source,
-        tree=tree,
-        policy=policy,
-    )
-    findings = _file_rule_findings(ctx)
-    program = ProgramContext(
-        {module or "snippet": ModuleUnit(module or "snippet", path, source, tree)},
-        policy,
-    )
-    for rule in all_program_rules():
-        findings.extend(rule.check_program(program))
-    return apply_suppressions(
-        path, findings, parse_suppressions(source), known_rule_ids()
-    )
+    record = _load(path, module, source, policy)
+    if isinstance(record, Finding):
+        return [record]
+    return _lint([record], ProgramContext({module or "snippet": record}, policy))
 
 
 def lint_modules(
@@ -140,41 +147,12 @@ def lint_modules(
     """Lint several in-memory modules as one program (cross-module
     fixture entry point). Paths are synthesized as ``mod/ule.py``."""
     policy = policy if policy is not None else DEFAULT_POLICY
-    findings: list[Finding] = []
-    units: dict[str, ModuleUnit] = {}
-    for module in sorted(sources):
-        source = sources[module]
-        path = module.replace(".", "/") + ".py"
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            findings.append(
-                Finding(
-                    path=path,
-                    line=exc.lineno or 1,
-                    col=exc.offset or 0,
-                    rule_id="E000",
-                    message=f"syntax error: {exc.msg}",
-                )
-            )
-            continue
-        units[module] = ModuleUnit(module, path, source, tree)
-        ctx = FileContext(
-            path=path, module=module, source=source, tree=tree, policy=policy
-        )
-        findings.extend(
-            apply_suppressions(
-                path,
-                _file_rule_findings(ctx),
-                parse_suppressions(source),
-                known_rule_ids(),
-            )
-        )
-    program = ProgramContext(units, policy)
-    for scope in ("file", "program"):
-        for per_path in _program_findings_by_path(program, scope).values():
-            findings.extend(per_path)
-    return sorted(findings)
+    records = [
+        _load(module.replace(".", "/") + ".py", module, sources[module], policy)
+        for module in sorted(sources)
+    ]
+    units = {r.module: r for r in records if isinstance(r, FileContext)}
+    return _lint(records, ProgramContext(units, policy))
 
 
 def module_name_for(path: Path) -> str:
@@ -204,54 +182,21 @@ def _package_root(files: list[Path]) -> Path | None:
 
 
 def _build_whole_program(
-    root: Path, policy: LintPolicy, path_overrides: dict[Path, str]
+    root: Path, policy: LintPolicy, loaded: dict[Path, FileContext | Finding]
 ) -> ProgramContext:
-    """Program context over every module under ``root``. Modules that
-    are also being linted report under their as-given path string so
-    findings line up with the per-file pass."""
-    sources: dict[str, tuple[str, str]] = {}
+    """Program context over every module under ``root`` that parses.
+    ``loaded`` maps resolved paths of the linted files to their records,
+    which the program reuses, so each module is read and parsed once and
+    program findings carry the linted files' as-given paths."""
+    units: dict[str, FileContext] = {}
     for file in sorted(root.resolve().rglob("*.py")):
         module = module_name_for(file)
-        if module:
-            path_str = path_overrides.get(file.resolve(), str(file))
-            sources[module] = (path_str, file.read_text(encoding="utf-8"))
-    return build_program(sources, policy)
-
-
-def _lint_file(
-    file: Path, policy: LintPolicy, file_scope_by_path: dict[str, list[Finding]]
-) -> list[Finding]:
-    """Per-file rules plus the file's ``scope="file"`` program findings,
-    through the file's suppressions."""
-    path = str(file)
-    try:
-        source = file.read_text(encoding="utf-8")
-    except OSError as exc:
-        return [
-            Finding(
-                path=path, line=1, col=0, rule_id="E000", message=f"cannot read file: {exc}"
-            )
-        ]
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                rule_id="E000",
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-    ctx = FileContext(
-        path=path, module=module_name_for(file), source=source, tree=tree, policy=policy
-    )
-    findings = _file_rule_findings(ctx)
-    findings.extend(file_scope_by_path.get(path, []))
-    return apply_suppressions(
-        path, findings, parse_suppressions(source), known_rule_ids()
-    )
+        if not module:
+            continue
+        record = loaded.get(file.resolve()) or _load(str(file), module, file, policy)
+        if isinstance(record, FileContext):
+            units[module] = record
+    return ProgramContext(units, policy)
 
 
 def lint_paths(paths: list[str], policy: LintPolicy | None = None) -> LintReport:
@@ -263,26 +208,10 @@ def lint_paths(paths: list[str], policy: LintPolicy | None = None) -> LintReport
     """
     policy = policy if policy is not None else DEFAULT_POLICY
     files = collect_files(paths)
-    report = LintReport(files_checked=len(files))
-
+    records = [_load(str(file), module_name_for(file), file, policy) for file in files]
     root = _package_root(files)
-    program: ProgramContext | None = None
-    file_scope_by_path: dict[str, list[Finding]] = {}
+    program = ProgramContext({}, policy)
     if root is not None:
-        path_overrides = {file.resolve(): str(file) for file in files}
-        program = _build_whole_program(root, policy, path_overrides)
-        file_scope_by_path = _program_findings_by_path(program, "file")
-
-    for file in files:
-        report.findings.extend(_lint_file(file, policy, file_scope_by_path))
-
-    # Program-scoped rules (lock-order cycles, worker purity): facts
-    # outside any one file, reported where they anchor in a linted file.
-    if program is not None:
-        linted = {str(file) for file in files}
-        for path, findings in _program_findings_by_path(program, "program").items():
-            if path in linted:
-                report.findings.extend(findings)
-
-    report.findings.sort()
-    return report
+        loaded = {file.resolve(): record for file, record in zip(files, records)}
+        program = _build_whole_program(root, policy, loaded)
+    return LintReport(findings=_lint(records, program), files_checked=len(files))

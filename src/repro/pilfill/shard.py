@@ -68,8 +68,6 @@ class ShardPlan:
     plan.
     """
 
-    nx: int
-    ny: int
     shards: tuple[GridShard, ...]
 
     @property
@@ -109,7 +107,7 @@ def plan_shards(
         )
         shards.append(GridShard(key=key, iy_lo=iy_lo, iy_hi=iy_hi, tile_keys=tile_keys))
         iy_lo = iy_hi
-    return ShardPlan(nx=nx, ny=ny, shards=tuple(shards))
+    return ShardPlan(shards=tuple(shards))
 
 
 def result_digest(result: "FillResult") -> str:

@@ -8,11 +8,15 @@ byte-identical reports every time.
 
 from __future__ import annotations
 
+import ast
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import LintPolicy, lint_paths, render_json, render_sarif, render_text
+from repro.analysis.suppress import parse_suppressions
 
 _POLICY = LintPolicy(taint_sink_functions=("detpkg.sink.digest_key",))
 
@@ -77,3 +81,33 @@ def test_findings_are_sorted_by_location(pkg: Path) -> None:
     report = lint_paths([str(pkg)], policy=_POLICY)
     keys = [(f.path, f.line, f.col, f.rule_id) for f in report.findings]
     assert keys == sorted(keys)
+
+
+def test_each_module_is_parsed_and_tokenized_once(
+    pkg: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # One record per module: a lint run hands each module's source to
+    # ast.parse and to the suppression tokenizer exactly once, however
+    # many rules and passes read it.
+    parsed: Counter[str] = Counter()
+    tokenized: Counter[str] = Counter()
+    real_parse = ast.parse
+
+    def counting_parse(source, *args, **kwargs):  # type: ignore[no-untyped-def]
+        parsed[source] += 1
+        return real_parse(source, *args, **kwargs)
+
+    def counting_suppressions(source: str):  # type: ignore[no-untyped-def]
+        tokenized[source] += 1
+        return parse_suppressions(source)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("repro.analysis") and hasattr(module, "parse_suppressions"):
+            monkeypatch.setattr(module, "parse_suppressions", counting_suppressions)
+    report = lint_paths([str(pkg)], policy=_POLICY)
+    assert report.files_checked == len(_FILES)
+    assert {name: parsed[body] for name, body in _FILES.items()} == dict.fromkeys(_FILES, 1)
+    assert {name: tokenized[body] for name, body in _FILES.items()} == dict.fromkeys(
+        _FILES, 1
+    )

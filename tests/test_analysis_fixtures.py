@@ -30,6 +30,9 @@ FIXTURES = Path(__file__).parent / "analysis_fixtures"
 NEUTRAL = "repro.experiments.fx"
 #: A module inside the float-eq scope.
 STRICT = "repro.pilfill.fx"
+#: A package module the import-form fixtures are linted as: a relative
+#: import there names a sibling module, not the stdlib.
+SNIPPET = "repro.pilfill.snippet"
 
 #: Policy that registers the C202 fixture's class as a pool payload.
 C202_POLICY = LintPolicy(payload_registry=(f"{NEUTRAL}.Payload",))
@@ -93,6 +96,14 @@ EXTRA_PAIRS: dict[
         ("repro.pilfill.incremental", None),
         ("repro.pilfill.incremental", None),
     ),
+    # Import forms: D101/D102 resolve names through the module's import
+    # bindings. A relative import binds no stdlib name (the pass sides),
+    # and a dotted or aliased numpy.random import still reaches the
+    # legacy global stream (the fail sides).
+    "D101_relative": ("D101", (SNIPPET, None), (SNIPPET, None)),
+    "D102_relative": ("D102", (SNIPPET, None), (SNIPPET, None)),
+    "D101_dotted": ("D101", (SNIPPET, None), (SNIPPET, None)),
+    "D101_fromalias": ("D101", (SNIPPET, None), (SNIPPET, None)),
 }
 
 
