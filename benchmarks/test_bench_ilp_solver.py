@@ -27,17 +27,11 @@ def harvested_tiles(t1_layout):
     )
     layer = t1_layout.stack.layer("metal3")
     dbu = t1_layout.stack.dbu_per_micron
-    chosen = {}
-    for key, cols in columns.items():
-        impactful = [c for c in cols if c.capacity > 0]
-        if len(impactful) < 4:
-            continue
-        chosen[key] = impactful
-        if len(chosen) == 6:
-            break
+    # Every gridded column holds at least one site.
+    chosen = [key for key, cols in columns.items() if len(cols) >= 4][:6]
     assert chosen, "expected harvestable tiles"
     lut = LUTCache(layer.eps_r, layer.thickness_um, rules.fill_size / dbu)
-    views = build_cost_views(chosen, layer, rules, dbu, lut, weighted=True)
+    views = build_cost_views(columns, layer, rules, dbu, lut, weighted=True, keys=chosen)
     return [(view, view.capacity // 3) for view in views.values()]
 
 

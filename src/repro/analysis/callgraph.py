@@ -405,23 +405,3 @@ class ProgramContext:
         if info is None:
             return None
         return self.units.get(info.module)
-
-
-def build_program(
-    sources: dict[str, tuple[str, str]], policy: LintPolicy
-) -> ProgramContext:
-    """Program context from ``module -> (path, source)`` pairs.
-
-    Modules that fail to parse are skipped (the per-file pass reports
-    the syntax error; interprocedural facts about broken files would be
-    noise on top).
-    """
-    units: dict[str, ModuleUnit] = {}
-    for module in sorted(sources):
-        path, source = sources[module]
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            continue
-        units[module] = ModuleUnit(module=module, path=path, source=source, tree=tree)
-    return ProgramContext(units, policy)

@@ -39,6 +39,11 @@ def _default_payload_registry() -> tuple[str, ...]:
         "repro.pilfill.costs.TileCosts",
         "repro.pilfill.columns.ElectricalColumn",
         "repro.pilfill.columns.ColumnNeighbor",
+        # A prepared tile's cost tables hold its view of the layer's column
+        # table; TileCosts.electrical() swaps the view for ElectricalColumn
+        # copies before a payload ships, but both pickle by construction.
+        "repro.pilfill.columns.TileColumns",
+        "repro.pilfill.columns.ColumnTable",
         "repro.testing.faults.FaultSpec",
         "repro.testing.faults.FaultRule",
         # Returned from pool workers (the response side).

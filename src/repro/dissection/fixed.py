@@ -67,16 +67,29 @@ class FixedDissection:
         self.tile_size = tile
         self.nx = -(-die.width // tile)   # ceil division
         self.ny = -(-die.height // tile)
-        self._tiles: dict[tuple[int, int], Tile] = {}
-        for ix in range(self.nx):
-            for iy in range(self.ny):
-                rect = Rect(
-                    die.xlo + ix * tile,
-                    die.ylo + iy * tile,
-                    min(die.xlo + (ix + 1) * tile, die.xhi),
-                    min(die.ylo + (iy + 1) * tile, die.yhi),
+        # Tile objects are built on first use: callers that need only
+        # keys (the gridder, the engine's merge) read tile_keys().
+        self._built: dict[tuple[int, int], Tile] | None = None
+
+    @property
+    def _tiles(self) -> dict[tuple[int, int], Tile]:
+        if self._built is None:
+            die, tile = self.die, self.tile_size
+            self._built = {
+                (ix, iy): Tile(
+                    ix,
+                    iy,
+                    Rect(
+                        die.xlo + ix * tile,
+                        die.ylo + iy * tile,
+                        min(die.xlo + (ix + 1) * tile, die.xhi),
+                        min(die.ylo + (iy + 1) * tile, die.yhi),
+                    ),
                 )
-                self._tiles[(ix, iy)] = Tile(ix, iy, rect)
+                for ix in range(self.nx)
+                for iy in range(self.ny)
+            }
+        return self._built
 
     # -- tiles ---------------------------------------------------------------
 
@@ -91,9 +104,12 @@ class FixedDissection:
 
     def tiles(self) -> Iterator[Tile]:
         """All tiles, column-major order."""
-        for ix in range(self.nx):
-            for iy in range(self.ny):
-                yield self._tiles[(ix, iy)]
+        return iter(self._tiles.values())
+
+    def tile_keys(self) -> list[tuple[int, int]]:
+        """Every tile's key ``(ix, iy)``, in :meth:`tiles` order, without
+        building a tile."""
+        return [(ix, iy) for ix in range(self.nx) for iy in range(self.ny)]
 
     @property
     def tile_count(self) -> int:

@@ -11,13 +11,15 @@ the die. This exact test covers line ends and wrong-direction routing,
 which the parallel-line capacitance model itself does not see.
 
 Legality is a question about a fixed lattice, so it is answered by a
-lattice lookup: :class:`SiteLegality` keeps one byte per in-die site and
-clears, once per blockage, the index box of sites that blockage rules
-out. ``tests/legality_oracle.py`` keeps the exact rect test the raster is
-pinned to.
+lattice lookup: :class:`SiteLegality` keeps one byte per in-die site in a
+2-D array and clears, with one slice assignment per blockage, the index
+box of sites that blockage rules out. ``tests/legality_oracle.py`` keeps
+the exact rect test the raster is pinned to.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.dissection.fixed import FixedDissection
 from repro.geometry import Rect, SiteGrid
@@ -28,11 +30,12 @@ from repro.tech.rules import FillRules
 class SiteLegality:
     """Per-layer legality raster over the fill-site lattice.
 
-    ``free[c - col0][r - row0]`` is 1 when site ``(c, r)`` is legal and 0
+    ``free[c - col0, r - row0]`` is 1 when site ``(c, r)`` is legal and 0
     when it is blocked; sites not fully inside the die lie outside the
     raster (``col0 <= c < col0 + len(free)``, ``row0 <= r < row0 +
-    nrows``) and are never legal. Each column is one ``bytearray``, so
-    reads are plain byte indexing.
+    nrows``) and are never legal. ``free`` is one 2-D ``uint8`` array, so
+    the gridder gathers a whole layer's candidate sites from it in one
+    indexing operation.
 
     Construct from a layout (historical API) or from bare geometry via
     :meth:`from_rects` — the streaming preprocessor feeds blockage rects
@@ -72,7 +75,7 @@ class SiteLegality:
         self.row0 = -((grid.origin_y - die.ylo) // pitch)
         ncols = max(0, (die.xhi - size - grid.origin_x) // pitch + 1 - self.col0)
         self.nrows = max(0, (die.yhi - size - grid.origin_y) // pitch + 1 - self.row0)
-        self.free: list[bytearray] = [bytearray(b"\x01") * self.nrows for _ in range(ncols)]
+        self.free = np.ones((ncols, self.nrows), dtype=np.uint8)
         for rect in rects:
             self.add_blockage(rect)
 
@@ -109,16 +112,13 @@ class SiteLegality:
         c_hi = min(-((grid.origin_x - buf - rect.xhi) // pitch) - self.col0, len(self.free))
         r_lo = max((rect.ylo - grid.origin_y - reach) // pitch + 1 - self.row0, 0)
         r_hi = min(-((grid.origin_y - buf - rect.yhi) // pitch) - self.row0, self.nrows)
-        if c_lo >= c_hi or r_lo >= r_hi:
-            return
-        blocked = bytes(r_hi - r_lo)
-        for column in self.free[c_lo:c_hi]:
-            column[r_lo:r_hi] = blocked
+        if c_lo < c_hi and r_lo < r_hi:
+            self.free[c_lo:c_hi, r_lo:r_hi] = 0
 
     def is_free(self, col: int, row: int) -> bool:
         """True when site ``(col, row)`` is legal."""
         c, r = col - self.col0, row - self.row0
-        return 0 <= c < len(self.free) and 0 <= r < self.nrows and self.free[c][r] == 1
+        return 0 <= c < len(self.free) and 0 <= r < self.nrows and bool(self.free[c, r])
 
     def _free_in_region(self, region: Rect) -> list[tuple[int, int]]:
         """``(col, row)`` of the legal sites centred in ``region``, sorted."""
@@ -128,14 +128,11 @@ class SiteLegality:
         rows = grid.centered_in(region.ylo, region.yhi, grid.origin_y)
         c_lo, c_hi = max(cols.start, col0), min(cols.stop, col0 + len(self.free))
         r_lo, r_hi = max(rows.start, row0), min(rows.stop, row0 + nrows)
-        if r_lo >= r_hi:  # keep the slice bounds below non-negative
+        if c_lo >= c_hi or r_lo >= r_hi:  # keep the slice bounds non-negative
             return []
-        return [
-            (col, row)
-            for col in range(c_lo, c_hi)
-            for row, bit in enumerate(self.free[col - col0][r_lo - row0 : r_hi - row0], r_lo)
-            if bit
-        ]
+        box = self.free[c_lo - col0 : c_hi - col0, r_lo - row0 : r_hi - row0]
+        cols_at, rows_at = np.nonzero(box)
+        return list(zip((cols_at + c_lo).tolist(), (rows_at + r_lo).tolist(), strict=True))
 
     def legal_sites_in_region(self, region: Rect) -> list[Rect]:
         """Legal site squares whose centre lies in ``region``, sorted by

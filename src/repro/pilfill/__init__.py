@@ -22,9 +22,11 @@ Public surface:
 from repro.pilfill.columns import (
     ColumnNeighbor,
     ColumnSites,
+    ColumnTable,
     ElectricalColumn,
     SlackColumn,
     SlackColumnDef,
+    TileColumns,
 )
 from repro.pilfill.costs import TileCosts, build_cost_views
 from repro.pilfill.dp import (
@@ -103,9 +105,11 @@ from repro.pilfill.store import (
 __all__ = [
     "ColumnNeighbor",
     "ColumnSites",
+    "ColumnTable",
     "ElectricalColumn",
     "SlackColumn",
     "SlackColumnDef",
+    "TileColumns",
     "TileCosts",
     "build_cost_views",
     "allocate_dp",

@@ -12,7 +12,8 @@ contribution of that column.
 
 :func:`build_cost_views` evaluates Eq. 5/6 for every column of a set of
 tiles in one array pass: the columns' capacities, gaps and r̂ inputs are
-gathered once, one :meth:`LUTCache.get_batch` call resolves every
+sliced from the layer's :class:`~repro.pilfill.columns.ColumnTable`, one
+:meth:`LUTCache.get_batch` call resolves every
 impactful column's table (in tile-then-column order, so the first spec of
 each quantized key builds its table), the distinct tables are
 concatenated, and ``np.repeat`` index arithmetic writes every entry of
@@ -25,7 +26,7 @@ pin the batched pass against.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
@@ -34,7 +35,12 @@ import numpy as np
 from repro.cap.fillimpact import linear_column_cap_array, table_counts
 from repro.cap.lut import LUTCache
 from repro.layout.rctree import OHM_FF_TO_PS
-from repro.pilfill.columns import ElectricalColumn, SlackColumn
+from repro.pilfill.columns import (
+    ColumnTable,
+    ElectricalColumn,
+    TileColumns,
+    electrical_columns,
+)
 from repro.tech.process import ProcessLayer
 from repro.tech.rules import FillRules
 
@@ -45,9 +51,10 @@ TileKey = tuple[int, int]
 class TileCosts:
     """One tile's cost tables — the only per-tile solve input.
 
-    ``columns`` are the tile's slack columns: the prepared
-    :class:`SlackColumn` objects in the parent, or the geometry-free
-    :class:`ElectricalColumn` copies a pool payload carries
+    ``columns`` are the tile's slack columns: in the parent, the tile's
+    :class:`~repro.pilfill.columns.TileColumns` view of the column table
+    (which builds no column object unless a solver indexes it), or the
+    geometry-free :class:`ElectricalColumn` copies a pool payload carries
     (:meth:`electrical`). ``capacities`` holds each column's site count
     (int64); ``exact`` and ``linear`` hold every column's ``capacity + 1``
     delay impacts (ps, entry 0 equal to 0) back to back in column order,
@@ -59,18 +66,18 @@ class TileCosts:
     time); nothing writes a field after construction.
     """
 
-    columns: tuple[ElectricalColumn, ...]
+    columns: tuple[ElectricalColumn, ...] | TileColumns
     capacities: np.ndarray
     exact: np.ndarray
     linear: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return len(self.capacities)
 
     @property
     def capacity(self) -> int:
         """Total sites over the tile's columns."""
-        return len(self.exact) - len(self.columns)
+        return len(self.exact) - len(self.capacities)
 
     def offsets(self) -> list[int]:
         """Where each column's entry 0 sits in ``exact`` / ``linear``,
@@ -88,19 +95,22 @@ class TileCosts:
 
     def electrical(self) -> TileCosts:
         """The same tables over geometry-free columns, for a payload."""
-        columns = tuple(ElectricalColumn(c.gap_um, c.below, c.above) for c in self.columns)
-        return TileCosts(columns, self.capacities, self.exact, self.linear)
+        return TileCosts(
+            electrical_columns(self.columns), self.capacities, self.exact, self.linear
+        )
 
 
 def build_cost_views(
-    tiles: Mapping[TileKey, Sequence[SlackColumn]],
+    table: ColumnTable,
     layer: ProcessLayer,
     rules: FillRules,
     dbu_per_micron: int,
     lut_cache: LUTCache,
     weighted: bool,
+    keys: Sequence[TileKey] | None = None,
 ) -> dict[TileKey, TileCosts]:
-    """Cost tables for every column of ``tiles``, in one array pass.
+    """Cost tables for every column of ``table``'s tiles (of ``keys``'
+    tiles when given), in one array pass.
 
     A column is impactful when both neighbours and its gap are present
     (:attr:`ElectricalColumn.has_impact`); every other column's entries
@@ -110,29 +120,24 @@ def build_cost_views(
     ``r̂ · Eq. 6 · OHM_FF_TO_PS`` at the column's own (unquantized) gap —
     the same IEEE operations, entry by entry, as
     ``tests/costs_oracle.py::build_costs_scalar``. Returns one
-    :class:`TileCosts` per tile of ``tiles``, in its order.
+    :class:`TileCosts` per tile, in ``table`` (or ``keys``) order.
     """
-    caps: list[int] = []
-    specs: list[tuple[float, int]] = []
-    impact: list[int] = []
-    r_inputs: list[tuple[int, float, int, float]] = []
-    for cols in tiles.values():
-        for col in cols:
-            cap = col.capacity
-            below, above, gap = col.below, col.above, col.gap_um
-            if below is not None and above is not None and gap is not None:
-                impact.append(len(caps))
-                specs.append((gap, cap))
-                r_inputs.append(
-                    (below.sinks, below.resistance_ohm, above.sinks, above.resistance_ohm)
-                )
-            caps.append(cap)
+    tiles = [table[key] for key in (table if keys is None else keys) if key in table]
+    if keys is None:
+        at = np.arange(len(table.col))
+    else:
+        at = np.concatenate(
+            [np.arange(t.lo, t.hi) for t in tiles] or [np.zeros(0, dtype=np.int64)]
+        )
+    capacities = table.capacities[at]
+    below, above, gap = table.below[at], table.above[at], table.gap_um[at]
+    impact = np.flatnonzero((below >= 0) & (above >= 0) & ~np.isnan(gap))
+    specs = list(zip(gap[impact].tolist(), capacities[impact].tolist(), strict=True))
 
-    capacities = np.array(caps, dtype=np.int64)
     ends = np.cumsum(capacities + 1)
-    exact = np.zeros(int(ends[-1]) if caps else 0)
+    exact = np.zeros(int(ends[-1]) if len(at) else 0)
     linear = np.zeros_like(exact)
-    if impact:
+    if specs:
         luts = lut_cache.get_batch(specs)
         # The distinct tables back to back; ``table_at[i]`` is where
         # impactful column i's table starts. A cached table is the only
@@ -142,14 +147,14 @@ def build_cost_views(
         table_at: list[int] = []
         size = 0
         for lut in luts:
-            key = (lut.spacing_um, len(lut.table))
-            at = first.get(key)
-            if at is None:
-                at = first[key] = size
+            lut_key = (lut.spacing_um, len(lut.table))
+            slot = first.get(lut_key)
+            if slot is None:
+                slot = first[lut_key] = size
                 tables.append(lut.table)
                 size += len(lut.table)
-            table_at.append(at)
-        table = np.fromiter(chain.from_iterable(tables), dtype=np.float64, count=size)
+            table_at.append(slot)
+        values = np.fromiter(chain.from_iterable(tables), dtype=np.float64, count=size)
         # Entry n of impactful column i: ``within`` is n, ``dest`` its slot
         # in the flat arrays, ``src`` its slot in the concatenated tables.
         within = table_counts(capacities[impact])
@@ -157,12 +162,14 @@ def build_cost_views(
         dest = np.repeat(ends[impact] - lengths, lengths) + within
         src = np.repeat(np.array(table_at), lengths) + within
 
-        w_b, r_b, w_a, r_a = np.array(r_inputs, dtype=np.float64).T
+        sinks = table.line_sinks.astype(np.float64)
+        w_b, w_a = sinks[below[impact]], sinks[above[impact]]
+        r_b, r_a = table.below_res[at][impact], table.above_res[at][impact]
         r_hat = 0.0 + (w_b * r_b if weighted else r_b)
         r_hat = r_hat + (w_a * r_a if weighted else r_a)
         r_rep = np.repeat(r_hat, lengths)
-        exact[dest] = r_rep * table[src] * OHM_FF_TO_PS
-        gaps = np.repeat(np.array([gap for gap, _ in specs]), lengths)
+        exact[dest] = r_rep * values[src] * OHM_FF_TO_PS
+        gaps = np.repeat(gap[impact], lengths)
         fill_w_um = rules.fill_size / dbu_per_micron
         eq6 = linear_column_cap_array(layer.eps_r, layer.thickness_um, gaps, within, fill_w_um)
         linear[dest] = r_rep * eq6 * OHM_FF_TO_PS
@@ -170,9 +177,9 @@ def build_cost_views(
     views: dict[TileKey, TileCosts] = {}
     bounds = [0, *ends.tolist()]
     c = 0
-    for key, cols in tiles.items():
+    for cols in tiles:
         n = len(cols)
         lo, hi = bounds[c], bounds[c + n]
-        views[key] = TileCosts(tuple(cols), capacities[c : c + n], exact[lo:hi], linear[lo:hi])
+        views[cols.key] = TileCosts(cols, capacities[c : c + n], exact[lo:hi], linear[lo:hi])
         c += n
     return views

@@ -51,7 +51,7 @@ from repro.pilfill.budgeted import (
     solve_tile_budgeted_greedy,
     solve_tile_budgeted_ilp,
 )
-from repro.pilfill.columns import SlackColumn, SlackColumnDef
+from repro.pilfill.columns import SlackColumnDef, TileColumns
 from repro.pilfill.costs import TileCosts
 from repro.pilfill.incremental import (
     SolutionCache,
@@ -359,20 +359,17 @@ class PILFillEngine:
             self._prepared = self.prepare(tracer=tracer)
         return self._prepared
 
-    def _placed(self, columns: list[SlackColumn], outcome: TileOutcome) -> list[FillFeature]:
+    def _placed(self, columns: TileColumns, outcome: TileOutcome) -> list[FillFeature]:
         """The features one tile's outcome places on its slack ``columns``
         (the prepared instance's, index-aligned with the cost tables):
         explicit sampled sites when the method recorded them, column-prefix
-        sites otherwise, and none for a failed tile. Only the placed
-        sites' rects are built."""
+        sites otherwise, and none for a failed tile. The placed sites'
+        rects are read from the column table; no column object is built."""
         solution = outcome.value
         if solution is None:
             return []
-        return [
-            FillFeature(layer=self.layer, rect=col.sites[s])
-            for k, col in enumerate(columns)
-            for s in solution.sites_for(k)
-        ]
+        picks = [(k, s) for k in range(len(columns)) for s in solution.sites_for(k)]
+        return [FillFeature(layer=self.layer, rect=rect) for rect in columns.site_rects(picks)]
 
     def run(self, budget: dict[TileKey, int] | None = None) -> FillResult:
         """Execute the flow. ``budget`` overrides the density step when
@@ -529,8 +526,7 @@ class PILFillEngine:
                     # shard builds its own.
                     del costs_by_tile
 
-            for tile in prep.dissection.tiles():
-                key = tile.key
+            for key in prep.dissection.tile_keys():
                 result.effective_budget[key] = caps[key]
                 if key not in placed:
                     continue
@@ -737,13 +733,10 @@ class PILFillEngine:
             costs_by_tile = prep.costs_for(cfg.weighted, tracer=tracer)
             run_deadline = self._run_deadline()
             remaining = dict(net_budgets_ff)
-            order = sorted(
-                prep.dissection.tiles(),
-                key=lambda t: sum(c.capacity for c in prep.columns_by_tile.get(t.key, [])),
-            )
+            capacity = prep.capacity()
+            order = sorted(prep.dissection.tile_keys(), key=capacity.__getitem__)
             with tracer.span("solve"):
-                for tile in order:
-                    key = tile.key
+                for key in order:
                     costs = costs_by_tile.get(key)
                     effective = min(budget.get(key, 0), costs.capacity) if costs else 0
                     result.effective_budget[key] = 0

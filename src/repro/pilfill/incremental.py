@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.geometry.rect import Rect
 from repro.geometry.spatial import GridBinIndex
-from repro.pilfill.columns import ColumnNeighbor
+from repro.pilfill.columns import electrical_fields
 from repro.pilfill.costs import TileCosts
 from repro.pilfill.robust import SolveReport
 from repro.pilfill.solution import TileSolution
@@ -47,12 +47,6 @@ TileKey = tuple[int, int]
 
 def _rect_payload(rect: Rect) -> list[int]:
     return [rect.xlo, rect.ylo, rect.xhi, rect.yhi]
-
-
-def _neighbor_payload(neighbor: "ColumnNeighbor | None") -> list[object] | None:
-    if neighbor is None:
-        return None
-    return [neighbor.net, neighbor.line_index, neighbor.sinks, neighbor.resistance_ohm]
 
 
 def _fault_spec_payload(spec: "FaultSpec | None") -> list[dict[str, object]] | None:
@@ -138,18 +132,16 @@ def tile_digest(
     Table entries hash as their float64 bytes and the per-column fields
     through ``repr`` (shortest round-trip), so equal digests mean
     bit-equal cost content (``-0.0`` and ``0.0`` differ), not merely
-    approximately-equal. Every section's length follows from the header
-    and the capacities, so no two inputs share one byte stream.
+    approximately-equal. A prepared tile's fields come straight from its
+    column table's arrays, so a warm lookup builds no column object.
+    Every section's length follows from the header and the capacities,
+    so no two inputs share one byte stream.
     """
     digest = hashlib.sha256(repr((context_digest, key, budget, len(costs))).encode("utf-8"))
     digest.update(costs.capacities.tobytes())
     digest.update(costs.exact.tobytes())
     digest.update(costs.linear.tobytes())
-    fields = [
-        (column.gap_um, _neighbor_payload(column.below), _neighbor_payload(column.above))
-        for column in costs.columns
-    ]
-    digest.update(repr(fields).encode("utf-8"))
+    digest.update(repr(electrical_fields(costs.columns)).encode("utf-8"))
     return digest.hexdigest()
 
 

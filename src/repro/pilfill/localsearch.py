@@ -20,6 +20,7 @@ decreases the evaluated impact — refinement is monotone by construction.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.cap.fillimpact import exact_column_cap
@@ -98,7 +99,7 @@ def _group_coeff(model: ImpactModel, block_id: int, along: int) -> tuple[float, 
 def refine_placement(
     model: ImpactModel,
     dissection: FixedDissection,
-    columns_by_tile: dict[tuple[int, int], list[SlackColumn]],
+    columns_by_tile: Mapping[tuple[int, int], Sequence[SlackColumn]],
     features: list[FillFeature],
     max_moves: int = 10000,
 ) -> RefineResult:

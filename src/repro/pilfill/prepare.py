@@ -53,7 +53,7 @@ from repro.layout.layout import RoutedLayout
 from repro.layout.net import Net
 from repro.layout.rctree import RCTree
 from repro.obs.trace import NULL_TRACER, TracerLike
-from repro.pilfill.columns import SlackColumn, SlackColumnDef
+from repro.pilfill.columns import ColumnTable, SlackColumnDef, neighbor_payload
 from repro.pilfill.costs import TileCosts, build_cost_views
 from repro.pilfill.scanline import (
     ColumnGridder,
@@ -83,6 +83,9 @@ class PreparedInstance:
     summed duration of that phase's ``prepare.<phase>`` spans, which
     carry a ``phase`` attribute; no phase span nests inside another one
     here, so each second is counted under exactly one phase.
+    ``columns_by_tile`` is the layer's
+    :class:`~repro.pilfill.columns.ColumnTable`: a mapping from every
+    tile key to that tile's slack columns.
     """
 
     layout: RoutedLayout
@@ -92,7 +95,7 @@ class PreparedInstance:
     column_def: SlackColumnDef
     dissection: FixedDissection
     legality: SiteLegality
-    columns_by_tile: dict[TileKey, list[SlackColumn]]
+    columns_by_tile: ColumnTable
     phase_seconds: dict[str, float] = field(default_factory=dict)
     lut_stats: dict[str, int] = field(default_factory=dict)
     _density: DensityMap | None = field(default=None, repr=False)
@@ -141,9 +144,10 @@ class PreparedInstance:
 
     def capacity(self, margin: float = 1.0) -> dict[TileKey, int]:
         """Placeable capacity per tile (column sites × headroom margin)."""
+        table = self.columns_by_tile
         return {
-            key: int(sum(c.capacity for c in cols) * margin)
-            for key, cols in self.columns_by_tile.items()
+            key: int(sites * margin)
+            for key, sites in zip(table, table.tile_capacities(), strict=True)
         }
 
     def costs_for(
@@ -176,13 +180,10 @@ class PreparedInstance:
             if keys is None:
                 return cached
             return {key: cached[key] for key in keys if key in cached}
-        tiles = (
-            self.columns_by_tile
-            if keys is None
-            else {key: self.columns_by_tile[key] for key in keys if key in self.columns_by_tile}
-        )
+        table = self.columns_by_tile
+        n_tiles = len(table) if keys is None else sum(key in table for key in keys)
         trc = tracer if tracer is not None else NULL_TRACER
-        with trc.span("prepare.costs", phase="costs", weighted=weighted, tiles=len(tiles)) as span:
+        with trc.span("prepare.costs", phase="costs", weighted=weighted, tiles=n_tiles) as span:
             layer_proc = self.layout.stack.layer(self.layer)
             dbu = self.layout.stack.dbu_per_micron
             lut_cache = self._lut_caches.get(weighted)
@@ -193,7 +194,7 @@ class PreparedInstance:
                 self._lut_caches[weighted] = lut_cache
             stats_before = lut_cache.stats()
             costs = build_cost_views(
-                tiles, layer_proc, self.fill_rules, dbu, lut_cache, weighted
+                table, layer_proc, self.fill_rules, dbu, lut_cache, weighted, keys
             )
             for name, count in lut_cache.stats().items():
                 self.lut_stats[name] = (
@@ -291,7 +292,7 @@ class PreparedInstance:
         must digest equal to :func:`prepare` over the materialized
         layout. Forces the (lazy) density build on first call.
         """
-        from repro.pilfill.incremental import _neighbor_payload, _rect_payload, _sha256
+        from repro.pilfill.incremental import _rect_payload, _sha256
 
         d = self.dissection
         rules = self.fill_rules
@@ -304,8 +305,8 @@ class PreparedInstance:
                     "col": column.col,
                     "sites": [_rect_payload(site) for site in column.sites],
                     "gap_um": column.gap_um,
-                    "below": _neighbor_payload(column.below),
-                    "above": _neighbor_payload(column.above),
+                    "below": neighbor_payload(column.below),
+                    "above": neighbor_payload(column.above),
                 }
                 for column in cols
             ]
@@ -507,7 +508,7 @@ def prepare_streaming(
                 if pending:
                     gridder.grid(sweep.feed(pending))
                 gridder.grid(sweep.finish())
-                columns_by_tile = gridder.out
+                columns_by_tile = gridder.table()
             else:
                 columns_by_tile = extract_columns_from_lines(
                     pending, horizontal, shell.die, dbu, layer, dissection, legality,

@@ -19,17 +19,21 @@ rather than a sliver per earlier line.
 
 Definitions I/II/III (paper §5.1) differ only in the sweep region and
 line clipping; :func:`extract_columns` then grids every block into legal
-fill-site columns per tile through one :class:`ColumnGridder`. A tile owns
-the sites whose centre it holds, and the gridder enumerates them as
-:meth:`~repro.geometry.SiteGrid.centered_in` index ranges and records a
-column's free site rows, not a rect per site.
+fill-site columns per tile through one :class:`ColumnGridder`, in one
+array pass per layer. A tile owns the sites whose centre it holds; the
+gridder enumerates them as :meth:`~repro.geometry.SiteGrid.centered_in`
+index ranges and writes the columns into a
+:class:`~repro.pilfill.columns.ColumnTable`, whose columns keep their
+free site rows, not a rect per site.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
+
+import numpy as np
 
 from repro.dissection.fixed import FixedDissection
 from repro.errors import FillError
@@ -37,8 +41,10 @@ from repro.fillsynth.slack_sites import SiteLegality
 from repro.geometry import Interval, Rect
 from repro.layout.layout import RoutedLayout
 from repro.layout.rctree import LineTiming
-from repro.pilfill.columns import ColumnNeighbor, ColumnSites, SlackColumn, SlackColumnDef
+from repro.pilfill.columns import ColumnTable, SlackColumnDef
 from repro.tech.rules import FillRules
+
+TileKey = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -52,35 +58,6 @@ class SweepLine:
 
     rect: Rect
     timing: LineTiming | None
-
-
-class _NeighborBasis:
-    """The fields of a line's :class:`ColumnNeighbor`, read once per gap block.
-
-    :meth:`at` repeats :meth:`LineTiming.resistance_at`'s operations in the
-    same order (clamp to the segment, distance from its start, times the
-    unit resistance, plus the upstream resistance), so the resistance has
-    the same bits.
-    """
-
-    __slots__ = ("net", "index", "sinks", "upstream_res", "unit_res", "low", "high", "origin")
-
-    def __init__(self, line: LineTiming):
-        seg = line.segment
-        self.net, self.index, self.sinks = seg.net, seg.index, line.downstream_sinks
-        self.upstream_res, self.unit_res = line.upstream_res, line.unit_res
-        self.low, self.high = seg.low_coord, seg.high_coord
-        self.origin = seg.start.x if seg.is_horizontal else seg.start.y
-
-    def at(self, along_coord: int) -> ColumnNeighbor:
-        """Electrical view of the line at an along-axis coordinate."""
-        coord = min(max(along_coord, self.low), self.high)
-        resistance = self.upstream_res + self.unit_res * abs(coord - self.origin)
-        return ColumnNeighbor(self.net, self.index, self.sinks, resistance)
-
-
-def _basis(line: SweepLine | None) -> _NeighborBasis | None:
-    return None if line is None or line.timing is None else _NeighborBasis(line.timing)
 
 
 @dataclass(frozen=True)
@@ -302,27 +279,55 @@ def layer_sweep_lines(layout: RoutedLayout, layer: str) -> tuple[list[SweepLine]
     return lines, horizontal
 
 
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For counts ``n_i``, the owner ``i`` and the offset ``0 .. n_i - 1``
+    of each of the ``Σ n_i`` items, in order."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size) - starts[owner]
+
+
+#: The per-column arrays of one :meth:`ColumnGridder.grid` call, and their
+#: dtypes; ``n_rows`` counts each column's entries of ``rows``.
+_CHUNK_FIELDS = {
+    "tile": np.int64,
+    "col": np.int64,
+    "along": np.int64,
+    "gap_um": np.float64,
+    "below": np.int64,
+    "above": np.int64,
+    "below_res": np.float64,
+    "above_res": np.float64,
+    "n_rows": np.int64,
+    "rows": np.int64,
+}
+
+
 class ColumnGridder:
-    """Grids gap blocks into per-tile slack columns, batch by batch.
+    """Grids gap blocks into one layer's :class:`~repro.pilfill.columns.
+    ColumnTable`, batch by batch.
 
     A tile owns the sites whose centre it holds (paper §5.1). For each
     (block, tile) pair the columns are the sites centred in the tile's
-    clip of the block's along extent, and the rows are the sites that fit
-    the block's buffered cross band and are centred in the tile. Both are
-    :meth:`SiteGrid.centered_in` index ranges. Each candidate is read from
-    the legality raster, which is pinned to the exact test in
-    ``tests/legality_oracle.py``. A column keeps its free rows in a
-    :class:`~repro.pilfill.columns.ColumnSites` (``itertools.compress``
-    over the raster bytes), which builds a site's rect only when it is
-    read. Each neighbour line's electrical fields are read once per
-    block, and a column's two neighbours once per block and column, so
-    the tiles stacked across a tall block share them.
+    clip of the block's along extent, and the candidate rows are the sites
+    that fit the block's buffered cross band and are centred in the tile;
+    both are :meth:`SiteGrid.centered_in` index ranges. One :meth:`grid`
+    call does this for all its blocks in one numpy pass: ``np.repeat``
+    index arithmetic expands the blocks into (block, tile) pairs, the
+    pairs into (pair, column) triples and the triples into candidate
+    sites, whose legality is gathered from the raster at once (the raster
+    is pinned to the exact test in ``tests/legality_oracle.py``). A
+    column's neighbour resistance is ``upstream + unit · |clamp(centre) −
+    origin|``, the operations of :meth:`LineTiming.resistance_at` in the
+    same order, so it has the same bits. :meth:`table` sorts the columns
+    by tile, stably, which gives every tile the column order of the
+    block-by-block loop kept in ``tests/column_grid_oracle.py``.
 
     The streaming preprocessor grids each :class:`IncrementalSweep`
     feed's blocks the moment they close (their legality reads only look
     below the stream watermark, so late-arriving geometry can never
     invalidate them). Feeding all blocks at once reproduces
-    :func:`extract_columns_from_lines` exactly — same code, same order.
+    :func:`extract_columns_from_lines` exactly.
     """
 
     def __init__(
@@ -338,102 +343,180 @@ class ColumnGridder:
         self.dissection = dissection
         self.legality = legality
         self.rules = rules
-        self.axes = _Axes(horizontal)
+        self.horizontal = horizontal
         self.dbu = dbu
-        self.out: dict[tuple[int, int], list[SlackColumn]] = {
-            t.key: [] for t in dissection.tiles()
-        }
+        self._lines: dict[tuple[str, int, int], int] = {}
+        self._chunks: list[dict[str, np.ndarray]] = []
 
-    def grid(self, blocks: list[GapBlock], only_tile: tuple[int, int] | None = None) -> None:
-        """Append the columns of ``blocks`` in emission order (to
-        ``only_tile``'s list alone when it is given)."""
-        for block in blocks:
-            self._grid_block(block, only_tile)
+    def _line(
+        self, line: SweepLine | None
+    ) -> tuple[tuple[int, int, int, int], tuple[float, float]]:
+        """A neighbour line's index into the line table with its segment's
+        low, high and start coordinates along the routing axis, and its
+        upstream and unit resistance; index -1 and zeros for no neighbour
+        (a boundary, or a line without timing)."""
+        if line is None or line.timing is None:
+            return (-1, 0, 0, 0), (0.0, 0.0)
+        timing = line.timing
+        seg = timing.segment
+        ident = (seg.net, seg.index, timing.downstream_sinks)
+        at = self._lines.setdefault(ident, len(self._lines))
+        origin = seg.start.x if seg.is_horizontal else seg.start.y
+        return (at, seg.low_coord, seg.high_coord, origin), (timing.upstream_res, timing.unit_res)
 
-    def _grid_block(self, block: GapBlock, only_tile: tuple[int, int] | None) -> None:
-        """Grid one gap block into per-tile slack columns."""
-        rules, legality = self.rules, self.legality
-        horizontal = self.axes.horizontal
-        # Shrink the gap band by the buffer distance on line-adjacent sides.
-        cross_lo = block.cross_lo + (rules.buffer_distance if block.below is not None else 0)
-        cross_hi = block.cross_hi - (rules.buffer_distance if block.above is not None else 0)
-        if cross_hi - cross_lo < rules.fill_size:
+    def grid(self, blocks: list[GapBlock], owners: Sequence[TileKey] | None = None) -> None:
+        """Grid ``blocks`` into columns. ``owners[i]``, when given, is the
+        one tile block ``i`` may grid into (definitions I and II sweep each
+        tile on its own)."""
+        if not blocks:
             return
-        usable = self.axes.rect(block.along, Interval(cross_lo, cross_hi))
-        along_lo, along_hi = block.along.lo, block.along.hi
+        d, legality, grid = self.dissection, self.legality, self.legality.grid
+        buf, size, pitch = self.rules.buffer_distance, grid.site_size, grid.pitch
+        half = size // 2
+        ints: list[tuple[int, ...]] = []
+        floats: list[tuple[float, ...]] = []
+        for i, block in enumerate(blocks):
+            b_ints, b_floats = self._line(block.below)
+            a_ints, a_floats = self._line(block.above)
+            owner = -1 if owners is None else owners[i][0] * d.ny + owners[i][1]
+            ints.append((
+                block.along.lo, block.along.hi, block.cross_lo, block.cross_hi,
+                block.below is not None, block.above is not None, owner, *b_ints, *a_ints,
+            ))
+            floats.append((*b_floats, *a_floats))
+        (a_lo, a_hi, x_lo, x_hi, has_below, has_above, owner_of,
+         b_at, b_low, b_high, b_origin, a_at, a_low, a_high, a_origin) = np.array(
+            ints, dtype=np.int64
+        ).T
+        b_up, b_unit, a_up, a_unit = np.array(floats, dtype=np.float64).T
 
-        grid, free = legality.grid, legality.free
-        size, pitch, half = grid.site_size, grid.pitch, grid.site_size // 2
-        # The raster is indexed [col][row]; ``a*`` is the along axis, ``x*``
-        # the cross axis.
-        if horizontal:
-            along_origin, cross_origin = grid.origin_x, grid.origin_y
-            a0, a_end = legality.col0, legality.col0 + len(free)
-            x0, x_end = legality.row0, legality.row0 + legality.nrows
+        # Shrink the gap band by the buffer distance on line-adjacent sides.
+        x_lo_b = x_lo + buf * has_below
+        x_hi_b = x_hi - buf * has_above
+        fits = x_hi_b - x_lo_b >= self.rules.fill_size
+
+        # (block, tile) pairs: the tiles the usable rect overlaps, ix-major
+        # as FixedDissection.tiles_overlapping lists them.
+        if self.horizontal:
+            ux_lo, ux_hi, uy_lo, uy_hi = a_lo, a_hi, x_lo_b, x_hi_b
         else:
-            along_origin, cross_origin = grid.origin_y, grid.origin_x
-            a0, a_end = legality.row0, legality.row0 + legality.nrows
-            x0, x_end = legality.col0, legality.col0 + len(free)
-        # Centres of the squares that fit [cross_lo, cross_hi).
-        fit_lo, fit_hi = cross_lo + half, cross_hi - size + half + 1
-        bounded = block.below is not None and block.above is not None
-        gap_um = block.gap / self.dbu if bounded else None
-        below, above = _basis(block.below), _basis(block.above)
-        # A column's neighbours depend on the block and the column alone,
-        # so tiles stacked across a tall block share them.
-        neighbors: dict[int, tuple[ColumnNeighbor | None, ColumnNeighbor | None]] = {}
+            ux_lo, ux_hi, uy_lo, uy_hi = x_lo_b, x_hi_b, a_lo, a_hi
+        die, side = d.die, d.tile_size
+        cx_lo, cx_hi = np.maximum(ux_lo, die.xlo), np.minimum(ux_hi, die.xhi)
+        cy_lo, cy_hi = np.maximum(uy_lo, die.ylo), np.minimum(uy_hi, die.yhi)
+        ix0 = (cx_lo - die.xlo) // side
+        ix1 = np.minimum((cx_hi - 1 - die.xlo) // side, d.nx - 1)
+        iy0 = (cy_lo - die.ylo) // side
+        iy1 = np.minimum((cy_hi - 1 - die.ylo) // side, d.ny - 1)
+        n_y = iy1 - iy0 + 1
+        overlaps = fits & (cx_hi > cx_lo) & (cy_hi > cy_lo)
+        pb, j = _expand(np.where(overlaps, (ix1 - ix0 + 1) * n_y, 0))
+        ix = ix0[pb] + j // n_y[pb]
+        iy = iy0[pb] + j % n_y[pb]
+        tile = ix * d.ny + iy
+        t_x_lo, t_y_lo = die.xlo + ix * side, die.ylo + iy * side
+        t_x_hi, t_y_hi = np.minimum(t_x_lo + side, die.xhi), np.minimum(t_y_lo + side, die.yhi)
 
-        for tile in self.dissection.tiles_overlapping(usable):
-            if only_tile is not None and tile.key != only_tile:
-                continue
-            t = tile.rect
-            if horizontal:
-                t_along_lo, t_along_hi, t_cross_lo, t_cross_hi = t.xlo, t.xhi, t.ylo, t.yhi
-            else:
-                t_along_lo, t_along_hi, t_cross_lo, t_cross_hi = t.ylo, t.yhi, t.xlo, t.xhi
-            clip_lo, clip_hi = max(along_lo, t_along_lo), min(along_hi, t_along_hi)
-            if clip_hi <= clip_lo or min(cross_hi, t_cross_hi) <= max(cross_lo, t_cross_lo):
-                continue
-            # Candidate rows and columns, clipped to the in-die raster
-            # (a site outside it is never legal).
-            rows = grid.centered_in(
-                max(fit_lo, t_cross_lo), min(fit_hi, t_cross_hi), cross_origin
-            )
-            row_lo, row_hi = max(rows.start, x0), min(rows.stop, x_end)
-            if row_lo >= row_hi:
-                continue
-            cols = grid.centered_in(clip_lo, clip_hi, along_origin)
-            candidates = range(row_lo, row_hi)
-            columns = self.out[tile.key]
-            for col in range(max(cols.start, a0), min(cols.stop, a_end)):
-                if horizontal:
-                    rows = tuple(compress(candidates, free[col - a0][row_lo - x0 : row_hi - x0]))
-                else:
-                    k = col - a0
-                    rows = tuple(row for row in candidates if free[row - x0][k])
-                if not rows:
-                    continue
-                site_along = along_origin + col * pitch
-                pair = neighbors.get(col)
-                if pair is None:
-                    center_along = site_along + half
-                    pair = neighbors[col] = (
-                        below.at(center_along) if below is not None else None,
-                        above.at(center_along) if above is not None else None,
-                    )
-                columns.append(
-                    SlackColumn(
-                        layer=self.layer,
-                        tile=tile.key,
-                        col=col,
-                        sites=ColumnSites(
-                            rows, site_along, cross_origin, pitch, size, horizontal
-                        ),
-                        gap_um=gap_um,
-                        below=pair[0],
-                        above=pair[1],
-                    )
-                )
+        # The raster is indexed [col][row]; ``a*`` is the along axis and
+        # ``c*`` the cross axis.
+        free = legality.free
+        if self.horizontal:
+            t_a_lo, t_a_hi, t_c_lo, t_c_hi = t_x_lo, t_x_hi, t_y_lo, t_y_hi
+            along_origin, cross_origin = grid.origin_x, grid.origin_y
+            a0, c0, raster = legality.col0, legality.row0, free
+        else:
+            t_a_lo, t_a_hi, t_c_lo, t_c_hi = t_y_lo, t_y_hi, t_x_lo, t_x_hi
+            along_origin, cross_origin = grid.origin_y, grid.origin_x
+            a0, c0, raster = legality.row0, legality.col0, free.T
+        a_end, c_end = a0 + raster.shape[0], c0 + raster.shape[1]
+        clip_lo = np.maximum(a_lo[pb], t_a_lo)
+        clip_hi = np.minimum(a_hi[pb], t_a_hi)
+        ok = (clip_hi > clip_lo) & (
+            np.minimum(x_hi_b[pb], t_c_hi) > np.maximum(x_lo_b[pb], t_c_lo)
+        )
+        ok &= (owner_of[pb] < 0) | (owner_of[pb] == tile)
+        # Candidate rows: centres of the squares that fit the band, in the
+        # tile; candidate columns: centres in the tile's clip. Both are
+        # centered_in ranges, clipped to the in-die raster.
+        fit_lo = np.maximum(x_lo_b[pb] + half, t_c_lo)
+        fit_hi = np.minimum(x_hi_b[pb] - size + half + 1, t_c_hi)
+        row_lo = np.maximum(-((cross_origin + half - fit_lo) // pitch), c0)
+        row_hi = np.minimum(-((cross_origin + half - fit_hi) // pitch), c_end)
+        col_lo = np.maximum(-((along_origin + half - clip_lo) // pitch), a0)
+        col_hi = np.minimum(-((along_origin + half - clip_hi) // pitch), a_end)
+        ok &= row_lo < row_hi
+        tp, k = _expand(np.where(ok, np.maximum(col_hi - col_lo, 0), 0))
+        if tp.size == 0:
+            return
+
+        # (pair, column) triples, then their candidate sites.
+        col = col_lo[tp] + k
+        n_cand = row_hi[tp] - row_lo[tp]
+        tc, r = _expand(n_cand)
+        cand = row_lo[tp][tc] + r
+        is_free = raster[col[tc] - a0, cand - c0] != 0
+        n_free = np.add.reduceat(is_free, np.cumsum(n_cand) - n_cand, dtype=np.int64)
+        kept = n_free > 0
+        pair = tp[kept]
+        blk = pb[pair]
+        col = col[kept]
+        along = along_origin + col * pitch
+        centre = along + half
+
+        def resistance(up: np.ndarray, unit: np.ndarray, low: np.ndarray, high: np.ndarray,
+                       origin: np.ndarray) -> np.ndarray:
+            coord = np.minimum(np.maximum(centre, low[blk]), high[blk])
+            return up[blk] + unit[blk] * np.abs(coord - origin[blk])
+
+        bounded = (has_below & has_above)[blk] != 0
+        self._chunks.append({
+            "tile": tile[pair],
+            "col": col,
+            "along": along,
+            "gap_um": np.where(bounded, (x_hi - x_lo)[blk] / self.dbu, np.nan),
+            "below": b_at[blk],
+            "above": a_at[blk],
+            "below_res": resistance(b_up, b_unit, b_low, b_high, b_origin),
+            "above_res": resistance(a_up, a_unit, a_low, a_high, a_origin),
+            "n_rows": n_free[kept],
+            "rows": cand[is_free],
+        })
+
+    def table(self) -> ColumnTable:
+        """Every column gridded so far, grouped by tile."""
+        if self._chunks:
+            cat = {
+                name: np.concatenate([chunk[name] for chunk in self._chunks])
+                for name in _CHUNK_FIELDS
+            }
+        else:
+            cat = {name: np.zeros(0, dtype=dtype) for name, dtype in _CHUNK_FIELDS.items()}
+        d = self.dissection
+        order = np.argsort(cat["tile"], kind="stable")
+        n_rows = cat["n_rows"]
+        owner, offset = _expand(n_rows[order])
+        rows = cat["rows"][(np.cumsum(n_rows) - n_rows)[order][owner] + offset]
+        per_tile = np.bincount(cat["tile"], minlength=d.tile_count)
+        grid = self.legality.grid
+        return ColumnTable(
+            layer=self.layer,
+            horizontal=self.horizontal,
+            cross_origin=grid.origin_y if self.horizontal else grid.origin_x,
+            pitch=grid.pitch,
+            size=grid.site_size,
+            tile_keys=d.tile_keys(),
+            bounds=np.concatenate(([0], np.cumsum(per_tile))),
+            col=cat["col"][order],
+            along=cat["along"][order],
+            rows=rows,
+            row_bounds=np.concatenate(([0], np.cumsum(n_rows[order]))),
+            gap_um=cat["gap_um"][order],
+            below=cat["below"][order],
+            above=cat["above"][order],
+            below_res=cat["below_res"][order],
+            above_res=cat["above_res"][order],
+            lines=list(self._lines),
+        )
 
 
 def extract_columns_from_lines(
@@ -446,7 +529,7 @@ def extract_columns_from_lines(
     legality: SiteLegality,
     rules: FillRules,
     definition: SlackColumnDef = SlackColumnDef.FULL_LAYOUT,
-) -> dict[tuple[int, int], list[SlackColumn]]:
+) -> ColumnTable:
     """Slack columns per tile from pre-collected sweep lines.
 
     The layout-free core of :func:`extract_columns` — the streaming
@@ -456,20 +539,25 @@ def extract_columns_from_lines(
     gridder = ColumnGridder(layer, dissection, legality, rules, horizontal, dbu)
     if definition is SlackColumnDef.FULL_LAYOUT:
         gridder.grid(sweep_gap_blocks(lines, die, horizontal))
-        return gridder.out
+        return gridder.table()
 
-    # Definitions I and II sweep each tile independently with clipped lines.
+    # Definitions I and II sweep each tile independently with clipped
+    # lines; one grid pass then takes every tile's blocks.
+    blocks: list[GapBlock] = []
+    owners: list[TileKey] = []
     for tile in dissection.tiles():
         clipped: list[SweepLine] = []
         for line in lines:
             inter = line.rect.intersection(tile.rect)
             if inter is not None:
                 clipped.append(SweepLine(rect=inter, timing=line.timing))
-        blocks = sweep_gap_blocks(clipped, tile.rect, horizontal)
+        tile_blocks = sweep_gap_blocks(clipped, tile.rect, horizontal)
         if definition is SlackColumnDef.WITHIN_TILE:
-            blocks = [b for b in blocks if b.below is not None and b.above is not None]
-        gridder.grid(blocks, only_tile=tile.key)
-    return gridder.out
+            tile_blocks = [b for b in tile_blocks if b.below is not None and b.above is not None]
+        blocks += tile_blocks
+        owners += [tile.key] * len(tile_blocks)
+    gridder.grid(blocks, owners)
+    return gridder.table()
 
 
 def extract_columns(
@@ -479,12 +567,13 @@ def extract_columns(
     legality: SiteLegality,
     rules: FillRules,
     definition: SlackColumnDef = SlackColumnDef.FULL_LAYOUT,
-) -> dict[tuple[int, int], list[SlackColumn]]:
+) -> ColumnTable:
     """Slack columns per tile under the chosen definition (paper §5.1).
 
-    Returns a mapping tile key → columns (possibly empty). Every site in
-    every returned column is free in the legality raster, so any placement
-    into these sites is design-rule clean.
+    Returns the layer's :class:`~repro.pilfill.columns.ColumnTable`,
+    which maps every tile key to its columns (possibly none). Every site
+    in every column is free in the legality raster, so any placement into
+    these sites is design-rule clean.
     """
     lines, horizontal = layer_sweep_lines(layout, layer)
     return extract_columns_from_lines(

@@ -30,6 +30,7 @@ contract stands on.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,6 +165,9 @@ class SolutionStore:
 
     def __init__(self, cache_dir: str | Path | None = None):
         self._dir = Path(cache_dir) if cache_dir is not None else None
+        # The same directory as a string: a lookup joins strings rather
+        # than building a Path per digest.
+        self._dir_str = os.fspath(self._dir) if self._dir is not None else None
         self._memory: dict[str, CachedEntry] = {}
 
     def __len__(self) -> int:
@@ -190,11 +194,13 @@ class SolutionStore:
         entry = self._memory.get(digest)
         if entry is not None:
             return entry
-        if self._dir is None:
+        if self._dir_str is None:
             return None
-        path = self.entry_path(digest)
+        # entry_path(digest), as a string.
+        path = os.path.join(self._dir_str, digest[:2], digest + ".json")
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            with open(path, encoding="utf-8") as fh:
+                payload = json.loads(fh.read())
         except (OSError, ValueError):
             return None
         # A well-formed entry filed under another digest's path answers a

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import ast
 import json
+from pathlib import Path
 
-from repro.analysis import LintPolicy, lint_source, render_sarif
-from repro.analysis.callgraph import CallGraph, ModuleUnit, build_program
+from repro.analysis import LintPolicy, lint_paths, lint_source, render_sarif
+from repro.analysis.callgraph import CallGraph, ModuleUnit
 
 
 def _unit(module: str, source: str) -> ModuleUnit:
@@ -107,15 +108,28 @@ class TestCallGraph:
         ]
         assert graph.call_path("pkg.a.unrelated", "pkg.a.c") is None
 
-    def test_build_program_skips_broken_modules(self) -> None:
-        program = build_program(
-            {
-                "pkg.ok": ("pkg/ok.py", "def f() -> int:\n    return 1\n"),
-                "pkg.bad": ("pkg/bad.py", "def broken(:\n"),
-            },
-            LintPolicy(),
+    def test_program_skips_broken_modules(self, tmp_path: Path) -> None:
+        # A module that does not parse gets its E000 finding and stays out
+        # of the program; the program rules still run over the others.
+        pkg = tmp_path / "brokenpkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("", encoding="utf-8")
+        (pkg / "bad.py").write_text("def broken(:\n", encoding="utf-8")
+        (pkg / "ok.py").write_text(
+            "import hashlib\nimport os\n\n\n"
+            "def digest_key(payload: str) -> str:\n"
+            '    return hashlib.sha256(payload.encode("utf-8")).hexdigest()\n\n\n'
+            "def cache_key() -> str:\n"
+            '    return digest_key(os.environ.get("PILFILL_HOST", "local"))\n',
+            encoding="utf-8",
         )
-        assert set(program.units) == {"pkg.ok"}
+        policy = LintPolicy(taint_sink_functions=("brokenpkg.ok.digest_key",))
+        report = lint_paths([str(pkg)], policy=policy)
+        assert report.files_checked == 3
+        by_rule = {(Path(f.path).name, f.rule_id) for f in report.findings}
+        assert ("bad.py", "E000") in by_rule
+        assert ("ok.py", "X101") in by_rule
+        assert {name for name, _ in by_rule} == {"bad.py", "ok.py"}
 
 
 _TAINT_POLICY = LintPolicy(

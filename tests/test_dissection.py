@@ -26,6 +26,13 @@ class TestFixedDissection:
         total = sum(t.rect.area for t in d.tiles())
         assert total == d.die.area
 
+    def test_tile_keys_follow_tiles_without_building_them(self):
+        d = FixedDissection(Rect(0, 0, 20000, 28000), DensityRules(16000, 2))
+        keys = d.tile_keys()
+        assert d._built is None  # keys alone build no Tile
+        assert keys == [t.key for t in d.tiles()]
+        assert keys == [(ix, iy) for ix in range(d.nx) for iy in range(d.ny)]
+
     def test_ragged_edge_tiles(self):
         d = FixedDissection(Rect(0, 0, 20000, 20000), DensityRules(16000, 2))
         # tile 8000 -> ceil(20000/8000) = 3 per side, last tile 4000 wide

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from repro.errors import LayoutError
 from repro.geometry import Rect
 from repro.pilfill import (
     CachedEntry,
-    ColumnSites,
     EngineConfig,
     PILFillEngine,
     SolutionCache,
@@ -42,6 +42,7 @@ from repro.pilfill import (
     run_context_digest,
     tile_digest,
 )
+from repro.pilfill.columns import ColumnNeighbor, ColumnSites, SlackColumn
 from repro.pilfill.robust import SolveReport
 from repro.pilfill.solution import TileSolution
 from repro.synth import edit_window
@@ -459,24 +460,24 @@ class TestSitesOutOfKey:
     and a warm hit places its cached counts on the *current* sites."""
 
     def test_moved_sites_hit_and_place_on_the_moved_sites(self, small_generated_layout):
-        self._check_moved(
-            small_generated_layout,
-            lambda sites: tuple(site.translated(1, 0) for site in sites),
-        )
+        def right_one_dbu(table, i):
+            assert table.horizontal  # x is the along axis
+            table.along[i] += 1
+
+        self._check_moved(small_generated_layout, right_one_dbu)
 
     def test_moved_site_rows_hit_and_place_on_the_moved_rows(self, small_generated_layout):
-        def up_one_pitch(sites):
-            # The gridder's own representation, every free row one pitch up.
-            assert isinstance(sites, ColumnSites)
-            return ColumnSites(
-                tuple(row + 1 for row in sites.rows), sites.along, sites.cross_origin,
-                sites.pitch, sites.size, sites.horizontal,
-            )
+        def up_one_pitch(table, i):
+            # The table's own representation, every free row one pitch up.
+            table.rows[table.row_bounds[i] : table.row_bounds[i + 1]] += 1
 
         self._check_moved(small_generated_layout, up_one_pitch)
 
     @staticmethod
     def _check_moved(layout, move):
+        """Prime on ``layout``, then ``move`` the sites of one solved column
+        in a second prepared instance's column table (``move(table, i)``
+        for the table's column ``i``) and re-fill warm."""
         cfg = make_cfg()
         original = prepare(layout, "metal3", FILL, DENSITY)
         moved = prepare(layout, "metal3", FILL, DENSITY)
@@ -490,10 +491,10 @@ class TestSitesOutOfKey:
             for k, count in enumerate(sol.counts)
             if count > 0
         )
-        column = moved.columns_by_tile[key][k]
-        sites = column.sites
-        shifted = move(sites)
-        moved.columns_by_tile[key][k] = dataclasses.replace(column, sites=shifted)
+        table = moved.columns_by_tile
+        sites = tuple(table[key][k].sites)
+        move(table, table[key].lo + k)
+        shifted = tuple(table[key][k].sites)
 
         ctx = run_context_digest(cfg, "metal3")
         budget = primed.effective_budget[key]
@@ -514,6 +515,39 @@ class TestSitesOutOfKey:
         moved_to = {shifted[s] for s in picked}
         assert moved_to <= placed
         assert not ({sites[s] for s in picked} - moved_to) & placed
+
+
+class TestObjectFreeWarmRefill:
+    """The warm re-fill path reads the column table's arrays: cost tables,
+    tile digests and placement build no column object."""
+
+    def test_all_hit_refill_builds_no_column_objects(self, small_generated_layout, monkeypatch):
+        layout = small_generated_layout
+        cache = SolutionCache()
+        cold = PILFillEngine(
+            layout, "metal3", make_cfg(solution_cache=cache),
+            prepared=prepare(layout, "metal3", FILL, DENSITY),
+        ).run()
+        built: Counter[str] = Counter()
+        for cls in (SlackColumn, ColumnSites, ColumnNeighbor):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+
+        prep = prepare(layout, "metal3", FILL, DENSITY)
+        warm = PILFillEngine(
+            layout, "metal3", make_cfg(solution_cache=cache), prepared=prep
+        ).run()
+        assert warm.cache_stats is not None
+        assert warm.cache_stats["misses"] == 0 and warm.cache_stats["hits"] > 0
+        assert warm.features and result_digest(warm) == result_digest(cold)
+        assert built == Counter()
+        # The count is live: indexing a tile builds its columns.
+        key = next(key for key, cols in prep.columns_by_tile.items() if len(cols))
+        prep.columns_by_tile[key][0]
+        assert built["SlackColumn"] == built["ColumnSites"] == len(prep.columns_by_tile[key])
 
 
 class TestCacheEligible:

@@ -26,6 +26,7 @@ from repro.fillsynth.slack_sites import SiteLegality
 from repro.geometry import Interval, Point, Rect
 from repro.layout.rctree import LineTiming
 from repro.layout.segment import WireSegment
+from repro.pilfill.columns import ColumnTable
 from repro.pilfill.scanline import ColumnGridder, GapBlock, IncrementalSweep, SweepLine, _Axes
 from repro.tech.rules import DensityRules, FillRules
 from tests.scanline_oracle import OracleSweep, merge_abutting
@@ -157,12 +158,12 @@ def test_gridded_columns_equal(case, fill_size, fill_gap, buffer_distance, r):
     dissection = FixedDissection(region, DensityRules(window_size=40 * r, r=r))
     legality = SiteLegality.from_rects(region, LAYER, rules, [ln.rect for ln in lines])
 
-    def gridded(sweep: IncrementalSweep) -> dict:
+    def gridded(sweep: IncrementalSweep) -> ColumnTable:
         gridder = ColumnGridder(LAYER, dissection, legality, rules, horizontal, DBU)
         for batch in batches(lines, cuts):
             gridder.grid(sweep.feed(batch))
         gridder.grid(sweep.finish())
-        return gridder.out
+        return gridder.table()
 
     assert gridded(IncrementalSweep(region, horizontal)) == gridded(
         OracleSweep(region, horizontal)

@@ -20,6 +20,7 @@ neighbour lines, ``only_tile`` gridding, and tiles clipped at the die edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from hypothesis import given, settings
@@ -30,16 +31,18 @@ from repro.fillsynth.slack_sites import SiteLegality
 from repro.geometry import Interval, Point, Rect, SiteGrid
 from repro.layout.rctree import LineTiming
 from repro.layout.segment import WireSegment
-from repro.pilfill.columns import SlackColumn, SlackColumnDef
+from repro.pilfill.columns import ColumnTable, SlackColumn, SlackColumnDef
 from repro.pilfill.scanline import (
     ColumnGridder,
     GapBlock,
+    IncrementalSweep,
     SweepLine,
     _Axes,
     extract_columns_from_lines,
     sweep_gap_blocks,
 )
 from repro.tech.rules import DensityRules, FillRules
+from tests import column_grid_oracle
 from tests import site_grid_oracle as oracle
 from tests.legality_oracle import ExactLegality
 
@@ -207,8 +210,8 @@ def test_gridder_matches_oracle(data):
     gridder = ColumnGridder(
         LAYER, scene.dissection, scene.legality, scene.rules, scene.horizontal, DBU
     )
-    gridder.grid(blocks, only_tile=only_tile)
-    assert gridder.out == grid_oracle(scene, blocks, only_tile)
+    gridder.grid(blocks, None if only_tile is None else [only_tile] * len(blocks))
+    assert gridder.table() == grid_oracle(scene, blocks, only_tile)
 
 
 @settings(max_examples=150, deadline=None)
@@ -222,6 +225,104 @@ def test_extract_columns_matches_oracle(data):
         scene.legality, scene.rules, definition,
     )
     assert got == extract_oracle(scene, lines, definition)
+
+
+def assert_table_equals(table: ColumnTable, want: Columns) -> None:
+    """``table`` holds exactly ``want``'s columns, tile by tile and in
+    order: ``col``, ``along``, free rows, gap and both neighbours, whose
+    identity must match and whose resistance must have the same bits."""
+    assert list(table) == list(want)
+    for key, columns in want.items():
+        view = table[key]
+        assert len(view) == len(columns), key
+        for i, column in enumerate(columns, view.lo):
+            assert int(table.col[i]) == column.col
+            assert int(table.along[i]) == column.sites.along
+            rows = table.rows[table.row_bounds[i] : table.row_bounds[i + 1]].tolist()
+            assert rows == list(column.sites.rows)
+            gap = float(table.gap_um[i])
+            if column.gap_um is None:
+                assert math.isnan(gap)
+            else:
+                assert gap.hex() == float(column.gap_um).hex()
+            for at, resistance, neighbor in (
+                (int(table.below[i]), float(table.below_res[i]), column.below),
+                (int(table.above[i]), float(table.above_res[i]), column.above),
+            ):
+                if neighbor is None:
+                    assert at == -1
+                    continue
+                assert table.lines[at] == (neighbor.net, neighbor.line_index, neighbor.sinks)
+                assert resistance.hex() == float(neighbor.resistance_ohm).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_matches_block_loop(data):
+    """One array pass over all blocks gives the block-by-block loop's
+    columns, with ``owners`` standing in for its ``only_tile``."""
+    scene = data.draw(scenes())
+    blocks = data.draw(st.lists(gap_blocks(scene), min_size=1, max_size=6))
+    keys = [t.key for t in scene.dissection.tiles()]
+    owners = data.draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(keys), min_size=len(blocks), max_size=len(blocks)),
+        )
+    )
+    gridder = ColumnGridder(
+        LAYER, scene.dissection, scene.legality, scene.rules, scene.horizontal, DBU
+    )
+    gridder.grid(blocks, owners)
+    want = column_grid_oracle.OracleGridder(
+        LAYER, scene.dissection, scene.legality, scene.rules, scene.horizontal, DBU
+    )
+    for i, block in enumerate(blocks):
+        want.grid([block], None if owners is None else owners[i])
+    assert_table_equals(gridder.table(), want.out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extracted_table_matches_block_loop(data):
+    """Every definition: Definition III grids the die's sweep in one pass,
+    Definitions I and II every tile's own sweep in one pass."""
+    scene = data.draw(scenes())
+    lines = data.draw(st.lists(sweep_lines(scene), max_size=8))
+    definition = data.draw(st.sampled_from(list(SlackColumnDef)))
+    args = (
+        lines, scene.horizontal, scene.die, DBU, LAYER, scene.dissection,
+        scene.legality, scene.rules, definition,
+    )
+    assert_table_equals(
+        extract_columns_from_lines(*args), column_grid_oracle.extract_columns_from_lines(*args)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_streamed_table_matches_block_loop(data):
+    """Banded streaming: one grid call per sweep feed, as
+    ``prepare_streaming(banded=True)`` makes them, still gives the block
+    loop's columns over the same feeds."""
+    scene = data.draw(scenes())
+    sweep = IncrementalSweep(scene.die, scene.horizontal)
+    lines = sorted(data.draw(st.lists(sweep_lines(scene), max_size=8)), key=sweep._key)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=3)))
+    gridder = ColumnGridder(
+        LAYER, scene.dissection, scene.legality, scene.rules, scene.horizontal, DBU
+    )
+    want = column_grid_oracle.OracleGridder(
+        LAYER, scene.dissection, scene.legality, scene.rules, scene.horizontal, DBU
+    )
+    for lo, hi in zip([0, *cuts], [*cuts, len(lines)], strict=True):
+        blocks = sweep.feed(lines[lo:hi])
+        gridder.grid(blocks)
+        want.grid(blocks)
+    blocks = sweep.finish()
+    gridder.grid(blocks)
+    want.grid(blocks)
+    assert_table_equals(gridder.table(), want.out)
 
 
 @settings(max_examples=300, deadline=None)

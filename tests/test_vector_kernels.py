@@ -33,8 +33,7 @@ from repro.cap.fillimpact import (
 )
 from repro.cap.lut import LUTCache
 from repro.errors import FillError
-from repro.geometry import Rect
-from repro.pilfill.columns import ColumnNeighbor, SlackColumn
+from repro.pilfill.columns import ColumnNeighbor, ColumnSites, SlackColumn
 from repro.pilfill.costs import build_cost_views
 from repro.pilfill.dp import (
     _VECTOR_MIN_SLOTS,
@@ -44,7 +43,7 @@ from repro.pilfill.dp import (
 )
 from repro.pilfill.prepare import prepare
 from repro.synth import default_fill_rules, density_rules_for, make_t1, make_t2
-from tests.cost_tables import pack_costs
+from tests.cost_tables import column_table, pack_costs
 from tests.costs_oracle import build_costs_scalar
 
 # Geometry strategy: spacing comfortably above capacity * width so the
@@ -257,7 +256,7 @@ class TestBuildCostsVectorized:
         column = st.builds(
             lambda cap, gap, below, above: SlackColumn(
                 layer="metal3", tile=(0, 0), col=0,
-                sites=tuple(Rect(0, i, 1, i + 1) for i in range(cap)),
+                sites=ColumnSites(tuple(range(cap)), 0, 0, 1, 1, True),
                 gap_um=gap, below=below, above=above,
             ),
             cap=st.integers(0, 8),
@@ -270,7 +269,7 @@ class TestBuildCostsVectorized:
             for i in range(data.draw(st.integers(1, 4), label="tiles"))
         }
         weighted = data.draw(st.booleans(), label="weighted")
-        _assert_batched_matches_scalar(tiles, proc, fill_rules, dbu, weighted)
+        _assert_batched_matches_scalar(column_table(tiles), proc, fill_rules, dbu, weighted)
 
 
 # Convex tables: nondecreasing marginals, the regime where the
