@@ -13,9 +13,9 @@ from repro.pilfill import (
     solve_tile_ilp1,
     solve_tile_ilp2,
 )
-from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
 from repro.pilfill.dp import allocate_dp, allocation_cost
 from repro.pilfill.solution import TileSolution
+from tests.column_objects import ColumnNeighbor, ElectricalColumn
 from tests.cost_tables import pack_costs
 
 
@@ -33,7 +33,11 @@ def synthetic_tile(n_columns: int, max_capacity: int, seed: int = 0):
             exact.append(exact[-1] + marginal)
             marginal *= growth
         linear = tuple(base * n for n in range(cap + 1))
-        neighbor = ColumnNeighbor("n", 0, rng.randint(1, 4), rng.uniform(50, 500))
+        # One line "n" borders both sides of every column, so it has one
+        # sink count; the per-column draw only keeps the random stream,
+        # and with it the tables, of the original instance.
+        rng.randint(1, 4)
+        neighbor = ColumnNeighbor("n", 0, 1, rng.uniform(50, 500))
         columns.append(ElectricalColumn(4.0, neighbor, neighbor))
         exact_tables.append(tuple(exact))
         linear_tables.append(linear)

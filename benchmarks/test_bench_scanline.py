@@ -112,6 +112,6 @@ def test_extract_columns_by_definition(benchmark, t1_layout, definition):
         rounds=2,
         iterations=1,
     )
-    total_capacity = sum(c.capacity for cols in columns.values() for c in cols)
+    total_capacity = int(columns.capacities.sum())
     benchmark.extra_info["capacity"] = total_capacity
     assert total_capacity >= 0

@@ -87,7 +87,6 @@ from repro.pilfill import (
     METHODS,
     PILFillEngine,
     PreparedInstance,
-    SlackColumn,
     SlackColumnDef,
     SolveReport,
     evaluate_impact,
@@ -139,7 +138,7 @@ __all__ = [
     "place_normal",
     # pilfill
     "METHODS", "EngineConfig", "PILFillEngine", "FillResult", "ImpactReport",
-    "ImpactModel", "SlackColumn", "SlackColumnDef", "evaluate_impact",
+    "ImpactModel", "SlackColumnDef", "evaluate_impact",
     "PreparedInstance", "prepare", "refine_placement", "run_all_layers",
     "SolveReport", "fallback_chain",
     # testing / fault injection

@@ -37,11 +37,8 @@ def _default_payload_registry() -> tuple[str, ...]:
         # Shipped to pool workers (the request side of the boundary).
         "repro.pilfill.parallel.TilePayload",
         "repro.pilfill.costs.TileCosts",
-        "repro.pilfill.columns.ElectricalColumn",
-        "repro.pilfill.columns.ColumnNeighbor",
-        # A prepared tile's cost tables hold its view of the layer's column
-        # table; TileCosts.electrical() swaps the view for ElectricalColumn
-        # copies before a payload ships, but both pickle by construction.
+        # A tile's cost tables hold its view of the layer's column table,
+        # which pickles as a one-tile table of its own.
         "repro.pilfill.columns.TileColumns",
         "repro.pilfill.columns.ColumnTable",
         "repro.testing.faults.FaultSpec",

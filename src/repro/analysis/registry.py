@@ -6,16 +6,9 @@ Rules self-register at import time via :func:`register` (per-file) or
 per-file rule sees a :class:`FileContext` — the module's record
 (:class:`~repro.analysis.callgraph.ModuleUnit`) plus the active policy. A
 :class:`ProgramRule` sees the whole
-:class:`~repro.analysis.callgraph.ProgramContext` instead and declares a
-``scope``:
-
-* ``"file"`` — every finding is explained by the finding-file's import
-  closure, so the runner merges it into that file's per-file findings
-  before suppressions apply (X101 taint chains, X202 lock-across-dispatch).
-* ``"program"`` — findings depend on facts outside any single closure
-  (lock-order cycles across unrelated files, reverse reachability from
-  worker entries), so the runner only filters them against their anchor
-  file's allows (X201, X301).
+:class:`~repro.analysis.callgraph.ProgramContext` instead; the runner
+merges each of its findings into the findings of the file it is anchored
+in, before that file's suppressions apply.
 """
 
 from __future__ import annotations
@@ -80,9 +73,7 @@ class ProgramRule(abc.ABC):
     """One interprocedural rule over the whole program.
 
     Findings from a program rule must be anchored (``path``) at a file
-    of the program so suppressions and per-file filtering apply; rules
-    with ``scope == "file"`` additionally promise every finding is fully
-    determined by that file's import closure.
+    of the program so that file's suppressions apply.
     """
 
     #: Unique id, e.g. ``"X101"``. Families: X1xx = determinism taint,
@@ -91,10 +82,6 @@ class ProgramRule(abc.ABC):
     #: One-line description, published as the rule's ``shortDescription``
     #: in the SARIF report's ``tool.driver.rules`` catalog.
     summary: str = ""
-    #: ``"file"`` when findings are closure-local (merged into the
-    #: anchor file's findings), ``"program"`` when they depend on the
-    #: whole program.
-    scope: str = "file"
 
     @abc.abstractmethod
     def check_program(self, ctx: ProgramContext) -> list[Finding]:
@@ -123,8 +110,6 @@ def register_program(rule_cls: type[ProgramRule]) -> type[ProgramRule]:
         raise FillError(f"rule {rule_cls.__name__} has no rule_id")
     if rule.rule_id in _RULES or rule.rule_id in _PROGRAM_RULES:
         raise FillError(f"duplicate rule id {rule.rule_id!r}")
-    if rule.scope not in ("file", "program"):
-        raise FillError(f"rule {rule.rule_id} has invalid scope {rule.scope!r}")
     _PROGRAM_RULES[rule.rule_id] = rule
     return rule_cls
 

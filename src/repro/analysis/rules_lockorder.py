@@ -7,11 +7,11 @@ may be held while work is handed to a process pool (a worker result
 callback that wants the same lock deadlocks the dispatcher; at minimum
 the pool round-trip serializes under the lock).
 
-* X201 (``scope="program"``) — lock acquisition ordering: an edge
+* X201 — lock acquisition ordering: an edge
   A → B is recorded when B is acquired (directly, or transitively
   through calls) while A is held. A cycle in the edge graph — including
   a non-reentrant self-cycle — is a potential deadlock.
-* X202 (``scope="file"``) — a call made while holding any lock must not
+* X202 — a call made while holding any lock must not
   reach a pool dispatch boundary (a policy-listed dispatch function or a
   literal ``<pool>.submit(...)``).
 
@@ -336,7 +336,6 @@ class LockOrderCycleRule(ProgramRule):
         "inconsistent lock acquisition order (A taken while holding B and "
         "B while holding A, directly or through calls) — potential deadlock"
     )
-    scope = "program"
 
     def check_program(self, ctx: ProgramContext) -> list[Finding]:
         graph = ctx.callgraph
@@ -416,7 +415,6 @@ class LockAcrossDispatchRule(ProgramRule):
         "dispatch function, directly or through calls) — deadlock-prone "
         "and serializes the pool round-trip"
     )
-    scope = "file"
 
     def check_program(self, ctx: ProgramContext) -> list[Finding]:
         graph = ctx.callgraph

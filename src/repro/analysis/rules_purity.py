@@ -176,7 +176,6 @@ class ShardPurityRule(ProgramRule):
         "state not shipped in its payload — invisible to other shards and "
         "to the serial baseline"
     )
-    scope = "program"
 
     def check_program(self, ctx: ProgramContext) -> list[Finding]:
         graph = ctx.callgraph

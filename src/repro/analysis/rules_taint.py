@@ -116,7 +116,6 @@ class DeterminismTaintRule(ProgramRule):
         "environment read or id()/hash() reaches a digest or payload sink "
         "through the call graph — the full source→sink chain is attached"
     )
-    scope = "file"
 
     def check_program(self, ctx: ProgramContext) -> list[Finding]:
         graph = ctx.callgraph

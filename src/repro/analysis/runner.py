@@ -6,15 +6,12 @@ fixture-test entry points (analyze snippets under a forced module name,
 no filesystem).
 
 Two rule tiers run per invocation, both over one call graph of the
-whole package the linted files belong to:
-
-* **per-file rules** (:func:`~repro.analysis.registry.all_rules`) plus
-  the findings of ``scope="file"`` program rules (X101, X202), all
-  through the file's suppressions (:func:`apply_suppressions`, which
-  also reports blanket and unknown allows);
-* **program-scoped rules** (``scope="program"``: X201, X301), whose
-  findings are only filtered against their anchor file's allows
-  (:func:`filter_suppressed`).
+whole package the linted files belong to: the **per-file rules**
+(:func:`~repro.analysis.registry.all_rules`) and the **program rules**
+(:func:`~repro.analysis.registry.all_program_rules`: X101, X201, X202,
+X301). Every finding is anchored in one file and goes through that
+file's suppressions (:func:`apply_suppressions`, which also reports
+blanket and unknown allows once per file).
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from repro.analysis.registry import (
     all_rules,
     known_rule_ids,
 )
-from repro.analysis.suppress import apply_suppressions, filter_suppressed
+from repro.analysis.suppress import apply_suppressions
 
 
 @dataclass
@@ -81,44 +78,27 @@ def _load(
         )
 
 
-def _program_findings_by_path(
-    program: ProgramContext, scope: str
-) -> dict[str, list[Finding]]:
-    """Findings of every program rule of ``scope``, grouped by path and
-    filtered against each anchor file's own suppression comments."""
-    raw: list[Finding] = []
-    for rule in all_program_rules():
-        if rule.scope == scope:
-            raw.extend(rule.check_program(program))
-    units_by_path = {unit.path: unit for unit in program.units.values()}
-    grouped: dict[str, list[Finding]] = {}
-    for finding in sorted(raw):
-        unit = units_by_path.get(finding.path)
-        if unit is None or filter_suppressed([finding], unit.suppressions):
-            grouped.setdefault(finding.path, []).append(finding)
-    return grouped
-
-
 def _lint(records: list[FileContext | Finding], program: ProgramContext) -> list[Finding]:
-    """The lint core: per-file rules plus the ``scope="file"`` program
-    findings of each record, through its suppressions; the
-    ``scope="program"`` findings anchored in a record; and the E000
-    finding of each module that failed to load."""
-    file_scope = _program_findings_by_path(program, "file")
-    program_scope = _program_findings_by_path(program, "program")
+    """The lint core: each record's per-file findings and the program
+    findings anchored in it, through its suppressions; and the E000
+    finding of each module that failed to load. A program finding
+    anchored outside every record is dropped."""
+    by_path: dict[str, list[Finding]] = {}
+    for rule in all_program_rules():
+        for finding in rule.check_program(program):
+            by_path.setdefault(finding.path, []).append(finding)
     findings: list[Finding] = []
     for record in records:
         if isinstance(record, Finding):
             findings.append(record)
             continue
         per_file = [finding for rule in all_rules() for finding in rule.check(record)]
-        per_file.extend(file_scope.get(record.path, []))
+        per_file.extend(by_path.get(record.path, []))
         findings.extend(
             apply_suppressions(
                 record.path, per_file, record.suppressions, known_rule_ids()
             )
         )
-        findings.extend(program_scope.get(record.path, []))
     return sorted(findings)
 
 

@@ -14,25 +14,11 @@ from repro.cap.grounded import (
     grounded_column_table,
     grounded_stack_extent,
 )
-from repro.cap.miller import (
-    SF_OPPOSITE,
-    SF_QUIET,
-    SF_SAME_DIRECTION,
-    SwitchingBounds,
-    effective_coupling,
-    switching_bounds,
-)
 
 __all__ = [
     "grounded_column_cap_per_line",
     "grounded_column_table",
     "grounded_stack_extent",
-    "SF_OPPOSITE",
-    "SF_QUIET",
-    "SF_SAME_DIRECTION",
-    "SwitchingBounds",
-    "effective_coupling",
-    "switching_bounds",
     "coupling_per_um",
     "line_coupling",
     "series_caps",

@@ -16,18 +16,13 @@ Public surface:
 * :class:`ImpactModel` / :func:`evaluate_impact` — the one delay-impact
   scorer (``evaluate_impact`` is a one-shot ``ImpactModel.score``),
 * the per-tile methods (ILP-I, ILP-II, Greedy, marginal greedy, DP),
-* the scan-line slack-column extraction (paper Fig. 7).
+* the scan-line slack-column extraction (paper Fig. 7) into one
+  :class:`ColumnTable` of flat arrays per layer — the only form a slack
+  column takes; a tile reads its rows through a :class:`TileColumns`
+  view, which pickles as a one-tile table for pool payloads.
 """
 
-from repro.pilfill.columns import (
-    ColumnNeighbor,
-    ColumnSites,
-    ColumnTable,
-    ElectricalColumn,
-    SlackColumn,
-    SlackColumnDef,
-    TileColumns,
-)
+from repro.pilfill.columns import ColumnTable, SlackColumnDef, TileColumns
 from repro.pilfill.costs import TileCosts, build_cost_views
 from repro.pilfill.dp import (
     allocate_dp,
@@ -103,11 +98,7 @@ from repro.pilfill.store import (
 )
 
 __all__ = [
-    "ColumnNeighbor",
-    "ColumnSites",
     "ColumnTable",
-    "ElectricalColumn",
-    "SlackColumn",
     "SlackColumnDef",
     "TileColumns",
     "TileCosts",

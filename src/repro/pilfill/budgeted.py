@@ -67,17 +67,18 @@ def build_budgeted_model(
     model, m_at = build_ilp2_model(costs, budget)
     rows: dict[str, np.ndarray] = {}
     at = costs.offsets()
-    for k, (column, cap) in enumerate(zip(costs.columns, costs.capacities.tolist(), strict=True)):
+    pairs = costs.columns.impact_nets()
+    for k, (nets, cap) in enumerate(zip(pairs, costs.capacities.tolist(), strict=True)):
         entries = cap_ff[at[k] + 1 : at[k] + cap + 1]
-        if cap == 0 or not column.has_impact or not entries.any():
+        if cap == 0 or nets is None or not entries.any():
             continue
         selectors = slice(int(m_at[k]) + 2, int(m_at[k]) + cap + 2)
-        for neighbor in (column.below, column.above):
-            if neighbor is None or neighbor.net not in net_budgets_ff:
+        for net in nets:
+            if net not in net_budgets_ff:
                 continue
-            row = rows.get(neighbor.net)
+            row = rows.get(net)
             if row is None:
-                row = rows[neighbor.net] = np.zeros(model.c.size)
+                row = rows[net] = np.zeros(model.c.size)
             row[selectors] += entries  # a zero ΔC leaves +0.0
     if rows:
         model.a_ub = np.array(list(rows.values()))
@@ -146,6 +147,7 @@ def solve_tile_budgeted_greedy(
     """
     exact, caps, at = costs.exact.tolist(), cap_ff.tolist(), costs.offsets()
     capacities = costs.capacities.tolist()
+    pairs = costs.columns.impact_nets()
     remaining = dict(net_budgets_ff)
     counts = [0] * len(costs)
     spent = 0.0
@@ -161,14 +163,9 @@ def solve_tile_budgeted_greedy(
         marginal, k = heapq.heappop(heap)
         if k in frozen:
             continue
-        column, n = costs.columns[k], at[k] + counts[k]
+        n = at[k] + counts[k]
         delta_cap = caps[n + 1] - caps[n]
-        nets = []
-        if column.has_impact:
-            nets = [
-                nb.net for nb in (column.below, column.above)
-                if nb is not None and nb.net in remaining
-            ]
+        nets = [net for net in pairs[k] or () if net in remaining]
         if any(remaining[net] < delta_cap - 1e-15 for net in nets):
             frozen.add(k)
             continue
@@ -187,12 +184,12 @@ def solve_tile_budgeted_greedy(
 
 def _cap_used(costs: TileCosts, caps: list[float], counts: list[int]) -> dict[str, float]:
     used: dict[str, float] = defaultdict(float)
-    for column, at, n in zip(costs.columns, costs.offsets()[:-1], counts, strict=True):
-        if n == 0 or not column.has_impact:
+    pairs = costs.columns.impact_nets()
+    for nets, at, n in zip(pairs, costs.offsets()[:-1], counts, strict=True):
+        if n == 0 or nets is None:
             continue
-        for neighbor in (column.below, column.above):
-            if neighbor is not None:
-                used[neighbor.net] += caps[at + n]
+        for net in nets:
+            used[net] += caps[at + n]
     return dict(used)
 
 
@@ -227,17 +224,16 @@ def derive_net_cap_budgets(
 def delta_cap_ff(costs: TileCosts, weighted: bool) -> np.ndarray:
     """Raw ΔC(n) (fF) per entry of ``costs.exact``.
 
-    ``exact[n] = r̂ · ΔC(n) · OHM_FF_TO_PS`` with ``r̂ =
-    resistance_weight(weighted)``, the flag the tables were built with;
+    ``exact[n] = r̂ · ΔC(n) · OHM_FF_TO_PS`` with ``r̂`` the columns'
+    :meth:`~repro.pilfill.columns.TileColumns.r_hat` under ``weighted``,
+    the flag the tables were built with;
     one division of each column's entries by its ``r̂ · OHM_FF_TO_PS``
     yields the capacitance each adjacent net receives. Columns without
     impact (or with ``r̂ = 0``) get all-zero entries.
     """
-    divisors = [
-        c.resistance_weight(weighted) * OHM_FF_TO_PS if c.has_impact else 0.0
-        for c in costs.columns
-    ]
-    divisor = np.repeat(np.array(divisors, dtype=np.float64), costs.capacities + 1)
+    columns = costs.columns
+    divisors = np.where(columns.impact(), columns.r_hat(weighted) * OHM_FF_TO_PS, 0.0)
+    divisor = np.repeat(divisors, costs.capacities + 1)
     out = np.zeros_like(costs.exact)
     np.divide(costs.exact, divisor, out=out, where=divisor > 0)
     return out

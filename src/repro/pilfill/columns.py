@@ -5,12 +5,12 @@ fill sites at one site-grid column position, lying in the *gap* between a
 pair of neighboring active lines (or between a line and a boundary). The
 three definitions of Section 5.1 differ in which gaps are seen:
 
-* ``SlackColumnDef.WITHIN_TILE`` (SlackColumn-I): only gaps between two
+* ``SlackColumnDef.WITHIN_TILE`` (definition I): only gaps between two
   active lines inside the tile;
-* ``SlackColumnDef.TILE_BOUNDED`` (SlackColumn-II): gaps against tile
+* ``SlackColumnDef.TILE_BOUNDED`` (definition II): gaps against tile
   boundaries too, but neighbors outside the tile are invisible (their
   capacitance impact is *not* captured);
-* ``SlackColumnDef.FULL_LAYOUT`` (SlackColumn-III): the sweep runs over the
+* ``SlackColumnDef.FULL_LAYOUT`` (definition III): the sweep runs over the
   whole layout, so every column knows its true neighboring lines even when
   those lines live in adjacent tiles.
 
@@ -20,24 +20,22 @@ missing a neighbor (boundary gaps) have no modeled delay impact — which is
 precisely the inaccuracy of definitions I/II that the paper discusses.
 
 Storage: the gridder writes a layer's columns into one
-:class:`ColumnTable` of flat arrays, which the cost pass, the tile digests
-and placement read directly. :class:`SlackColumn` (with its
-:class:`ColumnSites` and :class:`ColumnNeighbor` objects) is the object
-view of one column, built from the table only when a tile's columns are
-indexed or iterated (:class:`TileColumns`).
+:class:`ColumnTable` of flat arrays, the only form a slack column takes.
+The cost pass, the per-tile solvers, the tile and prepared-instance
+digests, placement and local search all read the arrays, through the
+table or a tile's :class:`TileColumns` view; no per-column object exists.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
-from typing import overload
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from repro.geometry import Rect
-from repro.layout.rctree import OHM_FF_TO_PS
 
 TileKey = tuple[int, int]
 
@@ -48,181 +46,6 @@ class SlackColumnDef(enum.Enum):
     WITHIN_TILE = "I"
     TILE_BOUNDED = "II"
     FULL_LAYOUT = "III"
-
-
-@dataclass(frozen=True)
-class ColumnNeighbor:
-    """One active line adjacent to a slack column, with the electrical
-    quantities the MDFC objective needs at the column's position.
-
-    Attributes:
-        net: owning net name.
-        line_index: index of the line within its RC tree.
-        sinks: downstream sink count (the weight ``W_l``).
-        resistance_ohm: total upstream resistance at the column position
-            (the paper's ``R_l + Σ r_l``), Ω.
-    """
-
-    net: str
-    line_index: int
-    sinks: int
-    resistance_ohm: float
-
-    @property
-    def identity(self) -> tuple[str, int]:
-        return (self.net, self.line_index)
-
-
-@dataclass(frozen=True)
-class ElectricalColumn:
-    """Electrical view of one slack column, without layout geometry.
-
-    The part of a :class:`SlackColumn` (its subclass) the per-tile
-    solvers read: gap, neighbors, r̂. A pool payload's
-    :class:`~repro.pilfill.costs.TileCosts` carries these instead of the
-    :class:`SlackColumn` objects, whose site rectangles stay in the
-    parent, which places the solved counts itself.
-    """
-
-    gap_um: float | None
-    below: ColumnNeighbor | None
-    above: ColumnNeighbor | None
-
-    @property
-    def has_impact(self) -> bool:
-        """True when filling this column changes modeled coupling (both
-        neighbor lines present)."""
-        return self.below is not None and self.above is not None and self.gap_um is not None
-
-    def resistance_weight(self, weighted: bool) -> float:
-        """The r̂_k multiplier of the MDFC objective (paper Fig. 8 line 11):
-        Σ over present neighbors of (W_l or 1) × upstream resistance at the
-        column position, Ω."""
-        total = 0.0
-        for neighbor in (self.below, self.above):
-            if neighbor is not None:
-                w = neighbor.sinks if weighted else 1
-                total += w * neighbor.resistance_ohm
-        return total
-
-
-class ColumnSites(Sequence[Rect]):
-    """One slack column's legal sites, stored as site-grid rows.
-
-    The column table holds the free rows of a column (``rows``,
-    increasing) and the column's along-axis site coordinate; each
-    :class:`Rect` is
-    built only when it is read, so a column that no placement touches
-    never builds one. Indexing and iteration give the same rects, in the
-    same order (increasing cross coordinate), as a tuple of the site
-    rects would; a :class:`ColumnSites` compares equal to any sequence of
-    the same rects.
-    """
-
-    __slots__ = ("rows", "along", "cross_origin", "pitch", "size", "horizontal")
-
-    def __init__(
-        self,
-        rows: tuple[int, ...],
-        along: int,
-        cross_origin: int,
-        pitch: int,
-        size: int,
-        horizontal: bool,
-    ):
-        self.rows = rows
-        self.along = along
-        self.cross_origin = cross_origin
-        self.pitch = pitch
-        self.size = size
-        self.horizontal = horizontal
-
-    def _rect(self, row: int) -> Rect:
-        cross = self.cross_origin + row * self.pitch
-        along, size = self.along, self.size
-        if self.horizontal:
-            return Rect(along, cross, along + size, cross + size)
-        return Rect(cross, along, cross + size, along + size)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    @overload
-    def __getitem__(self, index: int) -> Rect: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> tuple[Rect, ...]: ...
-
-    def __getitem__(self, index: int | slice) -> Rect | tuple[Rect, ...]:
-        if isinstance(index, slice):
-            return tuple(self._rect(row) for row in self.rows[index])
-        return self._rect(self.rows[index])
-
-    def __iter__(self) -> Iterator[Rect]:
-        return (self._rect(row) for row in self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"ColumnSites({tuple(self)!r})"
-
-
-@dataclass(frozen=True)
-class SlackColumn(ElectricalColumn):
-    """A stack of legal fill sites in one gap, clipped to one tile.
-
-    Attributes:
-        gap_um: edge-to-edge distance between the two neighbor lines (µm),
-            or None when fewer than two line neighbors exist.
-        below: neighbor on the low-coordinate side (None = boundary).
-        above: neighbor on the high-coordinate side (None = boundary).
-        layer: routing layer.
-        tile: owning tile key ``(ix, iy)``.
-        col: global site-grid column index along the routing direction.
-        sites: legal site rectangles, ordered nearest-line-first is NOT
-            guaranteed — ordered by increasing cross coordinate. A column
-            built from a :class:`ColumnTable` holds them as
-            :class:`ColumnSites` rows, which build each rect when it is
-            read.
-    """
-
-    layer: str
-    tile: tuple[int, int]
-    col: int
-    sites: Sequence[Rect]
-
-    @property
-    def capacity(self) -> int:
-        """Number of fill features the column can take in this tile."""
-        return len(self.sites)
-
-    @property
-    def gap_key(self) -> tuple:
-        """Identity of the *physical* gap column. Columns in different
-        tiles that share the same site-grid column and the same neighbor
-        pair refer to the same physical stack; the evaluator recombines
-        them when computing true (nonlinear) capacitance."""
-        below = self.below.identity if self.below else None
-        above = self.above.identity if self.above else None
-        return (self.layer, self.col, below, above)
-
-    def delay_ps(self, cap_ff: float, weighted: bool) -> float:
-        """Delay impact (ps) of attaching ``cap_ff`` in this column."""
-        return self.resistance_weight(weighted) * cap_ff * OHM_FF_TO_PS
-
-
-def neighbor_payload(neighbor: ColumnNeighbor | None) -> list[object] | None:
-    """A neighbour as plain data, ``[net, line_index, sinks,
-    resistance_ohm]``, or None: the form the digests hash."""
-    if neighbor is None:
-        return None
-    return [neighbor.net, neighbor.line_index, neighbor.sinks, neighbor.resistance_ohm]
 
 
 @dataclass(eq=False, repr=False)
@@ -240,19 +63,18 @@ class ColumnTable(Mapping[TileKey, "TileColumns"]):
       increasing order; ``capacities[i]`` counts them, and row ``r`` lies
       at cross coordinate ``cross_origin + r * pitch``;
     * ``gap_um[i]``, the gap between its two lines in µm, NaN when fewer
-      than two lines bound it (``SlackColumn.gap_um is None``);
+      than two lines bound it;
     * ``below[i]`` / ``above[i]``, the neighbour line's index into
-      ``lines`` (``(net, line_index, sinks)`` each), -1 for no neighbour,
-      and ``below_res[i]`` / ``above_res[i]``, that line's upstream
-      resistance at the column centre (Ω, 0.0 without a neighbour).
+      ``lines`` (``(net, line_index, sinks)`` each, one entry per line),
+      -1 for no neighbour, and ``below_res[i]`` / ``above_res[i]``, that
+      line's upstream resistance at the column centre (Ω, 0.0 without a
+      neighbour).
 
-    Tile ``tile_keys[t]`` owns columns ``bounds[t] : bounds[t + 1]``. As a
-    :class:`Mapping` the table maps every tile key to a
-    :class:`TileColumns` view; a view's ``len()`` and the array readers
-    (cost tables, tile digests, placement) build no :class:`SlackColumn`,
-    and a view builds its tile's columns only when it is indexed or
-    iterated. The program never writes the arrays once the gridder has
-    built them.
+    A column has modeled delay impact when both neighbours and its gap
+    are present (:meth:`impact`). Tile ``tile_keys[t]`` owns columns
+    ``bounds[t] : bounds[t + 1]``; as a :class:`Mapping` the table maps
+    every tile key to a :class:`TileColumns` view of those rows. The
+    program never writes the arrays once the gridder has built them.
     """
 
     layer: str
@@ -275,7 +97,8 @@ class ColumnTable(Mapping[TileKey, "TileColumns"]):
 
     def __post_init__(self) -> None:
         self.capacities = np.diff(self.row_bounds)
-        self.line_sinks = np.array([sinks for _, _, sinks in self.lines], dtype=np.int64)
+        # Line weights W_l, then 0.0 where a missing neighbour's -1 lands.
+        self._weights = np.array([*(sinks for _, _, sinks in self.lines), 0], dtype=np.float64)
         self._at = {key: t for t, key in enumerate(self.tile_keys)}
         self._bounds: list[int] = self.bounds.tolist()
 
@@ -292,17 +115,128 @@ class ColumnTable(Mapping[TileKey, "TileColumns"]):
     def __contains__(self, key: object) -> bool:
         return key in self._at
 
+    # By identity: a view has no content equality, so Mapping's would
+    # make every table unequal to itself.
+    __eq__ = object.__eq__
+
     def tile_capacities(self) -> list[int]:
         """Total sites per tile, in ``tile_keys`` order."""
         return (self.row_bounds[self.bounds[1:]] - self.row_bounds[self.bounds[:-1]]).tolist()
 
+    def impact(self, at: np.ndarray | slice) -> np.ndarray:
+        """Whether each column ``at`` (an index array or slice) has both
+        neighbours and a gap, i.e. modeled delay impact."""
+        return (self.below[at] >= 0) & (self.above[at] >= 0) & ~np.isnan(self.gap_um[at])
+
+    def resistance_terms(
+        self, at: np.ndarray | slice, weighted: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``W_l · R_l`` (``R_l`` alone unless ``weighted``) of the below and
+        the above neighbour of each column ``at``; 0.0 for no neighbour."""
+        r_b, r_a = self.below_res[at], self.above_res[at]
+        if not weighted:
+            return r_b, r_a
+        return self._weights[self.below[at]] * r_b, self._weights[self.above[at]] * r_a
+
+    def r_hat(self, at: np.ndarray | slice, weighted: bool) -> np.ndarray:
+        """The r̂_k multiplier of the MDFC objective (paper Fig. 8 line 11)
+        of each column ``at``: ``0.0 + w_b·R_b + w_a·R_a``, in that order,
+        so every consumer gets the same bits."""
+        w_b, w_a = self.resistance_terms(at, weighted)
+        return 0.0 + w_b + w_a
+
+    def tile_table(self, key: TileKey) -> ColumnTable:
+        """Tile ``key``'s rows as a table of their own, naming only the
+        lines those rows name (renumbered in their order here)."""
+        t = self._at[key]
+        lo, hi = self._bounds[t], self._bounds[t + 1]
+        below, above = self.below[lo:hi], self.above[lo:hi]
+        named = np.unique(np.concatenate((below, above)))
+        named = named[named >= 0]
+
+        def renumbered(ids: np.ndarray) -> np.ndarray:
+            return np.where(ids >= 0, np.searchsorted(named, ids), -1)
+
+        first, last = self.row_bounds[lo], self.row_bounds[hi]
+        return ColumnTable(
+            layer=self.layer,
+            horizontal=self.horizontal,
+            cross_origin=self.cross_origin,
+            pitch=self.pitch,
+            size=self.size,
+            tile_keys=[key],
+            bounds=np.array([0, hi - lo]),
+            col=self.col[lo:hi],
+            along=self.along[lo:hi],
+            rows=self.rows[first:last],
+            row_bounds=self.row_bounds[lo : hi + 1] - first,
+            gap_um=self.gap_um[lo:hi],
+            below=renumbered(below),
+            above=renumbered(above),
+            below_res=self.below_res[lo:hi],
+            above_res=self.above_res[lo:hi],
+            lines=[self.lines[i] for i in named.tolist()],
+        )
+
+
+@dataclass(eq=False)
+class TileColumns:
+    """One tile's slack columns: rows ``lo:hi`` of a :class:`ColumnTable`.
+
+    Every reader goes through the table's arrays; the methods below are
+    the table's, restricted to the tile. A view pickles as a view over
+    :meth:`ColumnTable.tile_table`, so a pool payload ships the tile's own
+    rows and the lines they name, never the layer's table, while an
+    in-process solve reads the parent's view as it is.
+    """
+
+    table: ColumnTable
+    key: TileKey
+    lo: int
+    hi: int
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __reduce__(self) -> tuple[type[TileColumns], tuple[ColumnTable, TileKey, int, int]]:
+        return (TileColumns, (self.table.tile_table(self.key), self.key, 0, len(self)))
+
+    def impact(self) -> np.ndarray:
+        """:meth:`ColumnTable.impact` of the tile's columns."""
+        return self.table.impact(slice(self.lo, self.hi))
+
+    def resistance_terms(self, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`ColumnTable.resistance_terms` of the tile's columns."""
+        return self.table.resistance_terms(slice(self.lo, self.hi), weighted)
+
+    def r_hat(self, weighted: bool) -> np.ndarray:
+        """:meth:`ColumnTable.r_hat` of the tile's columns."""
+        return self.table.r_hat(slice(self.lo, self.hi), weighted)
+
+    def neighbors(self) -> tuple[list[int], list[int]]:
+        """Each column's below and above line, as an index into the
+        table's ``lines`` (-1 for none)."""
+        table, lo, hi = self.table, self.lo, self.hi
+        return table.below[lo:hi].tolist(), table.above[lo:hi].tolist()
+
+    def impact_nets(self) -> list[tuple[str, str] | None]:
+        """The below and above nets of each column with impact, None for
+        the others."""
+        lines = self.table.lines
+        below, above = self.neighbors()
+        return [
+            (lines[b][0], lines[a][0]) if has else None
+            for has, b, a in zip(self.impact().tolist(), below, above, strict=True)
+        ]
+
     def electrical_fields(
-        self, lo: int, hi: int
+        self,
     ) -> list[tuple[float | None, list[object] | None, list[object] | None]]:
-        """``(gap_um, below, above)`` of columns ``lo:hi``, each neighbour
-        as :func:`neighbor_payload` gives it."""
-        lines = self.lines
-        gaps = self.gap_um[lo:hi].tolist()
+        """``(gap_um, below, above)`` of each column, each neighbour as
+        ``[net, line_index, sinks, resistance_ohm]`` or None: the form
+        the digests hash."""
+        table, lo, hi = self.table, self.lo, self.hi
+        lines = table.lines
         return [
             (
                 None if gap != gap else gap,  # NaN: fewer than two lines
@@ -310,100 +244,14 @@ class ColumnTable(Mapping[TileKey, "TileColumns"]):
                 None if a < 0 else [*lines[a], a_res],
             )
             for gap, b, b_res, a, a_res in zip(
-                gaps,
-                self.below[lo:hi].tolist(),
-                self.below_res[lo:hi].tolist(),
-                self.above[lo:hi].tolist(),
-                self.above_res[lo:hi].tolist(),
+                table.gap_um[lo:hi].tolist(),
+                table.below[lo:hi].tolist(),
+                table.below_res[lo:hi].tolist(),
+                table.above[lo:hi].tolist(),
+                table.above_res[lo:hi].tolist(),
                 strict=True,
             )
         ]
-
-    def electrical_columns(self, lo: int, hi: int) -> tuple[ElectricalColumn, ...]:
-        """Geometry-free columns ``lo:hi``."""
-        return tuple(
-            ElectricalColumn(
-                gap,
-                None if below is None else ColumnNeighbor(*below),
-                None if above is None else ColumnNeighbor(*above),
-            )
-            for gap, below, above in self.electrical_fields(lo, hi)
-        )
-
-    def slack_columns(self, key: TileKey, lo: int, hi: int) -> tuple[SlackColumn, ...]:
-        """Columns ``lo:hi`` (all owned by tile ``key``) as objects."""
-        bounds = self.row_bounds[lo : hi + 1].tolist()
-        rows = self.rows[bounds[0] : bounds[-1]].tolist()
-        first = bounds[0]
-        cross_origin, pitch, size = self.cross_origin, self.pitch, self.size
-        return tuple(
-            SlackColumn(
-                gap_um=column.gap_um,
-                below=column.below,
-                above=column.above,
-                layer=self.layer,
-                tile=key,
-                col=col,
-                sites=ColumnSites(
-                    tuple(rows[start - first : end - first]),
-                    along, cross_origin, pitch, size, self.horizontal,
-                ),
-            )
-            for column, col, along, start, end in zip(
-                self.electrical_columns(lo, hi),
-                self.col[lo:hi].tolist(),
-                self.along[lo:hi].tolist(),
-                bounds[:-1],
-                bounds[1:],
-                strict=True,
-            )
-        )
-
-
-@dataclass(eq=False)
-class TileColumns(Sequence[SlackColumn]):
-    """One tile's slack columns: rows ``lo:hi`` of a :class:`ColumnTable`.
-
-    ``len()`` and :meth:`site_rects` read the table's arrays; indexing or
-    iterating builds the tile's :class:`SlackColumn` objects once, on first
-    use. A view compares equal to any sequence of equal columns. The cost
-    tables of a prepared tile hold its view;
-    :meth:`~repro.pilfill.costs.TileCosts.electrical` swaps it for
-    geometry-free columns before a payload ships.
-    """
-
-    table: ColumnTable = field(repr=False)
-    key: TileKey
-    lo: int
-    hi: int
-    _columns: tuple[SlackColumn, ...] | None = field(default=None, repr=False)
-
-    def _built(self) -> tuple[SlackColumn, ...]:
-        if self._columns is None:
-            self._columns = self.table.slack_columns(self.key, self.lo, self.hi)
-        return self._columns
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-    @overload
-    def __getitem__(self, index: int) -> SlackColumn: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> tuple[SlackColumn, ...]: ...
-
-    def __getitem__(self, index: int | slice) -> SlackColumn | tuple[SlackColumn, ...]:
-        return self._built()[index]
-
-    def __iter__(self) -> Iterator[SlackColumn]:
-        return iter(self._built())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    __hash__ = None  # type: ignore[assignment]
 
     def site_rects(self, picks: Sequence[tuple[int, int]]) -> list[Rect]:
         """The rect of site ``s`` of column ``k`` for each ``(k, s)`` of
@@ -426,21 +274,9 @@ class TileColumns(Sequence[SlackColumn]):
                 out.append(Rect(cross, a, cross + size, a + size))
         return out
 
-
-def electrical_fields(
-    columns: Sequence[ElectricalColumn],
-) -> list[tuple[float | None, list[object] | None, list[object] | None]]:
-    """``(gap_um, below, above)`` per column, each neighbour as
-    :func:`neighbor_payload` gives it; a :class:`TileColumns` answers from
-    its table's arrays."""
-    if isinstance(columns, TileColumns):
-        return columns.table.electrical_fields(columns.lo, columns.hi)
-    return [(c.gap_um, neighbor_payload(c.below), neighbor_payload(c.above)) for c in columns]
-
-
-def electrical_columns(columns: Sequence[ElectricalColumn]) -> tuple[ElectricalColumn, ...]:
-    """Geometry-free copies of ``columns``; a :class:`TileColumns` builds
-    them from its table's arrays."""
-    if isinstance(columns, TileColumns):
-        return columns.table.electrical_columns(columns.lo, columns.hi)
-    return tuple(ElectricalColumn(c.gap_um, c.below, c.above) for c in columns)
+    def sites(self) -> list[list[Rect]]:
+        """Every column's site rects, in column then row order."""
+        caps = self.table.capacities[self.lo : self.hi].tolist()
+        rects = self.site_rects([(k, s) for k, cap in enumerate(caps) for s in range(cap)])
+        starts = [0, *accumulate(caps)]
+        return [rects[start:end] for start, end in zip(starts[:-1], starts[1:], strict=True)]

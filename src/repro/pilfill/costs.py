@@ -35,12 +35,7 @@ import numpy as np
 from repro.cap.fillimpact import linear_column_cap_array, table_counts
 from repro.cap.lut import LUTCache
 from repro.layout.rctree import OHM_FF_TO_PS
-from repro.pilfill.columns import (
-    ColumnTable,
-    ElectricalColumn,
-    TileColumns,
-    electrical_columns,
-)
+from repro.pilfill.columns import ColumnTable, TileColumns
 from repro.tech.process import ProcessLayer
 from repro.tech.rules import FillRules
 
@@ -51,12 +46,11 @@ TileKey = tuple[int, int]
 class TileCosts:
     """One tile's cost tables — the only per-tile solve input.
 
-    ``columns`` are the tile's slack columns: in the parent, the tile's
-    :class:`~repro.pilfill.columns.TileColumns` view of the column table
-    (which builds no column object unless a solver indexes it), or the
-    geometry-free :class:`ElectricalColumn` copies a pool payload carries
-    (:meth:`electrical`). ``capacities`` holds each column's site count
-    (int64); ``exact`` and ``linear`` hold every column's ``capacity + 1``
+    ``columns`` is the tile's :class:`~repro.pilfill.columns.TileColumns`
+    view of the layer's column table, which pickles as a one-tile table
+    of its own (what a pool payload carries). ``capacities`` holds each
+    column's site count (int64); ``exact`` and ``linear`` hold every
+    column's ``capacity + 1``
     delay impacts (ps, entry 0 equal to 0) back to back in column order,
     so column ``k``'s table is ``exact[offsets()[k] : offsets()[k + 1]]``.
     In the parent the three arrays are slices of the arrays
@@ -66,7 +60,7 @@ class TileCosts:
     time); nothing writes a field after construction.
     """
 
-    columns: tuple[ElectricalColumn, ...] | TileColumns
+    columns: TileColumns
     capacities: np.ndarray
     exact: np.ndarray
     linear: np.ndarray
@@ -93,12 +87,6 @@ class TileCosts:
         keep[np.cumsum(self.capacities + 1)[:-1] - 1] = False
         return diffs[keep]
 
-    def electrical(self) -> TileCosts:
-        """The same tables over geometry-free columns, for a payload."""
-        return TileCosts(
-            electrical_columns(self.columns), self.capacities, self.exact, self.linear
-        )
-
 
 def build_cost_views(
     table: ColumnTable,
@@ -113,9 +101,9 @@ def build_cost_views(
     tiles when given), in one array pass.
 
     A column is impactful when both neighbours and its gap are present
-    (:attr:`ElectricalColumn.has_impact`); every other column's entries
-    stay 0.0. For an impactful column, r̂ is ``0.0 + w_b·R_b + w_a·R_a``
-    in that order (:meth:`ElectricalColumn.resistance_weight`), ``exact``
+    (:meth:`ColumnTable.impact`); every other column's entries stay 0.0.
+    For an impactful column, r̂ is ``0.0 + w_b·R_b + w_a·R_a`` in that
+    order (:meth:`ColumnTable.r_hat`), ``exact``
     is ``r̂ · table · OHM_FF_TO_PS`` over its LUT table and ``linear`` is
     ``r̂ · Eq. 6 · OHM_FF_TO_PS`` at the column's own (unquantized) gap —
     the same IEEE operations, entry by entry, as
@@ -130,8 +118,8 @@ def build_cost_views(
             [np.arange(t.lo, t.hi) for t in tiles] or [np.zeros(0, dtype=np.int64)]
         )
     capacities = table.capacities[at]
-    below, above, gap = table.below[at], table.above[at], table.gap_um[at]
-    impact = np.flatnonzero((below >= 0) & (above >= 0) & ~np.isnan(gap))
+    gap = table.gap_um[at]
+    impact = np.flatnonzero(table.impact(at))
     specs = list(zip(gap[impact].tolist(), capacities[impact].tolist(), strict=True))
 
     ends = np.cumsum(capacities + 1)
@@ -162,12 +150,7 @@ def build_cost_views(
         dest = np.repeat(ends[impact] - lengths, lengths) + within
         src = np.repeat(np.array(table_at), lengths) + within
 
-        sinks = table.line_sinks.astype(np.float64)
-        w_b, w_a = sinks[below[impact]], sinks[above[impact]]
-        r_b, r_a = table.below_res[at][impact], table.above_res[at][impact]
-        r_hat = 0.0 + (w_b * r_b if weighted else r_b)
-        r_hat = r_hat + (w_a * r_a if weighted else r_a)
-        r_rep = np.repeat(r_hat, lengths)
+        r_rep = np.repeat(table.r_hat(at[impact], weighted), lengths)
         exact[dest] = r_rep * values[src] * OHM_FF_TO_PS
         gaps = np.repeat(gap[impact], lengths)
         fill_w_um = rules.fill_size / dbu_per_micron

@@ -574,8 +574,10 @@ class PILFillEngine:
         """Solve ``keys`` through :func:`dispatch_tile_payloads`, one
         :class:`TileOutcome` per key.
 
-        Every payload carries its own tile's cost tables, so a shard's
-        tables ride in its payloads and die with them.
+        Every payload carries its own tile's cost tables and column view,
+        so a shard's tables ride in its payloads and die with them; a
+        serial solve reads them as they are, and a pool payload pickles
+        the view as a one-tile column table.
         """
         cfg = self.config
         payloads = [
@@ -586,7 +588,7 @@ class PILFillEngine:
                 weighted=cfg.weighted,
                 ilp_backend=cfg.backend,
                 seed=cfg.seed,
-                costs=costs_by_tile[key].electrical(),
+                costs=costs_by_tile[key],
                 delay_budget_ps=None if delay_budgets is None else delay_budgets[key],
                 tile_deadline_s=cfg.tile_deadline_s,
                 run_deadline=run_deadline,

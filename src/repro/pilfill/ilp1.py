@@ -34,31 +34,32 @@ def build_ilp1_model(
     and sites; after all columns, one ``Δτ_l`` per line beside such a
     column. Rows: Eq. 12 per ``Cap_k``, Eq. 13 per line, the budget.
     """
+    columns = costs.columns
     m_at: list[int] = []
     cap_at: dict[int, int] = {}  # column -> index of its Cap_k
     col_ub: list[float] = []
-    for k, (column, capacity) in enumerate(
-        zip(costs.columns, costs.capacities.tolist(), strict=True)
+    sited = columns.impact() & (costs.capacities > 0)
+    for k, (capacity, has_cap) in enumerate(
+        zip(costs.capacities.tolist(), sited.tolist(), strict=True)
     ):
         m_at.append(len(col_ub))
         col_ub.append(float(capacity))
-        if column.has_impact and capacity > 0:
+        if has_cap:
             cap_at[k] = len(col_ub)
             col_ub.append(math.inf)
 
     # Each line's Δτ_l takes the share w·R / r̂_k of every Cap_k beside it.
     # The cost tables store delay (ps) per count with r̂ folded in; the
     # shares recover the per-line pieces so the model mirrors Eqs. 12-13.
-    lines: dict[tuple[str, int], dict[int, float]] = {}
+    below, above = columns.neighbors()
+    w_b, w_a = (terms.tolist() for terms in columns.resistance_terms(weighted))
+    r_hat = columns.r_hat(weighted).tolist()
+    lines: dict[int, dict[int, float]] = {}
     for k, cap_idx in cap_at.items():
-        column = costs.columns[k]
-        r_hat = column.resistance_weight(weighted)
-        for neighbor in (column.below, column.above):
-            if neighbor is None:
-                continue
-            w = neighbor.sinks if weighted else 1
-            share = (w * neighbor.resistance_ohm) / r_hat if r_hat > 0 else 0.0
-            terms = lines.setdefault(neighbor.identity, {})
+        r = r_hat[k]
+        for line, w_r in ((below[k], w_b[k]), (above[k], w_a[k])):
+            share = w_r / r if r > 0 else 0.0
+            terms = lines.setdefault(line, {})
             terms[cap_idx] = terms.get(cap_idx, 0.0) + share
 
     n_cols = len(col_ub)

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.geometry.rect import Rect
 from repro.geometry.spatial import GridBinIndex
-from repro.pilfill.columns import electrical_fields
 from repro.pilfill.costs import TileCosts
 from repro.pilfill.robust import SolveReport
 from repro.pilfill.solution import TileSolution
@@ -132,8 +131,8 @@ def tile_digest(
     Table entries hash as their float64 bytes and the per-column fields
     through ``repr`` (shortest round-trip), so equal digests mean
     bit-equal cost content (``-0.0`` and ``0.0`` differ), not merely
-    approximately-equal. A prepared tile's fields come straight from its
-    column table's arrays, so a warm lookup builds no column object.
+    approximately-equal. The fields come straight from the column
+    table's arrays.
     Every section's length follows from the header and the capacities,
     so no two inputs share one byte stream.
     """
@@ -141,7 +140,7 @@ def tile_digest(
     digest.update(costs.capacities.tobytes())
     digest.update(costs.exact.tobytes())
     digest.update(costs.linear.tobytes())
-    digest.update(repr(electrical_fields(costs.columns)).encode("utf-8"))
+    digest.update(repr(costs.columns.electrical_fields()).encode("utf-8"))
     return digest.hexdigest()
 
 

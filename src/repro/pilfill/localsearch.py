@@ -20,7 +20,7 @@ decreases the evaluated impact — refinement is monotone by construction.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.cap.fillimpact import exact_column_cap
@@ -28,7 +28,7 @@ from repro.dissection.fixed import FixedDissection
 from repro.geometry import Rect
 from repro.layout.layout import FillFeature
 from repro.layout.rctree import OHM_FF_TO_PS
-from repro.pilfill.columns import SlackColumn
+from repro.pilfill.columns import TileColumns
 from repro.pilfill.evaluate import ImpactModel
 
 
@@ -99,7 +99,7 @@ def _group_coeff(model: ImpactModel, block_id: int, along: int) -> tuple[float, 
 def refine_placement(
     model: ImpactModel,
     dissection: FixedDissection,
-    columns_by_tile: Mapping[tuple[int, int], Sequence[SlackColumn]],
+    columns_by_tile: Mapping[tuple[int, int], TileColumns],
     features: list[FillFeature],
     max_moves: int = 10000,
 ) -> RefineResult:
@@ -125,15 +125,15 @@ def refine_placement(
         return group
 
     for tile_key, cols in columns_by_tile.items():
-        for col in cols:
-            if not col.sites:
+        for sites in cols.sites():
+            if not sites:
                 continue
-            probe = FillFeature(layer=layer, rect=col.sites[0])
+            probe = FillFeature(layer=layer, rect=sites[0])
             state = model.locate(probe)
-            center = col.sites[0].center
+            center = sites[0].center
             along = center.x if model._horizontal else center.y
             group = group_for(state.block_id, state.col, along)
-            for rect in col.sites:
+            for rect in sites:
                 site_group[rect] = group
                 group.free_by_tile[tile_key].append(rect)
 

@@ -16,9 +16,10 @@ outcomes keyed in submission order for a deterministic merge:
   :class:`TilePayload` (cost tables + budget + seed + deadlines, *not*
   layout objects) and is solved by :func:`solve_tile_payload`. Payloads
   carry the tile's :class:`~repro.pilfill.costs.TileCosts` inline — its
-  slices of the batched arrays over geometry-free columns — so a solve
-  is a pure function of its payload and a persistent pool can serve runs
-  over different layouts back to back.
+  slices of the batched arrays and its column view, which pickles as a
+  one-tile column table — so a solve is a pure function of its payload
+  and a persistent pool can serve runs over different layouts back to
+  back.
 * **One per-tile policy.** :func:`_solve_payload_isolated` is the policy
   on both sides of the process boundary. A robust payload
   (``fallback=True``) whose solve raises is retried once with the same
@@ -138,12 +139,12 @@ class TilePayload:
 
     Deliberately contains no layout, engine, or dissection objects so
     pickling stays cheap. ``costs`` is the tile's
-    :class:`~repro.pilfill.costs.TileCosts` over geometry-free columns
-    (:meth:`~repro.pilfill.costs.TileCosts.electrical`): pickling copies
-    only the tile's own slices of the batched arrays, and the same object
-    serves in-process and pool solves. ``delay_budget_ps`` is
-    the MVDC delay budget (method ``"mvdc"``; budget then acts as the
-    feature-count cap).
+    :class:`~repro.pilfill.costs.TileCosts`: pickling copies only the
+    tile's own slices of the batched arrays and of the column table
+    (:class:`~repro.pilfill.columns.TileColumns` pickles as a one-tile
+    table), and the same object serves in-process and pool solves.
+    ``delay_budget_ps`` is the MVDC delay budget (method ``"mvdc"``;
+    budget then acts as the feature-count cap).
     """
 
     key: TileKey

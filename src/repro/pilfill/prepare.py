@@ -53,7 +53,7 @@ from repro.layout.layout import RoutedLayout
 from repro.layout.net import Net
 from repro.layout.rctree import RCTree
 from repro.obs.trace import NULL_TRACER, TracerLike
-from repro.pilfill.columns import ColumnTable, SlackColumnDef, neighbor_payload
+from repro.pilfill.columns import ColumnTable, SlackColumnDef
 from repro.pilfill.costs import TileCosts, build_cost_views
 from repro.pilfill.scanline import (
     ColumnGridder,
@@ -298,17 +298,23 @@ class PreparedInstance:
         rules = self.fill_rules
         density_rules = self.density_rules
         tile_area = self.density.tile_area
+        table = self.columns_by_tile
         columns: dict[str, list[dict[str, object]]] = {}
-        for (ix, iy), cols in sorted(self.columns_by_tile.items()):
+        for (ix, iy), cols in sorted(table.items()):
             columns[f"{ix},{iy}"] = [
                 {
-                    "col": column.col,
-                    "sites": [_rect_payload(site) for site in column.sites],
-                    "gap_um": column.gap_um,
-                    "below": neighbor_payload(column.below),
-                    "above": neighbor_payload(column.above),
+                    "col": col,
+                    "sites": [_rect_payload(site) for site in sites],
+                    "gap_um": gap_um,
+                    "below": below,
+                    "above": above,
                 }
-                for column in cols
+                for col, sites, (gap_um, below, above) in zip(
+                    table.col[cols.lo : cols.hi].tolist(),
+                    cols.sites(),
+                    cols.electrical_fields(),
+                    strict=True,
+                )
             ]
         payload: dict[str, object] = {
             "layer": self.layer,

@@ -4,9 +4,9 @@ This is :class:`~repro.pilfill.scanline.ColumnGridder` as it was before it
 gridded a whole layer in one array pass. It walks one gap block at a time,
 one tile of the block at a time and one site-grid column of the tile at a
 time, reads the column's candidate rows from the legality raster, and
-builds a :class:`~repro.pilfill.columns.SlackColumn` (with its
-:class:`~repro.pilfill.columns.ColumnSites` and up to two
-:class:`~repro.pilfill.columns.ColumnNeighbor`) per column. The loops are
+builds a :class:`~tests.column_objects.SlackColumn` (with its
+:class:`~tests.column_objects.ColumnSites` and up to two
+:class:`~tests.column_objects.ColumnNeighbor`) per column. The loops are
 kept unchanged, so ``tests/test_site_grid.py`` can show that the
 :class:`~repro.pilfill.columns.ColumnTable` holds the same columns, rows,
 gaps and neighbours, with the same resistance bits, in the same per-tile
@@ -21,9 +21,10 @@ from repro.dissection.fixed import FixedDissection
 from repro.fillsynth.slack_sites import SiteLegality
 from repro.geometry import Interval, Rect
 from repro.layout.rctree import LineTiming
-from repro.pilfill.columns import ColumnNeighbor, ColumnSites, SlackColumn, SlackColumnDef
+from repro.pilfill.columns import SlackColumnDef
 from repro.pilfill.scanline import GapBlock, SweepLine, _Axes, sweep_gap_blocks
 from repro.tech.rules import FillRules
+from tests.column_objects import ColumnNeighbor, ColumnSites, SlackColumn
 
 Columns = dict[tuple[int, int], list[SlackColumn]]
 

@@ -13,37 +13,35 @@ from __future__ import annotations
 from repro.cap.fillimpact import linear_column_cap
 from repro.cap.lut import LUTCache
 from repro.layout.rctree import OHM_FF_TO_PS
-from repro.pilfill.columns import ElectricalColumn, SlackColumn
+from repro.pilfill.columns import TileColumns
 from repro.pilfill.costs import TileCosts
 from repro.tech.process import ProcessLayer
 from repro.tech.rules import FillRules
+from tests.column_objects import slack_columns
 from tests.cost_tables import pack_costs
 
 
 def build_costs_scalar(
-    columns: list[SlackColumn],
+    view: TileColumns,
     layer: ProcessLayer,
     rules: FillRules,
     dbu_per_micron: int,
     lut_cache: LUTCache,
     weighted: bool,
 ) -> TileCosts:
-    """Cost tables for every column of a tile, one entry at a time, packed
-    over geometry-free copies of the columns."""
+    """Cost tables for every column of a tile, one entry at a time over
+    the tile's column objects, packed over ``view``."""
     fill_w_um = rules.fill_size / dbu_per_micron
-    views: list[ElectricalColumn] = []
     exact_tables: list[tuple[float, ...]] = []
     linear_tables: list[tuple[float, ...]] = []
-    for col in columns:
+    for col in slack_columns(view):
         cap = col.capacity
-        view = ElectricalColumn(col.gap_um, col.below, col.above)
-        views.append(view)
-        if not view.has_impact:
+        if not col.has_impact:
             zero = tuple(0.0 for _ in range(cap + 1))
             exact_tables.append(zero)
             linear_tables.append(zero)
             continue
-        r_hat = view.resistance_weight(weighted)
+        r_hat = col.resistance_weight(weighted)
         lut = lut_cache.get(col.gap_um, cap)
         exact = tuple(r_hat * lut.cap(n) * OHM_FF_TO_PS for n in range(cap + 1))
         linear = tuple(
@@ -54,4 +52,4 @@ def build_costs_scalar(
         )
         exact_tables.append(exact)
         linear_tables.append(linear)
-    return pack_costs(exact_tables, linear_tables, views)
+    return pack_costs(exact_tables, linear_tables, view)

@@ -26,8 +26,8 @@ import numpy as np
 from repro import ilp
 from repro.errors import SolverError
 from repro.ilp import CompiledModel, SolveStatus
-from repro.pilfill.columns import ElectricalColumn
 from repro.pilfill.costs import TileCosts
+from tests.column_objects import ElectricalColumn, slack_columns
 from tests.cost_tables import column_tables
 
 INF = math.inf
@@ -384,7 +384,10 @@ def _columns(costs: TileCosts) -> list[_Column]:
     return [
         _Column(column, exact, linear)
         for column, exact, linear in zip(
-            costs.columns, column_tables(costs), column_tables(costs, costs.linear), strict=True
+            slack_columns(costs.columns),
+            column_tables(costs),
+            column_tables(costs, costs.linear),
+            strict=True,
         )
     ]
 

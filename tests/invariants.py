@@ -68,12 +68,13 @@ def assert_fill_invariants(result, prepared=None, weighted: bool = True) -> None
         assert len(solution.counts) == len(capacities), (
             f"tile {key}: {len(solution.counts)} counts vs {len(capacities)} columns"
         )
-        columns = prepared.columns_by_tile.get(key, [])
-        for k, (capacity, column) in enumerate(zip(capacities, columns, strict=True)):
+        table = prepared.columns_by_tile
+        sites = table[key].sites() if key in table else []
+        for k, (capacity, column_sites) in enumerate(zip(capacities, sites, strict=True)):
             assert solution.counts[k] <= capacity, (
                 f"tile {key} column {k}: count {solution.counts[k]} exceeds "
                 f"capacity {capacity}"
             )
-            legal_sites.update(column.sites)
+            legal_sites.update(column_sites)
     for rect in rects:
         assert rect in legal_sites, f"feature at {rect} is not on a legal slack site"

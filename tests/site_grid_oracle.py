@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from repro.dissection.fixed import FixedDissection
 from repro.geometry import Interval, Rect, SiteGrid
-from repro.pilfill.columns import ColumnNeighbor, SlackColumn
 from repro.pilfill.scanline import GapBlock, SweepLine, _Axes
 from repro.tech.rules import FillRules
+from tests.column_objects import ColumnNeighbor, SlackColumn
 from tests.legality_oracle import ExactLegality
 
 # -- SiteGrid helpers ---------------------------------------------------------

@@ -1,19 +1,14 @@
-"""Grounded-fill capacitance model and switch-factor (Miller) scaling."""
+"""Grounded-fill capacitance model."""
 
 from itertools import pairwise
 
 import pytest
 
 from repro.cap import (
-    SF_OPPOSITE,
-    SF_QUIET,
-    SF_SAME_DIRECTION,
-    effective_coupling,
     exact_column_cap,
     grounded_column_cap_per_line,
     grounded_column_table,
     grounded_stack_extent,
-    switching_bounds,
 )
 from repro.errors import FillError
 
@@ -66,40 +61,3 @@ class TestGroundedStack:
         with pytest.raises(FillError):
             grounded_column_table(EPS_R, T, 4.0, -1, W, G)
 
-
-class TestMiller:
-    def test_classical_factors(self):
-        assert effective_coupling(2.0, SF_SAME_DIRECTION) == 0.0
-        assert effective_coupling(2.0, SF_QUIET) == 2.0
-        assert effective_coupling(2.0, SF_OPPOSITE) == 4.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(FillError):
-            effective_coupling(1.0, 5.0)
-        with pytest.raises(FillError):
-            effective_coupling(1.0, -2.0)
-
-    def test_bounds_wrapper(self):
-        bounds = switching_bounds(10.0)
-        assert bounds.best_case_ps == 0.0
-        assert bounds.quiet_ps == 10.0
-        assert bounds.worst_case_ps == 20.0
-        assert bounds.worst_case_extended_ps == 30.0
-        assert bounds.at(1.5) == 15.0
-
-    def test_negative_impact_rejected(self):
-        with pytest.raises(FillError):
-            switching_bounds(-1.0)
-
-    def test_bounds_on_evaluator_output(self, two_line_layout, fill_rules):
-        """Worst-case switching doubles the fill delay impact."""
-        from repro.geometry import Rect
-        from repro.layout import FillFeature
-        from repro.pilfill import evaluate_impact
-
-        segs = two_line_layout.segments_on_layer("metal3")
-        gap_lo = min(s.rect.yhi for s in segs)
-        feature = FillFeature("metal3", Rect(20000, gap_lo + 1000, 20500, gap_lo + 1500))
-        impact = evaluate_impact(two_line_layout, "metal3", [feature], fill_rules)
-        bounds = switching_bounds(impact.weighted_total_ps)
-        assert bounds.worst_case_ps == pytest.approx(2 * impact.weighted_total_ps)

@@ -106,7 +106,7 @@ def make_payloads(prepared, baseline, method="greedy", **overrides):
         TilePayload(
             key=key,
             budget=baseline.effective_budget[key],
-            costs=costs_by_tile[key].electrical(),
+            costs=costs_by_tile[key],
             **kwargs,
         )
         for key in sorted(baseline.tile_solutions)

@@ -141,9 +141,9 @@ class TestSuccessWithoutSolutionGuard:
 
 class TestMvdcTrim:
     def test_trim_removes_most_expensive_first(self):
-        from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
         from repro.pilfill.methods import trim_to
         from repro.pilfill.solution import TileSolution
+        from tests.column_objects import ColumnNeighbor, ElectricalColumn
         from tests.cost_tables import pack_costs
 
         neighbor = ColumnNeighbor("n", 0, 1, 1.0)

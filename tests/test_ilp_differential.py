@@ -17,8 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.pilfill import allocate_dp, allocation_cost, solve_tile_ilp1, solve_tile_ilp2
-from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
 from repro.pilfill.costs import TileCosts
+from tests.column_objects import ColumnNeighbor, ElectricalColumn
 from tests.cost_tables import linear_objective, pack_costs
 
 BACKENDS = ("bundled", "scipy")
@@ -52,6 +52,9 @@ def tiles(draw) -> tuple[TileCosts, int]:
     :func:`~repro.pilfill.costs.build_cost_views` gives it.
     """
     n_cols = draw(st.integers(1, 4))
+    # One sink count per line: line k + 1 is column k's above and column
+    # k + 1's below neighbour.
+    sinks = draw(st.lists(st.integers(1, 4), min_size=n_cols + 1, max_size=n_cols + 1))
     columns, exact, linear = [], [], []
     for k in range(n_cols):
         capacity = draw(st.integers(0, 4))
@@ -59,7 +62,7 @@ def tiles(draw) -> tuple[TileCosts, int]:
         lines = [
             ColumnNeighbor(
                 net=f"n{k + side}", line_index=0,
-                sinks=draw(st.integers(1, 4)),
+                sinks=sinks[k + side],
                 resistance_ohm=draw(st.floats(1.0, 100.0)),
             )
             for side in (0, 1)

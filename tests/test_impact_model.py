@@ -105,8 +105,8 @@ class TestCoalescedBlocks:
         sites = [
             FillFeature("metal3", site)
             for cols in prepared.columns_by_tile.values()
-            for col in cols
-            for site in col.sites
+            for sites in cols.sites()
+            for site in sites
         ]
         placements["random"] = random.Random(window_um * r).sample(sites, len(sites) // 3)
         model = ImpactModel(layout, "metal3", rules)

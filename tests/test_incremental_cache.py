@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -42,12 +43,13 @@ from repro.pilfill import (
     run_context_digest,
     tile_digest,
 )
-from repro.pilfill.columns import ColumnNeighbor, ColumnSites, SlackColumn
+from repro.pilfill.columns import ColumnTable
 from repro.pilfill.robust import SolveReport
 from repro.pilfill.solution import TileSolution
 from repro.synth import edit_window
 from repro.tech import DensityRules, FillRules
 from repro.testing.faults import FaultRule, FaultSpec
+from tests.column_objects import column_table, slack_columns
 
 FILL = FillRules(fill_size=500, fill_gap=250, buffer_distance=250)
 DENSITY = DensityRules(window_size=16000, r=2, max_density=0.6)
@@ -383,7 +385,7 @@ class TestDigests:
         for key, view in sorted(costs.items()):
             start = 0
             for k, (column, cap) in enumerate(
-                zip(view.columns, view.capacities.tolist(), strict=True)
+                zip(slack_columns(view.columns), view.capacities.tolist(), strict=True)
             ):
                 if column.below is not None and column.above is not None and cap > 0:
                     return key, view, k, start + cap
@@ -391,9 +393,13 @@ class TestDigests:
         raise AssertionError("no impactful column")
 
     @staticmethod
-    def _copy(view, **changes):
+    def _copy(view, columns=None, **changes):
+        """``view``'s tables over a repacked column table of ``columns``
+        (``view``'s own columns as objects by default)."""
+        key = view.columns.key
+        columns = slack_columns(view.columns) if columns is None else columns
         fields = {
-            "columns": tuple(view.columns),
+            "columns": column_table({key: columns})[key],
             "capacities": view.capacities.copy(),
             "exact": view.exact.copy(),
             "linear": view.linear.copy(),
@@ -435,23 +441,23 @@ class TestDigests:
     def test_tile_digest_covers_neighbour_fields(self, impact_view, side, field, value):
         key, view, k, _entry = impact_view
         ctx = run_context_digest(make_cfg(), "metal3")
-        column = view.columns[k]
+        columns = list(slack_columns(view.columns))
+        column = columns[k]
         neighbor = getattr(column, side)
         if value is None:  # one ULP up
             value = float(np.nextafter(neighbor.resistance_ohm, np.inf))
-        columns = list(view.columns)
         columns[k] = dataclasses.replace(
             column, **{side: dataclasses.replace(neighbor, **{field: value})}
         )
-        mutated = self._copy(view, columns=tuple(columns))
+        mutated = self._copy(view, columns=columns)
         assert tile_digest(ctx, key, mutated, 5) != tile_digest(ctx, key, view, 5)
 
     def test_tile_digest_covers_gap(self, impact_view):
         key, view, k, _entry = impact_view
         ctx = run_context_digest(make_cfg(), "metal3")
-        columns = list(view.columns)
+        columns = list(slack_columns(view.columns))
         columns[k] = dataclasses.replace(columns[k], gap_um=columns[k].gap_um + 1.0)
-        mutated = self._copy(view, columns=tuple(columns))
+        mutated = self._copy(view, columns=columns)
         assert tile_digest(ctx, key, mutated, 5) != tile_digest(ctx, key, view, 5)
 
 
@@ -492,9 +498,9 @@ class TestSitesOutOfKey:
             if count > 0
         )
         table = moved.columns_by_tile
-        sites = tuple(table[key][k].sites)
+        sites = table[key].sites()[k]
         move(table, table[key].lo + k)
-        shifted = tuple(table[key][k].sites)
+        shifted = table[key].sites()[k]
 
         ctx = run_context_digest(cfg, "metal3")
         budget = primed.effective_budget[key]
@@ -518,24 +524,25 @@ class TestSitesOutOfKey:
 
 
 class TestObjectFreeWarmRefill:
-    """The warm re-fill path reads the column table's arrays: cost tables,
-    tile digests and placement build no column object."""
+    """Serial runs read the layer's column table itself: cost tables, tile
+    digests, solves and placement build no per-tile copy of it (only a
+    pickled payload is cut down to a one-tile table)."""
 
     def test_all_hit_refill_builds_no_column_objects(self, small_generated_layout, monkeypatch):
         layout = small_generated_layout
+        copies: Counter[str] = Counter()
+        tile_table = ColumnTable.tile_table
+
+        def counting(self, key):
+            copies[self.layer] += 1
+            return tile_table(self, key)
+
+        monkeypatch.setattr(ColumnTable, "tile_table", counting)
         cache = SolutionCache()
         cold = PILFillEngine(
             layout, "metal3", make_cfg(solution_cache=cache),
             prepared=prepare(layout, "metal3", FILL, DENSITY),
         ).run()
-        built: Counter[str] = Counter()
-        for cls in (SlackColumn, ColumnSites, ColumnNeighbor):
-            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-                built[_name] += 1
-                _init(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counting)
-
         prep = prepare(layout, "metal3", FILL, DENSITY)
         warm = PILFillEngine(
             layout, "metal3", make_cfg(solution_cache=cache), prepared=prep
@@ -543,11 +550,11 @@ class TestObjectFreeWarmRefill:
         assert warm.cache_stats is not None
         assert warm.cache_stats["misses"] == 0 and warm.cache_stats["hits"] > 0
         assert warm.features and result_digest(warm) == result_digest(cold)
-        assert built == Counter()
-        # The count is live: indexing a tile builds its columns.
+        assert copies == Counter()
+        # The count is live: pickling a tile's view cuts one copy.
         key = next(key for key, cols in prep.columns_by_tile.items() if len(cols))
-        prep.columns_by_tile[key][0]
-        assert built["SlackColumn"] == built["ColumnSites"] == len(prep.columns_by_tile[key])
+        pickle.dumps(prep.columns_by_tile[key])
+        assert copies == Counter({"metal3": 1})
 
 
 class TestCacheEligible:

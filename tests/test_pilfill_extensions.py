@@ -17,8 +17,8 @@ from repro.pilfill import (
     solve_tile_budgeted_ilp,
     solve_tile_mvdc,
 )
-from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
 from repro.tech import DensityRules
+from tests.column_objects import ColumnNeighbor, ElectricalColumn, slack_columns
 from tests.cost_tables import column_tables, pack_costs
 
 
@@ -127,7 +127,7 @@ class TestCapTables:
         # exact[n] = r_hat(w=True) * dC(n) * 1e-3; r_hat = 2 nets * 2 sinks * 500
         from repro.layout.rctree import OHM_FF_TO_PS
 
-        r_hat = costs.columns[0].resistance_weight(True)
+        r_hat = slack_columns(costs.columns)[0].resistance_weight(True)
         for n in range(3):
             assert caps[n] == pytest.approx(costs.exact[n] / (r_hat * OHM_FF_TO_PS))
 
@@ -164,7 +164,7 @@ def test_budgeted_cap_tables_are_lut_delta_c(weighted):
     impactful = 0
     for key, costs in prep.costs_for(weighted).items():
         caps = column_tables(costs, delta_cap_ff(costs, weighted))
-        for col, table in zip(prep.columns_by_tile[key], caps, strict=True):
+        for col, table in zip(slack_columns(prep.columns_by_tile[key]), caps, strict=True):
             if not col.has_impact:
                 continue
             impactful += 1
@@ -178,7 +178,7 @@ def test_budgeted_cap_tables_are_lut_delta_c(weighted):
     assert result.total_features > 0
     used: dict[str, float] = defaultdict(float)
     for key, solution in result.tile_solutions.items():
-        for col, n in zip(prep.columns_by_tile[key], solution.counts, strict=True):
+        for col, n in zip(slack_columns(prep.columns_by_tile[key]), solution.counts, strict=True):
             if n == 0 or not col.has_impact:
                 continue
             for neighbor in (col.below, col.above):

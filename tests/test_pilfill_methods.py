@@ -15,7 +15,7 @@ from repro.pilfill import (
     solve_tile_ilp1,
     solve_tile_ilp2,
 )
-from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
+from tests.column_objects import ColumnNeighbor, ElectricalColumn
 from tests.cost_tables import linear_objective, pack_costs
 
 

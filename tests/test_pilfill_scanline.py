@@ -8,6 +8,7 @@ from repro.geometry import Interval, Rect
 from repro.pilfill import SlackColumnDef, extract_columns, sweep_gap_blocks
 from repro.pilfill.scanline import SweepLine, layer_sweep_lines
 from repro.tech import DensityRules
+from tests.column_objects import table_columns
 from tests.conftest import build_two_line_layout
 from tests.legality_oracle import ExactLegality
 from tests.site_grid_oracle import col_at, row_at
@@ -129,10 +130,10 @@ class TestExtractColumns:
 
     def test_full_layout_columns_have_true_neighbors(self, setup, fill_rules):
         layout, dissection, legality = setup
-        columns = extract_columns(
+        columns = table_columns(extract_columns(
             layout, "metal3", dissection, legality, fill_rules,
             SlackColumnDef.FULL_LAYOUT,
-        )
+        ))
         all_cols = [c for cols in columns.values() for c in cols]
         assert all_cols
         mid = [c for c in all_cols if c.has_impact]
@@ -143,10 +144,10 @@ class TestExtractColumns:
 
     def test_columns_within_gap_capacity(self, setup, fill_rules):
         layout, dissection, legality = setup
-        columns = extract_columns(
+        columns = table_columns(extract_columns(
             layout, "metal3", dissection, legality, fill_rules,
             SlackColumnDef.FULL_LAYOUT,
-        )
+        ))
         pitch = fill_rules.pitch
         for cols in columns.values():
             for col in cols:
@@ -156,35 +157,35 @@ class TestExtractColumns:
 
     def test_def1_only_between_lines(self, setup, fill_rules):
         layout, dissection, legality = setup
-        columns = extract_columns(
+        columns = table_columns(extract_columns(
             layout, "metal3", dissection, legality, fill_rules,
             SlackColumnDef.WITHIN_TILE,
-        )
+        ))
         for cols in columns.values():
             for col in cols:
                 assert col.below is not None and col.above is not None
 
     def test_def1_capacity_at_most_def3(self, setup, fill_rules):
         layout, dissection, legality = setup
-        def1 = extract_columns(layout, "metal3", dissection, legality, fill_rules,
-                               SlackColumnDef.WITHIN_TILE)
-        def3 = extract_columns(layout, "metal3", dissection, legality, fill_rules,
-                               SlackColumnDef.FULL_LAYOUT)
+        def1 = table_columns(extract_columns(layout, "metal3", dissection, legality, fill_rules,
+                                             SlackColumnDef.WITHIN_TILE))
+        def3 = table_columns(extract_columns(layout, "metal3", dissection, legality, fill_rules,
+                                             SlackColumnDef.FULL_LAYOUT))
         cap1 = sum(c.capacity for cols in def1.values() for c in cols)
         cap3 = sum(c.capacity for cols in def3.values() for c in cols)
         assert cap1 <= cap3
 
     def test_def2_has_boundary_columns_without_impact(self, setup, fill_rules):
         layout, dissection, legality = setup
-        def2 = extract_columns(layout, "metal3", dissection, legality, fill_rules,
-                               SlackColumnDef.TILE_BOUNDED)
+        def2 = table_columns(extract_columns(layout, "metal3", dissection, legality, fill_rules,
+                                             SlackColumnDef.TILE_BOUNDED))
         cols = [c for cs in def2.values() for c in cs]
         assert any(not c.has_impact for c in cols)
 
     def test_sites_unique_across_tiles(self, setup, fill_rules):
         layout, dissection, legality = setup
-        columns = extract_columns(layout, "metal3", dissection, legality, fill_rules,
-                                  SlackColumnDef.FULL_LAYOUT)
+        columns = table_columns(extract_columns(layout, "metal3", dissection, legality, fill_rules,
+                                  SlackColumnDef.FULL_LAYOUT))
         seen = set()
         for cols in columns.values():
             for col in cols:
@@ -194,8 +195,8 @@ class TestExtractColumns:
 
     def test_sites_are_legal_and_in_owner_tile(self, setup, fill_rules):
         layout, dissection, legality = setup
-        columns = extract_columns(layout, "metal3", dissection, legality, fill_rules,
-                                  SlackColumnDef.FULL_LAYOUT)
+        columns = table_columns(extract_columns(layout, "metal3", dissection, legality, fill_rules,
+                                  SlackColumnDef.FULL_LAYOUT))
         exact = ExactLegality.from_layout(layout, "metal3", fill_rules)
         for key, cols in columns.items():
             tile = dissection.tile(*key)
@@ -209,8 +210,8 @@ class TestExtractColumns:
     def test_resistance_weight_monotone_along_line(self, setup, fill_rules):
         """Columns farther downstream see larger upstream resistance."""
         layout, dissection, legality = setup
-        columns = extract_columns(layout, "metal3", dissection, legality, fill_rules,
-                                  SlackColumnDef.FULL_LAYOUT)
+        columns = table_columns(extract_columns(layout, "metal3", dissection, legality, fill_rules,
+                                  SlackColumnDef.FULL_LAYOUT))
         mid = sorted(
             (c for cols in columns.values() for c in cols if c.has_impact),
             key=lambda c: c.col,

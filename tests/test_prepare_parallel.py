@@ -30,13 +30,14 @@ from repro.pilfill import (
     prepare,
     result_digest,
     solve_tile_payload,
+    tile_digest,
     tile_rng,
     trim_to,
 )
 from repro.pilfill.budgeted import derive_net_cap_budgets
-from repro.pilfill.columns import ColumnNeighbor, ElectricalColumn
 from repro.synth import default_fill_rules, density_rules_for, make_t1
 from repro.tech import DensityRules
+from tests.column_objects import ColumnNeighbor, ElectricalColumn, slack_columns
 from tests.cost_tables import pack_costs
 
 
@@ -139,7 +140,7 @@ class TestProcessBackend:
         payload = TilePayload(
             key=key, method="greedy", budget=baseline.effective_budget[key],
             weighted=cfg.weighted, ilp_backend=cfg.backend, seed=cfg.seed,
-            costs=costs_by_tile[key].electrical(),
+            costs=costs_by_tile[key],
         )
         blob = pickle.dumps(payload)
         outcome = solve_tile_payload(pickle.loads(blob))
@@ -155,7 +156,7 @@ class TestProcessBackend:
 
         costs_by_tile = t1_setup[-1].costs_for(True)
         key = max(costs_by_tile, key=lambda k: costs_by_tile[k].capacity)
-        costs = costs_by_tile[key].electrical()
+        costs = costs_by_tile[key]
         assert costs.exact.base is not None  # a view into the grid's arrays
         payload = TilePayload(
             key=key, method="greedy", budget=1, weighted=True,
@@ -167,12 +168,33 @@ class TestProcessBackend:
             got, want = getattr(shipped, name), getattr(costs, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
             assert got.tobytes() == want.tobytes(), name
-        assert shipped.columns == costs.columns
+        assert slack_columns(shipped.columns) == slack_columns(costs.columns)
         own = costs.capacities.nbytes + costs.exact.nbytes + costs.linear.nbytes
         # The fixed part: the payload's scalar fields and three array headers.
         overhead = 2_000
         assert len(blob) <= own + len(pickle.dumps(costs.columns)) + overhead
         assert len(blob) < costs.exact.base.nbytes
+
+    def test_pickled_view_is_a_one_tile_table(self, t1_setup):
+        """A payload's column view pickles as a table of the tile's own
+        rows: it names only the lines those rows name, and the tile digest
+        of the round-tripped tables equals the parent's, byte for byte."""
+        import pickle
+
+        costs_by_tile = t1_setup[-1].costs_for(True)
+        layer_lines = t1_setup[-1].columns_by_tile.lines
+        checked = 0
+        for key, costs in costs_by_tile.items():
+            shipped = pickle.loads(pickle.dumps(costs))
+            view = shipped.columns
+            assert (view.key, view.lo, view.hi) == (key, 0, len(costs))
+            assert view.table.tile_keys == [key]
+            below, above = costs.columns.neighbors()
+            named = sorted({at for at in below + above if at >= 0})
+            assert view.table.lines == [layer_lines[at] for at in named]
+            assert tile_digest("ctx", key, shipped, 1) == tile_digest("ctx", key, costs, 1)
+            checked += bool(named) and len(named) < len(layer_lines)
+        assert checked  # some tile names lines, and fewer than the layer has
 
     def test_parallel_backend_validated(self, t1_setup):
         _, fill_rules, density_rules, _ = t1_setup
@@ -205,7 +227,7 @@ class TestNormalSiteSampling:
                 continue
             assert solution.site_indices is not None
             capacities = costs_by_tile[tile.key].capacities.tolist()
-            columns = prepared.columns_by_tile[tile.key]
+            sites = prepared.columns_by_tile[tile.key].sites()
             for k, capacity in enumerate(capacities):
                 picked = solution.sites_for(k)
                 assert len(picked) == solution.counts[k]
@@ -213,7 +235,7 @@ class TestNormalSiteSampling:
                 if picked and picked != tuple(range(len(picked))):
                     non_prefix_columns += 1
                 for s in picked:
-                    expected.append(columns[k].sites[s])
+                    expected.append(sites[k][s])
         assert [f.rect for f in result.features] == expected
         # With 1000+ random slots the sample is essentially never a pure
         # column prefix everywhere; this is what the old code collapsed to.
@@ -235,7 +257,7 @@ class TestNormalSiteSampling:
                 TilePayload(
                     key=key, method="normal", budget=baseline.effective_budget[key],
                     weighted=cfg.weighted, ilp_backend=cfg.backend, seed=cfg.seed,
-                    costs=costs_by_tile[key].electrical(),
+                    costs=costs_by_tile[key],
                 )
                 for key in order
             ])

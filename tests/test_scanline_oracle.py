@@ -29,6 +29,7 @@ from repro.layout.segment import WireSegment
 from repro.pilfill.columns import ColumnTable
 from repro.pilfill.scanline import ColumnGridder, GapBlock, IncrementalSweep, SweepLine, _Axes
 from repro.tech.rules import DensityRules, FillRules
+from tests.column_objects import table_columns
 from tests.scanline_oracle import OracleSweep, merge_abutting
 
 LAYER = "m"
@@ -165,6 +166,6 @@ def test_gridded_columns_equal(case, fill_size, fill_gap, buffer_distance, r):
         gridder.grid(sweep.finish())
         return gridder.table()
 
-    assert gridded(IncrementalSweep(region, horizontal)) == gridded(
-        OracleSweep(region, horizontal)
+    assert table_columns(gridded(IncrementalSweep(region, horizontal))) == table_columns(
+        gridded(OracleSweep(region, horizontal))
     )

@@ -31,7 +31,7 @@ from repro.fillsynth.slack_sites import SiteLegality
 from repro.geometry import Interval, Point, Rect, SiteGrid
 from repro.layout.rctree import LineTiming
 from repro.layout.segment import WireSegment
-from repro.pilfill.columns import ColumnTable, SlackColumn, SlackColumnDef
+from repro.pilfill.columns import ColumnTable, SlackColumnDef
 from repro.pilfill.scanline import (
     ColumnGridder,
     GapBlock,
@@ -44,6 +44,7 @@ from repro.pilfill.scanline import (
 from repro.tech.rules import DensityRules, FillRules
 from tests import column_grid_oracle
 from tests import site_grid_oracle as oracle
+from tests.column_objects import SlackColumn, table_columns
 from tests.legality_oracle import ExactLegality
 
 LAYER = "m"
@@ -211,7 +212,7 @@ def test_gridder_matches_oracle(data):
         LAYER, scene.dissection, scene.legality, scene.rules, scene.horizontal, DBU
     )
     gridder.grid(blocks, None if only_tile is None else [only_tile] * len(blocks))
-    assert gridder.table() == grid_oracle(scene, blocks, only_tile)
+    assert table_columns(gridder.table()) == grid_oracle(scene, blocks, only_tile)
 
 
 @settings(max_examples=150, deadline=None)
@@ -224,7 +225,7 @@ def test_extract_columns_matches_oracle(data):
         lines, scene.horizontal, scene.die, DBU, LAYER, scene.dissection,
         scene.legality, scene.rules, definition,
     )
-    assert got == extract_oracle(scene, lines, definition)
+    assert table_columns(got) == extract_oracle(scene, lines, definition)
 
 
 def assert_table_equals(table: ColumnTable, want: Columns) -> None:

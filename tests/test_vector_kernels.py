@@ -33,7 +33,6 @@ from repro.cap.fillimpact import (
 )
 from repro.cap.lut import LUTCache
 from repro.errors import FillError
-from repro.pilfill.columns import ColumnNeighbor, ColumnSites, SlackColumn
 from repro.pilfill.costs import build_cost_views
 from repro.pilfill.dp import (
     _VECTOR_MIN_SLOTS,
@@ -43,7 +42,14 @@ from repro.pilfill.dp import (
 )
 from repro.pilfill.prepare import prepare
 from repro.synth import default_fill_rules, density_rules_for, make_t1, make_t2
-from tests.cost_tables import column_table, pack_costs
+from tests.column_objects import (
+    ColumnNeighbor,
+    ColumnSites,
+    SlackColumn,
+    column_table,
+    slack_columns,
+)
+from tests.cost_tables import pack_costs
 from tests.costs_oracle import build_costs_scalar
 
 # Geometry strategy: spacing comfortably above capacity * width so the
@@ -185,8 +191,8 @@ def _assert_batched_matches_scalar(tiles, layer, fill_rules, dbu, weighted) -> N
             got_array, want_array = getattr(view, name), getattr(want, name)
             assert got_array.dtype == want_array.dtype, name
             assert got_array.tobytes() == want_array.tobytes(), name
-        assert view.columns == tuple(tiles[key])
-        assert view.electrical().columns == want.columns
+        assert view.columns.table is tiles
+        assert slack_columns(view.columns) == slack_columns(tiles[key])
     assert batch_cache.stats() == scalar_cache.stats()
 
 

@@ -15,6 +15,7 @@ from repro.pilfill import (
     extract_columns,
 )
 from repro.tech import DensityRules
+from tests.column_objects import table_columns
 
 
 def build_two_vertical_lines(stack, gap_dbu: int = 4000, die_side: int = 40000):
@@ -43,10 +44,10 @@ class TestVerticalColumns:
     def test_columns_between_vertical_lines(self, vertical_layout, fill_rules):
         dissection = FixedDissection(vertical_layout.die, DensityRules(20000, 2))
         legality = SiteLegality(vertical_layout, "metal4", fill_rules)
-        columns = extract_columns(
+        columns = table_columns(extract_columns(
             vertical_layout, "metal4", dissection, legality, fill_rules,
             SlackColumnDef.FULL_LAYOUT,
-        )
+        ))
         mid = [c for cols in columns.values() for c in cols if c.has_impact]
         assert mid, "expected columns between the vertical lines"
         for col in mid:
@@ -60,10 +61,10 @@ class TestVerticalColumns:
     def test_resistance_grows_along_y(self, vertical_layout, fill_rules):
         dissection = FixedDissection(vertical_layout.die, DensityRules(20000, 2))
         legality = SiteLegality(vertical_layout, "metal4", fill_rules)
-        columns = extract_columns(
+        columns = table_columns(extract_columns(
             vertical_layout, "metal4", dissection, legality, fill_rules,
             SlackColumnDef.FULL_LAYOUT,
-        )
+        ))
         mid = sorted(
             (c for cols in columns.values() for c in cols if c.has_impact),
             key=lambda c: c.col,

@@ -15,6 +15,7 @@ from repro.pilfill import (
 from repro.pilfill.scanline import layer_sweep_lines
 from repro.synth import GeneratorSpec, generate_layout
 from repro.tech import DensityRules
+from tests.column_objects import table_columns
 from tests.legality_oracle import ExactLegality
 from tests.site_grid_oracle import col_at, row_at
 
@@ -70,10 +71,10 @@ class TestJoggedGeneration:
     def test_columns_never_contain_sites_on_jogs(self, jogged_layout, fill_rules):
         dissection = FixedDissection(jogged_layout.die, DensityRules(16000, 2))
         legality = SiteLegality(jogged_layout, "metal3", fill_rules)
-        columns = extract_columns(
+        columns = table_columns(extract_columns(
             jogged_layout, "metal3", dissection, legality, fill_rules,
             SlackColumnDef.FULL_LAYOUT,
-        )
+        ))
         jog_rects = [
             seg.rect.expanded(fill_rules.buffer_distance)
             for seg in jogged_layout.segments_on_layer("metal3")
